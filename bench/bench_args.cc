@@ -52,10 +52,6 @@ printUsage(std::FILE *out, const char *prog)
         "  --stream-gb G     bench_hotloop: memory_bound regime "
         "footprint in GB (0 = skip;\n"
         "                    default 0.25 at --small, 4.0 at --full)\n"
-        "  --stream-exec M   auto|on|off: trace residency (auto "
-        "streams LLC-spilling\n"
-        "                    traces from compressed chunks; also "
-        "honors DSMEM_STREAM_EXEC)\n"
         "  --simd MODE       auto|scalar: sweep backend (scalar "
         "forces the portable\n"
         "                    struct-of-lanes instantiation; auto also "
@@ -186,11 +182,6 @@ parseBenchArgs(int argc, char **argv, bool default_small)
             if (end == v || *end != '\0' || g < 0.0 || g > 64.0)
                 usageError(argv[0], "bad --stream-gb value", v);
             args.stream_gb = g;
-        } else if (const char *v =
-                       flagValue("--stream-exec", argc, argv, i)) {
-            if (!sim::parseStreamExec(v, &args.stream_exec))
-                usageError(argv[0],
-                           "bad --stream-exec value (auto|on|off)", v);
         } else if (const char *v = flagValue("--simd", argc, argv, i)) {
             std::string_view mode = v;
             if (mode != "auto" && mode != "scalar")

@@ -13,7 +13,7 @@ namespace dsmem::bench {
  *
  *   --small           run the reduced application configurations
  *   --full            run the paper-scaled configurations
- *   --jobs N          worker threads (default: hardware concurrency)
+ *   --jobs N          worker threads (default: util::hostCores())
  *   --trace-dir DIR   persistent phase-1 trace cache directory
  *                     (default .dsmem-cache/)
  *   --no-trace-store  disable the persistent trace cache
@@ -38,12 +38,6 @@ namespace dsmem::bench {
  *                     footprint in GB for the memory_bound regime
  *                     (0 = skip the regime; default: 0.25 at --small,
  *                     4.0 at --full)
- *   --stream-exec M   auto|on|off: trace-residency policy
- *                     (sim/stream_exec.h). auto (default, also honors
- *                     DSMEM_STREAM_EXEC) keeps LLC-spilling traces
- *                     chunk-compressed and streams DS sweeps from
- *                     decode-ahead tiles; on forces streaming, off
- *                     forces the flat view
  *   --simd MODE       auto = best sweep backend the build and CPU
  *                     support (default, also honors DSMEM_SIMD=scalar
  *                     in the environment); scalar = force the scalar
@@ -60,7 +54,7 @@ namespace dsmem::bench {
  */
 struct BenchArgs {
     bool small = false;
-    unsigned jobs = 0; ///< 0 = hardware concurrency.
+    unsigned jobs = 0; ///< 0 = util::hostCores().
     std::string trace_dir = ".dsmem-cache";
     std::string json_path; ///< Empty = no JSON export.
     std::string journal_path; ///< Empty = no journal.
@@ -72,8 +66,6 @@ struct BenchArgs {
     sim::SamplingPlan sampling; ///< period == 0: exact runs.
     bool cold = false; ///< bench_hotloop: reload the view per round.
     double stream_gb = -1.0; ///< Memory-bound footprint; <0 = scale default.
-    /** Trace-residency policy; default honors DSMEM_STREAM_EXEC. */
-    sim::StreamExec stream_exec = sim::streamExecFromEnv();
     std::string simd; ///< "auto" / "scalar"; empty = env-seeded default.
     bool stable_json = false; ///< Deterministic JSON projection.
     bool store_gc = false;    ///< GC the trace store before running.
@@ -90,7 +82,6 @@ struct BenchArgs {
         opts.job_timeout_ms = job_timeout_ms;
         opts.fuse_sweeps = !no_fuse;
         opts.sampling = sampling;
-        opts.stream_exec = stream_exec;
         opts.stable_json = stable_json;
         opts.store_gc = store_gc;
         opts.store_gc_age_s = store_gc_age_s;

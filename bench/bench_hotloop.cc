@@ -52,7 +52,6 @@
 #include <functional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -211,9 +210,8 @@ rssProbeMain(int argc, char **argv)
     config.window = 64;
     const std::vector<core::DynamicConfig> configs{config};
     core::SimContext ctx;
-    std::vector<core::DynamicResult> res = vb.chunked
-        ? core::runDynamicSweepStreamed(*vb.chunked, configs, ctx)
-        : core::runDynamicSweep(*vb.view, configs, ctx);
+    std::vector<core::DynamicResult> res =
+        core::runDynamicSweep(vb, configs, ctx);
     std::printf("rss_probe %llu %llu %llu\n",
                 static_cast<unsigned long long>(util::peakRssBytes()),
                 static_cast<unsigned long long>(
@@ -476,11 +474,7 @@ main(int argc, char **argv)
         pool.wait();
     };
 
-    unsigned jobs_n = args.jobs != 0
-        ? args.jobs
-        : std::thread::hardware_concurrency();
-    if (jobs_n == 0)
-        jobs_n = 1;
+    const unsigned jobs_n = args.jobs != 0 ? args.jobs : util::hostCores();
     const size_t fused_groups_j1 =
         sim::planPhase2(sweep, no_rows_done,
                         sim::adaptiveLaneCap(sweep_ds, 1))
@@ -634,9 +628,9 @@ main(int argc, char **argv)
         auto streamedPass = [&](std::vector<core::DynamicResult> *out) {
             for (const auto &cv : stream_chunked) {
                 std::vector<core::DynamicResult> swept =
-                    core::runDynamicSweepStreamed(
-                        *cv, stream_configs, stream_ctx,
-                        core::SweepMode::Auto, stream_opt);
+                    core::runDynamicSweep(
+                        core::TraceSource(*cv, stream_opt),
+                        stream_configs, stream_ctx);
                 if (out)
                     for (core::DynamicResult &r : swept)
                         out->push_back(std::move(r));
@@ -773,8 +767,7 @@ main(int argc, char **argv)
         << "  \"cold\": " << (args.cold ? "true" : "false") << ",\n"
         << "  \"host_cpu\": \"" << jsonEscape(util::hostCpuModel())
         << "\",\n"
-        << "  \"host_cores\": "
-        << std::thread::hardware_concurrency() << ",\n"
+        << "  \"host_cores\": " << util::hostCores() << ",\n"
         << "  \"host_l2_bytes\": " << util::hostCacheBytes(2) << ",\n"
         << "  \"host_l3_bytes\": " << util::hostCacheBytes(3) << ",\n"
         << "  \"peak_rss_bytes\": " << util::peakRssBytes() << ",\n"

@@ -64,10 +64,11 @@ DynamicProcessor::run(const trace::Trace &trace) const
 }
 
 // ------------------------------------------------------------------
-// The production hot loop over the SoA view. Scheduling decisions are
-// identical to runReference (the equivalence suite drives both on
-// randomized traces); the per-instruction logic lives in Lane::step
-// (core/lane.h), shared verbatim with the fused window sweeps.
+// The production hot loop over the SoA view: a one-lane tiled sweep.
+// Scheduling decisions are identical to runReference (the equivalence
+// suite drives both on randomized traces); the per-instruction logic
+// lives in Lane::step (core/lane.h), shared verbatim with the fused
+// window sweeps.
 // ------------------------------------------------------------------
 DynamicResult
 DynamicProcessor::run(const trace::TraceView &v) const
@@ -79,13 +80,9 @@ DynamicProcessor::run(const trace::TraceView &v) const
 DynamicResult
 DynamicProcessor::run(const trace::TraceView &v, SimContext &ctx) const
 {
-    Lane lane;
-    lane.bind(config_, ctx.lane(0));
-    const size_t n = v.size();
-    for (size_t i = 0; i < n; ++i)
-        lane.step(v, i);
-    lane.finish();
-    return std::move(lane.r);
+    return std::move(
+        runDynamicSweep(v, {config_}, ctx, SweepMode::PerLaneTiled)
+            .front());
 }
 
 // ------------------------------------------------------------------
@@ -102,48 +99,41 @@ DynamicProcessor::run(const trace::TraceView &v, SimContext &ctx) const
 // ------------------------------------------------------------------
 namespace {
 
-/** Tiled per-lane pass (the always-available executor). */
+/**
+ * Tiled per-lane pass (the always-available executor). Each lane runs
+ * a block of instructions before the next lane starts it, so a lane's
+ * rings and tables stay L1-resident through the block (stepping lanes
+ * interleaved per instruction thrashes them), while the block's slice
+ * of the operand arrays is still served from cache for every lane
+ * after the first. The block is one chunk, so a chunked source's
+ * tiles are single blocks. Lanes are fully independent, so any
+ * interleaving of per-lane step sequences is bit-identical.
+ */
 std::vector<DynamicResult>
-runTiledSweep(const trace::TraceView &v,
+runTiledSweep(const TraceSource &src,
               const std::vector<DynamicConfig> &configs, SimContext &ctx)
 {
     const size_t k = configs.size();
-    std::vector<DynamicResult> out;
-    out.reserve(k);
-    if (k == 0)
-        return out;
-
     std::vector<Lane> lanes(k);
     for (size_t j = 0; j < k; ++j) {
         validateConfig(configs[j]);
         lanes[j].bind(configs[j], ctx.lane(j));
     }
 
-    const size_t n = v.size();
-    if (k == 1) {
-        // Degenerate sweep: keep the single-lane loop tight.
-        Lane &lane = lanes[0];
-        for (size_t i = 0; i < n; ++i)
-            lane.step(v, i);
-    } else {
-        // Tiled pass: each lane runs a block of instructions before
-        // the next lane starts it, so a lane's rings and tables stay
-        // L1-resident through the block (stepping lanes interleaved
-        // per instruction thrashes them), while the block's slice of
-        // the operand arrays is still served from cache for every
-        // lane after the first. Lanes are fully independent, so any
-        // interleaving of per-lane step sequences is bit-identical.
-        constexpr size_t kBlock = 8192;
-        for (size_t base = 0; base < n; base += kBlock) {
-            const size_t end = std::min(n, base + kBlock);
-            for (size_t j = 0; j < k; ++j) {
-                Lane &lane = lanes[j];
+    constexpr size_t kBlock = trace::ChunkedView::kChunkInstrs;
+    detail::TileStream stream(src, ctx);
+    trace::TileSpan span;
+    while (stream.next(span)) {
+        for (size_t base = span.lo(); base < span.hi(); base += kBlock) {
+            const size_t end = std::min(span.hi(), base + kBlock);
+            for (Lane &lane : lanes)
                 for (size_t i = base; i < end; ++i)
-                    lane.step(v, i);
-            }
+                    lane.step(span, i);
         }
     }
 
+    std::vector<DynamicResult> out;
+    out.reserve(k);
     for (Lane &lane : lanes) {
         lane.finish();
         out.push_back(std::move(lane.r));
@@ -153,72 +143,18 @@ runTiledSweep(const trace::TraceView &v,
 
 /** SoL with the best batch type the host can run right now. */
 std::vector<DynamicResult>
-runSolBest(const trace::TraceView &v,
+runSolBest(const TraceSource &src,
            const std::vector<DynamicConfig> &configs, SimContext &ctx)
 {
     if (util::simd::forceScalar() || !detail::solSimdRuntimeOk())
-        return detail::runSolSweepScalar(v, configs, ctx);
-    return detail::runSolSweepSimd(v, configs, ctx);
-}
-
-/**
- * Tiled per-lane pass over a chunk-compressed view: one TileStream
- * tile plays the role of one kBlock block (ChunkedView::kChunkInstrs
- * matches the tiled pass's block size), so the loop structure — each
- * lane steps a whole block before the next lane starts it — carries
- * over unchanged, and any per-lane step interleaving is bit-identical
- * to the flat pass by lane independence.
- */
-std::vector<DynamicResult>
-runTiledSweepStreamed(const trace::ChunkedView &cv,
-                      const std::vector<DynamicConfig> &configs,
-                      SimContext &ctx, const StreamOptions &opt)
-{
-    const size_t k = configs.size();
-    std::vector<DynamicResult> out;
-    out.reserve(k);
-    if (k == 0)
-        return out;
-
-    std::vector<Lane> lanes(k);
-    for (size_t j = 0; j < k; ++j) {
-        validateConfig(configs[j]);
-        lanes[j].bind(configs[j], ctx.lane(j));
-    }
-
-    detail::TileStream stream(cv, ctx, opt);
-    while (const trace::TraceTile *tile = stream.next()) {
-        const trace::TileSpan span(*tile);
-        const size_t lo = span.lo(), hi = span.hi();
-        for (size_t j = 0; j < k; ++j) {
-            Lane &lane = lanes[j];
-            for (size_t i = lo; i < hi; ++i)
-                lane.step(span, i);
-        }
-    }
-
-    for (Lane &lane : lanes) {
-        lane.finish();
-        out.push_back(std::move(lane.r));
-    }
-    return out;
-}
-
-/** Streamed SoL with the best batch type the host can run. */
-std::vector<DynamicResult>
-runSolBestStreamed(const trace::ChunkedView &cv,
-                   const std::vector<DynamicConfig> &configs,
-                   SimContext &ctx, const StreamOptions &opt)
-{
-    if (util::simd::forceScalar() || !detail::solSimdRuntimeOk())
-        return detail::runSolSweepScalarStreamed(cv, configs, ctx, opt);
-    return detail::runSolSweepSimdStreamed(cv, configs, ctx, opt);
+        return detail::runSolSweepScalar(src, configs, ctx);
+    return detail::runSolSweepSimd(src, configs, ctx);
 }
 
 } // namespace
 
 std::vector<DynamicResult>
-runDynamicSweep(const trace::TraceView &v,
+runDynamicSweep(const TraceSource &src,
                 const std::vector<DynamicConfig> &configs,
                 SimContext &ctx, SweepMode mode)
 {
@@ -226,7 +162,7 @@ runDynamicSweep(const trace::TraceView &v,
         return {};
     switch (mode) {
       case SweepMode::PerLaneTiled:
-        return runTiledSweep(v, configs, ctx);
+        return runTiledSweep(src, configs, ctx);
       case SweepMode::SoL:
       case SweepMode::SoLScalar:
         if (!solSweepSupported(configs))
@@ -234,8 +170,8 @@ runDynamicSweep(const trace::TraceView &v,
                 "configs not runnable on the struct-of-lanes path "
                 "(see solSweepSupported)");
         if (mode == SweepMode::SoLScalar)
-            return detail::runSolSweepScalar(v, configs, ctx);
-        return runSolBest(v, configs, ctx);
+            return detail::runSolSweepScalar(src, configs, ctx);
+        return runSolBest(src, configs, ctx);
       case SweepMode::Auto:
         break;
     }
@@ -243,55 +179,8 @@ runDynamicSweep(const trace::TraceView &v,
     // amortized over at least two lanes; a single lane or an
     // unsupported config mix takes the tiled pass.
     if (configs.size() >= 2 && solSweepSupported(configs))
-        return runSolBest(v, configs, ctx);
-    return runTiledSweep(v, configs, ctx);
-}
-
-std::vector<DynamicResult>
-runDynamicSweep(const trace::TraceView &v,
-                const std::vector<DynamicConfig> &configs, SimContext &ctx)
-{
-    return runDynamicSweep(v, configs, ctx, SweepMode::Auto);
-}
-
-std::vector<DynamicResult>
-runDynamicSweepStreamed(const trace::ChunkedView &cv,
-                        const std::vector<DynamicConfig> &configs,
-                        SimContext &ctx, SweepMode mode,
-                        const StreamOptions &opt)
-{
-    if (configs.empty())
-        return {};
-    switch (mode) {
-      case SweepMode::PerLaneTiled:
-        return runTiledSweepStreamed(cv, configs, ctx, opt);
-      case SweepMode::SoL:
-      case SweepMode::SoLScalar:
-        if (!solSweepSupported(configs))
-            throw std::invalid_argument(
-                "configs not runnable on the struct-of-lanes path "
-                "(see solSweepSupported)");
-        if (mode == SweepMode::SoLScalar)
-            return detail::runSolSweepScalarStreamed(cv, configs, ctx,
-                                                     opt);
-        return runSolBestStreamed(cv, configs, ctx, opt);
-      case SweepMode::Auto:
-        break;
-    }
-    // Same Auto policy as the flat dispatch: lockstep pays once the
-    // per-instruction dispatch is amortized over at least two lanes.
-    if (configs.size() >= 2 && solSweepSupported(configs))
-        return runSolBestStreamed(cv, configs, ctx, opt);
-    return runTiledSweepStreamed(cv, configs, ctx, opt);
-}
-
-std::vector<DynamicResult>
-runDynamicSweepStreamed(const trace::ChunkedView &cv,
-                        const std::vector<DynamicConfig> &configs,
-                        SimContext &ctx)
-{
-    return runDynamicSweepStreamed(cv, configs, ctx, SweepMode::Auto,
-                                   StreamOptions{});
+        return runSolBest(src, configs, ctx);
+    return runTiledSweep(src, configs, ctx);
 }
 
 // ------------------------------------------------------------------
@@ -382,6 +271,7 @@ DynamicProcessor::runSampled(const trace::TraceView &v,
         throw std::invalid_argument("detailed window must be >= 1");
 
     const size_t n = v.size();
+    const trace::TileSpan span(v);
     std::vector<WindowResult> out;
     out.reserve(points.size());
     Lane lane;
@@ -396,7 +286,7 @@ DynamicProcessor::runSampled(const trace::TraceView &v,
         size_t i = pt.pos;
         const size_t measure_start = pt.pos + warmup;
         for (; i < measure_start; ++i)
-            lane.step(v, i);
+            lane.step(span, i);
 
         const Breakdown bd0 = lane.r.breakdown;
         const uint64_t in0 = lane.r.instructions;
@@ -406,7 +296,7 @@ DynamicProcessor::runSampled(const trace::TraceView &v,
 
         const size_t measure_end = measure_start + detailed;
         for (; i < measure_end; ++i)
-            lane.step(v, i);
+            lane.step(span, i);
 
         WindowResult w;
         w.start = measure_start;

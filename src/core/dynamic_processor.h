@@ -7,16 +7,17 @@
 #include "core/branch_predictor.h"
 #include "core/types.h"
 #include "stats/histogram.h"
+#include "trace/chunked_view.h"
 #include "trace/trace.h"
 #include "trace/trace_view.h"
-
-namespace dsmem::trace {
-class ChunkedView;
-}
 
 namespace dsmem::core {
 
 class SimContext;
+
+namespace detail {
+class TileStream;
+}
 
 /** Configuration of the dynamically scheduled processor (Section 3.1). */
 struct DynamicConfig {
@@ -221,10 +222,13 @@ class DynamicProcessor
 /** Executor strategy for runDynamicSweep. */
 enum class SweepMode {
     /**
-     * Struct-of-lanes when every config qualifies
-     * (solSweepSupported) and SIMD is not disabled at runtime
-     * (util::simd::forceScalar / DSMEM_SIMD=scalar); the per-lane
-     * tiled pass otherwise.
+     * Struct-of-lanes when there are at least two lanes (lockstep
+     * amortizes the per-instruction decode over K lanes, so one lane
+     * gains nothing) and every config qualifies (solSweepSupported);
+     * the per-lane tiled pass otherwise. The SoL batch type is the
+     * configure-time SIMD ISA unless the CPU lacks it or it is
+     * disabled at runtime (util::simd::forceScalar /
+     * DSMEM_SIMD=scalar).
      */
     Auto,
     /** The per-lane tiled pass (always available, any config mix). */
@@ -258,32 +262,7 @@ const char *solIsaName();
  */
 const char *solActiveIsaName();
 
-/**
- * Fused window sweep: time every config of @p configs — typically one
- * (model, latency) tuple at several window sizes — in a single pass
- * over the trace, stepping one independent lane per config at each
- * instruction. The k-th result is bit-identical to
- * DynamicProcessor(configs[k]).run(v); the win is that the SoA operand
- * arrays stream through the cache once instead of configs.size()
- * times. Lane k borrows ctx.lane(k).
- *
- * @p mode selects the executor. The struct-of-lanes path advances all
- * lanes in lockstep over each instruction with the rolling scalars in
- * parallel arrays (gate/admission/attribution math vectorized, ring
- * and table accesses per-lane), falling back to Lane::step per lane
- * for divergent sync ops; results are bit-identical across every mode
- * (enforced by tests/test_executor.cc).
- */
-std::vector<DynamicResult> runDynamicSweep(
-    const trace::TraceView &v, const std::vector<DynamicConfig> &configs,
-    SimContext &ctx, SweepMode mode);
-
-/** runDynamicSweep with SweepMode::Auto. */
-std::vector<DynamicResult> runDynamicSweep(
-    const trace::TraceView &v, const std::vector<DynamicConfig> &configs,
-    SimContext &ctx);
-
-/** Decode-ahead pipeline knobs for the streaming executors. */
+/** Decode-ahead shape of a chunked TraceSource. */
 struct StreamOptions {
     /**
      * 0 = decode tiles inline on the sweep thread (no thread spawned;
@@ -294,37 +273,72 @@ struct StreamOptions {
      * construction: each section is one delta chain).
      */
     int decode_threads = 0;
-
-    /** Tiles in the recycled ring (threaded mode needs >= 3: one
-     *  being computed, one decoded ahead, one being written). */
-    size_t ring_tiles = 3;
 };
 
 /**
- * Fused window sweep over a chunk-compressed trace: identical
- * semantics and bit-identical per-cell results to
- * runDynamicSweep(v, ...) on the flattened view — enforced by
- * tests/test_executor.cc — but the trace stays compressed-resident
- * (ChunkedView, ~4-8 B/instr) and is decoded chunk by chunk into an
- * L2-resident tile ring that the sweep consumes in order, optionally
- * with a decode-ahead thread (see StreamOptions). For sweeps whose
- * flat view exceeds the LLC this trades the full-view memory stream
- * for a cache-resident one; sim::sweepModeFor picks it automatically
- * for such cells (--stream-exec).
+ * The one trace input of the dynamic-scheduling sweeps: the trace as
+ * a sequence of trace::TileSpans covering every instruction in order.
  *
- * SweepMode::Auto maps to the streaming SoL pass when the configs
- * support it and to the streaming tiled pass otherwise; explicit
- * SoL/SoLScalar/PerLaneTiled select the matching streamed executor.
+ *  - A flat TraceView is a single zero-copy span over its own
+ *    columns.
+ *  - A ChunkedView stays compressed-resident (~4-8 B/instr) and is
+ *    decoded chunk by chunk into an L2-resident tile ring, one span
+ *    per tile, optionally by a decode-ahead thread (StreamOptions).
+ *    For a trace whose flat view exceeds the LLC this trades the
+ *    full-view memory stream for a cache-resident one.
+ *
+ * Both constructors are implicit, so every sweep entry point takes
+ * either view directly. Holds pointers only: the view must outlive
+ * the source.
  */
-std::vector<DynamicResult> runDynamicSweepStreamed(
-    const trace::ChunkedView &cv,
-    const std::vector<DynamicConfig> &configs, SimContext &ctx,
-    SweepMode mode, const StreamOptions &opt);
+class TraceSource
+{
+  public:
+    TraceSource(const trace::TraceView &v) : flat_(&v) {}
+    TraceSource(const trace::ChunkedView &cv, StreamOptions opt = {})
+        : chunked_(&cv), opt_(opt)
+    {
+    }
 
-/** runDynamicSweepStreamed with SweepMode::Auto, default options. */
-std::vector<DynamicResult> runDynamicSweepStreamed(
-    const trace::ChunkedView &cv,
-    const std::vector<DynamicConfig> &configs, SimContext &ctx);
+    /**
+     * The whole trace as a flat view, for consumers that need random
+     * access or first_use (the static models). A chunked source
+     * flattens once; ChunkedView memoizes the result, so the
+     * reference lives as long as the ChunkedView.
+     */
+    const trace::TraceView &flatView() const
+    {
+        return flat_ != nullptr ? *flat_ : *chunked_->flatten();
+    }
+
+  private:
+    friend class detail::TileStream;
+
+    const trace::TraceView *flat_ = nullptr;
+    const trace::ChunkedView *chunked_ = nullptr;
+    StreamOptions opt_;
+};
+
+/**
+ * Fused window sweep: time every config of @p configs — typically one
+ * (model, latency) tuple at several window sizes — in a single pass
+ * over the trace, stepping one independent lane per config at each
+ * instruction. The k-th result is bit-identical to
+ * DynamicProcessor(configs[k]).run(v) on the flat view, whatever the
+ * residency of @p src; the win is that the SoA operand arrays stream
+ * through the cache once instead of configs.size() times. Lane k
+ * borrows ctx.lane(k).
+ *
+ * @p mode selects the executor. The struct-of-lanes path advances all
+ * lanes in lockstep over each instruction with the rolling scalars in
+ * parallel arrays (gate/admission/attribution math vectorized, ring
+ * and table accesses per-lane), falling back to Lane::step per lane
+ * for divergent sync ops; results are bit-identical across every mode
+ * (enforced by tests/test_executor.cc).
+ */
+std::vector<DynamicResult> runDynamicSweep(
+    const TraceSource &src, const std::vector<DynamicConfig> &configs,
+    SimContext &ctx, SweepMode mode = SweepMode::Auto);
 
 } // namespace dsmem::core
 

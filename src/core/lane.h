@@ -8,6 +8,7 @@
 #include "core/dynamic_processor.h"
 #include "core/sim_context.h"
 #include "core/slot_allocator.h"
+#include "trace/chunked_view.h"
 #include "trace/trace_view.h"
 
 // ------------------------------------------------------------------
@@ -294,15 +295,13 @@ struct Lane {
 
     /**
      * Schedule trace instruction @p i (the body of run()'s loop).
-     * Templated on the view type: @p v is either a flat
-     * trace::TraceView or a streamed trace::TileSpan (a decoded
-     * ChunkedView tile indexed by global position). The step reads
-     * the view only at index i, so the same instantiated logic runs
-     * over either backing — which is how streamed results stay
-     * bit-identical to flat ones by construction.
+     * @p v is any span holding i — the whole flat view or one decoded
+     * ChunkedView tile (see core::TraceSource). The step reads the
+     * span only at index i, so one instantiation serves either
+     * residency, which is how chunked results stay bit-identical to
+     * flat ones by construction.
      */
-    template <typename V>
-    void step(const V &v, size_t i)
+    void step(const trace::TileSpan &v, size_t i)
     {
         using trace::Op;
         using trace::TraceView;

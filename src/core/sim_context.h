@@ -105,7 +105,7 @@ class SimContext
     };
 
     /**
-     * Streaming-executor scratch: the ring of decoded SoA tiles a
+     * Chunked-source scratch: the ring of decoded SoA tiles a
      * TileStream (core/tile_stream.h) cycles a ChunkedView through.
      * Tile columns grow monotonically (TraceTile vectors are resized,
      * never shrunk), so a campaign of many streamed cells decodes

@@ -52,20 +52,11 @@ solActiveIsaName()
 namespace detail {
 
 std::vector<DynamicResult>
-runSolSweepScalar(const trace::TraceView &v,
+runSolSweepScalar(const TraceSource &src,
                   const std::vector<DynamicConfig> &configs,
                   SimContext &ctx)
 {
-    return runSolSweepImpl<util::simd::U64x4Scalar>(v, configs, ctx);
-}
-
-std::vector<DynamicResult>
-runSolSweepScalarStreamed(const trace::ChunkedView &cv,
-                          const std::vector<DynamicConfig> &configs,
-                          SimContext &ctx, const StreamOptions &opt)
-{
-    return runSolSweepStreamedImpl<util::simd::U64x4Scalar>(cv, configs,
-                                                            ctx, opt);
+    return runSolSweepImpl<util::simd::U64x4Scalar>(src, configs, ctx);
 }
 
 bool

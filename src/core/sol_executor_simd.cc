@@ -19,20 +19,11 @@
 namespace dsmem::core::detail {
 
 std::vector<DynamicResult>
-runSolSweepSimd(const trace::TraceView &v,
+runSolSweepSimd(const TraceSource &src,
                 const std::vector<DynamicConfig> &configs,
                 SimContext &ctx)
 {
-    return runSolSweepImpl<util::simd::U64Batch>(v, configs, ctx);
-}
-
-std::vector<DynamicResult>
-runSolSweepSimdStreamed(const trace::ChunkedView &cv,
-                        const std::vector<DynamicConfig> &configs,
-                        SimContext &ctx, const StreamOptions &opt)
-{
-    return runSolSweepStreamedImpl<util::simd::U64Batch>(cv, configs,
-                                                         ctx, opt);
+    return runSolSweepImpl<util::simd::U64Batch>(src, configs, ctx);
 }
 
 } // namespace dsmem::core::detail

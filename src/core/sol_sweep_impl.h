@@ -63,16 +63,14 @@
 //
 // The pass is packaged as SolSweepState — init() binds the lanes and
 // carves the scratch arrays, runRange() advances every lane over one
-// contiguous global index range, finish() harvests the results — so
-// the same instantiated code serves two drivers. The flat driver
-// (runSolSweepImpl) is a single runRange(view, 0, n). The streaming
-// driver (runSolSweepStreamedImpl) pulls decoded TraceTiles off a
-// TileStream and calls runRange once per tile through a TileSpan:
-// the lockstep phases read the view only at the current index, and
-// every piece of cross-instruction state lives in this object, so
-// splitting the trace at arbitrary tile boundaries cannot change a
-// single scheduling decision — streamed results are bit-identical to
-// flat ones by construction.
+// span of the trace, finish() harvests the results. runSolSweepImpl
+// pulls the spans of a TraceSource off a TileStream and calls
+// runRange once per span: one span for a flat view, one per decoded
+// tile for a chunked one. The lockstep phases read the span
+// only at the current index, and every piece of cross-instruction
+// state lives in this object, so splitting the trace at arbitrary
+// tile boundaries cannot change a single scheduling decision —
+// chunked results are bit-identical to flat ones by construction.
 //
 // Only configs accepted by core::solSweepSupported may be run here:
 // uniform model/width/prediction/dependence knobs, no free_window,
@@ -170,20 +168,18 @@ class SolSweepState
     }
 
     /**
-     * Advance every lane over global indices [@p lo, @p hi). @p v is
-     * a flat trace::TraceView (flat driver: one call over [0, n)) or
-     * a trace::TileSpan (streaming driver: one call per decoded tile,
-     * in order, contiguous). The first call must start at lo == 0 —
-     * instruction 0 is peeled through the fallback there.
+     * Advance every lane over the instructions of @p v. Spans must
+     * arrive in trace order and contiguous, the first starting at
+     * instruction 0 — which is peeled through the fallback there.
      */
-    template <typename V>
-    void runRange(const V &v, size_t lo, size_t hi)
+    void runRange(const trace::TileSpan &v)
     {
         using trace::Op;
         using trace::TraceView;
 
         constexpr size_t kb = Batch::kWidth;
-        size_t i = lo;
+        const size_t hi = v.hi();
+        size_t i = v.lo();
         if (i == 0 && hi > 0) {
             // Peel instruction 0 so first_retire is false in the
             // lockstep phases (its attribution term is retire + 1,
@@ -197,11 +193,11 @@ class SolSweepState
         const Batch kpv = Batch::splat(kpad);
 
         for (; i < hi; ++i) {
-            // Prefetch the operand arrays a block ahead: a streamed
-            // multi-GB trace arrives cold from memory, and the
-            // lockstep pass touches every array at the same index, so
-            // one line per array per 8 instructions keeps the stream
-            // off the critical path. Bounded by hi, so a tile never
+            // Prefetch the operand arrays a block ahead: a multi-GB
+            // flat trace arrives cold from memory, and the lockstep
+            // pass touches every array at the same index, so one line
+            // per array per 8 instructions keeps the stream off the
+            // critical path. Bounded by hi, so a span never
             // prefetches past its own columns.
             constexpr size_t kPrefetchDist = 64;
             if ((i & 7) == 0 && i + kPrefetchDist < hi)
@@ -524,8 +520,7 @@ class SolSweepState
         n_rmiss[j] = ln.r.read_misses;
     }
 
-    template <typename V>
-    void fallbackStep(const V &v, size_t i)
+    void fallbackStep(const trace::TileSpan &v, size_t i)
     {
         // The per-lane rings are not maintained during lockstep, so
         // stage exactly the entries step(v, i) reads from the
@@ -611,39 +606,19 @@ class SolSweepState
     bool first = true;
 };
 
-/** Flat driver: one lockstep pass over the whole view. */
+/** One lockstep pass over the source, span by span. */
 template <typename Batch>
 std::vector<DynamicResult>
-runSolSweepImpl(const trace::TraceView &v,
+runSolSweepImpl(const TraceSource &src,
                 const std::vector<DynamicConfig> &configs,
                 SimContext &ctx)
 {
     SolSweepState<Batch> state;
     state.init(configs, ctx);
-    state.runRange(v, 0, v.size());
-    return state.finish();
-}
-
-/**
- * Streaming driver: pull decoded tiles off a decode-ahead TileStream
- * and run the same lockstep pass tile by tile. The trace never exists
- * flat — resident footprint is the compressed ChunkedView plus the
- * tile ring — and results are bit-identical to the flat driver (all
- * cross-instruction state lives in SolSweepState).
- */
-template <typename Batch>
-std::vector<DynamicResult>
-runSolSweepStreamedImpl(const trace::ChunkedView &cv,
-                        const std::vector<DynamicConfig> &configs,
-                        SimContext &ctx, const StreamOptions &opt)
-{
-    SolSweepState<Batch> state;
-    state.init(configs, ctx);
-    TileStream stream(cv, ctx, opt);
-    while (const trace::TraceTile *tile = stream.next()) {
-        trace::TileSpan span(*tile);
-        state.runRange(span, span.lo(), span.hi());
-    }
+    TileStream stream(src, ctx);
+    trace::TileSpan span;
+    while (stream.next(span))
+        state.runRange(span);
     return state.finish();
 }
 

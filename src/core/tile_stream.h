@@ -5,27 +5,30 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "core/dynamic_processor.h"
-#include "core/sim_context.h"
 #include "trace/chunked_view.h"
 
 // ------------------------------------------------------------------
-// Internal header: the decode-ahead pipeline between a compressed
-// ChunkedView and the streaming sweep executors. Not part of the
-// public API.
+// Internal header: the sequential reader every sweep executor pulls
+// its TraceSource through. Not part of the public API. The methods
+// live in tile_stream.cc, compiled with default flags, so the SIMD
+// executor TU never carries its own copy of the decode pipeline.
 // ------------------------------------------------------------------
 
 namespace dsmem::core::detail {
 
 /**
- * Sequential tile producer over a ChunkedView: next() hands out the
- * trace's chunks in order as decoded TraceTiles, recycling a small
- * ring of tiles borrowed from SimContext::TileScratch (so a campaign
- * of many streamed cells allocates the ring once). A tile returned by
- * next() stays valid until the following next() call.
+ * Sequential span producer over a TraceSource: next() hands out the
+ * trace in order as trace::TileSpans. A span stays valid until the
+ * following next() call.
  *
- * Two modes, selected by StreamOptions::decode_threads:
+ * A flat source yields one span over the whole view and decodes
+ * nothing. A chunked source yields one span per chunk, decoded into a
+ * ring of kRingTiles tiles borrowed from SimContext::TileScratch (so a
+ * campaign of many chunked cells allocates the ring once), in one of
+ * two modes selected by StreamOptions::decode_threads:
  *
  *  - 0 (inline): next() decodes the chunk on the caller's thread.
  *    There is no decode/compute overlap, but the working set is one
@@ -35,7 +38,7 @@ namespace dsmem::core::detail {
  *    just time-slice against the sweep.
  *
  *  - 1 (decode-ahead thread): a single producer thread decodes up to
- *    ring_tiles - 1 chunks ahead into the ring while the caller's
+ *    kRingTiles - 1 chunks ahead into the ring while the caller's
  *    sweep computes the current tile, hiding the decode latency
  *    entirely when compute per tile exceeds decode per tile. Classic
  *    bounded single-producer/single-consumer handoff: all indices are
@@ -49,97 +52,29 @@ namespace dsmem::core::detail {
 class TileStream
 {
   public:
-    TileStream(const trace::ChunkedView &cv, SimContext &ctx,
-               const StreamOptions &opt)
-        : cv_(cv), ring_(ctx.tileScratch().tiles),
-          threaded_(opt.decode_threads > 0 && cv.chunkCount() > 1)
-    {
-        const size_t min_ring = threaded_ ? 3 : 1;
-        if (ring_.size() < std::max(opt.ring_tiles, min_ring))
-            ring_.resize(std::max(opt.ring_tiles, min_ring));
-        if (threaded_)
-            producer_ = std::thread([this] { produce(); });
-    }
+    /** Tiles in the recycled ring: one being computed, one decoded
+     *  ahead, one being written. */
+    static constexpr size_t kRingTiles = 3;
 
-    ~TileStream()
-    {
-        if (producer_.joinable()) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                stop_ = true;
-            }
-            cv_slot_.notify_all();
-            producer_.join();
-        }
-    }
+    TileStream(const TraceSource &src, SimContext &ctx);
+    ~TileStream();
 
     TileStream(const TileStream &) = delete;
     TileStream &operator=(const TileStream &) = delete;
 
-    /** Next tile in trace order, or nullptr after the last chunk. */
-    const trace::TraceTile *next()
-    {
-        if (!threaded_) {
-            if (handed_ >= cv_.chunkCount())
-                return nullptr;
-            trace::TraceTile &t = ring_[handed_ % ring_.size()];
-            cv_.decodeChunk(handed_, t);
-            ++handed_;
-            return &t;
-        }
-
-        std::unique_lock<std::mutex> lock(mu_);
-        // Release the previously handed-out slot for rewriting.
-        if (consumed_ < handed_) {
-            consumed_ = handed_;
-            cv_slot_.notify_all();
-        }
-        if (handed_ >= cv_.chunkCount()) {
-            if (err_)
-                std::rethrow_exception(err_);
-            return nullptr;
-        }
-        cv_tile_.wait(lock,
-                      [this] { return produced_ > handed_ || err_; });
-        if (err_)
-            std::rethrow_exception(err_);
-        return &ring_[handed_++ % ring_.size()];
-    }
+    /** Set @p span to the next span in trace order; false after the
+     *  last. */
+    bool next(trace::TileSpan &span);
 
   private:
-    void produce()
-    {
-        const size_t chunks = cv_.chunkCount();
-        const size_t ring = ring_.size();
-        try {
-            for (size_t c = 0; c < chunks; ++c) {
-                {
-                    std::unique_lock<std::mutex> lock(mu_);
-                    cv_slot_.wait(lock, [&] {
-                        return produced_ - consumed_ < ring || stop_;
-                    });
-                    if (stop_)
-                        return;
-                }
-                cv_.decodeChunk(c, ring_[c % ring]);
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    ++produced_;
-                }
-                cv_tile_.notify_all();
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mu_);
-            err_ = std::current_exception();
-            cv_tile_.notify_all();
-        }
-    }
+    void produce();
 
-    const trace::ChunkedView &cv_;
+    const TraceSource &src_;
     std::vector<trace::TraceTile> &ring_;
+    const size_t spans_; ///< Spans the source yields in total.
     const bool threaded_;
 
-    size_t handed_ = 0; ///< Chunks handed to the consumer.
+    size_t handed_ = 0; ///< Spans handed to the consumer.
 
     // Threaded-mode shared state, all under mu_.
     std::mutex mu_;

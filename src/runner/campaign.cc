@@ -48,8 +48,8 @@ Campaign::Campaign(std::string bench_name, RunnerOptions opts)
 {
     store_.setStreamExec(opts_.stream_exec);
     // In-memory (storeless) bundles make the same residency decision
-    // the store makes for disk loads, so DSMEM_STREAM_EXEC=on bites
-    // in tests and benches that clear trace_dir.
+    // the store makes for disk loads, so stream_exec = On bites in
+    // tests and benches that clear trace_dir.
     cache_.setStreamExec(opts_.stream_exec);
     // Absorbed store failures (failed renames/removes, quarantines)
     // surface as non-fatal campaign errors instead of vanishing.

@@ -1,14 +1,13 @@
 #include "runner/runner.h"
 
+#include "util/sysinfo.h"
+
 namespace dsmem::runner {
 
 unsigned
 RunnerOptions::resolvedJobs() const
 {
-    if (jobs > 0)
-        return jobs;
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return jobs > 0 ? jobs : util::hostCores();
 }
 
 Runner::Runner(unsigned jobs)

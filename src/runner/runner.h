@@ -18,7 +18,7 @@ namespace dsmem::runner {
 
 /** Knobs shared by every runner-driven bench binary. */
 struct RunnerOptions {
-    unsigned jobs = 0; ///< Worker threads; 0 = hardware_concurrency.
+    unsigned jobs = 0; ///< Worker threads; 0 = util::hostCores().
     std::string trace_dir = ".dsmem-cache"; ///< "" disables the store.
 
     /**
@@ -87,10 +87,10 @@ struct RunnerOptions {
      * (Auto) or always (On), the trace stays chunk-compressed and
      * phase-2 DS sweeps stream decode-ahead tiles out of it instead
      * of a flat SoA pass — same results, a fraction of the resident
-     * bytes. Off restores the unconditional flat view. The default
-     * honors DSMEM_STREAM_EXEC; CLI --stream-exec overrides it.
+     * bytes. Off restores the unconditional flat view. On and Off are
+     * for tests and benchmarks that pin one residency.
      */
-    sim::StreamExec stream_exec = sim::streamExecFromEnv();
+    sim::StreamExec stream_exec = sim::StreamExec::Auto;
 
     /** jobs with the 0 default resolved. */
     unsigned resolvedJobs() const;

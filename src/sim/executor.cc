@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "core/base_processor.h"
-#include "sim/stream_exec.h"
-#include "sim/trace_bundle.h"
 
 namespace dsmem::sim {
 
@@ -138,85 +136,31 @@ planPhase2(const std::vector<ModelSpec> &specs,
     return groups;
 }
 
-core::SweepMode
-sweepModeFor(const std::vector<core::DynamicConfig> &configs)
-{
-    if (configs.size() >= 2 && core::solSweepSupported(configs))
-        return core::SweepMode::SoL;
-    return core::SweepMode::PerLaneTiled;
-}
-
 std::vector<RunResult>
-runGroup(const trace::TraceView &view, const std::vector<ModelSpec> &specs,
+runGroup(const core::TraceSource &src, const std::vector<ModelSpec> &specs,
          const ExecGroup &group, core::SimContext &ctx)
 {
-    if (!group.fused) {
-        std::vector<RunResult> out;
-        out.reserve(group.rows.size());
+    std::vector<RunResult> out;
+    out.reserve(group.rows.size());
+    if (group.fused) {
+        std::vector<core::DynamicConfig> configs;
+        configs.reserve(group.rows.size());
         for (size_t s : group.rows)
-            out.push_back(runModel(view, specs[s], ctx));
+            configs.push_back(dynamicConfigFor(specs[s]));
+        for (core::DynamicResult &r :
+             core::runDynamicSweep(src, configs, ctx))
+            out.push_back(std::move(r));
         return out;
     }
-
-    std::vector<core::DynamicConfig> configs;
-    configs.reserve(group.rows.size());
-    for (size_t s : group.rows)
-        configs.push_back(dynamicConfigFor(specs[s]));
-    std::vector<core::DynamicResult> swept =
-        core::runDynamicSweep(view, configs, ctx, sweepModeFor(configs));
-
-    std::vector<RunResult> out;
-    out.reserve(swept.size());
-    for (core::DynamicResult &r : swept)
-        out.push_back(static_cast<RunResult &&>(std::move(r)));
-    return out;
-}
-
-std::vector<RunResult>
-runGroup(const ViewBundle &vb, const std::vector<ModelSpec> &specs,
-         const ExecGroup &group, core::SimContext &ctx)
-{
-    if (!vb.chunked)
-        return runGroup(*vb.view, specs, group, ctx);
-    const trace::ChunkedView &cv = *vb.chunked;
-
-    if (!group.fused) {
-        std::vector<RunResult> out;
-        out.reserve(group.rows.size());
-        for (size_t s : group.rows) {
-            if (specs[s].kind == ModelSpec::Kind::DS) {
-                // A one-lane streamed tiled sweep is the same Lane
-                // state machine DynamicProcessor::run steps, fed tile
-                // by tile — bit-identical, no flat view needed.
-                std::vector<core::DynamicConfig> one{
-                    dynamicConfigFor(specs[s])};
-                std::vector<core::DynamicResult> swept =
-                    core::runDynamicSweepStreamed(
-                        cv, one, ctx, sweepModeFor(one),
-                        streamOptions());
-                out.push_back(
-                    static_cast<RunResult &&>(std::move(swept[0])));
-            } else {
-                out.push_back(
-                    runModel(*cv.flatten(), specs[s], ctx));
-            }
-        }
-        return out;
+    for (size_t s : group.rows) {
+        if (specs[s].kind == ModelSpec::Kind::DS)
+            out.push_back(std::move(
+                core::runDynamicSweep(src, {dynamicConfigFor(specs[s])},
+                                      ctx)
+                    .front()));
+        else
+            out.push_back(runModel(src.flatView(), specs[s], ctx));
     }
-
-    std::vector<core::DynamicConfig> configs;
-    configs.reserve(group.rows.size());
-    for (size_t s : group.rows)
-        configs.push_back(dynamicConfigFor(specs[s]));
-    std::vector<core::DynamicResult> swept =
-        core::runDynamicSweepStreamed(cv, configs, ctx,
-                                      sweepModeFor(configs),
-                                      streamOptions());
-
-    std::vector<RunResult> out;
-    out.reserve(swept.size());
-    for (core::DynamicResult &r : swept)
-        out.push_back(static_cast<RunResult &&>(std::move(r)));
     return out;
 }
 

@@ -9,6 +9,7 @@
 #include "core/static_processor.h"
 #include "core/types.h"
 #include "sim/experiment.h"
+#include "sim/trace_bundle.h"
 #include "trace/trace_view.h"
 
 namespace dsmem::sim {
@@ -78,46 +79,19 @@ std::vector<ExecGroup> planPhase2(const std::vector<ModelSpec> &specs,
                                   size_t lane_cap);
 
 /**
- * The sweep backend a fused group of @p configs should use.
+ * Execute one group; results index-match group.rows. @p src is a flat
+ * TraceView or a ViewBundle (both convert to a core::TraceSource).
  *
- * Lane-count-aware: the struct-of-lanes executor amortizes its
- * per-instruction decode over K lanes, so it only pays off with at
- * least two; a two-lane batch already covers the lockstep overhead
- * and wider batches ride the same vector ops. Groups of one lane —
- * and families the SoL phases cannot express (see
- * core::solSweepSupported) — fall back to the per-lane tiled sweep.
- * Within SweepMode::SoL the scalar/SIMD instantiation is picked at
- * run time (DSMEM_SIMD env, CPU support).
+ * DS rows run as one core::runDynamicSweep (SweepMode::Auto) per
+ * fused group, or a one-lane sweep per singleton, so a chunked trace
+ * streams its tiles and never flattens for them. Static rows need the
+ * whole-trace random access of first-use distances and run on
+ * src.flatView(); ChunkedView memoizes that, so a mixed campaign pays
+ * the flatten once. Either way lane k of @p ctx serves row k, so a
+ * worker-pinned context grows to the high-water lane count it has
+ * seen and is then allocation-free.
  */
-core::SweepMode sweepModeFor(const std::vector<core::DynamicConfig> &configs);
-
-/**
- * Execute one group; results index-match group.rows. Fused groups run
- * one sweep pass (backend chosen by sweepModeFor); singletons run one
- * cell. Either way lane k of @p ctx serves row k, so a worker-pinned
- * context grows to the high-water lane count it has seen and is then
- * allocation-free.
- */
-std::vector<core::RunResult> runGroup(const trace::TraceView &view,
-                                      const std::vector<ModelSpec> &specs,
-                                      const ExecGroup &group,
-                                      core::SimContext &ctx);
-
-struct ViewBundle;
-
-/**
- * runGroup against a bundle whose trace may be resident in
- * chunk-compressed form (ViewBundle::chunked — see sim/stream_exec.h).
- * Flat bundles take the exact runGroup(view, ...) path above. Chunked
- * bundles execute DS rows — fused sweeps and singletons alike — with
- * the streaming executor (core::runDynamicSweepStreamed), decoding
- * L2-sized tiles on the fly instead of materializing the flat SoA;
- * results are bit-identical to the flat path. Non-DS rows need the
- * whole-trace random access the static models take (first-use
- * distances), so they run against ChunkedView::flatten() — memoized,
- * so a mixed campaign pays the flatten once.
- */
-std::vector<core::RunResult> runGroup(const ViewBundle &vb,
+std::vector<core::RunResult> runGroup(const core::TraceSource &src,
                                       const std::vector<ModelSpec> &specs,
                                       const ExecGroup &group,
                                       core::SimContext &ctx);

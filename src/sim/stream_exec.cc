@@ -1,7 +1,5 @@
 #include "sim/stream_exec.h"
 
-#include <cstdlib>
-
 #include "trace/trace_view.h"
 #include "util/sysinfo.h"
 
@@ -36,15 +34,6 @@ streamExecName(StreamExec mode)
     return "auto";
 }
 
-StreamExec
-streamExecFromEnv()
-{
-    StreamExec mode = StreamExec::Auto;
-    if (const char *env = std::getenv("DSMEM_STREAM_EXEC"))
-        parseStreamExec(env, &mode);
-    return mode;
-}
-
 size_t
 streamThresholdBytes()
 {
@@ -77,7 +66,6 @@ streamOptions()
 {
     core::StreamOptions opt;
     opt.decode_threads = util::hostCores() > 1 ? 1 : 0;
-    opt.ring_tiles = 3;
     return opt;
 }
 

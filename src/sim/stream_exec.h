@@ -12,13 +12,13 @@
 // into L2-resident SoA tiles during the sweep) instead of being
 // materialized as a flat TraceView?
 //
-// The knob is threaded from the CLI (--stream-exec auto|on|off) or
-// the DSMEM_STREAM_EXEC environment variable into TraceStore /
+// RunnerOptions::stream_exec threads the policy into TraceStore /
 // loadBundleView, which makes the residency decision per bundle
-// before decoding the trace section. Auto streams a trace only when
-// its flat footprint would clearly spill the last-level cache — below
-// that, the flat view is already cache-resident and streaming would
-// only add decode work.
+// before decoding the trace section. Campaigns run Auto: a trace
+// streams only when its flat footprint would clearly spill the
+// last-level cache — below that, the flat view is already
+// cache-resident and streaming would only add decode work. On and Off
+// exist for tests and benchmarks that pin one residency.
 // ------------------------------------------------------------------
 
 namespace dsmem::sim {
@@ -40,12 +40,6 @@ bool parseStreamExec(const std::string &text, StreamExec *out);
 const char *streamExecName(StreamExec mode);
 
 /**
- * Session-wide mode: DSMEM_STREAM_EXEC when set and valid, else Auto.
- * CLI flags should override this by passing an explicit mode instead.
- */
-StreamExec streamExecFromEnv();
-
-/**
  * Flat-view instruction footprint, in bytes, above which Auto mode
  * streams: half the last-level data cache (a flat view larger than
  * that cannot stay resident across a sweep pass alongside the
@@ -62,10 +56,10 @@ size_t streamThresholdBytes();
 bool shouldStream(size_t instructions, StreamExec mode);
 
 /**
- * Tile-ring and decode-thread shape for this host: one decode-ahead
- * thread when the host has cores to spare (compute overlaps the next
- * tile's decode), inline decode on single-core hosts where a second
- * thread would only add contention.
+ * Decode-thread shape for this host: one decode-ahead thread when the
+ * process may run on more than one CPU (compute overlaps the next
+ * tile's decode), inline decode when it is confined to one, where a
+ * second thread would only add contention.
  */
 core::StreamOptions streamOptions();
 

@@ -72,6 +72,18 @@ struct ViewBundle {
         return chunked ? chunked->flatten() : nullptr;
     }
 
+    /**
+     * The resident trace as executor input: the chunked form with
+     * this host's decode-ahead shape (streamOptions()), else the flat
+     * view. Implicit, so runGroup takes a bundle directly.
+     */
+    operator core::TraceSource() const
+    {
+        if (chunked)
+            return core::TraceSource(*chunked, streamOptions());
+        return core::TraceSource(*view);
+    }
+
     /** Bytes the resident trace form occupies (flat or compressed). */
     size_t traceBytesResident() const
     {
@@ -93,8 +105,7 @@ ViewBundle makeViewBundle(const TraceBundle &bundle);
  * streaming is forced on), the result carries the chunk-compressed
  * form instead of the flat SoA — the same decision loadBundleView
  * makes on the disk path, applied to in-memory generation so
- * DSMEM_STREAM_EXEC=on exercises the streaming executors even in
- * storeless runs.
+ * storeless runs (RunnerOptions::stream_exec) stream too.
  */
 ViewBundle makeViewBundle(const TraceBundle &bundle, StreamExec mode);
 

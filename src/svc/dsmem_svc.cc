@@ -51,7 +51,6 @@ usage(FILE *out)
         "           [--heartbeat-ms N] [--respawn N] [--socket P]\n"
         "           [--worker-exe E] [--stats-json F] [--store-gc]\n"
         "           [--store-gc-age-days N] [--quiet]\n"
-        "           [--stream-exec auto|on|off]\n"
         "  worker   --socket P --id K   (spawned by run; internal)\n"
         "  serve    --socket P [--workers N] [--trace-dir D]\n"
         "           [--lease-ms N] [--heartbeat-ms N] [--respawn N]\n"
@@ -130,15 +129,7 @@ cmdRun(int argc, char **argv)
             so.worker_exe = value;
         else if (flagValue(argc, argv, i, "--stats-json", value))
             stats_json = value;
-        else if (flagValue(argc, argv, i, "--stream-exec", value)) {
-            if (!sim::parseStreamExec(value, &ro.stream_exec)) {
-                std::fprintf(stderr,
-                             "dsmem_svc run: --stream-exec wants "
-                             "auto|on|off, got '%s'\n",
-                             value.c_str());
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--store-gc") == 0)
+        else if (std::strcmp(argv[i], "--store-gc") == 0)
             ro.store_gc = true;
         else if (flagValue(argc, argv, i, "--store-gc-age-days",
                            value))

@@ -17,8 +17,9 @@ class ByteSource;
 namespace dsmem::trace {
 
 /**
- * Decoded structure-of-arrays tile of one ChunkedView chunk — the
- * unit the streaming executors consume. Same columns as TraceView
+ * Decoded structure-of-arrays tile of one ChunkedView chunk — what a
+ * chunked core::TraceSource hands the executors, one TileSpan per
+ * tile. Same columns as TraceView
  * minus first_use (a forward reference no sequential decode can
  * know); sized for L2 residency at ChunkedView::kChunkInstrs.
  * Vectors grow monotonically across decodes, so a recycled tile ring
@@ -37,60 +38,103 @@ struct TraceTile {
     std::vector<uint32_t> aux;
 };
 
+namespace detail {
+
+/** Read prefetch into the streaming (non-temporal) hint level. */
+inline void
+prefetchRead(const void *p)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p, 0 /* read */, 0 /* streaming */);
+#else
+    (void)p;
+#endif
+}
+
+} // namespace detail
+
 /**
- * TraceView-shaped read accessor over one decoded tile, indexed by
- * *global* instruction position. The executor templates (Lane::step,
- * the struct-of-lanes range pass) take any view type exposing this
- * interface, so the same scheduling code runs over a flat view or a
- * streamed tile without change — which is how streamed results stay
- * bit-identical by construction.
+ * Read accessor over the SoA columns of instructions [lo(), hi()),
+ * indexed by *global* instruction position: the only trace input the
+ * dynamic-scheduling executors read (Lane::step and the
+ * struct-of-lanes range pass). A flat TraceView is one zero-copy span
+ * over [0, n) of its own columns; a decoded ChunkedView tile is one
+ * span over its chunk. The scheduling code is therefore the same
+ * instantiation for either residency, which is how chunked results
+ * stay bit-identical to flat ones by construction.
+ *
+ * Holds column pointers only: the view or tile must outlive the span.
  */
 class TileSpan
 {
   public:
     TileSpan() = default;
-    explicit TileSpan(const TraceTile &t) : t_(&t), base_(t.base) {}
+
+    explicit TileSpan(const TraceTile &t)
+        : base_(t.base), count_(t.count), ops_(t.ops.data()),
+          fu_(t.fu.data()), flags_(t.flags.data()),
+          num_srcs_(t.num_srcs.data()), srcs_(t.srcs.data()),
+          addr_(t.addr.data()), latency_(t.latency.data()),
+          aux_(t.aux.data())
+    {
+    }
+
+    explicit TileSpan(const TraceView &v)
+        : count_(v.size()), ops_(v.opsData()), fu_(v.fuData()),
+          flags_(v.flagsData()), num_srcs_(v.numSrcsData()),
+          srcs_(v.srcsData()), addr_(v.addrData()),
+          latency_(v.latencyData()), aux_(v.auxData())
+    {
+    }
 
     size_t lo() const { return base_; }
-    size_t hi() const { return base_ + t_->count; }
+    size_t hi() const { return base_ + count_; }
 
-    Op op(size_t i) const { return t_->ops[i - base_]; }
+    Op op(size_t i) const { return ops_[i - base_]; }
     FuClass fu(size_t i) const
     {
-        return static_cast<FuClass>(t_->fu[i - base_]);
+        return static_cast<FuClass>(fu_[i - base_]);
     }
-    uint8_t flags(size_t i) const { return t_->flags[i - base_]; }
+    uint8_t flags(size_t i) const { return flags_[i - base_]; }
     bool taken(size_t i) const
     {
-        return t_->flags[i - base_] & TraceView::kTaken;
+        return flags_[i - base_] & TraceView::kTaken;
     }
-    uint8_t numSrcs(size_t i) const { return t_->num_srcs[i - base_]; }
+    uint8_t numSrcs(size_t i) const { return num_srcs_[i - base_]; }
     const InstIndex *srcs(size_t i) const
     {
-        return t_->srcs[i - base_].data();
+        return srcs_[i - base_].data();
     }
-    Addr addr(size_t i) const { return t_->addr[i - base_]; }
-    uint32_t latency(size_t i) const { return t_->latency[i - base_]; }
-    uint32_t aux(size_t i) const { return t_->aux[i - base_]; }
-    uint32_t branchSite(size_t i) const { return t_->aux[i - base_]; }
-    uint32_t waitCycles(size_t i) const { return t_->aux[i - base_]; }
+    Addr addr(size_t i) const { return addr_[i - base_]; }
+    uint32_t latency(size_t i) const { return latency_[i - base_]; }
+    uint32_t aux(size_t i) const { return aux_[i - base_]; }
+    uint32_t branchSite(size_t i) const { return aux_[i - base_]; }
+    uint32_t waitCycles(size_t i) const { return aux_[i - base_]; }
 
     /** One line per operand column at global index @p i. */
     void prefetch(size_t i) const
     {
         const size_t j = i - base_;
-        detail::prefetchRead(t_->ops.data() + j);
-        detail::prefetchRead(t_->flags.data() + j);
-        detail::prefetchRead(t_->num_srcs.data() + j);
-        detail::prefetchRead(t_->srcs.data() + j);
-        detail::prefetchRead(t_->addr.data() + j);
-        detail::prefetchRead(t_->latency.data() + j);
-        detail::prefetchRead(t_->aux.data() + j);
+        detail::prefetchRead(ops_ + j);
+        detail::prefetchRead(flags_ + j);
+        detail::prefetchRead(num_srcs_ + j);
+        detail::prefetchRead(srcs_ + j);
+        detail::prefetchRead(addr_ + j);
+        detail::prefetchRead(latency_ + j);
+        detail::prefetchRead(aux_ + j);
     }
 
   private:
-    const TraceTile *t_ = nullptr;
     size_t base_ = 0;
+    size_t count_ = 0;
+    const Op *ops_ = nullptr;
+    const uint8_t *fu_ = nullptr;
+    const uint8_t *flags_ = nullptr;
+    const uint8_t *num_srcs_ = nullptr;
+    const std::array<InstIndex, 3> *srcs_ = nullptr;
+    const Addr *addr_ = nullptr;
+    const uint32_t *latency_ = nullptr;
+    const uint32_t *aux_ = nullptr;
 };
 
 /**
@@ -101,8 +145,8 @@ class TileSpan
  * tiles. Resident footprint is ~4-8 bytes per instruction against the
  * flat view's 32 (TraceView::bytesPerInstr()), so a campaign worker
  * holding a multi-GB trace keeps only the compressed form plus an
- * L2-sized tile ring resident — the streaming executors in src/core/
- * then overlap each tile's decode with the previous tile's compute.
+ * L2-sized tile ring resident — a core::TraceSource over it then
+ * overlaps each tile's decode with the previous tile's compute.
  *
  * A per-chunk directory stores each section's byte offset plus the
  * address/latency delta accumulators entering the chunk, so chunks

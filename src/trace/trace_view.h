@@ -20,17 +20,6 @@ namespace detail {
  */
 uint8_t classifyInst(Op op, uint32_t latency, bool taken);
 
-/** Read prefetch into the streaming (non-temporal) hint level. */
-inline void
-prefetchRead(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0 /* read */, 0 /* streaming */);
-#else
-    (void)p;
-#endif
-}
-
 } // namespace detail
 
 /**
@@ -152,28 +141,10 @@ class TraceView
     /** Reconstruct the AoS record (exact round-trip of Trace's). */
     TraceInst materialize(size_t i) const;
 
-    /**
-     * Software-prefetch every operand column at index @p i (one line
-     * per array). The sweep executors issue this a block ahead so a
-     * streamed trace arrives off the critical path; the same method
-     * exists on ChunkedView's TileSpan, so the executor templates stay
-     * agnostic of the backing representation.
-     */
-    void prefetch(size_t i) const
-    {
-        detail::prefetchRead(ops_.data() + i);
-        detail::prefetchRead(flags_.data() + i);
-        detail::prefetchRead(num_srcs_.data() + i);
-        detail::prefetchRead(srcs_.data() + i);
-        detail::prefetchRead(addr_.data() + i);
-        detail::prefetchRead(latency_.data() + i);
-        detail::prefetchRead(aux_.data() + i);
-    }
-
-    // Raw array bases, for software prefetch of upcoming blocks in
-    // the sweep executors (the accessors above return by value, so
-    // their operands' addresses are not otherwise reachable).
+    // Raw column bases: what a trace::TileSpan over the whole view
+    // (the executors' zero-copy input) reads.
     const Op *opsData() const { return ops_.data(); }
+    const uint8_t *fuData() const { return fu_.data(); }
     const uint8_t *flagsData() const { return flags_.data(); }
     const uint8_t *numSrcsData() const { return num_srcs_.data(); }
     const std::array<InstIndex, 3> *srcsData() const

@@ -10,6 +10,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 // ------------------------------------------------------------------
 // Host introspection shared by the benches (JSON headers, regime
@@ -78,10 +81,25 @@ hostCacheBytes(int level)
     return 0;
 }
 
-/** Hardware thread count; at least 1. */
+/**
+ * CPUs this process may run on; at least 1. On Linux that is the
+ * sched_getaffinity mask, so a process pinned by taskset or a cpuset
+ * sizes its thread pools to its share rather than to the machine
+ * (std::thread::hardware_concurrency ignores affinity); elsewhere the
+ * hardware thread count.
+ */
 inline unsigned
 hostCores()
 {
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        const int n = CPU_COUNT(&set);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
+#endif
     unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : n;
 }
@@ -90,7 +108,7 @@ hostCores()
  * Peak resident set size of this process in bytes (getrusage
  * ru_maxrss); 0 where unavailable. A high-water mark: it never
  * decreases, so comparative measurements must come from separate
- * processes (as bench_hotloop --stream-exec and the service workers
+ * processes (as bench_hotloop --rss-probe and the service workers
  * do).
  */
 inline uint64_t

@@ -86,35 +86,41 @@ TEST(BitIdentityTest, DefaultConfigBundlesMatchSeedGoldens)
     }
 }
 
+/** One golden for both residencies: flat views and chunked traces
+ *  swept tile by tile must export the same bytes. */
 TEST(BitIdentityTest, DefaultCampaignJsonMatchesSeedGolden)
 {
-    runner::RunnerOptions opts;
-    opts.jobs = 1;
-    opts.trace_dir = "";
-    std::vector<sim::ModelSpec> specs = {
-        sim::ModelSpec::base(),
-        sim::ModelSpec::ds(core::ConsistencyModel::RC, 64),
-    };
-    runner::Campaign campaign("bitident", opts);
-    for (sim::AppId id : sim::kAllApps)
-        campaign.add(id, specs, memsys::MemoryConfig{}, true);
-    campaign.run();
-    ASSERT_TRUE(campaign.ok()) << campaign.failureSummary();
+    for (sim::StreamExec mode : {sim::StreamExec::Off, sim::StreamExec::On}) {
+        SCOPED_TRACE(sim::streamExecName(mode));
+        runner::RunnerOptions opts;
+        opts.jobs = 1;
+        opts.trace_dir = "";
+        opts.stream_exec = mode;
+        std::vector<sim::ModelSpec> specs = {
+            sim::ModelSpec::base(),
+            sim::ModelSpec::ds(core::ConsistencyModel::RC, 64),
+        };
+        runner::Campaign campaign("bitident", opts);
+        for (sim::AppId id : sim::kAllApps)
+            campaign.add(id, specs, memsys::MemoryConfig{}, true);
+        campaign.run();
+        ASSERT_TRUE(campaign.ok()) << campaign.failureSummary();
 
-    std::ostringstream js;
-    campaign.sink().writeJson(js);
-    // Wall-clock fields are the only nondeterminism in the export;
-    // normalize them exactly like the golden capture did.
-    std::string json = std::regex_replace(
-        std::move(js).str(),
-        std::regex("\"(wall_ms|gen_ms|load_ms)\": [0-9.]+"),
-        "\"$1\": 0");
-    EXPECT_EQ(json.size(), kGoldenCampaignJsonBytes);
-    EXPECT_EQ(fnv(json), kGoldenCampaignJson);
+        std::ostringstream js;
+        campaign.sink().writeJson(js);
+        // Wall-clock fields are the only nondeterminism in the export;
+        // normalize them exactly like the golden capture did.
+        std::string json = std::regex_replace(
+            std::move(js).str(),
+            std::regex("\"(wall_ms|gen_ms|load_ms)\": [0-9.]+"),
+            "\"$1\": 0");
+        EXPECT_EQ(json.size(), kGoldenCampaignJsonBytes);
+        EXPECT_EQ(fnv(json), kGoldenCampaignJson);
 
-    // The conditional members must be absent without their models.
-    EXPECT_EQ(json.find("contention_cycles"), std::string::npos);
-    EXPECT_EQ(json.find("\"dram\""), std::string::npos);
+        // The conditional members must be absent without their models.
+        EXPECT_EQ(json.find("contention_cycles"), std::string::npos);
+        EXPECT_EQ(json.find("\"dram\""), std::string::npos);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -317,31 +317,40 @@ TEST(Executor, RunGroupMatchesPerRowRunModel)
 
 // --- End to end: campaign results are fuse-invariant ----------------
 
+/** Fused and unfused campaigns agree, and a chunk-resident trace
+ *  (stream_exec On) reproduces the flat trace's rows. */
 TEST(Executor, CampaignFusedMatchesUnfused)
 {
-    runner::RunnerOptions fused_opts;
-    fused_opts.jobs = 2;
-    fused_opts.trace_dir.clear(); // No persistent store in tests.
-    runner::RunnerOptions unfused_opts = fused_opts;
+    runner::RunnerOptions unfused_opts;
+    unfused_opts.jobs = 2;
+    unfused_opts.trace_dir.clear(); // No persistent store in tests.
     unfused_opts.fuse_sweeps = false;
-
-    runner::Campaign fused("executor_eq", fused_opts);
+    unfused_opts.stream_exec = sim::StreamExec::Off;
     runner::Campaign unfused("executor_eq", unfused_opts);
-    for (runner::Campaign *c : {&fused, &unfused})
-        c->add(sim::AppId::LU, combinedSpecs(), memsys::MemoryConfig{},
-               /*small=*/true);
-    fused.run();
+    unfused.add(sim::AppId::LU, combinedSpecs(), memsys::MemoryConfig{},
+                /*small=*/true);
     unfused.run();
-    ASSERT_TRUE(fused.ok());
     ASSERT_TRUE(unfused.ok());
-
-    const runner::UnitResult &a = fused.result(0);
     const runner::UnitResult &b = unfused.result(0);
-    ASSERT_EQ(a.rows.size(), b.rows.size());
-    for (size_t s = 0; s < a.rows.size(); ++s) {
-        SCOPED_TRACE(a.rows[s].label);
-        EXPECT_EQ(a.rows[s].label, b.rows[s].label);
-        EXPECT_EQ(a.rows[s].result, b.rows[s].result);
+
+    for (sim::StreamExec mode : {sim::StreamExec::Off, sim::StreamExec::On}) {
+        SCOPED_TRACE(sim::streamExecName(mode));
+        runner::RunnerOptions fused_opts = unfused_opts;
+        fused_opts.fuse_sweeps = true;
+        fused_opts.stream_exec = mode;
+        runner::Campaign fused("executor_eq", fused_opts);
+        fused.add(sim::AppId::LU, combinedSpecs(), memsys::MemoryConfig{},
+                  /*small=*/true);
+        fused.run();
+        ASSERT_TRUE(fused.ok());
+
+        const runner::UnitResult &a = fused.result(0);
+        ASSERT_EQ(a.rows.size(), b.rows.size());
+        for (size_t s = 0; s < a.rows.size(); ++s) {
+            SCOPED_TRACE(a.rows[s].label);
+            EXPECT_EQ(a.rows[s].label, b.rows[s].label);
+            EXPECT_EQ(a.rows[s].result, b.rows[s].result);
+        }
     }
 }
 
@@ -524,7 +533,7 @@ TEST(Executor, RingRebindSkipsZeroFill)
                   warm_bytes);
 }
 
-// --- Streaming executor is bit-identical to the flat paths ----------
+// --- A chunked trace source is bit-identical to a flat one ----------
 
 /** Multi-chunk random trace: the streamed sweeps must cross chunk
  *  boundaries mid-window, not just run inside one tile. */
@@ -538,9 +547,9 @@ multiChunkView(uint64_t seed)
 /**
  * Every config variant — all four models, mixed windows, MSHR limits,
  * SC speculation, the read-delay collector — must produce the same
- * bits through the streamed tiled executor as through single-cell
- * runs, with decode inline and with the decode-ahead thread filling
- * the tile ring.
+ * bits swept from a chunked source as through single-cell runs, with
+ * decode inline and with the decode-ahead thread filling the tile
+ * ring.
  */
 TEST(Executor, StreamedSweepMatchesSingleCellRuns)
 {
@@ -558,9 +567,8 @@ TEST(Executor, StreamedSweepMatchesSingleCellRuns)
              {core::SweepMode::Auto, core::SweepMode::PerLaneTiled}) {
             core::StreamOptions opt;
             opt.decode_threads = threads;
-            std::vector<DynamicResult> streamed =
-                core::runDynamicSweepStreamed(cv, configs, ctx, mode,
-                                              opt);
+            std::vector<DynamicResult> streamed = core::runDynamicSweep(
+                core::TraceSource(cv, opt), configs, ctx, mode);
             ASSERT_EQ(streamed.size(), single.size());
             for (size_t i = 0; i < streamed.size(); ++i) {
                 SCOPED_TRACE("threads " + std::to_string(threads) +
@@ -597,8 +605,8 @@ TEST(Executor, StreamedSolModesMatchPerCellRuns)
                     core::StreamOptions opt;
                     opt.decode_threads = threads;
                     std::vector<DynamicResult> streamed =
-                        core::runDynamicSweepStreamed(cv, configs, ctx,
-                                                      mode, opt);
+                        core::runDynamicSweep(core::TraceSource(cv, opt),
+                                              configs, ctx, mode);
                     ASSERT_EQ(streamed.size(), single.size());
                     for (size_t i = 0; i < streamed.size(); ++i) {
                         SCOPED_TRACE(
@@ -614,13 +622,12 @@ TEST(Executor, StreamedSolModesMatchPerCellRuns)
         }
     }
 
-    // The SoL support gate applies to the streamed entry point too.
+    // The SoL support gate applies to a chunked source too.
     std::vector<DynamicConfig> mixed = variantConfigs();
     SimContext ctx;
-    EXPECT_THROW(core::runDynamicSweepStreamed(
-                     cv, mixed, ctx, core::SweepMode::SoL,
-                     core::StreamOptions{}),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        core::runDynamicSweep(cv, mixed, ctx, core::SweepMode::SoL),
+        std::invalid_argument);
 }
 
 /** One context serves flat sweeps, streamed sweeps, and single-cell
@@ -642,7 +649,7 @@ TEST(Executor, StreamedContextReuseAgainstFlat)
         std::vector<DynamicResult> flat =
             core::runDynamicSweep(view, fam, shared);
         std::vector<DynamicResult> streamed =
-            core::runDynamicSweepStreamed(cv, fam, shared);
+            core::runDynamicSweep(cv, fam, shared);
         for (size_t i = 0; i < fam.size(); ++i) {
             SCOPED_TRACE("lane " + std::to_string(i));
             expectSameDynamicResult(flat[i], single[i]);
@@ -663,11 +670,10 @@ TEST(Executor, StreamedForcedScalarRuntimeSwitch)
     std::vector<DynamicConfig> fam =
         solFamily(3, ConsistencyModel::SC, 1);
     SimContext ctx;
-    std::vector<DynamicResult> simd =
-        core::runDynamicSweepStreamed(cv, fam, ctx);
+    std::vector<DynamicResult> simd = core::runDynamicSweep(cv, fam, ctx);
     util::simd::setForceScalar(true);
     std::vector<DynamicResult> scalar =
-        core::runDynamicSweepStreamed(cv, fam, ctx);
+        core::runDynamicSweep(cv, fam, ctx);
     util::simd::setForceScalar(false);
     ASSERT_EQ(simd.size(), scalar.size());
     for (size_t i = 0; i < simd.size(); ++i)

@@ -4,8 +4,8 @@
  * determinism (bit-identical results and tables for any --jobs),
  * the persistent TraceStore (round-trip, corruption/truncation/
  * version rejection and regeneration), the full-MemoryConfig
- * TraceCache key (MSI-then-MESI regression), and the structured
- * result export.
+ * TraceCache key (MSI-then-MESI regression), the structured result
+ * export, and the affinity-aware host core count that sizes the pool.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,8 @@
 #include <optional>
 #include <sstream>
 
+#include <sched.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "runner/campaign.h"
@@ -24,8 +26,10 @@
 #include "runner/runner.h"
 #include "runner/trace_store.h"
 #include "sim/experiment.h"
+#include "sim/stream_exec.h"
 #include "sim/trace_bundle.h"
 #include "trace/trace_view.h"
+#include "util/sysinfo.h"
 
 namespace dsmem::runner {
 namespace {
@@ -100,6 +104,47 @@ TEST(RunnerPool, WaitWithoutJobsReturns)
     runner.submit([] {});
     runner.wait();
 }
+
+#if defined(__linux__)
+/**
+ * A process pinned to one CPU sizes itself to one: hostCores() counts
+ * the affinity mask (hardware_concurrency would report every CPU of
+ * the machine), so the runner defaults to one worker and a chunked
+ * sweep decodes inline instead of spawning a decode-ahead thread. The
+ * pin happens in a forked child so it cannot leak into other tests.
+ */
+TEST(HostCores, CountsTheAffinityMask)
+{
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        if (sched_getaffinity(0, sizeof(set), &set) != 0)
+            _exit(10);
+        int cpu = 0;
+        while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &set))
+            ++cpu;
+        CPU_ZERO(&set);
+        CPU_SET(cpu, &set);
+        if (sched_setaffinity(0, sizeof(set), &set) != 0)
+            _exit(11);
+        if (util::hostCores() != 1)
+            _exit(12);
+        if (sim::streamOptions().decode_threads != 0)
+            _exit(13);
+        if (RunnerOptions{}.resolvedJobs() != 1)
+            _exit(14);
+        _exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "10/11: affinity syscalls failed; 12: hostCores; "
+           "13: decode_threads; 14: resolvedJobs";
+}
+#endif
 
 // --- Parallel == serial -------------------------------------------
 
