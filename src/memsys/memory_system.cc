@@ -32,31 +32,6 @@ MemorySystem::MemorySystem(uint32_t num_procs,
     }
 }
 
-AccessResult
-MemorySystem::readLegacy(uint32_t proc, Addr addr, uint64_t now)
-{
-    Cache &cache = *caches_.at(proc);
-    ++stats_[proc].reads;
-    if (cache.lookup(addr) != LineState::INVALID)
-        return {AccessKind::HIT, mem_config_.hit_latency, 0};
-    return readMiss(cache, proc, addr, now);
-}
-
-AccessResult
-MemorySystem::writeLegacy(uint32_t proc, Addr addr, uint64_t now)
-{
-    Cache &cache = *caches_.at(proc);
-    ++stats_[proc].writes;
-    LineState state = cache.lookup(addr);
-    if (state == LineState::MODIFIED)
-        return {AccessKind::HIT, mem_config_.hit_latency, 0};
-    if (state == LineState::EXCLUSIVE) {
-        cache.setState(cache.lineAddr(addr), LineState::MODIFIED);
-        return {AccessKind::HIT, mem_config_.hit_latency, 0};
-    }
-    return writeMiss(cache, proc, addr, state, now);
-}
-
 MemorySystem::DirEntry &
 MemorySystem::dirEntry(Addr line)
 {

@@ -121,16 +121,6 @@ class MemorySystem
         return writeMiss(cache, proc, addr, state, now, trace_tag);
     }
 
-    /**
-     * Out-of-line reference copies of read()/write() preserved from
-     * the seed: bounds-checked cache selection and no inlined tag
-     * check. The legacy engine (EngineConfig::legacy_engine) calls
-     * these so bench_phase1's baseline keeps the original access-path
-     * cost; results and statistics are identical to read()/write().
-     */
-    AccessResult readLegacy(uint32_t proc, Addr addr, uint64_t now = 0);
-    AccessResult writeLegacy(uint32_t proc, Addr addr, uint64_t now = 0);
-
     uint32_t numProcs() const { return static_cast<uint32_t>(caches_.size()); }
     const CacheStats &stats(uint32_t proc) const { return stats_.at(proc); }
     const Cache &cache(uint32_t proc) const { return *caches_.at(proc); }

@@ -17,19 +17,10 @@ Engine::Engine(const EngineConfig &config)
 {
     if (config.traced_proc >= config.num_procs)
         throw std::invalid_argument("traced_proc out of range");
-    if (config.mem.dram.enabled() && config.legacy_engine)
-        throw std::invalid_argument(
-            "the DRAM model requires the fast engine "
-            "(legacy_engine is the seed-faithful reference)");
     threads_.resize(config.num_procs);
     for (uint32_t p = 0; p < config.num_procs; ++p)
         threads_[p].ctx = std::make_unique<ThreadContext>(this, p);
     ready_keys_.fill(kNoKey);
-    // Fast capture goes through the chunked recorder; the contiguous
-    // trace_ is assembled (with one exact reserve) when run() ends.
-    // The legacy engine appends to trace_ directly, as the seed did.
-    if (config.legacy_engine)
-        trace_.reserve(config.trace_reserve);
 }
 
 BarrierId
@@ -141,7 +132,6 @@ Engine::execMemOp(ThreadContext &ctx)
     ThreadStats &stats = ctx.stats_;
     uint64_t now = ctx.cycle_;
     uint32_t proc = ctx.proc_;
-    const bool legacy = config_.legacy_engine;
 
     auto build_mem_inst = [&](Op mem_op, uint32_t latency) {
         TraceInst inst;
@@ -155,9 +145,7 @@ Engine::execMemOp(ThreadContext &ctx)
     };
 
     if (op.kind == ThreadContext::PendingKind::LOAD) {
-        memsys::AccessResult res = legacy
-            ? memory_.readLegacy(proc, op.addr, now)
-            : memory_.read(proc, op.addr, now);
+        memsys::AccessResult res = memory_.read(proc, op.addr, now);
         Val out_val;
         if (op.is_float) {
             out_val.f = arena_.loadFloat(op.addr);
@@ -180,16 +168,11 @@ Engine::execMemOp(ThreadContext &ctx)
             threads_[proc].state = ThreadState::PARKED;
             return;
         }
-        if (legacy) [[unlikely]] {
-            out_val.inst = ctx.recordTimed(build_mem_inst(Op::LOAD,
-                                                          res.latency));
-        } else {
-            // Untraced processors (15 of 16) skip the record build.
-            out_val.inst = ctx.next_inst_++;
-            ++stats.instructions;
-            if (ctx.rec_) [[unlikely]]
-                ctx.rec_->append(build_mem_inst(Op::LOAD, res.latency));
-        }
+        // Untraced processors (15 of 16) skip the record build.
+        out_val.inst = ctx.next_inst_++;
+        ++stats.instructions;
+        if (ctx.rec_) [[unlikely]]
+            ctx.rec_->append(build_mem_inst(Op::LOAD, res.latency));
         ++stats.reads;
         if (res.isMiss())
             ++stats.read_misses;
@@ -202,21 +185,15 @@ Engine::execMemOp(ThreadContext &ctx)
         uint64_t tag = ctx.rec_
             ? static_cast<uint64_t>(ctx.next_inst_)
             : memsys::DramModel::kNoTag;
-        memsys::AccessResult res = legacy
-            ? memory_.writeLegacy(proc, op.addr, now)
-            : memory_.write(proc, op.addr, now, tag);
+        memsys::AccessResult res = memory_.write(proc, op.addr, now, tag);
         if (op.is_float)
             arena_.storeFloat(op.addr, op.data.f);
         else
             arena_.storeInt(op.addr, op.data.i);
-        if (legacy) [[unlikely]] {
-            ctx.recordTimed(build_mem_inst(Op::STORE, res.latency));
-        } else {
-            ++ctx.next_inst_;
-            ++stats.instructions;
-            if (ctx.rec_) [[unlikely]]
-                ctx.rec_->append(build_mem_inst(Op::STORE, res.latency));
-        }
+        ++ctx.next_inst_;
+        ++stats.instructions;
+        if (ctx.rec_) [[unlikely]]
+            ctx.rec_->append(build_mem_inst(Op::STORE, res.latency));
         ++stats.writes;
         if (res.isWriteMiss())
             ++stats.write_misses;
@@ -256,13 +233,6 @@ Engine::processPending(Thread &thread)
     };
 
     switch (op.kind) {
-      case ThreadContext::PendingKind::LOAD:
-      case ThreadContext::PendingKind::STORE:
-        execMemOp(ctx);
-        if (thread.state == ThreadState::PARKED)
-            return; // Deferred read: parked on its DRAM completion.
-        break;
-
       case ThreadContext::PendingKind::LOCK: {
         SyncOutcome out = sync_.lockAcquire(op.sync_id, proc, now);
         if (!out.granted) {
@@ -313,8 +283,11 @@ Engine::processPending(Thread &thread)
         break;
       }
 
+      case ThreadContext::PendingKind::LOAD:
+      case ThreadContext::PendingKind::STORE:
       case ThreadContext::PendingKind::NONE:
-        throw std::logic_error("processPending with no pending op");
+        // runLoop hands memory operations to execMemOp directly.
+        throw std::logic_error("processPending with no sync op pending");
     }
 
     op.kind = ThreadContext::PendingKind::NONE;
@@ -335,10 +308,7 @@ Engine::run()
     if (spawned == 0)
         throw std::logic_error("Engine::run with no threads attached");
 
-    if (config_.legacy_engine)
-        runLoopLegacy();
-    else
-        runLoopFast();
+    runLoop();
 
     // Runs that used the DRAM model fold its accounting into the
     // cache statistics before anyone reads them.
@@ -357,7 +327,7 @@ Engine::run()
 }
 
 void
-Engine::runLoopFast()
+Engine::runLoop()
 {
     const uint32_t num_procs = config_.num_procs;
     memsys::DramModel *dram = memory_.dram();
@@ -407,10 +377,8 @@ Engine::runLoopFast()
         Thread &thread = threads_[proc];
 
         if (thread.state == ThreadState::HAS_PENDING) {
-            // Memory operations dominate the event stream; dispatch
-            // them straight to execMemOp. processPending does exactly
-            // this plus the state transitions for LOAD/STORE, so the
-            // event order and results are unchanged.
+            // Memory operations dominate the event stream, so they go
+            // straight to execMemOp; processPending handles sync ops.
             ThreadContext &ctx = *thread.ctx;
             if (ctx.pending_.kind == ThreadContext::PendingKind::LOAD ||
                 ctx.pending_.kind == ThreadContext::PendingKind::STORE) {
@@ -442,39 +410,6 @@ Engine::runLoopFast()
         }
         // Otherwise the coroutine suspended on its next operation and
         // onSuspend() already re-enqueued it.
-    }
-}
-
-void
-Engine::runLoopLegacy()
-{
-    while (!queue_.empty()) {
-        QueueEntry entry = queue_.top();
-        queue_.pop();
-        Thread &thread = threads_[entry.proc];
-        if (thread.state == ThreadState::DONE ||
-            thread.state == ThreadState::PARKED) {
-            continue; // Stale entry (defensive; should not occur).
-        }
-
-        if (thread.state == ThreadState::HAS_PENDING) {
-            processPending(thread);
-            if (thread.state == ThreadState::PARKED)
-                continue;
-        }
-
-        if (thread.ctx->resume_handle_) {
-            std::coroutine_handle<> h = thread.ctx->resume_handle_;
-            thread.ctx->resume_handle_ = nullptr;
-            h.resume();
-        } else {
-            thread.task.resume();
-        }
-        if (thread.task.done()) {
-            thread.task.rethrowIfFailed();
-            thread.state = ThreadState::DONE;
-            ++done_count_;
-        }
     }
 }
 

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "memsys/memory_system.h"
@@ -25,24 +24,6 @@ struct EngineConfig {
     memsys::MemoryConfig mem;
     uint32_t traced_proc = 0;       ///< Whose trace is captured.
     size_t arena_slots = 8u << 20;  ///< 64 MB of simulated memory.
-
-    /** Legacy-engine capture reserve (fast capture is chunked). */
-    size_t trace_reserve = 1u << 20;
-
-    /**
-     * Run the reference engine preserved from before the phase-1 fast
-     * path: std::priority_queue scheduling, eager trace-record
-     * construction on every processor appending to a plain vector,
-     * full pending-slot resets, and the out-of-line bounds-checked
-     * memory-system access path. The default fast path produces the
-     * identical event order, trace, and statistics — this switch
-     * keeps the original implementation runnable so bench_phase1 and
-     * the tests can prove that equivalence rather than assume it.
-     *
-     * Incompatible with mem.dram (the banked DRAM model): the legacy
-     * engine is the seed-faithful reference and stays untouched.
-     */
-    bool legacy_engine = false;
 };
 
 /**
@@ -50,10 +31,11 @@ struct EngineConfig {
  *
  * Runs one coroutine thread per simulated processor over the shared
  * cache-coherent memory system. Threads are interleaved in global
- * simulated-time order via a priority queue keyed by each thread's
- * local cycle count, so coherence events (who invalidates whom, who
- * wins a lock) follow a single causally consistent interleaving and
- * are fully deterministic.
+ * simulated-time order: each step resumes the thread with the
+ * smallest (local cycle, processor id) key, found by scanning one
+ * ready key per processor, so coherence events (who invalidates whom,
+ * who wins a lock) follow a single causally consistent interleaving
+ * and are fully deterministic.
  *
  * Each processor models the paper's trace-generation machine: simple
  * in-order issue, blocking reads, writes retired through a write
@@ -95,8 +77,6 @@ class Engine
     /** Run all threads to completion. Throws on deadlock. */
     void run();
 
-    bool finished() const { return done_count_ == threads_.size(); }
-
     /** Final local clock of processor @p proc. */
     uint64_t completionCycle(uint32_t proc) const;
 
@@ -121,24 +101,11 @@ class Engine
         bool spawned = false;
     };
 
-    struct QueueEntry {
-        uint64_t cycle;
-        uint32_t proc;
-
-        bool operator>(const QueueEntry &other) const
-        {
-            if (cycle != other.cycle)
-                return cycle > other.cycle;
-            return proc > other.proc;
-        }
-    };
-
     /**
-     * Fast-scheduler key: cycle in the high bits, processor id in the
-     * low five (MemorySystem caps num_procs at 32). One uint64
-     * compare then reproduces QueueEntry's (cycle, proc) order
-     * exactly, and keys are unique because each processor has at most
-     * one entry outstanding.
+     * Scheduler key: cycle in the high bits, processor id in the low
+     * five (MemorySystem caps num_procs at 32). One uint64 compare
+     * then orders by (cycle, proc), and keys are unique because each
+     * processor has at most one entry outstanding.
      */
     static constexpr unsigned kProcBits = 5;
     static constexpr uint64_t kProcMask = (1u << kProcBits) - 1;
@@ -160,7 +127,7 @@ class Engine
         enqueue(proc, thread.ctx->cycle_);
     }
 
-    /** Process the suspended operation of @p proc at its local time. */
+    /** Process @p thread's suspended sync operation at its local time. */
     void processPending(Thread &thread);
 
     /**
@@ -182,20 +149,15 @@ class Engine
 
     void enqueue(uint32_t proc, uint64_t cycle)
     {
-        if (config_.legacy_engine) {
-            queue_.push(QueueEntry{cycle, proc});
-        } else {
-            // At most one outstanding entry per processor: the slot
-            // must be free.
-            assert(ready_keys_[proc] == kNoKey);
-            ready_keys_[proc] = packKey(cycle, proc);
-            ++ready_count_;
-        }
+        // At most one outstanding entry per processor: the slot must
+        // be free.
+        assert(ready_keys_[proc] == kNoKey);
+        ready_keys_[proc] = packKey(cycle, proc);
+        ++ready_count_;
     }
 
-    /** The scheduler loops behind run(): identical event order. */
-    void runLoopFast();
-    void runLoopLegacy();
+    /** The scheduler loop behind run(). */
+    void runLoop();
 
     EngineConfig config_;
     Arena arena_;
@@ -204,16 +166,14 @@ class Engine
     trace::Trace trace_;
     trace::TraceRecorder recorder_; ///< Before threads_: ctxs point at it.
     std::vector<Thread> threads_;
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                        std::greater<QueueEntry>> queue_;
 
     /**
-     * Fast-path scheduler: one packed (cycle, proc) key per
-     * processor, kNoKey while that processor has no entry
-     * outstanding. The run loop extracts the minimum with a linear
-     * scan — at 32 slots (four cache lines, typically one) that is
-     * cheaper than any heap's pointer chasing and sifting, and the
-     * per-slot invariant makes stale entries structurally impossible.
+     * The scheduler: one packed (cycle, proc) key per processor,
+     * kNoKey while that processor has no entry outstanding. The run
+     * loop extracts the minimum with a linear scan — at 32 slots
+     * (four cache lines, typically one) that is cheaper than any
+     * heap's pointer chasing and sifting, and the per-slot invariant
+     * makes stale entries structurally impossible.
      */
     static constexpr uint64_t kNoKey = UINT64_MAX;
     std::array<uint64_t, kProcMask + 1> ready_keys_;

@@ -11,8 +11,7 @@ ThreadContext::ThreadContext(Engine *engine, uint32_t proc)
     : engine_(engine),
       rec_(proc == engine->config().traced_proc ? &engine->recorder_
                                                 : nullptr),
-      proc_(proc),
-      legacy_(engine->config().legacy_engine)
+      proc_(proc)
 {}
 
 uint32_t
@@ -28,30 +27,14 @@ ThreadContext::arena()
 }
 
 InstIndex
-ThreadContext::emitLegacy(const TraceInst &inst)
-{
-    InstIndex idx = next_inst_++;
-    ++stats_.instructions;
-    cycle_ += 1;
-    if (proc_ == engine_->config().traced_proc)
-        engine_->trace_.append(inst);
-    return idx;
-}
-
-InstIndex
 ThreadContext::recordTimed(const TraceInst &inst)
 {
-    InstIndex idx = next_inst_++;
-    if (!isSync(inst.op))
-        ++stats_.instructions;
-    if (legacy_) {
-        // Seed path: plain append to the contiguous capture vector.
-        if (proc_ == engine_->config().traced_proc)
-            engine_->trace_.append(inst);
-    } else if (rec_) {
+    // Sync entries take an SSA index but are not busy cycles, so
+    // stats_.instructions is left alone.
+    assert(isSync(inst.op));
+    if (rec_)
         rec_->append(inst);
-    }
-    return idx;
+    return next_inst_++;
 }
 
 // ---------------------------------------------------------------------

@@ -49,10 +49,7 @@ struct ThreadStats {
  * Phase-1 generation retires tens of millions of these DSL calls, so
  * the single-cycle operations are defined inline: one emit helper
  * bumps the clock and instruction count, and only the traced
- * processor (1 of 16) ever constructs the trace record. The engine's
- * legacy mode (EngineConfig::legacy_engine) instead routes every call
- * through the out-of-line seed-era record path so bench_phase1 can
- * measure the fast path against the original implementation.
+ * processor (1 of 16) ever constructs the trace record.
  */
 class ThreadContext
 {
@@ -326,15 +323,11 @@ class ThreadContext
     bool branch(uint32_t site, Val cond)
     {
         bool taken = cond.b();
-        if (legacy_) [[unlikely]] {
-            emitLegacy(trace::makeBranch(site, taken, cond.inst));
-        } else {
-            ++next_inst_;
-            ++stats_.instructions;
-            cycle_ += 1;
-            if (rec_) [[unlikely]]
-                rec_->append(trace::makeBranch(site, taken, cond.inst));
-        }
+        ++next_inst_;
+        ++stats_.instructions;
+        cycle_ += 1;
+        if (rec_) [[unlikely]]
+            rec_->append(trace::makeBranch(site, taken, cond.inst));
         ++stats_.branches;
         return taken;
     }
@@ -459,12 +452,10 @@ class ThreadContext
     /**
      * Clock/stat/index bump plus trace append for a two-source
      * single-cycle instruction. Only the traced processor builds the
-     * record; legacy mode takes the out-of-line seed path instead.
+     * record.
      */
     trace::InstIndex emit2(trace::Op unit, Val a, Val b)
     {
-        if (legacy_) [[unlikely]]
-            return emitLegacy(trace::makeCompute(unit, a.inst, b.inst));
         trace::InstIndex idx = next_inst_++;
         ++stats_.instructions;
         cycle_ += 1;
@@ -476,8 +467,6 @@ class ThreadContext
     /** One-source variant of emit2. */
     trace::InstIndex emit1(trace::Op unit, Val a)
     {
-        if (legacy_) [[unlikely]]
-            return emitLegacy(trace::makeCompute(unit, a.inst));
         trace::InstIndex idx = next_inst_++;
         ++stats_.instructions;
         cycle_ += 1;
@@ -486,26 +475,16 @@ class ThreadContext
         return idx;
     }
 
-    /**
-     * The seed-era record path, preserved verbatim for the legacy
-     * engine: every processor constructs the record eagerly and the
-     * traced-processor comparison happens out of line on each call.
-     */
-    trace::InstIndex emitLegacy(const trace::TraceInst &inst);
-
-    /** Append a memory/sync instruction (clock handled by Engine). */
+    /** Append a sync instruction (clock handled by Engine). */
     trace::InstIndex recordTimed(const trace::TraceInst &inst);
 
     /**
-     * Stage the pending slot for a memory operation. The fast path
-     * writes only the fields the Engine reads (entries of deps[]
-     * beyond num_deps are never consumed); legacy mode keeps the
-     * seed's full-struct reset.
+     * Stage the pending slot for a memory operation. Only the fields
+     * the Engine reads are written (entries of deps[] beyond num_deps
+     * are never consumed).
      */
     void beginMemOp(PendingKind kind, bool is_float, Addr addr)
     {
-        if (legacy_) [[unlikely]]
-            pending_ = PendingOp{};
         pending_.kind = kind;
         pending_.is_float = is_float;
         pending_.addr = addr;
@@ -523,7 +502,6 @@ class ThreadContext
     Engine *engine_;
     trace::TraceRecorder *rec_; ///< Capture sink; null when untraced.
     uint32_t proc_;
-    bool legacy_; ///< Mirror of EngineConfig::legacy_engine.
     uint64_t cycle_ = 0;
     trace::InstIndex next_inst_ = 0;
     PendingOp pending_;

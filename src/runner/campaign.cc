@@ -278,13 +278,10 @@ Campaign::prepare()
         gco.max_age_s = opts_.store_gc_age_s;
         gco.max_corrupt_per_name = TraceStore::kMaxQuarantinePerName;
         // The keep set protects every file this campaign (or its
-        // journal's resume) can reference, including the v1 names the
-        // store would migrate from.
+        // journal's resume) can reference.
         for (const Unit &u : units_) {
             gco.keep.push_back(
                 TraceStore::fileName(u.app, u.mem, u.small));
-            gco.keep.push_back(
-                TraceStore::legacyFileName(u.app, u.mem, u.small));
             if (opts_.sampling.enabled())
                 gco.keep.push_back(TraceStore::livePointFileName(
                     u.app, u.mem, u.small, opts_.sampling));

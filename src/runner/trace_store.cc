@@ -22,7 +22,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'D', 'S', 'M', 'B'};
-constexpr uint32_t kBundleFormatV1 = 1;
 
 void
 putStats(util::ByteSink &sink, const trace::TraceStats &s)
@@ -139,7 +138,7 @@ getDramSummary(util::ByteSource &src)
     return d;
 }
 
-/** Shared preamble of both readers: magic, then the version switch. */
+/** Shared preamble of both readers: magic, then the version check. */
 uint32_t
 readBundleHeader(util::ByteSource &src)
 {
@@ -148,7 +147,7 @@ readBundleHeader(util::ByteSource &src)
     if (std::memcmp(magic, kMagic, 4) != 0)
         throw util::FormatError("not a dsmem bundle file");
     uint32_t version = src.readU32();
-    if (version != kBundleFormatV1 && version != kBundleFormatVersion &&
+    if (version != kBundleFormatVersion &&
         version != kBundleFormatVersionDram) {
         throw util::FormatError("unsupported bundle format version " +
                                  std::to_string(version));
@@ -158,8 +157,8 @@ readBundleHeader(util::ByteSource &src)
 
 /**
  * Decode the hashed region's fixed fields (everything before the
- * embedded trace). v1 and v2 share one layout; v3 appends the DRAM
- * accounting block after the `verified` byte.
+ * embedded trace). v3 appends the DRAM accounting block to v2's
+ * layout after the `verified` byte.
  */
 void
 readBundleFields(util::ByteSource &src, sim::TraceBundle &bundle,
@@ -176,23 +175,9 @@ readBundleFields(util::ByteSource &src, sim::TraceBundle &bundle,
     }
 }
 
-/**
- * For v1, checksum and payload size live in the header; verify both
- * after the streamed parse consumed the whole hashed region.
- */
+/** The checksum trails the hashed region it covers. */
 void
-checkV1Trailer(util::ByteSource &src, uint64_t want_sum,
-               uint64_t want_size)
-{
-    if (src.consumed() != want_size || !src.atEof())
-        throw util::FormatError("bundle payload size mismatch");
-    if (src.hashValue() != want_sum)
-        throw util::FormatError("bundle checksum mismatch");
-}
-
-/** For v2, the checksum trails the hashed region it covers. */
-void
-checkV2Trailer(util::ByteSource &src)
+checkTrailer(util::ByteSource &src)
 {
     uint64_t got = src.hashValue();
     uint64_t want = src.readU64();
@@ -202,62 +187,17 @@ checkV2Trailer(util::ByteSource &src)
         throw util::FormatError("bundle payload size mismatch");
 }
 
-// Legacy (v1) writer helpers: the v1 container is preserved verbatim
-// so migration tests and bench_phase1 exercise real v1 bytes.
-void
-put32(std::ostream &os, uint32_t v)
-{
-    char buf[4];
-    std::memcpy(buf, &v, 4);
-    os.write(buf, 4);
-}
-
-void
-put64(std::ostream &os, uint64_t v)
-{
-    char buf[8];
-    std::memcpy(buf, &v, 8);
-    os.write(buf, 8);
-}
-
 // Keying tripwire: the file name and the campaign signature encode
 // MemoryConfig *memberwise*. If this assert fires, a field was added
-// to MemoryConfig/DramConfig — extend versionedFileName (and
+// to MemoryConfig/DramConfig — extend TraceStore::fileName (and
 // Campaign::signature) to include it, then update the expected size.
 // Silently compiling on would alias bundles across distinct configs.
 static_assert(sizeof(memsys::DramConfig) == 36,
-              "DramConfig changed: update versionedFileName + "
+              "DramConfig changed: update TraceStore::fileName + "
               "Campaign::signature, then this size");
 static_assert(sizeof(memsys::MemoryConfig) == 56,
-              "MemoryConfig changed: update versionedFileName + "
+              "MemoryConfig changed: update TraceStore::fileName + "
               "Campaign::signature, then this size");
-
-std::string
-versionedFileName(sim::AppId id, const memsys::MemoryConfig &mem,
-                  bool small, uint32_t bundle_ver, uint32_t trace_ver)
-{
-    std::string app(sim::appName(id));
-    for (char &c : app)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-
-    std::ostringstream name;
-    name << app << (small ? "_small" : "_full") << "_h"
-         << mem.hit_latency << "_m" << mem.miss_latency << "_"
-         << (mem.protocol == memsys::Protocol::MESI ? "mesi" : "msi")
-         << "_b" << mem.banks << "_o" << mem.bank_occupancy;
-    // The DRAM block joins the name only when the model is on, so
-    // every pre-existing (dram-off) file keeps its exact seed name.
-    if (mem.dram.enabled()) {
-        const memsys::DramConfig &d = mem.dram;
-        name << "_d" << d.banks << "r" << d.row_bytes << "s"
-             << memsys::schedPolicyName(d.sched) << "t" << d.t_rcd
-             << "-" << d.t_rp << "-" << d.t_cas << "-" << d.bus_cycles
-             << "-" << d.base_latency << "c" << d.batch_cap;
-    }
-    name << "_v" << bundle_ver << "t" << trace_ver << ".dsmb";
-    return name.str();
-}
 
 } // namespace
 
@@ -278,7 +218,7 @@ saveBundle(const sim::TraceBundle &bundle, std::ostream &os)
     sink.put(kMagic, 4);
     sink.putU32(dram ? kBundleFormatVersionDram : kBundleFormatVersion);
 
-    sink.beginHash(util::FnvState::Fold::WORDS);
+    sink.beginHash();
     putStats(sink, bundle.stats);
     putCacheStats(sink, bundle.cache0);
     putThreadStats(sink, bundle.thread0);
@@ -294,36 +234,6 @@ saveBundle(const sim::TraceBundle &bundle, std::ostream &os)
     sink.flush();
 }
 
-void
-saveBundleV1(const sim::TraceBundle &bundle, std::ostream &os)
-{
-    // The original format checksummed the payload from the header, so
-    // it has to be materialized first — that cost is exactly why v2
-    // moved the checksum to a trailer.
-    std::ostringstream body;
-    {
-        util::ByteSink payload_sink(body);
-        putStats(payload_sink, bundle.stats);
-        putCacheStats(payload_sink, bundle.cache0);
-        putThreadStats(payload_sink, bundle.thread0);
-        payload_sink.putU64(bundle.mp_cycles);
-        payload_sink.putByte(bundle.verified ? 1 : 0);
-        trace::saveTraceV1(bundle.trace, payload_sink);
-        payload_sink.flush();
-    }
-
-    std::string payload = std::move(body).str();
-    os.write(kMagic, 4);
-    put32(os, kBundleFormatV1);
-    put64(os, util::fnv1aUpdate(util::kFnvOffset, payload.data(),
-                                payload.size()));
-    put64(os, payload.size());
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
-    if (!os)
-        throw util::IoError("bundle write failed");
-}
-
 sim::TraceBundle
 loadBundle(std::istream &is)
 {
@@ -331,19 +241,10 @@ loadBundle(std::istream &is)
     uint32_t version = readBundleHeader(src);
 
     sim::TraceBundle bundle;
-    if (version == kBundleFormatV1) {
-        uint64_t want_sum = src.readU64();
-        uint64_t want_size = src.readU64();
-        src.beginHash();
-        readBundleFields(src, bundle, version);
-        bundle.trace = trace::loadTrace(src);
-        checkV1Trailer(src, want_sum, want_size);
-    } else {
-        src.beginHash(util::FnvState::Fold::WORDS);
-        readBundleFields(src, bundle, version);
-        bundle.trace = trace::loadTrace(src);
-        checkV2Trailer(src);
-    }
+    src.beginHash();
+    readBundleFields(src, bundle, version);
+    bundle.trace = trace::loadTrace(src);
+    checkTrailer(src);
     return bundle;
 }
 
@@ -361,37 +262,22 @@ loadBundleView(std::istream &is, sim::StreamExec stream_exec)
 
     sim::ViewBundle vb;
     sim::TraceBundle fields;
+    src.beginHash();
+    readBundleFields(src, fields, version);
 
     // The stats land before the embedded trace, so the residency
     // decision can size the flat view without peeking at the trace
     // section. Sync entries (locks, events, barriers) join
     // stats.instructions to cover every trace record; they are a
     // rounding error against the threshold either way.
-    auto decodeTrace = [&] {
-        uint64_t entries = fields.stats.instructions +
-            fields.stats.locks + fields.stats.unlocks +
-            fields.stats.wait_events + fields.stats.set_events +
-            fields.stats.barriers;
-        if (sim::shouldStream(static_cast<size_t>(entries),
-                              stream_exec))
-            vb.chunked = trace::loadTraceChunked(src);
-        else
-            vb.view = trace::loadTraceView(src);
-    };
-
-    if (version == kBundleFormatV1) {
-        uint64_t want_sum = src.readU64();
-        uint64_t want_size = src.readU64();
-        src.beginHash();
-        readBundleFields(src, fields, version);
-        decodeTrace();
-        checkV1Trailer(src, want_sum, want_size);
-    } else {
-        src.beginHash(util::FnvState::Fold::WORDS);
-        readBundleFields(src, fields, version);
-        decodeTrace();
-        checkV2Trailer(src);
-    }
+    uint64_t entries = fields.stats.instructions + fields.stats.locks +
+        fields.stats.unlocks + fields.stats.wait_events +
+        fields.stats.set_events + fields.stats.barriers;
+    if (sim::shouldStream(static_cast<size_t>(entries), stream_exec))
+        vb.chunked = trace::loadTraceChunked(src);
+    else
+        vb.view = trace::loadTraceView(src);
+    checkTrailer(src);
     vb.stats = fields.stats;
     vb.cache0 = fields.cache0;
     vb.thread0 = fields.thread0;
@@ -407,15 +293,28 @@ std::string
 TraceStore::fileName(sim::AppId id, const memsys::MemoryConfig &mem,
                      bool small)
 {
-    return versionedFileName(id, mem, small, bundleVersionFor(mem),
-                             trace::kTraceFormatVersion);
-}
+    std::string app(sim::appName(id));
+    for (char &c : app)
+        c = static_cast<char>(
+            std::tolower(static_cast<unsigned char>(c)));
 
-std::string
-TraceStore::legacyFileName(sim::AppId id,
-                           const memsys::MemoryConfig &mem, bool small)
-{
-    return versionedFileName(id, mem, small, kBundleFormatV1, 1);
+    std::ostringstream name;
+    name << app << (small ? "_small" : "_full") << "_h"
+         << mem.hit_latency << "_m" << mem.miss_latency << "_"
+         << (mem.protocol == memsys::Protocol::MESI ? "mesi" : "msi")
+         << "_b" << mem.banks << "_o" << mem.bank_occupancy;
+    // The DRAM block joins the name only when the model is on, so
+    // every pre-existing (dram-off) file keeps its exact seed name.
+    if (mem.dram.enabled()) {
+        const memsys::DramConfig &d = mem.dram;
+        name << "_d" << d.banks << "r" << d.row_bytes << "s"
+             << memsys::schedPolicyName(d.sched) << "t" << d.t_rcd
+             << "-" << d.t_rp << "-" << d.t_cas << "-" << d.bus_cycles
+             << "-" << d.base_latency << "c" << d.batch_cap;
+    }
+    name << "_v" << bundleVersionFor(mem) << "t"
+         << trace::kTraceFormatVersion << ".dsmb";
+    return name.str();
 }
 
 std::string
@@ -512,45 +411,7 @@ TraceStore::resolve(sim::AppId id, const memsys::MemoryConfig &mem,
 {
     fs::path path = fs::path(dir_) / fileName(id, mem, small);
     std::error_code ec;
-    if (fs::exists(path, ec))
-        return path.string();
-
-    // Current-name miss: probe the v1-era name and upgrade in place,
-    // so caches written before the format bump stay warm. Never for a
-    // DRAM-enabled key: the v1 name doesn't encode the dram fields,
-    // so the probe would alias every dram config onto one stale file.
-    if (mem.dram.enabled())
-        return "";
-    fs::path legacy = fs::path(dir_) / legacyFileName(id, mem, small);
-    if (!fs::exists(legacy, ec))
-        return "";
-    try {
-        util::failpoint("trace_store.migrate");
-        std::ifstream is(legacy, std::ios::binary);
-        if (!is)
-            return "";
-        sim::TraceBundle bundle = loadBundle(is);
-        store(id, mem, small, bundle);
-        removeFile(legacy, "trace_store.migrate");
-        bump(&StoreStats::migrations);
-        if (fs::exists(path, ec))
-            return path.string();
-        return "";
-    } catch (const util::FormatError &e) {
-        note("trace_store.migrate", legacy.string() + ": " + e.what(),
-             &StoreStats::format_errors);
-        quarantine(legacy);
-        return "";
-    } catch (const util::IoError &) {
-        // Transient: leave the legacy file for the retry to find.
-        bump(&StoreStats::io_errors);
-        throw;
-    } catch (const std::exception &e) {
-        note("trace_store.migrate", legacy.string() + ": " + e.what(),
-             &StoreStats::format_errors);
-        quarantine(legacy);
-        return "";
-    }
+    return fs::exists(path, ec) ? path.string() : "";
 }
 
 std::optional<sim::TraceBundle>
@@ -810,7 +671,7 @@ TraceStore::gc(const StoreGcOptions &opts)
 
     // The current-format suffixes; a .dsmb/.dslp name without one can
     // never be opened by this build again (resolve() probes only the
-    // current and v1-migration names), so it is stale by construction.
+    // current name), so it is stale by construction.
     const std::string tver = std::to_string(trace::kTraceFormatVersion);
     const std::string cur_v2 =
         "_v" + std::to_string(kBundleFormatVersion) + "t" + tver +

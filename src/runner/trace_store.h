@@ -24,15 +24,12 @@ namespace dsmem::runner {
  * region — stats structs as raw u64s, mp_cycles, verified, and the
  * embedded DSMT v2 trace — then a trailing u64 FNV-1a checksum over
  * that region, folded over little-endian 64-bit words (final partial
- * word zero-extended) so verification costs one multiply per 8 bytes
- * instead of v1's one per byte. Both writer and reader fold into the
- * hash as they stream through a block buffer, so peak extra memory is
- * one block rather than one serialized bundle (v1 buffered the whole
- * payload in a std::string to checksum it, and put the checksum in
- * the header).
+ * word zero-extended) so verification costs one multiply per 8 bytes.
+ * Both writer and reader fold into the hash as they stream through a
+ * block buffer, so peak extra memory is one block rather than one
+ * serialized bundle.
  *
- * v1 files still load (streamed, checksum verified) and are
- * transparently rewritten as v2 by TraceStore::load/loadView.
+ * Readers refuse every other version with util::FormatError.
  *
  * v3 extends v2 with the DRAM model's accounting: the hashed region
  * gains, between the `verified` byte and the embedded trace, the
@@ -56,11 +53,8 @@ uint32_t bundleVersionFor(const memsys::MemoryConfig &mem);
 /** Serialize a full TraceBundle (stats + trace) to @p os as v2. */
 void saveBundle(const sim::TraceBundle &bundle, std::ostream &os);
 
-/** Serialize in the legacy v1 container (migration tests / bench). */
-void saveBundleV1(const sim::TraceBundle &bundle, std::ostream &os);
-
 /**
- * Deserialize a bundle (v1 or v2). Throws util::FormatError (bad
+ * Deserialize a v2 or v3 bundle. Throws util::FormatError (bad
  * magic, unsupported version, checksum mismatch, truncation, trailing
  * garbage, malformed embedded trace, implausible section size) or
  * util::IoError (stream failure / injected fault) — never crashes or
@@ -69,10 +63,9 @@ void saveBundleV1(const sim::TraceBundle &bundle, std::ostream &os);
 sim::TraceBundle loadBundle(std::istream &is);
 
 /**
- * Deserialize straight into a ViewBundle: a v2 stream decodes its SoA
- * sections directly into TraceView arrays without materializing the
- * AoS trace. Accepts v1 too (decoded AoS, then viewed). Same failure
- * modes as loadBundle.
+ * Deserialize straight into a ViewBundle: the embedded trace's SoA
+ * sections decode directly into TraceView arrays without
+ * materializing the AoS trace. Same failure modes as loadBundle.
  */
 sim::ViewBundle loadBundleView(std::istream &is);
 
@@ -103,7 +96,6 @@ struct StoreStats {
     uint64_t rename_errors = 0; ///< fs::rename failures, any path.
     uint64_t remove_errors = 0; ///< fs::remove failures, any path.
     uint64_t quarantined = 0;   ///< Files renamed to *.corrupt.*.
-    uint64_t migrations = 0;    ///< v1-name files rewritten as v2.
 };
 
 /**
@@ -143,11 +135,8 @@ struct StoreGcStats {
  * Files live in one cache directory (created on first store) under a
  * content-derived name encoding the app, problem size, the full
  * MemoryConfig, and the format versions — so distinct configurations
- * never collide and a format bump silently invalidates old files.
- * The one deliberate exception: a load that misses under the current
- * versions also probes the v1 name, and a v1 hit is rewritten in
- * place as v2 (the legacy file is then removed), so existing caches
- * survive the format bump without regeneration.
+ * never collide and a format bump silently invalidates old files:
+ * they are misses that regenerate, and gc() prunes them.
  *
  * Bundles are written to a temp file and atomically renamed, and
  * every load verifies magic, version, and a whole-payload checksum.
@@ -203,11 +192,6 @@ class TraceStore : public sim::TraceStoreBase
     static std::string fileName(sim::AppId id,
                                 const memsys::MemoryConfig &mem,
                                 bool small);
-
-    /** The v1-era name the same key was stored under (migration). */
-    static std::string legacyFileName(sim::AppId id,
-                                      const memsys::MemoryConfig &mem,
-                                      bool small);
 
     /** Full path for a key, or "" when disabled. */
     std::string pathFor(sim::AppId id, const memsys::MemoryConfig &mem,
@@ -275,11 +259,7 @@ class TraceStore : public sim::TraceStoreBase
     StoreGcStats gc(const StoreGcOptions &opts);
 
   private:
-    /**
-     * Open the bundle for @p key, migrating a v1-named file to the
-     * current name first if that is the only one present. Returns the
-     * path to read, or "" when neither exists.
-     */
+    /** The path to read for @p key, or "" when no file exists. */
     std::string resolve(sim::AppId id, const memsys::MemoryConfig &mem,
                         bool small);
 

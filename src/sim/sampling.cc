@@ -280,7 +280,7 @@ saveLivePoints(const LivePointSet &set, std::ostream &os)
     sink.put(kLivePointMagic, 4);
     sink.putU32(kLivePointFormatVersion);
 
-    sink.beginHash(util::FnvState::Fold::WORDS);
+    sink.beginHash();
     sink.putU32(set.btb.entries);
     sink.putU32(set.btb.associativity);
     sink.putU64(set.period);
@@ -309,7 +309,7 @@ loadLivePoints(std::istream &is)
             "unsupported live-point format version " +
             std::to_string(version));
 
-    src.beginHash(util::FnvState::Fold::WORDS);
+    src.beginHash();
     LivePointSet set;
     set.btb.entries = src.readU32();
     set.btb.associativity = src.readU32();

@@ -22,8 +22,6 @@ using detail::kMetaTakenShift;
 using detail::packMeta;
 
 constexpr char kMagic[4] = {'D', 'S', 'M', 'T'};
-constexpr uint32_t kTraceFormatV1 = 1;
-constexpr size_t kRecordBytesV1 = 4 + 3 * 4 + 4 + 4 + 4;
 
 std::string
 readName(util::ByteSource &src, uint32_t name_len)
@@ -66,17 +64,17 @@ writeHeader(util::ByteSink &sink, uint32_t version)
 }
 
 /**
- * Decode the common v2 prologue (after magic + version) and the five
- * SoA sections into Parts. Shared by the AoS and direct-to-view
+ * Decode the prologue (after magic + version) and the five SoA
+ * sections into Parts. Shared by the AoS and direct-to-view
  * loaders; SSA validation happens downstream (Trace::validate or the
  * TraceView(Parts) constructor).
  */
 TraceView::Parts
-readPartsV2(util::ByteSource &src)
+readParts(util::ByteSource &src)
 {
     TraceView::Parts parts;
     parts.name = readName(src, src.readVarint32());
-    // A v2 record is at least 4 bytes on disk: one meta byte plus one
+    // A record is at least 4 bytes on disk: one meta byte plus one
     // varint byte each for addr, latency, and aux.
     const size_t n = checkedCount(src, src.readVarint(), 4);
     parts.ops.resize(n);
@@ -89,7 +87,7 @@ readPartsV2(util::ByteSource &src)
 
     // The meta section is n contiguous bytes: one bulk read, then a
     // branch-light unpack loop (a readByte() call per element showed
-    // up as the hottest part of the v2 decode).
+    // up as the hottest part of the decode).
     std::vector<uint8_t> meta(n);
     if (n > 0)
         src.read(meta.data(), n);
@@ -132,41 +130,9 @@ readPartsV2(util::ByteSource &src)
 }
 
 Trace
-loadBodyV1(util::ByteSource &src)
+loadBody(util::ByteSource &src)
 {
-    std::string name = readName(src, src.readU32());
-    const size_t count =
-        checkedCount(src, src.readU64(), kRecordBytesV1);
-
-    Trace t(std::move(name));
-    t.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-        char rec[kRecordBytesV1];
-        src.read(rec, kRecordBytesV1);
-        TraceInst inst;
-        uint8_t op_raw = static_cast<uint8_t>(rec[0]);
-        if (op_raw >= kNumOps)
-            throw util::FormatError("malformed trace: bad opcode");
-        inst.op = static_cast<Op>(op_raw);
-        inst.num_srcs = static_cast<uint8_t>(rec[1]);
-        if (inst.num_srcs > kMaxSrcs)
-            throw util::FormatError("malformed trace: bad src count");
-        inst.taken = rec[2] != 0;
-        std::memcpy(inst.src, rec + 4, 12);
-        std::memcpy(&inst.addr, rec + 16, 4);
-        std::memcpy(&inst.latency, rec + 20, 4);
-        std::memcpy(&inst.aux, rec + 24, 4);
-        t.append(inst);
-    }
-    if (t.validate() != t.size())
-        throw util::FormatError("malformed trace: SSA check failed");
-    return t;
-}
-
-Trace
-loadBodyV2(util::ByteSource &src)
-{
-    TraceView::Parts parts = readPartsV2(src);
+    TraceView::Parts parts = readParts(src);
 
     Trace t(std::move(parts.name));
     const size_t n = parts.ops.size();
@@ -189,7 +155,7 @@ loadBodyV2(util::ByteSource &src)
     return t;
 }
 
-uint32_t
+void
 readHeader(util::ByteSource &src)
 {
     char magic[4];
@@ -197,11 +163,10 @@ readHeader(util::ByteSource &src)
     if (std::memcmp(magic, kMagic, 4) != 0)
         throw util::FormatError("not a dsmem trace file");
     uint32_t version = src.readU32();
-    if (version != kTraceFormatV1 && version != kTraceFormatVersion) {
+    if (version != kTraceFormatVersion) {
         throw util::FormatError("unsupported trace format version " +
                                  std::to_string(version));
     }
-    return version;
 }
 
 } // namespace
@@ -256,42 +221,12 @@ saveTraceFile(const Trace &t, const std::string &path)
     saveTrace(t, os);
 }
 
-void
-saveTraceV1(const Trace &t, util::ByteSink &sink)
-{
-    writeHeader(sink, kTraceFormatV1);
-    sink.putU32(static_cast<uint32_t>(t.name().size()));
-    sink.put(t.name().data(), t.name().size());
-    sink.putU64(t.size());
-
-    for (const TraceInst &inst : t) {
-        char rec[kRecordBytesV1];
-        rec[0] = static_cast<char>(inst.op);
-        rec[1] = static_cast<char>(inst.num_srcs);
-        rec[2] = inst.taken ? 1 : 0;
-        rec[3] = 0;
-        std::memcpy(rec + 4, inst.src, 12);
-        std::memcpy(rec + 16, &inst.addr, 4);
-        std::memcpy(rec + 20, &inst.latency, 4);
-        std::memcpy(rec + 24, &inst.aux, 4);
-        sink.put(rec, kRecordBytesV1);
-    }
-}
-
-void
-saveTraceV1(const Trace &t, std::ostream &os)
-{
-    util::ByteSink sink(os);
-    saveTraceV1(t, sink);
-    sink.flush();
-}
-
 Trace
 loadTrace(util::ByteSource &src)
 {
     util::failpoint("trace_io.load");
-    uint32_t version = readHeader(src);
-    return version == kTraceFormatV1 ? loadBodyV1(src) : loadBodyV2(src);
+    readHeader(src);
+    return loadBody(src);
 }
 
 Trace
@@ -314,10 +249,8 @@ std::shared_ptr<const TraceView>
 loadTraceView(util::ByteSource &src)
 {
     util::failpoint("trace_io.load");
-    uint32_t version = readHeader(src);
-    if (version == kTraceFormatV1)
-        return std::make_shared<const TraceView>(loadBodyV1(src));
-    return std::make_shared<const TraceView>(readPartsV2(src));
+    readHeader(src);
+    return std::make_shared<const TraceView>(readParts(src));
 }
 
 std::shared_ptr<const TraceView>
@@ -331,12 +264,7 @@ std::shared_ptr<const ChunkedView>
 loadTraceChunked(util::ByteSource &src)
 {
     util::failpoint("trace_io.load");
-    uint32_t version = readHeader(src);
-    if (version == kTraceFormatV1) {
-        // v1 has no streamable SoA body; decode flat, then chunk.
-        return std::make_shared<const ChunkedView>(
-            TraceView(loadBodyV1(src)));
-    }
+    readHeader(src);
     std::string name = readName(src, src.readVarint32());
     const size_t n = checkedCount(src, src.readVarint(), 4);
     return std::make_shared<const ChunkedView>(src, std::move(name), n);

@@ -35,11 +35,10 @@ namespace dsmem::trace {
  * TraceView SoA column sequentially — loadTraceView() decodes a v2
  * stream straight into a view without materializing AoS records.
  * Integrity (checksums) is the containing bundle's concern
- * (runner::saveBundle); a bare DSMT stream carries none, matching v1.
+ * (runner::saveBundle); a bare DSMT stream carries none.
  *
- * Version 1 (AoS, fixed 28-byte records) is still read transparently;
- * saveTraceV1 is retained so migration tests and bench_phase1 can
- * produce legacy streams.
+ * Only version 2 is read: every loader throws util::FormatError on any
+ * other version.
  */
 inline constexpr uint32_t kTraceFormatVersion = 2;
 
@@ -52,12 +51,8 @@ void saveTrace(const Trace &t, std::ostream &os);
 /** Serialize @p t to @p path. */
 void saveTraceFile(const Trace &t, const std::string &path);
 
-/** Serialize @p t in the legacy v1 format (tests / bench only). */
-void saveTraceV1(const Trace &t, util::ByteSink &sink);
-void saveTraceV1(const Trace &t, std::ostream &os);
-
 /**
- * Deserialize a trace (v1 or v2). Throws std::runtime_error on bad
+ * Deserialize a trace. Throws std::runtime_error on bad
  * magic, unsupported version, truncation, or malformed instructions
  * (the result always passes Trace::validate()).
  */
@@ -68,11 +63,9 @@ Trace loadTrace(std::istream &is);
 Trace loadTraceFile(const std::string &path);
 
 /**
- * Deserialize a v2 stream directly into a TraceView, skipping the
- * intermediate AoS Trace — the phase-2-only load path. v1 streams are
- * accepted too (decoded AoS, then viewed), so callers need not care
- * which version a file carries. Performs the same validation as
- * loadTrace.
+ * Deserialize a stream directly into a TraceView, skipping the
+ * intermediate AoS Trace — the phase-2-only load path. Performs the
+ * same validation as loadTrace.
  */
 std::shared_ptr<const TraceView> loadTraceView(util::ByteSource &src);
 std::shared_ptr<const TraceView> loadTraceView(std::istream &is);
@@ -80,12 +73,12 @@ std::shared_ptr<const TraceView> loadTraceView(std::istream &is);
 class ChunkedView;
 
 /**
- * Deserialize a v2 stream straight into chunk-compressed resident
- * form (ChunkedView) without ever materializing the flat SoA — the
+ * Deserialize a stream straight into chunk-compressed resident form
+ * (ChunkedView) without ever materializing the flat SoA — the
  * streaming-executor load path, whose peak footprint is the compressed
- * sections instead of size() * TraceView::bytesPerInstr(). v1 streams
- * fall back to flat decode + chunk-encode. Performs the same
- * validation (opcode range, SSA form, truncation) as loadTrace.
+ * sections instead of size() * TraceView::bytesPerInstr(). Performs
+ * the same validation (opcode range, SSA form, truncation) as
+ * loadTrace.
  */
 std::shared_ptr<const ChunkedView> loadTraceChunked(util::ByteSource &src);
 std::shared_ptr<const ChunkedView> loadTraceChunked(std::istream &is);

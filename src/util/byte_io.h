@@ -44,35 +44,26 @@ unzigzag32(uint32_t z)
 }
 
 /**
- * Streaming FNV-1a state with two folding granularities.
- *
- * BYTES is classic FNV-1a (one xor-multiply per byte) and matches the
- * checksum the v1 bundle format committed to. Its multiply chain is
- * serial, so it tops out around 1.4 ns/byte — which is why the v2
- * bundle format instead folds the stream as little-endian 64-bit
- * words (WORDS), one xor-multiply per 8 bytes, with the final partial
- * word zero-extended. Same primitive, an order of magnitude cheaper,
- * still catches flips, truncations, and reorderings.
+ * Streaming FNV-1a state folded over little-endian 64-bit words: one
+ * xor-multiply per 8 bytes, with the final partial word zero-extended.
+ * Classic per-byte FNV-1a (fnv1aUpdate) has a serial multiply chain
+ * that tops out around 1.4 ns/byte; the word fold is the same
+ * primitive an order of magnitude cheaper, and still catches flips,
+ * truncations, and reorderings. The result depends only on the byte
+ * stream, not on how update() calls split it.
  */
 class FnvState
 {
   public:
-    enum class Fold : uint8_t { BYTES, WORDS };
-
-    void begin(Fold fold)
+    void begin()
     {
         hash_ = kFnvOffset;
         pend_ = 0;
         pend_len_ = 0;
-        fold_ = fold;
     }
 
     void update(const void *data, size_t n)
     {
-        if (fold_ == Fold::BYTES) {
-            hash_ = fnv1aUpdate(hash_, data, n);
-            return;
-        }
         const auto *p = static_cast<const unsigned char *>(data);
         while (pend_len_ != 0 && n > 0) {
             pend_ |= static_cast<uint64_t>(*p++) << (8 * pend_len_);
@@ -99,7 +90,7 @@ class FnvState
     /** Current digest; folds a zero-extended partial tail word. */
     uint64_t value() const
     {
-        if (fold_ == Fold::WORDS && pend_len_ != 0)
+        if (pend_len_ != 0)
             return (hash_ ^ pend_) * kFnvPrime;
         return hash_;
     }
@@ -108,7 +99,6 @@ class FnvState
     uint64_t hash_ = kFnvOffset;
     uint64_t pend_ = 0;
     unsigned pend_len_ = 0;
-    Fold fold_ = Fold::BYTES;
 };
 
 /**
@@ -146,13 +136,13 @@ class ByteSink
     }
 
     /** Start (or restart) checksumming every byte written from now on. */
-    void beginHash(FnvState::Fold fold = FnvState::Fold::BYTES)
+    void beginHash()
     {
-        fnv_.begin(fold);
+        fnv_.begin();
         hashing_ = true;
     }
 
-    /** FNV-1a over everything written since beginHash(). */
+    /** Word-folded FNV-1a over everything written since beginHash(). */
     uint64_t hashValue() const { return fnv_.value(); }
 
     void put(const void *data, size_t n)
@@ -233,11 +223,11 @@ class ByteSink
  * so decoders never consume garbage.
  *
  * Checksumming is lazy: consumed-but-unhashed buffer spans are folded
- * in bulk when the buffer refills or when hashValue()/consumed() is
- * queried, so the per-field read paths (readByte, readVarint) carry
- * no hashing work at all. readVarint additionally decodes straight
- * from the buffer when enough bytes are resident, which is the common
- * case for the varint-dense v2 trace sections.
+ * in bulk when the buffer refills or when hashValue() is queried, so
+ * the per-field read paths (readByte, readVarint) carry no hashing
+ * work at all. readVarint additionally decodes straight from the
+ * buffer when enough bytes are resident, which is the common case for
+ * the varint-dense trace sections.
  */
 class ByteSource
 {
@@ -251,26 +241,18 @@ class ByteSource
     ByteSource &operator=(const ByteSource &) = delete;
 
     /** Start checksumming every byte consumed from now on. */
-    void beginHash(FnvState::Fold fold = FnvState::Fold::BYTES)
+    void beginHash()
     {
-        fnv_.begin(fold);
-        consumed_ = 0;
+        fnv_.begin();
         hmark_ = pos_;
         hashing_ = true;
     }
 
-    /** FNV-1a over everything consumed since beginHash(). */
+    /** Word-folded FNV-1a over everything consumed since beginHash(). */
     uint64_t hashValue() const
     {
         syncHash();
         return fnv_.value();
-    }
-
-    /** Bytes consumed since beginHash(). */
-    uint64_t consumed() const
-    {
-        syncHash();
-        return consumed_;
     }
 
     void read(void *data, size_t n)
@@ -381,7 +363,6 @@ class ByteSource
         if (!hashing_ || hmark_ == pos_)
             return;
         fnv_.update(buf_.data() + hmark_, pos_ - hmark_);
-        consumed_ += pos_ - hmark_;
         hmark_ = pos_;
     }
 
@@ -443,7 +424,6 @@ class ByteSource
     // mutated from const accessors.
     mutable size_t hmark_ = 0;
     mutable FnvState fnv_;
-    mutable uint64_t consumed_ = 0;
     bool hashing_ = false;
 };
 

@@ -110,7 +110,6 @@ inline constexpr FailpointSite kFailpointSites[] = {
     {"svc.worker.send", "worker frame send"},
     {"trace_io.load", "bundle deserialization"},
     {"trace_io.save", "bundle serialization"},
-    {"trace_store.migrate", "v1 bundle migration"},
     {"trace_store.open_read", "store bundle open-for-read"},
     {"trace_store.remove", "store bundle remove"},
     {"trace_store.rename", "store tmp -> final atomic rename"},

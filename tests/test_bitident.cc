@@ -12,7 +12,6 @@
 #include <regex>
 #include <sstream>
 
-#include "mp/engine.h"
 #include "runner/campaign.h"
 #include "runner/trace_store.h"
 #include "sim/trace_bundle.h"
@@ -296,14 +295,6 @@ TEST(DramGuardTest, ToyBanksAndDramAreMutuallyExclusive)
     EXPECT_THROW(
         memsys::MemorySystem(2, memsys::CacheConfig{}, both),
         std::invalid_argument);
-}
-
-TEST(DramGuardTest, LegacyEngineRejectsDram)
-{
-    mp::EngineConfig config;
-    config.mem = dramConfig();
-    config.legacy_engine = true;
-    EXPECT_THROW(mp::Engine{config}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------

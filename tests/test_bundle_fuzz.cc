@@ -2,7 +2,8 @@
  * @file
  * Hardened-deserialization proof for the bundle and trace loaders:
  * for ANY malformed input — every possible truncation point, a byte
- * flip at every offset, absurd record counts — loadBundle /
+ * flip at every offset, absurd record counts, retired format
+ * versions — loadBundle /
  * loadBundleView / loadTrace must fail with a *typed* error
  * (util::FormatError / util::IoError), never crash, never read out
  * of bounds, and never reserve unbounded memory. The DSLP live-point
@@ -12,13 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+
+#include <unistd.h>
 
 #include "random_trace.h"
 #include "runner/trace_store.h"
 #include "sim/sampling.h"
 #include "sim/trace_bundle.h"
+#include "trace/chunked_view.h"
 #include "trace/trace_io.h"
 #include "trace/trace_view.h"
 #include "util/byte_io.h"
@@ -43,14 +49,6 @@ serializeV2(const sim::TraceBundle &bundle)
 {
     std::ostringstream os(std::ios::binary);
     saveBundle(bundle, os);
-    return std::move(os).str();
-}
-
-std::string
-serializeV1(const sim::TraceBundle &bundle)
-{
-    std::ostringstream os(std::ios::binary);
-    saveBundleV1(bundle, os);
     return std::move(os).str();
 }
 
@@ -118,11 +116,6 @@ TEST(BundleFuzz, TruncationAtEveryOffsetV2)
     truncateEverywhere(serializeV2(makeBundle(7, 200)));
 }
 
-TEST(BundleFuzz, TruncationAtEveryOffsetV1)
-{
-    truncateEverywhere(serializeV1(makeBundle(7, 120)));
-}
-
 // --- Byte flips: typed error or checksum-verified success ----------
 
 void
@@ -151,11 +144,6 @@ TEST(BundleFuzz, ByteFlipAtEveryOffsetV2)
     flipEverywhere(serializeV2(makeBundle(11, 150)));
 }
 
-TEST(BundleFuzz, ByteFlipAtEveryOffsetV1)
-{
-    flipEverywhere(serializeV1(makeBundle(11, 90)));
-}
-
 // --- Bounded allocation on absurd counts ---------------------------
 
 TEST(BundleFuzz, HugeRecordCountIsRejectedBeforeAllocating)
@@ -181,20 +169,93 @@ TEST(BundleFuzz, HugeRecordCountIsRejectedBeforeAllocating)
     EXPECT_THROW(trace::loadTraceView(is2), util::FormatError);
 }
 
-TEST(BundleFuzz, HugeV1RecordCountIsRejectedBeforeAllocating)
+TEST(BundleFuzz, Version1StreamsAreRefused)
 {
-    std::ostringstream os(std::ios::binary);
+    // The retired v1 layouts must fail on the version field, before
+    // any of the body is trusted. The trace header also claims ~2^59
+    // fixed-width records, so a reader that still decoded v1 bodies
+    // would have to reject the count from the stream size alone.
+    std::ostringstream trace_os(std::ios::binary);
     {
-        util::ByteSink sink(os);
+        util::ByteSink sink(trace_os);
         sink.put("DSMT", 4);
-        sink.putU32(1);                  // v1.
+        sink.putU32(1);                  // Version.
         sink.putU32(0);                  // Name length.
         sink.putU64(uint64_t{1} << 59);  // Record count.
         sink.flush();
     }
-    std::string bytes = std::move(os).str();
-    std::istringstream is(bytes, std::ios::binary);
-    EXPECT_THROW(trace::loadTrace(is), util::FormatError);
+    const std::string trace_v1 = std::move(trace_os).str();
+    {
+        std::istringstream is(trace_v1, std::ios::binary);
+        EXPECT_THROW(trace::loadTrace(is), util::FormatError);
+    }
+    {
+        std::istringstream is(trace_v1, std::ios::binary);
+        EXPECT_THROW(trace::loadTraceView(is), util::FormatError);
+    }
+    {
+        std::istringstream is(trace_v1, std::ios::binary);
+        EXPECT_THROW(trace::loadTraceChunked(is), util::FormatError);
+    }
+
+    // A v1 bundle: checksum and payload size in the header, then the
+    // payload (here the v1 trace header above).
+    std::ostringstream bundle_os(std::ios::binary);
+    {
+        util::ByteSink sink(bundle_os);
+        sink.put("DSMB", 4);
+        sink.putU32(1);                  // Version.
+        sink.putU64(util::fnv1aUpdate(util::kFnvOffset, trace_v1.data(),
+                                      trace_v1.size()));
+        sink.putU64(trace_v1.size());
+        sink.put(trace_v1.data(), trace_v1.size());
+        sink.flush();
+    }
+    const std::string bundle_v1 = std::move(bundle_os).str();
+    {
+        std::istringstream is(bundle_v1, std::ios::binary);
+        EXPECT_THROW(loadBundle(is), util::FormatError);
+    }
+    {
+        std::istringstream is(bundle_v1, std::ios::binary);
+        EXPECT_THROW(loadBundleView(is), util::FormatError);
+    }
+
+    // In a store directory, a file under a v1-era name is neither
+    // read nor quarantined: the lookup is a plain miss, and gc()
+    // prunes the file as a stale format.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+        ("dsmem_bundle_fuzz_v1_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    memsys::MemoryConfig mem;
+    std::string name = TraceStore::fileName(sim::AppId::MP3D, mem, true);
+    const std::string current_suffix = "_v" +
+        std::to_string(kBundleFormatVersion) + "t" +
+        std::to_string(trace::kTraceFormatVersion) + ".dsmb";
+    ASSERT_GT(name.size(), current_suffix.size());
+    name.replace(name.size() - current_suffix.size(),
+                 current_suffix.size(), "_v1t1.dsmb");
+    {
+        std::ofstream os(dir / name, std::ios::binary);
+        os.write(bundle_v1.data(),
+                 static_cast<std::streamsize>(bundle_v1.size()));
+    }
+
+    TraceStore store(dir.string());
+    EXPECT_FALSE(store.loadView(sim::AppId::MP3D, mem, true).has_value());
+    StoreStats stats = store.stats();
+    EXPECT_EQ(stats.loads, 0u);
+    EXPECT_EQ(stats.format_errors, 0u);
+    EXPECT_EQ(stats.quarantined, 0u);
+    EXPECT_TRUE(fs::exists(dir / name));
+
+    StoreGcStats gc = store.gc(StoreGcOptions{});
+    EXPECT_EQ(gc.scanned, 1u);
+    EXPECT_EQ(gc.removed_stale, 1u);
+    EXPECT_FALSE(fs::exists(dir / name));
+    fs::remove_all(dir);
 }
 
 TEST(BundleFuzz, BadMagicAndVersionAreFormatErrors)
@@ -280,7 +341,7 @@ TEST(BundleFuzz, LivePointHugeCountsAreRejectedBeforeAllocating)
         util::ByteSink sink(os);
         sink.put("DSLP", 4);
         sink.putU32(1);                 // Version.
-        sink.beginHash(util::FnvState::Fold::WORDS);
+        sink.beginHash();
         sink.putU32(1u << 20);          // BTB entries.
         sink.putU32(4);                 // Associativity.
         sink.putU64(2000);              // Period.

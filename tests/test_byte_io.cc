@@ -108,15 +108,6 @@ TEST(ZigzagTest, RoundTripsAndOrdersByMagnitude)
     EXPECT_LT(zigzag32(0xFFFFFFFD), 0x80u); // -3 fits one varint byte.
 }
 
-TEST(FnvStateTest, BytesFoldMatchesReferenceFnv1a)
-{
-    const std::string data = "the quick brown fox";
-    FnvState s;
-    s.begin(FnvState::Fold::BYTES);
-    s.update(data.data(), data.size());
-    EXPECT_EQ(s.value(), fnv1aUpdate(kFnvOffset, data.data(), data.size()));
-}
-
 TEST(FnvStateTest, WordsFoldIsChunkingInvariant)
 {
     // The word fold buffers partial words across update() calls, so
@@ -126,12 +117,12 @@ TEST(FnvStateTest, WordsFoldIsChunkingInvariant)
         data[i] = static_cast<uint8_t>(i * 37 + 11);
 
     FnvState one;
-    one.begin(FnvState::Fold::WORDS);
+    one.begin();
     one.update(data.data(), data.size());
 
     for (size_t chunk : {size_t{1}, size_t{3}, size_t{8}, size_t{13}}) {
         FnvState split;
-        split.begin(FnvState::Fold::WORDS);
+        split.begin();
         for (size_t i = 0; i < data.size(); i += chunk)
             split.update(data.data() + i,
                          std::min(chunk, data.size() - i));
@@ -145,7 +136,7 @@ TEST(FnvStateTest, WordsFoldDetectsFlipTruncationAndSwap)
     data[17] = 0x12;
     auto digest = [](const std::vector<uint8_t> &d) {
         FnvState s;
-        s.begin(FnvState::Fold::WORDS);
+        s.begin();
         s.update(d.data(), d.size());
         return s.value();
     };
@@ -165,55 +156,61 @@ TEST(FnvStateTest, WordsFoldDetectsFlipTruncationAndSwap)
 
 TEST(ByteIoTest, SinkAndSourceHashesAgree)
 {
-    for (auto fold : {FnvState::Fold::BYTES, FnvState::Fold::WORDS}) {
-        std::stringstream ss;
-        uint64_t written;
-        {
-            // An 8-byte block forces many drains on the write side and
-            // many refills (lazy-hash folds) on the read side.
-            ByteSink sink(ss, /*block_bytes=*/8);
-            sink.beginHash(fold);
-            sink.putU32(0xDEADBEEF);
-            for (uint64_t v : kVarintProbes)
-                sink.putVarint(v);
-            sink.putU64(0x0123456789ABCDEFull);
-            sink.putByte(7);
-            written = sink.hashValue();
-            sink.flush();
-        }
-        ByteSource src(ss, /*block_bytes=*/8);
-        src.beginHash(fold);
-        EXPECT_EQ(src.readU32(), 0xDEADBEEFu);
+    std::stringstream ss;
+    uint64_t written;
+    {
+        // An 8-byte block forces many drains on the write side and
+        // many refills (lazy-hash folds) on the read side.
+        ByteSink sink(ss, /*block_bytes=*/8);
+        sink.beginHash();
+        sink.putU32(0xDEADBEEF);
         for (uint64_t v : kVarintProbes)
-            EXPECT_EQ(src.readVarint(), v);
-        EXPECT_EQ(src.readU64(), 0x0123456789ABCDEFull);
-        EXPECT_EQ(src.readByte(), 7u);
-        EXPECT_EQ(src.hashValue(), written);
+            sink.putVarint(v);
+        sink.putU64(0x0123456789ABCDEFull);
+        sink.putByte(7);
+        written = sink.hashValue();
+        sink.flush();
     }
+    ByteSource src(ss, /*block_bytes=*/8);
+    src.beginHash();
+    EXPECT_EQ(src.readU32(), 0xDEADBEEFu);
+    for (uint64_t v : kVarintProbes)
+        EXPECT_EQ(src.readVarint(), v);
+    EXPECT_EQ(src.readU64(), 0x0123456789ABCDEFull);
+    EXPECT_EQ(src.readByte(), 7u);
+    EXPECT_EQ(src.hashValue(), written);
 }
 
-TEST(ByteIoTest, LazyHashAndConsumedStayCorrectMidBuffer)
+TEST(ByteIoTest, LazyHashStaysCorrectMidBuffer)
 {
-    // hashValue()/consumed() must fold the consumed-but-unhashed span
+    // hashValue() must fold exactly the consumed-but-unhashed span
     // without disturbing subsequent reads of the same buffer.
+    std::vector<uint8_t> bytes(32);
     std::stringstream ss;
     {
         ByteSink sink(ss);
-        for (uint8_t i = 0; i < 32; ++i)
+        for (uint8_t i = 0; i < 32; ++i) {
+            bytes[i] = i;
             sink.putByte(i);
+        }
         sink.flush();
     }
+    auto digest = [&bytes](size_t n) {
+        FnvState s;
+        s.begin();
+        s.update(bytes.data(), n);
+        return s.value();
+    };
     ByteSource src(ss);
-    src.beginHash(FnvState::Fold::BYTES);
+    src.beginHash();
     for (uint8_t i = 0; i < 10; ++i)
         EXPECT_EQ(src.readByte(), i);
-    EXPECT_EQ(src.consumed(), 10u);
     uint64_t mid = src.hashValue();
+    EXPECT_EQ(mid, digest(10));
     EXPECT_EQ(src.hashValue(), mid); // Query is idempotent.
     for (uint8_t i = 10; i < 32; ++i)
         EXPECT_EQ(src.readByte(), i);
-    EXPECT_EQ(src.consumed(), 32u);
-    EXPECT_NE(src.hashValue(), mid);
+    EXPECT_EQ(src.hashValue(), digest(32));
 }
 
 TEST(ByteIoTest, TruncatedSourceThrows)

@@ -36,14 +36,6 @@ serializeV2(const Trace &t)
     return std::move(os).str();
 }
 
-std::string
-serializeV1(const Trace &t)
-{
-    std::ostringstream os(std::ios::binary);
-    saveTraceV1(t, os);
-    return std::move(os).str();
-}
-
 /** Column-for-column equality, including the derived first_use. */
 void
 expectSameView(const TraceView &a, const TraceView &b)
@@ -155,24 +147,19 @@ TEST(ChunkedView, ResidentFootprintIsCompressed)
 
 // --- Loader equivalence on well-formed streams ----------------------
 
-TEST(ChunkedView, LoadChunkedMatchesLoadViewOnBothVersions)
+TEST(ChunkedView, LoadChunkedMatchesLoadView)
 {
     Trace t = testing::randomTrace(53, ChunkedView::kChunkInstrs + 777);
-    for (bool v1 : {false, true}) {
-        SCOPED_TRACE(v1 ? "v1 stream" : "v2 stream");
-        std::string bytes = v1 ? serializeV1(t) : serializeV2(t);
+    std::string bytes = serializeV2(t);
 
-        std::istringstream is_flat(bytes, std::ios::binary);
-        std::shared_ptr<const TraceView> flat =
-            loadTraceView(is_flat);
-        std::istringstream is_chunked(bytes, std::ios::binary);
-        std::shared_ptr<const ChunkedView> cv =
-            loadTraceChunked(is_chunked);
+    std::istringstream is_flat(bytes, std::ios::binary);
+    std::shared_ptr<const TraceView> flat = loadTraceView(is_flat);
+    std::istringstream is_chunked(bytes, std::ios::binary);
+    std::shared_ptr<const ChunkedView> cv = loadTraceChunked(is_chunked);
 
-        ASSERT_TRUE(flat);
-        ASSERT_TRUE(cv);
-        expectSameView(*cv->flatten(), *flat);
-    }
+    ASSERT_TRUE(flat);
+    ASSERT_TRUE(cv);
+    expectSameView(*cv->flatten(), *flat);
 }
 
 // --- Loader agreement fuzz ------------------------------------------
@@ -244,11 +231,6 @@ truncateEverywhere(const std::string &bytes)
 TEST(ChunkedView, TruncationAgreementAtEveryOffsetV2)
 {
     truncateEverywhere(serializeV2(testing::randomTrace(7, 250)));
-}
-
-TEST(ChunkedView, TruncationAgreementAtEveryOffsetV1)
-{
-    truncateEverywhere(serializeV1(testing::randomTrace(7, 120)));
 }
 
 void

@@ -6,13 +6,13 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "apps/app.h"
 #include "mp/subtask.h"
 #include "sim/app_registry.h"
 #include "trace/trace_stats.h"
+#include "util/byte_io.h"
 
 namespace dsmem::mp {
 namespace {
@@ -23,7 +23,6 @@ smallConfig(uint32_t procs)
     EngineConfig config;
     config.num_procs = procs;
     config.arena_slots = 1u << 16;
-    config.trace_reserve = 1024;
     return config;
 }
 
@@ -470,39 +469,54 @@ collectStats(const Engine &engine, uint32_t num_procs)
     return out;
 }
 
-TEST(EngineEquivalenceTest, FastEngineMatchesLegacyOnEveryApp)
+/**
+ * Per-app FNV-1a digests of the engine's end state on the small
+ * inputs: for each of the 16 processors its 13 ThreadStats fields and
+ * its completion cycle, then the app's verify() result, each folded
+ * as a little-endian u64. Captured while the seed-era engine was still
+ * in the library and reproduced this exact state on every app, so the
+ * table carries that reference forward. test_bitident's bundle goldens
+ * pin the traced processor's trace; these pin processors 1-15 too.
+ */
+struct GoldenRun {
+    sim::AppId app;
+    uint64_t digest;
+};
+
+constexpr GoldenRun kGoldenRuns[] = {
+    {sim::AppId::MP3D, 0x9a2d6a04392d3f35ull},
+    {sim::AppId::LU, 0xb5ae739d9ed13455ull},
+    {sim::AppId::PTHOR, 0xd91465a56b39ff9bull},
+    {sim::AppId::LOCUS, 0x07c203aa9dd23ef5ull},
+    {sim::AppId::OCEAN, 0x36413c43d885e336ull},
+};
+
+TEST(EngineGoldenTest, EveryProcessorMatchesSeedEngineDigest)
 {
-    // The fast engine (flat per-processor scheduler, lazy trace
-    // capture, inline memory fast path) must reproduce the legacy
-    // (seed) engine bit for bit: same trace, same clocks, same
-    // per-processor statistics, same verified result — for every
-    // registry application, since each stresses a different mix of
-    // sharing, synchronization, and branching.
-    for (sim::AppId id : sim::kAllApps) {
-        auto run_mode = [id](bool legacy) {
-            EngineConfig config;
-            config.legacy_engine = legacy;
-            Engine engine(config);
-            std::unique_ptr<apps::Application> app =
-                sim::makeApp(id, /*small=*/true);
-            apps::runApplication(engine, *app);
-            return std::tuple(engine.takeTrace(),
-                              engine.completionCycle(0),
-                              collectStats(engine, config.num_procs),
-                              app->verify(engine));
+    for (const GoldenRun &g : kGoldenRuns) {
+        EngineConfig config;
+        Engine engine(config);
+        std::unique_ptr<apps::Application> app =
+            sim::makeApp(g.app, /*small=*/true);
+        apps::runApplication(engine, *app);
+        bool verified = app->verify(engine);
+
+        uint64_t h = util::kFnvOffset;
+        auto fold = [&h](uint64_t v) {
+            h = util::fnv1aUpdate(h, &v, sizeof v);
         };
+        std::vector<std::array<uint64_t, 13>> stats =
+            collectStats(engine, config.num_procs);
+        for (uint32_t p = 0; p < config.num_procs; ++p) {
+            for (uint64_t field : stats[p])
+                fold(field);
+            fold(engine.completionCycle(p));
+        }
+        fold(verified ? 1 : 0);
 
-        auto [legacy_trace, legacy_cycles, legacy_stats, legacy_ok] =
-            run_mode(true);
-        auto [fast_trace, fast_cycles, fast_stats, fast_ok] =
-            run_mode(false);
-
-        const std::string name(sim::appName(id));
-        EXPECT_EQ(fast_trace, legacy_trace) << name;
-        EXPECT_EQ(fast_cycles, legacy_cycles) << name;
-        EXPECT_EQ(fast_ok, legacy_ok) << name;
-        EXPECT_TRUE(fast_ok) << name;
-        EXPECT_EQ(fast_stats, legacy_stats) << name;
+        const std::string name(sim::appName(g.app));
+        EXPECT_TRUE(verified) << name;
+        EXPECT_EQ(h, g.digest) << name << " digest 0x" << std::hex << h;
     }
 }
 

@@ -393,108 +393,42 @@ TEST_F(TraceStoreCorruptionTest, RejectsForeignMagic)
     expectRejected();
 }
 
-TEST(TraceStoreTest, LoadBundleViewMatchesLoadBundleBothVersions)
+TEST(TraceStoreTest, LoadBundleViewMatchesLoadBundle)
 {
     memsys::MemoryConfig mem;
     sim::TraceBundle bundle =
         sim::generateTrace(sim::AppId::MP3D, mem, true);
 
-    for (bool v1 : {false, true}) {
-        std::stringstream ss;
-        if (v1)
-            saveBundleV1(bundle, ss);
-        else
-            saveBundle(bundle, ss);
-        std::string bytes = ss.str();
+    std::stringstream ss;
+    saveBundle(bundle, ss);
+    std::string bytes = ss.str();
 
-        std::stringstream aos_in(bytes);
-        sim::TraceBundle aos = loadBundle(aos_in);
-        EXPECT_EQ(aos.trace, bundle.trace) << "v1=" << v1;
+    std::stringstream aos_in(bytes);
+    sim::TraceBundle aos = loadBundle(aos_in);
+    EXPECT_EQ(aos.trace, bundle.trace);
 
-        std::stringstream view_in(bytes);
-        sim::ViewBundle vb = loadBundleView(view_in);
-        ASSERT_EQ(vb.view->size(), bundle.trace.size()) << "v1=" << v1;
-        for (size_t i = 0; i < bundle.trace.size(); ++i)
-            ASSERT_EQ(vb.view->materialize(i), bundle.trace[i])
-                << "v1=" << v1 << " record " << i;
-        EXPECT_EQ(vb.mp_cycles, bundle.mp_cycles);
-        EXPECT_EQ(vb.verified, bundle.verified);
-        EXPECT_EQ(vb.stats.instructions, bundle.stats.instructions);
-        EXPECT_EQ(vb.cache0.writebacks, bundle.cache0.writebacks);
-        EXPECT_EQ(vb.thread0.sync_wait_cycles,
-                  bundle.thread0.sync_wait_cycles);
-
-        // Both containers carry a whole-payload checksum: flipping
-        // one byte mid-payload must fail the load, through either
-        // reader.
-        std::string bad = bytes;
-        bad[bytes.size() / 2] =
-            static_cast<char>(bad[bytes.size() / 2] ^ 0x10);
-        std::stringstream bad_aos(bad);
-        EXPECT_THROW(loadBundle(bad_aos), std::runtime_error)
-            << "v1=" << v1;
-        std::stringstream bad_view(bad);
-        EXPECT_THROW(loadBundleView(bad_view), std::runtime_error)
-            << "v1=" << v1;
-    }
-}
-
-TEST(TraceStoreTest, MigratesV1FileToV2OnLoad)
-{
-    TempDir dir("migrate");
-    TraceStore store(dir.str());
-    memsys::MemoryConfig mem;
-    sim::TraceBundle bundle =
-        sim::generateTrace(sim::AppId::MP3D, mem, true);
-
-    // Plant a v1-era file: v1 container bytes under the v1-era name,
-    // as a pre-format-bump cache directory would hold.
-    fs::create_directories(dir.path());
-    fs::path legacy = dir.path() /
-        TraceStore::legacyFileName(sim::AppId::MP3D, mem, true);
-    {
-        std::ofstream os(legacy, std::ios::binary);
-        saveBundleV1(bundle, os);
-    }
-    ASSERT_TRUE(fs::exists(legacy));
-
-    // The load must hit, serve identical content...
-    std::optional<sim::TraceBundle> loaded =
-        store.load(sim::AppId::MP3D, mem, true);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->trace, bundle.trace);
-    EXPECT_EQ(loaded->mp_cycles, bundle.mp_cycles);
-
-    // ...and leave a v2 file under the current name in its place.
-    std::string current = store.pathFor(sim::AppId::MP3D, mem, true);
-    EXPECT_TRUE(fs::exists(current));
-    EXPECT_FALSE(fs::exists(legacy));
-    {
-        std::ifstream is(current, std::ios::binary);
-        char magic[4];
-        is.read(magic, 4);
-        uint32_t version = 0;
-        is.read(reinterpret_cast<char *>(&version), 4);
-        EXPECT_EQ(version, kBundleFormatVersion);
-    }
-
-    // The view-shaped path migrates the same way.
-    TempDir dir2("migrate_view");
-    TraceStore store2(dir2.str());
-    fs::create_directories(dir2.path());
-    {
-        std::ofstream os(dir2.path() /
-                             TraceStore::legacyFileName(sim::AppId::MP3D,
-                                                        mem, true),
-                         std::ios::binary);
-        saveBundleV1(bundle, os);
-    }
-    std::optional<sim::ViewBundle> view =
-        store2.loadView(sim::AppId::MP3D, mem, true);
-    ASSERT_TRUE(view.has_value());
-    ASSERT_EQ(view->view->size(), bundle.trace.size());
+    std::stringstream view_in(bytes);
+    sim::ViewBundle vb = loadBundleView(view_in);
+    ASSERT_EQ(vb.view->size(), bundle.trace.size());
     for (size_t i = 0; i < bundle.trace.size(); ++i)
-        ASSERT_EQ(view->view->materialize(i), bundle.trace[i]);
+        ASSERT_EQ(vb.view->materialize(i), bundle.trace[i])
+            << "record " << i;
+    EXPECT_EQ(vb.mp_cycles, bundle.mp_cycles);
+    EXPECT_EQ(vb.verified, bundle.verified);
+    EXPECT_EQ(vb.stats.instructions, bundle.stats.instructions);
+    EXPECT_EQ(vb.cache0.writebacks, bundle.cache0.writebacks);
+    EXPECT_EQ(vb.thread0.sync_wait_cycles,
+              bundle.thread0.sync_wait_cycles);
+
+    // The container carries a whole-payload checksum: flipping one
+    // byte mid-payload must fail the load, through either reader.
+    std::string bad = bytes;
+    bad[bytes.size() / 2] =
+        static_cast<char>(bad[bytes.size() / 2] ^ 0x10);
+    std::stringstream bad_aos(bad);
+    EXPECT_THROW(loadBundle(bad_aos), std::runtime_error);
+    std::stringstream bad_view(bad);
+    EXPECT_THROW(loadBundleView(bad_view), std::runtime_error);
 }
 
 TEST(TraceStoreTest, WarmCacheServesFromDiskAcrossCacheInstances)

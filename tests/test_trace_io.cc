@@ -43,43 +43,15 @@ TEST(TraceIoTest, RoundTripPreservesEverything)
     }
 }
 
-TEST(TraceIoTest, V1FilesStillLoad)
-{
-    // Migration: traces serialized in the v1 layout (AoS records,
-    // absolute indices, fixed-width fields) must decode identically
-    // through the current loader.
-    Trace t = dsmem::testing::randomTrace(99, 3000);
-    std::stringstream v1;
-    saveTraceV1(t, v1);
-    Trace back = loadTrace(v1);
-    EXPECT_EQ(back, t);
-    EXPECT_EQ(back.name(), t.name());
-}
-
-TEST(TraceIoTest, V2IsSmallerThanV1)
-{
-    Trace t = dsmem::testing::randomTrace(4, 20000);
-    std::stringstream v1, v2;
-    saveTraceV1(t, v1);
-    saveTrace(t, v2);
-    EXPECT_LT(v2.str().size(), v1.str().size());
-}
-
-TEST(TraceIoTest, ViewLoadMatchesAosLoadBothVersions)
+TEST(TraceIoTest, ViewLoadMatchesAosLoad)
 {
     Trace t = dsmem::testing::randomTrace(123, 4000);
-    for (bool v1 : {false, true}) {
-        std::stringstream ss;
-        if (v1)
-            saveTraceV1(t, ss);
-        else
-            saveTrace(t, ss);
-        std::shared_ptr<const TraceView> view = loadTraceView(ss);
-        ASSERT_EQ(view->size(), t.size()) << "v1=" << v1;
-        for (size_t i = 0; i < t.size(); ++i)
-            ASSERT_EQ(view->materialize(i), t[i])
-                << "v1=" << v1 << " record " << i;
-    }
+    std::stringstream ss;
+    saveTrace(t, ss);
+    std::shared_ptr<const TraceView> view = loadTraceView(ss);
+    ASSERT_EQ(view->size(), t.size());
+    for (size_t i = 0; i < t.size(); ++i)
+        ASSERT_EQ(view->materialize(i), t[i]) << "record " << i;
 }
 
 TEST(TraceIoTest, RejectsBadMagic)

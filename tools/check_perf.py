@@ -5,8 +5,7 @@ Usage:
     check_perf.py BASELINE.json CURRENT.json [--tolerance 0.25]
 
 Compares only *dimensionless* ratios (per-cell view-vs-legacy
-speedups, generation speedup, bundle load/size ratios, fused-sweep
-speedups), never absolute instructions/second: the committed baseline
+speedups, fused-sweep speedups, model ratios), never absolute instructions/second: the committed baseline
 and the CI runner are different machines, and a ratio of two
 measurements taken in the same process on the same host transfers
 across hosts where raw throughput does not.
@@ -74,11 +73,6 @@ def ratios(doc):
             if "streamed_over_fused" in regime:
                 out[f"regime:{name}:streamed_over_fused"] = (
                     regime["streamed_over_fused"])
-    elif bench == "bench_phase1":
-        out["gen:speedup"] = doc["gen"]["speedup"]
-        out["bundle:size_ratio"] = doc["bundle"]["size_ratio"]
-        out["bundle:load_speedup_view_vs_v1"] = (
-            doc["bundle"]["load_speedup_view_vs_v1"])
     elif bench == "bench_contention":
         # Deterministic simulation outputs, not wall-clock: these
         # ratios ratchet the *model* — scheduler row-buffer locality
