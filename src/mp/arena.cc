@@ -1,15 +1,50 @@
 #include "mp/arena.h"
 
+#include <sys/mman.h>
+
 #include <bit>
-#include <cstring>
+#include <limits>
+#include <new>
 #include <stdexcept>
+#include <string>
 
 namespace dsmem::mp {
 
-Arena::Arena(size_t max_slots) : slots_(max_slots, 0)
+namespace {
+
+/** Most slots whose byte addresses all fit in an Addr above the base. */
+constexpr size_t kMaxSlots =
+    (size_t{std::numeric_limits<Addr>::max()} - Arena::kBaseAddr + 1) /
+    Arena::kSlotBytes;
+
+uint64_t *
+reserve(size_t max_slots)
 {
     if (max_slots == 0)
         throw std::invalid_argument("Arena needs at least one slot");
+    if (max_slots > kMaxSlots)
+        throw std::invalid_argument(
+            "Arena of " + std::to_string(max_slots) +
+            " slots overflows the 32-bit address space (max " +
+            std::to_string(kMaxSlots) + ")");
+    void *p = mmap(nullptr, max_slots * Arena::kSlotBytes,
+                   PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return static_cast<uint64_t *>(p);
+}
+
+} // namespace
+
+Arena::Arena(size_t max_slots)
+    : slots_(reserve(max_slots)), max_slots_(max_slots)
+{
+}
+
+Arena::~Arena()
+{
+    munmap(slots_, max_slots_ * kSlotBytes);
 }
 
 Addr
@@ -20,7 +55,8 @@ Arena::alloc(size_t slots, Addr align_bytes)
                                     "two >= 8");
     size_t align_slots = align_bytes / kSlotBytes;
     size_t start = (next_slot_ + align_slots - 1) & ~(align_slots - 1);
-    if (start + slots > slots_.size())
+    // Compared as a remainder so a huge @p slots cannot wrap the sum.
+    if (start > max_slots_ || slots > max_slots_ - start)
         throw std::length_error("Arena exhausted");
     next_slot_ = start + slots;
     return kBaseAddr + static_cast<Addr>(start) * kSlotBytes;
@@ -34,8 +70,8 @@ Arena::allocPadded(size_t slots, Addr line_bytes)
     // this allocation's final line.
     size_t line_slots = line_bytes / kSlotBytes;
     next_slot_ = (next_slot_ + line_slots - 1) & ~(line_slots - 1);
-    if (next_slot_ > slots_.size())
-        next_slot_ = slots_.size();
+    if (next_slot_ > max_slots_)
+        next_slot_ = max_slots_;
     return base;
 }
 

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "trace/instruction.h"
 
@@ -27,6 +26,12 @@ using trace::Addr;
  * Each slot stores one 64-bit payload, read and written through the
  * DSL as either an integer or a double. Addresses are byte-granular
  * so cache-line geometry (16-byte lines = 2 slots) behaves naturally.
+ *
+ * The slots live in one anonymous mapping reserved at construction
+ * and released at destruction. The kernel zero-fills a page on first
+ * touch, so @p max_slots only reserves address space: resident memory
+ * and zeroing time follow the slots an app actually uses. The arena
+ * owns that mapping and is therefore not copyable.
  */
 class Arena
 {
@@ -37,7 +42,16 @@ class Arena
     /** Base of the simulated address space (0 is reserved). */
     static constexpr Addr kBaseAddr = 0x1000;
 
+    /**
+     * Reserve @p max_slots slots. Throws std::invalid_argument when
+     * @p max_slots is zero or the top slot's address would not fit in
+     * an Addr.
+     */
     explicit Arena(size_t max_slots);
+    ~Arena();
+
+    Arena(const Arena &) = delete;
+    Arena &operator=(const Arena &) = delete;
 
     /**
      * Allocate @p slots consecutive 8-byte slots, optionally aligned
@@ -57,7 +71,7 @@ class Arena
     /** Number of slots currently allocated. */
     size_t usedSlots() const { return next_slot_; }
 
-    size_t maxSlots() const { return slots_.size(); }
+    size_t maxSlots() const { return max_slots_; }
 
     /** Raw payload of the slot holding @p addr. */
     uint64_t &raw(Addr addr) { return slots_[slotIndex(addr)]; }
@@ -94,9 +108,6 @@ class Arena
         raw(addr) = bits;
     }
 
-    /** True when @p addr lies inside the allocated region. */
-    bool contains(Addr addr) const;
-
   private:
     size_t slotIndex(Addr addr) const
     {
@@ -108,7 +119,8 @@ class Arena
         return idx;
     }
 
-    std::vector<uint64_t> slots_;
+    uint64_t *slots_;
+    size_t max_slots_;
     size_t next_slot_ = 0;
 };
 

@@ -23,7 +23,9 @@ struct EngineConfig {
     memsys::CacheConfig cache;
     memsys::MemoryConfig mem;
     uint32_t traced_proc = 0;       ///< Whose trace is captured.
-    size_t arena_slots = 8u << 20;  ///< 64 MB of simulated memory.
+    /// Cap on simulated memory in 8-byte slots (default 64 MB). It only
+    /// reserves address space: resident memory follows touched slots.
+    size_t arena_slots = 8u << 20;
 };
 
 /**

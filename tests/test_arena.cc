@@ -1,15 +1,82 @@
 #include "mp/arena.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace dsmem::mp {
 namespace {
 
+static_assert(!std::is_copy_constructible_v<Arena>,
+              "an arena owns its mapping");
+
+/** Resident set size of this process in bytes, from /proc/self/statm. */
+size_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    size_t total_pages = 0, resident_pages = 0;
+    statm >> total_pages >> resident_pages;
+    return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
 TEST(ArenaTest, RejectsZeroSize)
 {
     EXPECT_THROW(Arena(0), std::invalid_argument);
+}
+
+TEST(ArenaTest, RejectsSizeWhoseTopAddressOverflowsAddr)
+{
+    // The largest arena whose last byte still has a 32-bit address.
+    constexpr size_t kMax =
+        (size_t{std::numeric_limits<Addr>::max()} - Arena::kBaseAddr + 1) /
+        Arena::kSlotBytes;
+    EXPECT_THROW(Arena(kMax + 1), std::invalid_argument);
+    EXPECT_THROW(Arena(size_t{1} << 40), std::invalid_argument);
+    Arena a(kMax);
+    a.alloc(kMax - 1);
+    Addr last = a.alloc(1);
+    EXPECT_EQ(last, std::numeric_limits<Addr>::max() - 7);
+    EXPECT_EQ(a.loadInt(last), 0);
+}
+
+TEST(ArenaTest, HugeAllocationCannotWrapTheBoundsCheck)
+{
+    Arena a(16);
+    a.alloc(1);
+    EXPECT_THROW(a.alloc(std::numeric_limits<size_t>::max()),
+                 std::length_error);
+    EXPECT_THROW(a.alloc(std::numeric_limits<size_t>::max() - 1, 64),
+                 std::length_error);
+    EXPECT_EQ(a.usedSlots(), 1u);
+    EXPECT_EQ(a.alloc(15), Arena::kBaseAddr + 8);
+}
+
+TEST(ArenaTest, ReservationIsNotResident)
+{
+    // The engine's default 64 MB arena must not be faulted in up front.
+    size_t before = residentBytes();
+    Arena a(8u << 20);
+    size_t after = residentBytes();
+    EXPECT_LT(after, before + (4u << 20))
+        << "constructing the arena made " << (after - before)
+        << " bytes resident";
+}
+
+TEST(ArenaTest, FarEndOfLargeArenaReadsZero)
+{
+    Arena a(8u << 20);
+    a.alloc((8u << 20) - 1);
+    Addr last = a.alloc(1);
+    EXPECT_EQ(a.loadInt(last), 0);
+    EXPECT_EQ(a.loadFloat(last), 0.0);
+    a.storeFloat(last, -1.5);
+    EXPECT_EQ(a.loadFloat(last), -1.5);
 }
 
 TEST(ArenaTest, BumpAllocationIsDeterministic)
