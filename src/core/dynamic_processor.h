@@ -241,12 +241,13 @@ enum class SweepMode {
 
 /**
  * True when @p configs can run on the struct-of-lanes fast path:
- * every lane shares the model, width, prediction, and dependence
- * knobs (only the window/store-buffer geometry may differ — exactly
- * the families sim::planPhase2 fuses) and none uses the divergent
- * window ablations (free_window, sc_speculation, finite MSHRs,
- * read-delay collection), whose per-instruction control flow differs
- * across lanes. Unsupported mixes silently take the tiled pass.
+ * every lane shares the width, prediction, and dependence knobs (the
+ * consistency model and the window/store-buffer geometry may differ
+ * — exactly the families sim::planPhase2 fuses; a model is a per-lane
+ * gate mask) and none uses the divergent window ablations
+ * (free_window, sc_speculation, finite MSHRs, read-delay collection),
+ * whose per-instruction control flow differs across lanes.
+ * Unsupported mixes silently take the tiled pass.
  */
 bool solSweepSupported(const std::vector<DynamicConfig> &configs);
 
@@ -320,10 +321,10 @@ class TraceSource
 };
 
 /**
- * Fused window sweep: time every config of @p configs — typically one
- * (model, latency) tuple at several window sizes — in a single pass
- * over the trace, stepping one independent lane per config at each
- * instruction. The k-th result is bit-identical to
+ * Fused sweep: time every config of @p configs — typically one trace's
+ * DS cells at several window sizes and consistency models — in a
+ * single pass over the trace, stepping one independent lane per
+ * config at each instruction. The k-th result is bit-identical to
  * DynamicProcessor(configs[k]).run(v) on the flat view, whatever the
  * residency of @p src; the win is that the SoA operand arrays stream
  * through the cache once instead of configs.size() times. Lane k
@@ -331,9 +332,10 @@ class TraceSource
  *
  * @p mode selects the executor. The struct-of-lanes path advances all
  * lanes in lockstep over each instruction with the rolling scalars in
- * parallel arrays (gate/admission/attribution math vectorized, ring
- * and table accesses per-lane), falling back to Lane::step per lane
- * for divergent sync ops; results are bit-identical across every mode
+ * parallel arrays (gate/admission/attribution math vectorized, each
+ * lane's consistency gates selected by its own masks, ring and table
+ * accesses per-lane), falling back to Lane::step per lane for
+ * divergent sync ops; results are bit-identical across every mode
  * (enforced by tests/test_executor.cc).
  */
 std::vector<DynamicResult> runDynamicSweep(

@@ -16,7 +16,9 @@ solSweepSupported(const std::vector<DynamicConfig> &configs)
     const DynamicConfig &c0 = configs.front();
     for (const DynamicConfig &c : configs) {
         // Uniform knobs the lockstep phases hoist out of the loop.
-        if (c.model != c0.model || c.width != c0.width ||
+        // The consistency model is not one: each lane carries its
+        // own gate masks.
+        if (c.width != c0.width ||
             c.perfect_branch_prediction !=
                 c0.perfect_branch_prediction ||
             c.ignore_data_deps != c0.ignore_data_deps)

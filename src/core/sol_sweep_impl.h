@@ -73,8 +73,11 @@
 // chunked results are bit-identical to flat ones by construction.
 //
 // Only configs accepted by core::solSweepSupported may be run here:
-// uniform model/width/prediction/dependence knobs, no free_window,
-// sc_speculation, finite MSHRs, or read-delay collection. Under those
+// uniform width/prediction/dependence knobs, no free_window,
+// sc_speculation, finite MSHRs, or read-delay collection. The
+// consistency model may differ per lane: a model only chooses which
+// completion maxima gate a load or store, and that choice is a
+// per-lane mask over the four gate terms. Under those
 // preconditions first_retire is the only cross-lane nonuniform
 // control bit, and it is uniform too (true exactly at instruction 0,
 // which is peeled through the fallback).
@@ -103,13 +106,11 @@ class SolSweepState
         width = lanes[0].width;
         ignore_deps = lanes[0].ignore_data_deps;
         perfect_bp = lanes[0].perfect_bp;
-        load_sel = lanes[0].load_sel;
-        store_sel = lanes[0].sel.store;
 
         // ---- Parallel arrays, padded to the batch width -----------
         constexpr size_t kb = Batch::kWidth;
         kpad = (k + kb - 1) / kb * kb;
-        constexpr size_t kNumArrays = 25;
+        constexpr size_t kNumArrays = 33;
         std::vector<uint64_t> &buf = ctx.solScratch().buf;
         // +7 words so the partition base can be rounded up to a cache
         // line: kpad is a multiple of the batch width, so a 64-byte
@@ -148,6 +149,31 @@ class SolSweepState
             wq[j] = j < k ? lanes[j].W : uint64_t{1} << 62;
             lidx[j] = j;
         }
+
+        // Per-lane consistency gate masks: word t of a lane is all
+        // ones when its model's selector includes gate term t, zero
+        // otherwise (padding lanes select nothing). The gate is then
+        // max_t(g_t & m_t), so lanes of different models share one
+        // lockstep pass. A term no lane selects is skipped, and one
+        // every lane selects needs no mask, so a single-model family
+        // pays nothing for the masking.
+        auto bindGate = [&](GateMasks &gm, auto selector) {
+            gm.any = 0;
+            gm.all = kGateAll | kGateSync;
+            for (unsigned t = 0; t < 4; ++t)
+                gm.mask[t] = arr();
+            for (size_t j = 0; j < kpad; ++j) {
+                const unsigned sel = j < k ? selector(lanes[j]) : 0;
+                if (j < k) {
+                    gm.any |= sel;
+                    gm.all &= sel;
+                }
+                for (unsigned t = 0; t < 4; ++t)
+                    gm.mask[t][j] = (sel >> t) & 1 ? ~uint64_t{0} : 0;
+            }
+        };
+        bindGate(load_gate, [](const Lane &l) { return l.load_sel; });
+        bindGate(store_gate, [](const Lane &l) { return l.sel.store; });
 
         // ---- Transposed ring history ------------------------------
         const uint32_t max_w = std::max_element(
@@ -274,7 +300,7 @@ class SolSweepState
                 // the mask must read the gates before this load
                 // updates g0.
                 for (size_t b = 0; b < kpad; b += kb) {
-                    Batch gate = gateBatch(b, load_sel);
+                    Batch gate = gateBatch(b, load_gate);
                     Batch rdy = Batch::load(a_ready + b);
                     Batch m = gt64(gate, rdy);
                     Batch G0 = Batch::load(g0 + b);
@@ -390,7 +416,7 @@ class SolSweepState
             if (op == Op::STORE) {
                 for (size_t b = 0; b < kpad; b += kb) {
                     max64(Batch::load(a_retire + b),
-                          gateBatch(b, store_sel))
+                          gateBatch(b, store_gate))
                         .store(a_req + b);
                 }
                 const trace::Addr addr = v.addr(i);
@@ -558,19 +584,32 @@ class SolSweepState
         first = false;
     }
 
-    /** Max of the gate terms selected by @p mask, one whole batch. */
-    Batch gateBatch(size_t b, unsigned mask)
+    /** Per-lane masks of one consistency gate (see init). */
+    struct GateMasks {
+        uint64_t *mask[4] = {}; ///< Word j: lane j selects term t.
+        unsigned any = 0;       ///< Terms some lane selects.
+        unsigned all = 0;       ///< Terms every lane selects.
+    };
+
+    /** One whole batch of per-lane gates: max over t of g_t & m_t. */
+    Batch gateBatch(size_t b, const GateMasks &gm)
     {
-        Batch g = Batch::splat(0);
-        if (mask & kGateLoad)
-            g = max64(g, Batch::load(g0 + b));
-        if (mask & kGateStore)
-            g = max64(g, Batch::load(g1 + b));
-        if (mask & kGateAcquire)
-            g = max64(g, Batch::load(g2 + b));
-        if (mask & kGateSync)
-            g = max64(g, Batch::load(g3 + b));
-        return g;
+        Batch gate = Batch::splat(0);
+        // Spelled out per term (not a loop over a pointer table) so
+        // the hot path keeps direct loads at -O2.
+        auto term = [&](unsigned t, const uint64_t *g) {
+            if (!((gm.any >> t) & 1))
+                return; // 0 for every lane.
+            Batch v = Batch::load(g + b);
+            if (!((gm.all >> t) & 1))
+                v = and64(v, Batch::load(gm.mask[t] + b));
+            gate = max64(gate, v);
+        };
+        term(0, g0);
+        term(1, g1);
+        term(2, g2);
+        term(3, g3);
+        return gate;
     }
 
     size_t k = 0;
@@ -581,8 +620,7 @@ class SolSweepState
     uint32_t width = 1;
     bool ignore_deps = false;
     bool perfect_bp = false;
-    unsigned load_sel = 0;
-    unsigned store_sel = 0;
+    GateMasks load_gate, store_gate;
 
     // Scratch array partitions (into ctx.solScratch().buf).
     uint64_t *g0 = nullptr, *g1 = nullptr, *g2 = nullptr,

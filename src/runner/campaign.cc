@@ -38,7 +38,173 @@ parseOrigin(const std::string &name, sim::TraceOrigin &out)
     return true;
 }
 
+/** How one job fared under the campaign's fault policy (runJob). */
+struct JobRun {
+    bool ok = false;
+    int attempts = 1;
+    double wall_ms = 0.0;    ///< The last attempt.
+    std::string site, error; ///< Why it failed, when !ok.
+    std::string transient;   ///< The last transient fault seen.
+
+    /** The errors a unit records: one fatal error per label when the
+     *  job failed, a non-fatal note when a retry recovered it. */
+    std::vector<UnitError> errors(const std::vector<std::string> &labels,
+                                  const std::string &job_label) const
+    {
+        std::vector<UnitError> out;
+        if (!ok) {
+            for (const std::string &l : labels)
+                out.push_back(UnitError{site, error, l, attempts, true});
+        } else if (attempts > 1) {
+            out.push_back(UnitError{site,
+                                    "recovered after retry: " + transient,
+                                    job_label, attempts, false});
+        }
+        return out;
+    }
+};
+
+/**
+ * Run @p body under the fault policy of @p opts: a transient fault
+ * (util::IoError) retries after backoffSleep(@p salt), anything else
+ * fails at once, and the watchdog fails an attempt that finished over
+ * job_timeout_ms — it cannot safely kill a thread mid-simulation, so
+ * the result is discarded instead (a job that never returns still
+ * blocks; DESIGN.md "Failure model").
+ */
+template <typename Body>
+JobRun
+runJob(const RunnerOptions &opts, const std::string &salt,
+       const char *site, const char *watchdog_msg, Body &&body)
+{
+    JobRun run;
+    run.site = site;
+    for (unsigned attempt = 1;; ++attempt) {
+        run.attempts = static_cast<int>(attempt);
+        // Per-attempt clock: the watchdog budgets one job execution,
+        // not the backoff sleeps between retries — otherwise a fault
+        // that recovers on retry could still be converted into a
+        // watchdog failure.
+        const auto start = std::chrono::steady_clock::now();
+        try {
+            body();
+            run.wall_ms = elapsedMs(start);
+            break;
+        } catch (const util::IoError &e) {
+            run.transient = e.what();
+            if (attempt < opts.max_attempts) {
+                backoffSleep(opts, salt, attempt);
+                continue;
+            }
+            run.error = run.transient;
+            return run;
+        } catch (const std::exception &e) {
+            run.error = e.what();
+            return run;
+        }
+    }
+    if (opts.job_timeout_ms > 0 && run.wall_ms > opts.job_timeout_ms) {
+        run.site = "watchdog";
+        run.error = watchdog_msg;
+        return run;
+    }
+    run.ok = true;
+    return run;
+}
+
 } // namespace
+
+void
+backoffSleep(const RunnerOptions &opts, const std::string &salt,
+             unsigned attempt)
+{
+    uint64_t ms = opts.backoff_base_ms;
+    for (unsigned i = 1; i < attempt && ms < opts.backoff_cap_ms; ++i)
+        ms *= 2;
+    ms = std::min<uint64_t>(ms, opts.backoff_cap_ms);
+    uint64_t h =
+        util::fnv1aUpdate(util::kFnvOffset, salt.data(), salt.size());
+    h = util::fnv1aUpdate(h, &attempt, sizeof attempt);
+    ms += h % (opts.backoff_base_ms > 0 ? opts.backoff_base_ms : 1);
+    if (ms > 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+GroupOutcome
+runPhase2Group(const sim::ViewBundle &bundle, sim::AppId app,
+               const std::vector<sim::ModelSpec> &specs,
+               const sim::ExecGroup &group, const RunnerOptions &opts,
+               const sim::LivePointSet *lp, core::SimContext &ctx)
+{
+    GroupOutcome out;
+    std::vector<std::string> labels;
+    std::string label;
+    for (size_t s : group.rows) {
+        labels.push_back(specs[s].label());
+        label += (label.empty() ? "" : "+") + labels.back();
+    }
+    const bool sampled = opts.sampling.enabled() && lp != nullptr;
+    JobRun run = runJob(
+        opts, "phase2:" + std::string(sim::appName(app)) + ":" + label,
+        "phase2", "phase-2 job exceeded --job-timeout-ms", [&] {
+            for (size_t i = 0; i < group.rows.size(); ++i)
+                util::failpoint("campaign.phase2");
+            out.sampling.assign(group.rows.size(), {});
+            if (!sampled) {
+                out.results = sim::runGroup(bundle, specs, group, ctx);
+                return;
+            }
+            // Sampled execution jumps between checkpointed windows —
+            // inherently random-access, so a chunked bundle flattens
+            // (memoized, shared across groups).
+            out.results.clear();
+            std::vector<sim::SampledCell> cells = sim::runGroupSampled(
+                *bundle.flatView(), specs, group, opts.sampling, *lp,
+                ctx);
+            for (size_t i = 0; i < cells.size(); ++i) {
+                out.results.push_back(cells[i].result);
+                out.sampling[i] = cells[i].sampling;
+            }
+        });
+    out.ok = run.ok;
+    out.wall_ms = run.wall_ms;
+    out.errors = run.errors(labels, label);
+    return out;
+}
+
+Phase1Outcome
+resolvePhase1(sim::TraceCache &cache, TraceStore &store, sim::AppId app,
+              const memsys::MemoryConfig &mem, bool small,
+              const RunnerOptions &opts, bool want_points)
+{
+    Phase1Outcome out;
+    JobRun run = runJob(
+        opts,
+        "phase1:" + std::string(sim::appName(app)) +
+            (small ? ":small" : ":full"),
+        "phase1", "phase-1 job exceeded --job-timeout-ms", [&] {
+            util::failpoint("campaign.phase1");
+            // Phase 2 only ever reads the SoA view, so resolve the
+            // view-shaped bundle: a v2 disk hit deserializes straight
+            // into TraceView arrays and the AoS trace never exists in
+            // this process.
+            out.bundle =
+                &cache.getView(app, mem, small, &out.origin, &out.timing);
+            if (want_points)
+                // Inside the retry loop: the .dslp cache read can
+                // fault transiently. Functional warming needs random
+                // access; a chunked bundle flattens (memoized).
+                out.lp = store.livePoints(app, mem, small, opts.sampling,
+                                          *out.bundle->flatView());
+        });
+    out.wall_ms = run.wall_ms;
+    out.errors = run.errors({""}, "");
+    if (!run.ok) {
+        out.bundle = nullptr;
+        out.lp.reset();
+    }
+    return out;
+}
 
 Campaign::Campaign(std::string bench_name, RunnerOptions opts)
     : bench_name_(std::move(bench_name)),
@@ -150,21 +316,6 @@ Campaign::recordCampaignError(UnitError err)
 {
     std::lock_guard<std::mutex> lock(err_mu_);
     campaign_errors_.push_back(std::move(err));
-}
-
-void
-Campaign::backoff(const std::string &salt, unsigned attempt) const
-{
-    uint64_t ms = opts_.backoff_base_ms;
-    for (unsigned i = 1; i < attempt && ms < opts_.backoff_cap_ms; ++i)
-        ms *= 2;
-    ms = std::min<uint64_t>(ms, opts_.backoff_cap_ms);
-    uint64_t h =
-        util::fnv1aUpdate(util::kFnvOffset, salt.data(), salt.size());
-    h = util::fnv1aUpdate(h, &attempt, sizeof attempt);
-    ms += h % (opts_.backoff_base_ms > 0 ? opts_.backoff_base_ms : 1);
-    if (ms > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
 void
@@ -319,18 +470,7 @@ Campaign::run()
         groups[{units_[u].app, units_[u].mem, units_[u].small}]
             .push_back(u);
 
-    // Adaptive fusion: size sweep groups off the phase-2 work that is
-    // actually pending (resume may have retired most of it) so fusing
-    // never leaves workers idle. lane_cap == 1 disables fusion.
-    size_t pending_ds = 0;
-    for (size_t u = 0; u < units_.size(); ++u)
-        for (size_t s = 0; s < units_[u].specs.size(); ++s)
-            if (!results_[u].row_done[s] &&
-                units_[u].specs[s].kind == sim::ModelSpec::Kind::DS)
-                ++pending_ds;
-    const size_t lane_cap = opts_.fuse_sweeps
-        ? sim::adaptiveLaneCap(pending_ds, opts_.resolvedJobs())
-        : 1;
+    const size_t lane_cap = laneCap(opts_.resolvedJobs());
 
     Runner runner(opts_.resolvedJobs());
     // Campaign jobs catch their own failures; anything that still
@@ -361,17 +501,9 @@ Campaign::run()
         // depends on worker scheduling.
         runner.submit([this, &runner, unit_ids, lane_cap] {
             const Unit &first = units_[unit_ids.front()];
-            const std::string salt =
-                "phase1:" + std::string(sim::appName(first.app)) +
-                (first.small ? ":small" : ":full");
-            sim::TraceOrigin origin;
-            sim::TraceTiming timing;
-            const sim::ViewBundle *bundle = nullptr;
             // Live points are per trace, not per cell: resolve them
-            // here, inside the retry loop (the .dslp cache read can
-            // fault transiently), and share one set with every
-            // phase-2 group of this trace.
-            std::shared_ptr<const sim::LivePointSet> lp;
+            // with the trace and share one set with every phase-2
+            // group of this trace.
             bool want_points = false;
             if (opts_.sampling.enabled())
                 for (size_t u : unit_ids)
@@ -380,84 +512,19 @@ Campaign::run()
                             units_[u].specs[s].kind ==
                                 sim::ModelSpec::Kind::DS)
                             want_points = true;
-            std::string transient;
-            unsigned attempt = 1;
-            auto start = std::chrono::steady_clock::now();
-            for (;; ++attempt) {
-                // Per-attempt clock: the watchdog budgets one job
-                // execution, not the backoff sleeps between retries —
-                // otherwise a fault that recovers on retry could
-                // still be converted into a watchdog failure.
-                start = std::chrono::steady_clock::now();
-                try {
-                    util::failpoint("campaign.phase1");
-                    // Phase 2 only ever reads the SoA view, so
-                    // resolve the view-shaped bundle: a v2 disk hit
-                    // deserializes straight into TraceView arrays and
-                    // the AoS trace never exists in this process.
-                    bundle = &cache_.getView(first.app, first.mem,
-                                             first.small, &origin,
-                                             &timing);
-                    if (want_points)
-                        // Sampling's functional warming needs random
-                        // access; a chunked bundle flattens (memoized)
-                        // for this pass only.
-                        lp = resolveLivePoints(first,
-                                               *bundle->flatView());
-                    break;
-                } catch (const util::IoError &e) {
-                    transient = e.what();
-                    if (attempt < opts_.max_attempts) {
-                        backoff(salt, attempt);
-                        continue;
-                    }
-                    for (size_t u : unit_ids)
-                        recordError(
-                            u, UnitError{"phase1", transient, "",
-                                         static_cast<int>(attempt),
-                                         true});
-                    return;
-                } catch (const std::exception &e) {
-                    for (size_t u : unit_ids)
-                        recordError(
-                            u, UnitError{"phase1", e.what(), "",
-                                         static_cast<int>(attempt),
-                                         true});
-                    return;
-                }
-            }
-            double wall = elapsedMs(start);
-            if (opts_.job_timeout_ms > 0 &&
-                wall > opts_.job_timeout_ms) {
-                for (size_t u : unit_ids)
-                    recordError(
-                        u,
-                        UnitError{
-                            "watchdog",
-                            "phase-1 job exceeded --job-timeout-ms",
-                            "", static_cast<int>(attempt), true});
+            Phase1Outcome p1 =
+                resolvePhase1(cache_, store_, first.app, first.mem,
+                              first.small, opts_, want_points);
+            for (size_t u : unit_ids)
+                for (const UnitError &e : p1.errors)
+                    if (e.fatal || u == unit_ids.front())
+                        recordError(u, e);
+            if (p1.bundle == nullptr)
                 return;
-            }
-            if (attempt > 1)
-                recordError(unit_ids.front(),
-                            UnitError{"phase1",
-                                      "recovered after retry: " +
-                                          transient,
-                                      "",
-                                      static_cast<int>(attempt),
-                                      false});
-
-            for (size_t u : unit_ids) {
-                results_[u].bundle = bundle;
-                results_[u].origin = origin;
-                results_[u].trace_wall_ms = wall;
-                results_[u].trace_timing = timing;
-                results_[u].trace_from_journal = false;
-                journal_.appendTrace(JournalTrace{
-                    u, std::string(sim::traceOriginName(origin)),
-                    bundle->stats.instructions, wall, timing.gen_ms,
-                    timing.load_ms});
-            }
+            const sim::ViewBundle *bundle = p1.bundle;
+            std::shared_ptr<const sim::LivePointSet> lp = p1.lp;
+            for (size_t u : unit_ids)
+                adoptTrace(u, p1);
             for (size_t u : unit_ids) {
                 const Unit &unit = units_[u];
                 // planPhase2 skips journal-restored rows and returns
@@ -478,15 +545,21 @@ Campaign::run()
     finish();
 }
 
-std::vector<Campaign::CellRef>
-Campaign::pendingCells() const
+size_t
+Campaign::laneCap(unsigned jobs) const
 {
-    std::vector<CellRef> cells;
-    for (size_t u = 0; u < results_.size(); ++u)
+    // Adaptive fusion: size sweep groups off the phase-2 work that is
+    // actually pending (resume may have retired most of it) so fusing
+    // never leaves workers idle. lane_cap == 1 disables fusion.
+    if (!opts_.fuse_sweeps)
+        return 1;
+    size_t pending_ds = 0;
+    for (size_t u = 0; u < units_.size(); ++u)
         for (size_t s = 0; s < units_[u].specs.size(); ++s)
-            if (!results_[u].row_done[s])
-                cells.push_back(CellRef{u, s});
-    return cells;
+            if (!results_[u].row_done[s] &&
+                units_[u].specs[s].kind == sim::ModelSpec::Kind::DS)
+                ++pending_ds;
+    return sim::adaptiveLaneCap(pending_ds, jobs);
 }
 
 Campaign::ShardPlan
@@ -495,37 +568,50 @@ Campaign::shardPlan(unsigned workers) const
     ShardPlan plan;
     plan.shards.resize(std::max(1u, workers));
 
-    // Group pending cells by trace key, first-appearance order, so a
-    // shard resolves each phase-1 trace at most once.
+    // The groups run() would submit, gathered per trace key in
+    // first-appearance order so a shard resolves each phase-1 trace
+    // at most once.
+    const size_t lane_cap = laneCap(std::max(1u, workers));
     using TraceKey = std::tuple<sim::AppId, memsys::MemoryConfig, bool>;
-    std::vector<std::pair<TraceKey, std::vector<CellRef>>> groups;
-    for (CellRef c : pendingCells()) {
-        TraceKey key{units_[c.unit].app, units_[c.unit].mem,
-                     units_[c.unit].small};
+    struct TraceWork {
+        TraceKey key;
+        std::vector<GroupRef> groups;
+        size_t cells = 0;
+    };
+    std::vector<TraceWork> traces;
+    for (size_t u = 0; u < units_.size(); ++u) {
+        TraceKey key{units_[u].app, units_[u].mem, units_[u].small};
         auto it = std::find_if(
-            groups.begin(), groups.end(),
-            [&](const auto &g) { return g.first == key; });
-        if (it == groups.end()) {
-            groups.push_back({key, {}});
-            it = std::prev(groups.end());
+            traces.begin(), traces.end(),
+            [&](const TraceWork &t) { return t.key == key; });
+        for (sim::ExecGroup &g : sim::planPhase2(
+                 units_[u].specs, results_[u].row_done, lane_cap)) {
+            if (it == traces.end()) {
+                traces.push_back({key, {}, 0});
+                it = std::prev(traces.end());
+            }
+            it->cells += g.rows.size();
+            plan.cells += g.rows.size();
+            it->groups.push_back(GroupRef{u, std::move(g)});
         }
-        it->second.push_back(c);
-        ++plan.cells;
     }
-    // Largest groups placed first on the lightest shard: the greedy
-    // balance cannot strand one giant trace behind many small ones,
-    // and ties break on shard index — fully deterministic.
-    std::stable_sort(groups.begin(), groups.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.second.size() > b.second.size();
+    // Heaviest traces placed first on the lightest shard (by cells):
+    // the greedy balance cannot strand one giant trace behind many
+    // small ones, and ties break on shard index — fully
+    // deterministic.
+    std::stable_sort(traces.begin(), traces.end(),
+                     [](const TraceWork &a, const TraceWork &b) {
+                         return a.cells > b.cells;
                      });
-    for (const auto &g : groups) {
+    std::vector<size_t> load(plan.shards.size(), 0);
+    for (TraceWork &t : traces) {
         size_t best = 0;
         for (size_t k = 1; k < plan.shards.size(); ++k)
-            if (plan.shards[k].size() < plan.shards[best].size())
+            if (load[k] < load[best])
                 best = k;
-        plan.shards[best].insert(plan.shards[best].end(),
-                                 g.second.begin(), g.second.end());
+        load[best] += t.cells;
+        for (GroupRef &g : t.groups)
+            plan.shards[best].push_back(std::move(g));
     }
     return plan;
 }
@@ -571,14 +657,35 @@ Campaign::acceptRemoteTrace(size_t unit, const std::string &origin,
     if (res.bundle != nullptr || res.trace_from_journal)
         return true; // First provenance report wins.
     res.trace_from_journal = true; // Bundle-less, like a resume.
-    res.origin = parsed;
+    sim::TraceTiming timing;
+    timing.gen_ms = gen_ms;
+    timing.load_ms = load_ms;
+    recordTrace(unit, parsed, instructions, wall_ms, timing);
+    return true;
+}
+
+void
+Campaign::adoptTrace(size_t u, const Phase1Outcome &p1)
+{
+    results_[u].bundle = p1.bundle;
+    results_[u].trace_from_journal = false;
+    recordTrace(u, p1.origin, p1.bundle->stats.instructions, p1.wall_ms,
+                p1.timing);
+}
+
+void
+Campaign::recordTrace(size_t u, sim::TraceOrigin origin,
+                      uint64_t instructions, double wall_ms,
+                      const sim::TraceTiming &timing)
+{
+    UnitResult &res = results_[u];
+    res.origin = origin;
     res.trace_instructions = instructions;
     res.trace_wall_ms = wall_ms;
-    res.trace_timing.gen_ms = gen_ms;
-    res.trace_timing.load_ms = load_ms;
-    journal_.appendTrace(JournalTrace{unit, origin, instructions,
-                                      wall_ms, gen_ms, load_ms});
-    return true;
+    res.trace_timing = timing;
+    journal_.appendTrace(JournalTrace{
+        u, std::string(sim::traceOriginName(origin)), instructions,
+        wall_ms, timing.gen_ms, timing.load_ms});
 }
 
 void
@@ -592,71 +699,43 @@ Campaign::recordRemoteError(size_t unit, const std::string &spec_label,
                 UnitError{site, message, spec_label, 1, fatal});
 }
 
-bool
-Campaign::runCellInline(size_t unit, size_t spec)
+void
+Campaign::runGroupInline(const GroupRef &ref)
 {
-    if (unit >= results_.size() || spec >= units_[unit].specs.size())
-        return false;
-    if (results_[unit].row_done[spec])
-        return true;
+    const size_t unit = ref.unit;
+    if (unit >= results_.size())
+        return;
     const Unit &u = units_[unit];
-    const sim::ViewBundle *vb = nullptr;
-    std::shared_ptr<const sim::LivePointSet> lp;
-    try {
-        sim::TraceOrigin origin;
-        sim::TraceTiming timing;
-        auto start = std::chrono::steady_clock::now();
-        const sim::ViewBundle *bundle =
-            &cache_.getView(u.app, u.mem, u.small, &origin, &timing);
-        if (opts_.sampling.enabled() &&
-            u.specs[spec].kind == sim::ModelSpec::Kind::DS)
-            lp = resolveLivePoints(u, *bundle->flatView());
-        double wall = elapsedMs(start);
-        if (results_[unit].bundle == nullptr &&
-            !results_[unit].trace_from_journal) {
-            results_[unit].bundle = bundle;
-            results_[unit].origin = origin;
-            results_[unit].trace_wall_ms = wall;
-            results_[unit].trace_timing = timing;
-            journal_.appendTrace(JournalTrace{
-                unit, std::string(sim::traceOriginName(origin)),
-                bundle->stats.instructions, wall, timing.gen_ms,
-                timing.load_ms});
+    sim::ExecGroup group = ref.group;
+    std::erase_if(group.rows, [&](size_t s) {
+        return s >= u.specs.size() || results_[unit].row_done[s];
+    });
+    if (group.rows.empty())
+        return;
+    group.fused = group.fused && group.rows.size() > 1;
+    const bool want_points =
+        opts_.sampling.enabled() &&
+        std::any_of(group.rows.begin(), group.rows.end(), [&](size_t s) {
+            return u.specs[s].kind == sim::ModelSpec::Kind::DS;
+        });
+    Phase1Outcome p1 = resolvePhase1(cache_, store_, u.app, u.mem,
+                                     u.small, opts_, want_points);
+    for (UnitError &e : p1.errors) {
+        if (!e.fatal) {
+            recordError(unit, std::move(e));
+            continue;
         }
-        vb = bundle;
-    } catch (const std::exception &e) {
-        recordError(unit,
-                    UnitError{"phase1", e.what(),
-                              u.specs[spec].label(), 1, true});
-        return false;
+        for (size_t s : group.rows) {
+            e.spec = u.specs[s].label();
+            recordError(unit, e);
+        }
     }
-    sim::ExecGroup group;
-    group.rows.push_back(spec);
-    runGroup(vb, unit, group, lp);
-    return results_[unit].row_done[spec] != 0;
-}
-
-std::shared_ptr<const sim::LivePointSet>
-Campaign::resolveLivePoints(const Unit &unit,
-                            const trace::TraceView &view)
-{
-    if (auto cached = store_.loadLivePoints(unit.app, unit.mem,
-                                            unit.small, opts_.sampling)) {
-        // The file's checksum and plan fields already verified; the
-        // last gate is that it was warmed from *this* trace content
-        // (a regenerated trace of a different length, or a changed
-        // offset-hash input, silently invalidates the cache).
-        if (cached->instructions == view.size() &&
-            cached->offset ==
-                opts_.sampling.offsetFor(view.name(), view.size()))
-            return std::make_shared<const sim::LivePointSet>(
-                std::move(*cached));
-    }
-    auto lp = std::make_shared<sim::LivePointSet>(
-        sim::computeLivePoints(view, opts_.sampling));
-    store_.storeLivePoints(unit.app, unit.mem, unit.small,
-                           opts_.sampling, *lp);
-    return lp;
+    if (p1.bundle == nullptr)
+        return;
+    if (results_[unit].bundle == nullptr &&
+        !results_[unit].trace_from_journal)
+        adoptTrace(unit, p1);
+    runGroup(p1.bundle, unit, group, p1.lp);
 }
 
 void
@@ -670,105 +749,28 @@ Campaign::runGroup(const sim::ViewBundle *bundle, size_t u,
     thread_local core::SimContext sim_ctx;
 
     const Unit &unit = units_[u];
-    std::string label;
-    for (size_t s : group.rows) {
-        if (!label.empty())
-            label += "+";
-        label += unit.specs[s].label();
-    }
-    const std::string salt =
-        "phase2:" + std::string(sim::appName(unit.app)) + ":" + label;
-    std::vector<core::RunResult> results;
-    std::vector<sim::SampleSummary> summaries(group.rows.size());
-    const bool sampled = opts_.sampling.enabled() && lp != nullptr;
-    std::string transient;
-    unsigned attempt = 1;
-    auto t0 = std::chrono::steady_clock::now();
-    for (;; ++attempt) {
-        // Per-attempt clock — see the phase-1 watchdog note.
-        t0 = std::chrono::steady_clock::now();
-        try {
-            // One failpoint evaluation per cell, fused or not, so a
-            // fault-injection schedule is independent of how the
-            // planner happened to group rows.
-            for (size_t i = 0; i < group.rows.size(); ++i)
-                util::failpoint("campaign.phase2");
-            if (sampled) {
-                // Sampled execution jumps between checkpointed
-                // windows — inherently random-access, so a chunked
-                // bundle flattens (memoized, shared across groups).
-                std::vector<sim::SampledCell> cells =
-                    sim::runGroupSampled(*bundle->flatView(),
-                                         unit.specs, group,
-                                         opts_.sampling, *lp, sim_ctx);
-                results.clear();
-                for (size_t i = 0; i < cells.size(); ++i) {
-                    results.push_back(cells[i].result);
-                    summaries[i] = cells[i].sampling;
-                }
-            } else {
-                results =
-                    sim::runGroup(*bundle, unit.specs, group, sim_ctx);
-            }
-            break;
-        } catch (const util::IoError &e) {
-            // A fused sweep is one pass — lanes aren't separable mid-
-            // flight, so the whole group retries together.
-            transient = e.what();
-            if (attempt < opts_.max_attempts) {
-                backoff(salt, attempt);
-                continue;
-            }
-            for (size_t s : group.rows)
-                recordError(u, UnitError{"phase2", transient,
-                                         unit.specs[s].label(),
-                                         static_cast<int>(attempt),
-                                         true});
-            return;
-        } catch (const std::exception &e) {
-            for (size_t s : group.rows)
-                recordError(u, UnitError{"phase2", e.what(),
-                                         unit.specs[s].label(),
-                                         static_cast<int>(attempt),
-                                         true});
-            return;
-        }
-    }
-    double wall = elapsedMs(t0);
-    if (opts_.job_timeout_ms > 0 && wall > opts_.job_timeout_ms) {
-        // The watchdog cannot safely kill a thread mid-simulation;
-        // instead an over-budget job is failed at completion and its
-        // result discarded. A job that never returns at all still
-        // blocks wait() — see DESIGN.md "Failure model".
-        for (size_t s : group.rows)
-            recordError(u, UnitError{"watchdog",
-                                     "phase-2 job exceeded "
-                                     "--job-timeout-ms",
-                                     unit.specs[s].label(),
-                                     static_cast<int>(attempt), true});
+    GroupOutcome out = runPhase2Group(*bundle, unit.app, unit.specs,
+                                      group, opts_, lp.get(), sim_ctx);
+    for (UnitError &e : out.errors)
+        recordError(u, std::move(e));
+    if (!out.ok)
         return;
-    }
-    if (attempt > 1)
-        recordError(u, UnitError{"phase2",
-                                 "recovered after retry: " + transient,
-                                 label, static_cast<int>(attempt),
-                                 false});
 
     // Decompose back to per-cell rows: each journals independently
     // (resume granularity is unchanged by fusion) and the group's
     // wall clock is split evenly — the lanes ran interleaved, so no
     // finer attribution exists.
-    double row_wall = wall / static_cast<double>(group.rows.size());
+    double row_wall = out.wall_ms / static_cast<double>(group.rows.size());
     for (size_t i = 0; i < group.rows.size(); ++i) {
         size_t s = group.rows[i];
         std::string row_label = unit.specs[s].label();
         results_[u].rows[s] =
-            sim::LabelledResult{row_label, results[i]};
+            sim::LabelledResult{row_label, out.results[i]};
         results_[u].row_wall_ms[s] = row_wall;
         results_[u].row_done[s] = 1;
-        results_[u].row_sampling[s] = summaries[i];
-        journal_.appendRow(JournalRow{u, s, row_label, results[i],
-                                      row_wall, summaries[i]});
+        results_[u].row_sampling[s] = out.sampling[i];
+        journal_.appendRow(JournalRow{u, s, row_label, out.results[i],
+                                      row_wall, out.sampling[i]});
     }
 }
 

@@ -12,6 +12,7 @@
 #include "runner/trace_store.h"
 #include "sim/executor.h"
 #include "sim/experiment.h"
+#include "sim/sampling.h"
 #include "sim/trace_bundle.h"
 
 namespace dsmem::runner {
@@ -68,6 +69,70 @@ struct UnitResult {
 };
 
 /**
+ * Deterministic backoff before retry @p attempt of work item @p salt:
+ * capped exponential plus a jitter hashed from the item and attempt
+ * (never wall clock), so a failing campaign replays identically in
+ * any process. Sleeps; affects only wall_ms.
+ */
+void backoffSleep(const RunnerOptions &opts, const std::string &salt,
+                  unsigned attempt);
+
+/** A unit's phase-1 trace as resolvePhase1 found it. */
+struct Phase1Outcome {
+    const sim::ViewBundle *bundle = nullptr; ///< Null when it failed.
+    sim::TraceOrigin origin = sim::TraceOrigin::GENERATED;
+    sim::TraceTiming timing;
+    std::shared_ptr<const sim::LivePointSet> lp; ///< If asked for.
+    double wall_ms = 0.0; ///< The successful attempt.
+    /** A unit-wide fatal error, or a "recovered after retry" note. */
+    std::vector<UnitError> errors;
+};
+
+/**
+ * The phase-1 job body: the trace of (app, mem, small) through
+ * @p cache (memory -> @p store -> generate) and, when @p want_points,
+ * its live points, under the fault policy of @p opts (campaign.phase1
+ * failpoint, transient-fault retry, watchdog). Never throws.
+ */
+Phase1Outcome resolvePhase1(sim::TraceCache &cache, TraceStore &store,
+                            sim::AppId app,
+                            const memsys::MemoryConfig &mem, bool small,
+                            const RunnerOptions &opts, bool want_points);
+
+/** What runPhase2Group produced. */
+struct GroupOutcome {
+    bool ok = false; ///< results/sampling index-match group.rows.
+    std::vector<core::RunResult> results;
+    std::vector<sim::SampleSummary> sampling;
+    double wall_ms = 0.0; ///< The successful attempt, whole group.
+    /** When !ok one fatal error per row (spec = its label); when ok
+     *  after a retried fault, a "recovered after retry" note. */
+    std::vector<UnitError> errors;
+};
+
+/**
+ * The phase-2 job body: time @p group of a unit of @p app (declared
+ * @p specs) on @p bundle under the fault policy of @p opts. One
+ * campaign.phase2 failpoint evaluation per row, so a fault schedule
+ * does not depend on grouping; a transient fault retries the whole
+ * group (the lanes of a fused sweep are not separable mid-pass),
+ * salted by the app and the row labels; the watchdog fails an
+ * over-budget attempt. With sampling on and @p lp given, rows run
+ * sampled on the flat view. Never throws.
+ *
+ * resolvePhase1 and this function are the whole job: the in-process
+ * pool, the service's inline fallback and the service worker all run
+ * them, so a cell executes identically wherever it is leased.
+ */
+GroupOutcome runPhase2Group(const sim::ViewBundle &bundle,
+                            sim::AppId app,
+                            const std::vector<sim::ModelSpec> &specs,
+                            const sim::ExecGroup &group,
+                            const RunnerOptions &opts,
+                            const sim::LivePointSet *lp,
+                            core::SimContext &ctx);
+
+/**
  * An experiment campaign: the declarative job graph the bench
  * binaries hand to the worker pool.
  *
@@ -103,7 +168,7 @@ class Campaign
     void run();
 
     /**
-     * One (unit, spec) phase-2 cell: the dispatch granule of the
+     * One (unit, spec) phase-2 cell: the commit granule of the
      * sharded campaign service (stable across processes because both
      * sides hold the same declaration set).
      */
@@ -114,9 +179,19 @@ class Campaign
             default;
     };
 
-    /** Deterministic assignment of pending cells to worker shards. */
+    /**
+     * One planned phase-2 group of one unit (group.rows are spec
+     * indices): the lease granule of the sharded service — one
+     * ASSIGN carries one GroupRef.
+     */
+    struct GroupRef {
+        size_t unit = 0;
+        sim::ExecGroup group;
+    };
+
+    /** Deterministic assignment of pending groups to worker shards. */
     struct ShardPlan {
-        std::vector<std::vector<CellRef>> shards;
+        std::vector<std::vector<GroupRef>> shards;
         size_t cells = 0; ///< Total pending cells across shards.
     };
 
@@ -135,14 +210,13 @@ class Campaign
     /** Phase C of run(): journal failure note, close, sink fill. */
     void finish();
 
-    /** Pending (not journal-restored) cells, declaration order.
-     *  Valid after prepare(). */
-    std::vector<CellRef> pendingCells() const;
-
     /**
-     * Shard pending cells across @p workers: cells are grouped by
-     * phase-1 trace key (one shard resolves each trace once) and
-     * groups go to the currently lightest shard, largest first.
+     * Shard the pending phase-2 work across @p workers. Each unit's
+     * pending rows are planned exactly as run() plans them
+     * (sim::planPhase2 at the adaptive lane cap for @p workers jobs,
+     * or singletons when fuse_sweeps is off); a trace's groups stay
+     * together (one shard resolves each phase-1 trace once) and go
+     * to the currently lightest shard, heaviest trace first.
      * Deterministic in the declaration set + journal state alone.
      */
     ShardPlan shardPlan(unsigned workers) const;
@@ -195,11 +269,12 @@ class Campaign
                            const std::string &message, bool fatal);
 
     /**
-     * Coordinator fallback: execute one pending cell in-process
-     * (phase 1 through the shared cache, phase 2 with the normal
-     * retry/journal path). Returns true when the row is done.
+     * Coordinator fallback: execute one group in-process (phase 1
+     * through the shared cache, phase 2 with the normal
+     * retry/journal path). Rows already done are skipped; afterwards
+     * result(unit).row_done says which rows finished.
      */
-    bool runCellInline(size_t unit, size_t spec);
+    void runGroupInline(const GroupRef &ref);
 
     /** The journal (service layer appends epoch/lease records). */
     CampaignJournal &journal() { return journal_; }
@@ -253,37 +328,29 @@ class Campaign
     void fillSink();
     void replayJournal();
     /**
-     * Execute one phase-2 group of unit @p u with retry/watchdog/
-     * journal. A transient fault retries the whole group (lanes of a
-     * fused sweep aren't separable mid-pass); on success every row
-     * journals individually, so --resume granularity is one cell no
-     * matter how rows were grouped.
+     * The lane cap run() and shardPlan() plan with at @p jobs
+     * parallel workers: sim::adaptiveLaneCap over the pending DS
+     * rows, or 1 (no fusion) when fuse_sweeps is off.
+     */
+    size_t laneCap(unsigned jobs) const;
+    /**
+     * Execute one phase-2 group of unit @p u (runPhase2Group) and
+     * commit it: on success every row journals individually, so
+     * --resume granularity is one cell no matter how rows were
+     * grouped.
      */
     void runGroup(const sim::ViewBundle *bundle, size_t u,
                   const sim::ExecGroup &group,
                   const std::shared_ptr<const sim::LivePointSet> &lp);
 
-    /**
-     * The live points for (unit's trace key, the campaign's sampling
-     * plan): loaded from the store's .dslp cache when a valid file
-     * exists, otherwise computed with one functional-warming pass
-     * over @p view and persisted for the next sweep. Called from the
-     * trace's phase-1 job, so the warm pass runs once per trace and
-     * is shared by every phase-2 group. Throws util::IoError on a
-     * transient store fault (the phase-1 retry loop handles it).
-     */
-    std::shared_ptr<const sim::LivePointSet>
-    resolveLivePoints(const Unit &unit, const trace::TraceView &view);
+    /** Adopt @p p1's resolved trace as unit @p u's (recordTrace). */
+    void adoptTrace(size_t u, const Phase1Outcome &p1);
+    /** Set unit @p u's trace provenance and journal it. */
+    void recordTrace(size_t u, sim::TraceOrigin origin,
+                     uint64_t instructions, double wall_ms,
+                     const sim::TraceTiming &timing);
     void recordError(size_t unit, UnitError err);
     void recordCampaignError(UnitError err);
-
-    /**
-     * Deterministic backoff before retry @p attempt of work item
-     * @p salt: capped exponential plus a jitter hashed from the item
-     * and attempt (never wall clock / randomness, so a failing
-     * campaign replays identically). Sleeps; affects only wall_ms.
-     */
-    void backoff(const std::string &salt, unsigned attempt) const;
 
     std::string bench_name_;
     RunnerOptions opts_;

@@ -434,7 +434,7 @@ CampaignJournal::open(const std::string &path, const std::string &bench,
         os << "{\"t\":\"campaign\",\"version\":" << kJournalVersion
            << ",\"bench\":\"" << jsonEscape(bench)
            << "\",\"signature\":" << signature << "}";
-        appendLine(os.str());
+        appendLines(os.str() + '\n');
         if (failed_) {
             std::string why = failure_;
             ::close(fd_);
@@ -539,14 +539,14 @@ void
 CampaignJournal::appendTrace(const JournalTrace &t)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    appendLine(formatTrace(t));
+    appendLines(formatTrace(t) + '\n');
 }
 
 void
 CampaignJournal::appendRow(const JournalRow &r)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    appendLine(formatRow(r));
+    appendLines(formatRow(r) + '\n');
 }
 
 void
@@ -556,14 +556,17 @@ CampaignJournal::appendEpoch(uint64_t epoch, uint32_t workers)
     os << "{\"t\":\"epoch\",\"epoch\":" << epoch
        << ",\"workers\":" << workers << "}";
     std::lock_guard<std::mutex> lock(mu_);
-    appendLine(os.str());
+    appendLines(os.str() + '\n');
 }
 
 void
-CampaignJournal::appendLease(const JournalLease &l)
+CampaignJournal::appendLeases(const std::vector<JournalLease> &leases)
 {
+    std::string lines;
+    for (const JournalLease &l : leases)
+        lines += formatLease(l) + '\n';
     std::lock_guard<std::mutex> lock(mu_);
-    appendLine(formatLease(l));
+    appendLines(lines);
 }
 
 void
@@ -577,10 +580,10 @@ CampaignJournal::close()
 }
 
 void
-CampaignJournal::appendLine(const std::string &line)
+CampaignJournal::appendLines(const std::string &lines)
 {
     // Caller holds mu_.
-    if (fd_ < 0 || failed_)
+    if (fd_ < 0 || failed_ || lines.empty())
         return;
     std::error_code fp_ec;
     if (util::failpointEc("journal.append", fp_ec)) {
@@ -588,10 +591,8 @@ CampaignJournal::appendLine(const std::string &line)
         failure_ = "append: " + fp_ec.message();
         return;
     }
-    std::string rec = line;
-    rec += '\n';
-    const char *p = rec.data();
-    size_t left = rec.size();
+    const char *p = lines.data();
+    size_t left = lines.size();
     while (left > 0) {
         ssize_t n = ::write(fd_, p, left);
         if (n < 0) {

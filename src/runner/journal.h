@@ -75,9 +75,11 @@ struct JournalMeta {
  *                                took over this campaign; E increases
  *                                across restarts
  *   {"t":"lease","unit":U,"spec":S,...}  advisory: cell dispatched
- *                                        to a worker (audit only)
+ *                                        to a worker (audit only;
+ *                                        one per row of a leased
+ *                                        group, appended together)
  *
- * Durability: every append writes one complete line and fsyncs
+ * Durability: every append writes its complete line(s) and fsyncs
  * before returning, so after a crash the file holds a prefix of the
  * completed work plus at most one torn final line. replay() ignores
  * a trailing partial line (and nothing else), which is exactly the
@@ -140,7 +142,11 @@ class CampaignJournal
     void appendRow(const JournalRow &r);
     /** Coordinator takeover marker (@p workers = initial pool size). */
     void appendEpoch(uint64_t epoch, uint32_t workers);
-    void appendLease(const JournalLease &l);
+    /**
+     * One ASSIGN's lease records (one per row of the leased group),
+     * made durable together: one write and one fsync for the batch.
+     */
+    void appendLeases(const std::vector<JournalLease> &leases);
 
     bool active() const { return fd_ >= 0 && !failed_; }
     /** True when an append failed and journalling shut itself off. */
@@ -151,7 +157,8 @@ class CampaignJournal
     void close();
 
   private:
-    void appendLine(const std::string &line);
+    /** Write @p lines (each '\n'-terminated) and fsync once. */
+    void appendLines(const std::string &lines);
 
     int fd_ = -1;
     std::mutex mu_;

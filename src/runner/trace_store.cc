@@ -545,6 +545,23 @@ TraceStore::loadLivePoints(sim::AppId id,
     }
 }
 
+std::shared_ptr<const sim::LivePointSet>
+TraceStore::livePoints(sim::AppId id, const memsys::MemoryConfig &mem,
+                       bool small, const sim::SamplingPlan &plan,
+                       const trace::TraceView &view)
+{
+    if (auto cached = loadLivePoints(id, mem, small, plan)) {
+        if (cached->instructions == view.size() &&
+            cached->offset == plan.offsetFor(view.name(), view.size()))
+            return std::make_shared<const sim::LivePointSet>(
+                std::move(*cached));
+    }
+    auto lp = std::make_shared<const sim::LivePointSet>(
+        sim::computeLivePoints(view, plan));
+    storeLivePoints(id, mem, small, plan, *lp);
+    return lp;
+}
+
 void
 TraceStore::storeLivePoints(sim::AppId id,
                             const memsys::MemoryConfig &mem, bool small,

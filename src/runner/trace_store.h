@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -242,6 +243,20 @@ class TraceStore : public sim::TraceStoreBase
     void storeLivePoints(sim::AppId id, const memsys::MemoryConfig &mem,
                          bool small, const sim::SamplingPlan &plan,
                          const sim::LivePointSet &set);
+
+    /**
+     * The live points of (trace key, @p plan) for the trace @p view:
+     * the cached file when it was warmed from this trace content
+     * (same length and offset hash — a regenerated trace silently
+     * invalidates the cache), else one functional-warming pass over
+     * @p view, persisted for the next sweep. Every process sharing
+     * the store derives identical points. Throws util::IoError on a
+     * transient read fault, like loadLivePoints().
+     */
+    std::shared_ptr<const sim::LivePointSet>
+    livePoints(sim::AppId id, const memsys::MemoryConfig &mem,
+               bool small, const sim::SamplingPlan &plan,
+               const trace::TraceView &view);
 
     /** Max `*.corrupt.*` siblings kept per bundle name. */
     static constexpr int kMaxQuarantinePerName = 4;

@@ -48,14 +48,18 @@ runModel(const trace::TraceView &view, const ModelSpec &spec,
 
 namespace {
 
-/** Rows fuse when their configs differ only in window size. */
+/**
+ * DS rows fuse when their configs differ only in window size and
+ * consistency model: both are per-lane on the struct-of-lanes path
+ * (the model is a lane's gate mask — core::solSweepSupported), so
+ * all of a trace's figure-3 DS cells are one sweep.
+ */
 bool
 sameSweepFamily(const ModelSpec &a, const ModelSpec &b)
 {
     return a.kind == ModelSpec::Kind::DS &&
-        b.kind == ModelSpec::Kind::DS && a.model == b.model &&
-        a.width == b.width && a.perfect_bp == b.perfect_bp &&
-        a.ignore_deps == b.ignore_deps;
+        b.kind == ModelSpec::Kind::DS && a.width == b.width &&
+        a.perfect_bp == b.perfect_bp && a.ignore_deps == b.ignore_deps;
 }
 
 /**

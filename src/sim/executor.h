@@ -26,8 +26,8 @@ namespace dsmem::sim {
  *
  *  - recycles a core::SimContext across consecutive cells on the same
  *    worker (allocation-free once warm), and
- *  - fuses DS cells differing only in window size into one
- *    core::runDynamicSweep pass over the trace.
+ *  - fuses DS cells differing only in window size and consistency
+ *    model into one core::runDynamicSweep pass over the trace.
  *
  * Results are bit-identical to the naive path in both cases
  * (tests/test_executor.cc enforces it); only wall clock changes.
@@ -68,9 +68,10 @@ core::RunResult runModel(const trace::TraceView &view,
  * Partition a unit's pending rows (row_done[s] == 0) into execution
  * groups, longest-first.
  *
- * DS rows sharing everything but the window size fuse into sweeps of
- * at most @p lane_cap lanes (0 = unlimited); chunking preserves
- * declaration order. Everything else — and DS chunks of one row —
+ * DS rows sharing everything but the window size and consistency
+ * model fuse into sweeps of at most @p lane_cap lanes (0 =
+ * unlimited); chunking preserves declaration order. Everything else
+ * — and DS chunks of one row —
  * becomes a singleton group, executed exactly like the pre-executor
  * path. lane_cap == 1 therefore disables fusion entirely.
  */

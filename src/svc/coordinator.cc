@@ -148,25 +148,37 @@ Coordinator::spawnWorker(Slot &slot)
     return true;
 }
 
-void
-Coordinator::requeue(CellRef cell)
+bool
+Coordinator::prune(GroupRef &g) const
 {
-    if (done_.count(cell) || failed_.count(cell))
+    // Settled rows leave the group; what is left still fuses (a
+    // sub-family of a sweep family is a family) unless one row.
+    std::erase_if(g.group.rows, [&](size_t s) {
+        return done_.count({g.unit, s}) || failed_.count({g.unit, s});
+    });
+    g.group.fused = g.group.fused && g.group.rows.size() > 1;
+    return !g.group.rows.empty();
+}
+
+void
+Coordinator::requeue(GroupRef g)
+{
+    if (!prune(g))
         return;
-    if (redispatch_.insert(cell).second)
-        ++stats_.redispatched;
+    stats_.redispatched += g.group.rows.size();
+    redispatch_.push_back(std::move(g));
 }
 
 void
 Coordinator::retireSlot(Slot &slot)
 {
     slot.retired = true;
-    // The shard backlog outlives its slot: hand every unleased cell
-    // to the redispatch set (stealing would also pick them up, but a
-    // retired slot never gets a replacement to steal *for*).
-    for (const CellRef &cell : slot.queue)
-        if (!done_.count(cell) && !failed_.count(cell))
-            redispatch_.insert(cell);
+    // The shard backlog outlives its slot: hand every unleased group
+    // to the redispatch queue (stealing would also pick them up, but
+    // a retired slot never gets a replacement to steal *for*).
+    for (GroupRef &g : slot.queue)
+        if (prune(g))
+            redispatch_.push_back(std::move(g));
     slot.queue.clear();
 }
 
@@ -183,9 +195,8 @@ Coordinator::workerDied(Slot &slot, const char *why)
         ::waitpid(slot.pid, nullptr, 0);
         slot.pid = -1;
     }
-    for (const CellRef &cell : slot.leased)
-        requeue(cell);
-    slot.leased.clear();
+    requeue(std::move(slot.lease));
+    slot.lease = GroupRef{};
     ++stats_.worker_deaths;
     if (slot.id < stats_.deaths_by_worker.size())
         ++stats_.deaths_by_worker[slot.id];
@@ -204,34 +215,45 @@ Coordinator::workerDied(Slot &slot, const char *why)
 }
 
 bool
-Coordinator::nextCell(Slot &slot, CellRef &out)
+Coordinator::nextGroup(Slot &slot, GroupRef &out)
 {
     // Own shard backlog first (trace locality), then orphans of dead
-    // workers, then steal from the heaviest surviving backlog.
+    // workers, then steal from the surviving backlog with the most
+    // rows.
     while (!slot.queue.empty()) {
-        out = slot.queue.front();
+        out = std::move(slot.queue.front());
         slot.queue.pop_front();
-        if (!done_.count(out) && !failed_.count(out))
+        if (prune(out))
             return true;
     }
     while (!redispatch_.empty()) {
-        out = *redispatch_.begin();
-        redispatch_.erase(redispatch_.begin());
-        if (!done_.count(out) && !failed_.count(out))
+        out = std::move(redispatch_.front());
+        redispatch_.pop_front();
+        if (prune(out))
             return true;
     }
+    // Backlog is measured in rows — the cells shardPlan balances by —
+    // not in queue entries, which hold groups of 1 to #specs rows.
     Slot *victim = nullptr;
-    for (Slot &other : slots_)
-        if (other.id != slot.id && !other.queue.empty() &&
-            (!victim || other.queue.size() > victim->queue.size()))
+    size_t victim_rows = 0;
+    for (Slot &other : slots_) {
+        if (other.id == slot.id)
+            continue;
+        size_t rows = 0;
+        for (const GroupRef &g : other.queue)
+            rows += g.group.rows.size();
+        if (rows > victim_rows) {
             victim = &other;
+            victim_rows = rows;
+        }
+    }
     while (victim && !victim->queue.empty()) {
-        // Steal from the tail: the head cells keep their trace
+        // Steal from the tail: the head groups keep their trace
         // affinity with the victim.
-        out = victim->queue.back();
+        out = std::move(victim->queue.back());
         victim->queue.pop_back();
-        if (!done_.count(out) && !failed_.count(out)) {
-            ++stats_.stolen;
+        if (prune(out)) {
+            stats_.stolen += out.group.rows.size();
             return true;
         }
     }
@@ -241,26 +263,30 @@ Coordinator::nextCell(Slot &slot, CellRef &out)
 void
 Coordinator::dispatchTo(Slot &slot)
 {
-    if (!slot.connected || !slot.leased.empty())
+    if (!slot.connected || !slot.lease.group.rows.empty())
         return;
-    CellRef cell;
-    if (!nextCell(slot, cell))
+    GroupRef g;
+    if (!nextGroup(slot, g))
         return;
-    campaign_.journal().appendLease(runner::JournalLease{
-        cell.unit, cell.spec, slot.id, epoch_});
     AssignMsg assign;
-    assign.unit = static_cast<uint32_t>(cell.unit);
-    assign.spec = static_cast<uint32_t>(cell.spec);
+    assign.unit = static_cast<uint32_t>(g.unit);
     assign.seq = ++seq_;
+    std::vector<runner::JournalLease> leases;
+    for (size_t s : g.group.rows) {
+        assign.rows.push_back(static_cast<uint32_t>(s));
+        leases.push_back(runner::JournalLease{g.unit, s, slot.id, epoch_});
+    }
+    campaign_.journal().appendLeases(leases);
     std::string err;
     if (!sendFrame(slot.fd, "svc.coord.send", MsgType::ASSIGN,
                    encodeAssign(assign), &err)) {
-        requeue(cell);
+        requeue(std::move(g));
         workerDied(slot, "send failed");
         return;
     }
-    slot.leased.push_back(cell);
-    ++stats_.dispatched;
+    ++stats_.assigns;
+    stats_.dispatched += g.group.rows.size();
+    slot.lease = std::move(g);
 }
 
 void
@@ -293,9 +319,8 @@ void
 Coordinator::handleResult(Slot &slot, const ResultMsg &msg)
 {
     CellRef cell{msg.unit, msg.spec};
-    slot.leased.erase(
-        std::remove(slot.leased.begin(), slot.leased.end(), cell),
-        slot.leased.end());
+    if (slot.lease.unit == cell.unit)
+        std::erase(slot.lease.group.rows, cell.spec);
     stats_.peak_rss_bytes =
         std::max(stats_.peak_rss_bytes, msg.peak_rss_bytes);
     stats_.view_bytes_resident =
@@ -424,23 +449,24 @@ void
 Coordinator::runInlineFallback()
 {
     // Graceful degradation's last rung: every worker slot retired,
-    // so the coordinator runs the remaining cells itself, in sorted
-    // (declaration) order for determinism.
-    std::set<CellRef> rest = redispatch_;
+    // so the coordinator runs the remaining groups itself — the
+    // orphans first, then every shard backlog in slot order.
+    std::vector<GroupRef> rest(redispatch_.begin(), redispatch_.end());
     redispatch_.clear();
-    for (const Slot &slot : slots_)
-        for (const CellRef &cell : slot.queue)
-            rest.insert(cell);
-    std::vector<CellRef> pending = campaign_.pendingCells();
-    for (const CellRef &cell : pending)
-        if (!done_.count(cell) && !failed_.count(cell))
-            rest.insert(cell);
-    for (const CellRef &cell : rest) {
-        if (done_.count(cell) || failed_.count(cell))
+    for (Slot &slot : slots_) {
+        rest.insert(rest.end(), slot.queue.begin(), slot.queue.end());
+        slot.queue.clear();
+    }
+    for (GroupRef &g : rest) {
+        if (!prune(g))
             continue;
-        bool ok = campaign_.runCellInline(cell.unit, cell.spec);
-        settle(cell, !ok);
-        ++stats_.inline_cells;
+        campaign_.runGroupInline(g);
+        const std::vector<uint8_t> &done =
+            campaign_.result(g.unit).row_done;
+        for (size_t s : g.group.rows) {
+            settle(CellRef{g.unit, s}, !done[s]);
+            ++stats_.inline_cells;
+        }
     }
 }
 
@@ -488,8 +514,10 @@ Coordinator::run()
     if (!campaign_.prepare())
         return campaign_.ok() ? 0 : 1;
 
-    std::vector<CellRef> pending = campaign_.pendingCells();
-    remaining_ = pending.size();
+    // Shard the pending groups; each slot's backlog is its shard.
+    runner::Campaign::ShardPlan plan =
+        campaign_.shardPlan(opts_.workers);
+    remaining_ = plan.cells;
     if (remaining_ == 0) {
         campaign_.finish();
         return campaign_.ok() ? 0 : 1;
@@ -497,6 +525,13 @@ Coordinator::run()
 
     epoch_ = campaign_.resumedEpoch() + 1;
     campaign_.journal().appendEpoch(epoch_, opts_.workers);
+
+    slots_.resize(opts_.workers);
+    for (uint32_t k = 0; k < opts_.workers; ++k) {
+        slots_[k].id = k;
+        slots_[k].queue.assign(plan.shards[k].begin(),
+                               plan.shards[k].end());
+    }
 
     std::string err;
     if (!setupSocket(&err)) {
@@ -511,17 +546,10 @@ Coordinator::run()
     int fl = ::fcntl(listen_fd_, F_GETFL, 0);
     ::fcntl(listen_fd_, F_SETFL, fl | O_NONBLOCK);
 
-    // Shard the pending cells and fork the pool.
-    runner::Campaign::ShardPlan plan =
-        campaign_.shardPlan(opts_.workers);
-    slots_.resize(opts_.workers);
-    for (uint32_t k = 0; k < opts_.workers; ++k) {
-        slots_[k].id = k;
-        slots_[k].queue.assign(plan.shards[k].begin(),
-                               plan.shards[k].end());
-        if (!spawnWorker(slots_[k]))
-            retireSlot(slots_[k]);
-    }
+    // Fork the pool.
+    for (Slot &slot : slots_)
+        if (!spawnWorker(slot))
+            retireSlot(slot);
 
     // The WELCOME every worker (and respawn) receives.
     {
@@ -577,7 +605,6 @@ Coordinator::run()
             if (got == 1 && f.type == MsgType::HELLO) {
                 HelloMsg hello;
                 if (decodeHello(f.payload, hello) &&
-                    hello.version == kProtocolVersion &&
                     hello.worker < slots_.size() &&
                     !slots_[hello.worker].connected &&
                     !slots_[hello.worker].retired) {
@@ -657,6 +684,7 @@ Coordinator::statsJson() const
         s += std::to_string(v);
     };
     field("workers", opts_.workers, true);
+    field("assigns", stats_.assigns);
     field("dispatched", stats_.dispatched);
     field("results", stats_.results);
     field("duplicates", stats_.duplicates);

@@ -14,17 +14,23 @@
 
 namespace dsmem::svc {
 
-/** Dispatch-layer counters for one coordinated campaign. */
+/**
+ * Dispatch-layer counters for one coordinated campaign. The lease
+ * unit is a planned group (one ASSIGN frame, several rows); every
+ * counter but `assigns` and `heartbeats` counts rows, so
+ * results / dispatched is the useful fraction of leased work.
+ */
 struct ServiceStats {
-    uint64_t dispatched = 0;    ///< ASSIGN frames sent.
+    uint64_t assigns = 0;       ///< ASSIGN frames sent (groups leased).
+    uint64_t dispatched = 0;    ///< Rows leased (over all ASSIGNs).
     uint64_t results = 0;       ///< Rows accepted (first completion).
     uint64_t duplicates = 0;    ///< At-least-once redeliveries absorbed.
     uint64_t mismatches = 0;    ///< Conflicting duplicate results (poison).
-    uint64_t redispatched = 0;  ///< Leases requeued off dead workers.
-    uint64_t stolen = 0;        ///< Cells moved between shard queues.
+    uint64_t redispatched = 0;  ///< Leased rows requeued off dead workers.
+    uint64_t stolen = 0;        ///< Rows moved between shard queues.
     uint64_t worker_deaths = 0; ///< Connections lost or leases expired.
     uint64_t respawns = 0;      ///< Replacement workers forked.
-    uint64_t inline_cells = 0;  ///< Cells run in-process (pool dead).
+    uint64_t inline_cells = 0;  ///< Rows run in-process (pool dead).
     uint64_t heartbeats = 0;    ///< HEARTBEAT frames received.
     uint64_t failed_cells = 0;  ///< Worker-reported permanent failures.
     /** Max worker-reported peak RSS (bytes) across all results — the
@@ -64,20 +70,22 @@ struct ServiceOptions {
  * at-least-once dispatch.
  *
  * Crash-tolerance model (DESIGN.md §13):
- *  - Dispatch is a *lease*: advisory `lease` records journal who was
+ *  - Dispatch is a *lease* of one planned phase-2 group
+ *    (Campaign::shardPlan — the same sim::planPhase2 groups the
+ *    in-process pool runs): advisory `lease` records journal who was
  *    asked, the durable commit stays the campaign's own `row` record,
  *    written only when a result is accepted. Losing any number of
  *    leases loses no data — the cells just run again.
  *  - A worker death (socket EOF, SIGCHLD, or heartbeat silence past
- *    lease_ms) requeues its leased cells and shard queue for
- *    deterministic re-dispatch; the slot respawns up to
+ *    lease_ms) requeues the undone rows of its lease as one group,
+ *    plus its shard queue, for re-dispatch; the slot respawns up to
  *    respawn_per_slot times, then retires (the pool shrinks).
  *  - Duplicate completions (a redispatched cell whose first worker
  *    was slow, not dead) resolve first-result-wins: identical bits
  *    are counted and dropped, different bits poison the run — two
  *    workers disagreeing on a deterministic cell means corruption.
  *  - If the whole pool dies, the coordinator degrades to running the
- *    remaining cells in-process; the exit-code contract holds.
+ *    remaining groups in-process; the exit-code contract holds.
  *  - Killing the coordinator itself loses nothing either: --resume
  *    replays the journal and re-runs only uncommitted cells.
  *
@@ -103,6 +111,7 @@ class Coordinator
 
   private:
     using CellRef = runner::Campaign::CellRef;
+    using GroupRef = runner::Campaign::GroupRef;
 
     struct Slot {
         uint32_t id = 0;
@@ -112,8 +121,10 @@ class Coordinator
         bool retired = false;
         unsigned respawns = 0;
         uint64_t last_seen_ms = 0; ///< Last frame from this worker.
-        std::deque<CellRef> queue; ///< Shard backlog (unleased).
-        std::vector<CellRef> leased;
+        std::deque<GroupRef> queue; ///< Shard backlog (unleased).
+        /** The leased group's rows still awaiting a RESULT (empty
+         *  rows: idle). */
+        GroupRef lease;
         FrameReader rx;
     };
 
@@ -126,8 +137,10 @@ class Coordinator
     bool spawnWorker(Slot &slot);
     void workerDied(Slot &slot, const char *why);
     void retireSlot(Slot &slot);
-    void requeue(CellRef cell);
-    bool nextCell(Slot &slot, CellRef &out);
+    /** Drop @p g's settled rows; false when none is left. */
+    bool prune(GroupRef &g) const;
+    void requeue(GroupRef g);
+    bool nextGroup(Slot &slot, GroupRef &out);
     void dispatchIdle();
     void dispatchTo(Slot &slot);
     void handleFrame(Slot &slot, const Frame &frame);
@@ -152,7 +165,7 @@ class Coordinator
     size_t remaining_ = 0;
     std::vector<Slot> slots_;
     std::vector<PendingConn> pending_;
-    std::set<CellRef> redispatch_; ///< Orphaned cells, sorted.
+    std::deque<GroupRef> redispatch_; ///< Orphaned groups, FIFO.
     std::set<CellRef> done_;
     std::set<CellRef> failed_;
 };

@@ -411,7 +411,7 @@ bool decodeHello(const std::string &p, HelloMsg &m)
     m.worker = r.u32();
     m.pid = r.u64();
     m.version = r.u32();
-    return r.done();
+    return r.done() && m.version == kProtocolVersion;
 }
 
 std::string encodeWelcome(const WelcomeMsg &m)
@@ -475,16 +475,28 @@ std::string encodeAssign(const AssignMsg &m)
 {
     WireOut w;
     w.u32(m.unit);
-    w.u32(m.spec);
+    w.u32(static_cast<uint32_t>(m.rows.size()));
+    for (uint32_t s : m.rows)
+        w.u32(s);
     w.u64(m.seq);
     return std::move(w.buf);
 }
 
-bool decodeAssign(const std::string &p, AssignMsg &m)
+bool decodeAssign(const std::string &p,
+                  const std::vector<UnitDecl> &units, AssignMsg &m)
 {
     WireIn r(p);
     m.unit = r.u32();
-    m.spec = r.u32();
+    const uint32_t n = r.u32();
+    if (!r.ok || m.unit >= units.size() || n == 0 ||
+        n > units[m.unit].specs.size())
+        return false;
+    m.rows.resize(n);
+    for (uint32_t &s : m.rows) {
+        s = r.u32();
+        if (s >= units[m.unit].specs.size())
+            return false;
+    }
     m.seq = r.u64();
     return r.done();
 }

@@ -41,15 +41,16 @@ namespace dsmem::svc {
  * transient faults (mode `throw` surfaces as a connection error).
  */
 inline constexpr uint32_t kProtocolMagic = 0x43565344; // "DSVC"
-inline constexpr uint32_t kProtocolVersion = 1;
+/** Version 2: an ASSIGN carries one planned group (several rows). */
+inline constexpr uint32_t kProtocolVersion = 2;
 /** Sanity cap on one frame's payload (declarations are ~KBs). */
 inline constexpr uint32_t kMaxFrameBytes = 16u << 20;
 
 enum class MsgType : uint32_t {
     HELLO = 1,     ///< worker -> coordinator: slot id + pid
     WELCOME,       ///< coordinator -> worker: full campaign declaration
-    ASSIGN,        ///< coordinator -> worker: run one cell
-    RESULT,        ///< worker -> coordinator: cell outcome
+    ASSIGN,        ///< coordinator -> worker: run one planned group
+    RESULT,        ///< worker -> coordinator: one row's outcome
     HEARTBEAT,     ///< worker -> coordinator: lease renewal
     SHUTDOWN,      ///< coordinator -> worker: drain and exit
     CAMPAIGN_REQ,  ///< client -> server: queue one campaign
@@ -173,9 +174,14 @@ struct WelcomeMsg {
     std::vector<UnitDecl> units;
 };
 
+/**
+ * One lease: a phase-2 group of one unit, as runner::Campaign planned
+ * it (sim::ExecGroup; several rows are always a fused sweep family).
+ * The worker answers with one RESULT per row.
+ */
 struct AssignMsg {
     uint32_t unit = 0;
-    uint32_t spec = 0;
+    std::vector<uint32_t> rows; ///< Spec indices, in plan order.
     uint64_t seq = 0; ///< Dispatch sequence number (audit/debug).
 };
 
@@ -225,11 +231,18 @@ struct CampaignDoneMsg {
 };
 
 std::string encodeHello(const HelloMsg &m);
+/** False also for a HELLO of another protocol version. */
 bool decodeHello(const std::string &p, HelloMsg &m);
 std::string encodeWelcome(const WelcomeMsg &m);
 bool decodeWelcome(const std::string &p, WelcomeMsg &m);
 std::string encodeAssign(const AssignMsg &m);
-bool decodeAssign(const std::string &p, AssignMsg &m);
+/**
+ * Decode against the declaration set @p units: false unless the unit
+ * exists and the group has between one and as many rows as the unit
+ * has specs, each a valid spec index.
+ */
+bool decodeAssign(const std::string &p,
+                  const std::vector<UnitDecl> &units, AssignMsg &m);
 std::string encodeResult(const ResultMsg &m);
 bool decodeResult(const std::string &p, ResultMsg &m);
 std::string encodeHeartbeat(const HeartbeatMsg &m);

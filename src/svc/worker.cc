@@ -1,5 +1,6 @@
 #include "svc/worker.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -14,48 +15,17 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "runner/campaign.h"
 #include "runner/trace_store.h"
-#include "sim/app_registry.h"
 #include "sim/sampling.h"
 #include "sim/trace_bundle.h"
 #include "svc/protocol.h"
-#include "util/byte_io.h"
-#include "util/errors.h"
 #include "util/failpoint.h"
 #include "util/sysinfo.h"
 
 namespace dsmem::svc {
 
 namespace {
-
-double
-elapsedMs(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/**
- * The campaign's deterministic capped-exponential backoff, replicated
- * bit-for-bit (same salt scheme) so a worker's retry schedule matches
- * what the in-process pool would have done for the same cell.
- */
-void
-backoffSleep(const std::string &salt, unsigned attempt,
-             uint32_t base_ms, uint32_t cap_ms)
-{
-    uint64_t ms = base_ms;
-    for (unsigned i = 1; i < attempt && ms < cap_ms; ++i)
-        ms *= 2;
-    ms = std::min<uint64_t>(ms, cap_ms);
-    uint64_t h =
-        util::fnv1aUpdate(util::kFnvOffset, salt.data(), salt.size());
-    h = util::fnv1aUpdate(h, &attempt, sizeof attempt);
-    ms += h % (base_ms > 0 ? base_ms : 1);
-    if (ms > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
 
 int
 connectCoordinator(const std::string &path, std::string *err)
@@ -99,6 +69,9 @@ connectCoordinator(const std::string &path, std::string *err)
 /** All state one connected worker needs across cells. */
 struct WorkerState {
     WelcomeMsg cfg;
+    /** The campaign's fault policy and sampling plan from cfg, in
+     *  the form runner::runPhase2Group takes. */
+    runner::RunnerOptions opts;
     std::unique_ptr<runner::TraceStore> store;
     std::unique_ptr<sim::TraceCache> cache;
     /** Live points per unit (one trace key per unit). */
@@ -108,149 +81,85 @@ struct WorkerState {
 };
 
 /**
- * Live points for @p unit's trace: the store's .dslp cache when it
- * matches this trace's content, else one functional-warming pass,
- * persisted for the next user. Same content gates as the campaign's
- * resolveLivePoints, so every process derives identical points.
+ * Execute one assigned group and return one RESULT per row, in the
+ * group's row order; never throws. Both phases are the in-process
+ * pool's job bodies: runner::resolvePhase1 (the unit's trace through
+ * the shared on-disk store) and runner::runPhase2Group. A failure
+ * fails every row permanently — the coordinator records it, it does
+ * not re-lease.
  */
-std::shared_ptr<const sim::LivePointSet>
-resolveLivePoints(WorkerState &st, uint32_t unit,
-                  const trace::TraceView &view)
+std::vector<ResultMsg>
+runAssign(WorkerState &st, const AssignMsg &a)
 {
-    auto it = st.lps.find(unit);
-    if (it != st.lps.end())
-        return it->second;
-    const UnitDecl &u = st.cfg.units[unit];
-    const sim::AppId app = static_cast<sim::AppId>(u.app);
-    std::shared_ptr<const sim::LivePointSet> lp;
-    if (auto cached = st.store->loadLivePoints(app, u.mem, u.small != 0,
-                                               st.cfg.plan)) {
-        if (cached->instructions == view.size() &&
-            cached->offset ==
-                st.cfg.plan.offsetFor(view.name(), view.size()))
-            lp = std::make_shared<const sim::LivePointSet>(
-                std::move(*cached));
-    }
-    if (!lp) {
-        auto fresh = std::make_shared<sim::LivePointSet>(
-            sim::computeLivePoints(view, st.cfg.plan));
-        st.store->storeLivePoints(app, u.mem, u.small != 0,
-                                  st.cfg.plan, *fresh);
-        lp = fresh;
-    }
-    st.lps.emplace(unit, lp);
-    return lp;
-}
-
-/** Execute one assigned cell; never throws. */
-ResultMsg
-runCell(WorkerState &st, const AssignMsg &a)
-{
-    ResultMsg out;
-    out.unit = a.unit;
-    out.spec = a.spec;
-    out.seq = a.seq;
-    if (a.unit >= st.cfg.units.size() ||
-        a.spec >= st.cfg.units[a.unit].specs.size()) {
-        out.ok = 0;
-        out.error = "assign out of range";
-        return out;
-    }
     const UnitDecl &u = st.cfg.units[a.unit];
     const sim::AppId app = static_cast<sim::AppId>(u.app);
-    const sim::ModelSpec &spec = u.specs[a.spec];
-
-    // Phase 1: trace through the shared on-disk store. Transient
-    // faults retry with the campaign's backoff; anything else is a
-    // permanent cell failure the coordinator records (not re-led).
-    const sim::ViewBundle *vb = nullptr;
-    std::shared_ptr<const sim::LivePointSet> lp;
-    const std::string salt1 =
-        "phase1:" + std::string(sim::appName(app));
-    for (unsigned attempt = 1;; ++attempt) {
-        try {
-            sim::TraceOrigin origin;
-            sim::TraceTiming timing;
-            auto start = std::chrono::steady_clock::now();
-            const sim::ViewBundle &bundle = st.cache->getView(
-                app, u.mem, u.small != 0, &origin, &timing);
-            if (st.cfg.plan.enabled() &&
-                spec.kind == sim::ModelSpec::Kind::DS)
-                lp = resolveLivePoints(st, a.unit,
-                                       *bundle.flatView());
-            double wall = elapsedMs(start);
-            vb = &bundle;
-            if (!st.trace_sent[a.unit]) {
-                st.trace_sent[a.unit] = true;
-                out.has_trace = 1;
-                out.trace_origin =
-                    std::string(sim::traceOriginName(origin));
-                out.trace_instructions = bundle.stats.instructions;
-                out.trace_wall_ms = wall;
-                out.gen_ms = timing.gen_ms;
-                out.load_ms = timing.load_ms;
-            }
-            break;
-        } catch (const util::IoError &e) {
-            if (attempt < st.cfg.max_attempts) {
-                backoffSleep(salt1, attempt, st.cfg.backoff_base_ms,
-                             st.cfg.backoff_cap_ms);
-                continue;
-            }
-            out.ok = 0;
-            out.error = std::string("phase1: ") + e.what();
-            return out;
-        } catch (const std::exception &e) {
-            out.ok = 0;
-            out.error = std::string("phase1: ") + e.what();
-            return out;
-        }
-    }
-
-    // Phase 2: one singleton group, identical to the in-process
-    // pool's execution of the same cell (deterministic results).
-    thread_local core::SimContext sim_ctx;
     sim::ExecGroup group;
-    group.rows.push_back(a.spec);
-    const std::string salt2 = "phase2:" +
-                              std::string(sim::appName(app)) + ":" +
-                              spec.label();
-    const bool sampled = st.cfg.plan.enabled() && lp != nullptr;
-    for (unsigned attempt = 1;; ++attempt) {
-        auto t0 = std::chrono::steady_clock::now();
-        try {
-            util::failpoint("campaign.phase2");
-            if (sampled) {
-                std::vector<sim::SampledCell> cells =
-                    sim::runGroupSampled(*vb->flatView(), u.specs,
-                                         group, st.cfg.plan, *lp,
-                                         sim_ctx);
-                out.result = cells.front().result;
-                out.sampling = cells.front().sampling;
-            } else {
-                out.result =
-                    sim::runGroup(*vb, u.specs, group, sim_ctx)
-                        .front();
-            }
-            out.wall_ms = elapsedMs(t0);
-            out.peak_rss_bytes = util::peakRssBytes();
-            out.view_bytes_resident = vb->traceBytesResident();
-            return out;
-        } catch (const util::IoError &e) {
-            if (attempt < st.cfg.max_attempts) {
-                backoffSleep(salt2, attempt, st.cfg.backoff_base_ms,
-                             st.cfg.backoff_cap_ms);
-                continue;
-            }
-            out.ok = 0;
-            out.error = std::string("phase2: ") + e.what();
-            return out;
-        } catch (const std::exception &e) {
-            out.ok = 0;
-            out.error = std::string("phase2: ") + e.what();
-            return out;
-        }
+    group.rows.assign(a.rows.begin(), a.rows.end());
+    group.fused = group.rows.size() > 1; // Only sweep families.
+
+    std::vector<ResultMsg> out(group.rows.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+        out[i].unit = a.unit;
+        out[i].spec = a.rows[i];
+        out[i].seq = a.seq;
     }
+    auto failAll = [&out](const std::string &what) {
+        for (ResultMsg &r : out) {
+            r.ok = 0;
+            r.error = what;
+        }
+        return out;
+    };
+
+    // Live points are memoized per unit, so only the first group of
+    // a unit's trace asks for them.
+    std::shared_ptr<const sim::LivePointSet> &lp = st.lps[a.unit];
+    const bool want_points =
+        st.opts.sampling.enabled() && !lp &&
+        std::any_of(group.rows.begin(), group.rows.end(), [&](size_t s) {
+            return u.specs[s].kind == sim::ModelSpec::Kind::DS;
+        });
+    runner::Phase1Outcome p1 = runner::resolvePhase1(
+        *st.cache, *st.store, app, u.mem, u.small != 0, st.opts,
+        want_points);
+    if (p1.bundle == nullptr) {
+        const runner::UnitError &e = p1.errors.back();
+        return failAll(e.site + ": " + e.message);
+    }
+    const sim::ViewBundle *vb = p1.bundle;
+    if (want_points)
+        lp = p1.lp;
+    if (!st.trace_sent[a.unit]) {
+        st.trace_sent[a.unit] = true;
+        ResultMsg &first = out.front();
+        first.has_trace = 1;
+        first.trace_origin = std::string(sim::traceOriginName(p1.origin));
+        first.trace_instructions = vb->stats.instructions;
+        first.trace_wall_ms = p1.wall_ms;
+        first.gen_ms = p1.timing.gen_ms;
+        first.load_ms = p1.timing.load_ms;
+    }
+
+    thread_local core::SimContext sim_ctx;
+    runner::GroupOutcome res = runner::runPhase2Group(
+        *vb, app, u.specs, group, st.opts, lp.get(), sim_ctx);
+    const uint64_t rss = util::peakRssBytes();
+    for (size_t i = 0; i < out.size(); ++i) {
+        ResultMsg &r = out[i];
+        if (!res.ok) {
+            r.ok = 0;
+            r.error = res.errors[i].site + ": " + res.errors[i].message;
+            continue;
+        }
+        r.result = res.results[i];
+        r.sampling = res.sampling[i];
+        // The lanes ran interleaved: split the wall clock evenly, as
+        // the in-process campaign does.
+        r.wall_ms = res.wall_ms / static_cast<double>(out.size());
+        r.peak_rss_bytes = rss;
+        r.view_bytes_resident = vb->traceBytesResident();
+    }
+    return out;
 }
 
 } // namespace
@@ -303,6 +212,10 @@ workerMain(const WorkerOptions &opts)
         ::close(fd);
         return 1;
     }
+    st.opts.max_attempts = st.cfg.max_attempts;
+    st.opts.backoff_base_ms = st.cfg.backoff_base_ms;
+    st.opts.backoff_cap_ms = st.cfg.backoff_cap_ms;
+    st.opts.sampling = st.cfg.plan;
     st.store =
         std::make_unique<runner::TraceStore>(st.cfg.trace_dir);
     st.store->setStreamExec(
@@ -355,18 +268,24 @@ workerMain(const WorkerOptions &opts)
         if (frame.type != MsgType::ASSIGN)
             continue; // Unknown frame types are ignored, not fatal.
         AssignMsg assign;
-        if (!decodeAssign(frame.payload, assign)) {
+        if (!decodeAssign(frame.payload, st.cfg.units, assign)) {
             std::fprintf(stderr,
                          "dsmem_svc worker %u: malformed assign\n",
                          opts.id);
             break;
         }
-        ResultMsg result = runCell(st, assign);
-        if (!send(MsgType::RESULT, encodeResult(result), &err)) {
-            std::fprintf(stderr, "dsmem_svc worker %u: result: %s\n",
-                         opts.id, err.c_str());
-            break;
+        bool sent = true;
+        for (const ResultMsg &result : runAssign(st, assign)) {
+            sent = send(MsgType::RESULT, encodeResult(result), &err);
+            if (!sent) {
+                std::fprintf(stderr,
+                             "dsmem_svc worker %u: result: %s\n",
+                             opts.id, err.c_str());
+                break;
+            }
         }
+        if (!sent)
+            break;
     }
 
     joinHeartbeat();

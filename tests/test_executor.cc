@@ -424,7 +424,7 @@ TEST(Executor, SolSweepAllModesMatchPerCellRuns)
 TEST(Executor, SolSweepSupportGate)
 {
     // The mixed variant set (free_window, MSHRs, SC speculation,
-    // differing widths/models) is not lockstep-runnable...
+    // differing widths) is not lockstep-runnable...
     std::vector<DynamicConfig> mixed = variantConfigs();
     EXPECT_FALSE(core::solSweepSupported(mixed));
     trace::TraceView view(testing::randomTrace(3, 500));
@@ -447,6 +447,139 @@ TEST(Executor, SolSweepSupportGate)
     for (size_t i = 0; i < fam.size(); ++i)
         expectSameDynamicResult(swept[i],
                                 DynamicProcessor(fam[i]).run(view));
+}
+
+/** Multi-chunk random trace: the streamed sweeps must cross chunk
+ *  boundaries mid-window, not just run inside one tile. */
+trace::TraceView
+multiChunkView(uint64_t seed)
+{
+    return trace::TraceView(testing::randomTrace(
+        seed, 2 * trace::ChunkedView::kChunkInstrs + 1234));
+}
+
+/**
+ * A cross-model family: SC, PC, WO and RC lanes at different windows
+ * in one sweep, each model gating through its own per-lane masks.
+ * Lane counts straddle the 4-wide batch (3, 5, 7 lanes).
+ */
+std::vector<DynamicConfig>
+mixedModelFamily(size_t k)
+{
+    const ConsistencyModel models[] = {
+        ConsistencyModel::SC, ConsistencyModel::RC,
+        ConsistencyModel::PC, ConsistencyModel::WO};
+    const uint32_t windows[] = {256, 16, 64, 32, 128, 8, 48};
+    std::vector<DynamicConfig> configs;
+    for (size_t j = 0; j < k; ++j) {
+        DynamicConfig c;
+        c.model = models[j % 4];
+        c.window = windows[j % 7];
+        configs.push_back(c);
+    }
+    return configs;
+}
+
+/** Every sweep mode over @p src against per-lane single-cell runs. */
+void
+expectMixedFamilyMatches(const core::TraceSource &src,
+                         const trace::TraceView &view,
+                         const std::string &what)
+{
+    for (size_t k : {size_t{3}, size_t{5}, size_t{7}}) {
+        std::vector<DynamicConfig> configs = mixedModelFamily(k);
+        ASSERT_TRUE(core::solSweepSupported(configs));
+        std::vector<DynamicResult> single;
+        for (const DynamicConfig &cfg : configs)
+            single.push_back(DynamicProcessor(cfg).run(view));
+        SimContext ctx;
+        for (core::SweepMode mode :
+             {core::SweepMode::SoL, core::SweepMode::SoLScalar,
+              core::SweepMode::PerLaneTiled, core::SweepMode::Auto}) {
+            std::vector<DynamicResult> swept =
+                core::runDynamicSweep(src, configs, ctx, mode);
+            ASSERT_EQ(swept.size(), single.size());
+            for (size_t i = 0; i < swept.size(); ++i) {
+                SCOPED_TRACE(what + " k " + std::to_string(k) +
+                             " mode " + std::to_string(int(mode)) +
+                             " lane " + std::to_string(i));
+                expectSameDynamicResult(swept[i], single[i]);
+            }
+        }
+    }
+}
+
+TEST(Executor, MixedModelSolMatchesPerCellRuns)
+{
+    for (uint64_t seed : {5u, 23u}) {
+        trace::TraceView view(testing::randomTrace(seed, 4000));
+        expectMixedFamilyMatches(view, view,
+                                 "flat seed " + std::to_string(seed));
+    }
+    trace::TraceView view = multiChunkView(83);
+    trace::ChunkedView cv(view);
+    for (int threads : {0, 1}) {
+        core::StreamOptions opt;
+        opt.decode_threads = threads;
+        expectMixedFamilyMatches(core::TraceSource(cv, opt), view,
+                                 "chunked threads " +
+                                     std::to_string(threads));
+    }
+}
+
+TEST(Executor, MixedModelSolMatchesPerCellRunsOnAnApp)
+{
+    sim::TraceBundle lu = sim::generateTrace(sim::AppId::LU, {}, true);
+    trace::TraceView view(lu.trace);
+    expectMixedFamilyMatches(view, view, "LU flat");
+    trace::ChunkedView cv(view);
+    expectMixedFamilyMatches(cv, view, "LU chunked");
+}
+
+TEST(Executor, SolSupportRejectsDivergentAblationsInMixedFamilies)
+{
+    // Mixing models alone is fine; each divergent ablation on any one
+    // lane still takes the family off the lockstep path, as does a
+    // differing width.
+    std::vector<DynamicConfig> base = mixedModelFamily(4);
+    EXPECT_TRUE(core::solSweepSupported(base));
+    for (int ablation = 0; ablation < 5; ++ablation) {
+        std::vector<DynamicConfig> fam = base;
+        DynamicConfig &c = fam[2];
+        switch (ablation) {
+          case 0: c.free_window = true; break;
+          case 1: c.sc_speculation = true; break;
+          case 2: c.mshrs = 2; break;
+          case 3: c.collect_read_delay = true; break;
+          case 4: c.width = 4; break;
+        }
+        EXPECT_FALSE(core::solSweepSupported(fam)) << ablation;
+    }
+}
+
+TEST(Executor, PlanFusesAllFigure3DsRowsIntoOneFamily)
+{
+    std::vector<ModelSpec> specs = sim::figure3Columns();
+    std::vector<uint8_t> done(specs.size(), 0);
+    size_t ds_rows = 0;
+    for (const ModelSpec &s : specs)
+        ds_rows += s.kind == ModelSpec::Kind::DS;
+    EXPECT_EQ(ds_rows, 7u);
+    size_t fused_groups = 0;
+    for (const ExecGroup &g : sim::planPhase2(specs, done, 0)) {
+        if (!g.fused) {
+            EXPECT_EQ(g.rows.size(), 1u);
+            EXPECT_NE(specs[g.rows[0]].kind, ModelSpec::Kind::DS);
+            continue;
+        }
+        ++fused_groups;
+        EXPECT_EQ(g.rows.size(), ds_rows);
+        std::vector<core::DynamicConfig> configs;
+        for (size_t s : g.rows)
+            configs.push_back(sim::dynamicConfigFor(specs[s]));
+        EXPECT_TRUE(core::solSweepSupported(configs));
+    }
+    EXPECT_EQ(fused_groups, 1u);
 }
 
 /** One context must serve SoL, forced-scalar SoL, tiled, and
@@ -535,14 +668,6 @@ TEST(Executor, RingRebindSkipsZeroFill)
 
 // --- A chunked trace source is bit-identical to a flat one ----------
 
-/** Multi-chunk random trace: the streamed sweeps must cross chunk
- *  boundaries mid-window, not just run inside one tile. */
-trace::TraceView
-multiChunkView(uint64_t seed)
-{
-    return trace::TraceView(testing::randomTrace(
-        seed, 2 * trace::ChunkedView::kChunkInstrs + 1234));
-}
 
 /**
  * Every config variant — all four models, mixed windows, MSHR limits,

@@ -186,6 +186,56 @@ TEST_F(SvcTest, DecodeRejectsTruncatedAndTrailingGarbage)
     EXPECT_FALSE(decodeHello(p + "x", d));
 }
 
+TEST_F(SvcTest, AssignCarriesOnePlannedGroup)
+{
+    UnitDecl u;
+    u.specs = {sim::ModelSpec::base(),
+               sim::ModelSpec::ds(core::ConsistencyModel::SC, 64),
+               sim::ModelSpec::ds(core::ConsistencyModel::PC, 64),
+               sim::ModelSpec::ds(core::ConsistencyModel::RC, 16)};
+    std::vector<UnitDecl> units(2, u);
+
+    AssignMsg m;
+    m.unit = 1;
+    m.rows = {3, 1, 2};
+    m.seq = 77;
+    std::string p = encodeAssign(m);
+    AssignMsg d;
+    ASSERT_TRUE(decodeAssign(p, units, d));
+    EXPECT_EQ(d.unit, 1u);
+    EXPECT_EQ(d.rows, m.rows);
+    EXPECT_EQ(d.seq, 77u);
+
+    // Truncated anywhere, or trailing garbage.
+    for (size_t n = 0; n < p.size(); ++n)
+        EXPECT_FALSE(decodeAssign(p.substr(0, n), units, d)) << n;
+    EXPECT_FALSE(decodeAssign(p + "x", units, d));
+
+    // A row count the unit cannot have (more rows than specs, or
+    // none), an unknown unit, and an out-of-range spec index.
+    AssignMsg bad = m;
+    bad.rows = {0, 1, 2, 3, 0};
+    EXPECT_FALSE(decodeAssign(encodeAssign(bad), units, d));
+    bad.rows.clear();
+    EXPECT_FALSE(decodeAssign(encodeAssign(bad), units, d));
+    bad = m;
+    bad.unit = 2;
+    EXPECT_FALSE(decodeAssign(encodeAssign(bad), units, d));
+    bad = m;
+    bad.rows = {4};
+    EXPECT_FALSE(decodeAssign(encodeAssign(bad), units, d));
+}
+
+TEST_F(SvcTest, HelloOfAnotherProtocolVersionIsRefused)
+{
+    EXPECT_EQ(kProtocolVersion, 2u);
+    HelloMsg d;
+    HelloMsg v1{3, 99, 1};
+    EXPECT_FALSE(decodeHello(encodeHello(v1), d));
+    HelloMsg v2{3, 99, kProtocolVersion};
+    EXPECT_TRUE(decodeHello(encodeHello(v2), d));
+}
+
 // --- framing over a real socket -------------------------------------
 
 TEST_F(SvcTest, FrameRoundTripsOverSocketpair)
@@ -306,14 +356,55 @@ TEST_F(SvcTest, ShardPlanCoversEveryCellExactlyOnce)
             campaign.shardPlan(workers);
         ASSERT_EQ(plan.shards.size(), workers);
         std::set<runner::Campaign::CellRef> seen;
-        for (const auto &shard : plan.shards)
-            for (const auto &cell : shard)
-                EXPECT_TRUE(seen.insert(cell).second)
-                    << "cell dispatched twice";
-        std::vector<runner::Campaign::CellRef> pending =
-            campaign.pendingCells();
-        EXPECT_EQ(seen.size(), pending.size());
-        EXPECT_EQ(plan.cells, pending.size());
+        size_t fused = 0;
+        for (const auto &shard : plan.shards) {
+            for (const auto &g : shard) {
+                EXPECT_FALSE(g.group.rows.empty());
+                EXPECT_EQ(g.group.fused, g.group.rows.size() > 1);
+                fused += g.group.fused;
+                for (size_t s : g.group.rows)
+                    EXPECT_TRUE(seen.insert({g.unit, s}).second)
+                        << "cell dispatched twice";
+            }
+        }
+        size_t pending = 0;
+        for (size_t u = 0; u < campaign.size(); ++u)
+            for (uint8_t done : campaign.result(u).row_done)
+                pending += !done;
+        EXPECT_EQ(pending, 8u);
+        EXPECT_EQ(seen.size(), pending);
+        EXPECT_EQ(plan.cells, pending);
+        // Each smoke unit's two RC DS rows are one leased sweep.
+        EXPECT_EQ(fused, 2u) << "workers=" << workers;
+        campaign.finish();
+    }
+}
+
+TEST_F(SvcTest, ShardPlanUsesTheCampaignsGroupPlan)
+{
+    TempDir tmp("plan3");
+    for (bool fuse : {true, false}) {
+        runner::RunnerOptions ro = smokeOptions(tmp.str());
+        ro.fuse_sweeps = fuse;
+        runner::Campaign campaign(benchNameFor("smoke"), ro);
+        declareSmoke(campaign);
+        ASSERT_TRUE(campaign.prepare());
+        // The groups planPhase2 gives run() at the same parallelism.
+        const size_t cap = fuse ? sim::adaptiveLaneCap(4, 2) : 1;
+        for (const auto &shard : campaign.shardPlan(2).shards) {
+            ASSERT_FALSE(shard.empty());
+            std::vector<sim::ExecGroup> want = sim::planPhase2(
+                campaign.unitSpecs(shard.front().unit),
+                campaign.result(shard.front().unit).row_done, cap);
+            ASSERT_EQ(shard.size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(shard[i].group.rows, want[i].rows);
+                EXPECT_EQ(shard[i].group.fused, want[i].fused);
+                if (!fuse) {
+                    EXPECT_EQ(shard[i].group.rows.size(), 1u);
+                }
+            }
+        }
         campaign.finish();
     }
 }
@@ -332,15 +423,21 @@ TEST_F(SvcTest, ShardPlanIsDeterministicAndKeepsTraceAffinity)
     runner::Campaign::ShardPlan pa = a.shardPlan(2);
     runner::Campaign::ShardPlan pb = b.shardPlan(2);
     ASSERT_EQ(pa.shards.size(), pb.shards.size());
-    for (size_t k = 0; k < pa.shards.size(); ++k)
-        EXPECT_TRUE(pa.shards[k] == pb.shards[k]);
-    // The two smoke units use distinct traces; sharding groups by
-    // trace key, so no shard should mix units (each shard resolves
-    // each of its traces exactly once).
+    for (size_t k = 0; k < pa.shards.size(); ++k) {
+        ASSERT_EQ(pa.shards[k].size(), pb.shards[k].size());
+        for (size_t i = 0; i < pa.shards[k].size(); ++i) {
+            EXPECT_EQ(pa.shards[k][i].unit, pb.shards[k][i].unit);
+            EXPECT_EQ(pa.shards[k][i].group.rows,
+                      pb.shards[k][i].group.rows);
+        }
+    }
+    // The two smoke units use distinct traces; sharding keeps a
+    // trace's groups together, so no shard should mix units (each
+    // shard resolves each of its traces exactly once).
     for (const auto &shard : pa.shards) {
         std::set<size_t> units;
-        for (const auto &cell : shard)
-            units.insert(cell.unit);
+        for (const auto &g : shard)
+            units.insert(g.unit);
         EXPECT_LE(units.size(), 1u);
     }
     a.finish();
@@ -362,11 +459,12 @@ TEST_F(SvcTest, EpochAndLeaseRecordsSurviveReplay)
         ASSERT_TRUE(campaign.prepare());
         EXPECT_EQ(campaign.resumedEpoch(), 0u);
         campaign.journal().appendEpoch(1, 2);
-        campaign.journal().appendLease(
-            runner::JournalLease{0, 1, 0, 1});
+        campaign.journal().appendLeases({{0, 1, 0, 1}});
         campaign.journal().appendEpoch(2, 4);
-        campaign.journal().appendLease(
-            runner::JournalLease{1, 3, 1, 2});
+        // One ASSIGN of a three-row group: one batch, one fsync.
+        campaign.journal().appendLeases(
+            {{1, 3, 1, 2}, {1, 2, 1, 2}, {1, 0, 1, 2}});
+        campaign.journal().appendLeases({});
         campaign.finish();
     }
     std::vector<runner::JournalRow> rows;
@@ -377,12 +475,18 @@ TEST_F(SvcTest, EpochAndLeaseRecordsSurviveReplay)
         journal, signature, rows, traces, &err, &meta))
         << err;
     EXPECT_EQ(meta.last_epoch, 2u);
-    ASSERT_EQ(meta.leases.size(), 2u);
+    ASSERT_EQ(meta.leases.size(), 4u);
     EXPECT_EQ(meta.leases[0].unit, 0u);
     EXPECT_EQ(meta.leases[0].spec, 1u);
     EXPECT_EQ(meta.leases[0].worker, 0u);
     EXPECT_EQ(meta.leases[0].epoch, 1u);
-    EXPECT_EQ(meta.leases[1].epoch, 2u);
+    const size_t batch_specs[] = {3, 2, 0};
+    for (size_t i = 1; i < 4; ++i) {
+        EXPECT_EQ(meta.leases[i].unit, 1u);
+        EXPECT_EQ(meta.leases[i].spec, batch_specs[i - 1]);
+        EXPECT_EQ(meta.leases[i].worker, 1u);
+        EXPECT_EQ(meta.leases[i].epoch, 2u);
+    }
 
     // A resumed campaign sees the highest epoch.
     runner::Campaign resumed(
@@ -441,8 +545,15 @@ TEST_F(SvcTest, CoordinatorMatchesInProcessRunByteForByte)
         ASSERT_TRUE(campaign.writeJson(json));
         EXPECT_EQ(slurp(json), slurp(ref_json))
             << "workers=" << workers;
-        EXPECT_EQ(coordinator.stats().results, 8u);
-        EXPECT_EQ(coordinator.stats().mismatches, 0u);
+        const ServiceStats &st = coordinator.stats();
+        EXPECT_EQ(st.results, 8u);
+        EXPECT_EQ(st.mismatches, 0u);
+        // Rows, not frames: a clean run leases each row once, and
+        // the fused RC DS pair of each unit rides one ASSIGN.
+        EXPECT_EQ(st.dispatched, 8u);
+        EXPECT_EQ(st.assigns, 6u);
+        EXPECT_NE(coordinator.statsJson().find("\"assigns\":6"),
+                  std::string::npos);
     }
 }
 
@@ -463,28 +574,73 @@ TEST_F(SvcTest, WorkerKillChaosStillCompletesBitIdentically)
     }
 
     // Workers inherit the environment: every spawned worker dies by
-    // SIGKILL at its 3rd send boundary (HELLO + heartbeats/results),
-    // exactly as if an external kill -9 landed there. This process
-    // loaded DSMEM_FAILPOINTS at static init, so the late setenv arms
-    // nothing locally.
+    // SIGKILL at its 3rd send boundary, exactly as if an external
+    // kill -9 landed there. Heartbeats are pushed out of the way, so
+    // the sends are HELLO and then RESULTs: a first worker's lease is
+    // its unit's fused RC DS pair, and it dies after returning one
+    // row of that sweep. This process loaded DSMEM_FAILPOINTS at
+    // static init, so the late setenv arms nothing locally.
     ::setenv("DSMEM_FAILPOINTS", "svc.worker.send:kill:3", 1);
-    runner::Campaign campaign(
-        benchNameFor("smoke"),
-        smokeOptions(tmp.str(), tmp.sub("jc.jsonl").string()));
+    const std::string journal = tmp.sub("jc.jsonl").string();
+    runner::Campaign campaign(benchNameFor("smoke"),
+                              smokeOptions(tmp.str(), journal));
     declareSmoke(campaign);
     ServiceOptions so;
     so.workers = 2;
     so.worker_exe = DSMEM_SVC_BIN;
     so.print_workers = false;
-    so.lease_ms = 4000;
+    so.heartbeat_ms = 60000;
+    so.lease_ms = 60000;
     Coordinator coordinator(campaign, so);
     ASSERT_EQ(coordinator.run(), 0);
     ::unsetenv("DSMEM_FAILPOINTS");
     EXPECT_TRUE(campaign.ok());
     EXPECT_GT(coordinator.stats().worker_deaths, 0u);
+    EXPECT_GT(coordinator.stats().redispatched, 0u);
     std::string json = tmp.sub("chaos.json").string();
     ASSERT_TRUE(campaign.writeJson(json));
     EXPECT_EQ(slurp(json), slurp(ref_json));
+
+    // The kill landed inside a fused group: a cell leased in a
+    // multi-row batch was leased again later. A batch is one write —
+    // adjacent lease lines of one worker, epoch and unit — and every
+    // worker life here returns one RESULT before it dies, so a
+    // worker's next batch always follows a row line.
+    std::vector<runner::JournalRow> rows;
+    std::vector<runner::JournalTrace> traces;
+    runner::JournalMeta meta;
+    std::string err;
+    ASSERT_TRUE(runner::CampaignJournal::replay(
+        journal, campaign.signature(), rows, traces, &err, &meta))
+        << err;
+    const std::vector<runner::JournalLease> &ls = meta.leases;
+    std::vector<size_t> batched; // Lease indices inside a batch.
+    {
+        std::istringstream in(slurp(journal));
+        std::string line;
+        size_t k = 0;
+        bool prev_lease = false;
+        while (std::getline(in, line)) {
+            const bool lease =
+                line.find("\"t\":\"lease\"") != std::string::npos;
+            if (lease && prev_lease && ls[k].worker == ls[k - 1].worker &&
+                ls[k].epoch == ls[k - 1].epoch &&
+                ls[k].unit == ls[k - 1].unit) {
+                batched.push_back(k - 1);
+                batched.push_back(k);
+            }
+            k += lease;
+            prev_lease = lease;
+        }
+        ASSERT_EQ(k, ls.size());
+    }
+    bool split_sweep = false;
+    for (size_t b : batched)
+        for (size_t later = b + 1; later < ls.size(); ++later)
+            split_sweep = split_sweep ||
+                (ls[later].unit == ls[b].unit &&
+                 ls[later].spec == ls[b].spec);
+    EXPECT_TRUE(split_sweep);
 }
 
 TEST_F(SvcTest, DeadPoolDegradesToInlineExecution)
@@ -515,7 +671,8 @@ TEST_F(SvcTest, DuplicateRemoteRowIsAbsorbedMismatchIsNot)
                               smokeOptions(tmp.str()));
     declareSmoke(campaign);
     ASSERT_TRUE(campaign.prepare());
-    ASSERT_TRUE(campaign.runCellInline(0, 0));
+    campaign.runGroupInline({0, sim::ExecGroup{{0}, false, 1}});
+    ASSERT_EQ(campaign.result(0).row_done[0], 1);
     core::RunResult r = campaign.result(0).rows[0].result;
     sim::SampleSummary s = campaign.result(0).row_sampling[0];
 

@@ -13,7 +13,9 @@ the outside (no test hooks, only public binaries and signals):
   1. reference   -- the in-process bench (`--jobs N --stable-json`)
                     produces the golden JSON export.
   2. clean shard -- `dsmem_svc run` with real worker processes must
-                    reproduce the reference byte-for-byte.
+                    reproduce the reference byte-for-byte, accept
+                    one result per cell, and lease fused groups
+                    (--stats-json: assigns < dispatched).
   3. worker kill -- re-run with phase-2 slowed by a failpoint delay,
                     SIGKILL worker pids parsed live from the
                     coordinator's "svc: worker N pid P" lines; the
@@ -33,6 +35,7 @@ diff), 2 usage/setup error.
 """
 
 import argparse
+import json
 import os
 import re
 import signal
@@ -165,10 +168,25 @@ def main():
         note(f"[{tag}] export is byte-identical to the reference")
 
     # -- 2. clean sharded run must match the reference exactly. -------
-    code, err = svc_run("clean-shard", "svc_clean.json", "j_clean")
+    # Every cell is accepted once, and the leases are planned groups:
+    # fewer ASSIGN frames than leased rows means fused multi-row
+    # leases really ran.
+    clean_stats = path("stats_clean.json")
+    code, err = svc_run("clean-shard", "svc_clean.json", "j_clean",
+                        extra=["--stats-json", clean_stats])
     if code != 0:
         fail(f"clean sharded run exited {code}:\n{err.decode()}")
     expect_golden("svc_clean.json", "clean-shard")
+    doc = json.loads(read_bytes(clean_stats))
+    cells = len(json.loads(golden)["runs"])
+    if doc["results"] != cells:
+        fail(f"clean-shard: results={doc['results']}, "
+             f"expected one per cell ({cells})")
+    if not doc["assigns"] < doc["dispatched"]:
+        fail(f"clean-shard: assigns={doc['assigns']} not below "
+             f"dispatched={doc['dispatched']}; no multi-row lease ran")
+    note(f"[clean-shard] {doc['results']} cells in "
+         f"{doc['assigns']} leases")
 
     # -- 3. SIGKILL live workers; dispatch must absorb the deaths. ----
     # The delay failpoint stretches each phase-2 cell so the kills
