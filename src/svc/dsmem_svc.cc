@@ -4,9 +4,6 @@
  *
  *   dsmem_svc run --campaign NAME [options]   coordinator + workers
  *   dsmem_svc worker --socket P --id K        one worker (internal)
- *   dsmem_svc serve --socket P [options]      long-lived server
- *   dsmem_svc submit --socket P --campaign N  queue on a server
- *   dsmem_svc stop --socket P                 shut a server down
  *   dsmem_svc gc --trace-dir D [--age-days N] store GC, standalone
  *   dsmem_svc list                            campaign catalog
  *   dsmem_svc --list-failpoints               failpoint site catalog
@@ -20,6 +17,9 @@
  * any kill schedule — the invariant tools/chaos_smoke.py enforces.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +29,6 @@
 #include "runner/campaign.h"
 #include "svc/catalog.h"
 #include "svc/coordinator.h"
-#include "svc/server.h"
 #include "svc/worker.h"
 #include "util/failpoint.h"
 
@@ -52,12 +51,6 @@ usage(FILE *out)
         "           [--worker-exe E] [--stats-json F] [--store-gc]\n"
         "           [--store-gc-age-days N] [--quiet]\n"
         "  worker   --socket P --id K   (spawned by run; internal)\n"
-        "  serve    --socket P [--workers N] [--trace-dir D]\n"
-        "           [--lease-ms N] [--heartbeat-ms N] [--respawn N]\n"
-        "  submit   --socket P --campaign NAME [--small|--full]\n"
-        "           [--workers N] [--json F] [--stable-json]\n"
-        "           [--journal F] [--resume] [--trace-dir D]\n"
-        "  stop     --socket P\n"
         "  gc       --trace-dir D [--age-days N]\n"
         "  list     print the campaign catalog\n"
         "  --list-failpoints   print every failpoint site and exit\n");
@@ -78,12 +71,19 @@ flagValue(int argc, char **argv, int &i, const char *flag,
     return true;
 }
 
+/**
+ * Parse a decimal flag value in [@p lo, @p hi]; anything else (a
+ * sign, whitespace, trailing junk, out of range) exits 2.
+ */
 unsigned
-parseUnsigned(const std::string &v, const char *flag)
+parseUnsigned(const std::string &v, const char *flag,
+              unsigned long lo = 0, unsigned long hi = UINT_MAX)
 {
     char *end = nullptr;
+    errno = 0;
     unsigned long n = std::strtoul(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0') {
+    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+        errno == ERANGE || n < lo || n > hi) {
         std::fprintf(stderr, "dsmem_svc: bad %s value '%s'\n", flag,
                      v.c_str());
         std::exit(2);
@@ -106,7 +106,7 @@ cmdRun(int argc, char **argv)
         else if (std::strcmp(argv[i], "--full") == 0)
             small = false;
         else if (flagValue(argc, argv, i, "--workers", value))
-            so.workers = parseUnsigned(value, "--workers");
+            so.workers = parseUnsigned(value, "--workers", 1, 1024);
         else if (flagValue(argc, argv, i, "--trace-dir", value))
             ro.trace_dir = value;
         else if (flagValue(argc, argv, i, "--json", value))
@@ -179,6 +179,7 @@ cmdRun(int argc, char **argv)
         } else {
             std::fprintf(stderr, "dsmem_svc run: cannot write %s\n",
                          stats_json.c_str());
+            code = code ? code : 1;
         }
     }
     return code;
@@ -207,104 +208,6 @@ cmdWorker(int argc, char **argv)
         return 2;
     }
     return svc::workerMain(wo);
-}
-
-int
-cmdServe(int argc, char **argv)
-{
-    svc::ServerOptions so;
-    std::string value;
-    for (int i = 0; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--socket", value))
-            so.socket_path = value;
-        else if (flagValue(argc, argv, i, "--workers", value))
-            so.svc.workers = parseUnsigned(value, "--workers");
-        else if (flagValue(argc, argv, i, "--trace-dir", value))
-            so.trace_dir = value;
-        else if (flagValue(argc, argv, i, "--lease-ms", value))
-            so.svc.lease_ms = parseUnsigned(value, "--lease-ms");
-        else if (flagValue(argc, argv, i, "--heartbeat-ms", value))
-            so.svc.heartbeat_ms =
-                parseUnsigned(value, "--heartbeat-ms");
-        else if (flagValue(argc, argv, i, "--respawn", value))
-            so.svc.respawn_per_slot =
-                parseUnsigned(value, "--respawn");
-        else {
-            std::fprintf(stderr,
-                         "dsmem_svc serve: unknown flag %s\n",
-                         argv[i]);
-            return 2;
-        }
-    }
-    if (so.socket_path.empty()) {
-        std::fprintf(stderr, "dsmem_svc serve: --socket required\n");
-        return 2;
-    }
-    return svc::serveMain(so);
-}
-
-int
-cmdSubmit(int argc, char **argv)
-{
-    std::string socket_path, value;
-    svc::CampaignReqMsg req;
-    for (int i = 0; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--socket", value))
-            socket_path = value;
-        else if (flagValue(argc, argv, i, "--campaign", value))
-            req.name = value;
-        else if (std::strcmp(argv[i], "--small") == 0)
-            req.small = 1;
-        else if (std::strcmp(argv[i], "--full") == 0)
-            req.small = 0;
-        else if (flagValue(argc, argv, i, "--workers", value))
-            req.workers = parseUnsigned(value, "--workers");
-        else if (flagValue(argc, argv, i, "--json", value))
-            req.json_path = value;
-        else if (std::strcmp(argv[i], "--stable-json") == 0)
-            req.stable_json = 1;
-        else if (flagValue(argc, argv, i, "--journal", value))
-            req.journal_path = value;
-        else if (std::strcmp(argv[i], "--resume") == 0)
-            req.resume = 1;
-        else if (flagValue(argc, argv, i, "--trace-dir", value))
-            req.trace_dir = value;
-        else {
-            std::fprintf(stderr,
-                         "dsmem_svc submit: unknown flag %s\n",
-                         argv[i]);
-            return 2;
-        }
-    }
-    if (socket_path.empty() || req.name.empty()) {
-        std::fprintf(
-            stderr,
-            "dsmem_svc submit: --socket and --campaign required\n");
-        return 2;
-    }
-    return svc::submitMain(socket_path, req);
-}
-
-int
-cmdStop(int argc, char **argv)
-{
-    std::string socket_path, value;
-    for (int i = 0; i < argc; ++i) {
-        if (flagValue(argc, argv, i, "--socket", value))
-            socket_path = value;
-        else {
-            std::fprintf(stderr, "dsmem_svc stop: unknown flag %s\n",
-                         argv[i]);
-            return 2;
-        }
-    }
-    if (socket_path.empty()) {
-        std::fprintf(stderr, "dsmem_svc stop: --socket required\n");
-        return 2;
-    }
-    svc::CampaignReqMsg req;
-    req.name = "__stop__";
-    return svc::submitMain(socket_path, req);
 }
 
 int
@@ -371,12 +274,6 @@ main(int argc, char **argv)
         return cmdRun(rest, rest_argv);
     if (cmd == "worker")
         return cmdWorker(rest, rest_argv);
-    if (cmd == "serve")
-        return cmdServe(rest, rest_argv);
-    if (cmd == "submit")
-        return cmdSubmit(rest, rest_argv);
-    if (cmd == "stop")
-        return cmdStop(rest, rest_argv);
     if (cmd == "gc")
         return cmdGc(rest, rest_argv);
     if (cmd == "list")

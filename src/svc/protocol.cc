@@ -561,48 +561,4 @@ bool decodeHeartbeat(const std::string &p, HeartbeatMsg &m)
     return r.done();
 }
 
-std::string encodeCampaignReq(const CampaignReqMsg &m)
-{
-    WireOut w;
-    w.str(m.name);
-    w.u8(m.small);
-    w.u32(m.workers);
-    w.str(m.json_path);
-    w.u8(m.stable_json);
-    w.str(m.journal_path);
-    w.u8(m.resume);
-    w.str(m.trace_dir);
-    return std::move(w.buf);
-}
-
-bool decodeCampaignReq(const std::string &p, CampaignReqMsg &m)
-{
-    WireIn r(p);
-    m.name = r.str();
-    m.small = r.u8();
-    m.workers = r.u32();
-    m.json_path = r.str();
-    m.stable_json = r.u8();
-    m.journal_path = r.str();
-    m.resume = r.u8();
-    m.trace_dir = r.str();
-    return r.done();
-}
-
-std::string encodeCampaignDone(const CampaignDoneMsg &m)
-{
-    WireOut w;
-    w.u32(static_cast<uint32_t>(m.exit_code));
-    w.str(m.summary);
-    return std::move(w.buf);
-}
-
-bool decodeCampaignDone(const std::string &p, CampaignDoneMsg &m)
-{
-    WireIn r(p);
-    m.exit_code = static_cast<int32_t>(r.u32());
-    m.summary = r.str();
-    return r.done();
-}
-
 } // namespace dsmem::svc

@@ -53,8 +53,6 @@ enum class MsgType : uint32_t {
     RESULT,        ///< worker -> coordinator: one row's outcome
     HEARTBEAT,     ///< worker -> coordinator: lease renewal
     SHUTDOWN,      ///< coordinator -> worker: drain and exit
-    CAMPAIGN_REQ,  ///< client -> server: queue one campaign
-    CAMPAIGN_DONE, ///< server -> client: campaign finished
 };
 
 struct Frame {
@@ -214,22 +212,6 @@ struct HeartbeatMsg {
     uint64_t beats = 0;
 };
 
-struct CampaignReqMsg {
-    std::string name; ///< Catalog name ("figure3", "smoke", ...).
-    uint8_t small = 1;
-    uint32_t workers = 0; ///< 0 = server default.
-    std::string json_path;
-    uint8_t stable_json = 0;
-    std::string journal_path;
-    uint8_t resume = 0;
-    std::string trace_dir;
-};
-
-struct CampaignDoneMsg {
-    int32_t exit_code = 0;
-    std::string summary; ///< failureSummary() ("" when clean).
-};
-
 std::string encodeHello(const HelloMsg &m);
 /** False also for a HELLO of another protocol version. */
 bool decodeHello(const std::string &p, HelloMsg &m);
@@ -247,10 +229,6 @@ std::string encodeResult(const ResultMsg &m);
 bool decodeResult(const std::string &p, ResultMsg &m);
 std::string encodeHeartbeat(const HeartbeatMsg &m);
 bool decodeHeartbeat(const std::string &p, HeartbeatMsg &m);
-std::string encodeCampaignReq(const CampaignReqMsg &m);
-bool decodeCampaignReq(const std::string &p, CampaignReqMsg &m);
-std::string encodeCampaignDone(const CampaignDoneMsg &m);
-bool decodeCampaignDone(const std::string &p, CampaignDoneMsg &m);
 
 } // namespace dsmem::svc
 

@@ -104,7 +104,6 @@ inline constexpr FailpointSite kFailpointSites[] = {
     {"svc.connect", "worker connect to the coordinator socket"},
     {"svc.coord.recv", "coordinator frame receive"},
     {"svc.coord.send", "coordinator frame send"},
-    {"svc.serve.accept", "server accept of a campaign client"},
     {"svc.spawn", "coordinator fork/exec of a worker process"},
     {"svc.worker.recv", "worker frame receive"},
     {"svc.worker.send", "worker frame send"},

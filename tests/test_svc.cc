@@ -3,7 +3,8 @@
  * The sharded campaign service: wire protocol framing/corruption,
  * shard-plan determinism and coverage, journal epoch/lease records,
  * and end-to-end coordinator/worker execution — including worker
- * kill -9 chaos — byte-compared against single-process runs.
+ * kill -9 chaos — byte-compared against single-process runs — plus
+ * the exit-code contract of the built dsmem_svc CLI.
  */
 
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -712,6 +714,86 @@ TEST_F(SvcTest, CatalogDeclaresKnownCampaigns)
     std::string err2;
     EXPECT_FALSE(declareCampaign("nope", true, bad, &err2));
     EXPECT_NE(err2.find("unknown campaign"), std::string::npos);
+}
+
+// --- the dsmem_svc CLI contract -------------------------------------
+
+struct CliOutcome {
+    int exit_code = -1; ///< -1: did not exit normally.
+    std::string out;
+};
+
+/** Run the built dsmem_svc with @p args via /bin/sh, capturing
+ *  stdout (stderr is discarded). The timeout turns a command that
+ *  blocks (a listening server, say) into a failure, not a hang. */
+CliOutcome
+runCli(const TempDir &tmp, const std::string &args)
+{
+    fs::path out = tmp.sub("cli_out");
+    std::string cmd = "timeout 30 " + std::string(DSMEM_SVC_BIN) + " " +
+                      args + " >" + out.string() + " 2>/dev/null";
+    int status = std::system(cmd.c_str());
+    CliOutcome r;
+    if (status != -1 && WIFEXITED(status))
+        r.exit_code = WEXITSTATUS(status);
+    r.out = slurp(out);
+    return r;
+}
+
+TEST_F(SvcTest, CliRejectsServerModeVerbsAsUnknownCommands)
+{
+    if (!haveWorkerBinary())
+        GTEST_SKIP() << "dsmem_svc binary unavailable";
+    TempDir tmp("cli_verbs");
+    std::string sock = tmp.sub("s.sock").string();
+    EXPECT_EQ(runCli(tmp, "serve --socket " + sock).exit_code, 2);
+    EXPECT_EQ(runCli(tmp, "submit --socket " + sock +
+                              " --campaign smoke")
+                  .exit_code,
+              2);
+    EXPECT_EQ(runCli(tmp, "stop --socket " + sock).exit_code, 2);
+}
+
+TEST_F(SvcTest, CliRejectsOutOfRangeWorkerCounts)
+{
+    if (!haveWorkerBinary())
+        GTEST_SKIP() << "dsmem_svc binary unavailable";
+    TempDir tmp("cli_workers");
+    // A sign wraps under strtoul, and a value above UINT_MAX
+    // truncates when cast to unsigned: both must be usage errors.
+    for (const char *w : {"-1", "0", "4294967297", "1025", "+2", "' 2'",
+                          "2x"}) {
+        EXPECT_EQ(runCli(tmp, "run --campaign smoke --quiet "
+                              "--trace-dir " +
+                                  tmp.str() + " --workers " + w)
+                      .exit_code,
+                  2)
+            << "--workers " << w;
+    }
+}
+
+TEST_F(SvcTest, CliUnwritableStatsJsonExitsOne)
+{
+    if (!haveWorkerBinary())
+        GTEST_SKIP() << "dsmem_svc binary unavailable";
+    TempDir tmp("cli_stats");
+    std::string stats = tmp.sub("no_such_dir/stats.json").string();
+    EXPECT_EQ(runCli(tmp, "run --campaign smoke --quiet --workers 1 "
+                          "--trace-dir " +
+                              tmp.str() + " --stats-json " + stats)
+                  .exit_code,
+              1);
+}
+
+TEST_F(SvcTest, CliListPrintsTheCatalog)
+{
+    if (!haveWorkerBinary())
+        GTEST_SKIP() << "dsmem_svc binary unavailable";
+    TempDir tmp("cli_list");
+    CliOutcome r = runCli(tmp, "list");
+    EXPECT_EQ(r.exit_code, 0);
+    EXPECT_NE(r.out.find("figure3"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("smoke"), std::string::npos) << r.out;
 }
 
 } // namespace

@@ -25,6 +25,10 @@ the outside (no test hooks, only public binaries and signals):
                     dies mid-campaign (workers never evaluate that
                     site), then `--resume` against the same journal
                     must finish with identical bytes.
+  5. store gc    -- `dsmem_svc gc` on the shared trace cache must
+                    exit 0 with `errors 0` and keep every bundle: a
+                    rerun reads every trace from disk, and the clean
+                    sharded run still matches the reference.
 
 Every phase shares one trace cache, so phase-2 timing is recomputed
 from the same immutable bundles everywhere and "identical" means
@@ -148,12 +152,14 @@ def main():
     note(f"reference export: {len(golden)} bytes")
 
     def svc_run(tag, json_name, journal_name, extra=(), env=None,
-                live_kills=0):
+                live_kills=0, stable=True):
         cmd = [args.svc, "run", "--campaign", args.campaign,
                "--small", "--workers", str(args.workers),
-               "--trace-dir", cache, "--stable-json",
+               "--trace-dir", cache,
                "--json", path(json_name),
                "--journal", path(journal_name)] + list(extra)
+        if stable:
+            cmd.append("--stable-json")
         if live_kills:
             return kill_workers_live(cmd, env or base_env,
                                      live_kills, tag)
@@ -227,6 +233,30 @@ def main():
         fail(f"resume after coordinator kill exited {code}:\n"
              f"{err.decode()}")
     expect_golden("svc_resume.json", "coord-resume")
+
+    # -- 5. GC the shared store; it must keep every valid bundle. -----
+    # --stable-json blanks trace origins, so one rerun without it
+    # checks that GC removed nothing live, and a stable rerun checks
+    # the bytes.
+    code, out, err = run_logged([args.svc, "gc", "--trace-dir", cache],
+                                env=base_env, tag="store-gc")
+    if code != 0 or b"errors 0" not in out:
+        fail(f"store gc exited {code}:\n{out.decode()}{err.decode()}")
+    note(f"[store-gc] {out.decode().strip()}")
+    code, err = svc_run("gc-origin", "svc_gc_origin.json", "j_gc_origin",
+                        stable=False)
+    if code != 0:
+        fail(f"post-gc run exited {code}:\n{err.decode()}")
+    traces = json.loads(read_bytes(path("svc_gc_origin.json")))["traces"]
+    origins = sorted({t["origin"] for t in traces})
+    if not traces or origins != ["disk"]:
+        fail(f"post-gc run: trace origins {origins}, expected all "
+             f"'disk'; gc removed a live bundle")
+    note(f"[gc-origin] all {len(traces)} traces read from disk")
+    code, err = svc_run("gc-clean", "svc_gc.json", "j_gc")
+    if code != 0:
+        fail(f"post-gc clean run exited {code}:\n{err.decode()}")
+    expect_golden("svc_gc.json", "gc-clean")
 
     note("OK: all chaos phases reproduced the reference bit-exactly")
     return 0
