@@ -52,10 +52,11 @@ main(int argc, char **argv)
         stats::Table table({"Program", "1 MSHR", "2", "4", "8",
                             "unlimited"});
         for (sim::AppId id : sim::kAllApps) {
-            const sim::TraceBundle &bundle =
-                cache.get(id, memsys::MemoryConfig{}, small);
+            const sim::ViewBundle &bundle =
+                cache.getView(id, memsys::MemoryConfig{}, small);
+            const trace::TraceView &view = *bundle.flatView();
             core::RunResult base =
-                sim::runModel(bundle.trace, sim::ModelSpec::base());
+                sim::runModel(view, sim::ModelSpec::base());
             table.beginRow();
             table.cell(std::string(sim::appName(id)));
             for (uint32_t mshrs : {1u, 2u, 4u, 8u, 0u}) {
@@ -63,7 +64,7 @@ main(int argc, char **argv)
                 config.window = 64;
                 config.mshrs = mshrs;
                 core::RunResult r =
-                    core::DynamicProcessor(config).run(bundle.trace);
+                    core::DynamicProcessor(config).run(view);
                 table.cell(pctOfBase(r.cycles, base.cycles), 1);
             }
             table.endRow();
@@ -78,10 +79,11 @@ main(int argc, char **argv)
         stats::Table table({"Program", "FIFO W=16", "free W=16",
                             "FIFO W=64", "free W=64"});
         for (sim::AppId id : sim::kAllApps) {
-            const sim::TraceBundle &bundle =
-                cache.get(id, memsys::MemoryConfig{}, small);
+            const sim::ViewBundle &bundle =
+                cache.getView(id, memsys::MemoryConfig{}, small);
+            const trace::TraceView &view = *bundle.flatView();
             core::RunResult base =
-                sim::runModel(bundle.trace, sim::ModelSpec::base());
+                sim::runModel(view, sim::ModelSpec::base());
             table.beginRow();
             table.cell(std::string(sim::appName(id)));
             for (uint32_t window : {16u, 64u}) {
@@ -90,8 +92,7 @@ main(int argc, char **argv)
                     config.window = window;
                     config.free_window = free_window;
                     core::RunResult r =
-                        core::DynamicProcessor(config).run(
-                            bundle.trace);
+                        core::DynamicProcessor(config).run(view);
                     table.cell(pctOfBase(r.cycles, base.cycles), 1);
                 }
             }
@@ -113,10 +114,11 @@ main(int argc, char **argv)
         stats::Table table({"Program", "64x1", "256x2",
                             "2048x4 (paper)", "8192x8", "perfect"});
         for (sim::AppId id : sim::kAllApps) {
-            const sim::TraceBundle &bundle =
-                cache.get(id, memsys::MemoryConfig{}, small);
+            const sim::ViewBundle &bundle =
+                cache.getView(id, memsys::MemoryConfig{}, small);
+            const trace::TraceView &view = *bundle.flatView();
             core::RunResult base =
-                sim::runModel(bundle.trace, sim::ModelSpec::base());
+                sim::runModel(view, sim::ModelSpec::base());
             table.beginRow();
             table.cell(std::string(sim::appName(id)));
             for (const Geometry &g : geometries) {
@@ -125,7 +127,7 @@ main(int argc, char **argv)
                 config.btb.entries = g.entries;
                 config.btb.associativity = g.assoc;
                 core::RunResult r =
-                    core::DynamicProcessor(config).run(bundle.trace);
+                    core::DynamicProcessor(config).run(view);
                 table.cell(
                     stats::Table::percent(1.0 - r.mispredictRate()) +
                     " / " +
@@ -136,7 +138,7 @@ main(int argc, char **argv)
             perfect.window = 256;
             perfect.btb.perfect = true;
             core::RunResult r =
-                core::DynamicProcessor(perfect).run(bundle.trace);
+                core::DynamicProcessor(perfect).run(view);
             table.cell("100% / " +
                        stats::Table::fixed(
                            pctOfBase(r.cycles, base.cycles), 1));
@@ -152,10 +154,11 @@ main(int argc, char **argv)
         stats::Table table({"Program", "depth 1", "4", "16",
                             "window (default)"});
         for (sim::AppId id : sim::kAllApps) {
-            const sim::TraceBundle &bundle =
-                cache.get(id, memsys::MemoryConfig{}, small);
+            const sim::ViewBundle &bundle =
+                cache.getView(id, memsys::MemoryConfig{}, small);
+            const trace::TraceView &view = *bundle.flatView();
             core::RunResult base =
-                sim::runModel(bundle.trace, sim::ModelSpec::base());
+                sim::runModel(view, sim::ModelSpec::base());
             table.beginRow();
             table.cell(std::string(sim::appName(id)));
             for (uint32_t depth : {1u, 4u, 16u, 0u}) {
@@ -163,7 +166,7 @@ main(int argc, char **argv)
                 config.window = 64;
                 config.store_buffer_depth = depth;
                 core::RunResult r =
-                    core::DynamicProcessor(config).run(bundle.trace);
+                    core::DynamicProcessor(config).run(view);
                 table.cell(pctOfBase(r.cycles, base.cycles), 1);
             }
             table.endRow();

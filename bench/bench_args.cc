@@ -3,9 +3,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <string_view>
 
 #include "util/failpoint.h"
+#include "util/parse.h"
 #include "util/simd.h"
 
 namespace dsmem::bench {
@@ -47,7 +50,7 @@ printUsage(std::FILE *out, const char *prog)
         "  --sample-warmup N   detailed-but-unmeasured prefix per "
         "window\n"
         "  --sample-seed S     sampling offset-hash seed (default 1)\n"
-        "  --cold            bench_hotloop: reload the trace between "
+        "  --cold            bench_hotloop: rebuild the view between "
         "timing rounds\n"
         "  --stream-gb G     bench_hotloop: memory_bound regime "
         "footprint in GB (0 = skip;\n"
@@ -98,6 +101,22 @@ flagValue(std::string_view flag, int argc, char **argv, int &i)
     return nullptr;
 }
 
+/**
+ * The strict decimal value @p v of @p flag in [@p lo, @p hi]; a sign,
+ * whitespace, junk or an out-of-range value is a usage error.
+ */
+uint64_t
+numberValue(const char *prog, std::string_view flag, const char *v,
+            uint64_t lo = 0, uint64_t hi = UINT64_MAX)
+{
+    std::optional<uint64_t> n = util::parseUnsigned(v, lo, hi);
+    if (!n) {
+        std::string msg = "bad " + std::string(flag) + " value";
+        usageError(prog, msg.c_str(), v);
+    }
+    return *n;
+}
+
 } // namespace
 
 BenchArgs
@@ -118,11 +137,8 @@ parseBenchArgs(int argc, char **argv, bool default_small)
             printUsage(stdout, argv[0]);
             std::exit(0);
         } else if (const char *v = flagValue("--jobs", argc, argv, i)) {
-            char *end = nullptr;
-            long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n < 1 || n > 1024)
-                usageError(argv[0], "bad --jobs value", v);
-            args.jobs = static_cast<unsigned>(n);
+            args.jobs = static_cast<unsigned>(
+                numberValue(argv[0], "--jobs", v, 1, 1024));
         } else if (const char *v =
                        flagValue("--trace-dir", argc, argv, i)) {
             args.trace_dir = v;
@@ -135,26 +151,16 @@ parseBenchArgs(int argc, char **argv, bool default_small)
             args.journal_path = v;
         } else if (const char *v =
                        flagValue("--max-attempts", argc, argv, i)) {
-            char *end = nullptr;
-            long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n < 1 || n > 100)
-                usageError(argv[0], "bad --max-attempts value", v);
-            args.max_attempts = static_cast<unsigned>(n);
+            args.max_attempts = static_cast<unsigned>(
+                numberValue(argv[0], "--max-attempts", v, 1, 100));
         } else if (const char *v =
                        flagValue("--job-timeout-ms", argc, argv, i)) {
-            char *end = nullptr;
-            long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n < 0 ||
-                n > 86400 * 1000L)
-                usageError(argv[0], "bad --job-timeout-ms value", v);
-            args.job_timeout_ms = static_cast<unsigned>(n);
+            args.job_timeout_ms = static_cast<unsigned>(numberValue(
+                argv[0], "--job-timeout-ms", v, 0, 86400 * 1000));
         } else if (const char *v =
                        flagValue("--repeat", argc, argv, i)) {
-            char *end = nullptr;
-            long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n < 1 || n > 1000)
-                usageError(argv[0], "bad --repeat value", v);
-            args.repeat = static_cast<unsigned>(n);
+            args.repeat = static_cast<unsigned>(
+                numberValue(argv[0], "--repeat", v, 1, 1000));
         } else if (arg == "--no-fuse") {
             args.no_fuse = true;
         } else if (arg == "--stable-json") {
@@ -163,13 +169,10 @@ parseBenchArgs(int argc, char **argv, bool default_small)
             args.store_gc = true;
         } else if (const char *v = flagValue("--store-gc-age-days",
                                              argc, argv, i)) {
-            char *end = nullptr;
-            long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n < 0 || n > 36500)
-                usageError(argv[0], "bad --store-gc-age-days value",
-                           v);
             args.store_gc_age_s =
-                static_cast<uint64_t>(n) * 24 * 3600;
+                numberValue(argv[0], "--store-gc-age-days", v, 0,
+                            36500) *
+                24 * 3600;
         } else if (arg == "--list-failpoints") {
             util::printFailpointSites(stdout);
             std::exit(0);
@@ -193,32 +196,20 @@ parseBenchArgs(int argc, char **argv, bool default_small)
             util::simd::setForceScalar(mode == "scalar");
         } else if (const char *v =
                        flagValue("--sample-period", argc, argv, i)) {
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0')
-                usageError(argv[0], "bad --sample-period value", v);
-            args.sampling.period = n;
+            args.sampling.period =
+                numberValue(argv[0], "--sample-period", v);
         } else if (const char *v =
                        flagValue("--sample-detailed", argc, argv, i)) {
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0' || n < 1)
-                usageError(argv[0], "bad --sample-detailed value", v);
-            args.sampling.detailed = n;
+            args.sampling.detailed =
+                numberValue(argv[0], "--sample-detailed", v, 1);
         } else if (const char *v =
                        flagValue("--sample-warmup", argc, argv, i)) {
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0')
-                usageError(argv[0], "bad --sample-warmup value", v);
-            args.sampling.warmup = n;
+            args.sampling.warmup =
+                numberValue(argv[0], "--sample-warmup", v);
         } else if (const char *v =
                        flagValue("--sample-seed", argc, argv, i)) {
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0')
-                usageError(argv[0], "bad --sample-seed value", v);
-            args.sampling.seed = n;
+            args.sampling.seed =
+                numberValue(argv[0], "--sample-seed", v);
         } else {
             usageError(argv[0], "unknown flag", argv[i]);
         }

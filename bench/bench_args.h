@@ -32,7 +32,7 @@ namespace dsmem::bench {
  *   --sample-detailed N measured instructions per window
  *   --sample-warmup N   detailed-but-unmeasured prefix per window
  *   --sample-seed S     offset-hash seed (default 1)
- *   --cold            bench_hotloop: drop and reload the TraceView
+ *   --cold            bench_hotloop: drop and rebuild the TraceView
  *                     between timing rounds (memory-bound regime)
  *   --stream-gb G     bench_hotloop: streamed synthetic-trace
  *                     footprint in GB for the memory_bound regime
@@ -64,7 +64,7 @@ struct BenchArgs {
     unsigned repeat = 0; ///< Best-of-N rounds; 0 = bench default.
     bool no_fuse = false;
     sim::SamplingPlan sampling; ///< period == 0: exact runs.
-    bool cold = false; ///< bench_hotloop: reload the view per round.
+    bool cold = false; ///< bench_hotloop: rebuild the view per round.
     double stream_gb = -1.0; ///< Memory-bound footprint; <0 = scale default.
     std::string simd; ///< "auto" / "scalar"; empty = env-seeded default.
     bool stable_json = false; ///< Deterministic JSON projection.

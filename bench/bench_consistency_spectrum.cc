@@ -36,10 +36,11 @@ main(int argc, char **argv)
                         "RC DS-64"});
 
     for (sim::AppId id : sim::kAllApps) {
-        const sim::TraceBundle &bundle =
-            cache.get(id, memsys::MemoryConfig{}, small);
+        const sim::ViewBundle &bundle =
+            cache.getView(id, memsys::MemoryConfig{}, small);
+        const trace::TraceView &view = *bundle.flatView();
         core::RunResult base =
-            sim::runModel(bundle.trace, sim::ModelSpec::base());
+            sim::runModel(view, sim::ModelSpec::base());
         auto norm = [&](uint64_t cycles) {
             return stats::Table::fixed(100.0 *
                                            static_cast<double>(cycles) /
@@ -59,7 +60,7 @@ main(int argc, char **argv)
                 sim::ModelSpec spec = kind == sim::ModelSpec::Kind::SSBR
                     ? sim::ModelSpec::ssbr(model)
                     : sim::ModelSpec::ds(model, 64);
-                core::RunResult r = sim::runModel(bundle.trace, spec);
+                core::RunResult r = sim::runModel(view, spec);
                 table.cell(norm(r.cycles));
             }
         }

@@ -17,9 +17,9 @@
  *
  * Every timing is best-of-N rounds after an untimed warmup; N comes
  * from --repeat (default: 1 round per cell, 2 per campaign sweep).
- * --cold reloads the trace from the store between rounds, so the
- * measurement covers the cold I/O path instead of a memory-resident
- * view.
+ * --cold rebuilds the view from the AoS trace between rounds, so the
+ * operand arrays are fresh allocations instead of cache-resident
+ * from the previous round.
  *
  * A third section measures the *memory-bound* regime the fused
  * struct-of-lanes executor exists for: a streamed synthetic workload
@@ -314,10 +314,12 @@ main(int argc, char **argv)
     if (args.json_path.empty())
         args.json_path = "BENCH_phase2.json";
 
-    runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(store.enabled() ? &store : nullptr);
-    const sim::TraceBundle &bundle =
-        cache.get(sim::AppId::LU, memsys::MemoryConfig{}, args.small);
+    // The reference loops and the view_build_ms decode both need the
+    // AoS trace, which only phase 1 returns (the trace cache keeps
+    // the view alone), so take it straight from generateTrace.
+    const sim::TraceBundle bundle =
+        sim::generateTrace(sim::AppId::LU, memsys::MemoryConfig{},
+                           args.small);
     const trace::Trace &t = bundle.trace;
     const size_t n = t.size();
     const double min_seconds = args.small ? 0.25 : 1.0;

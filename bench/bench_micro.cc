@@ -122,29 +122,29 @@ BM_TraceGeneration(benchmark::State &state)
 void
 BM_Rescheduler(benchmark::State &state)
 {
-    const trace::Trace &trace = smallTrace();
+    const trace::TraceView view(smallTrace());
     core::RescheduleConfig config;
     config.cross_branches = true;
     config.exact_alias = true;
     for (auto _ : state) {
-        trace::Trace out = core::rescheduleLoads(trace, config);
+        trace::Trace out = core::rescheduleLoads(view, config);
         benchmark::DoNotOptimize(out.size());
     }
     state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * trace.size()));
+        static_cast<int64_t>(state.iterations() * view.size()));
 }
 
 void
 BM_StridePrefetcher(benchmark::State &state)
 {
-    const trace::Trace &trace = smallTrace();
+    const trace::TraceView view(smallTrace());
     for (auto _ : state) {
-        trace::Trace out = core::applyStridePrefetcher(
-            trace, core::PrefetchConfig{});
+        trace::Trace out =
+            core::applyStridePrefetcher(view, core::PrefetchConfig{});
         benchmark::DoNotOptimize(out.size());
     }
     state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * trace.size()));
+        static_cast<int64_t>(state.iterations() * view.size()));
 }
 
 BENCHMARK(BM_CacheReadHit);

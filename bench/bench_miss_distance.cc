@@ -31,10 +31,10 @@ main(int argc, char **argv)
     runner::TraceStore store(args.trace_dir);
     sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
-        const sim::TraceBundle &bundle =
-            cache.get(id, memsys::MemoryConfig{}, small);
+        const sim::ViewBundle &bundle =
+            cache.getView(id, memsys::MemoryConfig{}, small);
         stats::Histogram h =
-            trace::readMissDistanceHistogram(bundle.trace);
+            trace::readMissDistanceHistogram(*bundle.flatView());
         std::printf("%-6s misses=%llu  mean dist=%.1f  "
                     "[16..20]=%.1f%%  [20..32]=%.1f%%  <16=%.1f%%\n",
                     sim::appName(id).data(),
@@ -48,10 +48,10 @@ main(int argc, char **argv)
     std::printf("Also: dependence-distance histograms (register "
                 "producer -> consumer)\n\n");
     for (sim::AppId id : sim::kAllApps) {
-        const sim::TraceBundle &bundle =
-            cache.get(id, memsys::MemoryConfig{}, small);
+        const sim::ViewBundle &bundle =
+            cache.getView(id, memsys::MemoryConfig{}, small);
         stats::Histogram h =
-            trace::dependenceDistanceHistogram(bundle.trace);
+            trace::dependenceDistanceHistogram(*bundle.flatView());
         std::printf("%-6s edges=%llu  mean=%.1f  <=4=%.1f%%  "
                     ">16=%.1f%%  >64=%.1f%%\n",
                     sim::appName(id).data(),

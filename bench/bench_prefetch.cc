@@ -40,10 +40,11 @@ main(int argc, char **argv)
     runner::TraceStore store(args.trace_dir);
     sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
-        const sim::TraceBundle &bundle =
-            cache.get(id, memsys::MemoryConfig{}, small);
+        const sim::ViewBundle &bundle =
+            cache.getView(id, memsys::MemoryConfig{}, small);
+        const trace::TraceView &view = *bundle.flatView();
         core::RunResult base =
-            sim::runModel(bundle.trace, sim::ModelSpec::base());
+            sim::runModel(view, sim::ModelSpec::base());
         auto pct = [&](uint64_t cycles) {
             return stats::Table::fixed(
                 100.0 * static_cast<double>(cycles) /
@@ -53,7 +54,7 @@ main(int argc, char **argv)
 
         core::PrefetchStats stats;
         trace::Trace prefetched = core::applyStridePrefetcher(
-            bundle.trace, core::PrefetchConfig{}, &stats);
+            view, core::PrefetchConfig{}, &stats);
 
         sim::ModelSpec ssbr =
             sim::ModelSpec::ssbr(core::ConsistencyModel::RC);
@@ -65,11 +66,11 @@ main(int argc, char **argv)
         table.beginRow();
         table.cell(std::string(sim::appName(id)));
         table.cell(stats::Table::percent(stats.coverage()));
-        table.cell(pct(sim::runModel(bundle.trace, ssbr).cycles));
+        table.cell(pct(sim::runModel(view, ssbr).cycles));
         table.cell(pct(sim::runModel(prefetched, ssbr).cycles));
-        table.cell(pct(sim::runModel(bundle.trace, ds16).cycles));
+        table.cell(pct(sim::runModel(view, ds16).cycles));
         table.cell(pct(sim::runModel(prefetched, ds16).cycles));
-        table.cell(pct(sim::runModel(bundle.trace, ds64).cycles));
+        table.cell(pct(sim::runModel(view, ds64).cycles));
         table.endRow();
     }
 

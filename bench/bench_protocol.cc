@@ -41,21 +41,21 @@ main(int argc, char **argv)
         // Distinct protocols must yield distinct bundles — this is
         // exactly the access pattern the full-config cache key exists
         // for (MSI-then-MESI formerly aliased to one entry).
-        const sim::TraceBundle &b_msi = cache.get(id, msi, small);
-        const sim::TraceBundle &b_mesi = cache.get(id, mesi, small);
+        const sim::ViewBundle &b_msi = cache.getView(id, msi, small);
+        const sim::ViewBundle &b_mesi = cache.getView(id, mesi, small);
+        const trace::TraceView &v_msi = *b_msi.flatView();
+        const trace::TraceView &v_mesi = *b_mesi.flatView();
 
         core::RunResult base_msi =
-            sim::runModel(b_msi.trace, sim::ModelSpec::base());
+            sim::runModel(v_msi, sim::ModelSpec::base());
         core::RunResult base_mesi =
-            sim::runModel(b_mesi.trace, sim::ModelSpec::base());
+            sim::runModel(v_mesi, sim::ModelSpec::base());
         core::RunResult pc_msi = sim::runModel(
-            b_msi.trace, sim::ModelSpec::ssbr(core::ConsistencyModel::PC));
+            v_msi, sim::ModelSpec::ssbr(core::ConsistencyModel::PC));
         core::RunResult pc_mesi = sim::runModel(
-            b_mesi.trace,
-            sim::ModelSpec::ssbr(core::ConsistencyModel::PC));
+            v_mesi, sim::ModelSpec::ssbr(core::ConsistencyModel::PC));
         core::RunResult rc_mesi = sim::runModel(
-            b_mesi.trace,
-            sim::ModelSpec::ssbr(core::ConsistencyModel::RC));
+            v_mesi, sim::ModelSpec::ssbr(core::ConsistencyModel::RC));
 
         auto pct = [](uint64_t cycles, uint64_t base) {
             return stats::Table::fixed(

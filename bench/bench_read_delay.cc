@@ -33,8 +33,8 @@ main(int argc, char **argv)
     runner::TraceStore store(args.trace_dir);
     sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
-        const sim::TraceBundle &bundle =
-            cache.get(id, memsys::MemoryConfig{}, small);
+        const sim::ViewBundle &bundle =
+            cache.getView(id, memsys::MemoryConfig{}, small);
 
         core::DynamicConfig config;
         config.model = core::ConsistencyModel::RC;
@@ -42,7 +42,7 @@ main(int argc, char **argv)
         config.btb.perfect = true;
         config.collect_read_delay = true;
         core::DynamicResult r =
-            core::DynamicProcessor(config).run(bundle.trace);
+            core::DynamicProcessor(config).run(*bundle.flatView());
 
         const stats::Histogram &h = r.read_issue_delay;
         std::printf("%-6s read misses=%llu  mean delay=%.1f  "

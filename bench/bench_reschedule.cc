@@ -46,10 +46,11 @@ main(int argc, char **argv)
     runner::TraceStore store(args.trace_dir);
     sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
-        const sim::TraceBundle &bundle =
-            cache.get(id, memsys::MemoryConfig{}, small);
+        const sim::ViewBundle &bundle =
+            cache.getView(id, memsys::MemoryConfig{}, small);
+        const trace::TraceView &view = *bundle.flatView();
         core::RunResult base =
-            sim::runModel(bundle.trace, sim::ModelSpec::base());
+            sim::runModel(view, sim::ModelSpec::base());
         auto pct = [&](uint64_t cycles) {
             return stats::Table::fixed(
                 100.0 * static_cast<double>(cycles) /
@@ -58,9 +59,9 @@ main(int argc, char **argv)
         };
 
         core::RescheduleStats sb_stats;
-        trace::Trace t_bb = core::rescheduleLoads(bundle.trace, bb);
+        trace::Trace t_bb = core::rescheduleLoads(view, bb);
         trace::Trace t_sb =
-            core::rescheduleLoads(bundle.trace, sb, &sb_stats);
+            core::rescheduleLoads(view, sb, &sb_stats);
 
         sim::ModelSpec ss = sim::ModelSpec::ss(core::ConsistencyModel::RC);
         sim::ModelSpec ds16 =
@@ -70,13 +71,13 @@ main(int argc, char **argv)
 
         table.beginRow();
         table.cell(std::string(sim::appName(id)));
-        table.cell(pct(sim::runModel(bundle.trace, ss).cycles));
+        table.cell(pct(sim::runModel(view, ss).cycles));
         table.cell(pct(sim::runModel(t_bb, ss).cycles));
         table.cell(pct(sim::runModel(t_sb, ss).cycles));
-        table.cell(pct(sim::runModel(bundle.trace, ds16).cycles));
+        table.cell(pct(sim::runModel(view, ds16).cycles));
         table.cell(pct(sim::runModel(t_bb, ds16).cycles));
         table.cell(pct(sim::runModel(t_sb, ds16).cycles));
-        table.cell(pct(sim::runModel(bundle.trace, ds64).cycles));
+        table.cell(pct(sim::runModel(view, ds64).cycles));
         table.cell(sb_stats.avgHoist(), 1);
         table.endRow();
     }

@@ -37,10 +37,11 @@ main(int argc, char **argv)
     runner::TraceStore store(args.trace_dir);
     sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
-        const sim::TraceBundle &bundle =
-            cache.get(id, memsys::MemoryConfig{}, small);
+        const sim::ViewBundle &bundle =
+            cache.getView(id, memsys::MemoryConfig{}, small);
+        const trace::TraceView &view = *bundle.flatView();
         core::RunResult base =
-            sim::runModel(bundle.trace, sim::ModelSpec::base());
+            sim::runModel(view, sim::ModelSpec::base());
         auto pct = [&](uint64_t cycles) {
             return stats::Table::fixed(
                 100.0 * static_cast<double>(cycles) /
@@ -59,14 +60,10 @@ main(int argc, char **argv)
             core::DynamicConfig rc;
             rc.model = core::ConsistencyModel::RC;
             rc.window = window;
-            table.cell(pct(
-                core::DynamicProcessor(sc).run(bundle.trace).cycles));
+            table.cell(pct(core::DynamicProcessor(sc).run(view).cycles));
             table.cell(
-                pct(core::DynamicProcessor(sc_spec)
-                        .run(bundle.trace)
-                        .cycles));
-            table.cell(pct(
-                core::DynamicProcessor(rc).run(bundle.trace).cycles));
+                pct(core::DynamicProcessor(sc_spec).run(view).cycles));
+            table.cell(pct(core::DynamicProcessor(rc).run(view).cycles));
         }
         table.endRow();
     }

@@ -28,8 +28,8 @@ main(int argc, char **argv)
     runner::TraceStore store(args.trace_dir);
     sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
-        const sim::TraceBundle &bundle =
-            cache.get(id, memsys::MemoryConfig{}, small);
+        const sim::ViewBundle &bundle =
+            cache.getView(id, memsys::MemoryConfig{}, small);
         const trace::TraceStats &s = bundle.stats;
         uint64_t busy = s.busyCycles();
         table.beginRow();

@@ -32,14 +32,15 @@ main(int argc, char **argv)
     runner::TraceStore store(args.trace_dir);
     sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
-        const sim::TraceBundle &bundle =
-            cache.get(id, memsys::MemoryConfig{}, small);
+        const sim::ViewBundle &bundle =
+            cache.getView(id, memsys::MemoryConfig{}, small);
+        const trace::TraceView &view = *bundle.flatView();
         const trace::TraceStats &s = bundle.stats;
 
         core::BranchPredictor predictor{core::BtbConfig{}};
-        for (const trace::TraceInst &inst : bundle.trace) {
-            if (inst.op == trace::Op::BRANCH)
-                predictor.predict(inst.branchSite(), inst.taken);
+        for (size_t i = 0; i < view.size(); ++i) {
+            if (view.op(i) == trace::Op::BRANCH)
+                predictor.predict(view.branchSite(i), view.taken(i));
         }
 
         double mispredict_distance = predictor.mispredicts() == 0

@@ -98,7 +98,8 @@ cmdInfo(int argc, char **argv)
                 static_cast<unsigned long long>(s.set_events),
                 static_cast<unsigned long long>(s.barriers));
 
-    stats::Histogram dist = trace::readMissDistanceHistogram(t);
+    stats::Histogram dist =
+        trace::readMissDistanceHistogram(trace::TraceView(t));
     std::printf("  mean distance between read misses: %.1f "
                 "instructions\n",
                 dist.mean());

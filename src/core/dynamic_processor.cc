@@ -550,7 +550,7 @@ DynamicProcessor::runReference(const trace::Trace &trace) const
             completion = exec + 1;
             rob_complete = completion;
             ++r.branches;
-            bool correct = config_.perfect_branch_prediction ||
+            bool correct = config_.btb.perfect ||
                 predictor.predict(inst.branchSite(), inst.taken);
             if (!correct) {
                 ++r.mispredicts;

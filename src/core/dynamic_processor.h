@@ -29,9 +29,6 @@ struct DynamicConfig {
     /** Decode+retire width: 1 in Section 4.1, 4 in Section 4.2. */
     uint32_t width = 1;
 
-    /** Figure 4: assume every branch is predicted correctly. */
-    bool perfect_branch_prediction = false;
-
     /**
      * Figure 4: ignore register data dependences (operands always
      * ready); dependences arising from consistency constraints are
@@ -67,6 +64,7 @@ struct DynamicConfig {
      */
     bool sc_speculation = false;
 
+    /** Branch predictor; btb.perfect is Figure 4's perfect prediction. */
     BtbConfig btb;
 
     /** Collect the decode-to-memory-issue delay of read misses. */

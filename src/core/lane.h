@@ -181,7 +181,7 @@ struct Lane {
         free_window = config.free_window;
         sc_speculation = config.sc_speculation;
         ignore_data_deps = config.ignore_data_deps;
-        perfect_bp = config.perfect_branch_prediction;
+        perfect_bp = config.btb.perfect;
         collect_read_delay = config.collect_read_delay;
         sel = gateSelectorsFor(config.model);
         load_sel = sc_speculation ? kGateAcquire : sel.load;

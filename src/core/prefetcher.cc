@@ -25,75 +25,6 @@ struct RptEntry {
 } // namespace
 
 Trace
-applyStridePrefetcher(const Trace &t, const PrefetchConfig &config,
-                      PrefetchStats *stats)
-{
-    if (config.table_entries == 0)
-        throw std::invalid_argument("prefetcher needs >= 1 entry");
-    if (config.region_bytes == 0)
-        throw std::invalid_argument("region_bytes must be >= 1");
-
-    std::vector<RptEntry> table(config.table_entries);
-    uint64_t tick = 0;
-    PrefetchStats local;
-
-    Trace out(t.name() + "+prefetch");
-    out.reserve(t.size());
-
-    for (const TraceInst &inst : t) {
-        TraceInst copy = inst;
-        if (inst.op == Op::LOAD && inst.latency > 1) {
-            ++local.read_misses;
-            ++tick;
-
-            Addr region = inst.addr / config.region_bytes;
-            RptEntry *entry = nullptr;
-            RptEntry *victim = &table[0];
-            for (RptEntry &candidate : table) {
-                if (candidate.valid && candidate.region == region) {
-                    entry = &candidate;
-                    break;
-                }
-                if (!candidate.valid ||
-                    candidate.last_use < victim->last_use) {
-                    victim = &candidate;
-                }
-            }
-
-            if (entry == nullptr) {
-                // Allocate: no prediction on a fresh region.
-                *victim = RptEntry{true, region, inst.addr, 0, 0, tick};
-            } else {
-                entry->last_use = tick;
-                int64_t stride = static_cast<int64_t>(inst.addr) -
-                    static_cast<int64_t>(entry->last_addr);
-                bool plausible = stride != 0 &&
-                    std::llabs(stride) <=
-                        static_cast<int64_t>(config.max_stride);
-                if (plausible && stride == entry->stride) {
-                    if (entry->confidence < 1000)
-                        ++entry->confidence;
-                    if (entry->confidence >= config.confirmations) {
-                        // The miss was predicted and prefetched.
-                        copy.latency = 1;
-                        ++local.covered;
-                    }
-                } else {
-                    entry->stride = plausible ? stride : 0;
-                    entry->confidence = 0;
-                }
-                entry->last_addr = inst.addr;
-            }
-        }
-        out.append(copy);
-    }
-
-    if (stats)
-        *stats = local;
-    return out;
-}
-
-Trace
 applyStridePrefetcher(const trace::TraceView &v,
                       const PrefetchConfig &config, PrefetchStats *stats)
 {
@@ -109,8 +40,6 @@ applyStridePrefetcher(const trace::TraceView &v,
     Trace out(v.name() + "+prefetch");
     out.reserve(v.size());
 
-    // Same table walk as the Trace overload, reading the view's
-    // op/latency/addr arrays; each record is materialized once.
     for (size_t i = 0; i < v.size(); ++i) {
         TraceInst copy = v.materialize(i);
         if (copy.op == Op::LOAD && copy.latency > 1) {

@@ -51,12 +51,9 @@ struct PrefetchStats {
  * table predicted are rewritten as prefetched hits (annotated
  * latency 1). Returns the transformed trace; the instruction
  * sequence, dependences, and all other annotations are unchanged.
+ * A caller holding only an AoS trace::Trace views it with
+ * TraceView::build.
  */
-trace::Trace applyStridePrefetcher(const trace::Trace &t,
-                                   const PrefetchConfig &config,
-                                   PrefetchStats *stats = nullptr);
-
-/** As above, from a pre-decoded view (identical output and stats). */
 trace::Trace applyStridePrefetcher(const trace::TraceView &v,
                                    const PrefetchConfig &config,
                                    PrefetchStats *stats = nullptr);

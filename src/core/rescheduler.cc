@@ -12,155 +12,6 @@ using trace::Op;
 using trace::Trace;
 using trace::TraceInst;
 
-namespace {
-
-/** True when motion of any load must stop at @p inst. */
-bool
-isHardFence(const TraceInst &inst, const RescheduleConfig &config)
-{
-    if (trace::isSync(inst.op))
-        return true; // Compiler fences at synchronization.
-    if (inst.op == Op::BRANCH && !config.cross_branches)
-        return true;
-    return false;
-}
-
-/** True when the load @p load may not move above @p inst. */
-bool
-blocksLoad(const TraceInst &inst, InstIndex inst_orig,
-           const TraceInst &load, const RescheduleConfig &config)
-{
-    if (isHardFence(inst, config))
-        return true;
-    if (inst.op == Op::STORE) {
-        if (!config.exact_alias)
-            return true;
-        if (inst.addr == load.addr)
-            return true;
-    }
-    // Producers of the load's sources.
-    for (int s = 0; s < load.num_srcs; ++s) {
-        if (load.src[s] == inst_orig)
-            return true;
-    }
-    return false;
-}
-
-} // namespace
-
-Trace
-rescheduleLoads(const Trace &t, const RescheduleConfig &config)
-{
-    return rescheduleLoads(t, config, nullptr);
-}
-
-Trace
-rescheduleLoads(const Trace &t, const RescheduleConfig &config,
-                RescheduleStats *stats)
-{
-    if (config.max_hoist == 0)
-        throw std::invalid_argument("max_hoist must be >= 1");
-
-    RescheduleStats local;
-
-    // `order` holds original indices in the new program order.
-    std::vector<InstIndex> order;
-    order.reserve(t.size());
-
-    for (size_t i = 0; i < t.size(); ++i) {
-        const TraceInst &inst = t[static_cast<size_t>(i)];
-        InstIndex orig = static_cast<InstIndex>(i);
-
-        bool candidate = inst.op == Op::LOAD &&
-            (!config.hoist_misses_only || inst.latency > 1);
-        if (!candidate) {
-            order.push_back(orig);
-            continue;
-        }
-
-        ++local.loads_considered;
-
-        // Scan back over already-placed instructions. Instructions
-        // that neither block nor feed the moving group are "passed";
-        // pure-compute producers of the group are "dragged" along
-        // (the load's address slice moves with it); anything else
-        // stops the motion.
-        std::vector<InstIndex> dragged; // Original indices, in order.
-        std::vector<InstIndex> passed;  // Original indices, in order.
-        auto feeds_group = [&](InstIndex candidate) {
-            for (int s = 0; s < inst.num_srcs; ++s)
-                if (inst.src[s] == candidate)
-                    return true;
-            for (InstIndex d : dragged) {
-                const TraceInst &di = t[d];
-                for (int s = 0; s < di.num_srcs; ++s)
-                    if (di.src[s] == candidate)
-                        return true;
-            }
-            return false;
-        };
-
-        size_t scan = order.size();
-        uint32_t steps = 0;
-        while (scan > 0 && steps < config.max_hoist) {
-            InstIndex prev_orig = order[scan - 1];
-            const TraceInst &prev = t[prev_orig];
-            if (feeds_group(prev_orig)) {
-                if (!config.hoist_address_slice ||
-                    !trace::isCompute(prev.op)) {
-                    break;
-                }
-                dragged.insert(dragged.begin(), prev_orig);
-                --scan;
-                continue;
-            }
-            if (blocksLoad(prev, prev_orig, inst, config))
-                break;
-            passed.insert(passed.begin(), prev_orig);
-            --scan;
-            ++steps;
-        }
-
-        if (steps == 0) {
-            // Nothing gained: restore any dragged prefix untouched.
-            order.push_back(orig);
-        } else {
-            // Rebuild the tail: [dragged..., load, passed...].
-            order.resize(scan);
-            order.insert(order.end(), dragged.begin(), dragged.end());
-            order.push_back(orig);
-            order.insert(order.end(), passed.begin(), passed.end());
-            ++local.loads_moved;
-            local.total_hoist_distance += steps;
-        }
-    }
-
-    // Rebuild the trace with source references remapped.
-    std::vector<InstIndex> remap(t.size(), kNoSrc);
-    for (size_t pos = 0; pos < order.size(); ++pos)
-        remap[order[pos]] = static_cast<InstIndex>(pos);
-
-    Trace out(t.name() + "+resched");
-    out.reserve(t.size());
-    for (InstIndex orig : order) {
-        TraceInst inst = t[orig];
-        for (int s = 0; s < inst.num_srcs; ++s) {
-            assert(inst.src[s] != kNoSrc);
-            inst.src[s] = remap[inst.src[s]];
-        }
-        out.append(inst);
-    }
-
-    if (out.validate() != out.size()) {
-        throw std::logic_error(
-            "rescheduling broke SSA well-formedness (bug)");
-    }
-
-    if (stats)
-        *stats = local;
-    return out;
-}
-
 Trace
 rescheduleLoads(const trace::TraceView &v,
                 const RescheduleConfig &config, RescheduleStats *stats)
@@ -170,8 +21,7 @@ rescheduleLoads(const trace::TraceView &v,
 
     RescheduleStats local;
 
-    // Same pass as the Trace overload, reading the view's parallel
-    // arrays; the output trace is rebuilt via materialize().
+    // True when motion of any load must stop at instruction j.
     auto is_hard_fence = [&](size_t j) {
         if (v.isSync(j))
             return true; // Compiler fences at synchronization.
@@ -180,6 +30,7 @@ rescheduleLoads(const trace::TraceView &v,
         return false;
     };
 
+    // True when the load at index `load` may not move above j.
     auto blocks_load = [&](size_t j, size_t load) {
         if (is_hard_fence(j))
             return true;
@@ -198,6 +49,7 @@ rescheduleLoads(const trace::TraceView &v,
         return false;
     };
 
+    // `order` holds original indices in the new program order.
     std::vector<InstIndex> order;
     order.reserve(v.size());
 
@@ -213,6 +65,11 @@ rescheduleLoads(const trace::TraceView &v,
 
         ++local.loads_considered;
 
+        // Scan back over already-placed instructions. Instructions
+        // that neither block nor feed the moving group are "passed";
+        // pure-compute producers of the group are "dragged" along
+        // (the load's address slice moves with it); anything else
+        // stops the motion.
         std::vector<InstIndex> dragged; // Original indices, in order.
         std::vector<InstIndex> passed;  // Original indices, in order.
         auto feeds_group = [&](InstIndex cand) {

@@ -48,15 +48,6 @@ struct RescheduleConfig {
     bool hoist_address_slice = true;
 };
 
-/**
- * Hoist loads earlier in the trace, subject to data dependences,
- * synchronization fences, and the configured alias/branch scope.
- * The result is a well-formed SSA trace over the same instructions;
- * register source references are remapped to the new positions.
- */
-trace::Trace rescheduleLoads(const trace::Trace &t,
-                             const RescheduleConfig &config);
-
 /** Statistics of the last pass (returned via the out-parameter form). */
 struct RescheduleStats {
     uint64_t loads_considered = 0;
@@ -72,15 +63,13 @@ struct RescheduleStats {
     }
 };
 
-/** As rescheduleLoads, also reporting what the pass did. */
-trace::Trace rescheduleLoads(const trace::Trace &t,
-                             const RescheduleConfig &config,
-                             RescheduleStats *stats);
-
 /**
- * Reschedule from a pre-decoded view (avoids re-decoding when the
- * caller already built one for timing runs); output and stats are
- * identical to the Trace overload.
+ * Hoist loads earlier in the trace, subject to data dependences,
+ * synchronization fences, and the configured alias/branch scope.
+ * The result is a well-formed SSA trace over the same instructions;
+ * register source references are remapped to the new positions.
+ * @p stats, when non-null, receives what the pass did. A caller
+ * holding only an AoS trace::Trace views it with TraceView::build.
  */
 trace::Trace rescheduleLoads(const trace::TraceView &v,
                              const RescheduleConfig &config,

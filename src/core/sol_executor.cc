@@ -19,8 +19,7 @@ solSweepSupported(const std::vector<DynamicConfig> &configs)
         // The consistency model is not one: each lane carries its
         // own gate masks.
         if (c.width != c0.width ||
-            c.perfect_branch_prediction !=
-                c0.perfect_branch_prediction ||
+            c.btb.perfect != c0.btb.perfect ||
             c.ignore_data_deps != c0.ignore_data_deps)
             return false;
         // Ablations with per-lane divergent control flow in the step.

@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "runner/result_sink.h"
 #include "util/failpoint.h"
 
 namespace dsmem::runner {
@@ -17,47 +18,6 @@ namespace dsmem::runner {
 namespace {
 
 constexpr uint32_t kJournalVersion = 1;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonDouble(double v)
-{
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed << v;
-    return os.str();
-}
 
 /**
  * Round-trip-exact double rendering for *result* fields (sampling

@@ -7,8 +7,6 @@
 
 namespace dsmem::runner {
 
-namespace {
-
 std::string
 jsonEscape(const std::string &s)
 {
@@ -49,8 +47,6 @@ jsonDouble(double v)
     os << std::fixed << v;
     return os.str();
 }
-
-} // namespace
 
 void
 ResultSink::setContext(std::string bench, unsigned jobs,

@@ -10,6 +10,12 @@
 
 namespace dsmem::runner {
 
+/** @p s as the body of a JSON string literal (quotes not included). */
+std::string jsonEscape(const std::string &s);
+
+/** @p v with 6 fixed digits: wall-clock fields of the sink and journal. */
+std::string jsonDouble(double v);
+
 /** Provenance and cost of one phase-1 trace the campaign touched. */
 struct TraceRecord {
     std::string app;

@@ -414,40 +414,6 @@ TraceStore::resolve(sim::AppId id, const memsys::MemoryConfig &mem,
     return fs::exists(path, ec) ? path.string() : "";
 }
 
-std::optional<sim::TraceBundle>
-TraceStore::load(sim::AppId id, const memsys::MemoryConfig &mem,
-                 bool small)
-{
-    if (!enabled())
-        return std::nullopt;
-    std::string path = resolve(id, mem, small);
-    if (path.empty())
-        return std::nullopt;
-    bump(&StoreStats::loads);
-    try {
-        util::failpoint("trace_store.open_read");
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            return std::nullopt;
-        auto bundle = loadBundle(is);
-        bump(&StoreStats::load_hits);
-        return bundle;
-    } catch (const util::IoError &) {
-        // Transient read fault: rethrow so the campaign's retry policy
-        // can re-attempt; the on-disk file is presumed intact.
-        bump(&StoreStats::io_errors);
-        throw;
-    } catch (const std::exception &e) {
-        // Corrupt, truncated, or stale-format file: quarantine so the
-        // regenerated bundle replaces it and the corpse stays around
-        // for post-mortem.
-        note("trace_store.load", path + ": " + e.what(),
-             &StoreStats::format_errors);
-        quarantine(path);
-        return std::nullopt;
-    }
-}
-
 std::optional<sim::ViewBundle>
 TraceStore::loadView(sim::AppId id, const memsys::MemoryConfig &mem,
                      bool small)
@@ -467,9 +433,14 @@ TraceStore::loadView(sim::AppId id, const memsys::MemoryConfig &mem,
         bump(&StoreStats::load_hits);
         return vb;
     } catch (const util::IoError &) {
+        // Transient read fault: rethrow so the campaign's retry policy
+        // can re-attempt; the on-disk file is presumed intact.
         bump(&StoreStats::io_errors);
         throw;
     } catch (const std::exception &e) {
+        // Corrupt, truncated, or stale-format file: quarantine so the
+        // regenerated bundle replaces it and the corpse stays around
+        // for post-mortem.
         note("trace_store.load", path + ": " + e.what(),
              &StoreStats::format_errors);
         quarantine(path);

@@ -180,7 +180,6 @@ class TraceStore : public sim::TraceStoreBase
      * sharing the store across threads.
      */
     void setStreamExec(sim::StreamExec mode) { stream_exec_ = mode; }
-    sim::StreamExec streamExec() const { return stream_exec_; }
 
     /** Snapshot of the failure/activity counters. */
     StoreStats stats() const
@@ -198,9 +197,6 @@ class TraceStore : public sim::TraceStoreBase
     std::string pathFor(sim::AppId id, const memsys::MemoryConfig &mem,
                         bool small) const;
 
-    std::optional<sim::TraceBundle> load(sim::AppId id,
-                                         const memsys::MemoryConfig &mem,
-                                         bool small) override;
     std::optional<sim::ViewBundle>
     loadView(sim::AppId id, const memsys::MemoryConfig &mem,
              bool small) override;
@@ -228,7 +224,7 @@ class TraceStore : public sim::TraceStoreBase
 
     /**
      * Load the cached live points for (trace key, plan). Same failure
-     * contract as load(): a corrupt or plan-mismatched file is
+     * contract as loadView(): a corrupt or plan-mismatched file is
      * quarantined and reported as a miss, a transient read fault
      * (util::IoError) is rethrown for the campaign's retry policy.
      */

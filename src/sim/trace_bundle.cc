@@ -22,7 +22,7 @@ msSince(Clock::time_point start)
 } // namespace
 
 ViewBundle
-makeViewBundle(const TraceBundle &bundle)
+makeViewBundle(const TraceBundle &bundle, StreamExec mode)
 {
     ViewBundle vb;
     vb.view = trace::TraceView::build(bundle.trace);
@@ -32,16 +32,8 @@ makeViewBundle(const TraceBundle &bundle)
     vb.mp_cycles = bundle.mp_cycles;
     vb.verified = bundle.verified;
     vb.dram = bundle.dram;
-    return vb;
-}
-
-ViewBundle
-makeViewBundle(const TraceBundle &bundle, StreamExec mode)
-{
-    ViewBundle vb = makeViewBundle(bundle);
     if (shouldStream(vb.view->size(), mode)) {
-        vb.chunked =
-            std::make_shared<trace::ChunkedView>(*vb.view);
+        vb.chunked = std::make_shared<trace::ChunkedView>(*vb.view);
         vb.view.reset();
     }
     return vb;
@@ -84,19 +76,9 @@ traceOriginName(TraceOrigin origin)
     return "invalid";
 }
 
-std::optional<ViewBundle>
-TraceStoreBase::loadView(AppId id, const memsys::MemoryConfig &mem,
-                         bool small)
-{
-    std::optional<TraceBundle> bundle = load(id, mem, small);
-    if (!bundle)
-        return std::nullopt;
-    return makeViewBundle(*bundle);
-}
-
-const TraceBundle &
-TraceCache::get(AppId id, const memsys::MemoryConfig &mem, bool small,
-                TraceOrigin *origin, TraceTiming *timing)
+const ViewBundle &
+TraceCache::getView(AppId id, const memsys::MemoryConfig &mem,
+                    bool small, TraceOrigin *origin, TraceTiming *timing)
 {
     Key key{id, mem, small};
 
@@ -122,79 +104,6 @@ TraceCache::get(AppId id, const memsys::MemoryConfig &mem, bool small,
 
     TraceOrigin from = TraceOrigin::GENERATED;
     TraceTiming took;
-    std::optional<TraceBundle> bundle;
-    try {
-        if (store_) {
-            Clock::time_point t0 = Clock::now();
-            bundle = store_->load(id, mem, small);
-            if (bundle)
-                took.load_ms = msSince(t0);
-        }
-        if (bundle) {
-            from = TraceOrigin::DISK;
-        } else {
-            Clock::time_point t0 = Clock::now();
-            bundle = generateTrace(id, mem, small);
-            took.gen_ms = msSince(t0);
-            if (store_)
-                store_->store(id, mem, small, *bundle);
-        }
-    } catch (...) {
-        // Hand production back before propagating, or every same-key
-        // caller parked on busy would wait forever.
-        lock.lock();
-        entry.busy = false;
-        cv_.notify_all();
-        throw;
-    }
-
-    lock.lock();
-    entry.bundle = std::make_unique<TraceBundle>(std::move(*bundle));
-    entry.busy = false;
-    cv_.notify_all();
-    if (origin)
-        *origin = from;
-    if (timing)
-        *timing = took;
-    return *entry.bundle;
-}
-
-const ViewBundle &
-TraceCache::getView(AppId id, const memsys::MemoryConfig &mem,
-                    bool small, TraceOrigin *origin, TraceTiming *timing)
-{
-    Key key{id, mem, small};
-
-    std::unique_lock<std::mutex> lock(mu_);
-    Entry &entry = cache_[key];
-    for (;;) {
-        if (entry.vbundle) {
-            if (origin)
-                *origin = TraceOrigin::MEMORY;
-            if (timing)
-                *timing = {};
-            return *entry.vbundle;
-        }
-        if (entry.bundle) {
-            // The AoS shape is resident; derive the view in memory.
-            entry.vbundle = std::make_unique<ViewBundle>(
-                makeViewBundle(*entry.bundle, stream_exec_));
-            if (origin)
-                *origin = TraceOrigin::MEMORY;
-            if (timing)
-                *timing = {};
-            return *entry.vbundle;
-        }
-        if (!entry.busy)
-            break;
-        cv_.wait(lock);
-    }
-
-    entry.busy = true;
-    lock.unlock();
-
-    TraceOrigin from = TraceOrigin::GENERATED;
-    TraceTiming took;
     std::optional<ViewBundle> vbundle;
     try {
         if (store_) {
@@ -214,6 +123,8 @@ TraceCache::getView(AppId id, const memsys::MemoryConfig &mem,
             vbundle = makeViewBundle(bundle, stream_exec_);
         }
     } catch (...) {
+        // Hand production back before propagating, or every same-key
+        // caller parked on busy would wait forever.
         lock.lock();
         entry.busy = false;
         cv_.notify_all();
@@ -221,14 +132,14 @@ TraceCache::getView(AppId id, const memsys::MemoryConfig &mem,
     }
 
     lock.lock();
-    entry.vbundle = std::make_unique<ViewBundle>(std::move(*vbundle));
+    entry.bundle = std::make_unique<ViewBundle>(std::move(*vbundle));
     entry.busy = false;
     cv_.notify_all();
     if (origin)
         *origin = from;
     if (timing)
         *timing = took;
-    return *entry.vbundle;
+    return *entry.bundle;
 }
 
 } // namespace dsmem::sim

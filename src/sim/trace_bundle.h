@@ -96,16 +96,14 @@ struct ViewBundle {
     }
 };
 
-/** Build the view-shaped twin of @p bundle (shares nothing with it). */
-ViewBundle makeViewBundle(const TraceBundle &bundle);
-
 /**
- * makeViewBundle honoring the streaming-residency policy: when
- * shouldStream(@p mode) says the flat view would spill the LLC (or
- * streaming is forced on), the result carries the chunk-compressed
- * form instead of the flat SoA — the same decision loadBundleView
- * makes on the disk path, applied to in-memory generation so
- * storeless runs (RunnerOptions::stream_exec) stream too.
+ * The view-shaped twin of @p bundle (shares nothing with it), honoring
+ * the streaming-residency policy: when shouldStream(@p mode) says the
+ * flat view would spill the LLC (or streaming is forced on), the
+ * result carries the chunk-compressed form instead of the flat SoA —
+ * the same decision loadBundleView makes on the disk path, applied to
+ * in-memory generation so storeless runs (RunnerOptions::stream_exec)
+ * stream too.
  */
 ViewBundle makeViewBundle(const TraceBundle &bundle, StreamExec mode);
 
@@ -121,7 +119,7 @@ TraceBundle generateTrace(AppId id,
                           const memsys::MemoryConfig &mem = {},
                           bool small = false);
 
-/** Where a TraceCache::get call found its bundle. */
+/** Where a TraceCache::getView call found its bundle. */
 enum class TraceOrigin : uint8_t {
     GENERATED, ///< Ran the multiprocessor simulation (cold).
     DISK,      ///< Loaded from a persistent TraceStore.
@@ -142,41 +140,33 @@ struct TraceTiming {
 
 /**
  * Interface to a persistent bundle store layered under TraceCache
- * (implemented by runner::TraceStore). A load that fails for any
- * reason returns nullopt; the caller regenerates and re-stores.
+ * (implemented by runner::TraceStore). Phase 1 stores the AoS bundle
+ * it generated; phase 2 loads straight into a ViewBundle without
+ * materializing the AoS trace. A load that fails for any reason
+ * returns nullopt; the caller regenerates and re-stores.
  */
 class TraceStoreBase
 {
   public:
     virtual ~TraceStoreBase() = default;
-    virtual std::optional<TraceBundle> load(AppId id,
-                                            const memsys::MemoryConfig &mem,
-                                            bool small) = 0;
-    virtual void store(AppId id, const memsys::MemoryConfig &mem,
-                       bool small, const TraceBundle &bundle) = 0;
-
-    /**
-     * Load straight into a ViewBundle for phase-2-only consumers.
-     * The default decodes the AoS bundle and views it; stores with a
-     * direct-to-view path (runner::TraceStore on v2 files) override
-     * this to skip the intermediate Trace.
-     */
     virtual std::optional<ViewBundle> loadView(AppId id,
                                                const memsys::MemoryConfig &mem,
-                                               bool small);
+                                               bool small) = 0;
+    virtual void store(AppId id, const memsys::MemoryConfig &mem,
+                       bool small, const TraceBundle &bundle) = 0;
 };
 
 /**
- * Memoizes generateTrace per (app, full MemoryConfig, small) so a
- * bench binary re-times one trace under many processor models without
+ * Memoizes phase 1 per (app, full MemoryConfig, small) so a bench
+ * binary re-times one trace under many processor models without
  * re-running the multiprocessor phase. Optionally layered over a
  * persistent TraceStoreBase that survives the process.
  *
- * Each key caches the AoS bundle (get) and the SoA view bundle
- * (getView) independently — a campaign that only ever asks for views
- * never materializes the AoS trace, while legacy consumers keep the
- * exact bundle they always had. When one shape is already resident
- * the other is derived from it in memory rather than re-loaded.
+ * Each key holds the phase-2 shape only, the ViewBundle: the AoS
+ * trace a cold key generates is persisted to the store, decoded into
+ * the view, and dropped. A caller that needs the AoS trace itself
+ * (a reference loop, a serializer) calls generateTrace or
+ * runner::loadBundle directly.
  *
  * Thread safe: concurrent calls for distinct keys generate in
  * parallel; concurrent calls for the same key produce once (the
@@ -189,26 +179,18 @@ class TraceCache
     TraceCache() = default;
     explicit TraceCache(TraceStoreBase *store) : store_(store) {}
 
-    /** Set (or clear) the persistent layer; not thread safe. */
-    void setStore(TraceStoreBase *store) { store_ = store; }
-
     /**
-     * Residency policy for bundles derived in memory (the store
+     * Residency policy for bundles generated in memory (the store
      * applies its own copy to disk loads); not thread safe. Off by
      * default so non-campaign users keep the flat view.
      */
     void setStreamExec(StreamExec mode) { stream_exec_ = mode; }
 
-    const TraceBundle &get(AppId id,
-                           const memsys::MemoryConfig &mem = {},
-                           bool small = false,
-                           TraceOrigin *origin = nullptr,
-                           TraceTiming *timing = nullptr);
-
     /**
-     * The phase-2 entry point: the same memoization keyed on the same
-     * tuple, but yielding the SoA view bundle. Prefers the store's
-     * direct-to-view load; generates (and persists) when cold.
+     * The bundle for (@p id, @p mem, @p small): memoized, else loaded
+     * straight into view form from the store, else generated (and
+     * persisted). @p origin and @p timing, when non-null, report
+     * where it came from and what that cost.
      */
     const ViewBundle &getView(AppId id,
                               const memsys::MemoryConfig &mem = {},
@@ -218,9 +200,8 @@ class TraceCache
 
   private:
     struct Entry {
-        std::unique_ptr<TraceBundle> bundle;
-        std::unique_ptr<ViewBundle> vbundle;
-        bool busy = false; ///< A thread is filling one of the shapes.
+        std::unique_ptr<ViewBundle> bundle;
+        bool busy = false; ///< A thread is producing the bundle.
     };
 
     using Key = std::tuple<AppId, memsys::MemoryConfig, bool>;

@@ -17,12 +17,11 @@
  * any kill schedule — the invariant tools/chaos_smoke.py enforces.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "svc/coordinator.h"
 #include "svc/worker.h"
 #include "util/failpoint.h"
+#include "util/parse.h"
 
 using namespace dsmem;
 
@@ -79,16 +79,13 @@ unsigned
 parseUnsigned(const std::string &v, const char *flag,
               unsigned long lo = 0, unsigned long hi = UINT_MAX)
 {
-    char *end = nullptr;
-    errno = 0;
-    unsigned long n = std::strtoul(v.c_str(), &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
-        errno == ERANGE || n < lo || n > hi) {
+    std::optional<uint64_t> n = util::parseUnsigned(v, lo, hi);
+    if (!n) {
         std::fprintf(stderr, "dsmem_svc: bad %s value '%s'\n", flag,
                      v.c_str());
         std::exit(2);
     }
-    return static_cast<unsigned>(n);
+    return static_cast<unsigned>(*n);
 }
 
 int

@@ -75,15 +75,14 @@ computeStats(const Trace &t)
 }
 
 stats::Histogram
-readMissDistanceHistogram(const Trace &t, uint64_t bucket_width,
+readMissDistanceHistogram(const TraceView &v, uint64_t bucket_width,
                           size_t num_buckets)
 {
     stats::Histogram hist(bucket_width, num_buckets);
     bool seen_first = false;
     size_t last_miss = 0;
-    for (size_t i = 0; i < t.size(); ++i) {
-        const TraceInst &inst = t[i];
-        if (inst.op != Op::LOAD || inst.latency <= 1)
+    for (size_t i = 0; i < v.size(); ++i) {
+        if (v.op(i) != Op::LOAD || v.latency(i) <= 1)
             continue;
         if (seen_first)
             hist.add(i - last_miss);
@@ -94,15 +93,15 @@ readMissDistanceHistogram(const Trace &t, uint64_t bucket_width,
 }
 
 stats::Histogram
-dependenceDistanceHistogram(const Trace &t, uint64_t bucket_width,
+dependenceDistanceHistogram(const TraceView &v, uint64_t bucket_width,
                             size_t num_buckets)
 {
     stats::Histogram hist(bucket_width, num_buckets);
-    for (size_t i = 0; i < t.size(); ++i) {
-        const TraceInst &inst = t[i];
-        for (int s = 0; s < inst.num_srcs; ++s) {
-            if (inst.src[s] != kNoSrc)
-                hist.add(i - inst.src[s]);
+    for (size_t i = 0; i < v.size(); ++i) {
+        const InstIndex *src = v.srcs(i);
+        for (int s = 0; s < v.numSrcs(i); ++s) {
+            if (src[s] != kNoSrc)
+                hist.add(i - src[s]);
         }
     }
     return hist;

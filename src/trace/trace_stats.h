@@ -5,6 +5,7 @@
 
 #include "stats/histogram.h"
 #include "trace/trace.h"
+#include "trace/trace_view.h"
 
 namespace dsmem::trace {
 
@@ -49,7 +50,7 @@ TraceStats computeStats(const Trace &t);
  * entries between consecutive loads whose annotated latency exceeds
  * one cycle.
  */
-stats::Histogram readMissDistanceHistogram(const Trace &t,
+stats::Histogram readMissDistanceHistogram(const TraceView &v,
                                            uint64_t bucket_width = 4,
                                            size_t num_buckets = 64);
 
@@ -58,7 +59,7 @@ stats::Histogram readMissDistanceHistogram(const Trace &t,
  * the distance in trace entries from producer to consumer. Short
  * distances are the small-window limiter identified in Section 4.1.2.
  */
-stats::Histogram dependenceDistanceHistogram(const Trace &t,
+stats::Histogram dependenceDistanceHistogram(const TraceView &v,
                                              uint64_t bucket_width = 4,
                                              size_t num_buckets = 64);
 

@@ -199,17 +199,17 @@ TEST(ConfigKeyingTest, DramFieldsChangeTheCampaignSignature)
 TEST(ConfigKeyingTest, TraceCacheKeysOnDramConfig)
 {
     sim::TraceCache cache;
-    const sim::TraceBundle &plain =
-        cache.get(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
-    const sim::TraceBundle &dram =
-        cache.get(sim::AppId::MP3D, dramConfig(), true);
+    const sim::ViewBundle &plain =
+        cache.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
+    const sim::ViewBundle &dram =
+        cache.getView(sim::AppId::MP3D, dramConfig(), true);
     // Distinct entries, not one aliased bundle.
     EXPECT_NE(&plain, &dram);
     EXPECT_TRUE(plain.dram.banks.empty());
     EXPECT_EQ(dram.dram.banks.size(), 4u);
 
     sim::TraceOrigin origin = sim::TraceOrigin::GENERATED;
-    cache.get(sim::AppId::MP3D, dramConfig(), true, &origin);
+    cache.getView(sim::AppId::MP3D, dramConfig(), true, &origin);
     EXPECT_EQ(origin, sim::TraceOrigin::MEMORY);
 }
 

@@ -112,7 +112,7 @@ variantConfigs()
     c = DynamicConfig{};
     c.model = ConsistencyModel::RC;
     c.window = 64;
-    c.perfect_branch_prediction = true;
+    c.btb.perfect = true;
     c.ignore_data_deps = true;
     configs.push_back(c);
     c = DynamicConfig{};
@@ -438,7 +438,7 @@ TEST(Executor, SolSweepSupportGate)
         solFamily(3, ConsistencyModel::PC, 4);
     fam[1].store_buffer_depth = 4;
     for (DynamicConfig &c : fam) {
-        c.perfect_branch_prediction = true;
+        c.btb.perfect = true;
         c.ignore_data_deps = true;
     }
     EXPECT_TRUE(core::solSweepSupported(fam));

@@ -119,15 +119,15 @@ TEST(ExperimentTest, RunModelsLabelsEveryRow)
 TEST(TraceCacheTest, Memoizes)
 {
     TraceCache cache;
-    const TraceBundle &a =
-        cache.get(AppId::LU, memsys::MemoryConfig{}, true);
-    const TraceBundle &b =
-        cache.get(AppId::LU, memsys::MemoryConfig{}, true);
+    const ViewBundle &a =
+        cache.getView(AppId::LU, memsys::MemoryConfig{}, true);
+    const ViewBundle &b =
+        cache.getView(AppId::LU, memsys::MemoryConfig{}, true);
     EXPECT_EQ(&a, &b); // Same object: no second MP simulation.
 
     memsys::MemoryConfig mem100;
     mem100.miss_latency = 100;
-    const TraceBundle &c = cache.get(AppId::LU, mem100, true);
+    const ViewBundle &c = cache.getView(AppId::LU, mem100, true);
     EXPECT_NE(&a, &c);
 }
 

@@ -264,7 +264,7 @@ TEST_F(FaultToleranceTest, CorruptBundleIsQuarantinedNotDeleted)
         f.seekp(40);
         f.put('\x7f');
     }
-    EXPECT_FALSE(store.load(sim::AppId::MP3D, mem, true).has_value());
+    EXPECT_FALSE(store.loadView(sim::AppId::MP3D, mem, true).has_value());
     EXPECT_FALSE(fs::exists(path)); // Moved aside, not in the way.
     int corpses = 0;
     for (const auto &entry : fs::directory_iterator(dir.path()))
@@ -295,7 +295,7 @@ TEST_F(FaultToleranceTest, QuarantineIsBoundedPerName)
             f.put('\x55');
         }
         EXPECT_FALSE(
-            store.load(sim::AppId::MP3D, mem, true).has_value());
+            store.loadView(sim::AppId::MP3D, mem, true).has_value());
     }
     int corpses = 0;
     for (const auto &entry : fs::directory_iterator(dir.path()))
@@ -315,11 +315,11 @@ TEST_F(FaultToleranceTest, TransientReadFaultIsRethrownTyped)
 
     util::armFailpoint({"trace_store.open_read",
                         util::FailpointMode::THROW, 0, 1, false});
-    EXPECT_THROW(store.load(sim::AppId::MP3D, mem, true),
+    EXPECT_THROW(store.loadView(sim::AppId::MP3D, mem, true),
                  util::IoError);
     util::disarmAllFailpoints();
     // The file was not quarantined: the next load succeeds.
-    EXPECT_TRUE(store.load(sim::AppId::MP3D, mem, true).has_value());
+    EXPECT_TRUE(store.loadView(sim::AppId::MP3D, mem, true).has_value());
     EXPECT_EQ(store.stats().io_errors, 1u);
     EXPECT_EQ(store.stats().quarantined, 0u);
 }
@@ -345,7 +345,7 @@ TEST_F(FaultToleranceTest, FailedRenameIsCountedAndReported)
     EXPECT_NE(reports[0].find("trace_store.save"), std::string::npos);
     // No bundle landed, and no temp file leaked.
     util::disarmAllFailpoints();
-    EXPECT_FALSE(store.load(sim::AppId::MP3D, mem, true).has_value());
+    EXPECT_FALSE(store.loadView(sim::AppId::MP3D, mem, true).has_value());
     for (const auto &entry : fs::directory_iterator(dir.path()))
         EXPECT_EQ(entry.path().extension(), ".dsmb")
             << "unexpected leftover " << entry.path();

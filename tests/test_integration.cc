@@ -24,20 +24,22 @@ class PipelineTest : public ::testing::TestWithParam<AppId>
         return instance;
     }
 
-    const TraceBundle &bundle()
+    const trace::TraceView &view()
     {
-        return cache().get(GetParam(), memsys::MemoryConfig{}, true);
+        return *cache()
+                    .getView(GetParam(), memsys::MemoryConfig{}, true)
+                    .flatView();
     }
 };
 
 TEST_P(PipelineTest, ScHidesNothing)
 {
-    const TraceBundle &b = bundle();
-    RunResult base = runModel(b.trace, ModelSpec::base());
+    const trace::TraceView &b = view();
+    RunResult base = runModel(b, ModelSpec::base());
     RunResult sc_ssbr =
-        runModel(b.trace, ModelSpec::ssbr(ConsistencyModel::SC));
+        runModel(b, ModelSpec::ssbr(ConsistencyModel::SC));
     RunResult sc_ds = runModel(
-        b.trace, ModelSpec::ds(ConsistencyModel::SC, 256));
+        b, ModelSpec::ds(ConsistencyModel::SC, 256));
     // Close to BASE (Section 4.1: "virtually no improvement"). The
     // dynamic machine still overlaps compute with the serialized
     // accesses, so grant it a little more room on compute-heavy
@@ -48,10 +50,10 @@ TEST_P(PipelineTest, ScHidesNothing)
 
 TEST_P(PipelineTest, RcStaticHidesWriteLatency)
 {
-    const TraceBundle &b = bundle();
-    RunResult base = runModel(b.trace, ModelSpec::base());
+    const trace::TraceView &b = view();
+    RunResult base = runModel(b, ModelSpec::base());
     RunResult rc =
-        runModel(b.trace, ModelSpec::ssbr(ConsistencyModel::RC));
+        runModel(b, ModelSpec::ssbr(ConsistencyModel::RC));
     // Write stall nearly eliminated relative to BASE.
     EXPECT_LT(rc.breakdown.write * 10, base.breakdown.write + 10);
     // Read stall untouched by static scheduling with blocking reads.
@@ -60,11 +62,11 @@ TEST_P(PipelineTest, RcStaticHidesWriteLatency)
 
 TEST_P(PipelineTest, SsGainsAreModest)
 {
-    const TraceBundle &b = bundle();
+    const trace::TraceView &b = view();
     RunResult ssbr =
-        runModel(b.trace, ModelSpec::ssbr(ConsistencyModel::RC));
+        runModel(b, ModelSpec::ssbr(ConsistencyModel::RC));
     RunResult ss =
-        runModel(b.trace, ModelSpec::ss(ConsistencyModel::RC));
+        runModel(b, ModelSpec::ss(ConsistencyModel::RC));
     EXPECT_LE(ss.cycles, ssbr.cycles);
     // "The improvement over SSBR is minimal" — under 20% here.
     EXPECT_GE(ss.cycles * 100, ssbr.cycles * 80);
@@ -72,13 +74,13 @@ TEST_P(PipelineTest, SsGainsAreModest)
 
 TEST_P(PipelineTest, RcDynamicHidesReadLatencyMonotonically)
 {
-    const TraceBundle &b = bundle();
-    RunResult base = runModel(b.trace, ModelSpec::base());
+    const trace::TraceView &b = view();
+    RunResult base = runModel(b, ModelSpec::base());
     uint64_t prev_cycles = UINT64_MAX;
     double prev_hidden = -1.0;
     for (uint32_t window : kWindowSizes) {
         RunResult r = runModel(
-            b.trace, ModelSpec::ds(ConsistencyModel::RC, window));
+            b, ModelSpec::ds(ConsistencyModel::RC, window));
         EXPECT_LE(r.cycles, prev_cycles + prev_cycles / 100);
         double hidden = hiddenReadFraction(base, r);
         EXPECT_GE(hidden, prev_hidden - 0.02);
@@ -87,18 +89,18 @@ TEST_P(PipelineTest, RcDynamicHidesReadLatencyMonotonically)
     }
     // A substantial fraction of read latency hidden at window 64.
     RunResult w64 = runModel(
-        b.trace, ModelSpec::ds(ConsistencyModel::RC, 64));
+        b, ModelSpec::ds(ConsistencyModel::RC, 64));
     EXPECT_GT(hiddenReadFraction(base, w64), 0.5);
 }
 
 TEST_P(PipelineTest, PerfectBranchPredictionNeverSlower)
 {
-    const TraceBundle &b = bundle();
+    const trace::TraceView &b = view();
     for (uint32_t window : {16u, 64u, 256u}) {
         RunResult real = runModel(
-            b.trace, ModelSpec::ds(ConsistencyModel::RC, window));
+            b, ModelSpec::ds(ConsistencyModel::RC, window));
         RunResult pbp = runModel(
-            b.trace,
+            b,
             ModelSpec::ds(ConsistencyModel::RC, window, true));
         EXPECT_LE(pbp.cycles, real.cycles + 4) << window;
     }
@@ -106,11 +108,11 @@ TEST_P(PipelineTest, PerfectBranchPredictionNeverSlower)
 
 TEST_P(PipelineTest, IgnoringDepsConvergesAtLargeWindows)
 {
-    const TraceBundle &b = bundle();
+    const trace::TraceView &b = view();
     RunResult pbp = runModel(
-        b.trace, ModelSpec::ds(ConsistencyModel::RC, 256, true));
+        b, ModelSpec::ds(ConsistencyModel::RC, 256, true));
     RunResult nodep = runModel(
-        b.trace,
+        b,
         ModelSpec::ds(ConsistencyModel::RC, 256, true, true));
     EXPECT_LE(nodep.cycles, pbp.cycles + 4);
     // Section 4.1.3: at window 256 the two are nearly the same.
@@ -119,13 +121,14 @@ TEST_P(PipelineTest, IgnoringDepsConvergesAtLargeWindows)
 
 TEST_P(PipelineTest, HigherLatencyNeedsLargerWindows)
 {
-    const TraceBundle &b100 =
-        cache().get(GetParam(), memsys::MemoryConfig{1, 100}, true);
-    RunResult base = runModel(b100.trace, ModelSpec::base());
+    const trace::TraceView &b100 =
+        *cache().getView(GetParam(), memsys::MemoryConfig{1, 100}, true)
+             .flatView();
+    RunResult base = runModel(b100, ModelSpec::base());
     RunResult w64 = runModel(
-        b100.trace, ModelSpec::ds(ConsistencyModel::RC, 64));
+        b100, ModelSpec::ds(ConsistencyModel::RC, 64));
     RunResult w128 = runModel(
-        b100.trace, ModelSpec::ds(ConsistencyModel::RC, 128));
+        b100, ModelSpec::ds(ConsistencyModel::RC, 128));
     // At 100-cycle latency, 128 still improves on 64 (or 64 already
     // hides everything, in which case both are equal).
     EXPECT_LE(w128.cycles, w64.cycles);
@@ -147,15 +150,15 @@ TEST(PipelineSummaryTest, AverageHiddenFractionGrowsWithWindow)
     double avg16 = 0;
     double avg64 = 0;
     for (AppId id : kAllApps) {
-        const TraceBundle &b =
-            cache.get(id, memsys::MemoryConfig{}, true);
-        RunResult base = runModel(b.trace, ModelSpec::base());
+        const trace::TraceView &b =
+            *cache.getView(id, memsys::MemoryConfig{}, true).flatView();
+        RunResult base = runModel(b, ModelSpec::base());
         avg16 += hiddenReadFraction(
             base,
-            runModel(b.trace, ModelSpec::ds(ConsistencyModel::RC, 16)));
+            runModel(b, ModelSpec::ds(ConsistencyModel::RC, 16)));
         avg64 += hiddenReadFraction(
             base,
-            runModel(b.trace, ModelSpec::ds(ConsistencyModel::RC, 64)));
+            runModel(b, ModelSpec::ds(ConsistencyModel::RC, 64)));
     }
     avg16 /= 5.0;
     avg64 /= 5.0;

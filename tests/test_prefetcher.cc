@@ -23,16 +23,24 @@ missLoad(trace::Addr addr)
     return inst;
 }
 
+/** The pass on an AoS trace, through its TraceView implementation. */
+Trace
+prefetch(const Trace &t, const PrefetchConfig &config,
+         PrefetchStats *stats = nullptr)
+{
+    return applyStridePrefetcher(trace::TraceView(t), config, stats);
+}
+
 TEST(PrefetcherTest, RejectsBadConfig)
 {
     Trace t;
     PrefetchConfig config;
     config.table_entries = 0;
-    EXPECT_THROW(applyStridePrefetcher(t, config),
+    EXPECT_THROW(prefetch(t, config),
                  std::invalid_argument);
     config = PrefetchConfig{};
     config.region_bytes = 0;
-    EXPECT_THROW(applyStridePrefetcher(t, config),
+    EXPECT_THROW(prefetch(t, config),
                  std::invalid_argument);
 }
 
@@ -42,7 +50,7 @@ TEST(PrefetcherTest, CoversConstantStrideStream)
     for (int i = 0; i < 50; ++i)
         t.append(missLoad(static_cast<trace::Addr>(0x1000 + 16 * i)));
     PrefetchStats stats;
-    Trace out = applyStridePrefetcher(t, PrefetchConfig{}, &stats);
+    Trace out = prefetch(t, PrefetchConfig{}, &stats);
     EXPECT_EQ(stats.read_misses, 50u);
     // All but the training prefix is covered.
     EXPECT_GE(stats.covered, 45u);
@@ -60,7 +68,7 @@ TEST(PrefetcherTest, IgnoresRandomAddresses)
             0x1000 + 16 * rng.below(4096))));
     }
     PrefetchStats stats;
-    applyStridePrefetcher(t, PrefetchConfig{}, &stats);
+    prefetch(t, PrefetchConfig{}, &stats);
     EXPECT_LT(stats.coverage(), 0.05);
 }
 
@@ -74,7 +82,7 @@ TEST(PrefetcherTest, TracksMultipleInterleavedStreams)
             missLoad(static_cast<trace::Addr>(0x90000 + 32 * i)));
     }
     PrefetchStats stats;
-    applyStridePrefetcher(t, PrefetchConfig{}, &stats);
+    prefetch(t, PrefetchConfig{}, &stats);
     EXPECT_GT(stats.coverage(), 0.85);
 }
 
@@ -82,7 +90,7 @@ TEST(PrefetcherTest, LeavesEverythingElseUntouched)
 {
     Trace t = dsmem::testing::randomTrace(17, 3000);
     PrefetchStats stats;
-    Trace out = applyStridePrefetcher(t, PrefetchConfig{}, &stats);
+    Trace out = prefetch(t, PrefetchConfig{}, &stats);
     ASSERT_EQ(out.size(), t.size());
     EXPECT_EQ(out.validate(), out.size());
     for (size_t i = 0; i < t.size(); ++i) {
@@ -106,7 +114,7 @@ TEST(PrefetcherTest, StrideChangeResetsConfidence)
         t.append(missLoad(static_cast<trace::Addr>(0x1000 + 16 * i)));
     t.append(missLoad(0x1400)); // Jump.
     PrefetchStats stats;
-    Trace out = applyStridePrefetcher(t, PrefetchConfig{}, &stats);
+    Trace out = prefetch(t, PrefetchConfig{}, &stats);
     EXPECT_EQ(out[10].latency, 50u);
 }
 

@@ -3,8 +3,9 @@
  * Process-level exit-code contract, driven against the *built*
  * bench_figure3 binary the way an operator runs it: absorbed faults
  * exit 0 with byte-identical output, permanently missing rows exit 1,
- * and failpoint discovery (--list-failpoints / DSMEM_FAILPOINTS=list)
- * prints the site catalog and exits cleanly.
+ * failpoint discovery (--list-failpoints / DSMEM_FAILPOINTS=list)
+ * prints the site catalog and exits cleanly, and a malformed numeric
+ * flag is a usage error (exit 2).
  */
 
 #include <cstdlib>
@@ -138,6 +139,31 @@ TEST_F(ProcessContractTest, UnknownEnvSiteIsReportedNotSilentlyArmed)
     EXPECT_NE(r.err.find("unknown failpoint site"),
               std::string::npos)
         << r.err;
+}
+
+TEST_F(ProcessContractTest, MalformedNumericFlagsExitTwo)
+{
+    if (!haveBench())
+        GTEST_SKIP() << "bench_figure3 binary unavailable";
+    // Numeric flags take plain digits only: a sign or leading
+    // whitespace must not wrap or be skipped into a valid value (a
+    // wrapped --sample-period would run every row exact under a
+    // 2^64-1 period that still enters the campaign signature).
+    const char *const bad_args[] = {
+        "--sample-period -1 --sample-detailed 400",
+        "--sample-seed -3",
+        "--jobs ' 2'",
+        "--jobs +2",
+        "--max-attempts 3x",
+    };
+    int k = 0;
+    for (const char *args : bad_args) {
+        RunOutcome r = run("", std::string("--small ") + args,
+                           "badflag" + std::to_string(k++));
+        EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.err;
+        EXPECT_EQ(r.out.find("Figure 3"), std::string::npos)
+            << "campaign ran despite " << args;
+    }
 }
 
 TEST_F(ProcessContractTest, ExitCodeContractUnderInjectedFaults)

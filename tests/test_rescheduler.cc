@@ -27,12 +27,20 @@ missLoad(trace::Addr addr, trace::InstIndex dep = trace::kNoSrc)
     return inst;
 }
 
+/** The pass on an AoS trace, through its TraceView implementation. */
+Trace
+reschedule(const Trace &t, const RescheduleConfig &config,
+           RescheduleStats *stats = nullptr)
+{
+    return rescheduleLoads(trace::TraceView(t), config, stats);
+}
+
 TEST(ReschedulerTest, RejectsZeroHoist)
 {
     Trace t;
     RescheduleConfig config;
     config.max_hoist = 0;
-    EXPECT_THROW(rescheduleLoads(t, config), std::invalid_argument);
+    EXPECT_THROW(reschedule(t, config), std::invalid_argument);
 }
 
 TEST(ReschedulerTest, HoistsMissAboveIndependentComputes)
@@ -45,7 +53,7 @@ TEST(ReschedulerTest, HoistsMissAboveIndependentComputes)
     t.append(makeCompute(Op::FADD, 3));
 
     RescheduleStats stats;
-    Trace out = rescheduleLoads(t, RescheduleConfig{}, &stats);
+    Trace out = reschedule(t, RescheduleConfig{}, &stats);
     ASSERT_EQ(out.size(), t.size());
     EXPECT_EQ(out[0].op, Op::LOAD); // Hoisted to the top.
     EXPECT_EQ(stats.loads_moved, 1u);
@@ -62,7 +70,7 @@ TEST(ReschedulerTest, NeverCrossesProducers)
     t.append(makeCompute(Op::IALU));     // 0: address producer
     t.append(makeCompute(Op::IALU));     // 1
     t.append(missLoad(0x1000, 0));       // 2 depends on 0
-    Trace out = rescheduleLoads(t, RescheduleConfig{});
+    Trace out = reschedule(t, RescheduleConfig{});
     // The load may pass instruction 1 but not instruction 0.
     EXPECT_EQ(out[0].op, Op::IALU);
     EXPECT_EQ(out[1].op, Op::LOAD);
@@ -77,13 +85,13 @@ TEST(ReschedulerTest, ConservativeAliasStopsAtAnyStore)
     t.append(missLoad(0x1000));
 
     RescheduleConfig conservative;
-    Trace out_c = rescheduleLoads(t, conservative);
+    Trace out_c = reschedule(t, conservative);
     EXPECT_EQ(out_c[0].op, Op::STORE);
     EXPECT_EQ(out_c[1].op, Op::LOAD); // Crossed the compute only.
 
     RescheduleConfig oracle;
     oracle.exact_alias = true;
-    Trace out_o = rescheduleLoads(t, oracle);
+    Trace out_o = reschedule(t, oracle);
     EXPECT_EQ(out_o[0].op, Op::LOAD); // Crossed the unrelated store.
 }
 
@@ -95,7 +103,7 @@ TEST(ReschedulerTest, ExactAliasStopsAtSameAddressStore)
     t.append(missLoad(0x1000));
     RescheduleConfig oracle;
     oracle.exact_alias = true;
-    Trace out = rescheduleLoads(t, oracle);
+    Trace out = reschedule(t, oracle);
     EXPECT_EQ(out[0].op, Op::STORE);
     EXPECT_EQ(out[1].op, Op::LOAD);
 }
@@ -108,13 +116,13 @@ TEST(ReschedulerTest, BranchesScopeBasicBlocks)
     t.append(makeCompute(Op::IALU));
     t.append(missLoad(0x1000));
 
-    Trace blocked = rescheduleLoads(t, RescheduleConfig{});
+    Trace blocked = reschedule(t, RescheduleConfig{});
     EXPECT_EQ(blocked[1].op, Op::BRANCH);
     EXPECT_EQ(blocked[2].op, Op::LOAD); // Stopped at the branch.
 
     RescheduleConfig speculative;
     speculative.cross_branches = true;
-    Trace crossed = rescheduleLoads(t, speculative);
+    Trace crossed = reschedule(t, speculative);
     EXPECT_EQ(crossed[0].op, Op::LOAD); // Superblock scheduling.
 }
 
@@ -127,7 +135,7 @@ TEST(ReschedulerTest, SyncOpsAlwaysFence)
     RescheduleConfig config;
     config.cross_branches = true;
     config.exact_alias = true;
-    Trace out = rescheduleLoads(t, config);
+    Trace out = reschedule(t, config);
     EXPECT_EQ(out[0].op, Op::UNLOCK);
     EXPECT_EQ(out[1].op, Op::LOAD);
 }
@@ -138,13 +146,13 @@ TEST(ReschedulerTest, MissesOnlyByDefault)
     t.append(makeCompute(Op::IALU));
     t.append(makeLoad(0x1000)); // Hit: latency 1.
     RescheduleStats stats;
-    Trace out = rescheduleLoads(t, RescheduleConfig{}, &stats);
+    Trace out = reschedule(t, RescheduleConfig{}, &stats);
     EXPECT_EQ(out[1].op, Op::LOAD); // Not moved.
     EXPECT_EQ(stats.loads_considered, 0u);
 
     RescheduleConfig all;
     all.hoist_misses_only = false;
-    rescheduleLoads(t, all, &stats);
+    reschedule(t, all, &stats);
     EXPECT_EQ(stats.loads_considered, 1u);
     EXPECT_EQ(stats.loads_moved, 1u);
 }
@@ -158,7 +166,7 @@ TEST(ReschedulerTest, HoistDistanceCapped)
     RescheduleConfig config;
     config.max_hoist = 8;
     RescheduleStats stats;
-    Trace out = rescheduleLoads(t, config, &stats);
+    Trace out = reschedule(t, config, &stats);
     EXPECT_EQ(out[100 - 8].op, Op::LOAD);
     EXPECT_EQ(stats.total_hoist_distance, 8u);
 }
@@ -166,7 +174,7 @@ TEST(ReschedulerTest, HoistDistanceCapped)
 TEST(ReschedulerTest, PreservesInstructionMultiset)
 {
     Trace t = dsmem::testing::randomTrace(31337, 5000);
-    Trace out = rescheduleLoads(t, RescheduleConfig{});
+    Trace out = reschedule(t, RescheduleConfig{});
     ASSERT_EQ(out.size(), t.size());
     EXPECT_EQ(out.validate(), out.size());
     trace::TraceStats before = trace::computeStats(t);
@@ -200,7 +208,7 @@ TEST(ReschedulerTest, HelpsNonBlockingStaticProcessor)
     StaticProcessor proc(ss);
 
     RunResult before = proc.run(t);
-    Trace scheduled = rescheduleLoads(t, RescheduleConfig{});
+    Trace scheduled = reschedule(t, RescheduleConfig{});
     RunResult after = proc.run(scheduled);
     EXPECT_LT(after.cycles + 200, before.cycles);
 }

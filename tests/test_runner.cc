@@ -56,6 +56,18 @@ class TempDir
     fs::path path_;
 };
 
+/** True when @p v decodes to exactly the records of @p t. */
+bool
+sameRecords(const trace::TraceView &v, const trace::Trace &t)
+{
+    if (v.size() != t.size())
+        return false;
+    for (size_t i = 0; i < t.size(); ++i)
+        if (!(v.materialize(i) == t[i]))
+            return false;
+    return true;
+}
+
 std::vector<sim::ModelSpec>
 smallSpecList()
 {
@@ -217,18 +229,18 @@ TEST(TraceCacheKey, MsiThenMesiReturnDifferentBundles)
     memsys::MemoryConfig mesi;
     mesi.protocol = memsys::Protocol::MESI;
 
-    const sim::TraceBundle &b_msi =
-        cache.get(sim::AppId::OCEAN, msi, true);
-    const sim::TraceBundle &b_mesi =
-        cache.get(sim::AppId::OCEAN, mesi, true);
+    const sim::ViewBundle &b_msi =
+        cache.getView(sim::AppId::OCEAN, msi, true);
+    const sim::ViewBundle &b_mesi =
+        cache.getView(sim::AppId::OCEAN, mesi, true);
     EXPECT_NE(&b_msi, &b_mesi);
     // MESI silently upgrades private read-then-write lines, so OCEAN
     // must lose write misses relative to MSI.
     EXPECT_LT(b_mesi.stats.write_misses, b_msi.stats.write_misses);
 
     // Memoization per protocol still holds.
-    EXPECT_EQ(&cache.get(sim::AppId::OCEAN, msi, true), &b_msi);
-    EXPECT_EQ(&cache.get(sim::AppId::OCEAN, mesi, true), &b_mesi);
+    EXPECT_EQ(&cache.getView(sim::AppId::OCEAN, msi, true), &b_msi);
+    EXPECT_EQ(&cache.getView(sim::AppId::OCEAN, mesi, true), &b_mesi);
 }
 
 TEST(TraceCacheKey, DistinguishesHitLatencyAndBanks)
@@ -239,10 +251,10 @@ TEST(TraceCacheKey, DistinguishesHitLatencyAndBanks)
     banked.banks = 16;
     banked.bank_occupancy = 8;
 
-    const sim::TraceBundle &plain =
-        cache.get(sim::AppId::MP3D, base, true);
-    const sim::TraceBundle &contended =
-        cache.get(sim::AppId::MP3D, banked, true);
+    const sim::ViewBundle &plain =
+        cache.getView(sim::AppId::MP3D, base, true);
+    const sim::ViewBundle &contended =
+        cache.getView(sim::AppId::MP3D, banked, true);
     EXPECT_NE(&plain, &contended);
 }
 
@@ -250,9 +262,11 @@ TEST(TraceCacheKey, ReportsOrigin)
 {
     sim::TraceCache cache;
     sim::TraceOrigin origin;
-    cache.get(sim::AppId::MP3D, memsys::MemoryConfig{}, true, &origin);
+    cache.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true,
+                  &origin);
     EXPECT_EQ(origin, sim::TraceOrigin::GENERATED);
-    cache.get(sim::AppId::MP3D, memsys::MemoryConfig{}, true, &origin);
+    cache.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true,
+                  &origin);
     EXPECT_EQ(origin, sim::TraceOrigin::MEMORY);
 }
 
@@ -267,11 +281,11 @@ TEST(TraceStoreTest, RoundTripsRealBundle)
         sim::generateTrace(sim::AppId::MP3D, mem, true);
 
     store.store(sim::AppId::MP3D, mem, true, bundle);
-    std::optional<sim::TraceBundle> loaded =
-        store.load(sim::AppId::MP3D, mem, true);
+    std::optional<sim::ViewBundle> loaded =
+        store.loadView(sim::AppId::MP3D, mem, true);
     ASSERT_TRUE(loaded.has_value());
 
-    EXPECT_EQ(loaded->trace, bundle.trace);
+    EXPECT_TRUE(sameRecords(*loaded->flatView(), bundle.trace));
     EXPECT_EQ(loaded->mp_cycles, bundle.mp_cycles);
     EXPECT_EQ(loaded->verified, bundle.verified);
     EXPECT_EQ(loaded->stats.instructions, bundle.stats.instructions);
@@ -286,8 +300,8 @@ TEST(TraceStoreTest, RoundTripsRealBundle)
         bundle.trace, sim::ModelSpec::ds(core::ConsistencyModel::RC,
                                          64));
     core::RunResult b = sim::runModel(
-        loaded->trace, sim::ModelSpec::ds(core::ConsistencyModel::RC,
-                                          64));
+        *loaded->flatView(),
+        sim::ModelSpec::ds(core::ConsistencyModel::RC, 64));
     EXPECT_EQ(a, b);
 }
 
@@ -296,7 +310,8 @@ TEST(TraceStoreTest, DisabledStoreMissesAndStoresNothing)
     TraceStore store("");
     EXPECT_FALSE(store.enabled());
     memsys::MemoryConfig mem;
-    EXPECT_FALSE(store.load(sim::AppId::MP3D, mem, true).has_value());
+    EXPECT_FALSE(
+        store.loadView(sim::AppId::MP3D, mem, true).has_value());
     sim::TraceBundle bundle =
         sim::generateTrace(sim::AppId::MP3D, mem, true);
     store.store(sim::AppId::MP3D, mem, true, bundle); // No crash.
@@ -334,16 +349,16 @@ class TraceStoreCorruptionTest : public ::testing::Test
     void expectRejected()
     {
         EXPECT_FALSE(
-            store_->load(sim::AppId::MP3D, mem_, true).has_value());
+            store_->loadView(sim::AppId::MP3D, mem_, true).has_value());
         EXPECT_FALSE(fs::exists(path_));
 
         // Layered under the cache, a bad file regenerates silently.
         sim::TraceCache cache(store_.get());
         sim::TraceOrigin origin;
-        const sim::TraceBundle &fresh =
-            cache.get(sim::AppId::MP3D, mem_, true, &origin);
+        const sim::ViewBundle &fresh =
+            cache.getView(sim::AppId::MP3D, mem_, true, &origin);
         EXPECT_EQ(origin, sim::TraceOrigin::GENERATED);
-        EXPECT_EQ(fresh.trace, bundle_.trace);
+        EXPECT_TRUE(sameRecords(*fresh.flatView(), bundle_.trace));
     }
 
     std::unique_ptr<TempDir> dir_;

@@ -256,7 +256,7 @@ TEST(TraceStatsTest, ReadMissDistanceHistogram)
     t.append(makeLoad(8)); // hit: not a miss
     add_miss(); // index 12: distance 2
 
-    stats::Histogram h = readMissDistanceHistogram(t, 1, 32);
+    stats::Histogram h = readMissDistanceHistogram(TraceView(t), 1, 32);
     EXPECT_EQ(h.count(), 2u);
     EXPECT_EQ(h.bucketCount(10), 1u);
     EXPECT_EQ(h.bucketCount(2), 1u);
@@ -268,7 +268,7 @@ TEST(TraceStatsTest, DependenceDistanceHistogram)
     t.append(makeCompute(Op::IALU));       // 0
     t.append(makeCompute(Op::IALU, 0));    // 1: dist 1
     t.append(makeCompute(Op::IALU, 0, 1)); // 2: dist 2 and 1
-    stats::Histogram h = dependenceDistanceHistogram(t, 1, 16);
+    stats::Histogram h = dependenceDistanceHistogram(TraceView(t), 1, 16);
     EXPECT_EQ(h.count(), 3u);
     EXPECT_EQ(h.bucketCount(1), 2u);
     EXPECT_EQ(h.bucketCount(2), 1u);

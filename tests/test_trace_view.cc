@@ -10,8 +10,6 @@
 
 #include "core/base_processor.h"
 #include "core/dynamic_processor.h"
-#include "core/prefetcher.h"
-#include "core/rescheduler.h"
 #include "core/static_processor.h"
 #include "random_trace.h"
 #include "sim/experiment.h"
@@ -167,7 +165,7 @@ TEST(DynamicEquivalence, MultiIssueAndAblations)
             config.model = core::ConsistencyModel::RC;
             config.window = 64;
             config.width = 4;
-            config.perfect_branch_prediction = perfect_bp;
+            config.btb.perfect = perfect_bp;
             config.ignore_data_deps = ignore_deps;
             core::DynamicProcessor proc(config);
             expectSameDynamic(proc.runReference(t), proc.run(view));
@@ -240,41 +238,6 @@ TEST(BaseEquivalence, ViewMatchesTrace)
     trace::TraceView view(t);
     core::BaseProcessor proc;
     EXPECT_EQ(proc.run(t), proc.run(view));
-}
-
-TEST(TransformEquivalence, ReschedulerViewOverload)
-{
-    trace::Trace t = dsmem::testing::randomTrace(59, 4000);
-    trace::TraceView view(t);
-    core::RescheduleConfig config;
-    config.cross_branches = true;
-    config.exact_alias = true;
-    core::RescheduleStats ref_stats, view_stats;
-    trace::Trace ref = core::rescheduleLoads(t, config, &ref_stats);
-    trace::Trace opt = core::rescheduleLoads(view, config, &view_stats);
-    ASSERT_EQ(ref.size(), opt.size());
-    for (size_t i = 0; i < ref.size(); ++i)
-        EXPECT_EQ(ref[i], opt[i]) << "instruction " << i;
-    EXPECT_EQ(ref_stats.loads_moved, view_stats.loads_moved);
-    EXPECT_EQ(ref_stats.loads_considered, view_stats.loads_considered);
-    EXPECT_EQ(ref_stats.total_hoist_distance,
-              view_stats.total_hoist_distance);
-}
-
-TEST(TransformEquivalence, PrefetcherViewOverload)
-{
-    trace::Trace t = dsmem::testing::randomTrace(61, 4000);
-    trace::TraceView view(t);
-    core::PrefetchStats ref_stats, view_stats;
-    trace::Trace ref = core::applyStridePrefetcher(
-        t, core::PrefetchConfig{}, &ref_stats);
-    trace::Trace opt = core::applyStridePrefetcher(
-        view, core::PrefetchConfig{}, &view_stats);
-    ASSERT_EQ(ref.size(), opt.size());
-    for (size_t i = 0; i < ref.size(); ++i)
-        EXPECT_EQ(ref[i], opt[i]) << "instruction " << i;
-    EXPECT_EQ(ref_stats.read_misses, view_stats.read_misses);
-    EXPECT_EQ(ref_stats.covered, view_stats.covered);
 }
 
 TEST(RunModelEquivalence, ViewOverloadMatchesTraceOverload)
