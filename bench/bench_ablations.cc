@@ -43,7 +43,6 @@ main(int argc, char **argv)
     bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     bool small = args.small;
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
 
     // ------------------------------------------------------------
     std::printf("Ablation 1: outstanding-miss limit (MSHRs), "
@@ -53,7 +52,7 @@ main(int argc, char **argv)
                             "unlimited"});
         for (sim::AppId id : sim::kAllApps) {
             const sim::ViewBundle &bundle =
-                cache.getView(id, memsys::MemoryConfig{}, small);
+                store.getView(id, memsys::MemoryConfig{}, small);
             const trace::TraceView &view = *bundle.flatView();
             core::RunResult base =
                 sim::runModel(view, sim::ModelSpec::base());
@@ -80,7 +79,7 @@ main(int argc, char **argv)
                             "FIFO W=64", "free W=64"});
         for (sim::AppId id : sim::kAllApps) {
             const sim::ViewBundle &bundle =
-                cache.getView(id, memsys::MemoryConfig{}, small);
+                store.getView(id, memsys::MemoryConfig{}, small);
             const trace::TraceView &view = *bundle.flatView();
             core::RunResult base =
                 sim::runModel(view, sim::ModelSpec::base());
@@ -115,7 +114,7 @@ main(int argc, char **argv)
                             "2048x4 (paper)", "8192x8", "perfect"});
         for (sim::AppId id : sim::kAllApps) {
             const sim::ViewBundle &bundle =
-                cache.getView(id, memsys::MemoryConfig{}, small);
+                store.getView(id, memsys::MemoryConfig{}, small);
             const trace::TraceView &view = *bundle.flatView();
             core::RunResult base =
                 sim::runModel(view, sim::ModelSpec::base());
@@ -155,7 +154,7 @@ main(int argc, char **argv)
                             "window (default)"});
         for (sim::AppId id : sim::kAllApps) {
             const sim::ViewBundle &bundle =
-                cache.getView(id, memsys::MemoryConfig{}, small);
+                store.getView(id, memsys::MemoryConfig{}, small);
             const trace::TraceView &view = *bundle.flatView();
             core::RunResult base =
                 sim::runModel(view, sim::ModelSpec::base());

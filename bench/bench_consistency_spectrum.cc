@@ -30,14 +30,13 @@ main(int argc, char **argv)
                 "DS-64 (total time, BASE = 100)\n\n");
 
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
     stats::Table table({"Program", "SC SSBR", "PC SSBR", "WO SSBR",
                         "RC SSBR", "SC DS-64", "PC DS-64", "WO DS-64",
                         "RC DS-64"});
 
     for (sim::AppId id : sim::kAllApps) {
         const sim::ViewBundle &bundle =
-            cache.getView(id, memsys::MemoryConfig{}, small);
+            store.getView(id, memsys::MemoryConfig{}, small);
         const trace::TraceView &view = *bundle.flatView();
         core::RunResult base =
             sim::runModel(view, sim::ModelSpec::base());

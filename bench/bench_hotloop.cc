@@ -315,7 +315,7 @@ main(int argc, char **argv)
         args.json_path = "BENCH_phase2.json";
 
     // The reference loops and the view_build_ms decode both need the
-    // AoS trace, which only phase 1 returns (the trace cache keeps
+    // AoS trace, which only phase 1 returns (the trace store keeps
     // the view alone), so take it straight from generateTrace.
     const sim::TraceBundle bundle =
         sim::generateTrace(sim::AppId::LU, memsys::MemoryConfig{},

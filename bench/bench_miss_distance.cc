@@ -29,10 +29,9 @@ main(int argc, char **argv)
                 "successive read misses\n\n");
 
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
         const sim::ViewBundle &bundle =
-            cache.getView(id, memsys::MemoryConfig{}, small);
+            store.getView(id, memsys::MemoryConfig{}, small);
         stats::Histogram h =
             trace::readMissDistanceHistogram(*bundle.flatView());
         std::printf("%-6s misses=%llu  mean dist=%.1f  "
@@ -49,7 +48,7 @@ main(int argc, char **argv)
                 "producer -> consumer)\n\n");
     for (sim::AppId id : sim::kAllApps) {
         const sim::ViewBundle &bundle =
-            cache.getView(id, memsys::MemoryConfig{}, small);
+            store.getView(id, memsys::MemoryConfig{}, small);
         stats::Histogram h =
             trace::dependenceDistanceHistogram(*bundle.flatView());
         std::printf("%-6s edges=%llu  mean=%.1f  <=4=%.1f%%  "

@@ -32,7 +32,6 @@ main(int argc, char **argv)
                         "RC SSBR MESI"});
 
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
         memsys::MemoryConfig msi;
         memsys::MemoryConfig mesi;
@@ -41,8 +40,8 @@ main(int argc, char **argv)
         // Distinct protocols must yield distinct bundles — this is
         // exactly the access pattern the full-config cache key exists
         // for (MSI-then-MESI formerly aliased to one entry).
-        const sim::ViewBundle &b_msi = cache.getView(id, msi, small);
-        const sim::ViewBundle &b_mesi = cache.getView(id, mesi, small);
+        const sim::ViewBundle &b_msi = store.getView(id, msi, small);
+        const sim::ViewBundle &b_mesi = store.getView(id, mesi, small);
         const trace::TraceView &v_msi = *b_msi.flatView();
         const trace::TraceView &v_mesi = *b_mesi.flatView();
 

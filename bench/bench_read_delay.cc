@@ -31,10 +31,9 @@ main(int argc, char **argv)
                 "RC DS-64 with perfect branch prediction\n\n");
 
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
         const sim::ViewBundle &bundle =
-            cache.getView(id, memsys::MemoryConfig{}, small);
+            store.getView(id, memsys::MemoryConfig{}, small);
 
         core::DynamicConfig config;
         config.model = core::ConsistencyModel::RC;

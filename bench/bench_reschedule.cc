@@ -44,10 +44,9 @@ main(int argc, char **argv)
                         "avg hoist (sb)"});
 
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
         const sim::ViewBundle &bundle =
-            cache.getView(id, memsys::MemoryConfig{}, small);
+            store.getView(id, memsys::MemoryConfig{}, small);
         const trace::TraceView &view = *bundle.flatView();
         core::RunResult base =
             sim::runModel(view, sim::ModelSpec::base());

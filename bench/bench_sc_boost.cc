@@ -35,10 +35,9 @@ main(int argc, char **argv)
                         "RC DS-256"});
 
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
         const sim::ViewBundle &bundle =
-            cache.getView(id, memsys::MemoryConfig{}, small);
+            store.getView(id, memsys::MemoryConfig{}, small);
         const trace::TraceView &view = *bundle.flatView();
         core::RunResult base =
             sim::runModel(view, sim::ModelSpec::base());

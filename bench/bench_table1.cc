@@ -27,10 +27,9 @@ main(int argc, char **argv)
     stats::Table table({"Program", "Busy Cycles", "reads", "writes",
                         "read misses", "write misses", "verified"});
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
         const sim::ViewBundle &bundle =
-            cache.getView(id, memsys::MemoryConfig{}, small);
+            store.getView(id, memsys::MemoryConfig{}, small);
         const trace::TraceStats &s = bundle.stats;
         table.beginRow();
         table.cell(std::string(sim::appName(id)));

@@ -26,10 +26,9 @@ main(int argc, char **argv)
     stats::Table table({"Program", "locks", "unlocks", "wait event",
                         "set event", "barriers"});
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
         const sim::ViewBundle &bundle =
-            cache.getView(id, memsys::MemoryConfig{}, small);
+            store.getView(id, memsys::MemoryConfig{}, small);
         const trace::TraceStats &s = bundle.stats;
         uint64_t busy = s.busyCycles();
         table.beginRow();

@@ -30,10 +30,9 @@ main(int argc, char **argv)
                         "% Correctly Predicted",
                         "Avg. Dist. bet. Mispredictions"});
     runner::TraceStore store(args.trace_dir);
-    sim::TraceCache cache(&store);
     for (sim::AppId id : sim::kAllApps) {
         const sim::ViewBundle &bundle =
-            cache.getView(id, memsys::MemoryConfig{}, small);
+            store.getView(id, memsys::MemoryConfig{}, small);
         const trace::TraceView &view = *bundle.flatView();
         const trace::TraceStats &s = bundle.stats;
 

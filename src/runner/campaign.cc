@@ -173,7 +173,7 @@ runPhase2Group(const sim::ViewBundle &bundle, sim::AppId app,
 }
 
 Phase1Outcome
-resolvePhase1(sim::TraceCache &cache, TraceStore &store, sim::AppId app,
+resolvePhase1(TraceStore &store, sim::AppId app,
               const memsys::MemoryConfig &mem, bool small,
               const RunnerOptions &opts, bool want_points)
 {
@@ -189,7 +189,7 @@ resolvePhase1(sim::TraceCache &cache, TraceStore &store, sim::AppId app,
             // into TraceView arrays and the AoS trace never exists in
             // this process.
             out.bundle =
-                &cache.getView(app, mem, small, &out.origin, &out.timing);
+                &store.getView(app, mem, small, &out.origin, &out.timing);
             if (want_points)
                 // Inside the retry loop: the .dslp cache read can
                 // fault transiently. Functional warming needs random
@@ -209,14 +209,8 @@ resolvePhase1(sim::TraceCache &cache, TraceStore &store, sim::AppId app,
 Campaign::Campaign(std::string bench_name, RunnerOptions opts)
     : bench_name_(std::move(bench_name)),
       opts_(std::move(opts)),
-      store_(opts_.trace_dir),
-      cache_(store_.enabled() ? &store_ : nullptr)
+      store_(opts_.trace_dir, opts_.stream_exec)
 {
-    store_.setStreamExec(opts_.stream_exec);
-    // In-memory (storeless) bundles make the same residency decision
-    // the store makes for disk loads, so stream_exec = On bites in
-    // tests and benches that clear trace_dir.
-    cache_.setStreamExec(opts_.stream_exec);
     // Absorbed store failures (failed renames/removes, quarantines)
     // surface as non-fatal campaign errors instead of vanishing.
     store_.setErrorHandler(
@@ -233,10 +227,11 @@ Campaign::add(sim::AppId app, std::vector<sim::ModelSpec> specs,
     return units_.size() - 1;
 }
 
-// Keying tripwire (twin of the one in trace_store.cc): signature()
-// hashes MemoryConfig memberwise. A new field must be folded in below
-// (dram-style: only when active, so old signatures stay stable) —
-// then update the expected sizes here and in trace_store.cc.
+// Keying tripwire (twin of the ones in trace_store.cc and
+// svc/protocol.cc): signature() hashes MemoryConfig memberwise. A new
+// field must be folded in below (dram-style: only when active, so old
+// signatures stay stable) — then update the expected sizes here, in
+// trace_store.cc and in svc/protocol.cc.
 static_assert(sizeof(memsys::DramConfig) == 36,
               "DramConfig changed: update Campaign::signature + "
               "versionedFileName, then this size");
@@ -513,7 +508,7 @@ Campaign::run()
                                 sim::ModelSpec::Kind::DS)
                             want_points = true;
             Phase1Outcome p1 =
-                resolvePhase1(cache_, store_, first.app, first.mem,
+                resolvePhase1(store_, first.app, first.mem,
                               first.small, opts_, want_points);
             for (size_t u : unit_ids)
                 for (const UnitError &e : p1.errors)
@@ -718,7 +713,7 @@ Campaign::runGroupInline(const GroupRef &ref)
         std::any_of(group.rows.begin(), group.rows.end(), [&](size_t s) {
             return u.specs[s].kind == sim::ModelSpec::Kind::DS;
         });
-    Phase1Outcome p1 = resolvePhase1(cache_, store_, u.app, u.mem,
+    Phase1Outcome p1 = resolvePhase1(store_, u.app, u.mem,
                                      u.small, opts_, want_points);
     for (UnitError &e : p1.errors) {
         if (!e.fatal) {

@@ -90,12 +90,11 @@ struct Phase1Outcome {
 
 /**
  * The phase-1 job body: the trace of (app, mem, small) through
- * @p cache (memory -> @p store -> generate) and, when @p want_points,
+ * @p store (memory -> disk -> generate) and, when @p want_points,
  * its live points, under the fault policy of @p opts (campaign.phase1
  * failpoint, transient-fault retry, watchdog). Never throws.
  */
-Phase1Outcome resolvePhase1(sim::TraceCache &cache, TraceStore &store,
-                            sim::AppId app,
+Phase1Outcome resolvePhase1(TraceStore &store, sim::AppId app,
                             const memsys::MemoryConfig &mem, bool small,
                             const RunnerOptions &opts, bool want_points);
 
@@ -355,7 +354,6 @@ class Campaign
     std::string bench_name_;
     RunnerOptions opts_;
     TraceStore store_;
-    sim::TraceCache cache_;
     std::vector<Unit> units_;
     std::vector<UnitResult> results_;
     ResultSink sink_;

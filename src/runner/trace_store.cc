@@ -21,6 +21,16 @@ namespace fs = std::filesystem;
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+double
+msSince(Clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() -
+                                                     start)
+        .count();
+}
+
 constexpr char kMagic[4] = {'D', 'S', 'M', 'B'};
 
 void
@@ -187,10 +197,11 @@ checkTrailer(util::ByteSource &src)
         throw util::FormatError("bundle payload size mismatch");
 }
 
-// Keying tripwire: the file name and the campaign signature encode
-// MemoryConfig *memberwise*. If this assert fires, a field was added
-// to MemoryConfig/DramConfig — extend TraceStore::fileName (and
-// Campaign::signature) to include it, then update the expected size.
+// Keying tripwire: the file name, the campaign signature and the svc
+// unit codec encode MemoryConfig *memberwise*. If this assert fires,
+// a field was added to MemoryConfig/DramConfig — extend
+// TraceStore::fileName (and Campaign::signature, putMemoryConfig) to
+// include it, then update the expected size.
 // Silently compiling on would alias bundles across distinct configs.
 static_assert(sizeof(memsys::DramConfig) == 36,
               "DramConfig changed: update TraceStore::fileName + "
@@ -249,12 +260,6 @@ loadBundle(std::istream &is)
 }
 
 sim::ViewBundle
-loadBundleView(std::istream &is)
-{
-    return loadBundleView(is, sim::StreamExec::Off);
-}
-
-sim::ViewBundle
 loadBundleView(std::istream &is, sim::StreamExec stream_exec)
 {
     util::ByteSource src(is);
@@ -287,7 +292,10 @@ loadBundleView(std::istream &is, sim::StreamExec stream_exec)
     return vb;
 }
 
-TraceStore::TraceStore(std::string dir) : dir_(std::move(dir)) {}
+TraceStore::TraceStore(std::string dir, sim::StreamExec stream_exec)
+    : dir_(std::move(dir)), stream_exec_(stream_exec)
+{
+}
 
 std::string
 TraceStore::fileName(sim::AppId id, const memsys::MemoryConfig &mem,
@@ -405,33 +413,20 @@ TraceStore::quarantine(const fs::path &path)
         removeFile(path, "trace_store.quarantine");
 }
 
-std::string
-TraceStore::resolve(sim::AppId id, const memsys::MemoryConfig &mem,
-                    bool small)
+void
+TraceStore::readFile(const std::string &path,
+                     const std::function<void(std::istream &)> &load)
 {
-    fs::path path = fs::path(dir_) / fileName(id, mem, small);
     std::error_code ec;
-    return fs::exists(path, ec) ? path.string() : "";
-}
-
-std::optional<sim::ViewBundle>
-TraceStore::loadView(sim::AppId id, const memsys::MemoryConfig &mem,
-                     bool small)
-{
-    if (!enabled())
-        return std::nullopt;
-    std::string path = resolve(id, mem, small);
-    if (path.empty())
-        return std::nullopt;
+    if (path.empty() || !fs::exists(path, ec))
+        return;
     bump(&StoreStats::loads);
     try {
-        util::failpoint("trace_store.open_read");
         std::ifstream is(path, std::ios::binary);
         if (!is)
-            return std::nullopt;
-        auto vb = loadBundleView(is, stream_exec_);
+            return;
+        load(is);
         bump(&StoreStats::load_hits);
-        return vb;
     } catch (const util::IoError &) {
         // Transient read fault: rethrow so the campaign's retry policy
         // can re-attempt; the on-disk file is presumed intact.
@@ -439,13 +434,135 @@ TraceStore::loadView(sim::AppId id, const memsys::MemoryConfig &mem,
         throw;
     } catch (const std::exception &e) {
         // Corrupt, truncated, or stale-format file: quarantine so the
-        // regenerated bundle replaces it and the corpse stays around
+        // regenerated file replaces it and the corpse stays around
         // for post-mortem.
         note("trace_store.load", path + ": " + e.what(),
              &StoreStats::format_errors);
         quarantine(path);
-        return std::nullopt;
     }
+}
+
+void
+TraceStore::writeFile(const std::string &path, const char *site,
+                      const std::function<void(std::ostream &)> &save)
+{
+    if (path.empty())
+        return;
+    bump(&StoreStats::stores);
+    std::error_code ec;
+    fs::create_directories(dir_, ec);
+    fs::path tmp = path;
+    tmp += ".tmp" + std::to_string(::getpid());
+    try {
+        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+        if (!os) {
+            note(site, "cannot open " + tmp.string(),
+                 &StoreStats::store_errors);
+            return;
+        }
+        save(os);
+        os.close();
+        if (!os) {
+            note(site, "write failed: " + tmp.string(),
+                 &StoreStats::store_errors);
+            removeFile(tmp, site);
+            return;
+        }
+        if (!renameFile(tmp, path, site)) {
+            bump(&StoreStats::store_errors);
+            removeFile(tmp, site);
+        }
+    } catch (const std::exception &e) {
+        note(site, tmp.string() + ": " + e.what(),
+             &StoreStats::store_errors);
+        removeFile(tmp, site);
+    }
+}
+
+std::optional<sim::ViewBundle>
+TraceStore::loadView(sim::AppId id, const memsys::MemoryConfig &mem,
+                     bool small)
+{
+    std::optional<sim::ViewBundle> vb;
+    readFile(pathFor(id, mem, small), [&](std::istream &is) {
+        util::failpoint("trace_store.open_read");
+        vb = loadBundleView(is, stream_exec_);
+    });
+    return vb;
+}
+
+void
+TraceStore::store(sim::AppId id, const memsys::MemoryConfig &mem,
+                  bool small, const sim::TraceBundle &bundle)
+{
+    writeFile(pathFor(id, mem, small), "trace_store.save",
+              [&](std::ostream &os) {
+                  util::failpoint("trace_store.save");
+                  saveBundle(bundle, os);
+              });
+}
+
+const sim::ViewBundle &
+TraceStore::getView(sim::AppId id, const memsys::MemoryConfig &mem,
+                    bool small, sim::TraceOrigin *origin,
+                    sim::TraceTiming *timing)
+{
+    Key key{id, mem, small};
+
+    std::unique_lock<std::mutex> lock(memo_mu_);
+    Entry &entry = memo_[key]; // Map nodes are address-stable.
+    for (;;) {
+        if (entry.bundle) {
+            if (origin)
+                *origin = sim::TraceOrigin::MEMORY;
+            if (timing)
+                *timing = {};
+            return *entry.bundle;
+        }
+        if (!entry.busy)
+            break;
+        memo_cv_.wait(lock);
+    }
+
+    // We own production for this key. Drop the lock so other keys
+    // proceed in parallel; busy keeps same-key callers parked.
+    entry.busy = true;
+    lock.unlock();
+
+    sim::TraceOrigin from = sim::TraceOrigin::GENERATED;
+    sim::TraceTiming took;
+    std::optional<sim::ViewBundle> vbundle;
+    try {
+        Clock::time_point t0 = Clock::now();
+        vbundle = loadView(id, mem, small);
+        if (vbundle) {
+            took.load_ms = msSince(t0);
+            from = sim::TraceOrigin::DISK;
+        } else {
+            t0 = Clock::now();
+            sim::TraceBundle bundle = sim::generateTrace(id, mem, small);
+            took.gen_ms = msSince(t0);
+            store(id, mem, small, bundle);
+            vbundle = sim::makeViewBundle(bundle, stream_exec_);
+        }
+    } catch (...) {
+        // Hand production back before propagating, or every same-key
+        // caller parked on busy would wait forever.
+        lock.lock();
+        entry.busy = false;
+        memo_cv_.notify_all();
+        throw;
+    }
+
+    lock.lock();
+    entry.bundle = std::make_unique<sim::ViewBundle>(std::move(*vbundle));
+    entry.busy = false;
+    memo_cv_.notify_all();
+    if (origin)
+        *origin = from;
+    if (timing)
+        *timing = took;
+    return *entry.bundle;
 }
 
 std::string
@@ -478,24 +595,15 @@ TraceStore::livePointPathFor(sim::AppId id,
         .string();
 }
 
-std::optional<sim::LivePointSet>
-TraceStore::loadLivePoints(sim::AppId id,
-                           const memsys::MemoryConfig &mem, bool small,
-                           const sim::SamplingPlan &plan)
+std::shared_ptr<const sim::LivePointSet>
+TraceStore::livePoints(sim::AppId id, const memsys::MemoryConfig &mem,
+                       bool small, const sim::SamplingPlan &plan,
+                       const trace::TraceView &view)
 {
-    if (!enabled())
-        return std::nullopt;
-    fs::path path =
-        fs::path(dir_) / livePointFileName(id, mem, small, plan);
-    std::error_code ec;
-    if (!fs::exists(path, ec))
-        return std::nullopt;
-    bump(&StoreStats::loads);
-    try {
+    const std::string path = livePointPathFor(id, mem, small, plan);
+    std::optional<sim::LivePointSet> cached;
+    readFile(path, [&](std::istream &is) {
         util::failpoint("dslp.read");
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            return std::nullopt;
         sim::LivePointSet set = sim::loadLivePoints(is);
         // The name keys the plan, but the file's own header is what
         // was actually warmed; a disagreement is a corrupt or
@@ -503,118 +611,20 @@ TraceStore::loadLivePoints(sim::AppId id,
         if (set.period != plan.period || set.seed != plan.seed)
             throw util::FormatError(
                 "live-point plan fields do not match the file name");
-        bump(&StoreStats::load_hits);
-        return set;
-    } catch (const util::IoError &) {
-        bump(&StoreStats::io_errors);
-        throw;
-    } catch (const std::exception &e) {
-        note("trace_store.load", path.string() + ": " + e.what(),
-             &StoreStats::format_errors);
-        quarantine(path);
-        return std::nullopt;
-    }
-}
+        cached = std::move(set);
+    });
+    if (cached && cached->instructions == view.size() &&
+        cached->offset == plan.offsetFor(view.name(), view.size()))
+        return std::make_shared<const sim::LivePointSet>(
+            std::move(*cached));
 
-std::shared_ptr<const sim::LivePointSet>
-TraceStore::livePoints(sim::AppId id, const memsys::MemoryConfig &mem,
-                       bool small, const sim::SamplingPlan &plan,
-                       const trace::TraceView &view)
-{
-    if (auto cached = loadLivePoints(id, mem, small, plan)) {
-        if (cached->instructions == view.size() &&
-            cached->offset == plan.offsetFor(view.name(), view.size()))
-            return std::make_shared<const sim::LivePointSet>(
-                std::move(*cached));
-    }
     auto lp = std::make_shared<const sim::LivePointSet>(
         sim::computeLivePoints(view, plan));
-    storeLivePoints(id, mem, small, plan, *lp);
-    return lp;
-}
-
-void
-TraceStore::storeLivePoints(sim::AppId id,
-                            const memsys::MemoryConfig &mem, bool small,
-                            const sim::SamplingPlan &plan,
-                            const sim::LivePointSet &set)
-{
-    if (!enabled())
-        return;
-    bump(&StoreStats::stores);
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    fs::path path =
-        fs::path(dir_) / livePointFileName(id, mem, small, plan);
-    fs::path tmp = path;
-    tmp += ".tmp" + std::to_string(::getpid());
-    try {
+    writeFile(path, "dslp.write", [&](std::ostream &os) {
         util::failpoint("dslp.write");
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            note("dslp.write", "cannot open " + tmp.string(),
-                 &StoreStats::store_errors);
-            return;
-        }
-        sim::saveLivePoints(set, os);
-        os.close();
-        if (!os) {
-            note("dslp.write", "write failed: " + tmp.string(),
-                 &StoreStats::store_errors);
-            removeFile(tmp, "dslp.write");
-            return;
-        }
-        if (!renameFile(tmp, path, "dslp.write")) {
-            bump(&StoreStats::store_errors);
-            removeFile(tmp, "dslp.write");
-        }
-    } catch (const std::exception &e) {
-        note("dslp.write", tmp.string() + ": " + e.what(),
-             &StoreStats::store_errors);
-        removeFile(tmp, "dslp.write");
-    }
-}
-
-void
-TraceStore::store(sim::AppId id, const memsys::MemoryConfig &mem,
-                  bool small, const sim::TraceBundle &bundle)
-{
-    if (!enabled())
-        return;
-    bump(&StoreStats::stores);
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    fs::path path = fs::path(dir_) / fileName(id, mem, small);
-    // Write-then-rename so concurrent readers (or a crash) never see
-    // a partial file. Failures are non-fatal (the store is a cache)
-    // but no longer silent: every one is counted and reported.
-    fs::path tmp = path;
-    tmp += ".tmp" + std::to_string(::getpid());
-    try {
-        util::failpoint("trace_store.save");
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            note("trace_store.save", "cannot open " + tmp.string(),
-                 &StoreStats::store_errors);
-            return;
-        }
-        saveBundle(bundle, os);
-        os.close();
-        if (!os) {
-            note("trace_store.save", "write failed: " + tmp.string(),
-                 &StoreStats::store_errors);
-            removeFile(tmp, "trace_store.save");
-            return;
-        }
-        if (!renameFile(tmp, path, "trace_store.save")) {
-            bump(&StoreStats::store_errors);
-            removeFile(tmp, "trace_store.save");
-        }
-    } catch (const std::exception &e) {
-        note("trace_store.save", tmp.string() + ": " + e.what(),
-             &StoreStats::store_errors);
-        removeFile(tmp, "trace_store.save");
-    }
+        sim::saveLivePoints(*lp, os);
+    });
+    return lp;
 }
 
 StoreGcStats

@@ -1,13 +1,16 @@
 #ifndef DSMEM_RUNNER_TRACE_STORE_H
 #define DSMEM_RUNNER_TRACE_STORE_H
 
+#include <condition_variable>
 #include <filesystem>
 #include <functional>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/sampling.h"
@@ -67,20 +70,18 @@ sim::TraceBundle loadBundle(std::istream &is);
  * Deserialize straight into a ViewBundle: the embedded trace's SoA
  * sections decode directly into TraceView arrays without
  * materializing the AoS trace. Same failure modes as loadBundle.
- */
-sim::ViewBundle loadBundleView(std::istream &is);
-
-/**
- * loadBundleView with a streaming-residency policy: the bundle's
+ *
+ * @p stream_exec is the streaming-residency policy: the bundle's
  * stats section (decoded before the embedded trace) sizes the flat
  * view, and when sim::shouldStream says it would spill the LLC the
  * trace decodes straight into a chunk-compressed trace::ChunkedView
  * (ViewBundle::chunked, view left null) — the flat SoA columns are
  * never materialized, cutting the loader's peak memory to roughly the
- * compressed trace. StreamExec::Off is exactly the overload above.
+ * compressed trace.
  */
-sim::ViewBundle loadBundleView(std::istream &is,
-                               sim::StreamExec stream_exec);
+sim::ViewBundle
+loadBundleView(std::istream &is,
+               sim::StreamExec stream_exec = sim::StreamExec::Off);
 
 /**
  * Counters for everything the store did, including the failures it
@@ -88,11 +89,11 @@ sim::ViewBundle loadBundleView(std::istream &is,
  * a counter, not as exceptions).
  */
 struct StoreStats {
-    uint64_t loads = 0;         ///< load/loadView calls that found a file.
+    uint64_t loads = 0;         ///< Disk reads that found a file.
     uint64_t load_hits = 0;     ///< ...that deserialized cleanly.
     uint64_t format_errors = 0; ///< Corrupt files (quarantined).
     uint64_t io_errors = 0;     ///< Transient read faults (rethrown).
-    uint64_t stores = 0;        ///< store() calls that tried to write.
+    uint64_t stores = 0;        ///< Disk writes attempted.
     uint64_t store_errors = 0;  ///< ...that failed (bundle not cached).
     uint64_t rename_errors = 0; ///< fs::rename failures, any path.
     uint64_t remove_errors = 0; ///< fs::remove failures, any path.
@@ -131,13 +132,19 @@ struct StoreGcStats {
 };
 
 /**
- * Persistent on-disk bundle store, layered under sim::TraceCache.
+ * The one place a phase-1 trace is resolved: getView() memoizes per
+ * (app, full MemoryConfig, small) in this process, else loads the
+ * bundle from the store directory, else generates it (and persists
+ * it). A bench re-times one trace under many processor models
+ * without re-running the multiprocessor phase, and a warm directory
+ * skips phase 1 across processes.
  *
  * Files live in one cache directory (created on first store) under a
  * content-derived name encoding the app, problem size, the full
  * MemoryConfig, and the format versions — so distinct configurations
  * never collide and a format bump silently invalidates old files:
- * they are misses that regenerate, and gc() prunes them.
+ * they are misses that regenerate, and gc() prunes them. An empty
+ * directory keeps the store in memory only.
  *
  * Bundles are written to a temp file and atomically renamed, and
  * every load verifies magic, version, and a whole-payload checksum.
@@ -146,21 +153,27 @@ struct StoreGcStats {
  * (util::FormatError) are *quarantined* — renamed to
  * `<name>.corrupt.<ts>` for post-mortem, bounded per name so repeat
  * corruption cannot fill the disk — and reported as a miss (the
- * cache regenerates, never trusts). Transient read faults
+ * store regenerates, never trusts). Transient read faults
  * (util::IoError) are rethrown so the campaign's retry policy can
  * re-attempt them. Filesystem errors the store absorbs (failed
  * renames/removes, failed writes) are counted in StoreStats and
  * surfaced through the error-reporting channel.
  */
-class TraceStore : public sim::TraceStoreBase
+class TraceStore
 {
   public:
     /** Called for every absorbed failure: (site, message). */
     using ErrorHandler =
         std::function<void(const std::string &, const std::string &)>;
 
-    /** @p dir empty disables the store (every load misses). */
-    explicit TraceStore(std::string dir);
+    /**
+     * @p dir empty keeps the store in memory only (every disk load
+     * misses, nothing is written). @p stream_exec is the
+     * streaming-residency policy of every bundle the store holds,
+     * loaded from disk or generated in memory alike.
+     */
+    explicit TraceStore(std::string dir,
+                        sim::StreamExec stream_exec = sim::StreamExec::Off);
 
     bool enabled() const { return !dir_.empty(); }
     const std::string &dir() const { return dir_; }
@@ -173,13 +186,6 @@ class TraceStore : public sim::TraceStoreBase
     {
         on_error_ = std::move(handler);
     }
-
-    /**
-     * Streaming-residency policy loadView applies to every bundle it
-     * deserializes (default Off: always the flat view). Set before
-     * sharing the store across threads.
-     */
-    void setStreamExec(sim::StreamExec mode) { stream_exec_ = mode; }
 
     /** Snapshot of the failure/activity counters. */
     StoreStats stats() const
@@ -197,11 +203,37 @@ class TraceStore : public sim::TraceStoreBase
     std::string pathFor(sim::AppId id, const memsys::MemoryConfig &mem,
                         bool small) const;
 
+    /**
+     * The bundle for (@p id, @p mem, @p small): memoized, else loaded
+     * from disk, else generated (and persisted). @p origin and
+     * @p timing, when non-null, report where it came from and what
+     * that cost.
+     *
+     * Each key holds the phase-2 shape only, the ViewBundle: the AoS
+     * trace a cold key generates is persisted, decoded into the view,
+     * and dropped. A caller that needs the AoS trace itself (a
+     * reference loop, a serializer) calls sim::generateTrace or
+     * loadBundle directly.
+     *
+     * Thread safe: concurrent calls for distinct keys generate in
+     * parallel; concurrent calls for the same key produce once (the
+     * losers block until the winner's result lands). Returned
+     * references stay valid for the store's lifetime.
+     */
+    const sim::ViewBundle &getView(sim::AppId id,
+                                   const memsys::MemoryConfig &mem = {},
+                                   bool small = false,
+                                   sim::TraceOrigin *origin = nullptr,
+                                   sim::TraceTiming *timing = nullptr);
+
+    /** The bundle on disk for a key; nullopt on a miss or a
+     *  quarantined corrupt file. Throws util::IoError on a transient
+     *  read fault. */
     std::optional<sim::ViewBundle>
-    loadView(sim::AppId id, const memsys::MemoryConfig &mem,
-             bool small) override;
+    loadView(sim::AppId id, const memsys::MemoryConfig &mem, bool small);
+    /** Persist @p bundle for a key; failures are absorbed. */
     void store(sim::AppId id, const memsys::MemoryConfig &mem,
-               bool small, const sim::TraceBundle &bundle) override;
+               bool small, const sim::TraceBundle &bundle);
 
     /**
      * The content-keyed name a sampling plan's live points are stored
@@ -223,31 +255,14 @@ class TraceStore : public sim::TraceStoreBase
                                  const sim::SamplingPlan &plan) const;
 
     /**
-     * Load the cached live points for (trace key, plan). Same failure
-     * contract as loadView(): a corrupt or plan-mismatched file is
-     * quarantined and reported as a miss, a transient read fault
-     * (util::IoError) is rethrown for the campaign's retry policy.
-     */
-    std::optional<sim::LivePointSet>
-    loadLivePoints(sim::AppId id, const memsys::MemoryConfig &mem,
-                   bool small, const sim::SamplingPlan &plan);
-
-    /**
-     * Persist @p set for (trace key, plan); tmp-file + atomic rename,
-     * failures absorbed into StoreStats like store().
-     */
-    void storeLivePoints(sim::AppId id, const memsys::MemoryConfig &mem,
-                         bool small, const sim::SamplingPlan &plan,
-                         const sim::LivePointSet &set);
-
-    /**
      * The live points of (trace key, @p plan) for the trace @p view:
      * the cached file when it was warmed from this trace content
      * (same length and offset hash — a regenerated trace silently
      * invalidates the cache), else one functional-warming pass over
      * @p view, persisted for the next sweep. Every process sharing
-     * the store derives identical points. Throws util::IoError on a
-     * transient read fault, like loadLivePoints().
+     * the store derives identical points. A corrupt or plan-mismatched
+     * file is quarantined and recomputed; throws util::IoError on a
+     * transient read fault, like loadView().
      */
     std::shared_ptr<const sim::LivePointSet>
     livePoints(sim::AppId id, const memsys::MemoryConfig &mem,
@@ -270,9 +285,32 @@ class TraceStore : public sim::TraceStoreBase
     StoreGcStats gc(const StoreGcOptions &opts);
 
   private:
-    /** The path to read for @p key, or "" when no file exists. */
-    std::string resolve(sim::AppId id, const memsys::MemoryConfig &mem,
-                        bool small);
+    struct Entry {
+        std::unique_ptr<sim::ViewBundle> bundle;
+        bool busy = false; ///< A thread is producing the bundle.
+    };
+
+    using Key = std::tuple<sim::AppId, memsys::MemoryConfig, bool>;
+
+    /**
+     * Read @p path through @p load, which starts with the caller's
+     * failpoint. A missing file (or "", a disabled store) is a silent
+     * miss; a corrupt one (@p load threw anything but util::IoError)
+     * is quarantined and a miss too; a transient util::IoError is
+     * rethrown.
+     */
+    void readFile(const std::string &path,
+                  const std::function<void(std::istream &)> &load);
+
+    /**
+     * Write @p path through @p save as a temp file atomically renamed
+     * into place, so concurrent readers (or a crash) never see a
+     * partial file. Failures are non-fatal (the store is a cache) but
+     * never silent: each is counted and reported under @p site. A
+     * "" path (a disabled store) writes nothing.
+     */
+    void writeFile(const std::string &path, const char *site,
+                   const std::function<void(std::ostream &)> &save);
 
     /** Record + report an absorbed failure. */
     void note(const char *site, const std::string &message,
@@ -291,11 +329,15 @@ class TraceStore : public sim::TraceStoreBase
      */
     void quarantine(const std::filesystem::path &path);
 
-    std::string dir_;
-    sim::StreamExec stream_exec_ = sim::StreamExec::Off;
+    const std::string dir_;
+    const sim::StreamExec stream_exec_;
     ErrorHandler on_error_;
     mutable std::mutex stats_mu_;
     StoreStats stats_;
+
+    std::map<Key, Entry> memo_;
+    std::mutex memo_mu_;
+    std::condition_variable memo_cv_;
 };
 
 } // namespace dsmem::runner

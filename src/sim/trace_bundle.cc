@@ -1,25 +1,9 @@
 #include "sim/trace_bundle.h"
 
-#include <chrono>
-
 #include "mp/engine.h"
 #include "util/failpoint.h"
 
 namespace dsmem::sim {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                     start)
-        .count();
-}
-
-} // namespace
 
 ViewBundle
 makeViewBundle(const TraceBundle &bundle, StreamExec mode)
@@ -74,72 +58,6 @@ traceOriginName(TraceOrigin origin)
         return "memory";
     }
     return "invalid";
-}
-
-const ViewBundle &
-TraceCache::getView(AppId id, const memsys::MemoryConfig &mem,
-                    bool small, TraceOrigin *origin, TraceTiming *timing)
-{
-    Key key{id, mem, small};
-
-    std::unique_lock<std::mutex> lock(mu_);
-    Entry &entry = cache_[key]; // Map nodes are address-stable.
-    for (;;) {
-        if (entry.bundle) {
-            if (origin)
-                *origin = TraceOrigin::MEMORY;
-            if (timing)
-                *timing = {};
-            return *entry.bundle;
-        }
-        if (!entry.busy)
-            break;
-        cv_.wait(lock);
-    }
-
-    // We own production for this key. Drop the lock so other keys
-    // proceed in parallel; busy keeps same-key callers parked.
-    entry.busy = true;
-    lock.unlock();
-
-    TraceOrigin from = TraceOrigin::GENERATED;
-    TraceTiming took;
-    std::optional<ViewBundle> vbundle;
-    try {
-        if (store_) {
-            Clock::time_point t0 = Clock::now();
-            vbundle = store_->loadView(id, mem, small);
-            if (vbundle)
-                took.load_ms = msSince(t0);
-        }
-        if (vbundle) {
-            from = TraceOrigin::DISK;
-        } else {
-            Clock::time_point t0 = Clock::now();
-            TraceBundle bundle = generateTrace(id, mem, small);
-            took.gen_ms = msSince(t0);
-            if (store_)
-                store_->store(id, mem, small, bundle);
-            vbundle = makeViewBundle(bundle, stream_exec_);
-        }
-    } catch (...) {
-        // Hand production back before propagating, or every same-key
-        // caller parked on busy would wait forever.
-        lock.lock();
-        entry.busy = false;
-        cv_.notify_all();
-        throw;
-    }
-
-    lock.lock();
-    entry.bundle = std::make_unique<ViewBundle>(std::move(*vbundle));
-    entry.busy = false;
-    cv_.notify_all();
-    if (origin)
-        *origin = from;
-    if (timing)
-        *timing = took;
-    return *entry.bundle;
 }
 
 } // namespace dsmem::sim

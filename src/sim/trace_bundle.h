@@ -1,13 +1,8 @@
 #ifndef DSMEM_SIM_TRACE_BUNDLE_H
 #define DSMEM_SIM_TRACE_BUNDLE_H
 
-#include <condition_variable>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string_view>
-#include <tuple>
 
 #include "memsys/memory_system.h"
 #include "mp/thread_context.h"
@@ -102,8 +97,7 @@ struct ViewBundle {
  * flat view would spill the LLC (or streaming is forced on), the
  * result carries the chunk-compressed form instead of the flat SoA —
  * the same decision loadBundleView makes on the disk path, applied to
- * in-memory generation so storeless runs (RunnerOptions::stream_exec)
- * stream too.
+ * in-memory generation so runs without a store directory stream too.
  */
 ViewBundle makeViewBundle(const TraceBundle &bundle, StreamExec mode);
 
@@ -119,10 +113,10 @@ TraceBundle generateTrace(AppId id,
                           const memsys::MemoryConfig &mem = {},
                           bool small = false);
 
-/** Where a TraceCache::getView call found its bundle. */
+/** Where a runner::TraceStore::getView call found its bundle. */
 enum class TraceOrigin : uint8_t {
     GENERATED, ///< Ran the multiprocessor simulation (cold).
-    DISK,      ///< Loaded from a persistent TraceStore.
+    DISK,      ///< Loaded from the store's directory.
     MEMORY,    ///< Already memoized in this process.
 };
 
@@ -136,81 +130,6 @@ std::string_view traceOriginName(TraceOrigin origin);
 struct TraceTiming {
     double gen_ms = 0.0;
     double load_ms = 0.0;
-};
-
-/**
- * Interface to a persistent bundle store layered under TraceCache
- * (implemented by runner::TraceStore). Phase 1 stores the AoS bundle
- * it generated; phase 2 loads straight into a ViewBundle without
- * materializing the AoS trace. A load that fails for any reason
- * returns nullopt; the caller regenerates and re-stores.
- */
-class TraceStoreBase
-{
-  public:
-    virtual ~TraceStoreBase() = default;
-    virtual std::optional<ViewBundle> loadView(AppId id,
-                                               const memsys::MemoryConfig &mem,
-                                               bool small) = 0;
-    virtual void store(AppId id, const memsys::MemoryConfig &mem,
-                       bool small, const TraceBundle &bundle) = 0;
-};
-
-/**
- * Memoizes phase 1 per (app, full MemoryConfig, small) so a bench
- * binary re-times one trace under many processor models without
- * re-running the multiprocessor phase. Optionally layered over a
- * persistent TraceStoreBase that survives the process.
- *
- * Each key holds the phase-2 shape only, the ViewBundle: the AoS
- * trace a cold key generates is persisted to the store, decoded into
- * the view, and dropped. A caller that needs the AoS trace itself
- * (a reference loop, a serializer) calls generateTrace or
- * runner::loadBundle directly.
- *
- * Thread safe: concurrent calls for distinct keys generate in
- * parallel; concurrent calls for the same key produce once (the
- * losers block until the winner's result lands). Returned references
- * stay valid for the cache's lifetime.
- */
-class TraceCache
-{
-  public:
-    TraceCache() = default;
-    explicit TraceCache(TraceStoreBase *store) : store_(store) {}
-
-    /**
-     * Residency policy for bundles generated in memory (the store
-     * applies its own copy to disk loads); not thread safe. Off by
-     * default so non-campaign users keep the flat view.
-     */
-    void setStreamExec(StreamExec mode) { stream_exec_ = mode; }
-
-    /**
-     * The bundle for (@p id, @p mem, @p small): memoized, else loaded
-     * straight into view form from the store, else generated (and
-     * persisted). @p origin and @p timing, when non-null, report
-     * where it came from and what that cost.
-     */
-    const ViewBundle &getView(AppId id,
-                              const memsys::MemoryConfig &mem = {},
-                              bool small = false,
-                              TraceOrigin *origin = nullptr,
-                              TraceTiming *timing = nullptr);
-
-  private:
-    struct Entry {
-        std::unique_ptr<ViewBundle> bundle;
-        bool busy = false; ///< A thread is producing the bundle.
-    };
-
-    using Key = std::tuple<AppId, memsys::MemoryConfig, bool>;
-
-    std::map<Key, Entry> cache_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    TraceStoreBase *store_ = nullptr;
-    StreamExec stream_exec_ = StreamExec::Off;
 };
 
 } // namespace dsmem::sim

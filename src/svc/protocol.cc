@@ -91,6 +91,27 @@ uint64_t peekU64(const char *p)
 
 constexpr size_t kHeaderBytes = 12; // magic + type + len
 
+/**
+ * The checks both frame readers apply to a received frame: the magic
+ * and the size cap on the header @p hdr and, once the payload is in
+ * (@p payload non-null), its FNV trailer @p sum. False with a
+ * diagnostic in @p err when the frame is a protocol violation.
+ */
+bool checkFrame(const char *hdr, const std::string *payload,
+                const char *sum, std::string *err)
+{
+    const char *why = nullptr;
+    if (peekU32(hdr) != kProtocolMagic)
+        why = "frame: bad magic";
+    else if (peekU32(hdr + 8) > kMaxFrameBytes)
+        why = "frame: oversized";
+    else if (payload && peekU64(sum) != payloadHash(*payload))
+        why = "frame: payload checksum mismatch";
+    if (why && err)
+        *err = why;
+    return why == nullptr;
+}
+
 } // namespace
 
 void WireOut::f64(double v)
@@ -176,32 +197,17 @@ bool recvFrame(int fd, const char *site, Frame &out, std::string *err)
     if (!hitFailpoint(site, err))
         return false;
     char hdr[kHeaderBytes];
-    if (!recvAll(fd, hdr, sizeof(hdr), err))
+    if (!recvAll(fd, hdr, sizeof(hdr), err) ||
+        !checkFrame(hdr, nullptr, nullptr, err))
         return false;
-    if (peekU32(hdr) != kProtocolMagic) {
-        if (err)
-            *err = "recvFrame: bad magic";
-        return false;
-    }
-    uint32_t type = peekU32(hdr + 4);
-    uint32_t len = peekU32(hdr + 8);
-    if (len > kMaxFrameBytes) {
-        if (err)
-            *err = "recvFrame: oversized frame";
-        return false;
-    }
-    std::string payload(len, '\0');
-    if (len && !recvAll(fd, payload.data(), len, err))
-        return false;
+    std::string payload(peekU32(hdr + 8), '\0');
     char sum[8];
-    if (!recvAll(fd, sum, sizeof(sum), err))
+    if ((!payload.empty() &&
+         !recvAll(fd, payload.data(), payload.size(), err)) ||
+        !recvAll(fd, sum, sizeof(sum), err) ||
+        !checkFrame(hdr, &payload, sum, err))
         return false;
-    if (peekU64(sum) != payloadHash(payload)) {
-        if (err)
-            *err = "recvFrame: payload checksum mismatch";
-        return false;
-    }
-    out.type = static_cast<MsgType>(type);
+    out.type = static_cast<MsgType>(peekU32(hdr + 4));
     out.payload = std::move(payload);
     return true;
 }
@@ -210,30 +216,18 @@ int FrameReader::next(Frame &out, std::string *err)
 {
     if (buf_.size() < kHeaderBytes)
         return 0;
-    if (peekU32(buf_.data()) != kProtocolMagic) {
-        if (err)
-            *err = "frame: bad magic";
+    if (!checkFrame(buf_.data(), nullptr, nullptr, err))
         return -1;
-    }
-    uint32_t type = peekU32(buf_.data() + 4);
     uint32_t len = peekU32(buf_.data() + 8);
-    if (len > kMaxFrameBytes) {
-        if (err)
-            *err = "frame: oversized";
-        return -1;
-    }
     size_t total = kHeaderBytes + len + 8;
     if (buf_.size() < total)
         return 0;
     std::string payload = buf_.substr(kHeaderBytes, len);
-    uint64_t sum = peekU64(buf_.data() + kHeaderBytes + len);
-    if (sum != payloadHash(payload)) {
-        if (err)
-            *err = "frame: payload checksum mismatch";
+    if (!checkFrame(buf_.data(), &payload,
+                    buf_.data() + kHeaderBytes + len, err))
         return -1;
-    }
+    out.type = static_cast<MsgType>(peekU32(buf_.data() + 4));
     buf_.erase(0, total);
-    out.type = static_cast<MsgType>(type);
     out.payload = std::move(payload);
     return 1;
 }
@@ -287,6 +281,18 @@ sim::ModelSpec getModelSpec(WireIn &r)
     s.ignore_deps = r.u8() != 0;
     return s;
 }
+
+// Keying tripwire (twin of the ones in trace_store.cc and
+// campaign.cc): the unit declarations ship MemoryConfig memberwise. A
+// new field must be encoded below, or workers would time a unit under
+// a different config than the coordinator declared — then update the
+// expected sizes here.
+static_assert(sizeof(memsys::DramConfig) == 36,
+              "DramConfig changed: update putMemoryConfig + "
+              "getMemoryConfig, then this size");
+static_assert(sizeof(memsys::MemoryConfig) == 56,
+              "MemoryConfig changed: update putMemoryConfig + "
+              "getMemoryConfig, then this size");
 
 void putMemoryConfig(WireOut &w, const memsys::MemoryConfig &m)
 {

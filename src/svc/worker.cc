@@ -73,7 +73,6 @@ struct WorkerState {
      *  the form runner::runPhase2Group takes. */
     runner::RunnerOptions opts;
     std::unique_ptr<runner::TraceStore> store;
-    std::unique_ptr<sim::TraceCache> cache;
     /** Live points per unit (one trace key per unit). */
     std::map<uint32_t, std::shared_ptr<const sim::LivePointSet>> lps;
     /** Units whose trace provenance was already reported. */
@@ -120,8 +119,7 @@ runAssign(WorkerState &st, const AssignMsg &a)
             return u.specs[s].kind == sim::ModelSpec::Kind::DS;
         });
     runner::Phase1Outcome p1 = runner::resolvePhase1(
-        *st.cache, *st.store, app, u.mem, u.small != 0, st.opts,
-        want_points);
+        *st.store, app, u.mem, u.small != 0, st.opts, want_points);
     if (p1.bundle == nullptr) {
         const runner::UnitError &e = p1.errors.back();
         return failAll(e.site + ": " + e.message);
@@ -216,12 +214,8 @@ workerMain(const WorkerOptions &opts)
     st.opts.backoff_base_ms = st.cfg.backoff_base_ms;
     st.opts.backoff_cap_ms = st.cfg.backoff_cap_ms;
     st.opts.sampling = st.cfg.plan;
-    st.store =
-        std::make_unique<runner::TraceStore>(st.cfg.trace_dir);
-    st.store->setStreamExec(
-        static_cast<sim::StreamExec>(st.cfg.stream_exec));
-    st.cache = std::make_unique<sim::TraceCache>(
-        st.store->enabled() ? st.store.get() : nullptr);
+    st.store = std::make_unique<runner::TraceStore>(
+        st.cfg.trace_dir, static_cast<sim::StreamExec>(st.cfg.stream_exec));
 
     // Heartbeat thread: renews the coordinator's lease while a long
     // phase-1 generation or phase-2 run keeps the main loop busy.

@@ -196,20 +196,20 @@ TEST(ConfigKeyingTest, DramFieldsChangeTheCampaignSignature)
     EXPECT_NE(with_dram.signature(), other_sched.signature());
 }
 
-TEST(ConfigKeyingTest, TraceCacheKeysOnDramConfig)
+TEST(ConfigKeyingTest, TraceStoreMemoKeysOnDramConfig)
 {
-    sim::TraceCache cache;
+    runner::TraceStore store("");
     const sim::ViewBundle &plain =
-        cache.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
+        store.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
     const sim::ViewBundle &dram =
-        cache.getView(sim::AppId::MP3D, dramConfig(), true);
+        store.getView(sim::AppId::MP3D, dramConfig(), true);
     // Distinct entries, not one aliased bundle.
     EXPECT_NE(&plain, &dram);
     EXPECT_TRUE(plain.dram.banks.empty());
     EXPECT_EQ(dram.dram.banks.size(), 4u);
 
     sim::TraceOrigin origin = sim::TraceOrigin::GENERATED;
-    cache.getView(sim::AppId::MP3D, dramConfig(), true, &origin);
+    store.getView(sim::AppId::MP3D, dramConfig(), true, &origin);
     EXPECT_EQ(origin, sim::TraceOrigin::MEMORY);
 }
 

@@ -1,3 +1,4 @@
+#include "runner/trace_store.h"
 #include "sim/experiment.h"
 
 #include <gtest/gtest.h>
@@ -116,18 +117,18 @@ TEST(ExperimentTest, RunModelsLabelsEveryRow)
         EXPECT_EQ(rows[i].label, specs[i].label());
 }
 
-TEST(TraceCacheTest, Memoizes)
+TEST(TraceStoreMemoTest, Memoizes)
 {
-    TraceCache cache;
+    runner::TraceStore store("");
     const ViewBundle &a =
-        cache.getView(AppId::LU, memsys::MemoryConfig{}, true);
+        store.getView(AppId::LU, memsys::MemoryConfig{}, true);
     const ViewBundle &b =
-        cache.getView(AppId::LU, memsys::MemoryConfig{}, true);
+        store.getView(AppId::LU, memsys::MemoryConfig{}, true);
     EXPECT_EQ(&a, &b); // Same object: no second MP simulation.
 
     memsys::MemoryConfig mem100;
     mem100.miss_latency = 100;
-    const ViewBundle &c = cache.getView(AppId::LU, mem100, true);
+    const ViewBundle &c = store.getView(AppId::LU, mem100, true);
     EXPECT_NE(&a, &c);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Fault-tolerance tests for the campaign execution layer: worker-pool
  * exception isolation, retry with deterministic backoff, trace-store
- * quarantine and error surfacing, TraceCache exception safety, the
+ * quarantine and error surfacing, the trace memo's exception safety, the
  * crash-safe campaign journal, --resume, and the per-job watchdog.
  * Faults are injected with the failpoint registry (util/failpoint.h).
  */
@@ -351,19 +351,19 @@ TEST_F(FaultToleranceTest, FailedRenameIsCountedAndReported)
             << "unexpected leftover " << entry.path();
 }
 
-// --- TraceCache exception safety (regression) -----------------------
+// --- TraceStore::getView exception safety (regression) ------------
 
-TEST_F(FaultToleranceTest, CacheRecoversAfterGenerationThrows)
+TEST_F(FaultToleranceTest, StoreMemoRecoversAfterGenerationThrows)
 {
-    sim::TraceCache cache(nullptr);
+    TraceStore store("");
     util::armFailpoint(
         {"bundle.generate", util::FailpointMode::THROW, 0, 1, true});
-    EXPECT_THROW(cache.getView(sim::AppId::MP3D,
+    EXPECT_THROW(store.getView(sim::AppId::MP3D,
                                memsys::MemoryConfig{}, true),
                  util::IoError);
     // Before the busy flag was made exception-safe, this second call
     // deadlocked forever on the leaked busy entry.
-    const sim::ViewBundle &vb = cache.getView(
+    const sim::ViewBundle &vb = store.getView(
         sim::AppId::MP3D, memsys::MemoryConfig{}, true);
     EXPECT_GT(vb.stats.instructions, 0u);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "runner/trace_store.h"
 #include "sim/experiment.h"
 #include "sim/trace_bundle.h"
 
@@ -18,15 +19,15 @@ using core::RunResult;
 class PipelineTest : public ::testing::TestWithParam<AppId>
 {
   protected:
-    static TraceCache &cache()
+    static runner::TraceStore &store()
     {
-        static TraceCache instance;
+        static runner::TraceStore instance("");
         return instance;
     }
 
     const trace::TraceView &view()
     {
-        return *cache()
+        return *store()
                     .getView(GetParam(), memsys::MemoryConfig{}, true)
                     .flatView();
     }
@@ -122,7 +123,7 @@ TEST_P(PipelineTest, IgnoringDepsConvergesAtLargeWindows)
 TEST_P(PipelineTest, HigherLatencyNeedsLargerWindows)
 {
     const trace::TraceView &b100 =
-        *cache().getView(GetParam(), memsys::MemoryConfig{1, 100}, true)
+        *store().getView(GetParam(), memsys::MemoryConfig{1, 100}, true)
              .flatView();
     RunResult base = runModel(b100, ModelSpec::base());
     RunResult w64 = runModel(
@@ -146,12 +147,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PipelineSummaryTest, AverageHiddenFractionGrowsWithWindow)
 {
-    TraceCache cache;
+    runner::TraceStore store("");
     double avg16 = 0;
     double avg64 = 0;
     for (AppId id : kAllApps) {
         const trace::TraceView &b =
-            *cache.getView(id, memsys::MemoryConfig{}, true).flatView();
+            *store.getView(id, memsys::MemoryConfig{}, true).flatView();
         RunResult base = runModel(b, ModelSpec::base());
         avg16 += hiddenReadFraction(
             base,

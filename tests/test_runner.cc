@@ -4,7 +4,7 @@
  * determinism (bit-identical results and tables for any --jobs),
  * the persistent TraceStore (round-trip, corruption/truncation/
  * version rejection and regeneration), the full-MemoryConfig
- * TraceCache key (MSI-then-MESI regression), the structured result
+ * TraceStore memo key (MSI-then-MESI regression), the structured result
  * export, and the affinity-aware host core count that sizes the pool.
  */
 
@@ -217,55 +217,55 @@ TEST(CampaignTest, SharedTraceGeneratedOnceAcrossUnits)
     EXPECT_EQ(campaign.sink().runs().size(), 3u);
 }
 
-// --- TraceCache full-config key (regression) ----------------------
+// --- TraceStore memo: full-config key (regression) ----------------
 
-TEST(TraceCacheKey, MsiThenMesiReturnDifferentBundles)
+TEST(TraceStoreKey, MsiThenMesiReturnDifferentBundles)
 {
     // Regression: the memo key used to be (app, miss_latency, small),
     // so requesting MESI after an MSI run silently returned the MSI
     // bundle.
-    sim::TraceCache cache;
+    TraceStore store("");
     memsys::MemoryConfig msi;
     memsys::MemoryConfig mesi;
     mesi.protocol = memsys::Protocol::MESI;
 
     const sim::ViewBundle &b_msi =
-        cache.getView(sim::AppId::OCEAN, msi, true);
+        store.getView(sim::AppId::OCEAN, msi, true);
     const sim::ViewBundle &b_mesi =
-        cache.getView(sim::AppId::OCEAN, mesi, true);
+        store.getView(sim::AppId::OCEAN, mesi, true);
     EXPECT_NE(&b_msi, &b_mesi);
     // MESI silently upgrades private read-then-write lines, so OCEAN
     // must lose write misses relative to MSI.
     EXPECT_LT(b_mesi.stats.write_misses, b_msi.stats.write_misses);
 
     // Memoization per protocol still holds.
-    EXPECT_EQ(&cache.getView(sim::AppId::OCEAN, msi, true), &b_msi);
-    EXPECT_EQ(&cache.getView(sim::AppId::OCEAN, mesi, true), &b_mesi);
+    EXPECT_EQ(&store.getView(sim::AppId::OCEAN, msi, true), &b_msi);
+    EXPECT_EQ(&store.getView(sim::AppId::OCEAN, mesi, true), &b_mesi);
 }
 
-TEST(TraceCacheKey, DistinguishesHitLatencyAndBanks)
+TEST(TraceStoreKey, DistinguishesHitLatencyAndBanks)
 {
-    sim::TraceCache cache;
+    TraceStore store("");
     memsys::MemoryConfig base;
     memsys::MemoryConfig banked;
     banked.banks = 16;
     banked.bank_occupancy = 8;
 
     const sim::ViewBundle &plain =
-        cache.getView(sim::AppId::MP3D, base, true);
+        store.getView(sim::AppId::MP3D, base, true);
     const sim::ViewBundle &contended =
-        cache.getView(sim::AppId::MP3D, banked, true);
+        store.getView(sim::AppId::MP3D, banked, true);
     EXPECT_NE(&plain, &contended);
 }
 
-TEST(TraceCacheKey, ReportsOrigin)
+TEST(TraceStoreKey, ReportsOrigin)
 {
-    sim::TraceCache cache;
+    TraceStore store("");
     sim::TraceOrigin origin;
-    cache.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true,
+    store.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true,
                   &origin);
     EXPECT_EQ(origin, sim::TraceOrigin::GENERATED);
-    cache.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true,
+    store.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true,
                   &origin);
     EXPECT_EQ(origin, sim::TraceOrigin::MEMORY);
 }
@@ -352,11 +352,10 @@ class TraceStoreCorruptionTest : public ::testing::Test
             store_->loadView(sim::AppId::MP3D, mem_, true).has_value());
         EXPECT_FALSE(fs::exists(path_));
 
-        // Layered under the cache, a bad file regenerates silently.
-        sim::TraceCache cache(store_.get());
+        // Through getView, a bad file regenerates silently.
         sim::TraceOrigin origin;
         const sim::ViewBundle &fresh =
-            cache.getView(sim::AppId::MP3D, mem_, true, &origin);
+            store_->getView(sim::AppId::MP3D, mem_, true, &origin);
         EXPECT_EQ(origin, sim::TraceOrigin::GENERATED);
         EXPECT_TRUE(sameRecords(*fresh.flatView(), bundle_.trace));
     }
@@ -446,7 +445,7 @@ TEST(TraceStoreTest, LoadBundleViewMatchesLoadBundle)
     EXPECT_THROW(loadBundleView(bad_view), std::runtime_error);
 }
 
-TEST(TraceStoreTest, WarmCacheServesFromDiskAcrossCacheInstances)
+TEST(TraceStoreTest, WarmStoreServesFromDiskAcrossStoreInstances)
 {
     TempDir dir("warm");
 

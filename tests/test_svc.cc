@@ -152,14 +152,29 @@ TEST_F(SvcTest, WelcomeRoundTripsDeclarationSet)
     m.bench = "bench_x";
     m.trace_dir = "/tmp/cache";
     m.signature = 0x1122334455667788ull;
+    m.stream_exec = static_cast<uint8_t>(sim::StreamExec::On);
     m.plan.period = 1000;
     m.plan.detailed = 100;
     m.plan.warmup = 50;
     m.plan.seed = 7;
     UnitDecl u;
     u.app = 2;
+    // Every MemoryConfig/DramConfig field off its default and distinct
+    // from the others, so a field the codec drops or swaps shows up.
+    u.mem.hit_latency = 2;
     u.mem.miss_latency = 100;
+    u.mem.protocol = memsys::Protocol::MESI;
+    u.mem.banks = 16;
+    u.mem.bank_occupancy = 9;
     u.mem.dram.banks = 4;
+    u.mem.dram.sched = memsys::SchedPolicy::FR_BATCH;
+    u.mem.dram.row_bytes = 1024;
+    u.mem.dram.t_rcd = 11;
+    u.mem.dram.t_rp = 12;
+    u.mem.dram.t_cas = 13;
+    u.mem.dram.bus_cycles = 5;
+    u.mem.dram.base_latency = 31;
+    u.mem.dram.batch_cap = 6;
     u.small = 1;
     u.specs = {sim::ModelSpec::base(),
                sim::ModelSpec::ds(core::ConsistencyModel::RC, 64)};
@@ -174,6 +189,9 @@ TEST_F(SvcTest, WelcomeRoundTripsDeclarationSet)
     EXPECT_EQ(d.units[0].specs[1].label(), u.specs[1].label());
     EXPECT_EQ(d.signature, m.signature);
     EXPECT_EQ(d.plan.period, 1000u);
+    EXPECT_TRUE(d.units[0].mem == u.mem);
+    EXPECT_TRUE(d.plan == m.plan);
+    EXPECT_EQ(d.stream_exec, m.stream_exec);
 }
 
 TEST_F(SvcTest, DecodeRejectsTruncatedAndTrailingGarbage)
@@ -557,6 +575,53 @@ TEST_F(SvcTest, CoordinatorMatchesInProcessRunByteForByte)
         EXPECT_NE(coordinator.statsJson().find("\"assigns\":6"),
                   std::string::npos);
     }
+}
+
+TEST_F(SvcTest, StorelessWorkersKeepTheCampaignsResidencyPolicy)
+{
+    // Regression: with no store directory a worker generated its trace
+    // in memory under the default policy, so stream_exec = On kept
+    // the in-process trace chunked but the workers' trace flat.
+    if (!haveWorkerBinary())
+        GTEST_SKIP() << "dsmem_svc binary unavailable";
+    TempDir tmp("residency");
+    runner::RunnerOptions ro = smokeOptions("");
+    ro.stream_exec = sim::StreamExec::On;
+    auto declare = [](runner::Campaign &campaign) {
+        campaign.add(sim::AppId::LU,
+                     {sim::ModelSpec::base(),
+                      sim::ModelSpec::ds(core::ConsistencyModel::RC, 16),
+                      sim::ModelSpec::ds(core::ConsistencyModel::RC, 64)},
+                     memsys::MemoryConfig{}, true);
+    };
+
+    std::string ref_json = tmp.sub("ref.json").string();
+    size_t in_process_bytes = 0;
+    {
+        runner::Campaign campaign("residency", ro);
+        declare(campaign);
+        campaign.run();
+        ASSERT_TRUE(campaign.ok());
+        ASSERT_NE(campaign.result(0).bundle, nullptr);
+        ASSERT_TRUE(campaign.result(0).bundle->chunked);
+        in_process_bytes =
+            campaign.result(0).bundle->traceBytesResident();
+        ASSERT_TRUE(campaign.writeJson(ref_json));
+    }
+
+    runner::Campaign campaign("residency", ro);
+    declare(campaign);
+    ServiceOptions so;
+    so.workers = 2;
+    so.worker_exe = DSMEM_SVC_BIN;
+    so.print_workers = false;
+    Coordinator coordinator(campaign, so);
+    ASSERT_EQ(coordinator.run(), 0);
+    EXPECT_TRUE(campaign.ok());
+    EXPECT_EQ(coordinator.stats().view_bytes_resident, in_process_bytes);
+    std::string json = tmp.sub("svc.json").string();
+    ASSERT_TRUE(campaign.writeJson(json));
+    EXPECT_EQ(slurp(json), slurp(ref_json));
 }
 
 TEST_F(SvcTest, WorkerKillChaosStillCompletesBitIdentically)
