@@ -104,6 +104,13 @@ struct CellResult {
 };
 
 /**
+ * The cell timings store each run's cycle count here, so the
+ * optimizer cannot delete a call whose result is otherwise unused
+ * (with LTO it removed the allocation-free BASE loops outright).
+ */
+volatile uint64_t g_sink = 0;
+
+/**
  * Best of @p rounds timing windows, each repeating @p run until
  * @p min_seconds elapse; instructions/second.
  *
@@ -363,10 +370,11 @@ main(int argc, char **argv)
         check(ref == opt, cell.label);
         cell.cycles = opt.cycles;
         cell.legacy_ips = measureIps(
-            [&] { proc.run(t); }, n, min_seconds, cell_rounds);
-        cell.view_ips = measureIps([&] { proc.run(*view); }, n,
-                                   min_seconds, cell_rounds,
-                                   cold_reset);
+            [&] { g_sink = proc.run(t).cycles; }, n, min_seconds,
+            cell_rounds);
+        cell.view_ips = measureIps(
+            [&] { g_sink = proc.run(*view).cycles; }, n, min_seconds,
+            cell_rounds, cold_reset);
         cells.push_back(cell);
     }
 
@@ -389,10 +397,11 @@ main(int argc, char **argv)
             check(ref == opt, cell.label);
             cell.cycles = opt.cycles;
             cell.legacy_ips = measureIps(
-                [&] { proc.runReference(t); }, n, min_seconds, cell_rounds);
-            cell.view_ips = measureIps([&] { proc.run(*view); }, n,
-                                       min_seconds, cell_rounds,
-                                       cold_reset);
+                [&] { g_sink = proc.runReference(t).cycles; }, n,
+                min_seconds, cell_rounds);
+            cell.view_ips = measureIps(
+                [&] { g_sink = proc.run(*view).cycles; }, n,
+                min_seconds, cell_rounds, cold_reset);
             cells.push_back(cell);
         }
     }
@@ -418,10 +427,11 @@ main(int argc, char **argv)
                   cell.label);
             cell.cycles = opt.cycles;
             cell.legacy_ips = measureIps(
-                [&] { proc.runReference(t); }, n, min_seconds, cell_rounds);
-            cell.view_ips = measureIps([&] { proc.run(*view); }, n,
-                                       min_seconds, cell_rounds,
-                                       cold_reset);
+                [&] { g_sink = proc.runReference(t).cycles; }, n,
+                min_seconds, cell_rounds);
+            cell.view_ips = measureIps(
+                [&] { g_sink = proc.run(*view).cycles; }, n,
+                min_seconds, cell_rounds, cold_reset);
             cells.push_back(cell);
         }
     }
@@ -553,9 +563,9 @@ main(int argc, char **argv)
     size_t stream_instr_per_cell = 0;
     size_t stream_lanes = 0;
     if (stream_gb > 0.0) {
-        // The flat view's exact per-entry cost (SoA columns incl.
-        // first_use) — computed, not guessed, so the streamed cell
-        // count tracks any future column change.
+        // The flat view's exact per-entry cost (its SoA columns) —
+        // computed, not guessed, so the streamed cell count tracks
+        // any future column change.
         const double view_bytes_per_instr =
             trace::TraceView::bytesPerInstr();
         stream_instr_per_cell = size_t{1} << 20; // ~32 MB/cell.

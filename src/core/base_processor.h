@@ -1,11 +1,13 @@
 #ifndef DSMEM_CORE_BASE_PROCESSOR_H
 #define DSMEM_CORE_BASE_PROCESSOR_H
 
+#include "core/trace_source.h"
 #include "core/types.h"
 #include "trace/trace.h"
-#include "trace/trace_view.h"
 
 namespace dsmem::core {
+
+class SimContext;
 
 /**
  * The paper's BASE machine: an in-order processor that completes each
@@ -20,7 +22,13 @@ namespace dsmem::core {
 class BaseProcessor
 {
   public:
-    RunResult run(const trace::TraceView &v) const;
+    /** Time a flat or chunked trace, read in order span by span. */
+    RunResult run(const TraceSource &src) const;
+
+    /** run() borrowing @p ctx's tile ring for a chunked source. */
+    RunResult run(const TraceSource &src, SimContext &ctx) const;
+
+    /** The AoS loop: the oracle the equivalence tests compare with. */
     RunResult run(const trace::Trace &t) const;
 };
 

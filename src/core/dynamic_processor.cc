@@ -64,24 +64,24 @@ DynamicProcessor::run(const trace::Trace &trace) const
 }
 
 // ------------------------------------------------------------------
-// The production hot loop over the SoA view: a one-lane tiled sweep.
+// The production hot loop over a TraceSource: a one-lane tiled sweep.
 // Scheduling decisions are identical to runReference (the equivalence
 // suite drives both on randomized traces); the per-instruction logic
 // lives in Lane::step (core/lane.h), shared verbatim with the fused
 // window sweeps.
 // ------------------------------------------------------------------
 DynamicResult
-DynamicProcessor::run(const trace::TraceView &v) const
+DynamicProcessor::run(const TraceSource &src) const
 {
     SimContext ctx;
-    return run(v, ctx);
+    return run(src, ctx);
 }
 
 DynamicResult
-DynamicProcessor::run(const trace::TraceView &v, SimContext &ctx) const
+DynamicProcessor::run(const TraceSource &src, SimContext &ctx) const
 {
     return std::move(
-        runDynamicSweep(v, {config_}, ctx, SweepMode::PerLaneTiled)
+        runDynamicSweep(src, {config_}, ctx, SweepMode::PerLaneTiled)
             .front());
 }
 

@@ -5,19 +5,15 @@
 #include <vector>
 
 #include "core/branch_predictor.h"
+#include "core/trace_source.h"
 #include "core/types.h"
 #include "stats/histogram.h"
-#include "trace/chunked_view.h"
 #include "trace/trace.h"
 #include "trace/trace_view.h"
 
 namespace dsmem::core {
 
 class SimContext;
-
-namespace detail {
-class TileStream;
-}
 
 /** Configuration of the dynamically scheduled processor (Section 3.1). */
 struct DynamicConfig {
@@ -170,20 +166,21 @@ class DynamicProcessor
     explicit DynamicProcessor(const DynamicConfig &config);
 
     /**
-     * Time a pre-decoded trace view. This is the production hot loop:
-     * SoA operand streams, flat-hash store forwarding bounded by
-     * store-buffer liveness, precomputed consistency-gate selectors,
-     * and a d-ary heap for the free-window slot pool.
+     * Time a flat or chunked trace: a one-lane runDynamicSweep on the
+     * tiled pass. This is the production hot loop: SoA operand
+     * streams, flat-hash store forwarding bounded by store-buffer
+     * liveness, precomputed consistency-gate selectors, and a d-ary
+     * heap for the free-window slot pool.
      */
-    DynamicResult run(const trace::TraceView &v) const;
+    DynamicResult run(const TraceSource &src) const;
 
     /**
      * run() with recycled storage: borrows lane 0 of @p ctx instead
      * of constructing fresh containers. Results are bit-identical to
-     * run(v) regardless of what the context served before (container
-     * capacity never affects timing — see SimContext).
+     * run(src) regardless of what the context served before
+     * (container capacity never affects timing — see SimContext).
      */
-    DynamicResult run(const trace::TraceView &v, SimContext &ctx) const;
+    DynamicResult run(const TraceSource &src, SimContext &ctx) const;
 
     /** Convenience: decode @p t into a view, then time it. */
     DynamicResult run(const trace::Trace &t) const;
@@ -260,63 +257,6 @@ const char *solIsaName();
  * instruction set. What bench JSON headers record.
  */
 const char *solActiveIsaName();
-
-/** Decode-ahead shape of a chunked TraceSource. */
-struct StreamOptions {
-    /**
-     * 0 = decode tiles inline on the sweep thread (no thread spawned;
-     * right on single-core hosts, where the win is the traffic cut
-     * alone); 1 = one decode-ahead thread that keeps the tile ring
-     * filled while the sweep computes, hiding decode latency behind
-     * compute. Values > 1 behave as 1 (decode is sequential by
-     * construction: each section is one delta chain).
-     */
-    int decode_threads = 0;
-};
-
-/**
- * The one trace input of the dynamic-scheduling sweeps: the trace as
- * a sequence of trace::TileSpans covering every instruction in order.
- *
- *  - A flat TraceView is a single zero-copy span over its own
- *    columns.
- *  - A ChunkedView stays compressed-resident (~4-8 B/instr) and is
- *    decoded chunk by chunk into an L2-resident tile ring, one span
- *    per tile, optionally by a decode-ahead thread (StreamOptions).
- *    For a trace whose flat view exceeds the LLC this trades the
- *    full-view memory stream for a cache-resident one.
- *
- * Both constructors are implicit, so every sweep entry point takes
- * either view directly. Holds pointers only: the view must outlive
- * the source.
- */
-class TraceSource
-{
-  public:
-    TraceSource(const trace::TraceView &v) : flat_(&v) {}
-    TraceSource(const trace::ChunkedView &cv, StreamOptions opt = {})
-        : chunked_(&cv), opt_(opt)
-    {
-    }
-
-    /**
-     * The whole trace as a flat view, for consumers that need random
-     * access or first_use (the static models). A chunked source
-     * flattens once; ChunkedView memoizes the result, so the
-     * reference lives as long as the ChunkedView.
-     */
-    const trace::TraceView &flatView() const
-    {
-        return flat_ != nullptr ? *flat_ : *chunked_->flatten();
-    }
-
-  private:
-    friend class detail::TileStream;
-
-    const trace::TraceView *flat_ = nullptr;
-    const trace::ChunkedView *chunked_ = nullptr;
-    StreamOptions opt_;
-};
 
 /**
  * Fused sweep: time every config of @p configs — typically one trace's

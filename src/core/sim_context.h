@@ -21,9 +21,9 @@ struct StoreForward {
     uint64_t mem_completion; ///< When the store performs in memory.
 };
 
-/** SS read-buffer entry keyed by its precomputed stall point. */
+/** SS read-buffer entry: a load whose value is still in flight. */
 struct PendingLoadSlot {
-    trace::InstIndex first_use; ///< Only instruction that can stall.
+    trace::InstIndex producer; ///< The load's own trace index.
     uint64_t completion;
 };
 
@@ -128,8 +128,6 @@ class SimContext
     SolScratch &solScratch() { return sol_scratch_; }
 
     TileScratch &tileScratch() { return tile_scratch_; }
-
-    size_t laneCount() const { return lanes_.size(); }
 
   private:
     std::deque<DynLane> lanes_; ///< deque: stable lane addresses.

@@ -52,7 +52,6 @@ class SlotAllocator
                       [&](const auto &kv) { return kv.first < watermark; });
     }
 
-    size_t trackedCycles() const { return used_.size(); }
     uint32_t capacity() const { return capacity_; }
 
   private:

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/sim_context.h"
+#include "core/tile_stream.h"
 
 namespace dsmem::core {
 
@@ -129,12 +130,6 @@ class FifoRing
   private:
     std::vector<uint64_t> &ring_;
     uint64_t count_ = 0;
-};
-
-/** An outstanding non-blocking load (SS read buffer entry). */
-struct OutstandingLoad {
-    InstIndex inst;
-    uint64_t completion;
 };
 
 struct Timeline {
@@ -270,27 +265,23 @@ StaticProcessor::run(const trace::Trace &trace) const
 }
 
 // ------------------------------------------------------------------
-// Production loop over the SoA view. Scheduling-identical to
-// runReference; the differences are mechanical:
+// Production loop over a TraceSource, read span by span in order.
+// Scheduling-identical to runReference; the differences are
+// mechanical:
 //  - FIFO occupancy checks run on O(1) rings (leave times are
 //    non-decreasing, so "full" reduces to one compare of the oldest
 //    tracked entry),
-//  - the SS first-use stall uses the view's precomputed first-use
-//    vector: a pending load can only ever stall the first consumer of
-//    its value (any later consumer runs after the entry was retired),
-//    so the per-instruction sources-times-pending scan collapses to
-//    one compare per pending entry,
 //  - gate switches are hoisted into per-model selector masks.
 // ------------------------------------------------------------------
 RunResult
-StaticProcessor::run(const trace::TraceView &v) const
+StaticProcessor::run(const TraceSource &src) const
 {
     SimContext ctx;
-    return run(v, ctx);
+    return run(src, ctx);
 }
 
 RunResult
-StaticProcessor::run(const trace::TraceView &v, SimContext &ctx) const
+StaticProcessor::run(const TraceSource &src, SimContext &ctx) const
 {
     SimContext::StaticScratch &scratch = ctx.staticScratch();
     const GateSelectors sel = gateSelectorsFor(config_.model);
@@ -308,14 +299,17 @@ StaticProcessor::run(const trace::TraceView &v, SimContext &ctx) const
     bool any_store_issued = false;
 
     // SS first-use rule: stall until every source produced by a
-    // still-pending load has completed. A pending entry's only
-    // possible match is its first use, so one compare per entry.
-    auto wait_for_operands = [&](size_t i) {
+    // still-pending load has completed. Entries are keyed by the
+    // producer's index, so the consumer's own sources suffice.
+    auto wait_for_operands = [&](const trace::TileSpan &span, size_t i) {
         if (pending_loads.empty())
             return;
-        for (const PendingLoadSlot &pl : pending_loads) {
-            if (pl.first_use == i)
-                tl.advance(pl.completion, Bucket::READ);
+        const InstIndex *srcs = span.srcs(i);
+        for (uint8_t s = 0; s < span.numSrcs(i); ++s) {
+            for (const PendingLoadSlot &pl : pending_loads) {
+                if (pl.producer == srcs[s])
+                    tl.advance(pl.completion, Bucket::READ);
+            }
         }
         // Drop completed entries.
         std::erase_if(pending_loads, [&](const PendingLoadSlot &pl) {
@@ -331,105 +325,106 @@ StaticProcessor::run(const trace::TraceView &v, SimContext &ctx) const
         return gate;
     };
 
-    const size_t n = v.size();
-    for (size_t i = 0; i < n; ++i) {
-        const Op op = v.op(i);
-        const uint32_t latency = v.latency(i);
+    detail::TileStream stream(src, ctx);
+    trace::TileSpan next;
+    while (stream.next(next)) {
+        // A copy the stream never sees, so its column pointers stay
+        // in registers across the loop's out-of-line calls.
+        const trace::TileSpan span = next;
+        for (size_t i = span.lo(); i < span.hi(); ++i) {
+            const Op op = span.op(i);
+            const uint32_t latency = span.latency(i);
+            wait_for_operands(span, i);
 
-        switch (op) {
-          case Op::LOAD: {
-            wait_for_operands(i);
-            if (nonblocking) {
-                uint64_t free_at;
-                if (read_buffer.full(tl.t, &free_at))
-                    tl.advance(free_at, Bucket::READ);
-            }
-            uint64_t gate = selectGate(gates, sel.load);
-            advanceToGate(tl, gates, gate);
-            uint64_t issue = tl.t;
-            uint64_t completion = issue + latency;
-            if (latency > 1)
-                ++r.read_misses;
-            if (nonblocking) {
-                // Issue and continue; stall at first use.
-                tl.busyCycle();
-                read_buffer.push(completion);
-                if (completion > tl.t) {
-                    pending_loads.push_back(
-                        {v.firstUse(i), completion});
+            switch (op) {
+              case Op::LOAD: {
+                if (nonblocking) {
+                    uint64_t free_at;
+                    if (read_buffer.full(tl.t, &free_at))
+                        tl.advance(free_at, Bucket::READ);
                 }
-            } else {
-                // Blocking read: one busy cycle plus the stall.
+                uint64_t gate = selectGate(gates, sel.load);
+                advanceToGate(tl, gates, gate);
+                uint64_t issue = tl.t;
+                uint64_t completion = issue + latency;
+                if (latency > 1)
+                    ++r.read_misses;
+                if (nonblocking) {
+                    // Issue and continue; stall at first use.
+                    tl.busyCycle();
+                    read_buffer.push(completion);
+                    if (completion > tl.t) {
+                        pending_loads.push_back(
+                            {static_cast<InstIndex>(i), completion});
+                    }
+                } else {
+                    // Blocking read: one busy cycle plus the stall.
+                    tl.busyCycle();
+                    tl.advance(completion, Bucket::READ);
+                }
+                gates.load_comp = std::max(gates.load_comp, completion);
+                ++r.instructions;
+                break;
+              }
+
+              case Op::STORE: {
+                uint64_t free_at;
+                if (write_buffer.full(tl.t, &free_at))
+                    tl.advance(free_at, Bucket::WRITE);
                 tl.busyCycle();
-                tl.advance(completion, Bucket::READ);
+                uint64_t issue = std::max(tl.t, store_issue_gate(false));
+                uint64_t completion = issue + latency;
+                write_buffer.push(completion);
+                gates.store_comp = std::max(gates.store_comp, completion);
+                last_store_issue = issue;
+                any_store_issued = true;
+                ++r.instructions;
+                break;
+              }
+
+              case Op::BRANCH: {
+                tl.busyCycle();
+                ++r.instructions;
+                ++r.branches;
+                break;
+              }
+
+              case Op::LOCK:
+              case Op::WAIT_EVENT:
+              case Op::BARRIER: {
+                uint64_t gate = selectGate(gates, sel.acquire);
+                advanceToGate(tl, gates, gate);
+                uint64_t completion = tl.t + span.waitCycles(i) + latency;
+                tl.advance(completion, Bucket::SYNC);
+                gates.acquire_comp =
+                    std::max(gates.acquire_comp, completion);
+                gates.sync_comp = std::max(gates.sync_comp, completion);
+                break;
+              }
+
+              case Op::UNLOCK:
+              case Op::SET_EVENT: {
+                uint64_t free_at;
+                if (write_buffer.full(tl.t, &free_at))
+                    tl.advance(free_at, Bucket::WRITE);
+                // One cycle to hand the release to the write buffer.
+                tl.advance(tl.t + 1, Bucket::WRITE);
+                uint64_t issue = std::max(tl.t, store_issue_gate(true));
+                uint64_t completion = issue + latency;
+                write_buffer.push(completion);
+                gates.store_comp = std::max(gates.store_comp, completion);
+                gates.sync_comp = std::max(gates.sync_comp, completion);
+                last_store_issue = issue;
+                any_store_issued = true;
+                break;
+              }
+
+              default: { // Compute
+                tl.busyCycle();
+                ++r.instructions;
+                break;
+              }
             }
-            gates.load_comp = std::max(gates.load_comp, completion);
-            ++r.instructions;
-            break;
-          }
-
-          case Op::STORE: {
-            wait_for_operands(i);
-            uint64_t free_at;
-            if (write_buffer.full(tl.t, &free_at))
-                tl.advance(free_at, Bucket::WRITE);
-            tl.busyCycle();
-            uint64_t issue = std::max(tl.t, store_issue_gate(false));
-            uint64_t completion = issue + latency;
-            write_buffer.push(completion);
-            gates.store_comp = std::max(gates.store_comp, completion);
-            last_store_issue = issue;
-            any_store_issued = true;
-            ++r.instructions;
-            break;
-          }
-
-          case Op::BRANCH: {
-            wait_for_operands(i);
-            tl.busyCycle();
-            ++r.instructions;
-            ++r.branches;
-            break;
-          }
-
-          case Op::LOCK:
-          case Op::WAIT_EVENT:
-          case Op::BARRIER: {
-            wait_for_operands(i);
-            uint64_t gate = selectGate(gates, sel.acquire);
-            advanceToGate(tl, gates, gate);
-            uint64_t completion = tl.t + v.waitCycles(i) + latency;
-            tl.advance(completion, Bucket::SYNC);
-            gates.acquire_comp =
-                std::max(gates.acquire_comp, completion);
-            gates.sync_comp = std::max(gates.sync_comp, completion);
-            break;
-          }
-
-          case Op::UNLOCK:
-          case Op::SET_EVENT: {
-            wait_for_operands(i);
-            uint64_t free_at;
-            if (write_buffer.full(tl.t, &free_at))
-                tl.advance(free_at, Bucket::WRITE);
-            // One cycle to hand the release to the write buffer.
-            tl.advance(tl.t + 1, Bucket::WRITE);
-            uint64_t issue = std::max(tl.t, store_issue_gate(true));
-            uint64_t completion = issue + latency;
-            write_buffer.push(completion);
-            gates.store_comp = std::max(gates.store_comp, completion);
-            gates.sync_comp = std::max(gates.sync_comp, completion);
-            last_store_issue = issue;
-            any_store_issued = true;
-            break;
-          }
-
-          default: { // Compute
-            wait_for_operands(i);
-            tl.busyCycle();
-            ++r.instructions;
-            break;
-          }
         }
     }
 
@@ -463,7 +458,7 @@ StaticProcessor::runReference(const trace::Trace &trace) const
     Gates gates;
     FifoBuffer write_buffer(config_.write_buffer_depth);
     FifoBuffer read_buffer(config_.read_buffer_depth);
-    std::vector<OutstandingLoad> pending_loads;
+    std::vector<PendingLoadSlot> pending_loads;
     uint64_t last_store_issue = 0;
     bool any_store_issued = false;
 
@@ -526,14 +521,14 @@ StaticProcessor::runReference(const trace::Trace &trace) const
             InstIndex src = inst.src[s];
             if (src == kNoSrc)
                 continue;
-            for (const OutstandingLoad &ol : pending_loads) {
-                if (ol.inst == src)
-                    tl.advance(ol.completion, Bucket::READ);
+            for (const PendingLoadSlot &pl : pending_loads) {
+                if (pl.producer == src)
+                    tl.advance(pl.completion, Bucket::READ);
             }
         }
         // Drop completed entries.
-        std::erase_if(pending_loads, [&](const OutstandingLoad &ol) {
-            return ol.completion <= tl.t;
+        std::erase_if(pending_loads, [&](const PendingLoadSlot &pl) {
+            return pl.completion <= tl.t;
         });
     };
 

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 
+#include "core/trace_source.h"
 #include "core/types.h"
 #include "trace/trace.h"
-#include "trace/trace_view.h"
 
 namespace dsmem::core {
 
@@ -48,19 +48,21 @@ class StaticProcessor
     explicit StaticProcessor(const StaticConfig &config);
 
     /**
-     * Time a pre-decoded trace view. Production loop: O(1) ring
-     * buffers for the write/read FIFO occupancy checks, the
-     * precomputed first-use vector for SS pending-load stalls, and
-     * hoisted consistency-gate selectors.
+     * Time a flat or chunked trace, read in order span by span, so a
+     * chunked trace is never flattened. Production loop: O(1) ring
+     * buffers for the write/read FIFO occupancy checks, the SS stall
+     * checked where a consumer reads a pending load's value (its own
+     * sources against the pending list), and hoisted
+     * consistency-gate selectors.
      */
-    RunResult run(const trace::TraceView &v) const;
+    RunResult run(const TraceSource &src) const;
 
     /**
-     * run() with recycled storage: borrows the static scratch of
-     * @p ctx instead of constructing fresh buffers. Bit-identical to
-     * run(v) regardless of prior context use.
+     * run() with recycled storage: borrows the static and tile scratch
+     * of @p ctx instead of constructing fresh buffers. Bit-identical
+     * to run(src) regardless of prior context use.
      */
-    RunResult run(const trace::TraceView &v, SimContext &ctx) const;
+    RunResult run(const TraceSource &src, SimContext &ctx) const;
 
     /** Convenience: decode @p t into a view, then time it. */
     RunResult run(const trace::Trace &t) const;

@@ -7,15 +7,20 @@
 #include <thread>
 #include <vector>
 
-#include "core/dynamic_processor.h"
+#include "core/trace_source.h"
 #include "trace/chunked_view.h"
 
 // ------------------------------------------------------------------
-// Internal header: the sequential reader every sweep executor pulls
-// its TraceSource through. Not part of the public API. The methods
-// live in tile_stream.cc, compiled with default flags, so the SIMD
-// executor TU never carries its own copy of the decode pipeline.
+// Internal header: the sequential reader every phase-2 model (the
+// sweep executors, BASE, SSBR and SS) pulls its TraceSource through.
+// Not part of the public API. The methods live in tile_stream.cc,
+// compiled with default flags, so the SIMD executor TU never carries
+// its own copy of the decode pipeline.
 // ------------------------------------------------------------------
+
+namespace dsmem::core {
+class SimContext;
+}
 
 namespace dsmem::core::detail {
 

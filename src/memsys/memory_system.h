@@ -124,7 +124,6 @@ class MemorySystem
     uint32_t numProcs() const { return static_cast<uint32_t>(caches_.size()); }
     const CacheStats &stats(uint32_t proc) const { return stats_.at(proc); }
     const Cache &cache(uint32_t proc) const { return *caches_.at(proc); }
-    const MemoryConfig &memConfig() const { return mem_config_; }
 
     /** The banked DRAM model, or null when dram.banks == 0. */
     DramModel *dram() { return dram_.get(); }

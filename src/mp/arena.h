@@ -71,8 +71,6 @@ class Arena
     /** Number of slots currently allocated. */
     size_t usedSlots() const { return next_slot_; }
 
-    size_t maxSlots() const { return max_slots_; }
-
     /** Raw payload of the slot holding @p addr. */
     uint64_t &raw(Addr addr) { return slots_[slotIndex(addr)]; }
     const uint64_t &raw(Addr addr) const { return slots_[slotIndex(addr)]; }

@@ -93,9 +93,6 @@ class SyncManager
     /** Re-arm an event (ANL CLEAREVENT). */
     void eventClear(EventId event);
 
-    /** True when some thread is parked on any object. */
-    bool hasParkedThreads() const { return parked_count_ > 0; }
-
     uint32_t parkedCount() const { return parked_count_; }
 
     const SyncObjectStats &lockStats(LockId lock) const

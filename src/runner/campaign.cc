@@ -833,11 +833,11 @@ Campaign::fillSink()
         const UnitResult &res = results_[u];
 
         TraceKey key{unit.app, unit.mem, unit.small};
-        bool first_use =
+        bool first_seen =
             std::find(seen.begin(), seen.end(), key) == seen.end();
         bool have_trace =
             res.bundle != nullptr || res.trace_from_journal;
-        if (first_use && have_trace) {
+        if (first_seen && have_trace) {
             seen.push_back(key);
             TraceRecord t;
             t.app = std::string(sim::appName(unit.app));

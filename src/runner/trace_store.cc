@@ -9,6 +9,9 @@
 #include <stdexcept>
 
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "trace/trace_io.h"
 #include "util/byte_io.h"
@@ -295,6 +298,12 @@ loadBundleView(std::istream &is, sim::StreamExec stream_exec)
 TraceStore::TraceStore(std::string dir, sim::StreamExec stream_exec)
     : dir_(std::move(dir)), stream_exec_(stream_exec)
 {
+#if defined(__GLIBC__)
+    // Pinned, glibc's mmap threshold no longer grows as traces are
+    // freed: a released trace's columns leave the process instead of
+    // leaving holes in whichever worker's arena happened to load it.
+    mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
 }
 
 std::string

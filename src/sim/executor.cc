@@ -21,29 +21,28 @@ dynamicConfigFor(const ModelSpec &spec)
 }
 
 RunResult
-runModel(const trace::TraceView &view, const ModelSpec &spec,
+runModel(const core::TraceSource &src, const ModelSpec &spec,
          core::SimContext &ctx)
 {
     switch (spec.kind) {
       case ModelSpec::Kind::BASE:
-        // BASE carries no rolling containers worth recycling.
-        return core::BaseProcessor().run(view);
+        return core::BaseProcessor().run(src, ctx);
       case ModelSpec::Kind::SSBR: {
         core::StaticConfig config;
         config.model = spec.model;
         config.nonblocking_reads = false;
-        return core::StaticProcessor(config).run(view, ctx);
+        return core::StaticProcessor(config).run(src, ctx);
       }
       case ModelSpec::Kind::SS: {
         core::StaticConfig config;
         config.model = spec.model;
         config.nonblocking_reads = true;
-        return core::StaticProcessor(config).run(view, ctx);
+        return core::StaticProcessor(config).run(src, ctx);
       }
       case ModelSpec::Kind::DS:
         break;
     }
-    return core::DynamicProcessor(dynamicConfigFor(spec)).run(view, ctx);
+    return core::DynamicProcessor(dynamicConfigFor(spec)).run(src, ctx);
 }
 
 namespace {
@@ -156,15 +155,8 @@ runGroup(const core::TraceSource &src, const std::vector<ModelSpec> &specs,
             out.push_back(std::move(r));
         return out;
     }
-    for (size_t s : group.rows) {
-        if (specs[s].kind == ModelSpec::Kind::DS)
-            out.push_back(std::move(
-                core::runDynamicSweep(src, {dynamicConfigFor(specs[s])},
-                                      ctx)
-                    .front()));
-        else
-            out.push_back(runModel(src.flatView(), specs[s], ctx));
-    }
+    for (size_t s : group.rows)
+        out.push_back(runModel(src, specs[s], ctx));
     return out;
 }
 

@@ -59,9 +59,10 @@ core::DynamicConfig dynamicConfigFor(const ModelSpec &spec);
 /**
  * runModel with recycled storage: identical results to
  * runModel(view, spec), borrowing @p ctx instead of constructing
- * fresh containers.
+ * fresh containers. @p src is read in order, so a chunked trace
+ * streams its tiles for every model and is never flattened.
  */
-core::RunResult runModel(const trace::TraceView &view,
+core::RunResult runModel(const core::TraceSource &src,
                          const ModelSpec &spec, core::SimContext &ctx);
 
 /**
@@ -83,14 +84,12 @@ std::vector<ExecGroup> planPhase2(const std::vector<ModelSpec> &specs,
  * Execute one group; results index-match group.rows. @p src is a flat
  * TraceView or a ViewBundle (both convert to a core::TraceSource).
  *
- * DS rows run as one core::runDynamicSweep (SweepMode::Auto) per
- * fused group, or a one-lane sweep per singleton, so a chunked trace
- * streams its tiles and never flattens for them. Static rows need the
- * whole-trace random access of first-use distances and run on
- * src.flatView(); ChunkedView memoizes that, so a mixed campaign pays
- * the flatten once. Either way lane k of @p ctx serves row k, so a
- * worker-pinned context grows to the high-water lane count it has
- * seen and is then allocation-free.
+ * A fused group runs as one core::runDynamicSweep (SweepMode::Auto);
+ * every singleton runs through runModel on @p src (a DS row is a
+ * one-lane sweep). Every model reads the trace in order, so a chunked
+ * trace streams its tiles and is never flattened. Lane k of @p ctx
+ * serves row k, so a worker-pinned context grows to the high-water
+ * lane count it has seen and is then allocation-free.
  */
 std::vector<core::RunResult> runGroup(const core::TraceSource &src,
                                       const std::vector<ModelSpec> &specs,

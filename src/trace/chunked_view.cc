@@ -340,9 +340,16 @@ ChunkedView::decodeChunk(size_t c, TraceTile &tile) const
 size_t
 ChunkedView::bytesResident() const
 {
+    size_t flat = 0;
+    {
+        std::lock_guard<std::mutex> lock(flat_mu_);
+        if (flat_)
+            flat = flat_->size() *
+                static_cast<size_t>(TraceView::bytesPerInstr());
+    }
     return meta_.size() + srcs_bytes_.size() + addr_bytes_.size() +
         lat_bytes_.size() + aux_bytes_.size() +
-        dir_.size() * sizeof(ChunkDir) + name_.size();
+        dir_.size() * sizeof(ChunkDir) + name_.size() + flat;
 }
 
 std::shared_ptr<const TraceView>

@@ -19,9 +19,8 @@ namespace dsmem::trace {
 /**
  * Decoded structure-of-arrays tile of one ChunkedView chunk — what a
  * chunked core::TraceSource hands the executors, one TileSpan per
- * tile. Same columns as TraceView
- * minus first_use (a forward reference no sequential decode can
- * know); sized for L2 residency at ChunkedView::kChunkInstrs.
+ * tile. Same columns as TraceView; sized for L2 residency at
+ * ChunkedView::kChunkInstrs.
  * Vectors grow monotonically across decodes, so a recycled tile ring
  * allocates nothing once warm.
  */
@@ -143,7 +142,7 @@ class TileSpan
  * zigzag address/latency deltas, and aux values) sliced into chunks
  * of kChunkInstrs instructions, decoded on demand into TraceTile SoA
  * tiles. Resident footprint is ~4-8 bytes per instruction against the
- * flat view's 32 (TraceView::bytesPerInstr()), so a campaign worker
+ * flat view's 28 (TraceView::bytesPerInstr()), so a campaign worker
  * holding a multi-GB trace keeps only the compressed form plus an
  * L2-sized tile ring resident — a core::TraceSource over it then
  * overlaps each tile's decode with the previous tile's compute.
@@ -158,8 +157,9 @@ class TileSpan
  * Immutable after construction; decodeChunk is const and touches no
  * shared mutable state, so one ChunkedView may feed many threads.
  * flatten() lazily materializes (and caches) the full TraceView for
- * consumers that need random access or first_use (the SS model,
- * sampled runs).
+ * consumers that need random access (sampled runs, live-point
+ * warming); every phase-2 model reads a core::TraceSource in order
+ * and never flattens.
  */
 class ChunkedView
 {
@@ -199,17 +199,18 @@ class ChunkedView
     void decodeChunk(size_t c, TraceTile &tile) const;
 
     /**
-     * Bytes the compressed-resident representation occupies (sections
-     * plus directory) — what a streamed worker keeps resident in
-     * place of size() * TraceView::bytesPerInstr().
+     * Bytes the trace occupies in this process: the compressed
+     * sections plus directory — what a streamed worker keeps resident
+     * in place of size() * TraceView::bytesPerInstr() — plus the flat
+     * copy once flatten() has materialized it.
      */
     size_t bytesResident() const;
 
     /**
      * The flat TraceView of the same trace, materialized on first use
-     * and cached (thread-safe). Consumers needing random access or
-     * the first_use column (SS model, sampled runs) land here; the
-     * streaming sweep paths never do.
+     * and cached (thread-safe). Consumers needing random access
+     * (sampled runs, live-point warming) land here; the phase-2
+     * models never do.
      */
     std::shared_ptr<const TraceView> flatten() const;
 

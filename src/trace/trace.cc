@@ -13,21 +13,6 @@ Trace::append(const TraceInst &inst)
     return static_cast<InstIndex>(insts_.size() - 1);
 }
 
-std::vector<InstIndex>
-Trace::computeFirstUses() const
-{
-    std::vector<InstIndex> first_use(insts_.size(), kNoSrc);
-    for (size_t i = 0; i < insts_.size(); ++i) {
-        const TraceInst &inst = insts_[i];
-        for (int s = 0; s < inst.num_srcs; ++s) {
-            InstIndex producer = inst.src[s];
-            if (producer != kNoSrc && first_use[producer] == kNoSrc)
-                first_use[producer] = static_cast<InstIndex>(i);
-        }
-    }
-    return first_use;
-}
-
 size_t
 Trace::validate() const
 {

@@ -48,21 +48,12 @@ class Trace
     }
 
     const std::string &name() const { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
 
     /** Exact equality (name and every instruction). */
     friend bool operator==(const Trace &a, const Trace &b)
     {
         return a.name_ == b.name_ && a.insts_ == b.insts_;
     }
-
-    /**
-     * For every LOAD, the index of the first later instruction that
-     * consumes its value (kNoSrc when the value is never read). Used
-     * by the SS processor model, which stalls at the first use of an
-     * outstanding read (Section 4.1.1).
-     */
-    std::vector<InstIndex> computeFirstUses() const;
 
     /**
      * Validate SSA well-formedness: every source index refers to an

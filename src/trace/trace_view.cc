@@ -65,8 +65,6 @@ TraceView::TraceView(const Trace &t) : name_(t.name())
 
         flags_[i] = classifyInst(inst.op, inst.latency, inst.taken);
     }
-
-    first_use_ = t.computeFirstUses();
 }
 
 TraceView::TraceView(Parts parts) : name_(std::move(parts.name))
@@ -87,7 +85,6 @@ TraceView::TraceView(Parts parts) : name_(std::move(parts.name))
 
     fu_.resize(n);
     flags_.resize(n);
-    first_use_.assign(n, kNoSrc);
     for (size_t i = 0; i < n; ++i) {
         Op op = ops_[i];
         if (static_cast<uint8_t>(op) >= kNumOps)
@@ -97,8 +94,8 @@ TraceView::TraceView(Parts parts) : name_(std::move(parts.name))
         fu_[i] = static_cast<uint8_t>(fuClass(op));
         flags_[i] = classifyInst(op, latency_[i], parts.taken[i] != 0);
 
-        // SSA validation + first-use in one pass (the direct load
-        // path must reject exactly what Trace::validate rejects).
+        // SSA validation (the direct load path must reject exactly
+        // what Trace::validate rejects).
         for (uint8_t s = 0; s < num_srcs_[i]; ++s) {
             InstIndex producer = srcs_[i][s];
             if (producer == kNoSrc || producer >= i ||
@@ -106,8 +103,6 @@ TraceView::TraceView(Parts parts) : name_(std::move(parts.name))
                 throw util::FormatError(
                     "malformed trace: SSA check failed");
             }
-            if (first_use_[producer] == kNoSrc)
-                first_use_[producer] = static_cast<InstIndex>(i);
         }
     }
 }

@@ -36,9 +36,11 @@ uint8_t classifyInst(Op op, uint32_t latency, bool taken);
  *    hot loop touching only some fields streams only those bytes;
  *  - per-instruction classification flags (miss, sync, acquire,
  *    release, compute, produces-value, branch outcome) and the
- *    functional-unit class, precomputed from the op and latency;
- *  - the SS first-use vector (Trace::computeFirstUses), which the
- *    static non-blocking-read model consults at every pending load.
+ *    functional-unit class, precomputed from the op and latency.
+ *
+ * Nothing is derived from later instructions: the columns are exactly
+ * a ChunkedView tile's (trace::TraceTile), so every model can read
+ * either residency in order through a core::TraceSource.
  *
  * The view holds no reference to the Trace it was built from; it is
  * safe to share across threads (all state is const after build).
@@ -51,7 +53,7 @@ class TraceView
      * bundle stores on disk. Decoders fill these directly (no
      * intermediate AoS Trace) and hand them to the TraceView(Parts)
      * constructor, which validates SSA form and derives the
-     * classification flags, FU classes, and first-use vector.
+     * classification flags and FU classes.
      */
     struct Parts {
         std::string name;
@@ -96,17 +98,18 @@ class TraceView
 
     /**
      * Resident bytes one instruction occupies across the SoA columns
-     * (ops + fu + flags + num_srcs + srcs + addr + latency + aux +
-     * first_use). Derived from the element types so cell sizing in
-     * benches and the streaming-residency threshold can never drift
-     * from the real layout.
+     * (ops + fu + flags + num_srcs + srcs + addr + latency + aux),
+     * the same 28 B a decoded TraceTile holds. Derived from the
+     * element types so cell sizing in benches and the
+     * streaming-residency threshold can never drift from the real
+     * layout.
      */
     static constexpr double bytesPerInstr()
     {
         return static_cast<double>(
             sizeof(Op) + 3 * sizeof(uint8_t) +
             sizeof(std::array<InstIndex, 3>) + sizeof(Addr) +
-            2 * sizeof(uint32_t) + sizeof(InstIndex));
+            2 * sizeof(uint32_t));
     }
 
     Op op(size_t i) const { return ops_[i]; }
@@ -131,12 +134,6 @@ class TraceView
     uint32_t aux(size_t i) const { return aux_[i]; }
     uint32_t branchSite(size_t i) const { return aux_[i]; }
     uint32_t waitCycles(size_t i) const { return aux_[i]; }
-
-    /**
-     * First later instruction consuming instruction @p i's value
-     * (kNoSrc when never read) — the SS model's stall point.
-     */
-    InstIndex firstUse(size_t i) const { return first_use_[i]; }
 
     /** Reconstruct the AoS record (exact round-trip of Trace's). */
     TraceInst materialize(size_t i) const;
@@ -165,7 +162,6 @@ class TraceView
     std::vector<Addr> addr_;
     std::vector<uint32_t> latency_;
     std::vector<uint32_t> aux_;
-    std::vector<InstIndex> first_use_;
 };
 
 } // namespace dsmem::trace

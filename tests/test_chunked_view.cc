@@ -3,8 +3,8 @@
  * Contract tests for the chunk-compressed resident trace form:
  * every chunk must decode to exactly the flat view's columns (at
  * sizes straddling the chunk boundary, and in any decode order),
- * flatten() must reproduce the original view including the derived
- * first-use column, and the chunked loader must agree byte-for-byte
+ * flatten() must reproduce the original view (and count its copy as
+ * resident), and the chunked loader must agree byte-for-byte
  * with the flat loader on ANY input — every truncation point and a
  * byte flip at every offset either loads identically through both
  * paths or fails both with a *typed* error (util::FormatError /
@@ -36,7 +36,7 @@ serializeV2(const Trace &t)
     return std::move(os).str();
 }
 
-/** Column-for-column equality, including the derived first_use. */
+/** Column-for-column equality, including the derived flags. */
 void
 expectSameView(const TraceView &a, const TraceView &b)
 {
@@ -53,7 +53,6 @@ expectSameView(const TraceView &a, const TraceView &b)
         ASSERT_EQ(a.addr(i), b.addr(i)) << "addr at " << i;
         ASSERT_EQ(a.latency(i), b.latency(i)) << "latency at " << i;
         ASSERT_EQ(a.aux(i), b.aux(i)) << "aux at " << i;
-        ASSERT_EQ(a.firstUse(i), b.firstUse(i)) << "first_use at " << i;
     }
 }
 
@@ -106,8 +105,13 @@ TEST(ChunkedView, RoundTripAtChunkBoundarySizes)
         }
         EXPECT_EQ(covered, n);
 
+        // The materialized flat copy is resident too.
+        const size_t compressed = cv.bytesResident();
         std::shared_ptr<const TraceView> flat = cv.flatten();
         expectSameView(*flat, view);
+        EXPECT_EQ(cv.bytesResident(),
+                  compressed +
+                      n * static_cast<size_t>(TraceView::bytesPerInstr()));
         // Memoized: a second flatten is the same materialization.
         EXPECT_EQ(cv.flatten().get(), flat.get());
     }

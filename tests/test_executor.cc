@@ -807,9 +807,9 @@ TEST(Executor, StreamedForcedScalarRuntimeSwitch)
 
 /**
  * runGroup against a chunk-resident bundle must reproduce the flat
- * bundle's rows for every planned group: fused DS sweeps and DS
- * singletons stream, non-DS rows (which need first_use random access)
- * run against the memoized flatten.
+ * bundle's rows for every planned group. Every row (fused DS sweeps,
+ * DS singletons, BASE, SSBR and SS) streams the chunks in order, so
+ * no group ever flattens the trace: the resident bytes never grow.
  */
 TEST(Executor, RunGroupChunkedBundleMatchesFlat)
 {
@@ -824,8 +824,8 @@ TEST(Executor, RunGroupChunkedBundleMatchesFlat)
     chunked.chunked =
         std::make_shared<trace::ChunkedView>(*flat.view);
 
-    EXPECT_LT(chunked.traceBytesResident(),
-              flat.traceBytesResident() / 2);
+    const size_t resident = chunked.traceBytesResident();
+    EXPECT_LT(resident, flat.traceBytesResident() / 2);
 
     std::vector<ModelSpec> specs = combinedSpecs();
     std::vector<uint8_t> done(specs.size(), 0);
@@ -842,6 +842,8 @@ TEST(Executor, RunGroupChunkedBundleMatchesFlat)
                              specs[g.rows[i]].label());
                 EXPECT_EQ(got[i], want[i]);
             }
+            EXPECT_EQ(chunked.traceBytesResident(), resident)
+                << "cap " << cap << ": a group flattened the trace";
         }
     }
 }

@@ -581,7 +581,8 @@ TEST_F(SvcTest, StorelessWorkersKeepTheCampaignsResidencyPolicy)
 {
     // Regression: with no store directory a worker generated its trace
     // in memory under the default policy, so stream_exec = On kept
-    // the in-process trace chunked but the workers' trace flat.
+    // the in-process trace chunked but the workers' trace flat. The
+    // BASE row streams too, so no worker ever flattens the trace.
     if (!haveWorkerBinary())
         GTEST_SKIP() << "dsmem_svc binary unavailable";
     TempDir tmp("residency");
@@ -597,6 +598,7 @@ TEST_F(SvcTest, StorelessWorkersKeepTheCampaignsResidencyPolicy)
 
     std::string ref_json = tmp.sub("ref.json").string();
     size_t in_process_bytes = 0;
+    double flat_bytes = 0.0;
     {
         runner::Campaign campaign("residency", ro);
         declare(campaign);
@@ -606,6 +608,9 @@ TEST_F(SvcTest, StorelessWorkersKeepTheCampaignsResidencyPolicy)
         ASSERT_TRUE(campaign.result(0).bundle->chunked);
         in_process_bytes =
             campaign.result(0).bundle->traceBytesResident();
+        flat_bytes =
+            static_cast<double>(campaign.result(0).bundle->chunked->size()) *
+            trace::TraceView::bytesPerInstr();
         ASSERT_TRUE(campaign.writeJson(ref_json));
     }
 
@@ -619,6 +624,8 @@ TEST_F(SvcTest, StorelessWorkersKeepTheCampaignsResidencyPolicy)
     ASSERT_EQ(coordinator.run(), 0);
     EXPECT_TRUE(campaign.ok());
     EXPECT_EQ(coordinator.stats().view_bytes_resident, in_process_bytes);
+    EXPECT_LT(static_cast<double>(coordinator.stats().view_bytes_resident),
+              flat_bytes / 2);
     std::string json = tmp.sub("svc.json").string();
     ASSERT_TRUE(campaign.writeJson(json));
     EXPECT_EQ(slurp(json), slurp(ref_json));

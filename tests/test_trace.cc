@@ -172,19 +172,6 @@ TEST(TraceTest, ValidateRejectsNonProducerSource)
     EXPECT_EQ(t.validate(), 1u);
 }
 
-TEST(TraceTest, FirstUses)
-{
-    Trace t;
-    t.append(makeLoad(8));              // 0
-    t.append(makeCompute(Op::IALU));    // 1 (no deps)
-    t.append(makeCompute(Op::FADD, 0)); // 2 uses 0
-    t.append(makeStore(8, 0));          // 3 uses 0 again
-    auto first = t.computeFirstUses();
-    EXPECT_EQ(first[0], 2u);
-    EXPECT_EQ(first[1], kNoSrc);
-    EXPECT_EQ(first[2], kNoSrc);
-}
-
 // ---------------------------------------------------------------------
 // Trace statistics
 // ---------------------------------------------------------------------

@@ -3,8 +3,11 @@
  * TraceView correctness: exact round-trip of the SoA decode, and
  * randomized bit-identical equivalence of every view-based timing
  * loop against the retained reference implementations, across all
- * four consistency models, window sizes, and the ablation flags.
+ * four consistency models, window sizes, and the ablation flags. The
+ * static and BASE loops are also timed from a multi-chunk ChunkedView.
  */
+
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "core/static_processor.h"
 #include "random_trace.h"
 #include "sim/experiment.h"
+#include "trace/chunked_view.h"
 #include "trace/trace_view.h"
 
 using namespace dsmem;
@@ -22,6 +26,13 @@ namespace {
 const core::ConsistencyModel kModels[] = {
     core::ConsistencyModel::SC, core::ConsistencyModel::PC,
     core::ConsistencyModel::WO, core::ConsistencyModel::RC};
+
+/**
+ * A trace spanning three chunks: timed from a ChunkedView, some of its
+ * pending loads have their consumer in the next tile.
+ */
+constexpr size_t kMultiTileInstrs =
+    2 * trace::ChunkedView::kChunkInstrs + 555;
 
 void
 expectSameHistogram(const stats::Histogram &a, const stats::Histogram &b)
@@ -76,16 +87,6 @@ TEST(TraceView, FlagsMatchOpPredicates)
         EXPECT_EQ(view.addr(i), inst.addr);
         EXPECT_EQ(view.aux(i), inst.aux);
     }
-}
-
-TEST(TraceView, FirstUseMatchesTrace)
-{
-    trace::Trace t = dsmem::testing::randomTrace(13, 2000);
-    trace::TraceView view(t);
-    std::vector<trace::InstIndex> expected = t.computeFirstUses();
-    ASSERT_EQ(expected.size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i)
-        EXPECT_EQ(view.firstUse(i), expected[i]);
 }
 
 TEST(TraceView, EmptyTrace)
@@ -202,18 +203,26 @@ TEST(DynamicEquivalence, LongTraceExercisesReclamation)
 
 TEST(StaticEquivalence, ModelsBlockingAndNonblocking)
 {
-    for (uint64_t seed : {41u, 43u}) {
-        trace::Trace t = dsmem::testing::randomTrace(seed, 4000);
+    for (auto [seed, n] : {std::pair<uint64_t, size_t>{41, 4000},
+                           {43, 4000}, {59, kMultiTileInstrs}}) {
+        trace::Trace t = dsmem::testing::randomTrace(seed, n);
         trace::TraceView view(t);
+        trace::ChunkedView chunked(view);
         for (core::ConsistencyModel model : kModels) {
             for (bool nonblocking : {false, true}) {
                 core::StaticConfig config;
                 config.model = model;
                 config.nonblocking_reads = nonblocking;
                 core::StaticProcessor proc(config);
-                EXPECT_EQ(proc.runReference(t), proc.run(view))
-                    << "model " << core::consistencyName(model)
-                    << " nonblocking " << nonblocking;
+                core::RunResult ref = proc.runReference(t);
+                EXPECT_EQ(ref, proc.run(view))
+                    << "n " << n << " model "
+                    << core::consistencyName(model) << " nonblocking "
+                    << nonblocking;
+                EXPECT_EQ(ref, proc.run(chunked))
+                    << "chunked n " << n << " model "
+                    << core::consistencyName(model) << " nonblocking "
+                    << nonblocking;
             }
         }
     }
@@ -221,23 +230,35 @@ TEST(StaticEquivalence, ModelsBlockingAndNonblocking)
 
 TEST(StaticEquivalence, ShallowBuffers)
 {
-    trace::Trace t = dsmem::testing::randomTrace(47, 4000);
-    trace::TraceView view(t);
-    core::StaticConfig config;
-    config.model = core::ConsistencyModel::RC;
-    config.nonblocking_reads = true;
-    config.write_buffer_depth = 2;
-    config.read_buffer_depth = 2;
-    core::StaticProcessor proc(config);
-    EXPECT_EQ(proc.runReference(t), proc.run(view));
+    for (auto [seed, n] : {std::pair<uint64_t, size_t>{47, 4000},
+                           {61, kMultiTileInstrs}}) {
+        trace::Trace t = dsmem::testing::randomTrace(seed, n);
+        trace::TraceView view(t);
+        trace::ChunkedView chunked(view);
+        core::StaticConfig config;
+        config.model = core::ConsistencyModel::RC;
+        config.nonblocking_reads = true;
+        config.write_buffer_depth = 2;
+        config.read_buffer_depth = 2;
+        core::StaticProcessor proc(config);
+        core::RunResult ref = proc.runReference(t);
+        EXPECT_EQ(ref, proc.run(view)) << "n " << n;
+        EXPECT_EQ(ref, proc.run(chunked)) << "chunked n " << n;
+    }
 }
 
 TEST(BaseEquivalence, ViewMatchesTrace)
 {
-    trace::Trace t = dsmem::testing::randomTrace(53, 4000);
-    trace::TraceView view(t);
-    core::BaseProcessor proc;
-    EXPECT_EQ(proc.run(t), proc.run(view));
+    for (auto [seed, n] : {std::pair<uint64_t, size_t>{53, 4000},
+                           {67, kMultiTileInstrs}}) {
+        trace::Trace t = dsmem::testing::randomTrace(seed, n);
+        trace::TraceView view(t);
+        trace::ChunkedView chunked(view);
+        core::BaseProcessor proc;
+        core::RunResult ref = proc.run(t);
+        EXPECT_EQ(ref, proc.run(view)) << "n " << n;
+        EXPECT_EQ(ref, proc.run(chunked)) << "chunked n " << n;
+    }
 }
 
 TEST(RunModelEquivalence, ViewOverloadMatchesTraceOverload)
