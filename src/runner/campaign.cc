@@ -558,15 +558,16 @@ Campaign::laneCap(unsigned jobs) const
 }
 
 Campaign::ShardPlan
-Campaign::shardPlan(unsigned workers) const
+Campaign::shardPlan(unsigned workers, unsigned worker_threads) const
 {
     ShardPlan plan;
     plan.shards.resize(std::max(1u, workers));
 
-    // The groups run() would submit, gathered per trace key in
-    // first-appearance order so a shard resolves each phase-1 trace
-    // at most once.
-    const size_t lane_cap = laneCap(std::max(1u, workers));
+    // The groups run() would submit at the pool's total thread count,
+    // gathered per trace key in first-appearance order so a shard
+    // resolves each phase-1 trace at most once.
+    const size_t lane_cap = laneCap(static_cast<unsigned>(
+        plan.shards.size() * std::max(1u, worker_threads)));
     using TraceKey = std::tuple<sim::AppId, memsys::MemoryConfig, bool>;
     struct TraceWork {
         TraceKey key;
@@ -599,14 +600,28 @@ Campaign::shardPlan(unsigned workers) const
                          return a.cells > b.cells;
                      });
     std::vector<size_t> load(plan.shards.size(), 0);
+    std::vector<std::vector<TraceWork *>> placed(plan.shards.size());
     for (TraceWork &t : traces) {
         size_t best = 0;
         for (size_t k = 1; k < plan.shards.size(); ++k)
             if (load[k] < load[best])
                 best = k;
         load[best] += t.cells;
-        for (GroupRef &g : t.groups)
-            plan.shards[best].push_back(std::move(g));
+        placed[best].push_back(&t);
+    }
+    // Deal each shard's traces round-robin, one group per trace per
+    // turn: a worker's first leases then name distinct traces, which
+    // its threads resolve in parallel.
+    for (size_t k = 0; k < placed.size(); ++k) {
+        for (size_t turn = 0, dealt = 1; dealt > 0; ++turn) {
+            dealt = 0;
+            for (TraceWork *t : placed[k]) {
+                if (turn < t->groups.size()) {
+                    plan.shards[k].push_back(std::move(t->groups[turn]));
+                    ++dealt;
+                }
+            }
+        }
     }
     return plan;
 }

@@ -210,15 +210,18 @@ class Campaign
     void finish();
 
     /**
-     * Shard the pending phase-2 work across @p workers. Each unit's
-     * pending rows are planned exactly as run() plans them
-     * (sim::planPhase2 at the adaptive lane cap for @p workers jobs,
-     * or singletons when fuse_sweeps is off); a trace's groups stay
-     * together (one shard resolves each phase-1 trace once) and go
-     * to the currently lightest shard, heaviest trace first.
-     * Deterministic in the declaration set + journal state alone.
+     * Shard the pending phase-2 work across @p workers processes of
+     * @p worker_threads threads each. Each unit's pending rows are
+     * planned exactly as run() plans them at --jobs workers *
+     * worker_threads (sim::planPhase2 at the adaptive lane cap for
+     * that many jobs, or singletons when fuse_sweeps is off); a
+     * trace's groups stay together (one shard resolves each phase-1
+     * trace once) and go to the currently lightest shard, heaviest
+     * trace first. A shard deals its traces' groups round-robin, so
+     * its first groups name distinct traces. Deterministic in the
+     * declaration set + journal state alone.
      */
-    ShardPlan shardPlan(unsigned workers) const;
+    ShardPlan shardPlan(unsigned workers, unsigned worker_threads) const;
 
     /** Declaration accessors for the service layer's wire format. */
     sim::AppId unitApp(size_t u) const { return units_.at(u).app; }

@@ -337,7 +337,9 @@ CampaignJournal::open(const std::string &path, const std::string &bench,
 
     // O_RDWR rather than O_WRONLY: opening must read back the header
     // and the tail to validate what it is about to append to.
-    int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
+    // O_CLOEXEC: a forked service worker must not hold the journal.
+    int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
+                    0644);
     if (fd < 0)
         return fail("open " + path + ": " +
                     std::string(std::strerror(errno)));

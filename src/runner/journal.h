@@ -77,7 +77,9 @@ struct JournalMeta {
  *   {"t":"lease","unit":U,"spec":S,...}  advisory: cell dispatched
  *                                        to a worker (audit only;
  *                                        one per row of a leased
- *                                        group, appended together)
+ *                                        group; a dispatch round's
+ *                                        records are appended
+ *                                        together)
  *
  * Durability: every append writes its complete line(s) and fsyncs
  * before returning, so after a crash the file holds a prefix of the
@@ -143,8 +145,9 @@ class CampaignJournal
     /** Coordinator takeover marker (@p workers = initial pool size). */
     void appendEpoch(uint64_t epoch, uint32_t workers);
     /**
-     * One ASSIGN's lease records (one per row of the leased group),
-     * made durable together: one write and one fsync for the batch.
+     * One dispatch round's lease records (one per row of every group
+     * it leases), made durable together: one write and one fsync for
+     * the batch.
      */
     void appendLeases(const std::vector<JournalLease> &leases);
 

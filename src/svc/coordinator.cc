@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "util/failpoint.h"
+#include "util/sysinfo.h"
 
 namespace dsmem::svc {
 
@@ -48,6 +49,7 @@ Coordinator::Coordinator(runner::Campaign &campaign,
 {
     if (opts_.workers == 0)
         opts_.workers = 1;
+    worker_threads_ = std::max(1u, util::hostCores() / opts_.workers);
     stats_.cells_by_worker.assign(opts_.workers, 0);
     stats_.deaths_by_worker.assign(opts_.workers, 0);
 }
@@ -90,7 +92,12 @@ Coordinator::setupSocket(std::string *err)
     std::memcpy(addr.sun_path, socket_path_.c_str(),
                 socket_path_.size() + 1);
     ::unlink(socket_path_.c_str()); // Stale path from a crashed run.
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    // Close-on-exec, like every accepted connection: a worker that
+    // inherited the listen socket could connect to it after the
+    // coordinator died and wait for a WELCOME forever, and one that
+    // inherited a sibling's connection would keep that sibling from
+    // ever seeing EOF.
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) {
         *err = std::string("socket: ") + std::strerror(errno);
         return false;
@@ -195,8 +202,9 @@ Coordinator::workerDied(Slot &slot, const char *why)
         ::waitpid(slot.pid, nullptr, 0);
         slot.pid = -1;
     }
-    requeue(std::move(slot.lease));
-    slot.lease = GroupRef{};
+    for (auto &[seq, g] : slot.leases)
+        requeue(std::move(g));
+    slot.leases.clear();
     ++stats_.worker_deaths;
     if (slot.id < stats_.deaths_by_worker.size())
         ++stats_.deaths_by_worker[slot.id];
@@ -261,39 +269,49 @@ Coordinator::nextGroup(Slot &slot, GroupRef &out)
 }
 
 void
-Coordinator::dispatchTo(Slot &slot)
-{
-    if (!slot.connected || !slot.lease.group.rows.empty())
-        return;
-    GroupRef g;
-    if (!nextGroup(slot, g))
-        return;
-    AssignMsg assign;
-    assign.unit = static_cast<uint32_t>(g.unit);
-    assign.seq = ++seq_;
-    std::vector<runner::JournalLease> leases;
-    for (size_t s : g.group.rows) {
-        assign.rows.push_back(static_cast<uint32_t>(s));
-        leases.push_back(runner::JournalLease{g.unit, s, slot.id, epoch_});
-    }
-    campaign_.journal().appendLeases(leases);
-    std::string err;
-    if (!sendFrame(slot.fd, "svc.coord.send", MsgType::ASSIGN,
-                   encodeAssign(assign), &err)) {
-        requeue(std::move(g));
-        workerDied(slot, "send failed");
-        return;
-    }
-    ++stats_.assigns;
-    stats_.dispatched += g.group.rows.size();
-    slot.lease = std::move(g);
-}
-
-void
 Coordinator::dispatchIdle()
 {
-    for (Slot &slot : slots_)
-        dispatchTo(slot);
+    // Top every connected worker up to worker_threads_ leases. The
+    // whole round's lease records go to the journal first, in one
+    // write and one fsync, so a record never trails its ASSIGN.
+    std::vector<std::pair<Slot *, GroupRef>> picks;
+    std::vector<runner::JournalLease> records;
+    for (Slot &slot : slots_) {
+        if (!slot.connected)
+            continue;
+        GroupRef g;
+        for (size_t held = slot.leases.size();
+             held < worker_threads_ && nextGroup(slot, g); ++held) {
+            for (size_t s : g.group.rows)
+                records.push_back(
+                    runner::JournalLease{g.unit, s, slot.id, epoch_});
+            picks.emplace_back(&slot, std::move(g));
+        }
+    }
+    if (picks.empty())
+        return;
+    campaign_.journal().appendLeases(records);
+    for (auto &[slot, g] : picks) {
+        if (!slot->connected) { // Its send failed earlier this round.
+            requeue(std::move(g));
+            continue;
+        }
+        AssignMsg assign;
+        assign.unit = static_cast<uint32_t>(g.unit);
+        assign.seq = ++seq_;
+        for (size_t s : g.group.rows)
+            assign.rows.push_back(static_cast<uint32_t>(s));
+        std::string err;
+        if (!sendFrame(slot->fd, "svc.coord.send", MsgType::ASSIGN,
+                       encodeAssign(assign), &err)) {
+            requeue(std::move(g));
+            workerDied(*slot, "send failed");
+            continue;
+        }
+        ++stats_.assigns;
+        stats_.dispatched += g.group.rows.size();
+        slot->leases.emplace(assign.seq, std::move(g));
+    }
 }
 
 std::string
@@ -319,8 +337,12 @@ void
 Coordinator::handleResult(Slot &slot, const ResultMsg &msg)
 {
     CellRef cell{msg.unit, msg.spec};
-    if (slot.lease.unit == cell.unit)
-        std::erase(slot.lease.group.rows, cell.spec);
+    auto lease = slot.leases.find(msg.seq);
+    if (lease != slot.leases.end() && lease->second.unit == cell.unit) {
+        std::erase(lease->second.group.rows, cell.spec);
+        if (lease->second.group.rows.empty())
+            slot.leases.erase(lease);
+    }
     stats_.peak_rss_bytes =
         std::max(stats_.peak_rss_bytes, msg.peak_rss_bytes);
     stats_.view_bytes_resident =
@@ -396,7 +418,7 @@ Coordinator::acceptConnections()
             std::fprintf(stderr, "svc: accept: %s\n", e.what());
             return;
         }
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
+        int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
@@ -516,7 +538,7 @@ Coordinator::run()
 
     // Shard the pending groups; each slot's backlog is its shard.
     runner::Campaign::ShardPlan plan =
-        campaign_.shardPlan(opts_.workers);
+        campaign_.shardPlan(opts_.workers, worker_threads_);
     remaining_ = plan.cells;
     if (remaining_ == 0) {
         campaign_.finish();
@@ -563,6 +585,7 @@ Coordinator::run()
         welcome.backoff_cap_ms = campaign_.options().backoff_cap_ms;
         welcome.stream_exec = static_cast<uint8_t>(
             campaign_.options().stream_exec);
+        welcome.worker_threads = worker_threads_;
         welcome.plan = campaign_.options().sampling;
         for (size_t u = 0; u < campaign_.size(); ++u) {
             UnitDecl decl;
@@ -684,6 +707,7 @@ Coordinator::statsJson() const
         s += std::to_string(v);
     };
     field("workers", opts_.workers, true);
+    field("worker_threads", worker_threads_);
     field("assigns", stats_.assigns);
     field("dispatched", stats_.dispatched);
     field("results", stats_.results);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,6 +48,8 @@ struct ServiceStats {
 };
 
 struct ServiceOptions {
+    /** Worker processes. Each runs max(1, hostCores() / workers)
+     *  leases at once (Coordinator::workerThreads). */
     unsigned workers = 2;
     /** Heartbeat silence after which a worker's lease is revoked and
      *  the process SIGKILLed (ms). */
@@ -72,14 +75,21 @@ struct ServiceOptions {
  * Crash-tolerance model (DESIGN.md §13):
  *  - Dispatch is a *lease* of one planned phase-2 group
  *    (Campaign::shardPlan — the same sim::planPhase2 groups the
- *    in-process pool runs): advisory `lease` records journal who was
- *    asked, the durable commit stays the campaign's own `row` record,
- *    written only when a result is accepted. Losing any number of
- *    leases loses no data — the cells just run again.
+ *    in-process pool runs at --jobs workers * worker_threads):
+ *    advisory `lease` records journal who was asked, the durable
+ *    commit stays the campaign's own `row` record, written only when
+ *    a result is accepted. Losing any number of leases loses no
+ *    data — the cells just run again.
+ *  - Each worker runs up to worker_threads leases at once, one per
+ *    pool thread, where worker_threads = max(1, hostCores() /
+ *    workers): the pool as a whole uses the host, and a worker's
+ *    threads share one copy of each trace. The coordinator keeps
+ *    that many leases in flight per worker, keyed by ASSIGN seq.
  *  - A worker death (socket EOF, SIGCHLD, or heartbeat silence past
- *    lease_ms) requeues the undone rows of its lease as one group,
- *    plus its shard queue, for re-dispatch; the slot respawns up to
- *    respawn_per_slot times, then retires (the pool shrinks).
+ *    lease_ms) requeues the undone rows of every lease it held, one
+ *    group each, plus its shard queue, for re-dispatch; the slot
+ *    respawns up to respawn_per_slot times, then retires (the pool
+ *    shrinks).
  *  - Duplicate completions (a redispatched cell whose first worker
  *    was slow, not dead) resolve first-result-wins: identical bits
  *    are counted and dropped, different bits poison the run — two
@@ -106,6 +116,9 @@ class Coordinator
 
     const ServiceStats &stats() const { return stats_; }
 
+    /** Leases each worker runs at once (shipped in WELCOME). */
+    unsigned workerThreads() const { return worker_threads_; }
+
     /** The dispatch counters as a JSON object (EXPERIMENTS.md). */
     std::string statsJson() const;
 
@@ -122,9 +135,9 @@ class Coordinator
         unsigned respawns = 0;
         uint64_t last_seen_ms = 0; ///< Last frame from this worker.
         std::deque<GroupRef> queue; ///< Shard backlog (unleased).
-        /** The leased group's rows still awaiting a RESULT (empty
-         *  rows: idle). */
-        GroupRef lease;
+        /** In-flight leases keyed by ASSIGN seq: each group's rows
+         *  still awaiting a RESULT. At most worker_threads_. */
+        std::map<uint64_t, GroupRef> leases;
         FrameReader rx;
     };
 
@@ -142,7 +155,6 @@ class Coordinator
     void requeue(GroupRef g);
     bool nextGroup(Slot &slot, GroupRef &out);
     void dispatchIdle();
-    void dispatchTo(Slot &slot);
     void handleFrame(Slot &slot, const Frame &frame);
     void handleResult(Slot &slot, const ResultMsg &msg);
     void acceptConnections();
@@ -156,6 +168,7 @@ class Coordinator
 
     runner::Campaign &campaign_;
     ServiceOptions opts_;
+    unsigned worker_threads_ = 1;
     ServiceStats stats_;
     std::string socket_path_;
     std::string welcome_; ///< Encoded once, sent to every worker.

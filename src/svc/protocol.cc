@@ -431,6 +431,7 @@ std::string encodeWelcome(const WelcomeMsg &m)
     w.u32(m.backoff_base_ms);
     w.u32(m.backoff_cap_ms);
     w.u8(m.stream_exec);
+    w.u32(m.worker_threads);
     putSamplingPlan(w, m.plan);
     w.u32(static_cast<uint32_t>(m.units.size()));
     for (const UnitDecl &u : m.units) {
@@ -455,6 +456,7 @@ bool decodeWelcome(const std::string &p, WelcomeMsg &m)
     m.backoff_base_ms = r.u32();
     m.backoff_cap_ms = r.u32();
     m.stream_exec = r.u8();
+    m.worker_threads = r.u32();
     m.plan = getSamplingPlan(r);
     uint32_t units = r.u32();
     if (!r.ok || units > 1u << 20)

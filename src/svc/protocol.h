@@ -41,8 +41,9 @@ namespace dsmem::svc {
  * transient faults (mode `throw` surfaces as a connection error).
  */
 inline constexpr uint32_t kProtocolMagic = 0x43565344; // "DSVC"
-/** Version 2: an ASSIGN carries one planned group (several rows). */
-inline constexpr uint32_t kProtocolVersion = 2;
+/** Version 2: an ASSIGN carries one planned group (several rows).
+ *  Version 3: WELCOME carries worker_threads (leases run at once). */
+inline constexpr uint32_t kProtocolVersion = 3;
 /** Sanity cap on one frame's payload (declarations are ~KBs). */
 inline constexpr uint32_t kMaxFrameBytes = 16u << 20;
 
@@ -168,6 +169,9 @@ struct WelcomeMsg {
      *  worker's TraceStore applies (chunk-compressed streaming vs flat
      *  view — see sim/stream_exec.h). */
     uint8_t stream_exec = 0;
+    /** Leases the worker runs at once, each on its own pool thread;
+     *  the coordinator keeps this many in flight per worker. */
+    uint32_t worker_threads = 1;
     sim::SamplingPlan plan;
     std::vector<UnitDecl> units;
 };
@@ -180,13 +184,13 @@ struct WelcomeMsg {
 struct AssignMsg {
     uint32_t unit = 0;
     std::vector<uint32_t> rows; ///< Spec indices, in plan order.
-    uint64_t seq = 0; ///< Dispatch sequence number (audit/debug).
+    uint64_t seq = 0; ///< Dispatch sequence number: the lease's key.
 };
 
 struct ResultMsg {
     uint32_t unit = 0;
     uint32_t spec = 0;
-    uint64_t seq = 0;
+    uint64_t seq = 0; ///< The answered ASSIGN's seq.
     uint8_t ok = 1;    ///< 0: the cell failed permanently worker-side.
     std::string error; ///< Failure text when !ok.
     core::RunResult result;

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -16,6 +15,7 @@
 #include <unistd.h>
 
 #include "runner/campaign.h"
+#include "runner/runner.h"
 #include "runner/trace_store.h"
 #include "sim/sampling.h"
 #include "sim/trace_bundle.h"
@@ -66,17 +66,27 @@ connectCoordinator(const std::string &path, std::string *err)
     return -1;
 }
 
+/** What a worker memoizes per declared unit. */
+struct UnitState {
+    /** Serializes the unit's phase-1 resolution: the first pool
+     *  thread resolves the trace and reports where it came from; the
+     *  others then hit the store's memo. */
+    std::mutex mu;
+    /** Live points (one trace key per unit). */
+    std::shared_ptr<const sim::LivePointSet> lp;
+    /** Trace provenance already reported. */
+    bool trace_sent = false;
+};
+
 /** All state one connected worker needs across cells. */
 struct WorkerState {
     WelcomeMsg cfg;
     /** The campaign's fault policy and sampling plan from cfg, in
      *  the form runner::runPhase2Group takes. */
     runner::RunnerOptions opts;
-    std::unique_ptr<runner::TraceStore> store;
-    /** Live points per unit (one trace key per unit). */
-    std::map<uint32_t, std::shared_ptr<const sim::LivePointSet>> lps;
-    /** Units whose trace provenance was already reported. */
-    std::map<uint32_t, bool> trace_sent;
+    std::unique_ptr<runner::TraceStore> store; ///< Thread safe.
+    /** Index = unit; sized once from cfg, never resized. */
+    std::unique_ptr<UnitState[]> units;
 };
 
 /**
@@ -85,7 +95,7 @@ struct WorkerState {
  * pool's job bodies: runner::resolvePhase1 (the unit's trace through
  * the shared on-disk store) and runner::runPhase2Group. A failure
  * fails every row permanently — the coordinator records it, it does
- * not re-lease.
+ * not re-lease. Runs concurrently on the worker's pool threads.
  */
 std::vector<ResultMsg>
 runAssign(WorkerState &st, const AssignMsg &a)
@@ -112,9 +122,10 @@ runAssign(WorkerState &st, const AssignMsg &a)
 
     // Live points are memoized per unit, so only the first group of
     // a unit's trace asks for them.
-    std::shared_ptr<const sim::LivePointSet> &lp = st.lps[a.unit];
+    UnitState &us = st.units[a.unit];
+    std::unique_lock<std::mutex> unit_lock(us.mu);
     const bool want_points =
-        st.opts.sampling.enabled() && !lp &&
+        st.opts.sampling.enabled() && !us.lp &&
         std::any_of(group.rows.begin(), group.rows.end(), [&](size_t s) {
             return u.specs[s].kind == sim::ModelSpec::Kind::DS;
         });
@@ -126,9 +137,10 @@ runAssign(WorkerState &st, const AssignMsg &a)
     }
     const sim::ViewBundle *vb = p1.bundle;
     if (want_points)
-        lp = p1.lp;
-    if (!st.trace_sent[a.unit]) {
-        st.trace_sent[a.unit] = true;
+        us.lp = p1.lp;
+    const std::shared_ptr<const sim::LivePointSet> lp = us.lp;
+    if (!us.trace_sent) {
+        us.trace_sent = true;
         ResultMsg &first = out.front();
         first.has_trace = 1;
         first.trace_origin = std::string(sim::traceOriginName(p1.origin));
@@ -137,6 +149,7 @@ runAssign(WorkerState &st, const AssignMsg &a)
         first.gen_ms = p1.timing.gen_ms;
         first.load_ms = p1.timing.load_ms;
     }
+    unit_lock.unlock();
 
     thread_local core::SimContext sim_ctx;
     runner::GroupOutcome res = runner::runPhase2Group(
@@ -175,7 +188,7 @@ workerMain(const WorkerOptions &opts)
         return 1;
     }
 
-    // One mutex serializes the main loop's RESULTs with the
+    // One mutex serializes the pool threads' RESULTs with the
     // heartbeat thread's beats; frames never interleave.
     std::mutex send_mu;
     auto send = [&](MsgType type, const std::string &payload,
@@ -216,9 +229,11 @@ workerMain(const WorkerOptions &opts)
     st.opts.sampling = st.cfg.plan;
     st.store = std::make_unique<runner::TraceStore>(
         st.cfg.trace_dir, static_cast<sim::StreamExec>(st.cfg.stream_exec));
+    st.units = std::make_unique<UnitState[]>(st.cfg.units.size());
 
-    // Heartbeat thread: renews the coordinator's lease while a long
-    // phase-1 generation or phase-2 run keeps the main loop busy.
+    // Heartbeat thread: renews the coordinator's leases while long
+    // phase-1 generations or phase-2 runs keep every pool thread
+    // from reporting.
     std::atomic<bool> stop{false};
     std::mutex hb_mu;
     std::condition_variable hb_cv;
@@ -236,7 +251,7 @@ workerMain(const WorkerOptions &opts)
             std::string ignored;
             if (!send(MsgType::HEARTBEAT, encodeHeartbeat(hb),
                       &ignored))
-                break; // Coordinator gone; main loop will see EOF.
+                break; // Coordinator gone; the receive sees EOF.
         }
     });
     auto joinHeartbeat = [&] {
@@ -248,11 +263,18 @@ workerMain(const WorkerOptions &opts)
         heartbeat.join();
     };
 
+    // The main loop only receives frames; each ASSIGN runs on one of
+    // the pool's worker_threads threads. A pool thread that cannot
+    // send a RESULT marks the connection lost and shuts the socket
+    // down, which wakes the blocking receive below.
+    std::atomic<bool> lost{false};
+    runner::Runner pool(st.cfg.worker_threads);
     int code = 1;
     for (;;) {
         if (!recvFrame(fd, "svc.worker.recv", frame, &err)) {
-            std::fprintf(stderr, "dsmem_svc worker %u: %s\n", opts.id,
-                         err.c_str());
+            if (!lost.exchange(true))
+                std::fprintf(stderr, "dsmem_svc worker %u: %s\n",
+                             opts.id, err.c_str());
             break;
         }
         if (frame.type == MsgType::SHUTDOWN) {
@@ -266,21 +288,30 @@ workerMain(const WorkerOptions &opts)
             std::fprintf(stderr,
                          "dsmem_svc worker %u: malformed assign\n",
                          opts.id);
+            lost.store(true);
             break;
         }
-        bool sent = true;
-        for (const ResultMsg &result : runAssign(st, assign)) {
-            sent = send(MsgType::RESULT, encodeResult(result), &err);
-            if (!sent) {
-                std::fprintf(stderr,
-                             "dsmem_svc worker %u: result: %s\n",
-                             opts.id, err.c_str());
-                break;
+        pool.submit([&, assign = std::move(assign)] {
+            if (lost.load())
+                return; // Nobody is left to take the results.
+            for (const ResultMsg &result : runAssign(st, assign)) {
+                std::string serr;
+                if (!send(MsgType::RESULT, encodeResult(result), &serr)) {
+                    if (!lost.exchange(true)) {
+                        std::fprintf(stderr,
+                                     "dsmem_svc worker %u: result: %s\n",
+                                     opts.id, serr.c_str());
+                        ::shutdown(fd, SHUT_RDWR);
+                    }
+                    return;
+                }
             }
-        }
-        if (!sent)
-            break;
+        });
     }
+    // On SHUTDOWN every queued lease still runs and reports.
+    pool.wait();
+    if (lost.load())
+        code = 1;
 
     joinHeartbeat();
     ::close(fd);

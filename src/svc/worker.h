@@ -14,8 +14,11 @@ struct WorkerOptions {
 /**
  * Entry point of one worker process (`dsmem_svc worker`): connect to
  * the coordinator, introduce itself (HELLO), receive the campaign
- * declaration (WELCOME), then loop running ASSIGNed cells and
- * reporting RESULTs while a background thread heartbeats the lease.
+ * declaration (WELCOME), then receive ASSIGNs and run them on a
+ * runner::Runner pool of WELCOME's worker_threads threads, each
+ * reporting its RESULTs, while a background thread heartbeats the
+ * leases. The threads share the worker's trace store, so each trace
+ * is resolved once per process.
  *
  * The worker is deliberately stateless between cells: every phase-2
  * result is computed from the immutable trace view alone, so the

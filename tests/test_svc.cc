@@ -7,6 +7,7 @@
  * the exit-code contract of the built dsmem_svc CLI.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -28,6 +29,7 @@
 #include "svc/protocol.h"
 #include "util/byte_io.h"
 #include "util/failpoint.h"
+#include "util/sysinfo.h"
 
 #ifndef DSMEM_SVC_BIN
 #define DSMEM_SVC_BIN ""
@@ -153,6 +155,7 @@ TEST_F(SvcTest, WelcomeRoundTripsDeclarationSet)
     m.trace_dir = "/tmp/cache";
     m.signature = 0x1122334455667788ull;
     m.stream_exec = static_cast<uint8_t>(sim::StreamExec::On);
+    m.worker_threads = 3;
     m.plan.period = 1000;
     m.plan.detailed = 100;
     m.plan.warmup = 50;
@@ -192,6 +195,7 @@ TEST_F(SvcTest, WelcomeRoundTripsDeclarationSet)
     EXPECT_TRUE(d.units[0].mem == u.mem);
     EXPECT_TRUE(d.plan == m.plan);
     EXPECT_EQ(d.stream_exec, m.stream_exec);
+    EXPECT_EQ(d.worker_threads, 3u);
 }
 
 TEST_F(SvcTest, DecodeRejectsTruncatedAndTrailingGarbage)
@@ -248,12 +252,15 @@ TEST_F(SvcTest, AssignCarriesOnePlannedGroup)
 
 TEST_F(SvcTest, HelloOfAnotherProtocolVersionIsRefused)
 {
-    EXPECT_EQ(kProtocolVersion, 2u);
+    // v3 added WELCOME's worker_threads: a v2 worker would misread it.
+    EXPECT_EQ(kProtocolVersion, 3u);
     HelloMsg d;
-    HelloMsg v1{3, 99, 1};
-    EXPECT_FALSE(decodeHello(encodeHello(v1), d));
-    HelloMsg v2{3, 99, kProtocolVersion};
-    EXPECT_TRUE(decodeHello(encodeHello(v2), d));
+    for (uint32_t old : {1u, 2u}) {
+        HelloMsg stale{3, 99, old};
+        EXPECT_FALSE(decodeHello(encodeHello(stale), d)) << old;
+    }
+    HelloMsg current{3, 99, kProtocolVersion};
+    EXPECT_TRUE(decodeHello(encodeHello(current), d));
 }
 
 // --- framing over a real socket -------------------------------------
@@ -373,7 +380,7 @@ TEST_F(SvcTest, ShardPlanCoversEveryCellExactlyOnce)
         declareSmoke(campaign);
         ASSERT_TRUE(campaign.prepare());
         runner::Campaign::ShardPlan plan =
-            campaign.shardPlan(workers);
+            campaign.shardPlan(workers, 1);
         ASSERT_EQ(plan.shards.size(), workers);
         std::set<runner::Campaign::CellRef> seen;
         size_t fused = 0;
@@ -409,9 +416,10 @@ TEST_F(SvcTest, ShardPlanUsesTheCampaignsGroupPlan)
         runner::Campaign campaign(benchNameFor("smoke"), ro);
         declareSmoke(campaign);
         ASSERT_TRUE(campaign.prepare());
-        // The groups planPhase2 gives run() at the same parallelism.
-        const size_t cap = fuse ? sim::adaptiveLaneCap(4, 2) : 1;
-        for (const auto &shard : campaign.shardPlan(2).shards) {
+        // The groups planPhase2 gives run() at the pool's total
+        // thread count: 2 workers of 2 threads plan as --jobs 4.
+        const size_t cap = fuse ? sim::adaptiveLaneCap(4, 4) : 1;
+        for (const auto &shard : campaign.shardPlan(2, 2).shards) {
             ASSERT_FALSE(shard.empty());
             std::vector<sim::ExecGroup> want = sim::planPhase2(
                 campaign.unitSpecs(shard.front().unit),
@@ -429,6 +437,33 @@ TEST_F(SvcTest, ShardPlanUsesTheCampaignsGroupPlan)
     }
 }
 
+TEST_F(SvcTest, ShardPlanPlansAtThePoolsTotalThreadCount)
+{
+    // Sixteen RC DS windows of one family: --jobs 2 caps a fused
+    // sweep at four lanes, --jobs 4 at two. Two workers of two
+    // threads each must plan as --jobs 4, not as --jobs 2.
+    TempDir tmp("plan4");
+    runner::Campaign campaign("plan4", smokeOptions(tmp.str()));
+    std::vector<sim::ModelSpec> specs;
+    for (uint32_t w = 4; w <= 64; w += 4)
+        specs.push_back(sim::ModelSpec::ds(core::ConsistencyModel::RC, w));
+    campaign.add(sim::AppId::LU, specs, memsys::MemoryConfig{}, true);
+    ASSERT_TRUE(campaign.prepare());
+    ASSERT_NE(sim::adaptiveLaneCap(16, 2), sim::adaptiveLaneCap(16, 4));
+    for (unsigned threads : {1u, 2u}) {
+        std::vector<sim::ExecGroup> want = sim::planPhase2(
+            specs, campaign.result(0).row_done,
+            sim::adaptiveLaneCap(16, 2 * threads));
+        std::vector<runner::Campaign::GroupRef> got;
+        for (const auto &shard : campaign.shardPlan(2, threads).shards)
+            got.insert(got.end(), shard.begin(), shard.end());
+        ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
+        for (size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(got[i].group.rows, want[i].rows);
+    }
+    campaign.finish();
+}
+
 TEST_F(SvcTest, ShardPlanIsDeterministicAndKeepsTraceAffinity)
 {
     TempDir tmp("plan2");
@@ -440,8 +475,8 @@ TEST_F(SvcTest, ShardPlanIsDeterministicAndKeepsTraceAffinity)
     declareSmoke(b);
     ASSERT_TRUE(a.prepare());
     ASSERT_TRUE(b.prepare());
-    runner::Campaign::ShardPlan pa = a.shardPlan(2);
-    runner::Campaign::ShardPlan pb = b.shardPlan(2);
+    runner::Campaign::ShardPlan pa = a.shardPlan(2, 2);
+    runner::Campaign::ShardPlan pb = b.shardPlan(2, 2);
     ASSERT_EQ(pa.shards.size(), pb.shards.size());
     for (size_t k = 0; k < pa.shards.size(); ++k) {
         ASSERT_EQ(pa.shards[k].size(), pb.shards[k].size());
@@ -460,6 +495,13 @@ TEST_F(SvcTest, ShardPlanIsDeterministicAndKeepsTraceAffinity)
             units.insert(g.unit);
         EXPECT_LE(units.size(), 1u);
     }
+    // One shard holding both traces deals them round-robin, so a
+    // two-thread worker's first two leases load both in parallel.
+    const std::vector<runner::Campaign::GroupRef> one =
+        a.shardPlan(1, 2).shards.at(0);
+    ASSERT_EQ(one.size(), 6u);
+    for (size_t i = 0; i < one.size(); ++i)
+        EXPECT_EQ(one[i].unit, i % 2) << "group " << i;
     a.finish();
     b.finish();
 }
@@ -557,6 +599,10 @@ TEST_F(SvcTest, CoordinatorMatchesInProcessRunByteForByte)
         so.worker_exe = DSMEM_SVC_BIN;
         so.print_workers = false;
         Coordinator coordinator(campaign, so);
+        // Each worker takes its share of the host in threads.
+        const unsigned threads =
+            std::max(1u, util::hostCores() / workers);
+        EXPECT_EQ(coordinator.workerThreads(), threads);
         ASSERT_EQ(coordinator.run(), 0);
         EXPECT_TRUE(campaign.ok());
         std::string json =
@@ -572,8 +618,15 @@ TEST_F(SvcTest, CoordinatorMatchesInProcessRunByteForByte)
         // the fused RC DS pair of each unit rides one ASSIGN.
         EXPECT_EQ(st.dispatched, 8u);
         EXPECT_EQ(st.assigns, 6u);
-        EXPECT_NE(coordinator.statsJson().find("\"assigns\":6"),
-                  std::string::npos);
+        // No worker died: a TSan build halts a racing worker, so this
+        // is what makes the worker pool race-checked there.
+        EXPECT_EQ(st.worker_deaths, 0u);
+        const std::string stats = coordinator.statsJson();
+        EXPECT_NE(stats.find("\"assigns\":6"), std::string::npos);
+        EXPECT_NE(stats.find("\"worker_threads\":" +
+                             std::to_string(threads) + ","),
+                  std::string::npos)
+            << stats;
     }
 }
 
@@ -650,17 +703,21 @@ TEST_F(SvcTest, WorkerKillChaosStillCompletesBitIdentically)
     // Workers inherit the environment: every spawned worker dies by
     // SIGKILL at its 3rd send boundary, exactly as if an external
     // kill -9 landed there. Heartbeats are pushed out of the way, so
-    // the sends are HELLO and then RESULTs: a first worker's lease is
-    // its unit's fused RC DS pair, and it dies after returning one
-    // row of that sweep. This process loaded DSMEM_FAILPOINTS at
-    // static init, so the late setenv arms nothing locally.
+    // the sends are HELLO and then RESULTs: each worker life returns
+    // one row and dies while its other leases are in flight. One
+    // worker runs hostCores() leases at once, so on a multi-core host
+    // the killed worker holds at least two. A respawn budget above
+    // the cell count lets workers, not the inline fallback, run every
+    // requeued row. This process loaded DSMEM_FAILPOINTS at static
+    // init, so the late setenv arms nothing locally.
     ::setenv("DSMEM_FAILPOINTS", "svc.worker.send:kill:3", 1);
     const std::string journal = tmp.sub("jc.jsonl").string();
     runner::Campaign campaign(benchNameFor("smoke"),
                               smokeOptions(tmp.str(), journal));
     declareSmoke(campaign);
     ServiceOptions so;
-    so.workers = 2;
+    so.workers = 1;
+    so.respawn_per_slot = 10;
     so.worker_exe = DSMEM_SVC_BIN;
     so.print_workers = false;
     so.heartbeat_ms = 60000;
@@ -669,17 +726,34 @@ TEST_F(SvcTest, WorkerKillChaosStillCompletesBitIdentically)
     ASSERT_EQ(coordinator.run(), 0);
     ::unsetenv("DSMEM_FAILPOINTS");
     EXPECT_TRUE(campaign.ok());
-    EXPECT_GT(coordinator.stats().worker_deaths, 0u);
-    EXPECT_GT(coordinator.stats().redispatched, 0u);
+    const ServiceStats &st = coordinator.stats();
+    // One accepted row per life; the last life completes the run.
+    EXPECT_EQ(st.results, 8u);
+    EXPECT_EQ(st.worker_deaths, 7u);
+    EXPECT_EQ(st.inline_cells, 0u);
+    EXPECT_GT(st.redispatched, 0u);
     std::string json = tmp.sub("chaos.json").string();
     ASSERT_TRUE(campaign.writeJson(json));
     EXPECT_EQ(slurp(json), slurp(ref_json));
 
-    // The kill landed inside a fused group: a cell leased in a
-    // multi-row batch was leased again later. A batch is one write —
-    // adjacent lease lines of one worker, epoch and unit — and every
-    // worker life here returns one RESULT before it dies, so a
-    // worker's next batch always follows a row line.
+    // The first dispatch round is one batch of lease lines: the plan's
+    // first workerThreads() groups, all leased to the first life.
+    runner::Campaign planned(benchNameFor("smoke"), smokeOptions(tmp.str()));
+    declareSmoke(planned);
+    ASSERT_TRUE(planned.prepare());
+    const std::vector<runner::Campaign::GroupRef> shard =
+        planned.shardPlan(1, coordinator.workerThreads()).shards.at(0);
+    planned.finish();
+    const size_t first_leases =
+        std::min<size_t>(coordinator.workerThreads(), shard.size());
+    if (util::hostCores() >= 2) {
+        EXPECT_GE(first_leases, 2u);
+    }
+    std::vector<runner::Campaign::CellRef> first_round;
+    for (size_t i = 0; i < first_leases; ++i)
+        for (size_t s : shard[i].group.rows)
+            first_round.push_back({shard[i].unit, s});
+
     std::vector<runner::JournalRow> rows;
     std::vector<runner::JournalTrace> traces;
     runner::JournalMeta meta;
@@ -688,33 +762,74 @@ TEST_F(SvcTest, WorkerKillChaosStillCompletesBitIdentically)
         journal, campaign.signature(), rows, traces, &err, &meta))
         << err;
     const std::vector<runner::JournalLease> &ls = meta.leases;
-    std::vector<size_t> batched; // Lease indices inside a batch.
+    ASSERT_FALSE(rows.empty());
+    // Lease lines before the first row line: the first life's batch.
+    size_t batch = 0;
     {
         std::istringstream in(slurp(journal));
         std::string line;
-        size_t k = 0;
-        bool prev_lease = false;
-        while (std::getline(in, line)) {
-            const bool lease =
-                line.find("\"t\":\"lease\"") != std::string::npos;
-            if (lease && prev_lease && ls[k].worker == ls[k - 1].worker &&
-                ls[k].epoch == ls[k - 1].epoch &&
-                ls[k].unit == ls[k - 1].unit) {
-                batched.push_back(k - 1);
-                batched.push_back(k);
-            }
-            k += lease;
-            prev_lease = lease;
-        }
-        ASSERT_EQ(k, ls.size());
+        while (std::getline(in, line) &&
+               line.find("\"t\":\"row\"") == std::string::npos)
+            batch += line.find("\"t\":\"lease\"") != std::string::npos;
     }
-    bool split_sweep = false;
-    for (size_t b : batched)
-        for (size_t later = b + 1; later < ls.size(); ++later)
-            split_sweep = split_sweep ||
-                (ls[later].unit == ls[b].unit &&
-                 ls[later].spec == ls[b].spec);
-    EXPECT_TRUE(split_sweep);
+    ASSERT_EQ(batch, first_round.size());
+    for (size_t k = 0; k < batch; ++k) {
+        EXPECT_EQ(ls[k].worker, 0u);
+        EXPECT_EQ((runner::Campaign::CellRef{ls[k].unit, ls[k].spec}),
+                  first_round[k])
+            << "lease " << k;
+    }
+    // The first row line is the first life's one result; every other
+    // row of its leases was requeued and leased again.
+    const runner::Campaign::CellRef committed{rows.front().unit,
+                                              rows.front().spec};
+    for (const runner::Campaign::CellRef &cell : first_round) {
+        if (cell == committed)
+            continue;
+        bool again = false;
+        for (size_t later = batch; later < ls.size(); ++later)
+            again = again || (ls[later].unit == cell.unit &&
+                              ls[later].spec == cell.spec);
+        EXPECT_TRUE(again) << "cell " << cell.unit << "/" << cell.spec
+                           << " was never redispatched";
+    }
+}
+
+TEST_F(SvcTest, SpawnedWorkersInheritNoCoordinatorDescriptors)
+{
+    // A worker that inherited the listen socket could connect to it
+    // after the coordinator died and wait for a WELCOME forever; one
+    // that inherited the journal or a sibling's connection holds them
+    // open. The probe records its descriptors above stdio and exits,
+    // so the pool dies and the run completes inline.
+    TempDir tmp("cloexec");
+    const std::string probe = tmp.sub("probe.sh").string();
+    {
+        std::ofstream out(probe);
+        out << "#!/bin/sh\n"
+               "for f in /proc/$$/fd/*; do\n"
+               "  n=${f##*/}\n"
+               "  [ \"$n\" -gt 2 ] && readlink \"$f\"\n"
+               "done > \"$0.fds\"\n"
+               "exit 1\n";
+    }
+    fs::permissions(probe, fs::perms::owner_all);
+    const std::string journal = tmp.sub("j.jsonl").string();
+    runner::Campaign campaign(benchNameFor("smoke"),
+                              smokeOptions(tmp.str(), journal));
+    declareSmoke(campaign);
+    ServiceOptions so;
+    so.workers = 1;
+    so.respawn_per_slot = 0;
+    so.worker_exe = probe;
+    so.print_workers = false;
+    Coordinator coordinator(campaign, so);
+    ASSERT_EQ(coordinator.run(), 0);
+    EXPECT_EQ(coordinator.stats().inline_cells, 8u);
+    ASSERT_TRUE(fs::exists(probe + ".fds"));
+    const std::string fds = slurp(probe + ".fds");
+    EXPECT_EQ(fds.find("socket:"), std::string::npos) << fds;
+    EXPECT_EQ(fds.find(journal), std::string::npos) << fds;
 }
 
 TEST_F(SvcTest, DeadPoolDegradesToInlineExecution)

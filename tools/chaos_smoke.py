@@ -14,8 +14,10 @@ the outside (no test hooks, only public binaries and signals):
                     produces the golden JSON export.
   2. clean shard -- `dsmem_svc run` with real worker processes must
                     reproduce the reference byte-for-byte, accept
-                    one result per cell, and lease fused groups
-                    (--stats-json: assigns < dispatched).
+                    one result per cell, lease fused groups
+                    (--stats-json: assigns < dispatched), and run
+                    max(1, cpus // workers) leases per worker
+                    (--stats-json: worker_threads).
   3. worker kill -- re-run with phase-2 slowed by a failpoint delay,
                     SIGKILL worker pids parsed live from the
                     coordinator's "svc: worker N pid P" lines; the
@@ -191,8 +193,14 @@ def main():
     if not doc["assigns"] < doc["dispatched"]:
         fail(f"clean-shard: assigns={doc['assigns']} not below "
              f"dispatched={doc['dispatched']}; no multi-row lease ran")
+    # Each worker process runs its share of this process's CPUs (the
+    # affinity mask the service inherits) as concurrent leases.
+    threads = max(1, len(os.sched_getaffinity(0)) // args.workers)
+    if doc["worker_threads"] != threads:
+        fail(f"clean-shard: worker_threads={doc['worker_threads']}, "
+             f"expected {threads} for {args.workers} workers")
     note(f"[clean-shard] {doc['results']} cells in "
-         f"{doc['assigns']} leases")
+         f"{doc['assigns']} leases, {threads} per worker at once")
 
     # -- 3. SIGKILL live workers; dispatch must absorb the deaths. ----
     # The delay failpoint stretches each phase-2 cell so the kills
