@@ -1,6 +1,7 @@
 #include "memsys/memory_system.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -18,6 +19,7 @@ MemorySystem::MemorySystem(uint32_t num_procs,
         caches_.push_back(std::make_unique<Cache>(cache_config));
     stats_.resize(num_procs);
     line_bytes_ = cache_config.line_bytes;
+    line_shift_ = static_cast<uint32_t>(std::countr_zero(line_bytes_));
     if (mem_config.banks > 0)
         bank_free_.assign(mem_config.banks, 0);
     if (mem_config.dram.enabled()) {
@@ -32,23 +34,24 @@ MemorySystem::MemorySystem(uint32_t num_procs,
     }
 }
 
-MemorySystem::DirEntry &
-MemorySystem::dirEntry(Addr line)
+void
+MemorySystem::allocDirPage(size_t page)
 {
-    return directory_.findOrInsert(line);
+    if (page >= dir_pages_.size())
+        dir_pages_.resize(page + 1);
+    dir_pages_[page] = std::make_unique<DirPage>();
+    ++dir_pages_allocated_;
 }
 
 void
 MemorySystem::dropSharer(Addr line, uint32_t proc)
 {
-    DirEntry *entry = directory_.find(line);
+    DirEntry *entry = findDirEntry(line);
     if (entry == nullptr)
         return;
     entry->sharers &= ~(1u << proc);
-    if (entry->owner == static_cast<int32_t>(proc))
+    if (entry->owner == static_cast<int32_t>(proc) || entry->sharers == 0)
         entry->owner = -1;
-    if (entry->sharers == 0)
-        directory_.erase(line);
 }
 
 void
@@ -74,7 +77,7 @@ uint32_t
 MemorySystem::invalidateRemote(Addr line, uint32_t requester,
                                uint64_t now)
 {
-    DirEntry *entry = directory_.find(line);
+    DirEntry *entry = findDirEntry(line);
     if (entry == nullptr)
         return 0;
     uint32_t invalidated = 0;
@@ -94,8 +97,6 @@ MemorySystem::invalidateRemote(Addr line, uint32_t requester,
     }
     entry->sharers &= (1u << requester);
     entry->owner = -1;
-    if (entry->sharers == 0)
-        directory_.erase(line);
     return invalidated;
 }
 
@@ -145,11 +146,9 @@ MemorySystem::readMiss(Cache &cache, uint32_t proc, Addr addr,
     bool victim_dirty = false;
     if (cache.install(line, install_state, &victim, &victim_dirty))
         handleEviction(proc, victim, victim_dirty, now);
-    // handleEviction may have erased entries; re-fetch ours.
-    DirEntry &entry2 = dirEntry(line);
-    entry2.sharers |= (1u << proc);
+    entry.sharers |= (1u << proc);
     if (install_state == LineState::EXCLUSIVE)
-        entry2.owner = static_cast<int32_t>(proc);
+        entry.owner = static_cast<int32_t>(proc);
 
     if (dram_) {
         // The coherence transaction commits now (directory state is

@@ -1,6 +1,7 @@
 #ifndef DSMEM_MEMSYS_MEMORY_SYSTEM_H
 #define DSMEM_MEMSYS_MEMORY_SYSTEM_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -8,7 +9,6 @@
 #include "memsys/cache.h"
 #include "memsys/config.h"
 #include "memsys/dram.h"
-#include "util/flat_map.h"
 
 namespace dsmem::memsys {
 
@@ -145,6 +145,13 @@ class MemorySystem
     /** Aggregate statistics across all processors. */
     CacheStats totalStats() const;
 
+    /** Lines one directory page covers. */
+    static constexpr unsigned kDirPageBits = 12;
+    static constexpr size_t kDirPageLines = size_t{1} << kDirPageBits;
+
+    /** Directory pages allocated so far (one per touched line span). */
+    size_t directoryPages() const { return dir_pages_allocated_; }
+
   private:
     /** Load miss: fetch, downgrade remote E/M, install, track. */
     AccessResult readMiss(Cache &cache, uint32_t proc, Addr addr,
@@ -155,20 +162,42 @@ class MemorySystem
                            LineState state, uint64_t now,
                            uint64_t trace_tag = DramModel::kNoTag);
 
-    /** Directory entry: which caches hold the line, and who owns it. */
+    /**
+     * Directory entry: which caches hold the line, and who owns it.
+     * An entry with no sharers is an absent line: every path that
+     * empties `sharers` also clears `owner`.
+     */
     struct DirEntry {
         uint32_t sharers = 0; ///< Bit per processor.
         int32_t owner = -1;   ///< Holder of an E/M copy, or -1.
     };
 
-    /**
-     * Directory entry for @p line, created on demand. The directory
-     * is an open-addressed flat map with backward-shift deletion, so
-     * the returned reference is invalidated by ANY later insert or
-     * erase (evictions, invalidations) — callers re-fetch after such
-     * calls instead of holding the reference across them.
-     */
-    DirEntry &dirEntry(Addr line);
+    /** One directory page: the entries of kDirPageLines lines. */
+    struct DirPage {
+        std::array<DirEntry, kDirPageLines> entries;
+    };
+
+    /** Directory entry for @p line, its page allocated on demand. */
+    DirEntry &dirEntry(Addr line)
+    {
+        const size_t index = line >> line_shift_;
+        const size_t page = index >> kDirPageBits;
+        if (page >= dir_pages_.size() || !dir_pages_[page]) [[unlikely]]
+            allocDirPage(page);
+        return dir_pages_[page]->entries[index & (kDirPageLines - 1)];
+    }
+
+    /** Directory entry for @p line, or null when its page is absent. */
+    DirEntry *findDirEntry(Addr line)
+    {
+        const size_t index = line >> line_shift_;
+        const size_t page = index >> kDirPageBits;
+        if (page >= dir_pages_.size() || !dir_pages_[page])
+            return nullptr;
+        return &dir_pages_[page]->entries[index & (kDirPageLines - 1)];
+    }
+
+    void allocDirPage(size_t page);
 
     /** Remove @p proc from the sharer set of @p line. */
     void dropSharer(Addr line, uint32_t proc);
@@ -199,10 +228,19 @@ class MemorySystem
     MemoryConfig mem_config_;
     std::vector<std::unique_ptr<Cache>> caches_;
     std::vector<CacheStats> stats_;
-    util::FlatMap<Addr, DirEntry> directory_{256};
+    /**
+     * The coherence directory, direct-indexed by line number
+     * (`line >> line_shift_`): a page table of DirPages, each
+     * allocated on the first touch of its span of kDirPageLines
+     * lines. A lookup is two array indexes, no hashing, and a sparse
+     * address costs one page.
+     */
+    std::vector<std::unique_ptr<DirPage>> dir_pages_;
+    size_t dir_pages_allocated_ = 0;
     std::vector<uint64_t> bank_free_;
     std::unique_ptr<DramModel> dram_; ///< Null when dram.banks == 0.
     uint32_t line_bytes_ = 0;         ///< For DRAM line indexing.
+    uint32_t line_shift_ = 0;         ///< log2(line_bytes_).
 };
 
 } // namespace dsmem::memsys

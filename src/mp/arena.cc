@@ -37,6 +37,17 @@ reserve(size_t max_slots)
 
 } // namespace
 
+namespace detail {
+
+void
+throwIndexOutOfRange(size_t i, size_t count)
+{
+    throw std::out_of_range("ArenaArray index " + std::to_string(i) +
+                            " out of range " + std::to_string(count));
+}
+
+} // namespace detail
+
 Arena::Arena(size_t max_slots)
     : slots_(reserve(max_slots)), max_slots_(max_slots)
 {

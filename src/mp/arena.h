@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 #include <type_traits>
 
 #include "trace/instruction.h"
@@ -182,13 +181,22 @@ class ArenaArray
     size_t count_ = 0;
 };
 
+namespace detail {
+
+/**
+ * The out-of-range throw of ArenaArray's bounds check, kept out of
+ * line so the check itself inlines into the DSL hot path.
+ */
+[[noreturn, gnu::cold]] void throwIndexOutOfRange(size_t i, size_t count);
+
+} // namespace detail
+
 template <typename T>
 void
 ArenaArray<T>::checkIndex(size_t i) const
 {
-    if (arena_ == nullptr || i >= count_)
-        throw std::out_of_range("ArenaArray index " + std::to_string(i) +
-                                " out of range " + std::to_string(count_));
+    if (arena_ == nullptr || i >= count_) [[unlikely]]
+        detail::throwIndexOutOfRange(i, count_);
 }
 
 } // namespace dsmem::mp

@@ -1,5 +1,6 @@
 #include "mp/engine.h"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -20,7 +21,8 @@ Engine::Engine(const EngineConfig &config)
     threads_.resize(config.num_procs);
     for (uint32_t p = 0; p < config.num_procs; ++p)
         threads_[p].ctx = std::make_unique<ThreadContext>(this, p);
-    ready_keys_.fill(kNoKey);
+    sched_leaves_ = std::bit_ceil(config.num_procs);
+    sched_tree_.fill(kNoKey);
 }
 
 BarrierId
@@ -314,10 +316,6 @@ Engine::run()
     // cache statistics before anyone reads them.
     memory_.finalizeDramStats();
 
-    // Assemble the contiguous trace the timing phase consumes from
-    // the capture chunks (trace()/takeTrace() are unchanged).
-    recorder_.drainInto(trace_);
-
     if (done_count_ != spawned) {
         throw std::runtime_error(
             "deadlock: " + std::to_string(spawned - done_count_) +
@@ -329,7 +327,6 @@ Engine::run()
 void
 Engine::runLoop()
 {
-    const uint32_t num_procs = config_.num_procs;
     memsys::DramModel *dram = memory_.dram();
     for (;;) {
         if (ready_count_ == 0) {
@@ -345,16 +342,11 @@ Engine::runLoop()
             continue;
         }
 
-        // Extract the (cycle, proc) minimum by scanning the per-proc
-        // key slots; kNoKey slots lose every comparison. A slot is set
-        // iff its thread is READY or HAS_PENDING, so no staleness
-        // check is needed.
-        uint64_t best = kNoKey;
-        for (uint32_t p = 0; p < num_procs; ++p) {
-            uint64_t key = ready_keys_[p];
-            if (key < best)
-                best = key;
-        }
+        // The (cycle, proc) minimum is the tree's root once the last
+        // popped key is gone. A leaf is set iff its thread is READY or
+        // HAS_PENDING, so no staleness check is needed.
+        retirePopped();
+        const uint64_t best = sched_tree_[1];
 
         if (dram != nullptr) [[unlikely]] {
             // Co-simulation invariant: every DRAM dispatch instant
@@ -372,7 +364,7 @@ Engine::runLoop()
         }
 
         uint32_t proc = static_cast<uint32_t>(best & kProcMask);
-        ready_keys_[proc] = kNoKey;
+        popped_ = proc;
         --ready_count_;
         Thread &thread = threads_[proc];
 

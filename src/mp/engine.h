@@ -34,10 +34,10 @@ struct EngineConfig {
  * Runs one coroutine thread per simulated processor over the shared
  * cache-coherent memory system. Threads are interleaved in global
  * simulated-time order: each step resumes the thread with the
- * smallest (local cycle, processor id) key, found by scanning one
- * ready key per processor, so coherence events (who invalidates whom,
- * who wins a lock) follow a single causally consistent interleaving
- * and are fully deterministic.
+ * smallest (local cycle, processor id) key, the root of a winner
+ * tree over one ready key per processor, so coherence events (who
+ * invalidates whom, who wins a lock) follow a single causally
+ * consistent interleaving and are fully deterministic.
  *
  * Each processor models the paper's trace-generation machine: simple
  * in-order issue, blocking reads, writes retired through a write
@@ -82,9 +82,25 @@ class Engine
     /** Final local clock of processor @p proc. */
     uint64_t completionCycle(uint32_t proc) const;
 
-    /** Captured trace of the traced processor (moves it out). */
-    trace::Trace takeTrace() { return std::move(trace_); }
-    const trace::Trace &trace() const { return trace_; }
+    /**
+     * Captured trace of the traced processor. The capture stays in
+     * its chunked recorder after run() and drains into the first
+     * shape asked for: the AoS Trace (trace(), takeTrace()) or the
+     * SoA columns of a TraceView (takeTraceParts()). Once drained
+     * into one shape it is gone from the other.
+     */
+    trace::Trace takeTrace() { return std::move(trace()); }
+    trace::Trace &trace()
+    {
+        recorder_.drainInto(trace_);
+        return trace_;
+    }
+    trace::TraceView::Parts takeTraceParts()
+    {
+        trace::TraceView::Parts parts;
+        recorder_.drainInto(parts);
+        return parts;
+    }
 
     const ThreadStats &threadStats(uint32_t proc) const;
 
@@ -151,11 +167,40 @@ class Engine
 
     void enqueue(uint32_t proc, uint64_t cycle)
     {
-        // At most one outstanding entry per processor: the slot must
-        // be free.
-        assert(ready_keys_[proc] == kNoKey);
-        ready_keys_[proc] = packKey(cycle, proc);
+        // At most one outstanding entry per processor: the leaf must
+        // be free, or hold the key this processor was just popped on.
+        if (popped_ != proc) {
+            retirePopped();
+            assert(sched_tree_[sched_leaves_ + proc] == kNoKey);
+        }
+        popped_ = kNoProc;
+        setLeaf(proc, packKey(cycle, proc));
         ++ready_count_;
+    }
+
+    /**
+     * Write leaf @p proc and replay its path to the root: each node
+     * holds the smaller key of its two children.
+     */
+    void setLeaf(uint32_t proc, uint64_t key)
+    {
+        uint32_t i = sched_leaves_ + proc;
+        sched_tree_[i] = key;
+        while (i > 1) {
+            const uint64_t a = sched_tree_[i];
+            const uint64_t b = sched_tree_[i ^ 1];
+            i >>= 1;
+            sched_tree_[i] = a < b ? a : b;
+        }
+    }
+
+    /** Clear the leaf of the processor popped last, if still set. */
+    void retirePopped()
+    {
+        if (popped_ != kNoProc) {
+            setLeaf(popped_, kNoKey);
+            popped_ = kNoProc;
+        }
     }
 
     /** The scheduler loop behind run(). */
@@ -170,15 +215,24 @@ class Engine
     std::vector<Thread> threads_;
 
     /**
-     * The scheduler: one packed (cycle, proc) key per processor,
-     * kNoKey while that processor has no entry outstanding. The run
-     * loop extracts the minimum with a linear scan — at 32 slots
-     * (four cache lines, typically one) that is cheaper than any
-     * heap's pointer chasing and sifting, and the per-slot invariant
-     * makes stale entries structurally impossible.
+     * The scheduler: a winner tree over one packed (cycle, proc) key
+     * per processor (leaf sched_leaves_ + proc, kNoKey while that
+     * processor has no entry outstanding); node i holds the smaller
+     * of nodes 2i and 2i+1, so the root, node 1, is the minimum.
+     * Keys are unique, so the root is the one minimum a linear scan
+     * of the leaves would find.
+     * A pop leaves its key in the leaf (popped_) until the next
+     * enqueue or pop: the popped processor usually re-enqueues
+     * before anything else happens, and then one path replay of
+     * log2(leaves) steps does both the removal and the insertion.
+     * The per-leaf invariant makes stale entries structurally
+     * impossible.
      */
     static constexpr uint64_t kNoKey = UINT64_MAX;
-    std::array<uint64_t, kProcMask + 1> ready_keys_;
+    static constexpr uint32_t kNoProc = UINT32_MAX;
+    std::array<uint64_t, 2 * (kProcMask + 1)> sched_tree_;
+    uint32_t sched_leaves_ = 1; ///< bit_ceil(num_procs).
+    uint32_t popped_ = kNoProc;
     uint32_t ready_count_ = 0;
 
     size_t done_count_ = 0;

@@ -476,7 +476,23 @@ Campaign::run()
             UnitError{"runner", what, "", 1, true});
     });
 
-    for (const auto &[key, unit_ids] : groups) {
+    // Longest phase 1 first: with more traces than threads, the
+    // longest generation would otherwise start only when an earlier
+    // one finished and set the critical path alone. Each job writes
+    // its own pre-sized slot, so the order changes no result.
+    std::vector<const std::pair<const TraceKey, std::vector<size_t>> *>
+        order;
+    for (const auto &group : groups)
+        order.push_back(&group);
+    std::stable_sort(order.begin(), order.end(), [](auto *a, auto *b) {
+        return sim::phase1CostMs(std::get<0>(a->first),
+                                 std::get<2>(a->first)) >
+            sim::phase1CostMs(std::get<0>(b->first),
+                              std::get<2>(b->first));
+    });
+
+    for (const auto *group : order) {
+        const std::vector<size_t> &unit_ids = group->second;
         // Resume fast path: a group whose every row (and trace
         // record) is already durable re-runs nothing — not even
         // phase 1.

@@ -222,8 +222,15 @@ bundleVersionFor(const memsys::MemoryConfig &mem)
                               : kBundleFormatVersion;
 }
 
+namespace {
+
+/**
+ * The one bundle writer: @p bundle's stats fields (TraceBundle and
+ * ViewBundle name them alike) around @p trace, either trace shape.
+ */
+template <typename Bundle, typename Trace>
 void
-saveBundle(const sim::TraceBundle &bundle, std::ostream &os)
+writeBundle(const Bundle &bundle, const Trace &trace, std::ostream &os)
 {
     // v3 only when there is DRAM accounting to carry; the common
     // (dram-off) case writes the seed's v2 bytes exactly.
@@ -242,10 +249,24 @@ saveBundle(const sim::TraceBundle &bundle, std::ostream &os)
         putDramStats(sink, bundle.cache0.dram);
         putDramSummary(sink, bundle.dram);
     }
-    trace::saveTrace(bundle.trace, sink);
+    trace::saveTrace(trace, sink);
 
     sink.putU64(sink.hashValue());
     sink.flush();
+}
+
+} // namespace
+
+void
+saveBundle(const sim::TraceBundle &bundle, std::ostream &os)
+{
+    writeBundle(bundle, bundle.trace, os);
+}
+
+void
+saveBundle(const sim::ViewBundle &bundle, std::ostream &os)
+{
+    writeBundle(bundle, *bundle.flatView(), os);
 }
 
 sim::TraceBundle
@@ -500,15 +521,34 @@ TraceStore::loadView(sim::AppId id, const memsys::MemoryConfig &mem,
     return vb;
 }
 
+namespace {
+
+template <typename Bundle>
+std::function<void(std::ostream &)>
+bundleWriter(const Bundle &bundle)
+{
+    return [&bundle](std::ostream &os) {
+        util::failpoint("trace_store.save");
+        saveBundle(bundle, os);
+    };
+}
+
+} // namespace
+
+void
+TraceStore::store(sim::AppId id, const memsys::MemoryConfig &mem,
+                  bool small, const sim::ViewBundle &bundle)
+{
+    writeFile(pathFor(id, mem, small), "trace_store.save",
+              bundleWriter(bundle));
+}
+
 void
 TraceStore::store(sim::AppId id, const memsys::MemoryConfig &mem,
                   bool small, const sim::TraceBundle &bundle)
 {
     writeFile(pathFor(id, mem, small), "trace_store.save",
-              [&](std::ostream &os) {
-                  util::failpoint("trace_store.save");
-                  saveBundle(bundle, os);
-              });
+              bundleWriter(bundle));
 }
 
 const sim::ViewBundle &
@@ -549,10 +589,10 @@ TraceStore::getView(sim::AppId id, const memsys::MemoryConfig &mem,
             from = sim::TraceOrigin::DISK;
         } else {
             t0 = Clock::now();
-            sim::TraceBundle bundle = sim::generateTrace(id, mem, small);
+            vbundle = sim::generateView(id, mem, small);
             took.gen_ms = msSince(t0);
-            store(id, mem, small, bundle);
-            vbundle = sim::makeViewBundle(bundle, stream_exec_);
+            store(id, mem, small, *vbundle);
+            sim::applyResidency(*vbundle, stream_exec_);
         }
     } catch (...) {
         // Hand production back before propagating, or every same-key

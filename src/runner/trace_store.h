@@ -58,6 +58,13 @@ uint32_t bundleVersionFor(const memsys::MemoryConfig &mem);
 void saveBundle(const sim::TraceBundle &bundle, std::ostream &os);
 
 /**
+ * Serialize a ViewBundle: the same bytes saveBundle writes for the
+ * TraceBundle of the same generation. A chunked bundle is flattened
+ * to write it.
+ */
+void saveBundle(const sim::ViewBundle &bundle, std::ostream &os);
+
+/**
  * Deserialize a v2 or v3 bundle. Throws util::FormatError (bad
  * magic, unsupported version, checksum mismatch, truncation, trailing
  * garbage, malformed embedded trace, implausible section size) or
@@ -209,10 +216,10 @@ class TraceStore
      * @p timing, when non-null, report where it came from and what
      * that cost.
      *
-     * Each key holds the phase-2 shape only, the ViewBundle: the AoS
-     * trace a cold key generates is persisted, decoded into the view,
-     * and dropped. A caller that needs the AoS trace itself (a
-     * reference loop, a serializer) calls sim::generateTrace or
+     * Each key holds the phase-2 shape only, the ViewBundle: a cold
+     * key generates straight into the view (sim::generateView), and
+     * the bundle is written from it. A caller that needs the AoS
+     * trace itself (a reference loop) calls sim::generateTrace or
      * loadBundle directly.
      *
      * Thread safe: concurrent calls for distinct keys generate in
@@ -232,6 +239,8 @@ class TraceStore
     std::optional<sim::ViewBundle>
     loadView(sim::AppId id, const memsys::MemoryConfig &mem, bool small);
     /** Persist @p bundle for a key; failures are absorbed. */
+    void store(sim::AppId id, const memsys::MemoryConfig &mem,
+               bool small, const sim::ViewBundle &bundle);
     void store(sim::AppId id, const memsys::MemoryConfig &mem,
                bool small, const sim::TraceBundle &bundle);
 

@@ -28,6 +28,35 @@ appName(AppId id)
     return "invalid";
 }
 
+uint32_t
+phase1CostMs(AppId id, bool small)
+{
+    // {small, default size}: best of 7 sim::generateTrace runs.
+    struct Cost {
+        uint32_t small_ms;
+        uint32_t full_ms;
+    };
+    Cost c{0, 0};
+    switch (id) {
+      case AppId::MP3D:
+        c = {6, 75};
+        break;
+      case AppId::LU:
+        c = {9, 155};
+        break;
+      case AppId::PTHOR:
+        c = {12, 140};
+        break;
+      case AppId::LOCUS:
+        c = {4, 35};
+        break;
+      case AppId::OCEAN:
+        c = {7, 190};
+        break;
+    }
+    return small ? c.small_ms : c.full_ms;
+}
+
 std::unique_ptr<apps::Application>
 makeApp(AppId id, bool small)
 {

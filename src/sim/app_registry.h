@@ -33,6 +33,14 @@ std::string_view appName(AppId id);
  */
 std::unique_ptr<apps::Application> makeApp(AppId id, bool small = false);
 
+/**
+ * Static estimate of what generating @p id's phase-1 trace costs, in
+ * milliseconds at the default MemoryConfig (measured on a 4-vCPU
+ * Xeon). It only orders phase-1 jobs, longest first, so the longest
+ * generation never starts last; no result depends on it.
+ */
+uint32_t phase1CostMs(AppId id, bool small);
+
 } // namespace dsmem::sim
 
 #endif // DSMEM_SIM_APP_REGISTRY_H

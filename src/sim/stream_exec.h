@@ -15,7 +15,7 @@
 // RunnerOptions::stream_exec threads the policy into TraceStore,
 // which makes the residency decision per bundle: before decoding the
 // trace section on a disk load (loadBundleView), right after phase 1
-// on generation (makeViewBundle). Campaigns run Auto: a trace
+// on generation (applyResidency). Campaigns run Auto: a trace
 // streams only when its flat footprint would clearly spill the
 // last-level cache — below that, the flat view is already
 // cache-resident and streaming would only add decode work. On and Off

@@ -5,26 +5,18 @@
 
 namespace dsmem::sim {
 
-ViewBundle
-makeViewBundle(const TraceBundle &bundle, StreamExec mode)
-{
-    ViewBundle vb;
-    vb.view = trace::TraceView::build(bundle.trace);
-    vb.stats = bundle.stats;
-    vb.cache0 = bundle.cache0;
-    vb.thread0 = bundle.thread0;
-    vb.mp_cycles = bundle.mp_cycles;
-    vb.verified = bundle.verified;
-    vb.dram = bundle.dram;
-    if (shouldStream(vb.view->size(), mode)) {
-        vb.chunked = std::make_shared<trace::ChunkedView>(*vb.view);
-        vb.view.reset();
-    }
-    return vb;
-}
+namespace {
 
-TraceBundle
-generateTrace(AppId id, const memsys::MemoryConfig &mem, bool small)
+/**
+ * Run the multiprocessor simulation for @p id, fill @p bundle's stats
+ * fields (TraceBundle and ViewBundle name them alike), then hand the
+ * engine to @p take, which drains the capture into the bundle's
+ * trace shape.
+ */
+template <typename Bundle, typename Take>
+void
+runPhase1(AppId id, const memsys::MemoryConfig &mem, bool small,
+          Bundle &bundle, Take &&take)
 {
     util::failpoint("bundle.generate");
 
@@ -35,15 +27,46 @@ generateTrace(AppId id, const memsys::MemoryConfig &mem, bool small)
     std::unique_ptr<apps::Application> app = makeApp(id, small);
     apps::runApplication(engine, *app);
 
-    TraceBundle bundle;
     bundle.verified = app->verify(engine);
     bundle.cache0 = engine.memory().stats(config.traced_proc);
     bundle.thread0 = engine.threadStats(config.traced_proc);
     bundle.mp_cycles = engine.completionCycle(config.traced_proc);
     bundle.dram = engine.memory().dramSummary();
-    bundle.trace = engine.takeTrace();
-    bundle.stats = trace::computeStats(bundle.trace);
+    take(engine);
+}
+
+} // namespace
+
+void
+applyResidency(ViewBundle &vb, StreamExec mode)
+{
+    if (vb.view && shouldStream(vb.view->size(), mode)) {
+        vb.chunked = std::make_shared<trace::ChunkedView>(*vb.view);
+        vb.view.reset();
+    }
+}
+
+TraceBundle
+generateTrace(AppId id, const memsys::MemoryConfig &mem, bool small)
+{
+    TraceBundle bundle;
+    runPhase1(id, mem, small, bundle, [&](mp::Engine &engine) {
+        bundle.trace = engine.takeTrace();
+        bundle.stats = trace::computeStats(bundle.trace);
+    });
     return bundle;
+}
+
+ViewBundle
+generateView(AppId id, const memsys::MemoryConfig &mem, bool small)
+{
+    ViewBundle vb;
+    runPhase1(id, mem, small, vb, [&](mp::Engine &engine) {
+        vb.view = std::make_shared<const trace::TraceView>(
+            engine.takeTraceParts());
+        vb.stats = trace::computeStats(*vb.view);
+    });
+    return vb;
 }
 
 std::string_view

@@ -92,14 +92,14 @@ struct ViewBundle {
 };
 
 /**
- * The view-shaped twin of @p bundle (shares nothing with it), honoring
- * the streaming-residency policy: when shouldStream(@p mode) says the
- * flat view would spill the LLC (or streaming is forced on), the
- * result carries the chunk-compressed form instead of the flat SoA —
- * the same decision loadBundleView makes on the disk path, applied to
- * in-memory generation so runs without a store directory stream too.
+ * Apply the streaming-residency policy to a flat bundle: when
+ * shouldStream(@p mode) says its view would spill the LLC (or
+ * streaming is forced on), swap the flat SoA for the chunk-compressed
+ * form — the same decision loadBundleView makes on the disk path,
+ * applied to in-memory generation so runs without a store directory
+ * stream too.
  */
-ViewBundle makeViewBundle(const TraceBundle &bundle, StreamExec mode);
+void applyResidency(ViewBundle &vb, StreamExec mode);
 
 /**
  * Run the 16-processor multiprocessor simulation for @p id and
@@ -112,6 +112,15 @@ ViewBundle makeViewBundle(const TraceBundle &bundle, StreamExec mode);
 TraceBundle generateTrace(AppId id,
                           const memsys::MemoryConfig &mem = {},
                           bool small = false);
+
+/**
+ * generateTrace in the phase-2 shape: the engine's capture drains
+ * chunk by chunk straight into a flat TraceView, with no AoS Trace in
+ * between. The stats are computed from the view; every field equals
+ * generateTrace's for the same arguments.
+ */
+ViewBundle generateView(AppId id, const memsys::MemoryConfig &mem = {},
+                        bool small = false);
 
 /** Where a runner::TraceStore::getView call found its bundle. */
 enum class TraceOrigin : uint8_t {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "trace/trace.h"
+#include "trace/trace_view.h"
 
 namespace dsmem::trace {
 
@@ -18,8 +19,9 @@ namespace dsmem::trace {
  * a doubling growth curve whose peak holds two copies live. Fixed
  * 64 Ki-record chunks make every append O(1) with no copying, keep
  * the grow step off the fast path, and bound transient memory to one
- * chunk; the contiguous Trace the timing phase expects is assembled
- * once at the end of the run.
+ * chunk. At the end of the run the records drain, chunk by chunk,
+ * into either shape: the SoA columns of a TraceView (the store's
+ * generate path) or a contiguous AoS Trace.
  */
 class TraceRecorder
 {
@@ -59,27 +61,78 @@ class TraceRecorder
     }
 
     /**
+     * Move every buffered record into the (empty) SoA columns of
+     * @p parts and release the chunks as they empty. The columns reserve their
+     * exact size once but grow chunk by chunk, so only the pages a
+     * drained chunk fills are touched: the two copies never coexist
+     * whole.
+     */
+    void drainInto(TraceView::Parts &parts)
+    {
+        const size_t n = size();
+        parts.ops.reserve(n);
+        parts.num_srcs.reserve(n);
+        parts.taken.reserve(n);
+        parts.srcs.reserve(n);
+        parts.addr.reserve(n);
+        parts.latency.reserve(n);
+        parts.aux.reserve(n);
+        drain([&](const TraceInst *p, size_t count, size_t base) {
+            parts.ops.resize(base + count);
+            parts.num_srcs.resize(base + count);
+            parts.taken.resize(base + count);
+            parts.srcs.resize(base + count);
+            parts.addr.resize(base + count);
+            parts.latency.resize(base + count);
+            parts.aux.resize(base + count);
+            for (size_t i = 0; i < count; ++i) {
+                const TraceInst &inst = p[i];
+                parts.ops[base + i] = inst.op;
+                parts.num_srcs[base + i] = inst.num_srcs;
+                parts.taken[base + i] = inst.taken ? 1 : 0;
+                parts.srcs[base + i] = {inst.src[0], inst.src[1],
+                                        inst.src[2]};
+                parts.addr[base + i] = inst.addr;
+                parts.latency[base + i] = inst.latency;
+                parts.aux[base + i] = inst.aux;
+            }
+        });
+    }
+
+    /**
      * Append every buffered record to @p t (one exact-size reserve,
      * no intermediate copies) and release the chunks.
      */
     void drainInto(Trace &t)
     {
         t.reserve(t.size() + size());
+        drain([&](const TraceInst *p, size_t count, size_t) {
+            for (size_t i = 0; i < count; ++i)
+                t.append(p[i]);
+        });
+    }
+
+  private:
+    /**
+     * Hand each chunk's records to @p visit(records, count, index of
+     * the first), then free the chunk: a drain streams, never holding
+     * both the chunks and their destination whole.
+     */
+    template <typename Visit>
+    void drain(Visit &&visit)
+    {
         const size_t n_chunks = chunks_.size();
         for (size_t c = 0; c < n_chunks; ++c) {
-            const TraceInst *p = chunks_[c].get();
             const size_t count = (c + 1 == n_chunks)
                 ? kChunkInsts - static_cast<size_t>(end_ - cur_)
                 : kChunkInsts;
-            for (size_t i = 0; i < count; ++i)
-                t.append(p[i]);
-            chunks_[c].reset(); // Stream: never hold both copies whole.
+            visit(chunks_[c].get(), count, c * kChunkInsts);
+            chunks_[c].reset();
         }
         chunks_.clear();
         cur_ = end_ = nullptr;
     }
 
-  private:
     void grow()
     {
         chunks_.push_back(std::make_unique<TraceInst[]>(kChunkInsts));

@@ -64,6 +64,60 @@ writeHeader(util::ByteSink &sink, uint32_t version)
 }
 
 /**
+ * TraceView's record accessors over an AoS Trace, so one writer
+ * serves both trace shapes.
+ */
+struct AosRecords {
+    const Trace &t;
+
+    const std::string &name() const { return t.name(); }
+    size_t size() const { return t.size(); }
+    Op op(size_t i) const { return t[i].op; }
+    uint8_t numSrcs(size_t i) const { return t[i].num_srcs; }
+    bool taken(size_t i) const { return t[i].taken; }
+    const InstIndex *srcs(size_t i) const { return t[i].src; }
+    Addr addr(size_t i) const { return t[i].addr; }
+    uint32_t latency(size_t i) const { return t[i].latency; }
+    uint32_t aux(size_t i) const { return t[i].aux; }
+};
+
+/**
+ * The one definition of the v2 byte layout (see trace_io.h), over
+ * any record source with TraceView's accessors.
+ */
+template <typename Records>
+void
+writeTrace(const Records &r, util::ByteSink &sink)
+{
+    util::failpoint("trace_io.save");
+    writeHeader(sink, kTraceFormatVersion);
+    sink.putVarint(r.name().size());
+    sink.put(r.name().data(), r.name().size());
+    const size_t n = r.size();
+    sink.putVarint(n);
+
+    for (size_t i = 0; i < n; ++i)
+        sink.putByte(packMeta(r.op(i), r.numSrcs(i), r.taken(i)));
+    for (size_t i = 0; i < n; ++i) {
+        const InstIndex *srcs = r.srcs(i);
+        for (uint8_t s = 0; s < r.numSrcs(i); ++s)
+            sink.putVarint(static_cast<uint32_t>(i) - srcs[s]);
+    }
+    uint32_t prev = 0;
+    for (size_t i = 0; i < n; ++i) {
+        sink.putVarint(util::zigzag32(r.addr(i) - prev));
+        prev = r.addr(i);
+    }
+    prev = 0;
+    for (size_t i = 0; i < n; ++i) {
+        sink.putVarint(util::zigzag32(r.latency(i) - prev));
+        prev = r.latency(i);
+    }
+    for (size_t i = 0; i < n; ++i)
+        sink.putVarint(r.aux(i));
+}
+
+/**
  * Decode the prologue (after magic + version) and the five SoA
  * sections into Parts. Shared by the AoS and direct-to-view
  * loaders; SSA validation happens downstream (Trace::validate or the
@@ -174,34 +228,13 @@ readHeader(util::ByteSource &src)
 void
 saveTrace(const Trace &t, util::ByteSink &sink)
 {
-    util::failpoint("trace_io.save");
-    writeHeader(sink, kTraceFormatVersion);
-    sink.putVarint(t.name().size());
-    sink.put(t.name().data(), t.name().size());
-    const size_t n = t.size();
-    sink.putVarint(n);
+    writeTrace(AosRecords{t}, sink);
+}
 
-    for (size_t i = 0; i < n; ++i) {
-        const TraceInst &inst = t[i];
-        sink.putByte(packMeta(inst.op, inst.num_srcs, inst.taken));
-    }
-    for (size_t i = 0; i < n; ++i) {
-        const TraceInst &inst = t[i];
-        for (uint8_t s = 0; s < inst.num_srcs; ++s)
-            sink.putVarint(static_cast<uint32_t>(i) - inst.src[s]);
-    }
-    uint32_t prev = 0;
-    for (size_t i = 0; i < n; ++i) {
-        sink.putVarint(util::zigzag32(t[i].addr - prev));
-        prev = t[i].addr;
-    }
-    prev = 0;
-    for (size_t i = 0; i < n; ++i) {
-        sink.putVarint(util::zigzag32(t[i].latency - prev));
-        prev = t[i].latency;
-    }
-    for (size_t i = 0; i < n; ++i)
-        sink.putVarint(t[i].aux);
+void
+saveTrace(const TraceView &v, util::ByteSink &sink)
+{
+    writeTrace(v, sink);
 }
 
 void

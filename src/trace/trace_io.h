@@ -45,6 +45,9 @@ inline constexpr uint32_t kTraceFormatVersion = 2;
 /** Serialize @p t to @p sink in the current (v2) format. */
 void saveTrace(const Trace &t, util::ByteSink &sink);
 
+/** Serialize a view; the same bytes as saveTrace of its Trace. */
+void saveTrace(const TraceView &v, util::ByteSink &sink);
+
 /** Serialize @p t to @p os. Throws std::runtime_error on I/O error. */
 void saveTrace(const Trace &t, std::ostream &os);
 

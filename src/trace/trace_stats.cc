@@ -29,48 +29,67 @@ TraceStats::avgBranchDistance() const
         static_cast<double>(branches);
 }
 
+namespace {
+
+/** Count one record into @p s (shared by both trace shapes). */
+void
+countInst(TraceStats &s, Op op, uint32_t latency, bool taken)
+{
+    switch (op) {
+      case Op::LOAD:
+        ++s.reads;
+        if (latency > 1)
+            ++s.read_misses;
+        break;
+      case Op::STORE:
+        ++s.writes;
+        if (latency > 1)
+            ++s.write_misses;
+        break;
+      case Op::BRANCH:
+        ++s.branches;
+        if (taken)
+            ++s.taken_branches;
+        break;
+      case Op::LOCK:
+        ++s.locks;
+        break;
+      case Op::UNLOCK:
+        ++s.unlocks;
+        break;
+      case Op::WAIT_EVENT:
+        ++s.wait_events;
+        break;
+      case Op::SET_EVENT:
+        ++s.set_events;
+        break;
+      case Op::BARRIER:
+        ++s.barriers;
+        break;
+      default:
+        break;
+    }
+    if (!isSync(op))
+        ++s.instructions;
+}
+
+} // namespace
+
 TraceStats
 computeStats(const Trace &t)
 {
     TraceStats s;
-    for (const TraceInst &inst : t) {
-        switch (inst.op) {
-          case Op::LOAD:
-            ++s.reads;
-            if (inst.latency > 1)
-                ++s.read_misses;
-            break;
-          case Op::STORE:
-            ++s.writes;
-            if (inst.latency > 1)
-                ++s.write_misses;
-            break;
-          case Op::BRANCH:
-            ++s.branches;
-            if (inst.taken)
-                ++s.taken_branches;
-            break;
-          case Op::LOCK:
-            ++s.locks;
-            break;
-          case Op::UNLOCK:
-            ++s.unlocks;
-            break;
-          case Op::WAIT_EVENT:
-            ++s.wait_events;
-            break;
-          case Op::SET_EVENT:
-            ++s.set_events;
-            break;
-          case Op::BARRIER:
-            ++s.barriers;
-            break;
-          default:
-            break;
-        }
-        if (!isSync(inst.op))
-            ++s.instructions;
-    }
+    for (const TraceInst &inst : t)
+        countInst(s, inst.op, inst.latency, inst.taken);
+    return s;
+}
+
+TraceStats
+computeStats(const TraceView &v)
+{
+    TraceStats s;
+    for (size_t i = 0; i < v.size(); ++i)
+        countInst(s, v.op(i), v.latency(i), v.taken(i));
     return s;
 }
 

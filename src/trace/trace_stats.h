@@ -43,6 +43,9 @@ struct TraceStats {
 /** Scan @p t and accumulate its statistics. */
 TraceStats computeStats(const Trace &t);
 
+/** The same statistics over a view (equal for a view of @p t). */
+TraceStats computeStats(const TraceView &v);
+
 /**
  * Histogram of instruction distances between successive read misses
  * (Section 4.1.3: "90% of the read misses are a distance of 20-30

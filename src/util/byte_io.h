@@ -107,9 +107,15 @@ class FnvState
  * Serialization hot paths (trace and bundle I/O) append millions of
  * small fields; issuing one ostream::write per field costs a virtual
  * dispatch plus sentry locking each time. The sink batches everything
- * into one block and optionally folds every byte into a streaming
- * FNV-1a state, so whole-payload checksums never require buffering
- * the payload.
+ * into one block and optionally checksums the stream with a word-
+ * folded FNV-1a state, so whole-payload checksums never require
+ * buffering the payload.
+ *
+ * Checksumming is lazy, as in ByteSource: the written-but-unhashed
+ * buffer span is folded in bulk when the block drains or when
+ * hashValue() is queried, so the per-field write paths (putByte,
+ * putVarint) carry no hashing work at all. putVarint encodes straight
+ * into the block when it has room for the longest encoding.
  *
  * Errors surface as std::runtime_error on flush (and destruction
  * flushes, swallowing errors — call flush() explicitly on paths that
@@ -139,16 +145,19 @@ class ByteSink
     void beginHash()
     {
         fnv_.begin();
+        hmark_ = pos_;
         hashing_ = true;
     }
 
     /** Word-folded FNV-1a over everything written since beginHash(). */
-    uint64_t hashValue() const { return fnv_.value(); }
+    uint64_t hashValue() const
+    {
+        syncHash();
+        return fnv_.value();
+    }
 
     void put(const void *data, size_t n)
     {
-        if (hashing_)
-            fnv_.update(data, n);
         const char *p = static_cast<const char *>(data);
         while (n > 0) {
             if (pos_ == buf_.size())
@@ -163,7 +172,12 @@ class ByteSink
         }
     }
 
-    void putByte(uint8_t b) { put(&b, 1); }
+    void putByte(uint8_t b)
+    {
+        if (pos_ == buf_.size())
+            drain();
+        buf_[pos_++] = static_cast<char>(b);
+    }
 
     void putU32(uint32_t v) { put(&v, 4); }
 
@@ -172,7 +186,17 @@ class ByteSink
     /** LEB128: 7 value bits per byte, high bit = continuation. */
     void putVarint(uint64_t v)
     {
-        uint8_t tmp[10];
+        if (buf_.size() - pos_ >= kMaxVarintBytes) [[likely]] {
+            char *p = buf_.data() + pos_;
+            while (v >= 0x80) {
+                *p++ = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
+                v >>= 7;
+            }
+            *p++ = static_cast<char>(v);
+            pos_ = static_cast<size_t>(p - buf_.data());
+            return;
+        }
+        uint8_t tmp[kMaxVarintBytes];
         size_t n = 0;
         while (v >= 0x80) {
             tmp[n++] = static_cast<uint8_t>(v) | 0x80;
@@ -191,8 +215,21 @@ class ByteSink
     }
 
   private:
+    static constexpr size_t kMaxVarintBytes = 10;
+
+    /** Fold the written-but-unhashed buffer span into the digest. */
+    void syncHash() const
+    {
+        if (!hashing_ || hmark_ == pos_)
+            return;
+        fnv_.update(buf_.data() + hmark_, pos_ - hmark_);
+        hmark_ = pos_;
+    }
+
     void drain()
     {
+        syncHash();
+        hmark_ = 0;
         if (pos_ > 0) {
             size_t n = pos_;
             pos_ = 0;
@@ -213,7 +250,10 @@ class ByteSink
     std::ostream *os_;
     std::vector<char> buf_;
     size_t pos_ = 0;
-    FnvState fnv_;
+    // Lazy checksum state: buffer offset of the first unhashed byte,
+    // mutated from const accessors.
+    mutable size_t hmark_ = 0;
+    mutable FnvState fnv_;
     bool hashing_ = false;
 };
 

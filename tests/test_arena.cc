@@ -181,5 +181,29 @@ TEST(ArenaArrayTest, BoundsChecked)
     EXPECT_THROW(invalid.addr(0), std::out_of_range);
 }
 
+/** Every accessor throws the same message: the index and the size. */
+TEST(ArenaArrayTest, OutOfRangeMessageNamesIndexAndSize)
+{
+    Arena a(64);
+    ArenaArray<int64_t> arr(&a, 4);
+    auto message = [](auto &&access) {
+        try {
+            access();
+        } catch (const std::out_of_range &e) {
+            return std::string(e.what());
+        }
+        return std::string("no throw");
+    };
+    EXPECT_EQ(message([&] { arr.addr(4); }),
+              "ArenaArray index 4 out of range 4");
+    EXPECT_EQ(message([&] { arr.get(7); }),
+              "ArenaArray index 7 out of range 4");
+    EXPECT_EQ(message([&] { arr.set(100, 1); }),
+              "ArenaArray index 100 out of range 4");
+    ArenaArray<double> invalid;
+    EXPECT_EQ(message([&] { invalid.get(0); }),
+              "ArenaArray index 0 out of range 0");
+}
+
 } // namespace
 } // namespace dsmem::mp

@@ -85,6 +85,30 @@ TEST(BitIdentityTest, DefaultConfigBundlesMatchSeedGoldens)
     }
 }
 
+/**
+ * The store's cold path never builds the AoS trace: the engine's
+ * capture drains into a view, and the bundle is written from it. Its
+ * bytes are the same goldens, and the same as the AoS writer's for
+ * the v3 (DRAM) container too.
+ */
+TEST(BitIdentityTest, ViewShapedBundlesMatchSeedGoldens)
+{
+    auto serializeView = [](const sim::ViewBundle &vb) {
+        std::ostringstream os(std::ios::binary);
+        runner::saveBundle(vb, os);
+        return std::move(os).str();
+    };
+    for (const GoldenBundle &g : kGoldenBundles) {
+        std::string bytes = serializeView(
+            sim::generateView(g.app, memsys::MemoryConfig{}, true));
+        EXPECT_EQ(bytes.size(), g.bytes) << sim::appName(g.app);
+        EXPECT_EQ(fnv(bytes), g.hash) << sim::appName(g.app);
+    }
+    const memsys::MemoryConfig dram = dramConfig();
+    EXPECT_EQ(serializeView(sim::generateView(sim::AppId::LU, dram, true)),
+              serializeBundle(sim::generateTrace(sim::AppId::LU, dram, true)));
+}
+
 /** One golden for both residencies: flat views and chunked traces
  *  swept tile by tile must export the same bytes. */
 TEST(BitIdentityTest, DefaultCampaignJsonMatchesSeedGolden)

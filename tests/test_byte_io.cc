@@ -3,9 +3,9 @@
  * Tests for the block-buffered binary I/O layer (util/byte_io.h) that
  * the v2 trace and bundle formats stream through: varint encode/decode
  * (including every malformed-encoding rejection), zigzag mapping, the
- * two FNV-1a folding granularities, and the lazy read-side checksum —
- * all exercised across buffer-refill boundaries, where the fast and
- * slow decode paths diverge.
+ * two FNV-1a folding granularities, and the lazy checksums of both
+ * the sink and the source — all exercised across buffer-drain and
+ * refill boundaries, where the fast and slow paths diverge.
  */
 
 #include "util/byte_io.h"
@@ -16,6 +16,11 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "apps/rng.h"
+#include "random_trace.h"
+#include "runner/trace_store.h"
+#include "util/failpoint.h"
 
 namespace dsmem::util {
 namespace {
@@ -240,6 +245,127 @@ TEST(ByteIoTest, AtEofOnlyAfterLastByte)
     EXPECT_FALSE(src.atEof());
     src.readByte();
     EXPECT_TRUE(src.atEof());
+}
+
+/** One-shot word-folded FNV-1a over @p bytes[from, to). */
+uint64_t
+oneShot(const std::string &bytes, size_t from, size_t to)
+{
+    FnvState s;
+    s.begin();
+    s.update(bytes.data() + from, to - from);
+    return s.value();
+}
+
+/**
+ * The sink folds its hash lazily, per buffered span; whatever the
+ * block size and however the fields split across drains, the digest
+ * equals one FnvState pass over the bytes that reached the stream.
+ */
+TEST(ByteSinkHashTest, LazyFoldMatchesOneShotAtEveryBlockSize)
+{
+    for (size_t block = 1; block <= 17; ++block) {
+        SCOPED_TRACE(block);
+        apps::Rng rng(block);
+        std::stringstream ss;
+        ByteSink sink(ss, block);
+        sink.beginHash();
+        for (int i = 0; i < 400; ++i) {
+            switch (rng.below(4)) {
+              case 0:
+                sink.putByte(static_cast<uint8_t>(rng.below(256)));
+                break;
+              case 1:
+                sink.putVarint(kVarintProbes[rng.below(
+                    kVarintProbes.size())]);
+                break;
+              case 2:
+                sink.putU32(static_cast<uint32_t>(rng.below(1u << 31)));
+                break;
+              default: {
+                std::string chunk(rng.below(40), 'x');
+                for (char &c : chunk)
+                    c = static_cast<char>(rng.below(256));
+                sink.put(chunk.data(), chunk.size());
+              }
+            }
+        }
+        const uint64_t digest = sink.hashValue();
+        sink.flush();
+        const std::string bytes = ss.str();
+        EXPECT_EQ(digest, oneShot(bytes, 0, bytes.size()));
+    }
+}
+
+/** beginHash() mid-block hashes only what follows it. */
+TEST(ByteSinkHashTest, BeginHashMidBlockSkipsThePrefix)
+{
+    for (size_t block : {size_t{3}, size_t{8}, size_t{64}}) {
+        SCOPED_TRACE(block);
+        std::stringstream ss;
+        ByteSink sink(ss, block);
+        sink.putU32(0xABCD1234);
+        sink.putByte(9); // 5 bytes: mid-block for 8 and 64.
+        sink.beginHash();
+        for (uint64_t v : kVarintProbes)
+            sink.putVarint(v);
+        sink.putU64(42);
+        const uint64_t digest = sink.hashValue();
+        sink.flush();
+        const std::string bytes = ss.str();
+        EXPECT_EQ(digest, oneShot(bytes, 5, bytes.size()));
+    }
+}
+
+/** hashValue() mid-stream is a snapshot; writing on still folds in. */
+TEST(ByteSinkHashTest, HashValueMidStreamThenMoreWrites)
+{
+    for (size_t block : {size_t{1}, size_t{5}, size_t{16}, size_t{4096}}) {
+        SCOPED_TRACE(block);
+        std::stringstream ss;
+        ByteSink sink(ss, block);
+        sink.beginHash();
+        for (uint8_t i = 0; i < 13; ++i)
+            sink.putByte(i);
+        const uint64_t mid = sink.hashValue();
+        EXPECT_EQ(sink.hashValue(), mid); // Query is idempotent.
+        for (uint64_t v : kVarintProbes)
+            sink.putVarint(v);
+        const uint64_t end = sink.hashValue();
+        sink.flush();
+        const std::string bytes = ss.str();
+        EXPECT_EQ(mid, oneShot(bytes, 0, 13));
+        EXPECT_EQ(end, oneShot(bytes, 0, bytes.size()));
+    }
+}
+
+/**
+ * A torn bundle write (the byte_io.drain short-write fault: half a
+ * block lands, then the stream fails) surfaces as a write error, and
+ * what did land is a file the loader rejects.
+ */
+TEST(ByteSinkHashTest, ShortWriteDrainYieldsARejectedBundle)
+{
+    sim::TraceBundle bundle;
+    bundle.trace = testing::randomTrace(7, 50000); // Several blocks.
+    bundle.stats = trace::computeStats(bundle.trace);
+    for (const char *trigger : {"once", "2", "3"}) {
+        SCOPED_TRACE(trigger);
+        FailpointSpec spec;
+        ASSERT_TRUE(parseFailpointSpec(
+            std::string("byte_io.drain:short-write:") + trigger, spec));
+        armFailpoint(spec);
+        std::stringstream ss;
+        EXPECT_THROW(runner::saveBundle(bundle, ss), IoError);
+        disarmAllFailpoints();
+        std::stringstream torn(ss.str());
+        EXPECT_ANY_THROW(runner::loadBundleView(torn));
+    }
+    // Unarmed, the same bundle round-trips.
+    std::stringstream ss;
+    runner::saveBundle(bundle, ss);
+    EXPECT_EQ(runner::loadBundleView(ss).view->size(),
+              bundle.trace.size());
 }
 
 } // namespace

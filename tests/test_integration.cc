@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/static_processor.h"
 #include "runner/trace_store.h"
 #include "sim/experiment.h"
 #include "sim/trace_bundle.h"
@@ -168,6 +169,59 @@ TEST(PipelineSummaryTest, AverageHiddenFractionGrowsWithWindow)
     EXPECT_GT(avg64, avg16 + 0.15);
     EXPECT_GT(avg64, 0.6);
     EXPECT_GT(avg16, 0.15);
+}
+
+/**
+ * Cross-phase clock oracle. The phase-1 engine times its traced
+ * processor as an in-order, blocking-read machine that retires
+ * writes through a write buffer under release consistency. That is
+ * StaticProcessor's RC SSBR model, given a write buffer that never
+ * fills (the engine's has no bound; known deviation 6). The two share
+ * no timing code, so re-timing the engine's own trace must land on
+ * the engine's clock exactly, category by category: busy cycles are
+ * the retired instructions and sync time is the engine's wait plus
+ * transfer cycles. One equality checks the phase-2 timing rules, the
+ * latency annotations and the trace format together.
+ */
+TEST(CrossPhase, RcSsbrReproducesTheEngineClock)
+{
+    struct Case {
+        memsys::MemoryConfig mem;
+        bool small;
+        std::string label;
+    };
+    std::vector<Case> cases;
+    for (bool small : {true, false})
+        for (uint32_t miss : {50u, 100u}) {
+            memsys::MemoryConfig mem;
+            mem.miss_latency = miss;
+            cases.push_back({mem, small,
+                             std::string(small ? "small" : "default") +
+                                 " miss=" + std::to_string(miss)});
+        }
+    // DRAM on: store latencies are patched by recorder index after
+    // the access, so a mismatch here points at the patching.
+    memsys::MemoryConfig dram;
+    dram.dram.banks = 4;
+    cases.push_back({dram, true, "small dram"});
+
+    for (const Case &c : cases) {
+        for (AppId id : kAllApps) {
+            SCOPED_TRACE(std::string(appName(id)) + " " + c.label);
+            const ViewBundle b = generateView(id, c.mem, c.small);
+            core::StaticConfig cfg;
+            cfg.model = ConsistencyModel::RC;
+            cfg.nonblocking_reads = false;
+            // Deeper than the trace has stores: the buffer never fills.
+            cfg.write_buffer_depth =
+                static_cast<uint32_t>(b.view->size()) + 1;
+            const RunResult r = core::StaticProcessor(cfg).run(*b.view);
+            EXPECT_EQ(r.cycles, b.mp_cycles);
+            EXPECT_EQ(r.breakdown.busy, b.thread0.instructions);
+            EXPECT_EQ(r.breakdown.sync, b.thread0.sync_wait_cycles +
+                                            b.thread0.sync_transfer_cycles);
+        }
+    }
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "apps/rng.h"
@@ -263,6 +264,147 @@ TEST_P(MsiInvariantTest, SingleWriterInvariant)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MsiInvariantTest,
                          ::testing::Values(1, 2, 3, 42, 1234));
+
+// ---------------------------------------------------------------------
+// The direct-indexed coherence directory
+// ---------------------------------------------------------------------
+
+/**
+ * Directory property test over (protocol, line_bytes): a low line and
+ * the top line of the 32-bit space share one system, each with a
+ * partner that maps to the same cache set, so random traffic keeps
+ * evicting, re-installing and invalidating lines whose directory
+ * entries emptied. After every access the coherence invariants hold
+ * and each write's invalidation count equals the remote copies the
+ * directory should have tracked.
+ */
+class DirectoryInvariantTest
+    : public ::testing::TestWithParam<std::tuple<Protocol, uint32_t>>
+{};
+
+TEST_P(DirectoryInvariantTest, LowAndTopLinesStayCoherent)
+{
+    const auto [protocol, line_bytes] = GetParam();
+    constexpr uint32_t kProcs = 4;
+    constexpr uint32_t kCacheBytes = 1024;
+    MemoryConfig mc;
+    mc.protocol = protocol;
+    MemorySystem mem(kProcs, CacheConfig{kCacheBytes, line_bytes}, mc);
+    const Addr top = 0xFFFFFFF0u & ~(line_bytes - 1);
+    const std::vector<Addr> lines = {0x1000, 0x1000 + kCacheBytes, top,
+                                     top - kCacheBytes};
+    apps::Rng rng(line_bytes * 7 + static_cast<uint64_t>(protocol));
+
+    auto copies = [&](Addr line, uint32_t except) {
+        uint32_t n = 0;
+        for (uint32_t p = 0; p < kProcs; ++p)
+            if (p != except &&
+                mem.cache(p).lookup(line) != LineState::INVALID)
+                ++n;
+        return n;
+    };
+
+    for (int i = 0; i < 4000; ++i) {
+        const uint32_t proc = static_cast<uint32_t>(rng.below(kProcs));
+        const Addr line = lines[rng.below(lines.size())];
+        // Any byte of the line addresses it.
+        const Addr addr = line + static_cast<Addr>(rng.below(line_bytes));
+        if (rng.below(2)) {
+            const bool miss =
+                mem.cache(proc).lookup(line) == LineState::INVALID;
+            const uint32_t others = copies(line, proc);
+            mem.read(proc, addr);
+            if (miss && protocol == Protocol::MESI) {
+                ASSERT_EQ(mem.cache(proc).lookup(line),
+                          others == 0 ? LineState::EXCLUSIVE
+                                      : LineState::SHARED);
+            }
+        } else {
+            const uint32_t others = copies(line, proc);
+            AccessResult w = mem.write(proc, addr);
+            ASSERT_EQ(w.invalidations, others);
+            ASSERT_EQ(mem.cache(proc).lookup(line), LineState::MODIFIED);
+        }
+        for (Addr l : lines) {
+            uint32_t owned = 0;
+            for (uint32_t p = 0; p < kProcs; ++p) {
+                LineState s = mem.cache(p).lookup(l);
+                if (s == LineState::MODIFIED || s == LineState::EXCLUSIVE)
+                    ++owned;
+            }
+            ASSERT_LE(owned, 1u);
+            if (owned == 1) {
+                ASSERT_EQ(copies(l, kProcs), 1u);
+            }
+        }
+    }
+    // Two spans touched: the one holding 0x1000 (and its set partner)
+    // and the top one.
+    EXPECT_EQ(mem.directoryPages(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProtocolsAndLines, DirectoryInvariantTest,
+    ::testing::Combine(::testing::Values(Protocol::MSI, Protocol::MESI),
+                       ::testing::Values(16u, 32u, 64u)));
+
+/** An entry whose last sharer left acts exactly like an absent one. */
+TEST(DirectoryTest, EmptiedEntryBehavesAbsent)
+{
+    for (Protocol protocol : {Protocol::MSI, Protocol::MESI}) {
+        MemoryConfig mc;
+        mc.protocol = protocol;
+        MemorySystem mem(2, CacheConfig{256, 16}, mc);
+        const Addr a = 0xFFFFFFF0;
+        const Addr conflict = a - 256; // Same direct-mapped set.
+
+        // P0 owns the line, then evicts it: the entry empties.
+        mem.write(0, a);
+        mem.read(0, conflict);
+        ASSERT_EQ(mem.cache(0).lookup(a), LineState::INVALID);
+        EXPECT_EQ(mem.stats(0).writebacks, 1u);
+
+        // No stale owner or sharer: P1's read downgrades nobody and
+        // (MESI) installs Exclusive; its write invalidates nobody.
+        mem.read(1, a);
+        EXPECT_EQ(mem.cache(1).lookup(a), protocol == Protocol::MESI
+                      ? LineState::EXCLUSIVE
+                      : LineState::SHARED);
+        EXPECT_EQ(mem.stats(0).writebacks, 1u);
+        EXPECT_EQ(mem.write(1, a).invalidations, 0u);
+
+        // Re-install at P0: the re-filled entry tracks P1 again.
+        mem.read(0, a);
+        EXPECT_EQ(mem.cache(1).lookup(a), LineState::SHARED);
+        EXPECT_EQ(mem.stats(1).writebacks, 1u);
+        EXPECT_EQ(mem.write(0, a).invalidations, 1u);
+        EXPECT_EQ(mem.cache(1).lookup(a), LineState::INVALID);
+        EXPECT_EQ(mem.stats(1).invalidations_received, 1u);
+    }
+}
+
+/** One directory page per touched span of kDirPageLines lines. */
+TEST(DirectoryTest, AllocatesOnePagePerTouchedSpan)
+{
+    for (uint32_t line_bytes : {16u, 32u, 64u}) {
+        SCOPED_TRACE(line_bytes);
+        MemorySystem mem(2, CacheConfig{1024, line_bytes}, MemoryConfig{});
+        const Addr span = static_cast<Addr>(MemorySystem::kDirPageLines *
+                                            line_bytes);
+        EXPECT_EQ(mem.directoryPages(), 0u);
+        mem.read(0, 0x1000);
+        EXPECT_EQ(mem.directoryPages(), 1u);
+        mem.write(1, 0x1000 + 100 * line_bytes); // Same span.
+        mem.read(0, span - line_bytes);          // Its last line.
+        EXPECT_EQ(mem.directoryPages(), 1u);
+        mem.read(0, span); // First line of the next span.
+        EXPECT_EQ(mem.directoryPages(), 2u);
+        mem.read(1, 0xFFFFFFF0); // Sparse: one page, not the gap.
+        EXPECT_EQ(mem.directoryPages(), 3u);
+        mem.write(0, 0xFFFFFFF0);
+        EXPECT_EQ(mem.directoryPages(), 3u);
+    }
+}
 
 } // namespace
 } // namespace dsmem::memsys
