@@ -23,7 +23,7 @@ printUsage(std::FILE *out, const char *prog)
         "usage: %s [--small | --full] [--jobs N] [--trace-dir DIR]\n"
         "       %*s [--no-trace-store] [--json FILE] [--journal FILE]\n"
         "       %*s [--resume] [--max-attempts N] [--job-timeout-ms N]\n"
-        "       %*s [--repeat N] [--no-fuse]\n"
+        "       %*s [--repeat N]\n"
         "\n"
         "  --small           reduced application configurations\n"
         "  --full            paper-scaled configurations\n"
@@ -42,8 +42,6 @@ printUsage(std::FILE *out, const char *prog)
         "budget\n"
         "  --repeat N        best-of-N timing rounds after a warmup "
         "(0 = bench default)\n"
-        "  --no-fuse         disable fused window sweeps in campaign "
-        "phase 2\n"
         "  --sample-period U   enable SMARTS-style sampling: one "
         "detailed window per U instructions\n"
         "  --sample-detailed N measured instructions per window\n"
@@ -161,8 +159,6 @@ parseBenchArgs(int argc, char **argv, bool default_small)
                        flagValue("--repeat", argc, argv, i)) {
             args.repeat = static_cast<unsigned>(
                 numberValue(argv[0], "--repeat", v, 1, 1000));
-        } else if (arg == "--no-fuse") {
-            args.no_fuse = true;
         } else if (arg == "--stable-json") {
             args.stable_json = true;
         } else if (arg == "--store-gc") {

@@ -25,8 +25,6 @@ namespace dsmem::bench {
  *   --repeat N        timing rounds per measurement; each bench keeps
  *                     the best round after one untimed warmup
  *                     (0 = the bench's own default)
- *   --no-fuse         disable fused window sweeps in campaign phase 2
- *                     (measurement kill-switch; results identical)
  *   --sample-period U   enable SMARTS-style sampling: one detailed
  *                       window per U instructions (0 = exact runs)
  *   --sample-detailed N measured instructions per window
@@ -62,7 +60,6 @@ struct BenchArgs {
     unsigned max_attempts = 3;
     unsigned job_timeout_ms = 0; ///< 0 = no watchdog.
     unsigned repeat = 0; ///< Best-of-N rounds; 0 = bench default.
-    bool no_fuse = false;
     sim::SamplingPlan sampling; ///< period == 0: exact runs.
     bool cold = false; ///< bench_hotloop: rebuild the view per round.
     double stream_gb = -1.0; ///< Memory-bound footprint; <0 = scale default.
@@ -80,7 +77,6 @@ struct BenchArgs {
         opts.resume = resume;
         opts.max_attempts = max_attempts;
         opts.job_timeout_ms = job_timeout_ms;
-        opts.fuse_sweeps = !no_fuse;
         opts.sampling = sampling;
         opts.stable_json = stable_json;
         opts.store_gc = store_gc;

@@ -31,9 +31,9 @@
  * the fused path runs one struct-of-lanes sweep per cell (one
  * stream). A third leg, memory_bound_streamed, runs the same fused
  * sweep against the chunk-compressed resident form
- * (trace::ChunkedView + the decode-ahead streaming executor): the
+ * (trace::ChunkedView, decoded inline one chunk at a time): the
  * pass streams ~4-8 compressed bytes per instruction instead of the
- * 32-byte flat SoA row, decoded into L2-resident tiles on the fly.
+ * 28-byte flat SoA row, decoded into an L2-resident tile on the fly.
  * All regimes' fused-vs-per-cell ratios — and the streamed leg's
  * streamed-over-fused ratio and compressed-resident ratio — land in
  * the JSON under "regimes" and are ratcheted by tools/check_perf.py.
@@ -50,7 +50,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -61,6 +60,7 @@
 #include "core/dynamic_processor.h"
 #include "core/sim_context.h"
 #include "core/static_processor.h"
+#include "runner/result_sink.h"
 #include "runner/runner.h"
 #include "runner/trace_store.h"
 #include "sim/executor.h"
@@ -78,6 +78,9 @@
 using namespace dsmem;
 
 namespace {
+
+using runner::jsonDouble;
+using runner::jsonEscape;
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -155,29 +158,6 @@ measureIps(const std::function<void()> &run, size_t instructions,
                             static_cast<double>(reps) / elapsed);
     }
     return best;
-}
-
-std::string
-jsonDouble(double v)
-{
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed << v;
-    return os.str();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out.push_back(c);
-    }
-    return out;
 }
 
 /** One regime's fused-vs-per-cell campaign measurement. */
@@ -558,7 +538,6 @@ main(int argc, char **argv)
     double streamed_seconds = 0.0;
     double streamed_flat_bytes = 0.0;
     double streamed_resident_bytes = 0.0;
-    const core::StreamOptions stream_opt = sim::streamOptions();
     size_t stream_cells = 0;
     size_t stream_instr_per_cell = 0;
     size_t stream_lanes = 0;
@@ -618,7 +597,7 @@ main(int argc, char **argv)
         };
 
         // Streamed leg: re-encode each cell into the chunk-compressed
-        // resident form and sweep straight from decode-ahead tiles.
+        // resident form and sweep straight from its decoded tiles.
         // Holding both forms at once is deliberate — the flat views
         // must stay alive for the fused/per-cell passes — so in-process
         // peak RSS is NOT a residency signal here; the deterministic
@@ -641,8 +620,7 @@ main(int argc, char **argv)
             for (const auto &cv : stream_chunked) {
                 std::vector<core::DynamicResult> swept =
                     core::runDynamicSweep(
-                        core::TraceSource(*cv, stream_opt),
-                        stream_configs, stream_ctx);
+                        *cv, stream_configs, stream_ctx);
                 if (out)
                     for (core::DynamicResult &r : swept)
                         out->push_back(std::move(r));
@@ -742,10 +720,10 @@ main(int argc, char **argv)
             memory_bound.speedup());
         std::printf(
             "regime memory_bound_streamed (chunk-compressed, %.0f MB "
-            "resident of %.0f MB flat, decode threads %d): %.2fs — "
+            "resident of %.0f MB flat): %.2fs — "
             "%.2fx over per-cell, %.2fx over fused\n",
             streamed_resident_bytes / 1e6, streamed_flat_bytes / 1e6,
-            stream_opt.decode_threads, streamed_seconds,
+            streamed_seconds,
             streamed_seconds == 0.0
                 ? 0.0
                 : memory_bound.percell_seconds / streamed_seconds,
@@ -848,7 +826,6 @@ main(int argc, char **argv)
             << ", \"chunked_bytes_resident\": "
             << jsonDouble(streamed_resident_bytes)
             << ", \"resident_ratio\": " << jsonDouble(resident_ratio)
-            << ", \"decode_threads\": " << stream_opt.decode_threads
             << "}";
         // Worker footprints from the --rss-probe children; all-zero
         // (rss_ratio 0) when the probe could not run on this host.

@@ -31,7 +31,6 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "bench_args.h"
 #include "core/dynamic_processor.h"
 #include "core/sim_context.h"
+#include "runner/result_sink.h"
 #include "sim/executor.h"
 #include "sim/sampling.h"
 #include "sim/synthetic.h"
@@ -48,6 +48,8 @@
 using namespace dsmem;
 
 namespace {
+
+using runner::jsonDouble;
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -68,15 +70,6 @@ bestSeconds(const std::function<void()> &fn, unsigned rounds)
         best = std::min(best, secondsSince(start));
     }
     return best;
-}
-
-std::string
-jsonDouble(double v)
-{
-    std::ostringstream os;
-    os.precision(6);
-    os << std::fixed << v;
-    return os.str();
 }
 
 struct CellReport {

@@ -25,7 +25,7 @@ class BaseProcessor
     /** Time a flat or chunked trace, read in order span by span. */
     RunResult run(const TraceSource &src) const;
 
-    /** run() borrowing @p ctx's tile ring for a chunked source. */
+    /** run() borrowing @p ctx's tile for a chunked source. */
     RunResult run(const TraceSource &src, SimContext &ctx) const;
 
     /** The AoS loop: the oracle the equivalence tests compare with. */

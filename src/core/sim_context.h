@@ -104,17 +104,6 @@ class SimContext
         std::vector<uint64_t> hist;
     };
 
-    /**
-     * Chunked-source scratch: the ring of decoded SoA tiles a
-     * TileStream (core/tile_stream.h) cycles a ChunkedView through.
-     * Tile columns grow monotonically (TraceTile vectors are resized,
-     * never shrunk), so a campaign of many streamed cells decodes
-     * into warm, already-faulted storage after the first.
-     */
-    struct TileScratch {
-        std::vector<trace::TraceTile> tiles;
-    };
-
     /** Lane @p k, created on first use and recycled afterwards. */
     DynLane &lane(size_t k)
     {
@@ -127,13 +116,20 @@ class SimContext
 
     SolScratch &solScratch() { return sol_scratch_; }
 
-    TileScratch &tileScratch() { return tile_scratch_; }
+    /**
+     * Chunked-source scratch: the decoded SoA tile a TileStream
+     * (core/tile_stream.h) decodes each ChunkedView chunk into. Tile
+     * columns grow monotonically (TraceTile vectors are resized,
+     * never shrunk), so a campaign of many streamed cells decodes
+     * into warm, already-faulted storage after the first.
+     */
+    trace::TraceTile &tileScratch() { return tile_scratch_; }
 
   private:
     std::deque<DynLane> lanes_; ///< deque: stable lane addresses.
     StaticScratch static_scratch_;
     SolScratch sol_scratch_;
-    TileScratch tile_scratch_;
+    trace::TraceTile tile_scratch_;
 };
 
 } // namespace dsmem::core

@@ -10,19 +10,6 @@ namespace detail {
 class TileStream;
 }
 
-/** Decode-ahead shape of a chunked TraceSource. */
-struct StreamOptions {
-    /**
-     * 0 = decode tiles inline on the sweep thread (no thread spawned;
-     * right on single-core hosts, where the win is the traffic cut
-     * alone); 1 = one decode-ahead thread that keeps the tile ring
-     * filled while the sweep computes, hiding decode latency behind
-     * compute. Values > 1 behave as 1 (decode is sequential by
-     * construction: each section is one delta chain).
-     */
-    int decode_threads = 0;
-};
-
 /**
  * The one trace input of every phase-2 model: the trace as a sequence
  * of trace::TileSpans covering every instruction in order, read
@@ -31,10 +18,10 @@ struct StreamOptions {
  *  - A flat TraceView is a single zero-copy span over its own
  *    columns.
  *  - A ChunkedView stays compressed-resident (~4-8 B/instr) and is
- *    decoded chunk by chunk into an L2-resident tile ring, one span
- *    per tile, optionally by a decode-ahead thread (StreamOptions).
- *    For a trace whose flat view exceeds the LLC this trades the
- *    full-view memory stream for a cache-resident one.
+ *    decoded chunk by chunk, inline, into one L2-resident tile, one
+ *    span per chunk. For a trace whose flat view exceeds the LLC
+ *    this trades the full-view memory stream for a cache-resident
+ *    one.
  *
  * Every model (BASE, SSBR, SS, DS) reads the trace strictly in order,
  * so no consumer of a source needs the flat view. Both constructors
@@ -45,17 +32,13 @@ class TraceSource
 {
   public:
     TraceSource(const trace::TraceView &v) : flat_(&v) {}
-    TraceSource(const trace::ChunkedView &cv, StreamOptions opt = {})
-        : chunked_(&cv), opt_(opt)
-    {
-    }
+    TraceSource(const trace::ChunkedView &cv) : chunked_(&cv) {}
 
   private:
     friend class detail::TileStream;
 
     const trace::TraceView *flat_ = nullptr;
     const trace::ChunkedView *chunked_ = nullptr;
-    StreamOptions opt_;
 };
 
 } // namespace dsmem::core

@@ -152,21 +152,23 @@ class ArenaArray
     /** Direct (untimed) read — for setup and result verification. */
     T get(size_t i) const
     {
-        checkIndex(i);
+        // addr() is the bounds check; it runs before arena_ is used,
+        // which is null in a default-constructed array.
+        const Addr a = addr(i);
         if constexpr (std::is_same_v<T, double>)
-            return arena_->loadFloat(addr(i));
+            return arena_->loadFloat(a);
         else
-            return arena_->loadInt(addr(i));
+            return arena_->loadInt(a);
     }
 
     /** Direct (untimed) write — for setup code only. */
     void set(size_t i, T value)
     {
-        checkIndex(i);
+        const Addr a = addr(i); // Bounds check first, as in get().
         if constexpr (std::is_same_v<T, double>)
-            arena_->storeFloat(addr(i), value);
+            arena_->storeFloat(a, value);
         else
-            arena_->storeInt(addr(i), value);
+            arena_->storeInt(a, value);
     }
 
     size_t size() const { return count_; }

@@ -561,9 +561,7 @@ Campaign::laneCap(unsigned jobs) const
 {
     // Adaptive fusion: size sweep groups off the phase-2 work that is
     // actually pending (resume may have retired most of it) so fusing
-    // never leaves workers idle. lane_cap == 1 disables fusion.
-    if (!opts_.fuse_sweeps)
-        return 1;
+    // never leaves workers idle.
     size_t pending_ds = 0;
     for (size_t u = 0; u < units_.size(); ++u)
         for (size_t s = 0; s < units_[u].specs.size(); ++s)

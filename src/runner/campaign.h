@@ -214,7 +214,7 @@ class Campaign
      * @p worker_threads threads each. Each unit's pending rows are
      * planned exactly as run() plans them at --jobs workers *
      * worker_threads (sim::planPhase2 at the adaptive lane cap for
-     * that many jobs, or singletons when fuse_sweeps is off); a
+     * that many jobs); a
      * trace's groups stay together (one shard resolves each phase-1
      * trace once) and go to the currently lightest shard, heaviest
      * trace first. A shard deals its traces' groups round-robin, so
@@ -332,7 +332,7 @@ class Campaign
     /**
      * The lane cap run() and shardPlan() plan with at @p jobs
      * parallel workers: sim::adaptiveLaneCap over the pending DS
-     * rows, or 1 (no fusion) when fuse_sweeps is off.
+     * rows.
      */
     size_t laneCap(unsigned jobs) const;
     /**

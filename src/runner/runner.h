@@ -46,13 +46,6 @@ struct RunnerOptions {
     bool resume = false;
 
     /**
-     * Fuse same-family DS rows into window sweeps (sim::planPhase2).
-     * Results are bit-identical either way — this is the measurement
-     * kill-switch (bench --no-fuse) and an escape hatch.
-     */
-    bool fuse_sweeps = true;
-
-    /**
      * SMARTS-style statistical sampling for phase-2 DS cells
      * (sim::SamplingPlan). Disabled by default (period == 0): every
      * row runs exactly and campaign output is byte-identical to
@@ -85,8 +78,8 @@ struct RunnerOptions {
      * Streaming-executor residency policy (sim/stream_exec.h): when
      * the store loads a bundle whose flat view would spill the LLC
      * (Auto) or always (On), the trace stays chunk-compressed and
-     * phase-2 DS sweeps stream decode-ahead tiles out of it instead
-     * of a flat SoA pass — same results, a fraction of the resident
+     * every phase-2 row decodes it tile by tile instead of reading
+     * a flat SoA pass — same results, a fraction of the resident
      * bytes. Off restores the unconditional flat view. On and Off are
      * for tests and benchmarks that pin one residency.
      */

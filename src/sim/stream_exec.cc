@@ -61,12 +61,4 @@ shouldStream(size_t instructions, StreamExec mode)
     return flat_bytes > static_cast<double>(streamThresholdBytes());
 }
 
-core::StreamOptions
-streamOptions()
-{
-    core::StreamOptions opt;
-    opt.decode_threads = util::hostCores() > 1 ? 1 : 0;
-    return opt;
-}
-
 } // namespace dsmem::sim

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <string>
 
-#include "core/dynamic_processor.h"
-
 // ------------------------------------------------------------------
 // Streaming-executor policy: when should a trace stay resident in its
 // chunk-compressed form (trace::ChunkedView, decoded tile by tile
@@ -56,13 +54,22 @@ size_t streamThresholdBytes();
  */
 bool shouldStream(size_t instructions, StreamExec mode);
 
+/** What streamOptions() reports. */
+struct DecodeShape {
+    int decode_threads = 0;
+};
+
 /**
- * Decode-thread shape for this host: one decode-ahead thread when the
- * process may run on more than one CPU (compute overlaps the next
- * tile's decode), inline decode when it is confined to one, where a
- * second thread would only add contention.
+ * Always 0 decode threads: a chunked sweep decodes its tiles inline
+ * (core/tile_stream.h). Kept only because benchmark/e2e prints it;
+ * the benchmark change of ROADMAP item 3 removes it. No library,
+ * bench or test code calls it.
  */
-core::StreamOptions streamOptions();
+inline DecodeShape
+streamOptions()
+{
+    return {};
+}
 
 } // namespace dsmem::sim
 

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string_view>
 
+#include "core/trace_source.h"
 #include "memsys/memory_system.h"
 #include "mp/thread_context.h"
 #include "sim/app_registry.h"
@@ -68,14 +69,13 @@ struct ViewBundle {
     }
 
     /**
-     * The resident trace as executor input: the chunked form with
-     * this host's decode-ahead shape (streamOptions()), else the flat
-     * view. Implicit, so runGroup takes a bundle directly.
+     * The resident trace as executor input: the chunked form, else
+     * the flat view. Implicit, so runGroup takes a bundle directly.
      */
     operator core::TraceSource() const
     {
         if (chunked)
-            return core::TraceSource(*chunked, streamOptions());
+            return core::TraceSource(*chunked);
         return core::TraceSource(*view);
     }
 

@@ -1,6 +1,9 @@
 #include "trace/chunked_view.h"
 
+#include <sstream>
+
 #include "trace/trace_format.h"
+#include "trace/trace_io.h"
 #include "util/byte_io.h"
 #include "util/errors.h"
 
@@ -13,16 +16,39 @@ using detail::kMetaSrcMask;
 using detail::kMetaSrcShift;
 using detail::kMetaTakenShift;
 
-/** Append @p v to @p out in canonical LEB128. */
+/** Append @p v to @p out in canonical LEB128 (util::encodeVarint). */
 inline void
 appendVarint(std::vector<uint8_t> &out, uint32_t v)
 {
-    while (v >= 0x80) {
-        out.push_back(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<uint8_t>(v));
+    uint8_t tmp[util::kMaxVarintBytes];
+    const uint8_t *end = util::encodeVarint(tmp, v);
+    for (const uint8_t *p = tmp; p != end; ++p)
+        out.push_back(*p);
 }
+
+/**
+ * A flat view's v2 encoding (saveTrace), read back up to its meta
+ * section: what ChunkedView's stream constructor reads off a disk.
+ */
+class Encoding
+{
+  public:
+    explicit Encoding(const TraceView &v)
+    {
+        util::ByteSink sink(bytes_);
+        saveTrace(v, sink);
+        sink.flush();
+        std::string name;
+        detail::readPrologue(src_, name);
+    }
+
+    /** The encoding's remaining bytes, from the meta section on. */
+    util::ByteSource &body() { return src_; }
+
+  private:
+    std::stringstream bytes_;
+    util::ByteSource src_{bytes_};
+};
 
 /**
  * Tight in-memory varint reader over a resident section buffer. The
@@ -116,53 +142,9 @@ validSource(InstIndex producer, size_t i, const uint8_t *meta)
 
 } // namespace
 
-ChunkedView::ChunkedView(const TraceView &v) : name_(v.name()), n_(v.size())
+ChunkedView::ChunkedView(const TraceView &v)
+    : ChunkedView(Encoding(v).body(), v.name(), v.size())
 {
-    const size_t chunks = (n_ + kChunkInstrs - 1) / kChunkInstrs;
-    dir_.resize(chunks);
-    meta_.resize(n_);
-
-    // Rough reserve: ~1 byte/src-delta + 1-2 bytes each for
-    // addr/lat/aux keeps the append loops realloc-light.
-    srcs_bytes_.reserve(n_);
-    addr_bytes_.reserve(n_ * 2);
-    lat_bytes_.reserve(n_);
-    aux_bytes_.reserve(n_);
-
-    uint32_t addr_prev = 0;
-    uint32_t lat_prev = 0;
-    for (size_t c = 0; c < chunks; ++c) {
-        ChunkDir &d = dir_[c];
-        d.srcs_off = srcs_bytes_.size();
-        d.addr_off = addr_bytes_.size();
-        d.lat_off = lat_bytes_.size();
-        d.aux_off = aux_bytes_.size();
-        d.addr_prev = addr_prev;
-        d.lat_prev = lat_prev;
-
-        const size_t lo = c * kChunkInstrs;
-        const size_t hi = std::min(n_, lo + kChunkInstrs);
-        for (size_t i = lo; i < hi; ++i) {
-            const uint8_t ns = v.numSrcs(i);
-            meta_[i] = detail::packMeta(v.op(i), ns, v.taken(i));
-            const InstIndex *src = v.srcs(i);
-            for (uint8_t s = 0; s < ns; ++s) {
-                appendVarint(srcs_bytes_,
-                             static_cast<uint32_t>(i) - src[s]);
-            }
-            appendVarint(addr_bytes_,
-                         util::zigzag32(v.addr(i) - addr_prev));
-            addr_prev = v.addr(i);
-            appendVarint(lat_bytes_,
-                         util::zigzag32(v.latency(i) - lat_prev));
-            lat_prev = v.latency(i);
-            appendVarint(aux_bytes_, v.aux(i));
-        }
-    }
-    srcs_bytes_.shrink_to_fit();
-    addr_bytes_.shrink_to_fit();
-    lat_bytes_.shrink_to_fit();
-    aux_bytes_.shrink_to_fit();
 }
 
 ChunkedView::ChunkedView(util::ByteSource &src, std::string name,

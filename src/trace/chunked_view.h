@@ -21,7 +21,7 @@ namespace dsmem::trace {
  * chunked core::TraceSource hands the executors, one TileSpan per
  * tile. Same columns as TraceView; sized for L2 residency at
  * ChunkedView::kChunkInstrs.
- * Vectors grow monotonically across decodes, so a recycled tile ring
+ * Vectors grow monotonically across decodes, so a recycled tile
  * allocates nothing once warm.
  */
 struct TraceTile {
@@ -143,9 +143,9 @@ class TileSpan
  * of kChunkInstrs instructions, decoded on demand into TraceTile SoA
  * tiles. Resident footprint is ~4-8 bytes per instruction against the
  * flat view's 28 (TraceView::bytesPerInstr()), so a campaign worker
- * holding a multi-GB trace keeps only the compressed form plus an
- * L2-sized tile ring resident — a core::TraceSource over it then
- * overlaps each tile's decode with the previous tile's compute.
+ * holding a multi-GB trace keeps only the compressed form plus one
+ * L2-sized tile resident; a core::TraceSource over it decodes each
+ * chunk just before the sweep reads it.
  *
  * A per-chunk directory stores each section's byte offset plus the
  * address/latency delta accumulators entering the chunk, so chunks
@@ -166,12 +166,17 @@ class ChunkedView
   public:
     /**
      * Instructions per chunk. Matches the tiled sweep's block size;
-     * one decoded tile is ~28 B/instr * 8192 = 224 KB, so a
-     * double/triple-buffered ring stays L2-resident on common parts.
+     * one decoded tile is ~28 B/instr * 8192 = 224 KB, so it stays
+     * L2-resident on common parts.
      */
     static constexpr size_t kChunkInstrs = 8192;
 
-    /** Chunk-encode a flat view (the in-memory conversion path). */
+    /**
+     * Chunk a flat view (the in-memory conversion path): encode it
+     * with saveTrace and load that encoding through the stream
+     * constructor below. The resident sections are then the file's
+     * bytes, validated as a disk load validates them.
+     */
     explicit ChunkedView(const TraceView &v);
 
     /**

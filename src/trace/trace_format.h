@@ -1,16 +1,22 @@
 #ifndef DSMEM_TRACE_TRACE_FORMAT_H
 #define DSMEM_TRACE_TRACE_FORMAT_H
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "trace/op.h"
 #include "trace/instruction.h"
 
+namespace dsmem::util {
+class ByteSource;
+}
+
 // ------------------------------------------------------------------
 // Internal header: the DSMT v2 per-instruction meta-byte packing,
-// shared by the stream codec (trace_io.cc) and the chunk-resident
-// view (chunked_view.cc), which stores the same byte layout in
-// memory. Not part of the public API.
+// and prologue reader, shared by the stream codec (trace_io.cc) and
+// the chunk-resident view (chunked_view.cc), which stores the same
+// byte layout in memory. Not part of the public API.
 // ------------------------------------------------------------------
 
 namespace dsmem::trace::detail {
@@ -33,6 +39,14 @@ packMeta(Op op, uint8_t num_srcs, bool taken)
                                 (static_cast<uint8_t>(taken)
                                  << kMetaTakenShift));
 }
+
+/**
+ * Read a DSMT v2 prologue (magic, version, name and record count),
+ * leaving @p src at the meta section; returns the count. Throws
+ * util::FormatError on a bad magic or version, an implausible name,
+ * or a count the stream cannot hold — the checks every loader makes.
+ */
+size_t readPrologue(util::ByteSource &src, std::string &name);
 
 } // namespace dsmem::trace::detail
 

@@ -293,13 +293,20 @@ loadTraceView(std::istream &is)
     return loadTraceView(src);
 }
 
+size_t
+detail::readPrologue(util::ByteSource &src, std::string &name)
+{
+    readHeader(src);
+    name = readName(src, src.readVarint32());
+    return checkedCount(src, src.readVarint(), 4);
+}
+
 std::shared_ptr<const ChunkedView>
 loadTraceChunked(util::ByteSource &src)
 {
     util::failpoint("trace_io.load");
-    readHeader(src);
-    std::string name = readName(src, src.readVarint32());
-    const size_t n = checkedCount(src, src.readVarint(), 4);
+    std::string name;
+    const size_t n = detail::readPrologue(src, name);
     return std::make_shared<const ChunkedView>(src, std::move(name), n);
 }
 

@@ -43,6 +43,26 @@ unzigzag32(uint32_t z)
     return (z >> 1) ^ (0u - (z & 1u));
 }
 
+/** Longest LEB128 encoding of a 64-bit value. */
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/**
+ * LEB128 (7 value bits per byte, high bit = continuation): write @p v
+ * at @p p, which has room for kMaxVarintBytes, and return the end.
+ * The one varint encoder: the trace writer (through ByteSink) and
+ * ChunkedView's resident sections both use it.
+ */
+inline uint8_t *
+encodeVarint(uint8_t *p, uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<uint8_t>(v) | 0x80;
+        v >>= 7;
+    }
+    *p++ = static_cast<uint8_t>(v);
+    return p;
+}
+
 /**
  * Streaming FNV-1a state folded over little-endian 64-bit words: one
  * xor-multiply per 8 bytes, with the final partial word zero-extended.
@@ -183,27 +203,16 @@ class ByteSink
 
     void putU64(uint64_t v) { put(&v, 8); }
 
-    /** LEB128: 7 value bits per byte, high bit = continuation. */
+    /** LEB128 (encodeVarint). */
     void putVarint(uint64_t v)
     {
         if (buf_.size() - pos_ >= kMaxVarintBytes) [[likely]] {
-            char *p = buf_.data() + pos_;
-            while (v >= 0x80) {
-                *p++ = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
-                v >>= 7;
-            }
-            *p++ = static_cast<char>(v);
-            pos_ = static_cast<size_t>(p - buf_.data());
+            auto *p = reinterpret_cast<uint8_t *>(buf_.data() + pos_);
+            pos_ += static_cast<size_t>(encodeVarint(p, v) - p);
             return;
         }
         uint8_t tmp[kMaxVarintBytes];
-        size_t n = 0;
-        while (v >= 0x80) {
-            tmp[n++] = static_cast<uint8_t>(v) | 0x80;
-            v >>= 7;
-        }
-        tmp[n++] = static_cast<uint8_t>(v);
-        put(tmp, n);
+        put(tmp, static_cast<size_t>(encodeVarint(tmp, v) - tmp));
     }
 
     /** Write out any buffered bytes; throws IoError on failure. */
@@ -215,8 +224,6 @@ class ByteSink
     }
 
   private:
-    static constexpr size_t kMaxVarintBytes = 10;
-
     /** Fold the written-but-unhashed buffer span into the digest. */
     void syncHash() const
     {
@@ -395,8 +402,6 @@ class ByteSource
     }
 
   private:
-    static constexpr size_t kMaxVarintBytes = 10;
-
     /** Fold the consumed-but-unhashed buffer span into the digest. */
     void syncHash() const
     {

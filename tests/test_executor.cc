@@ -317,39 +317,36 @@ TEST(Executor, RunGroupMatchesPerRowRunModel)
 
 // --- End to end: campaign results are fuse-invariant ----------------
 
-/** Fused and unfused campaigns agree, and a chunk-resident trace
- *  (stream_exec On) reproduces the flat trace's rows. */
+/** A fused campaign reproduces per-cell runModel on the same trace,
+ *  whether the trace stays flat (stream_exec Off) or chunk-resident
+ *  (On). */
 TEST(Executor, CampaignFusedMatchesUnfused)
 {
-    runner::RunnerOptions unfused_opts;
-    unfused_opts.jobs = 2;
-    unfused_opts.trace_dir.clear(); // No persistent store in tests.
-    unfused_opts.fuse_sweeps = false;
-    unfused_opts.stream_exec = sim::StreamExec::Off;
-    runner::Campaign unfused("executor_eq", unfused_opts);
-    unfused.add(sim::AppId::LU, combinedSpecs(), memsys::MemoryConfig{},
-                /*small=*/true);
-    unfused.run();
-    ASSERT_TRUE(unfused.ok());
-    const runner::UnitResult &b = unfused.result(0);
+    const std::vector<ModelSpec> specs = combinedSpecs();
+    const sim::ViewBundle vb = sim::generateView(
+        sim::AppId::LU, memsys::MemoryConfig{}, /*small=*/true);
+    std::vector<RunResult> per_cell;
+    for (const ModelSpec &spec : specs)
+        per_cell.push_back(sim::runModel(*vb.view, spec));
 
     for (sim::StreamExec mode : {sim::StreamExec::Off, sim::StreamExec::On}) {
         SCOPED_TRACE(sim::streamExecName(mode));
-        runner::RunnerOptions fused_opts = unfused_opts;
-        fused_opts.fuse_sweeps = true;
-        fused_opts.stream_exec = mode;
-        runner::Campaign fused("executor_eq", fused_opts);
-        fused.add(sim::AppId::LU, combinedSpecs(), memsys::MemoryConfig{},
+        runner::RunnerOptions opts;
+        opts.jobs = 2;
+        opts.trace_dir.clear(); // No persistent store in tests.
+        opts.stream_exec = mode;
+        runner::Campaign fused("executor_eq", opts);
+        fused.add(sim::AppId::LU, specs, memsys::MemoryConfig{},
                   /*small=*/true);
         fused.run();
         ASSERT_TRUE(fused.ok());
 
         const runner::UnitResult &a = fused.result(0);
-        ASSERT_EQ(a.rows.size(), b.rows.size());
+        ASSERT_EQ(a.rows.size(), specs.size());
         for (size_t s = 0; s < a.rows.size(); ++s) {
             SCOPED_TRACE(a.rows[s].label);
-            EXPECT_EQ(a.rows[s].label, b.rows[s].label);
-            EXPECT_EQ(a.rows[s].result, b.rows[s].result);
+            EXPECT_EQ(a.rows[s].label, specs[s].label());
+            EXPECT_EQ(a.rows[s].result, per_cell[s]);
         }
     }
 }
@@ -452,10 +449,23 @@ TEST(Executor, SolSweepSupportGate)
 /** Multi-chunk random trace: the streamed sweeps must cross chunk
  *  boundaries mid-window, not just run inside one tile. */
 trace::TraceView
-multiChunkView(uint64_t seed)
+multiChunkView(uint64_t seed,
+               size_t n = 2 * trace::ChunkedView::kChunkInstrs + 1234)
 {
-    return trace::TraceView(testing::randomTrace(
-        seed, 2 * trace::ChunkedView::kChunkInstrs + 1234));
+    return trace::TraceView(testing::randomTrace(seed, n));
+}
+
+/**
+ * Trace lengths a streamed test runs: its own length @p n, then the
+ * last-chunk edge cases of the inline decoder — a one-instruction
+ * trace, one exactly full chunk, and a full chunk followed by a
+ * one-instruction last chunk.
+ */
+std::vector<size_t>
+streamLengths(size_t n = 2 * trace::ChunkedView::kChunkInstrs + 1234)
+{
+    return {n, 1, trace::ChunkedView::kChunkInstrs,
+            trace::ChunkedView::kChunkInstrs + 1};
 }
 
 /**
@@ -518,13 +528,7 @@ TEST(Executor, MixedModelSolMatchesPerCellRuns)
     }
     trace::TraceView view = multiChunkView(83);
     trace::ChunkedView cv(view);
-    for (int threads : {0, 1}) {
-        core::StreamOptions opt;
-        opt.decode_threads = threads;
-        expectMixedFamilyMatches(core::TraceSource(cv, opt), view,
-                                 "chunked threads " +
-                                     std::to_string(threads));
-    }
+    expectMixedFamilyMatches(cv, view, "chunked");
 }
 
 TEST(Executor, MixedModelSolMatchesPerCellRunsOnAnApp)
@@ -672,33 +676,30 @@ TEST(Executor, RingRebindSkipsZeroFill)
 /**
  * Every config variant — all four models, mixed windows, MSHR limits,
  * SC speculation, the read-delay collector — must produce the same
- * bits swept from a chunked source as through single-cell runs, with
- * decode inline and with the decode-ahead thread filling the tile
- * ring.
+ * bits swept from a chunked source as through single-cell runs, at
+ * every chunk-boundary length.
  */
 TEST(Executor, StreamedSweepMatchesSingleCellRuns)
 {
-    trace::TraceView view = multiChunkView(61);
-    trace::ChunkedView cv(view);
     std::vector<DynamicConfig> configs = variantConfigs();
+    for (size_t n : streamLengths()) {
+        trace::TraceView view = multiChunkView(61, n);
+        trace::ChunkedView cv(view);
 
-    std::vector<DynamicResult> single;
-    for (const DynamicConfig &cfg : configs)
-        single.push_back(DynamicProcessor(cfg).run(view));
+        std::vector<DynamicResult> single;
+        for (const DynamicConfig &cfg : configs)
+            single.push_back(DynamicProcessor(cfg).run(view));
 
-    SimContext ctx;
-    for (int threads : {0, 1}) {
+        SimContext ctx;
         for (core::SweepMode mode :
              {core::SweepMode::Auto, core::SweepMode::PerLaneTiled}) {
-            core::StreamOptions opt;
-            opt.decode_threads = threads;
-            std::vector<DynamicResult> streamed = core::runDynamicSweep(
-                core::TraceSource(cv, opt), configs, ctx, mode);
+            std::vector<DynamicResult> streamed =
+                core::runDynamicSweep(cv, configs, ctx, mode);
             ASSERT_EQ(streamed.size(), single.size());
             for (size_t i = 0; i < streamed.size(); ++i) {
-                SCOPED_TRACE("threads " + std::to_string(threads) +
-                             " mode " + std::to_string(int(mode)) +
-                             " config " + std::to_string(i));
+                SCOPED_TRACE("n " + std::to_string(n) + " mode " +
+                             std::to_string(int(mode)) + " config " +
+                             std::to_string(i));
                 expectSameDynamicResult(streamed[i], single[i]);
             }
         }
@@ -709,35 +710,32 @@ TEST(Executor, StreamedSweepMatchesSingleCellRuns)
  *  tiled, Auto) against per-cell runs, lane tails included. */
 TEST(Executor, StreamedSolModesMatchPerCellRuns)
 {
-    trace::TraceView view = multiChunkView(67);
-    trace::ChunkedView cv(view);
-    for (ConsistencyModel m :
-         {ConsistencyModel::SC, ConsistencyModel::RC}) {
-        for (size_t k : {size_t{1}, size_t{3}, size_t{5}}) {
-            std::vector<DynamicConfig> configs = solFamily(k, m, 1);
-            ASSERT_TRUE(core::solSweepSupported(configs));
+    for (size_t n : streamLengths()) {
+        trace::TraceView view = multiChunkView(67, n);
+        trace::ChunkedView cv(view);
+        for (ConsistencyModel m :
+             {ConsistencyModel::SC, ConsistencyModel::RC}) {
+            for (size_t k : {size_t{1}, size_t{3}, size_t{5}}) {
+                std::vector<DynamicConfig> configs = solFamily(k, m, 1);
+                ASSERT_TRUE(core::solSweepSupported(configs));
 
-            std::vector<DynamicResult> single;
-            for (const DynamicConfig &cfg : configs)
-                single.push_back(DynamicProcessor(cfg).run(view));
+                std::vector<DynamicResult> single;
+                for (const DynamicConfig &cfg : configs)
+                    single.push_back(DynamicProcessor(cfg).run(view));
 
-            SimContext ctx;
-            for (int threads : {0, 1}) {
+                SimContext ctx;
                 for (core::SweepMode mode :
                      {core::SweepMode::SoL, core::SweepMode::SoLScalar,
                       core::SweepMode::PerLaneTiled,
                       core::SweepMode::Auto}) {
-                    core::StreamOptions opt;
-                    opt.decode_threads = threads;
                     std::vector<DynamicResult> streamed =
-                        core::runDynamicSweep(core::TraceSource(cv, opt),
-                                              configs, ctx, mode);
+                        core::runDynamicSweep(cv, configs, ctx, mode);
                     ASSERT_EQ(streamed.size(), single.size());
                     for (size_t i = 0; i < streamed.size(); ++i) {
                         SCOPED_TRACE(
-                            "model " + std::to_string(int(m)) + " k " +
-                            std::to_string(k) + " threads " +
-                            std::to_string(threads) + " mode " +
+                            "n " + std::to_string(n) + " model " +
+                            std::to_string(int(m)) + " k " +
+                            std::to_string(k) + " mode " +
                             std::to_string(int(mode)) + " lane " +
                             std::to_string(i));
                         expectSameDynamicResult(streamed[i], single[i]);
@@ -748,6 +746,7 @@ TEST(Executor, StreamedSolModesMatchPerCellRuns)
     }
 
     // The SoL support gate applies to a chunked source too.
+    trace::ChunkedView cv(multiChunkView(67));
     std::vector<DynamicConfig> mixed = variantConfigs();
     SimContext ctx;
     EXPECT_THROW(
@@ -759,30 +758,33 @@ TEST(Executor, StreamedSolModesMatchPerCellRuns)
  *  runs back to back with no state bleed. */
 TEST(Executor, StreamedContextReuseAgainstFlat)
 {
-    trace::TraceView view = multiChunkView(71);
-    trace::ChunkedView cv(view);
     std::vector<DynamicConfig> fam =
         solFamily(4, ConsistencyModel::RC, 1);
-
-    std::vector<DynamicResult> single;
-    for (const DynamicConfig &cfg : fam)
-        single.push_back(DynamicProcessor(cfg).run(view));
-
     SimContext shared;
-    for (int round = 0; round < 2; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        std::vector<DynamicResult> flat =
-            core::runDynamicSweep(view, fam, shared);
-        std::vector<DynamicResult> streamed =
-            core::runDynamicSweep(cv, fam, shared);
-        for (size_t i = 0; i < fam.size(); ++i) {
-            SCOPED_TRACE("lane " + std::to_string(i));
-            expectSameDynamicResult(flat[i], single[i]);
-            expectSameDynamicResult(streamed[i], single[i]);
+    for (size_t n : streamLengths()) {
+        trace::TraceView view = multiChunkView(71, n);
+        trace::ChunkedView cv(view);
+
+        std::vector<DynamicResult> single;
+        for (const DynamicConfig &cfg : fam)
+            single.push_back(DynamicProcessor(cfg).run(view));
+
+        for (int round = 0; round < 2; ++round) {
+            SCOPED_TRACE("n " + std::to_string(n) + " round " +
+                         std::to_string(round));
+            std::vector<DynamicResult> flat =
+                core::runDynamicSweep(view, fam, shared);
+            std::vector<DynamicResult> streamed =
+                core::runDynamicSweep(cv, fam, shared);
+            for (size_t i = 0; i < fam.size(); ++i) {
+                SCOPED_TRACE("lane " + std::to_string(i));
+                expectSameDynamicResult(flat[i], single[i]);
+                expectSameDynamicResult(streamed[i], single[i]);
+            }
+            // Interleave a single-cell run through lane 0.
+            expectSameDynamicResult(
+                DynamicProcessor(fam[1]).run(view, shared), single[1]);
         }
-        // Interleave a single-cell run through lane 0.
-        expectSameDynamicResult(
-            DynamicProcessor(fam[1]).run(view, shared), single[1]);
     }
 }
 
@@ -790,60 +792,71 @@ TEST(Executor, StreamedContextReuseAgainstFlat)
  *  path; results do not change. */
 TEST(Executor, StreamedForcedScalarRuntimeSwitch)
 {
-    trace::TraceView view = multiChunkView(73);
-    trace::ChunkedView cv(view);
     std::vector<DynamicConfig> fam =
         solFamily(3, ConsistencyModel::SC, 1);
-    SimContext ctx;
-    std::vector<DynamicResult> simd = core::runDynamicSweep(cv, fam, ctx);
-    util::simd::setForceScalar(true);
-    std::vector<DynamicResult> scalar =
-        core::runDynamicSweep(cv, fam, ctx);
-    util::simd::setForceScalar(false);
-    ASSERT_EQ(simd.size(), scalar.size());
-    for (size_t i = 0; i < simd.size(); ++i)
-        expectSameDynamicResult(simd[i], scalar[i]);
+    for (size_t n : streamLengths()) {
+        SCOPED_TRACE("n " + std::to_string(n));
+        trace::ChunkedView cv(multiChunkView(73, n));
+        SimContext ctx;
+        std::vector<DynamicResult> simd =
+            core::runDynamicSweep(cv, fam, ctx);
+        util::simd::setForceScalar(true);
+        std::vector<DynamicResult> scalar =
+            core::runDynamicSweep(cv, fam, ctx);
+        util::simd::setForceScalar(false);
+        ASSERT_EQ(simd.size(), scalar.size());
+        for (size_t i = 0; i < simd.size(); ++i)
+            expectSameDynamicResult(simd[i], scalar[i]);
+    }
 }
 
 /**
  * runGroup against a chunk-resident bundle must reproduce the flat
- * bundle's rows for every planned group. Every row (fused DS sweeps,
- * DS singletons, BASE, SSBR and SS) streams the chunks in order, so
- * no group ever flattens the trace: the resident bytes never grow.
+ * bundle's rows for every planned group, at every chunk-boundary
+ * length. Every row (fused DS sweeps, DS singletons, BASE, SSBR and
+ * SS) streams the chunks in order, so no group ever flattens the
+ * trace: the resident bytes never grow.
  */
 TEST(Executor, RunGroupChunkedBundleMatchesFlat)
 {
-    trace::Trace raw = testing::randomTrace(
-        79, 2 * trace::ChunkedView::kChunkInstrs + 555);
-    sim::ViewBundle flat;
-    flat.view = trace::TraceView::build(raw);
-    flat.stats = trace::computeStats(raw);
-    flat.verified = true;
-    sim::ViewBundle chunked = flat;
-    chunked.view.reset();
-    chunked.chunked =
-        std::make_shared<trace::ChunkedView>(*flat.view);
-
-    const size_t resident = chunked.traceBytesResident();
-    EXPECT_LT(resident, flat.traceBytesResident() / 2);
-
     std::vector<ModelSpec> specs = combinedSpecs();
     std::vector<uint8_t> done(specs.size(), 0);
-    for (size_t cap : {size_t{0}, size_t{1}, size_t{3}}) {
-        SimContext flat_ctx, chunked_ctx;
-        for (const ExecGroup &g : sim::planPhase2(specs, done, cap)) {
-            std::vector<RunResult> want =
-                sim::runGroup(flat, specs, g, flat_ctx);
-            std::vector<RunResult> got =
-                sim::runGroup(chunked, specs, g, chunked_ctx);
-            ASSERT_EQ(got.size(), want.size());
-            for (size_t i = 0; i < g.rows.size(); ++i) {
-                SCOPED_TRACE("cap " + std::to_string(cap) + " " +
-                             specs[g.rows[i]].label());
-                EXPECT_EQ(got[i], want[i]);
+    for (size_t n :
+         streamLengths(2 * trace::ChunkedView::kChunkInstrs + 555)) {
+        trace::Trace raw = testing::randomTrace(79, n);
+        sim::ViewBundle flat;
+        flat.view = trace::TraceView::build(raw);
+        flat.stats = trace::computeStats(raw);
+        flat.verified = true;
+        sim::ViewBundle chunked = flat;
+        chunked.view.reset();
+        chunked.chunked =
+            std::make_shared<trace::ChunkedView>(*flat.view);
+
+        const size_t resident = chunked.traceBytesResident();
+        if (n >= trace::ChunkedView::kChunkInstrs) {
+            EXPECT_LT(resident, flat.traceBytesResident() / 2)
+                << "n " << n;
+        }
+
+        for (size_t cap : {size_t{0}, size_t{1}, size_t{3}}) {
+            SimContext flat_ctx, chunked_ctx;
+            for (const ExecGroup &g : sim::planPhase2(specs, done, cap)) {
+                std::vector<RunResult> want =
+                    sim::runGroup(flat, specs, g, flat_ctx);
+                std::vector<RunResult> got =
+                    sim::runGroup(chunked, specs, g, chunked_ctx);
+                ASSERT_EQ(got.size(), want.size());
+                for (size_t i = 0; i < g.rows.size(); ++i) {
+                    SCOPED_TRACE("n " + std::to_string(n) + " cap " +
+                                 std::to_string(cap) + " " +
+                                 specs[g.rows[i]].label());
+                    EXPECT_EQ(got[i], want[i]);
+                }
+                EXPECT_EQ(chunked.traceBytesResident(), resident)
+                    << "n " << n << " cap " << cap
+                    << ": a group flattened the trace";
             }
-            EXPECT_EQ(chunked.traceBytesResident(), resident)
-                << "cap " << cap << ": a group flattened the trace";
         }
     }
 }

@@ -26,7 +26,6 @@
 #include "runner/runner.h"
 #include "runner/trace_store.h"
 #include "sim/experiment.h"
-#include "sim/stream_exec.h"
 #include "sim/trace_bundle.h"
 #include "trace/trace_view.h"
 #include "util/sysinfo.h"
@@ -121,9 +120,8 @@ TEST(RunnerPool, WaitWithoutJobsReturns)
 /**
  * A process pinned to one CPU sizes itself to one: hostCores() counts
  * the affinity mask (hardware_concurrency would report every CPU of
- * the machine), so the runner defaults to one worker and a chunked
- * sweep decodes inline instead of spawning a decode-ahead thread. The
- * pin happens in a forked child so it cannot leak into other tests.
+ * the machine), so the runner defaults to one worker. The pin happens
+ * in a forked child so it cannot leak into other tests.
  */
 TEST(HostCores, CountsTheAffinityMask)
 {
@@ -143,8 +141,6 @@ TEST(HostCores, CountsTheAffinityMask)
             _exit(11);
         if (util::hostCores() != 1)
             _exit(12);
-        if (sim::streamOptions().decode_threads != 0)
-            _exit(13);
         if (RunnerOptions{}.resolvedJobs() != 1)
             _exit(14);
         _exit(0);
@@ -154,7 +150,7 @@ TEST(HostCores, CountsTheAffinityMask)
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0)
         << "10/11: affinity syscalls failed; 12: hostCores; "
-           "13: decode_threads; 14: resolvedJobs";
+           "14: resolvedJobs";
 }
 #endif
 

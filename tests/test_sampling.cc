@@ -27,6 +27,7 @@
 #include "sim/executor.h"
 #include "sim/experiment.h"
 #include "sim/sampling.h"
+#include "sim/trace_bundle.h"
 #include "trace/trace_view.h"
 #include "util/errors.h"
 
@@ -448,35 +449,36 @@ TEST(SamplingCampaign, EndToEndSampledRowsAndJson)
     }
 }
 
+/** A fused sampled campaign reproduces per-cell runModelSampled on
+ *  the same trace and live points. */
 TEST(SamplingCampaign, FuseInvariantUnderSampling)
 {
     runner::RunnerOptions opts;
     opts.jobs = 2;
     opts.trace_dir.clear();
     opts.sampling = testPlan(4000, 400, 1200);
-    runner::RunnerOptions unfused_opts = opts;
-    unfused_opts.fuse_sweeps = false;
 
     std::vector<ModelSpec> specs;
     for (uint32_t w : {16u, 64u, 256u})
         specs.push_back(ModelSpec::ds(ConsistencyModel::RC, w));
 
     runner::Campaign fused("sampling_fuse", opts);
-    runner::Campaign unfused("sampling_fuse", unfused_opts);
-    for (runner::Campaign *c : {&fused, &unfused})
-        c->add(sim::AppId::LU, specs, memsys::MemoryConfig{},
-               /*small=*/true);
+    fused.add(sim::AppId::LU, specs, memsys::MemoryConfig{},
+              /*small=*/true);
     fused.run();
-    unfused.run();
     ASSERT_TRUE(fused.ok());
-    ASSERT_TRUE(unfused.ok());
 
+    const sim::ViewBundle vb = sim::generateView(
+        sim::AppId::LU, memsys::MemoryConfig{}, /*small=*/true);
+    const LivePointSet points =
+        sim::computeLivePoints(*vb.view, opts.sampling);
+    core::SimContext ctx;
     for (size_t s = 0; s < specs.size(); ++s) {
         SCOPED_TRACE(specs[s].label());
-        EXPECT_EQ(fused.result(0).rows[s].result,
-                  unfused.result(0).rows[s].result);
-        EXPECT_EQ(fused.result(0).row_sampling[s],
-                  unfused.result(0).row_sampling[s]);
+        const sim::SampledCell cell = sim::runModelSampled(
+            *vb.view, specs[s], opts.sampling, points, ctx);
+        EXPECT_EQ(fused.result(0).rows[s].result, cell.result);
+        EXPECT_EQ(fused.result(0).row_sampling[s], cell.sampling);
     }
 }
 

@@ -410,31 +410,25 @@ TEST_F(SvcTest, ShardPlanCoversEveryCellExactlyOnce)
 TEST_F(SvcTest, ShardPlanUsesTheCampaignsGroupPlan)
 {
     TempDir tmp("plan3");
-    for (bool fuse : {true, false}) {
-        runner::RunnerOptions ro = smokeOptions(tmp.str());
-        ro.fuse_sweeps = fuse;
-        runner::Campaign campaign(benchNameFor("smoke"), ro);
-        declareSmoke(campaign);
-        ASSERT_TRUE(campaign.prepare());
-        // The groups planPhase2 gives run() at the pool's total
-        // thread count: 2 workers of 2 threads plan as --jobs 4.
-        const size_t cap = fuse ? sim::adaptiveLaneCap(4, 4) : 1;
-        for (const auto &shard : campaign.shardPlan(2, 2).shards) {
-            ASSERT_FALSE(shard.empty());
-            std::vector<sim::ExecGroup> want = sim::planPhase2(
-                campaign.unitSpecs(shard.front().unit),
-                campaign.result(shard.front().unit).row_done, cap);
-            ASSERT_EQ(shard.size(), want.size());
-            for (size_t i = 0; i < want.size(); ++i) {
-                EXPECT_EQ(shard[i].group.rows, want[i].rows);
-                EXPECT_EQ(shard[i].group.fused, want[i].fused);
-                if (!fuse) {
-                    EXPECT_EQ(shard[i].group.rows.size(), 1u);
-                }
-            }
+    runner::Campaign campaign(benchNameFor("smoke"),
+                              smokeOptions(tmp.str()));
+    declareSmoke(campaign);
+    ASSERT_TRUE(campaign.prepare());
+    // The groups planPhase2 gives run() at the pool's total thread
+    // count: 2 workers of 2 threads plan as --jobs 4.
+    const size_t cap = sim::adaptiveLaneCap(4, 4);
+    for (const auto &shard : campaign.shardPlan(2, 2).shards) {
+        ASSERT_FALSE(shard.empty());
+        std::vector<sim::ExecGroup> want = sim::planPhase2(
+            campaign.unitSpecs(shard.front().unit),
+            campaign.result(shard.front().unit).row_done, cap);
+        ASSERT_EQ(shard.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(shard[i].group.rows, want[i].rows);
+            EXPECT_EQ(shard[i].group.fused, want[i].fused);
         }
-        campaign.finish();
     }
+    campaign.finish();
 }
 
 TEST_F(SvcTest, ShardPlanPlansAtThePoolsTotalThreadCount)

@@ -64,8 +64,8 @@ def ratios(doc):
         # memory-bound win by regressing the warm path or vice versa.
         # schema_version >= 5 adds memory_bound_streamed: the same
         # fused sweep against the chunk-compressed resident form;
-        # streamed_over_fused ratchets the decode-ahead executor
-        # against the flat fused sweep it replaces.
+        # streamed_over_fused ratchets the sweep over inline-decoded
+        # tiles against the flat fused sweep it replaces.
         for name, regime in sorted(doc.get("regimes", {}).items()):
             if "fused_speedup" in regime:
                 out[f"regime:{name}:fused_speedup"] = (
