@@ -102,6 +102,16 @@ class SimContext
          * through K per-lane rings (see core/sol_sweep_impl.h).
          */
         std::vector<uint64_t> hist;
+        /**
+         * The sweep's one store-forwarding table: which store last
+         * wrote an address does not depend on the lane, so one index
+         * maps each pending address to a row of fwd_rows holding
+         * every lane's data_ready, then every lane's mem_completion.
+         * fwd_free lists the rows of pruned addresses.
+         */
+        util::FlatMap<trace::Addr, uint32_t> fwd_index{64};
+        std::vector<uint64_t> fwd_rows;
+        std::vector<uint32_t> fwd_free;
     };
 
     /** Lane @p k, created on first use and recycled afterwards. */

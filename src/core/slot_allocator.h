@@ -112,10 +112,51 @@ class SlotAllocator
  * returns (the equivalence tests drive both against each other;
  * SlotAllocator is kept verbatim above as the reference and as
  * bench_hotloop's pre-optimization baseline).
+ *
+ * A request for an unused cycle inside the bitmap window reads only
+ * the window — its base, extent and words — so those form a Cursor
+ * whose claim() is the whole fast path, inline in allocate().
+ * Everything else is allocateSlow(), kept out of line; only it moves
+ * the window. The struct-of-lanes sweep keeps a copy of each lane's
+ * cursors in its own lane-indexed arrays, runs claim() there, and
+ * re-reads a cursor after anything that may have moved it: one
+ * allocator, whichever loop drives it.
  */
 class RingSlotAllocator
 {
   public:
+    /**
+     * The bitmap window: all the fast path reads. In cell-ring mode
+     * limit is 0, so claim() always declines.
+     */
+    struct Cursor {
+        uint64_t base = 0;  ///< Cycle of bitmap bit 0; multiple of 64.
+        uint64_t limit = 0; ///< Window extent in cycles.
+        uint64_t *occ = nullptr; ///< Bitmap words: cycle has >= 1 use.
+
+        /**
+         * Take @p t when it lies inside the window and nothing holds
+         * it yet. An unused cycle is free at any capacity, and its
+         * first use fills no capacity-2 cycle, so setting its
+         * occupancy bit is the whole allocation. The hot loops'
+         * requests are non-decreasing except across a miss stall, so
+         * they mostly land above every used cycle; one below them
+         * after such a stall usually finds its own cycle unused too.
+         */
+        bool claim(uint64_t t) const
+        {
+            const uint64_t pos = t - base;
+            if (pos >= limit)
+                return false;
+            uint64_t &word = occ[pos >> 6];
+            const uint64_t bit = uint64_t{1} << (pos & 63);
+            if (word & bit)
+                return false;
+            word |= bit;
+            return true;
+        }
+    };
+
     explicit RingSlotAllocator(uint32_t capacity_per_cycle = 1,
                                size_t initial_span = 512)
     {
@@ -125,6 +166,13 @@ class RingSlotAllocator
         init_span_ = span;
         reset(capacity_per_cycle);
     }
+
+    // The cursor points into occ_: a copy would alias the source's
+    // bitmap. Moves keep the vector's storage, so they stay valid.
+    RingSlotAllocator(const RingSlotAllocator &) = delete;
+    RingSlotAllocator &operator=(const RingSlotAllocator &) = delete;
+    RingSlotAllocator(RingSlotAllocator &&) = default;
+    RingSlotAllocator &operator=(RingSlotAllocator &&) = default;
 
     /**
      * Promise that no future allocate() will request a cycle below
@@ -150,7 +198,7 @@ class RingSlotAllocator
         capacity_ = capacity_per_cycle == 0 ? 1 : capacity_per_cycle;
         watermark_ = 0;
         top_ = 0;
-        base_ = 0;
+        cur_ = Cursor{};
         if (capacity_ <= 2) {
             const size_t words = init_span_ >> 6;
             if (occ_.size() < words)
@@ -163,6 +211,7 @@ class RingSlotAllocator
                 else
                     std::fill(full_.begin(), full_.end(), 0);
             }
+            syncWindow();
             return;
         }
         if (cells_.empty()) {
@@ -178,10 +227,26 @@ class RingSlotAllocator
     /** First free cycle >= @p t; consumes one slot of it. */
     uint64_t allocate(uint64_t t)
     {
+        return cur_.claim(t) ? t : allocateSlow(t);
+    }
+
+    /**
+     * Every case of allocate() that Cursor::claim() declines: a
+     * request for a cycle in use, outside the window, or in
+     * cell-ring mode.
+     */
+    [[gnu::noinline]] uint64_t allocateSlow(uint64_t t)
+    {
         if (capacity_ <= 2)
             return allocateBitmap(t);
         return allocateCells(t);
     }
+
+    /**
+     * The fast-path state. Only allocateSlow() (and so allocate())
+     * and reset() change it; a copy claims exactly like allocate().
+     */
+    const Cursor &cursor() const { return cur_; }
 
     /** Window (bitmap) or ring (cells) extent in cycles resp. cells. */
     size_t span() const
@@ -193,28 +258,24 @@ class RingSlotAllocator
   private:
     uint64_t allocateBitmap(uint64_t t)
     {
-        if (t - base_ >= occ_.size() << 6)
+        if (t - cur_.base >= cur_.limit)
             ensureWindow(t);
-        const size_t pos = static_cast<size_t>(t - base_);
-        // Monotone fast path: nothing was ever allocated at or above
-        // a cycle beyond top_, so t itself is free by construction.
-        // The hot loops' requests are non-decreasing except across a
-        // miss stall, so this is the overwhelmingly common case.
-        if (t > top_) {
-            top_ = t;
-            occ_[pos >> 6] |= uint64_t{1} << (pos & 63);
+        // Now that the window admits t (see Cursor::claim).
+        if (cur_.claim(t))
             return t;
-        }
-        // Scan the full-map (capacity 1: one use fills a cycle, so
-        // the occupancy map doubles as it) for the first zero bit at
-        // or above t. Bits above top_ are never set, so the scan ends
-        // within the window unless every cycle in t..window-end is
-        // full — then widen and rescan (rare).
+        // t is in use. Scan the full-map (capacity 1: one use fills
+        // a cycle, so the occupancy map doubles as it) for the first
+        // zero bit at or above t. Bits above the highest allocated
+        // cycle are never set, so the scan ends within the window
+        // unless every cycle in t..window-end is full — then widen
+        // and rescan (rare).
         for (;;) {
             const std::vector<uint64_t> &fullmap =
                 capacity_ == 1 ? occ_ : full_;
-            // Recomputed each pass: a widening below may slide base_.
-            const size_t spos = static_cast<size_t>(t - base_);
+            // Recomputed each pass: a widening below may slide the
+            // base.
+            const uint64_t base = cur_.base;
+            const size_t spos = static_cast<size_t>(t - base);
             size_t wi = spos >> 6;
             uint64_t m =
                 fullmap[wi] | ((uint64_t{1} << (spos & 63)) - 1);
@@ -224,17 +285,15 @@ class RingSlotAllocator
                 m = fullmap[wi];
             }
             if (wi == fullmap.size()) {
-                ensureWindow(base_ + (occ_.size() << 6));
+                ensureWindow(base + cur_.limit);
                 continue;
             }
-            uint64_t cycle = base_ + (static_cast<uint64_t>(wi) << 6) +
+            uint64_t cycle = base + (static_cast<uint64_t>(wi) << 6) +
                              static_cast<unsigned>(
                                  std::countr_zero(~m));
-            if (cycle > top_)
-                top_ = cycle;
             const uint64_t bit =
-                uint64_t{1} << (static_cast<size_t>(cycle - base_) & 63);
-            const size_t cw = static_cast<size_t>(cycle - base_) >> 6;
+                uint64_t{1} << (static_cast<size_t>(cycle - base) & 63);
+            const size_t cw = static_cast<size_t>(cycle - base) >> 6;
             if (capacity_ == 1) {
                 occ_[cw] |= bit;
             } else if (occ_[cw] & bit) {
@@ -256,18 +315,27 @@ class RingSlotAllocator
     void ensureWindow(uint64_t t)
     {
         const uint64_t nb = watermark_ & ~uint64_t{63};
-        if (nb > base_) {
-            const size_t shift = static_cast<size_t>((nb - base_) >> 6);
+        if (nb > cur_.base) {
+            const size_t shift =
+                static_cast<size_t>((nb - cur_.base) >> 6);
             slideWords(occ_, shift);
             if (capacity_ == 2)
                 slideWords(full_, shift);
-            base_ = nb;
+            cur_.base = nb;
         }
-        while (t - base_ >= occ_.size() << 6) {
+        while (t - cur_.base >= occ_.size() << 6) {
             occ_.resize(occ_.size() * 2, 0);
             if (capacity_ == 2)
                 full_.resize(occ_.size(), 0);
         }
+        syncWindow();
+    }
+
+    /** Point the cursor at the bitmap's current storage and extent. */
+    void syncWindow()
+    {
+        cur_.limit = occ_.size() << 6;
+        cur_.occ = occ_.data();
     }
 
     static void slideWords(std::vector<uint64_t> &words, size_t shift)
@@ -284,7 +352,8 @@ class RingSlotAllocator
 
     uint64_t allocateCells(uint64_t t)
     {
-        // Monotone fast path (see allocateBitmap).
+        // Monotone fast path: nothing was ever allocated above top_,
+        // so t is free by construction.
         if (t > top_) {
             top_ = t;
             Cell &cell = cells_[cellIndex(t)];
@@ -384,8 +453,8 @@ class RingSlotAllocator
     uint32_t epoch_ = 1; ///< Cell generation; 0 is never current.
     size_t init_span_ = 512;
     uint64_t watermark_ = 0;
-    uint64_t top_ = 0;  ///< Highest cycle ever allocated this run.
-    uint64_t base_ = 0; ///< Cycle of bitmap bit 0; multiple of 64.
+    uint64_t top_ = 0; ///< Cell ring: highest cycle allocated this run.
+    Cursor cur_;
     std::vector<uint64_t> occ_;  ///< Bitmap: cycle has >= 1 use.
     std::vector<uint64_t> full_; ///< Bitmap: cycle full (capacity 2).
     std::vector<Cell> cells_;

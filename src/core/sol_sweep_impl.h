@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <vector>
 
 #include "core/dynamic_processor.h"
@@ -47,9 +48,32 @@
 // forwarding stalls the per-lane rolls used to feed the next
 // instruction's batch phases.
 //
-// What stays scalar per lane is exactly the state that is per-lane
-// by construction: cycle allocators, the branch predictor, the
-// store-forwarding table, and the store-buffer ring.
+// The per-lane state that is not a ring lives in lane-indexed arrays
+// too, where the lockstep phases reach it without going through
+// Lane. Each FU class keeps a copy of every lane's allocator cursor
+// (its bitmap window) in one such array, so the allocator's fast
+// path (RingSlotAllocator::Cursor::claim) runs inline in the lane
+// loop; a request it declines goes out of line through the lane's
+// own allocator, and the copy is re-read after it. Each lane's next
+// store-buffer slot-free time is kept current after every store, so
+// a store's ROB phase is a batch max. Scalar per lane remain the
+// claim itself and the store-buffer ring.
+//
+// Some state is not per-lane at all, so it is computed once per
+// instruction for every lane. The instruction, branch and read-miss
+// counts are one scalar each, and so are two larger pieces:
+//  - Branch prediction. Every lane feeds its predictor the same
+//    (site, taken) sequence, and prediction state is a pure function
+//    of that history (BranchPredictor::Snapshot), so lanes with one
+//    BTB geometry share one predictor: predict() runs once per branch
+//    per distinct geometry and the outcome is broadcast.
+//  - Store forwarding. Which store last wrote an address does not
+//    depend on the lane, so one table per sweep maps each address to
+//    a row of per-lane {data_ready, mem_completion}, probed once per
+//    load or store. An address is pruned only when its entry is dead
+//    for every lane; a dead entry has mem_completion <= decode <
+//    every later mem_issue of that lane, so it could never forward,
+//    and pruning it or not changes no result.
 //
 // Bit-identity with Lane::step is preserved two ways: the lockstep
 // phases below are a line-for-line transcription of the step for the
@@ -58,8 +82,9 @@
 // whose acquire waits and fences thread through retirement — falls
 // back to the real Lane::step per lane, via pull/push of the rolling
 // scalars plus staging of the handful of ring entries the step reads
-// from the transposed history. tests/test_executor.cc asserts
-// equality against per-cell runs for every mode.
+// from the transposed history (see fallbackStep).
+// tests/test_executor.cc asserts equality against per-cell runs for
+// every mode.
 //
 // The pass is packaged as SolSweepState — init() binds the lanes and
 // carves the scratch arrays, runRange() advances every lane over one
@@ -107,16 +132,30 @@ class SolSweepState
         ignore_deps = lanes[0].ignore_data_deps;
         perfect_bp = lanes[0].perfect_bp;
 
+        // One predictor per distinct BTB geometry: its first lane's.
+        bp_group.resize(k);
+        bp_rep.clear();
+        for (size_t j = 0; j < k; ++j) {
+            size_t g = 0;
+            while (g < bp_rep.size() &&
+                   !sameGeometry(configs[bp_rep[g]].btb,
+                                 configs[j].btb))
+                ++g;
+            if (g == bp_rep.size())
+                bp_rep.push_back(j);
+            bp_group[j] = g;
+        }
+
         // ---- Parallel arrays, padded to the batch width -----------
         constexpr size_t kb = Batch::kWidth;
         kpad = (k + kb - 1) / kb * kb;
-        constexpr size_t kNumArrays = 33;
+        const size_t num_arrays = 31 + bp_rep.size();
         std::vector<uint64_t> &buf = ctx.solScratch().buf;
         // +7 words so the partition base can be rounded up to a cache
         // line: kpad is a multiple of the batch width, so a 64-byte
         // base keeps every vector load/store below from splitting
         // lines.
-        buf.assign(kNumArrays * kpad + 7, 0);
+        buf.assign(num_arrays * kpad + 7, 0);
         uint64_t *next_arr = reinterpret_cast<uint64_t *>(
             (reinterpret_cast<uintptr_t>(buf.data()) + 63) &
             ~uintptr_t{63});
@@ -131,10 +170,11 @@ class SolSweepState
         prevret = arr(); // prev_retire
         occ = arr();     // occupancy_sum
         scount = arr();  // store_count
+        sb_free = arr(); // next store's slot-free time (see slotFree)
         bd_busy = arr(), bd_read = arr(), bd_write = arr();
         bd_pipe = arr(), bd_sync = arr();
-        n_instr = arr(), n_branch = arr();
-        n_mispred = arr(), n_rmiss = arr();
+        n_mispred = arr();
+        n_instr = n_branch = n_rmiss = 0;
         // Per-instruction temporaries.
         a_decode = arr(), a_ready = arr(), a_comp = arr();
         a_retire = arr(), a_req = arr(), a_lsb = arr();
@@ -174,6 +214,32 @@ class SolSweepState
         };
         bindGate(load_gate, [](const Lane &l) { return l.load_sel; });
         bindGate(store_gate, [](const Lane &l) { return l.sel.store; });
+
+        // Allocator cursors, class-major (class c, lane j at
+        // c * kpad + j).
+        fu_cur.resize(trace::kNumFuClasses * kpad);
+        for (size_t j = 0; j < k; ++j)
+            loadCursors(j);
+
+        // Lane masks of the predictor groups.
+        bp_mask.resize(bp_rep.size());
+        for (size_t g = 0; g < bp_rep.size(); ++g) {
+            bp_mask[g] = arr();
+            for (size_t j = 0; j < k; ++j)
+                bp_mask[g][j] = bp_group[j] == g ? ~uint64_t{0} : 0;
+        }
+
+        sb_ring.resize(k);
+        sb_depth.resize(k);
+        for (size_t j = 0; j < k; ++j) {
+            sb_ring[j] = lanes[j].sb_leave_ring;
+            sb_depth[j] = lanes[j].sb_depth;
+        }
+
+        fwd = &ctx.solScratch();
+        fwd->fwd_index.clear();
+        fwd->fwd_rows.clear();
+        fwd->fwd_free.clear();
 
         // ---- Transposed ring history ------------------------------
         const uint32_t max_w = std::max_element(
@@ -241,28 +307,6 @@ class SolSweepState
             const Op op = v.op(i);
             const uint32_t latency = v.latency(i);
 
-            // ------ Decode: fetch rate, ROB space, fetch stalls ----
-            // Whole-batch: the fetch-rate bound reads the
-            // lane-uniform decode row of instruction i-width; the
-            // FIFO window bound gathers retire(i - W_j) from each
-            // lane's own row, masked off while i < W_j (matching the
-            // per-lane ring guard).
-            const Batch iv = Batch::splat(i);
-            uint64_t *dec_row = dec_t + (i % width) * kpad;
-            for (size_t b = 0; b < kpad; b += kb) {
-                Batch d = Batch::load(fsu + b);
-                if (i >= width)
-                    d = max64(d, add64(Batch::load(dec_row + b), one));
-                Batch wv = Batch::load(wq + b);
-                Batch row = and64(sub64(iv, wv), rmv);
-                Batch idx =
-                    add64(mulLo32(row, kpv), Batch::load(lidx + b));
-                Batch wfull = add64(gather64(ret_t, idx), one);
-                d = max64(d, andnot64(gt64(wv, iv), wfull));
-                d.store(a_decode + b);
-            }
-
-            // ------ Operand readiness: ready = decode + 1, src maxima
             // Source completion rows are lane-uniform (row s & R-1);
             // a source beyond a lane's window contributes 0, exactly
             // like Lane::ringCompletion.
@@ -281,9 +325,27 @@ class SolSweepState
                     ++nsrc;
                 }
             }
+
+            // ------ Decode, then operand readiness -----------------
+            // Decode: the fetch-rate bound reads the lane-uniform
+            // decode row of instruction i-width; the FIFO window
+            // bound gathers retire(i - W_j) from each lane's own row,
+            // masked off while i < W_j (matching the per-lane ring
+            // guard). Readiness: decode + 1, then the source maxima.
+            const Batch iv = Batch::splat(i);
+            uint64_t *dec_row = dec_t + (i % width) * kpad;
             for (size_t b = 0; b < kpad; b += kb) {
-                Batch rdy = add64(Batch::load(a_decode + b), one);
+                Batch d = Batch::load(fsu + b);
+                if (i >= width)
+                    d = max64(d, add64(Batch::load(dec_row + b), one));
                 Batch wv = Batch::load(wq + b);
+                Batch row = and64(sub64(iv, wv), rmv);
+                Batch idx =
+                    add64(mulLo32(row, kpv), Batch::load(lidx + b));
+                Batch wfull = add64(gather64(ret_t, idx), one);
+                d = max64(d, andnot64(gt64(wv, iv), wfull));
+                d.store(a_decode + b);
+                Batch rdy = add64(d, one);
                 for (int s = 0; s < nsrc; ++s) {
                     Batch c =
                         andnot64(gt64(Batch::splat(sdist[s]), wv),
@@ -294,6 +356,10 @@ class SolSweepState
             }
 
             // ------ Schedule by kind (one dispatch for all lanes) --
+            // Leaves each lane's ROB completion in a_comp; a compute
+            // op or branch leaves its issue cycle there instead, and
+            // the retirement pass adds the cycle of execution.
+            bool plus_one = false;
             switch (op) {
               case Op::LOAD: {
                 // Gate + load_store_bound mask + request, batched;
@@ -311,32 +377,26 @@ class SolSweepState
                     m.store(a_lsb + b);
                     max64(rdy, gate).store(a_req + b);
                 }
-                const trace::Addr addr = v.addr(i);
-                for (size_t j = 0; j < k; ++j) {
-                    Lane &ln = lanes[j];
-                    ln.mem_fu->advanceWatermark(a_decode[j]);
-                    uint64_t mem_issue = ln.mem_fu->allocate(a_req[j]);
-                    uint64_t completion;
-                    const StoreForward *info =
-                        ln.st->last_store.find(addr);
-                    if (info != nullptr &&
-                        info->mem_completion > mem_issue) {
-                        completion =
-                            std::max(mem_issue, info->data_ready) + 1;
-                    } else {
-                        completion = mem_issue + latency;
-                    }
-                    a_comp[j] = completion;
-                }
+                allocateFu(kMem, a_req, a_comp); // mem_issue
+                // One probe of the forwarding table for every lane: a
+                // pending store to the address forwards its value.
+                const uint64_t *fdr = fwdRow(v.addr(i));
+                const Batch lat = Batch::splat(latency);
                 for (size_t b = 0; b < kpad; b += kb) {
-                    Batch c = Batch::load(a_comp + b);
-                    max64(Batch::load(g0 + b), c).store(g0 + b);
-                    if (latency > 1) {
-                        add64(Batch::load(n_rmiss + b),
-                              Batch::splat(1))
-                            .store(n_rmiss + b);
+                    Batch issue = Batch::load(a_comp + b);
+                    Batch c = add64(issue, lat);
+                    if (fdr != nullptr) {
+                        Batch fwdc = add64(
+                            max64(issue, Batch::load(fdr + b)), one);
+                        c = blend64(
+                            gt64(Batch::load(fdr + kpad + b), issue),
+                            fwdc, c);
                     }
+                    c.store(a_comp + b);
+                    max64(Batch::load(g0 + b), c).store(g0 + b);
                 }
+                if (latency > 1)
+                    ++n_rmiss;
                 break;
               }
 
@@ -344,57 +404,53 @@ class SolSweepState
                 // ROB completion: operands ready and a store-buffer
                 // slot free. The memory issue happens after
                 // retirement below.
-                for (size_t j = 0; j < k; ++j) {
-                    const Lane &ln = lanes[j];
-                    uint64_t slot_free = 0;
-                    if (scount[j] >= ln.sb_depth)
-                        slot_free =
-                            ln.sb_leave_ring[scount[j] % ln.sb_depth];
-                    a_comp[j] = std::max(a_ready[j], slot_free);
+                for (size_t b = 0; b < kpad; b += kb) {
+                    max64(Batch::load(a_ready + b),
+                          Batch::load(sb_free + b))
+                        .store(a_comp + b);
                 }
                 break;
               }
 
               case Op::BRANCH: {
+                allocateFu(kBranch, a_ready, a_comp);
+                plus_one = true;
+                ++n_branch;
+                if (perfect_bp)
+                    break;
                 const uint32_t site = v.branchSite(i);
                 const bool taken = v.taken(i);
-                for (size_t j = 0; j < k; ++j) {
-                    Lane &ln = lanes[j];
-                    RingSlotAllocator &bfu =
-                        ln.fu[static_cast<size_t>(
-                            trace::FuClass::BRANCH)];
-                    bfu.advanceWatermark(a_decode[j]);
-                    uint64_t completion = bfu.allocate(a_ready[j]) + 1;
-                    a_comp[j] = completion;
-                    bool correct = perfect_bp ||
-                        ln.st->predictor.predict(site, taken);
-                    if (!correct) {
-                        ++n_mispred[j];
-                        if (completion > fsu[j])
-                            fsu[j] = completion;
+                for (size_t g = 0; g < bp_rep.size(); ++g) {
+                    if (lanes[bp_rep[g]].st->predictor.predict(site,
+                                                               taken))
+                        continue;
+                    // Wrong-path fetch: the group's lanes fetch the
+                    // correct path the cycle after the branch
+                    // resolves.
+                    const uint64_t *m = bp_mask[g];
+                    for (size_t b = 0; b < kpad; b += kb) {
+                        Batch mb = Batch::load(m + b);
+                        Batch c = and64(
+                            add64(Batch::load(a_comp + b), one), mb);
+                        max64(Batch::load(fsu + b), c).store(fsu + b);
+                        // The mask is all ones: subtracting adds one.
+                        sub64(Batch::load(n_mispred + b), mb)
+                            .store(n_mispred + b);
                     }
                 }
-                for (size_t b = 0; b < kpad; b += kb) {
-                    add64(Batch::load(n_branch + b), Batch::splat(1))
-                        .store(n_branch + b);
-                }
                 break;
               }
 
-              default: { // Compute
-                const size_t cls = static_cast<size_t>(v.fu(i));
-                for (size_t j = 0; j < k; ++j) {
-                    Lane &ln = lanes[j];
-                    ln.fu[cls].advanceWatermark(a_decode[j]);
-                    a_comp[j] = ln.fu[cls].allocate(a_ready[j]) + 1;
-                }
+              default: // Compute
+                allocateFu(static_cast<size_t>(v.fu(i)), a_ready,
+                           a_comp);
+                plus_one = true;
                 break;
-              }
             }
 
-            // ------ In-order retirement ----------------------------
-            // Also publishes this instruction's completion and retire
-            // rows of the transposed history (both values are final
+            // ------ Retirement, attribution, occupancy -------------
+            // Also publishes this instruction's completion, retire
+            // and decode rows of the transposed history (all final
             // here; sync retire adjustments only happen in the
             // fallback).
             uint64_t *comp_row = comp_t + (i & rm) * kpad;
@@ -403,63 +459,22 @@ class SolSweepState
                 ret_t + ((i - width) & rm) * kpad;
             for (size_t b = 0; b < kpad; b += kb) {
                 Batch c = Batch::load(a_comp + b);
+                if (plus_one)
+                    c = add64(c, one);
                 c.store(comp_row + b);
-                Batch ret = max64(c, Batch::load(prevret + b));
+                Batch prev = Batch::load(prevret + b);
+                Batch ret = max64(c, prev);
                 if (i >= width)
                     ret = max64(ret,
                                 add64(Batch::load(retw_row + b), one));
                 ret.store(a_retire + b);
                 ret.store(ret_row + b);
-            }
 
-            // ------ Post-retire memory issue for stores ------------
-            if (op == Op::STORE) {
-                for (size_t b = 0; b < kpad; b += kb) {
-                    max64(Batch::load(a_retire + b),
-                          gateBatch(b, store_gate))
-                        .store(a_req + b);
-                }
-                const trace::Addr addr = v.addr(i);
-                for (size_t j = 0; j < k; ++j) {
-                    Lane &ln = lanes[j];
-                    ln.mem_fu->advanceWatermark(a_decode[j]);
-                    uint64_t mem_issue = ln.mem_fu->allocate(a_req[j]);
-                    uint64_t mem_completion = mem_issue + latency;
-                    a_req[j] = mem_completion; // reuse as scratch
-                    if (ln.st->last_store.nearCapacity()) {
-                        const uint64_t dec = a_decode[j];
-                        ln.st->last_store.retain(
-                            [&](trace::Addr, const StoreForward &s) {
-                                return s.mem_completion > dec;
-                            });
-                    }
-                    ln.st->last_store.insert(
-                        addr, {a_ready[j], mem_completion});
-                    uint64_t leave = mem_completion;
-                    if (scount[j] > 0) {
-                        uint64_t prev_leave = ln.sb_leave_ring[
-                            (scount[j] - 1) % ln.sb_depth];
-                        leave = std::max(leave, prev_leave);
-                    }
-                    ln.sb_leave_ring[scount[j] % ln.sb_depth] = leave;
-                    ++scount[j];
-                }
-                for (size_t b = 0; b < kpad; b += kb) {
-                    max64(Batch::load(g1 + b), Batch::load(a_req + b))
-                        .store(g1 + b);
-                }
-            }
-
-            // ------ Cycle attribution + occupancy, batched ---------
-            for (size_t b = 0; b < kpad; b += kb) {
-                Batch ret = Batch::load(a_retire + b);
-                Batch contrib = sub64(ret, Batch::load(prevret + b));
+                Batch contrib = sub64(ret, prev);
                 Batch slot = minOne64(contrib);
                 add64(Batch::load(bd_busy + b), slot)
                     .store(bd_busy + b);
                 Batch gap = sub64(contrib, slot);
-                add64(Batch::load(n_instr + b), Batch::splat(1))
-                    .store(n_instr + b);
                 if (op == Op::LOAD) {
                     Batch m = Batch::load(a_lsb + b);
                     add64(Batch::load(bd_write + b), and64(gap, m))
@@ -473,15 +488,49 @@ class SolSweepState
                     add64(Batch::load(bd_pipe + b), gap)
                         .store(bd_pipe + b);
                 }
-                Batch span = add64(
-                    sub64(ret, Batch::load(a_decode + b)),
-                    Batch::splat(1));
-                add64(Batch::load(occ + b), span).store(occ + b);
+                Batch dec = Batch::load(a_decode + b);
+                add64(Batch::load(occ + b),
+                      add64(sub64(ret, dec), one))
+                    .store(occ + b);
+                dec.store(dec_row + b);
+            }
+            ++n_instr;
+
+            // ------ Post-retire memory issue for stores ------------
+            if (op == Op::STORE) {
+                for (size_t b = 0; b < kpad; b += kb) {
+                    max64(Batch::load(a_retire + b),
+                          gateBatch(b, store_gate))
+                        .store(a_req + b);
+                }
+                allocateFu(kMem, a_req, a_req); // mem_issue
+                // The store's row of the forwarding table, and its
+                // write's completion.
+                uint64_t *fdr = fwdStoreRow(v.addr(i));
+                const Batch lat = Batch::splat(latency);
+                for (size_t b = 0; b < kpad; b += kb) {
+                    Batch mc = add64(Batch::load(a_req + b), lat);
+                    mc.store(a_req + b);
+                    Batch::load(a_ready + b).store(fdr + b);
+                    mc.store(fdr + kpad + b);
+                    max64(Batch::load(g1 + b), mc).store(g1 + b);
+                }
+                // Store buffer slot occupied from ROB retirement
+                // until the write performs; FIFO deallocation.
+                for (size_t j = 0; j < k; ++j) {
+                    uint64_t *ring = sb_ring[j];
+                    const uint64_t depth = sb_depth[j];
+                    uint64_t leave = a_req[j];
+                    if (scount[j] > 0)
+                        leave = std::max(leave,
+                                         ring[(scount[j] - 1) % depth]);
+                    ring[scount[j] % depth] = leave;
+                    ++scount[j];
+                    sb_free[j] = slotFree(j);
+                }
             }
 
-            // ------ Publish decode; retire becomes prev_retire -----
-            for (size_t b = 0; b < kpad; b += kb)
-                Batch::load(a_decode + b).store(dec_row + b);
+            // ------ Retire becomes prev_retire ---------------------
             std::swap(prevret, a_retire);
         }
     }
@@ -500,7 +549,22 @@ class SolSweepState
     }
 
   private:
+    static constexpr size_t kMem =
+        static_cast<size_t>(trace::FuClass::MEM);
+    static constexpr size_t kBranch =
+        static_cast<size_t>(trace::FuClass::BRANCH);
+
+    static bool sameGeometry(const BtbConfig &a, const BtbConfig &b)
+    {
+        return a.entries == b.entries &&
+            a.associativity == b.associativity;
+    }
+
     // ---- Fallback bridge: SoL arrays <-> Lane rolling scalars -----
+    // The instruction, branch and read-miss counts are the same for
+    // every lane (every lane sees every instruction), so they are one
+    // scalar each: pull() hands them to the lane and the fallback
+    // takes them back once, from lane 0.
     void pull(size_t j)
     {
         Lane &ln = lanes[j];
@@ -518,10 +582,10 @@ class SolSweepState
         ln.r.breakdown.write = bd_write[j];
         ln.r.breakdown.pipeline = bd_pipe[j];
         ln.r.breakdown.sync = bd_sync[j];
-        ln.r.instructions = n_instr[j];
-        ln.r.branches = n_branch[j];
+        ln.r.instructions = n_instr;
+        ln.r.branches = n_branch;
         ln.r.mispredicts = n_mispred[j];
-        ln.r.read_misses = n_rmiss[j];
+        ln.r.read_misses = n_rmiss;
     }
 
     void push(size_t j)
@@ -535,22 +599,39 @@ class SolSweepState
         prevret[j] = ln.prev_retire;
         occ[j] = ln.occupancy_sum;
         scount[j] = ln.store_count;
+        sb_free[j] = slotFree(j);
         bd_busy[j] = ln.r.breakdown.busy;
         bd_read[j] = ln.r.breakdown.read;
         bd_write[j] = ln.r.breakdown.write;
         bd_pipe[j] = ln.r.breakdown.pipeline;
         bd_sync[j] = ln.r.breakdown.sync;
-        n_instr[j] = ln.r.instructions;
-        n_branch[j] = ln.r.branches;
         n_mispred[j] = ln.r.mispredicts;
-        n_rmiss[j] = ln.r.read_misses;
+    }
+
+    /** When lane @p j's next store finds a free store-buffer slot. */
+    uint64_t slotFree(size_t j) const
+    {
+        if (scount[j] < sb_depth[j])
+            return 0;
+        return sb_ring[j][scount[j] % sb_depth[j]];
     }
 
     void fallbackStep(const trace::TileSpan &v, size_t i)
     {
         // The per-lane rings are not maintained during lockstep, so
         // stage exactly the entries step(v, i) reads from the
-        // transposed history, and publish its ring writes back.
+        // transposed history, and publish its writes back: its rings,
+        // rolling scalars and allocator windows. Only instruction 0
+        // can be a load, store or branch here (the sync ops that
+        // otherwise take this path use neither the predictor nor the
+        // forwarding table), and there every lane's predictor and
+        // table are as bind() left them, so each lane's own step
+        // predicts and forwards exactly as the shared state would; a
+        // store's new entry is published to the sweep's table.
+        using trace::Op;
+        const Op op = v.op(i);
+        assert(i == 0 ||
+               (op != Op::LOAD && op != Op::STORE && op != Op::BRANCH));
         const trace::InstIndex *src = v.srcs(i);
         const int ns = ignore_deps ? 0 : v.numSrcs(i);
         for (size_t j = 0; j < k; ++j) {
@@ -576,12 +657,120 @@ class SolSweepState
             pull(j);
             ln.step(v, i);
             push(j);
+            loadCursors(j);
             comp_t[(i & rm) * kpad + j] = ln.completion_ring[i % ln.W];
             ret_t[(i & rm) * kpad + j] = ln.retire_ring[i % ln.W];
-            dec_t[(i % width) * kpad + j] =
-                ln.decode_ring[i % width];
+            a_decode[j] = ln.decode_ring[i % width];
+            dec_t[(i % width) * kpad + j] = a_decode[j];
+        }
+        n_instr = lanes[0].r.instructions;
+        n_branch = lanes[0].r.branches;
+        n_rmiss = lanes[0].r.read_misses;
+        if (op == Op::STORE) {
+            const trace::Addr addr = v.addr(i);
+            uint64_t *row = fwdStoreRow(addr);
+            for (size_t j = 0; j < k; ++j) {
+                const StoreForward *s =
+                    lanes[j].st->last_store.find(addr);
+                row[j] = s->data_ready;
+                row[kpad + j] = s->mem_completion;
+            }
         }
         first = false;
+    }
+
+    // ---- FU allocation --------------------------------------------
+
+    /** Re-read lane @p j's cursors (after its allocators ran). */
+    void loadCursors(size_t j)
+    {
+        for (size_t c = 0; c < trace::kNumFuClasses; ++c)
+            fu_cur[c * kpad + j] = lanes[j].fu[c].cursor();
+    }
+
+    /**
+     * Allocate req[j] on FU class @p c for every lane, the cycle into
+     * out[j] (@p out may be @p req). A claimed request is its own
+     * cycle, so out starts as a batch copy of req and only a request
+     * the cursor declines is rewritten, by allocateFuSlow().
+     */
+    void allocateFu(size_t c, const uint64_t *req, uint64_t *out)
+    {
+        constexpr size_t kb = Batch::kWidth;
+        if (out != req) {
+            for (size_t b = 0; b < kpad; b += kb)
+                Batch::load(req + b).store(out + b);
+        }
+        const RingSlotAllocator::Cursor *cur =
+            fu_cur.data() + c * kpad;
+        for (size_t j = 0; j < k; ++j) {
+            if (!cur[j].claim(req[j]))
+                out[j] = allocateFuSlow(c, j, req[j]);
+        }
+    }
+
+    /**
+     * Allocate @p t on lane @p j's FU class @p c when its cursor
+     * declined: the lane's own allocator runs the rest, its
+     * watermark the lane's current decode, and may move the window.
+     */
+    [[gnu::noinline]] uint64_t allocateFuSlow(size_t c, size_t j,
+                                              uint64_t t)
+    {
+        RingSlotAllocator &fu = lanes[j].fu[c];
+        fu.advanceWatermark(a_decode[j]);
+        const uint64_t cycle = fu.allocateSlow(t);
+        fu_cur[c * kpad + j] = fu.cursor();
+        return cycle;
+    }
+
+    // ---- Store forwarding -----------------------------------------
+
+    /** The forwarding row of @p addr (data_ready lanes, then
+     *  mem_completion lanes), or nullptr when no store wrote it. */
+    uint64_t *fwdRow(trace::Addr addr)
+    {
+        const uint32_t *r = fwd->fwd_index.find(addr);
+        return r == nullptr ? nullptr
+                            : fwd->fwd_rows.data() + *r * 2 * kpad;
+    }
+
+    /**
+     * The row a store to @p addr overwrites, created when absent.
+     * Before the table would grow, addresses dead for every lane at
+     * its current decode are pruned: a later load of lane j issues
+     * after decode j, so an entry performed by then never forwards.
+     */
+    uint64_t *fwdStoreRow(trace::Addr addr)
+    {
+        SimContext::SolScratch &f = *fwd;
+        if (f.fwd_index.nearCapacity()) {
+            auto live = [&](trace::Addr, uint32_t r) {
+                const uint64_t *mc =
+                    f.fwd_rows.data() + r * 2 * kpad + kpad;
+                for (size_t j = 0; j < k; ++j)
+                    if (mc[j] > a_decode[j])
+                        return true;
+                return false;
+            };
+            f.fwd_index.forEach([&](trace::Addr a, uint32_t r) {
+                if (!live(a, r))
+                    f.fwd_free.push_back(r);
+            });
+            f.fwd_index.retain(live);
+        }
+        if (const uint32_t *r = f.fwd_index.find(addr))
+            return f.fwd_rows.data() + *r * 2 * kpad;
+        uint32_t r;
+        if (!f.fwd_free.empty()) {
+            r = f.fwd_free.back();
+            f.fwd_free.pop_back();
+        } else {
+            r = static_cast<uint32_t>(f.fwd_rows.size() / (2 * kpad));
+            f.fwd_rows.resize(f.fwd_rows.size() + 2 * kpad);
+        }
+        f.fwd_index.insert(addr, r);
+        return f.fwd_rows.data() + r * 2 * kpad;
     }
 
     /** Per-lane masks of one consistency gate (see init). */
@@ -626,20 +815,37 @@ class SolSweepState
     uint64_t *g0 = nullptr, *g1 = nullptr, *g2 = nullptr,
              *g3 = nullptr;
     uint64_t *fsu = nullptr, *prevret = nullptr, *occ = nullptr,
-             *scount = nullptr;
+             *scount = nullptr, *sb_free = nullptr;
     uint64_t *bd_busy = nullptr, *bd_read = nullptr,
              *bd_write = nullptr, *bd_pipe = nullptr,
              *bd_sync = nullptr;
-    uint64_t *n_instr = nullptr, *n_branch = nullptr,
-             *n_mispred = nullptr, *n_rmiss = nullptr;
+    uint64_t *n_mispred = nullptr;
     uint64_t *a_decode = nullptr, *a_ready = nullptr,
              *a_comp = nullptr, *a_retire = nullptr, *a_req = nullptr,
              *a_lsb = nullptr;
     uint64_t *wq = nullptr, *lidx = nullptr;
 
+    /// Allocator cursors, [class * kpad + lane].
+    std::vector<RingSlotAllocator::Cursor> fu_cur;
+
+    // Lane-uniform counts (see pull).
+    uint64_t n_instr = 0, n_branch = 0, n_rmiss = 0;
+
     // Transposed ring history (into ctx.solScratch().hist).
     uint64_t rm = 0;
     uint64_t *comp_t = nullptr, *ret_t = nullptr, *dec_t = nullptr;
+
+    // Predictor groups: lanes of one BTB geometry share the predictor
+    // of the group's first lane.
+    std::vector<size_t> bp_group;    ///< Lane -> group.
+    std::vector<size_t> bp_rep;      ///< Group -> its first lane.
+    std::vector<uint64_t *> bp_mask; ///< Group -> lane mask array.
+
+    // Store-buffer rings of the lanes (borrowed from Lane).
+    std::vector<uint64_t *> sb_ring;
+    std::vector<uint64_t> sb_depth;
+
+    SimContext::SolScratch *fwd = nullptr; ///< The forwarding table.
 
     bool first = true;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/base_processor.h"
+#include "util/simd.h"
 
 namespace dsmem::sim {
 
@@ -166,6 +167,13 @@ adaptiveLaneCap(size_t pending_ds_rows, unsigned jobs)
     if (jobs <= 1)
         return 0; // Unlimited: a lone worker gains nothing from splits.
     size_t cap = (pending_ds_rows + 2 * jobs - 1) / (2 * jobs);
+    // The SoL sweep pads its lanes to whole batches, so a cap that
+    // spans a batch is rounded down to whole batches: seven rows at
+    // cap 4 run as 4 + 3 (eight padded lanes), at cap 5 as 5 + 2
+    // (twelve).
+    constexpr size_t kb = util::simd::kBatchWidth;
+    if (cap >= kb)
+        cap = cap / kb * kb;
     return std::max<size_t>(2, cap);
 }
 

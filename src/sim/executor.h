@@ -101,7 +101,9 @@ std::vector<core::RunResult> runGroup(const core::TraceSource &src,
  * cells still to run on @p jobs workers. One worker: fuse without
  * limit (0) — every pass saved is pure win. Parallel pool: cap
  * groups near pending/(2*jobs) lanes (floor 2) so fusion never
- * starves workers of schedulable groups.
+ * starves workers of schedulable groups, rounding a cap of at least
+ * util::simd::kBatchWidth down to whole batches so no group pays for
+ * a mostly padded batch.
  */
 size_t adaptiveLaneCap(size_t pending_ds_rows, unsigned jobs);
 

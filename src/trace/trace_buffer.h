@@ -2,6 +2,8 @@
 #define DSMEM_TRACE_TRACE_BUFFER_H
 
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "trace/trace.h"
@@ -36,7 +38,7 @@ class TraceRecorder
     {
         if (cur_ == end_)
             grow();
-        *cur_++ = inst;
+        ::new (static_cast<void *>(cur_++)) TraceInst(inst);
     }
 
     size_t size() const
@@ -56,7 +58,7 @@ class TraceRecorder
      */
     void patchLatency(size_t index, uint32_t latency)
     {
-        chunks_[index / kChunkInsts][index % kChunkInsts].latency =
+        chunks_[index / kChunkInsts].get()[index % kChunkInsts].latency =
             latency;
     }
 
@@ -133,14 +135,29 @@ class TraceRecorder
         cur_ = end_ = nullptr;
     }
 
+    /**
+     * Frees a chunk's raw storage. TraceInst is trivially
+     * destructible, so its records need no destructor calls.
+     */
+    struct ChunkFree {
+        void operator()(TraceInst *p) const { ::operator delete(p); }
+    };
+    static_assert(std::is_trivially_destructible_v<TraceInst>);
+
+    /**
+     * Add an uninitialised chunk: append() constructs each record in
+     * place, so the 2 MiB are written once, not also by TraceInst's
+     * member initialisers first.
+     */
     void grow()
     {
-        chunks_.push_back(std::make_unique<TraceInst[]>(kChunkInsts));
+        chunks_.emplace_back(static_cast<TraceInst *>(
+            ::operator new(kChunkInsts * sizeof(TraceInst))));
         cur_ = chunks_.back().get();
         end_ = cur_ + kChunkInsts;
     }
 
-    std::vector<std::unique_ptr<TraceInst[]>> chunks_;
+    std::vector<std::unique_ptr<TraceInst, ChunkFree>> chunks_;
     TraceInst *cur_ = nullptr;
     TraceInst *end_ = nullptr;
 };

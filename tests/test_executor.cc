@@ -285,10 +285,13 @@ TEST(Executor, PlanOrdersGroupsLongestFirst)
 TEST(Executor, AdaptiveLaneCap)
 {
     // A lone worker fuses without limit; parallel runs split sweeps
-    // so every worker stays busy (at least two groups per worker).
+    // so every worker stays busy (at least two groups per worker),
+    // and a cap spanning a batch is whole batches (40 / 8 = 5 -> 4).
     EXPECT_EQ(sim::adaptiveLaneCap(17, 0), 0u);
     EXPECT_EQ(sim::adaptiveLaneCap(17, 1), 0u);
-    EXPECT_EQ(sim::adaptiveLaneCap(40, 4), 5u);
+    EXPECT_EQ(sim::adaptiveLaneCap(40, 4), 4u);
+    EXPECT_EQ(sim::adaptiveLaneCap(80, 4), 8u);
+    EXPECT_EQ(sim::adaptiveLaneCap(100, 4), 12u); // 13 -> 12.
     EXPECT_EQ(sim::adaptiveLaneCap(17, 4), 3u);
     EXPECT_EQ(sim::adaptiveLaneCap(1, 8), 2u);  // Floor: never cap at 1.
     EXPECT_EQ(sim::adaptiveLaneCap(0, 8), 2u);
@@ -538,6 +541,198 @@ TEST(Executor, MixedModelSolMatchesPerCellRunsOnAnApp)
     expectMixedFamilyMatches(view, view, "LU flat");
     trace::ChunkedView cv(view);
     expectMixedFamilyMatches(cv, view, "LU chunked");
+}
+
+// --- State the SoL lanes share or keep lane-indexed ------------------
+
+/**
+ * Both SoL batch types over @p src against @p want, per lane: the
+ * cycles and breakdown of per-cell runs, plus the window occupancy
+ * when @p occupancy is given.
+ */
+void
+expectSolMatches(const core::TraceSource &src,
+                 const std::vector<DynamicConfig> &configs,
+                 const std::vector<RunResult> &want,
+                 const std::vector<double> &occupancy,
+                 const std::string &what, SimContext &ctx)
+{
+    ASSERT_TRUE(core::solSweepSupported(configs));
+    for (core::SweepMode mode :
+         {core::SweepMode::SoL, core::SweepMode::SoLScalar}) {
+        std::vector<DynamicResult> swept =
+            core::runDynamicSweep(src, configs, ctx, mode);
+        ASSERT_EQ(swept.size(), want.size());
+        for (size_t i = 0; i < swept.size(); ++i) {
+            SCOPED_TRACE(what + " mode " + std::to_string(int(mode)) +
+                         " lane " + std::to_string(i));
+            EXPECT_EQ(static_cast<const RunResult &>(swept[i]),
+                      want[i]);
+            if (!occupancy.empty()) {
+                EXPECT_EQ(swept[i].avg_window_occupancy, occupancy[i]);
+            }
+        }
+    }
+}
+
+/** DS specs at every (model, window) pair, their configs, and the
+ *  per-cell sim::runModel results. */
+struct DsCells {
+    std::vector<ModelSpec> specs;
+    std::vector<DynamicConfig> configs;
+    std::vector<RunResult> want;
+};
+
+DsCells
+dsCells(const trace::TraceView &view,
+        std::initializer_list<ConsistencyModel> models,
+        std::initializer_list<uint32_t> windows, uint32_t width = 1)
+{
+    DsCells cells;
+    for (ConsistencyModel m : models) {
+        for (uint32_t w : windows) {
+            cells.specs.push_back(
+                ModelSpec::ds(m, w, false, false, width));
+            cells.configs.push_back(
+                sim::dynamicConfigFor(cells.specs.back()));
+            cells.want.push_back(
+                sim::runModel(view, cells.specs.back()));
+        }
+    }
+    return cells;
+}
+
+/**
+ * Lanes with different BTB geometries share a predictor only within a
+ * geometry: each group predicts once per branch for its own lanes.
+ * Thousands of branch sites make the 512-entry 2-way table miss
+ * where the 2048-entry 4-way one hits, so the groups really differ.
+ */
+TEST(Executor, SolPredictsOncePerBtbGeometry)
+{
+    testing::RandomMix mix;
+    mix.compute = 30;
+    mix.branch = 30;
+    mix.store = 10;
+    mix.branch_sites = 4096;
+    trace::TraceView view(testing::randomTrace(31, 12000, mix));
+
+    core::BtbConfig big; // 2048 x 4, the paper's.
+    core::BtbConfig small;
+    small.entries = 512;
+    small.associativity = 2;
+    const struct {
+        ConsistencyModel model;
+        uint32_t window;
+        core::BtbConfig btb;
+    } lanes[] = {
+        {ConsistencyModel::RC, 64, big},
+        {ConsistencyModel::RC, 64, small},
+        {ConsistencyModel::SC, 16, small},
+        {ConsistencyModel::PC, 256, big},
+        {ConsistencyModel::RC, 32, small},
+        {ConsistencyModel::WO, 128, big},
+    };
+    std::vector<DynamicConfig> configs;
+    std::vector<RunResult> want;
+    std::vector<double> occupancy;
+    for (const auto &l : lanes) {
+        DynamicConfig c;
+        c.model = l.model;
+        c.window = l.window;
+        c.btb = l.btb;
+        configs.push_back(c);
+        DynamicResult r = DynamicProcessor(c).run(view);
+        want.push_back(r);
+        occupancy.push_back(r.avg_window_occupancy);
+    }
+    ASSERT_LT(want[0].mispredicts, want[1].mispredicts);
+
+    SimContext ctx;
+    expectSolMatches(view, configs, want, occupancy, "flat", ctx);
+    trace::ChunkedView cv(view);
+    expectSolMatches(cv, configs, want, occupancy, "chunked", ctx);
+}
+
+/**
+ * The sweep's one forwarding table against per-lane tables, on
+ * store-heavy traces under SC, PC and RC lanes at windows 16 to 256.
+ * Over thousands of addresses with 200-cycle misses, far more stores
+ * stay pending than the table's first capacity, so it prunes (an
+ * address dead for every lane) and reuses rows many times. Over 64
+ * addresses with 100-cycle misses, most loads find a pending store,
+ * some performing the very cycle the load issues.
+ */
+TEST(Executor, SolSharedForwardingTableMatchesPerCellRuns)
+{
+    for (uint32_t addresses : {4096u, 64u}) {
+        testing::RandomMix mix;
+        mix.compute = 25;
+        mix.load = 25;
+        mix.store = 40;
+        mix.branch = 5;
+        mix.addresses = addresses;
+        mix.miss_latency = addresses > 64 ? 200 : 100;
+        const trace::Trace t = testing::randomTrace(
+            addresses, 2 * trace::ChunkedView::kChunkInstrs + 777, mix);
+        trace::TraceView view(t);
+        const std::string what =
+            std::to_string(addresses) + " addresses";
+
+        DsCells cells =
+            dsCells(view,
+                    {ConsistencyModel::SC, ConsistencyModel::PC,
+                     ConsistencyModel::RC},
+                    {16, 64, 256});
+        SimContext ctx;
+        expectSolMatches(view, cells.configs, cells.want, {},
+                         what + " flat", ctx);
+        if (addresses > 64) {
+            // Fewer rows than stored addresses: pruned rows were
+            // reused.
+            std::set<trace::Addr> stored;
+            for (size_t i = 0; i < t.size(); ++i)
+                if (t[i].op == trace::Op::STORE)
+                    stored.insert(t[i].addr);
+            const size_t kpad = (cells.configs.size() + 3) / 4 * 4;
+            EXPECT_LT(ctx.solScratch().fwd_rows.size() / (2 * kpad),
+                      stored.size() / 2);
+        }
+
+        trace::ChunkedView cv(view);
+        expectSolMatches(cv, cells.configs, cells.want, {},
+                         what + " chunked", ctx);
+    }
+}
+
+/**
+ * Misses of 100+ cycles make requests below an allocator's top (a
+ * younger instruction ready before an older one stalled on a miss)
+ * and far above its watermark, so the FU bitmaps take the
+ * out-of-line path and grow their windows; the dual integer ALU of
+ * the 4-wide machine covers the capacity-2 map.
+ */
+TEST(Executor, SolLongMissesMatchPerCellRuns)
+{
+    for (uint32_t latency : {120u, 400u}) {
+        testing::RandomMix mix;
+        mix.miss_latency = latency;
+        trace::TraceView view(testing::randomTrace(latency, 8000, mix));
+        for (uint32_t width : {1u, 4u}) {
+            DsCells cells = dsCells(
+                view, {ConsistencyModel::SC, ConsistencyModel::RC},
+                {16, 32, 128, 256}, width);
+            SimContext ctx;
+            expectSolMatches(view, cells.configs, cells.want, {},
+                             "latency " + std::to_string(latency) +
+                                 " width " + std::to_string(width),
+                             ctx);
+            const size_t mem = static_cast<size_t>(trace::FuClass::MEM);
+            if (latency == 400) {
+                EXPECT_GT(ctx.lane(0).fu[mem].span(), 512u);
+            }
+        }
+    }
 }
 
 TEST(Executor, SolSupportRejectsDivergentAblationsInMixedFamilies)

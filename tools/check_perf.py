@@ -2,7 +2,8 @@
 """Perf ratchet: fail when a bench run regresses vs a committed baseline.
 
 Usage:
-    check_perf.py BASELINE.json CURRENT.json [--tolerance 0.25]
+    check_perf.py BASELINE.json CURRENT.json [CURRENT.json ...]
+                  [--tolerance 0.25]
 
 Compares only *dimensionless* ratios (per-cell view-vs-legacy
 speedups, fused-sweep speedups, model ratios), never absolute instructions/second: the committed baseline
@@ -20,6 +21,12 @@ Both files must come from the same bench at the same scale (the
 "small" flag must match) — cell mixes and therefore expected ratios
 differ between the small and paper-scaled traces.
 
+Several CURRENT files (repeated runs of one bench) are ratcheted by
+each ratio's median across them, so one run caught in a slow stretch
+of a shared host does not fail the check on its own. A ratio or
+ceiling missing from a run is left out of that run's median; a hard
+gate must hold in every run.
+
 Exit codes: 0 ok, 1 regression (>tolerance drop in any compared
 ratio), 2 usage or file mismatch. CI may skip a known-noisy failure
 with the `perf-override` PR label (see .github/workflows/ci.yml).
@@ -27,6 +34,7 @@ with the `perf-override` PR label (see .github/workflows/ci.yml).
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -156,25 +164,42 @@ def gates(doc):
     return out
 
 
+def medians(docs, extract):
+    """{name: median over @p docs of extract(doc)[name]}."""
+    values = {}
+    for doc in docs:
+        for name, value in extract(doc).items():
+            values.setdefault(name, []).append(value)
+    return {name: statistics.median(v) for name, v in values.items()}
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("baseline")
-    parser.add_argument("current")
+    parser.add_argument("current", nargs="+",
+                        help="one or more runs; each ratio's median "
+                             "across them is ratcheted")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional drop (default 0.25)")
     args = parser.parse_args()
 
     base = load_doc(args.baseline)
-    cur = load_doc(args.current)
+    curs = [load_doc(path) for path in args.current]
 
-    if base.get("bench") != cur.get("bench"):
-        fail(f"bench mismatch: {base.get('bench')} vs {cur.get('bench')}")
-    if base.get("small") != cur.get("small"):
-        fail("scale mismatch: baseline and current disagree on --small; "
-             "ratios are only comparable at the same trace scale")
+    for path, cur in zip(args.current, curs):
+        if base.get("bench") != cur.get("bench"):
+            fail(f"bench mismatch: {base.get('bench')} vs "
+                 f"{cur.get('bench')} ({path})")
+        if base.get("small") != cur.get("small"):
+            fail(f"scale mismatch: baseline and {path} disagree on "
+                 "--small; ratios are only comparable at the same "
+                 "trace scale")
+    if len(curs) > 1:
+        print(f"check_perf: medians over {len(curs)} runs")
 
     base_r = ratios(base)
-    cur_r = ratios(cur)
+    cur_r = medians(curs, ratios)
+    cur_c = medians(curs, ceilings)
 
     regressions = []
     compared = 0
@@ -195,7 +220,7 @@ def main():
               f"(floor {floor:.3f}) {status}")
 
     for name, want in sorted(ceilings(base).items()):
-        have = ceilings(cur).get(name)
+        have = cur_c.get(name)
         if have is None:
             print(f"check_perf: note: {name} absent in current run")
             continue
@@ -208,7 +233,11 @@ def main():
         print(f"  {name}: baseline {want:.5f} current {have:.5f} "
               f"(ceiling {ceiling:.5f}) {status}")
 
-    for name, ok in sorted(gates(cur).items()):
+    cur_g = {}
+    for cur in curs:
+        for name, ok in gates(cur).items():
+            cur_g[name] = cur_g.get(name, True) and bool(ok)
+    for name, ok in sorted(cur_g.items()):
         compared += 1
         if not ok:
             regressions.append(name)
