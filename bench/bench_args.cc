@@ -9,7 +9,6 @@
 
 #include "util/failpoint.h"
 #include "util/parse.h"
-#include "util/simd.h"
 
 namespace dsmem::bench {
 
@@ -53,10 +52,6 @@ printUsage(std::FILE *out, const char *prog)
         "  --stream-gb G     bench_hotloop: memory_bound regime "
         "footprint in GB (0 = skip;\n"
         "                    default 0.25 at --small, 4.0 at --full)\n"
-        "  --simd MODE       auto|scalar: sweep backend (scalar "
-        "forces the portable\n"
-        "                    struct-of-lanes instantiation; auto also "
-        "honors DSMEM_SIMD=scalar)\n"
         "  --stable-json     canonical JSON projection (byte-"
         "comparable across job counts)\n"
         "  --store-gc        garbage-collect the trace store before "
@@ -181,15 +176,6 @@ parseBenchArgs(int argc, char **argv, bool default_small)
             if (end == v || *end != '\0' || g < 0.0 || g > 64.0)
                 usageError(argv[0], "bad --stream-gb value", v);
             args.stream_gb = g;
-        } else if (const char *v = flagValue("--simd", argc, argv, i)) {
-            std::string_view mode = v;
-            if (mode != "auto" && mode != "scalar")
-                usageError(argv[0], "bad --simd value (auto|scalar)",
-                           v);
-            args.simd = mode;
-            // Flag beats the DSMEM_SIMD environment seed either way:
-            // an explicit auto re-enables SIMD under a scalar env.
-            util::simd::setForceScalar(mode == "scalar");
         } else if (const char *v =
                        flagValue("--sample-period", argc, argv, i)) {
             args.sampling.period =

@@ -36,10 +36,6 @@ namespace dsmem::bench {
  *                     footprint in GB for the memory_bound regime
  *                     (0 = skip the regime; default: 0.25 at --small,
  *                     4.0 at --full)
- *   --simd MODE       auto = best sweep backend the build and CPU
- *                     support (default, also honors DSMEM_SIMD=scalar
- *                     in the environment); scalar = force the scalar
- *                     struct-of-lanes instantiation
  *   --stable-json     canonicalize the JSON export to its
  *                     deterministic projection (wall-clock zeroed,
  *                     environment fields blanked) so runs are
@@ -63,7 +59,6 @@ struct BenchArgs {
     sim::SamplingPlan sampling; ///< period == 0: exact runs.
     bool cold = false; ///< bench_hotloop: rebuild the view per round.
     double stream_gb = -1.0; ///< Memory-bound footprint; <0 = scale default.
-    std::string simd; ///< "auto" / "scalar"; empty = env-seeded default.
     bool stable_json = false; ///< Deterministic JSON projection.
     bool store_gc = false;    ///< GC the trace store before running.
     uint64_t store_gc_age_s = 7 * 24 * 3600;

@@ -37,6 +37,8 @@
  * All regimes' fused-vs-per-cell ratios — and the streamed leg's
  * streamed-over-fused ratio and compressed-resident ratio — land in
  * the JSON under "regimes" and are ratcheted by tools/check_perf.py.
+ * The warm (cache-resident) fused speedup is the campaign sweep's
+ * jobs-1 ratio and is ratcheted only there.
  *
  * Results go to stdout as a table and to BENCH_phase2.json
  * (override with --json). Defaults to --small; pass --full for the
@@ -68,7 +70,6 @@
 #include "sim/stream_exec.h"
 #include "sim/synthetic.h"
 #include "sim/trace_bundle.h"
-#include "util/simd.h"
 #include "util/sysinfo.h"
 #include "stats/table.h"
 #include "trace/chunked_view.h"
@@ -517,7 +518,6 @@ main(int argc, char **argv)
         fused_j1 == 0.0 ? 0.0 : percell_j1 / fused_j1;
     double sweep_speedup_jn =
         fused_jn == 0.0 ? 0.0 : percell_jn / fused_jn;
-    const RegimeResult cache_resident{percell_j1, fused_j1};
 
     // ------------------------------------------------------------------
     // Memory-bound regime: many ~1M-instruction synthetic cells whose
@@ -706,9 +706,6 @@ main(int argc, char **argv)
                 sweep.size(), sweep_ds, fused_groups_j1, percell_j1,
                 fused_j1, sweep_speedup_j1, percell_jn, fused_jn,
                 sweep_speedup_jn, jobs_n);
-    std::printf("regime cache_resident (warm LU view, simd %s): "
-                "fused speedup %.2fx\n",
-                core::solActiveIsaName(), cache_resident.speedup());
     if (stream_gb > 0.0) {
         std::printf(
             "regime memory_bound (%.2f GB streamed: %zu cells x "
@@ -784,15 +781,9 @@ main(int argc, char **argv)
         << ", \"fused_seconds_jobsN\": " << jsonDouble(fused_jn)
         << ", \"speedup_jobsN\": " << jsonDouble(sweep_speedup_jn)
         << "},\n"
-        << "  \"regimes\": {\n"
-        << "    \"cache_resident\": {\"percell_seconds\": "
-        << jsonDouble(cache_resident.percell_seconds)
-        << ", \"fused_seconds\": "
-        << jsonDouble(cache_resident.fused_seconds)
-        << ", \"fused_speedup\": "
-        << jsonDouble(cache_resident.speedup()) << "}";
+        << "  \"regimes\": {";
     if (stream_gb > 0.0) {
-        out << ",\n    \"memory_bound\": {\"stream_gb\": "
+        out << "\n    \"memory_bound\": {\"stream_gb\": "
             << jsonDouble(stream_gb)
             << ", \"cells\": " << stream_cells
             << ", \"instructions_per_cell\": " << stream_instr_per_cell

@@ -14,7 +14,6 @@
 #include "trace/chunked_view.h"
 #include "util/dary_heap.h"
 #include "util/flat_map.h"
-#include "util/simd.h"
 
 namespace dsmem::core {
 
@@ -80,9 +79,7 @@ DynamicProcessor::run(const TraceSource &src) const
 DynamicResult
 DynamicProcessor::run(const TraceSource &src, SimContext &ctx) const
 {
-    return std::move(
-        runDynamicSweep(src, {config_}, ctx, SweepMode::PerLaneTiled)
-            .front());
+    return std::move(detail::runTiledSweep(src, {config_}, ctx).front());
 }
 
 // ------------------------------------------------------------------
@@ -97,10 +94,10 @@ DynamicProcessor::run(const TraceSource &src, SimContext &ctx) const
 // — so per-window results are bit-identical to K single-cell runs
 // (enforced by tests/test_executor.cc).
 // ------------------------------------------------------------------
-namespace {
+namespace detail {
 
 /**
- * Tiled per-lane pass (the always-available executor). Each lane runs
+ * Tiled per-lane pass (runs any config mix on any host). Each lane runs
  * a block of instructions before the next lane starts it, so a lane's
  * rings and tables stay L1-resident through the block (stepping lanes
  * interleaved per instruction thrashes them), while the block's slice
@@ -121,7 +118,7 @@ runTiledSweep(const TraceSource &src,
     }
 
     constexpr size_t kBlock = trace::ChunkedView::kChunkInstrs;
-    detail::TileStream stream(src, ctx);
+    TileStream stream(src, ctx);
     trace::TileSpan span;
     while (stream.next(span)) {
         for (size_t base = span.lo(); base < span.hi(); base += kBlock) {
@@ -141,46 +138,23 @@ runTiledSweep(const TraceSource &src,
     return out;
 }
 
-/** SoL with the best batch type the host can run right now. */
-std::vector<DynamicResult>
-runSolBest(const TraceSource &src,
-           const std::vector<DynamicConfig> &configs, SimContext &ctx)
-{
-    if (util::simd::forceScalar() || !detail::solSimdRuntimeOk())
-        return detail::runSolSweepScalar(src, configs, ctx);
-    return detail::runSolSweepSimd(src, configs, ctx);
-}
-
-} // namespace
+} // namespace detail
 
 std::vector<DynamicResult>
 runDynamicSweep(const TraceSource &src,
                 const std::vector<DynamicConfig> &configs,
-                SimContext &ctx, SweepMode mode)
+                SimContext &ctx)
 {
     if (configs.empty())
         return {};
-    switch (mode) {
-      case SweepMode::PerLaneTiled:
-        return runTiledSweep(src, configs, ctx);
-      case SweepMode::SoL:
-      case SweepMode::SoLScalar:
-        if (!solSweepSupported(configs))
-            throw std::invalid_argument(
-                "configs not runnable on the struct-of-lanes path "
-                "(see solSweepSupported)");
-        if (mode == SweepMode::SoLScalar)
-            return detail::runSolSweepScalar(src, configs, ctx);
-        return runSolBest(src, configs, ctx);
-      case SweepMode::Auto:
-        break;
-    }
-    // Auto: lockstep pays once the per-instruction dispatch is
-    // amortized over at least two lanes; a single lane or an
-    // unsupported config mix takes the tiled pass.
-    if (configs.size() >= 2 && solSweepSupported(configs))
-        return runSolBest(src, configs, ctx);
-    return runTiledSweep(src, configs, ctx);
+    // Lockstep pays once the per-instruction dispatch is amortized
+    // over at least two lanes, and only on a vector batch: a single
+    // lane, an unsupported config mix, or a host without the vector
+    // ISA takes the tiled pass.
+    if (configs.size() >= 2 && solSweepSupported(configs) &&
+        detail::solSimdRuntimeOk())
+        return detail::runSolSweepSimd(src, configs, ctx);
+    return detail::runTiledSweep(src, configs, ctx);
 }
 
 // ------------------------------------------------------------------

@@ -166,11 +166,12 @@ class DynamicProcessor
     explicit DynamicProcessor(const DynamicConfig &config);
 
     /**
-     * Time a flat or chunked trace: a one-lane runDynamicSweep on the
-     * tiled pass. This is the production hot loop: SoA operand
-     * streams, flat-hash store forwarding bounded by store-buffer
-     * liveness, precomputed consistency-gate selectors, and a d-ary
-     * heap for the free-window slot pool.
+     * Time a flat or chunked trace: one lane stepped through the tiled
+     * pass, the executor every singleton DS cell and every sweep the
+     * struct-of-lanes path cannot take run on. This is the production
+     * hot loop: SoA operand streams, flat-hash store forwarding
+     * bounded by store-buffer liveness, precomputed consistency-gate
+     * selectors, and a d-ary heap for the free-window slot pool.
      */
     DynamicResult run(const TraceSource &src) const;
 
@@ -214,26 +215,6 @@ class DynamicProcessor
     DynamicConfig config_;
 };
 
-/** Executor strategy for runDynamicSweep. */
-enum class SweepMode {
-    /**
-     * Struct-of-lanes when there are at least two lanes (lockstep
-     * amortizes the per-instruction decode over K lanes, so one lane
-     * gains nothing) and every config qualifies (solSweepSupported);
-     * the per-lane tiled pass otherwise. The SoL batch type is the
-     * configure-time SIMD ISA unless the CPU lacks it or it is
-     * disabled at runtime (util::simd::forceScalar /
-     * DSMEM_SIMD=scalar).
-     */
-    Auto,
-    /** The per-lane tiled pass (always available, any config mix). */
-    PerLaneTiled,
-    /** Struct-of-lanes lockstep with the configure-time SIMD ISA. */
-    SoL,
-    /** Struct-of-lanes lockstep forced onto the scalar batch type. */
-    SoLScalar,
-};
-
 /**
  * True when @p configs can run on the struct-of-lanes fast path:
  * every lane shares the width, prediction, and dependence knobs (the
@@ -242,19 +223,20 @@ enum class SweepMode {
  * gate mask) and none uses the divergent window ablations
  * (free_window, sc_speculation, finite MSHRs, read-delay collection),
  * whose per-instruction control flow differs across lanes.
- * Unsupported mixes silently take the tiled pass.
+ * runDynamicSweep runs unsupported mixes on the tiled pass.
  */
 bool solSweepSupported(const std::vector<DynamicConfig> &configs);
 
 /** SIMD ISA the struct-of-lanes executor was configured with
- *  ("avx2", "neon", or "scalar"); independent of runtime forcing. */
+ *  ("avx2", "neon", or "scalar" for a build without the vector SoL),
+ *  whatever the running CPU supports. */
 const char *solIsaName();
 
 /**
- * The ISA SweepMode::Auto/SoL would actually execute with right now:
- * solIsaName() demoted to "scalar" when util::simd::forceScalar()
- * (DSMEM_SIMD=scalar / --simd=scalar) or the CPU lacks the configured
- * instruction set. What bench JSON headers record.
+ * The ISA fused sweeps actually run with on this host: solIsaName(),
+ * or "scalar" when the build has no vector SoL or the CPU lacks its
+ * instruction set, in which case fused groups take the tiled pass.
+ * What bench JSON headers record.
  */
 const char *solActiveIsaName();
 
@@ -268,17 +250,20 @@ const char *solActiveIsaName();
  * through the cache once instead of configs.size() times. Lane k
  * borrows ctx.lane(k).
  *
- * @p mode selects the executor. The struct-of-lanes path advances all
- * lanes in lockstep over each instruction with the rolling scalars in
- * parallel arrays (gate/admission/attribution math vectorized, each
- * lane's consistency gates selected by its own masks, ring and table
- * accesses per-lane), falling back to Lane::step per lane for
- * divergent sync ops; results are bit-identical across every mode
- * (enforced by tests/test_executor.cc).
+ * The host picks the executor. With at least two lanes, a supported
+ * mix (solSweepSupported) and a vector ISA the CPU runs
+ * (solActiveIsaName() is not "scalar"), the struct-of-lanes path
+ * advances all lanes in lockstep over each instruction with the
+ * rolling scalars in parallel arrays (gate/admission/attribution math
+ * vectorized, each lane's consistency gates selected by its own
+ * masks, ring and table accesses per-lane), falling back to
+ * Lane::step per lane for divergent sync ops. Otherwise the tiled
+ * per-lane pass runs. Results are bit-identical either way (enforced
+ * by tests/test_executor.cc).
  */
 std::vector<DynamicResult> runDynamicSweep(
     const TraceSource &src, const std::vector<DynamicConfig> &configs,
-    SimContext &ctx, SweepMode mode = SweepMode::Auto);
+    SimContext &ctx);
 
 } // namespace dsmem::core
 

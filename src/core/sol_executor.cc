@@ -1,10 +1,9 @@
-// Struct-of-lanes sweep executor, scalar instantiation. This TU is
-// compiled with the project's default flags only — no vector ISA can
-// appear here, making runSolSweepScalar safe on any host and the
-// reference for the forced-scalar CI leg (DSMEM_SIMD=scalar).
+// Struct-of-lanes sweep executor: the support predicate and the ISA
+// gate. This TU is compiled with the project's default flags only, so
+// the gate itself never executes vector code; the sweep is
+// instantiated in sol_executor_simd.cc.
 
 #include "core/sol_sweep.h"
-#include "core/sol_sweep_impl.h"
 
 namespace dsmem::core {
 
@@ -45,20 +44,10 @@ solIsaName()
 const char *
 solActiveIsaName()
 {
-    return util::simd::forceScalar() || !detail::solSimdRuntimeOk()
-        ? "scalar"
-        : solIsaName();
+    return detail::solSimdRuntimeOk() ? solIsaName() : "scalar";
 }
 
 namespace detail {
-
-std::vector<DynamicResult>
-runSolSweepScalar(const TraceSource &src,
-                  const std::vector<DynamicConfig> &configs,
-                  SimContext &ctx)
-{
-    return runSolSweepImpl<util::simd::U64x4Scalar>(src, configs, ctx);
-}
 
 bool
 solSimdRuntimeOk()
@@ -72,10 +61,10 @@ solSimdRuntimeOk()
 #else
     return false;
 #endif
+#elif defined(DSMEM_SOL_HAVE_NEON)
+    return true; // NEON is baseline on AArch64.
 #else
-    // NEON is baseline on AArch64; the scalar build has nothing to
-    // gate.
-    return true;
+    return false; // No vector TU: fused groups take the tiled pass.
 #endif
 }
 

@@ -7,34 +7,41 @@
 #include "core/sim_context.h"
 
 // ------------------------------------------------------------------
-// Internal entry points of the struct-of-lanes sweep executor. The
+// Internal entry points of the two DS sweep executors behind
+// runDynamicSweep (dynamic_processor.cc). The struct-of-lanes
 // implementation template lives in sol_sweep_impl.h and is
-// instantiated twice: sol_executor.cc compiles the scalar batch type
-// with the project's default flags, sol_executor_simd.cc compiles the
-// configure-time vector batch type (AVX2 behind -mavx2, NEON on
-// AArch64). runDynamicSweep (dynamic_processor.cc) dispatches between
-// them; it must not call runSolSweepSimd unless solSimdRuntimeOk().
+// instantiated once, in sol_executor_simd.cc, on the configure-time
+// vector batch type (AVX2 behind -mavx2, NEON on AArch64);
+// runDynamicSweep must not call runSolSweepSimd unless
+// solSimdRuntimeOk(). The tiled pass runs any config mix on any host.
 // ------------------------------------------------------------------
 
 namespace dsmem::core::detail {
 
-/** Struct-of-lanes sweep, scalar batch type (always safe to call). */
-std::vector<DynamicResult> runSolSweepScalar(
+/**
+ * Tiled per-lane pass: each lane steps a block of instructions
+ * (Lane::step) before the next lane starts it. Any config mix, any
+ * host; what DynamicProcessor::run and every sweep the SoL cannot
+ * take run on.
+ */
+std::vector<DynamicResult> runTiledSweep(
     const TraceSource &src, const std::vector<DynamicConfig> &configs,
     SimContext &ctx);
 
 /**
  * Struct-of-lanes sweep, configure-time SIMD batch type. The whole
  * translation unit is compiled with the vector ISA enabled — callers
- * must check solSimdRuntimeOk() first on hosts that may lack it.
+ * must check solSimdRuntimeOk() first. Throws std::invalid_argument
+ * unless solSweepSupported(@p configs).
  */
 std::vector<DynamicResult> runSolSweepSimd(
     const TraceSource &src, const std::vector<DynamicConfig> &configs,
     SimContext &ctx);
 
-/** True when the running CPU supports the configure-time SIMD ISA
- *  (always true for the NEON and scalar builds). Defined in the
- *  plain-flags TU so the check itself never executes vector code. */
+/** True when this build has the vector SoL TU and the running CPU
+ *  supports its ISA (false in a build without AVX2 or NEON). Defined
+ *  in the plain-flags TU so the check itself never executes vector
+ *  code. */
 bool solSimdRuntimeOk();
 
 } // namespace dsmem::core::detail

@@ -16,9 +16,8 @@
 
 // ------------------------------------------------------------------
 // Struct-of-lanes (SoL) sweep executor, templated on the u64 batch
-// type from util/simd.h and included by exactly two translation
-// units: sol_executor.cc (scalar batch, default flags) and
-// sol_executor_simd.cc (vector batch, ISA flags).
+// type from util/simd.h and included only by sol_executor_simd.cc
+// (vector batch, ISA flags).
 //
 // The per-lane tiled sweep steps one lane over a block of
 // instructions at a time, so every lane re-runs the whole
@@ -83,8 +82,7 @@
 // back to the real Lane::step per lane, via pull/push of the rolling
 // scalars plus staging of the handful of ring entries the step reads
 // from the transposed history (see fallbackStep).
-// tests/test_executor.cc asserts equality against per-cell runs for
-// every mode.
+// tests/test_executor.cc asserts equality against per-cell runs.
 //
 // The pass is packaged as SolSweepState — init() binds the lanes and
 // carves the scratch arrays, runRange() advances every lane over one

@@ -49,20 +49,6 @@ runModel(const core::TraceSource &src, const ModelSpec &spec,
 namespace {
 
 /**
- * DS rows fuse when their configs differ only in window size and
- * consistency model: both are per-lane on the struct-of-lanes path
- * (the model is a lane's gate mask — core::solSweepSupported), so
- * all of a trace's figure-3 DS cells are one sweep.
- */
-bool
-sameSweepFamily(const ModelSpec &a, const ModelSpec &b)
-{
-    return a.kind == ModelSpec::Kind::DS &&
-        b.kind == ModelSpec::Kind::DS && a.width == b.width &&
-        a.perfect_bp == b.perfect_bp && a.ignore_deps == b.ignore_deps;
-}
-
-/**
  * Scheduling weight of one cell. A DS step does strictly more work
  * per instruction than a static model's, and BASE is a thin
  * accumulation loop; the exact numbers only need to order groups
@@ -91,10 +77,11 @@ planPhase2(const std::vector<ModelSpec> &specs,
 {
     std::vector<ExecGroup> groups;
 
-    // Families of fusable DS rows, in first-appearance order so the
+    // Families of DS rows the sweep can run in lockstep
+    // (core::solSweepSupported), in first-appearance order so the
     // plan is a pure function of the declaration list.
     std::vector<std::vector<size_t>> families;
-    std::vector<size_t> family_head; // Representative spec index.
+    std::vector<core::DynamicConfig> family_head; // First row's config.
 
     for (size_t s = 0; s < specs.size(); ++s) {
         if (s < row_done.size() && row_done[s])
@@ -103,13 +90,14 @@ planPhase2(const std::vector<ModelSpec> &specs,
             groups.push_back(ExecGroup{{s}, false, rowCost(specs[s])});
             continue;
         }
+        const core::DynamicConfig config = dynamicConfigFor(specs[s]);
         size_t f = 0;
         for (; f < families.size(); ++f)
-            if (sameSweepFamily(specs[family_head[f]], specs[s]))
+            if (core::solSweepSupported({family_head[f], config}))
                 break;
         if (f == families.size()) {
             families.emplace_back();
-            family_head.push_back(s);
+            family_head.push_back(config);
         }
         families[f].push_back(s);
     }

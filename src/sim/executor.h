@@ -69,11 +69,12 @@ core::RunResult runModel(const core::TraceSource &src,
  * Partition a unit's pending rows (row_done[s] == 0) into execution
  * groups, longest-first.
  *
- * DS rows sharing everything but the window size and consistency
- * model fuse into sweeps of at most @p lane_cap lanes (0 =
- * unlimited); chunking preserves declaration order. Everything else
- * — and DS chunks of one row —
- * becomes a singleton group, executed exactly like the pre-executor
+ * Two DS rows fuse iff core::solSweepSupported accepts their pair of
+ * configs (today: same width, prediction and dependence knobs; window
+ * size and consistency model may differ), into sweeps of at most
+ * @p lane_cap lanes (0 = unlimited); chunking preserves declaration
+ * order. Everything else — and DS chunks of one row — becomes a
+ * singleton group, executed exactly like the pre-executor
  * path. lane_cap == 1 therefore disables fusion entirely.
  */
 std::vector<ExecGroup> planPhase2(const std::vector<ModelSpec> &specs,
@@ -84,9 +85,9 @@ std::vector<ExecGroup> planPhase2(const std::vector<ModelSpec> &specs,
  * Execute one group; results index-match group.rows. @p src is a flat
  * TraceView or a ViewBundle (both convert to a core::TraceSource).
  *
- * A fused group runs as one core::runDynamicSweep (SweepMode::Auto);
- * every singleton runs through runModel on @p src (a DS row is a
- * one-lane sweep). Every model reads the trace in order, so a chunked
+ * A fused group runs as one core::runDynamicSweep; every singleton
+ * runs through runModel on @p src (a DS row steps one lane through
+ * the tiled pass). Every model reads the trace in order, so a chunked
  * trace streams its tiles and is never flattened. Lane k of @p ctx
  * serves row k, so a worker-pinned context grows to the high-water
  * lane count it has seen and is then allocation-free.

@@ -1,10 +1,8 @@
 #ifndef DSMEM_UTIL_SIMD_H
 #define DSMEM_UTIL_SIMD_H
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <vector>
 
 // ------------------------------------------------------------------
 // Portable uint64 SIMD wrapper for the struct-of-lanes sweep executor.
@@ -12,9 +10,11 @@
 // The instruction set is selected at configure time: the SIMD
 // translation unit (sol_executor_simd.cc) is compiled with
 // DSMEM_SIMD_TU_AVX2 (and -mavx2) when the toolchain supports it, or
-// picks up NEON for free on AArch64; every other translation unit
-// that includes this header sees only the scalar batch type, so no
-// vector instruction can leak into code that must run on any host.
+// picks up NEON for free on AArch64. U64Batch exists only there:
+// every other translation unit that includes this header sees just
+// kBatchWidth, so no vector instruction can leak into code that must
+// run on any host. A build without either ISA has no batch type and
+// no struct-of-lanes sweep; every DS sweep takes the tiled pass.
 //
 // Cycle counts never approach 2^63, so the AVX2 signed 64-bit compare
 // implements an unsigned max exactly.
@@ -30,109 +30,9 @@
 
 namespace dsmem::util::simd {
 
-/**
- * Scalar batch of 4 lanes: plain arrays and loops, the semantics the
- * vector types must match bit for bit. Also the forced-scalar
- * fallback path (`--simd=scalar`, DSMEM_SIMD=scalar), kept branch-free
- * so the compiler may still autovectorize it where profitable.
- */
-struct U64x4Scalar {
-    static constexpr size_t kWidth = 4;
-    uint64_t v[4];
-
-    static U64x4Scalar load(const uint64_t *p)
-    {
-        return {p[0], p[1], p[2], p[3]};
-    }
-    void store(uint64_t *p) const
-    {
-        p[0] = v[0];
-        p[1] = v[1];
-        p[2] = v[2];
-        p[3] = v[3];
-    }
-    static U64x4Scalar splat(uint64_t x) { return {x, x, x, x}; }
-
-    friend U64x4Scalar max64(U64x4Scalar a, U64x4Scalar b)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-        return r;
-    }
-    friend U64x4Scalar add64(U64x4Scalar a, U64x4Scalar b)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = a.v[i] + b.v[i];
-        return r;
-    }
-    friend U64x4Scalar sub64(U64x4Scalar a, U64x4Scalar b)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = a.v[i] - b.v[i];
-        return r;
-    }
-    /** All-ones where a > b, else zero (unsigned compare). */
-    friend U64x4Scalar gt64(U64x4Scalar a, U64x4Scalar b)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = a.v[i] > b.v[i] ? ~uint64_t{0} : 0;
-        return r;
-    }
-    /** Per-bit select: mask ? a : b. */
-    friend U64x4Scalar blend64(U64x4Scalar mask, U64x4Scalar a,
-                               U64x4Scalar b)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = (a.v[i] & mask.v[i]) | (b.v[i] & ~mask.v[i]);
-        return r;
-    }
-    friend U64x4Scalar and64(U64x4Scalar a, U64x4Scalar b)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = a.v[i] & b.v[i];
-        return r;
-    }
-    /** x & ~mask — selects where the mask is clear. */
-    friend U64x4Scalar andnot64(U64x4Scalar mask, U64x4Scalar x)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = x.v[i] & ~mask.v[i];
-        return r;
-    }
-    /** min(x, 1) per lane — the busy-slot clamp of the attribution. */
-    friend U64x4Scalar minOne64(U64x4Scalar a)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = a.v[i] < 1 ? a.v[i] : 1;
-        return r;
-    }
-    /** base[idx] per lane; every index must be in bounds. */
-    friend U64x4Scalar gather64(const uint64_t *base, U64x4Scalar idx)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = base[idx.v[i]];
-        return r;
-    }
-    /** Product of the low 32 bits per lane (exact for values < 2^32). */
-    friend U64x4Scalar mulLo32(U64x4Scalar a, U64x4Scalar b)
-    {
-        U64x4Scalar r;
-        for (size_t i = 0; i < 4; ++i)
-            r.v[i] = static_cast<uint64_t>(
-                         static_cast<uint32_t>(a.v[i])) *
-                     static_cast<uint32_t>(b.v[i]);
-        return r;
-    }
-};
+/** Lane count every struct-of-lanes array is padded to: one batch of
+ *  four u64 lanes (one AVX2 register, a pair of NEON registers). */
+inline constexpr size_t kBatchWidth = 4;
 
 #if defined(DSMEM_SIMD_ISA_AVX2)
 
@@ -201,7 +101,6 @@ struct U64x4Avx2 {
 };
 
 using U64Batch = U64x4Avx2;
-inline constexpr const char *kIsaName = "avx2";
 
 #elif defined(DSMEM_SIMD_ISA_NEON)
 
@@ -279,53 +178,8 @@ struct U64x4Neon {
 };
 
 using U64Batch = U64x4Neon;
-inline constexpr const char *kIsaName = "neon";
-
-#else
-
-using U64Batch = U64x4Scalar;
-inline constexpr const char *kIsaName = "scalar";
 
 #endif
-
-/** Lane count every struct-of-lanes array is padded to. */
-inline constexpr size_t kBatchWidth = U64x4Scalar::kWidth;
-
-/** Hint a read of the cache line holding @p p (no-op if the compiler
- *  has no prefetch builtin). */
-inline void prefetchRead(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0 /* read */, 0 /* streaming */);
-#else
-    (void)p;
-#endif
-}
-
-// ------------------------------------------------------------------
-// Runtime policy: the configure-time ISA can be overridden down to
-// the grouped-scalar path (CI's forced-scalar leg, --simd=scalar).
-// ------------------------------------------------------------------
-
-namespace detail {
-inline bool &forceScalarFlag()
-{
-    static bool force = [] {
-        const char *env = std::getenv("DSMEM_SIMD");
-        return env != nullptr && std::strcmp(env, "scalar") == 0;
-    }();
-    return force;
-}
-} // namespace detail
-
-/** True when SIMD is disabled at runtime (env or setForceScalar). */
-inline bool forceScalar() { return detail::forceScalarFlag(); }
-
-/** Force (or re-enable) the scalar struct-of-lanes path at runtime. */
-inline void setForceScalar(bool force)
-{
-    detail::forceScalarFlag() = force;
-}
 
 } // namespace dsmem::util::simd
 

@@ -12,10 +12,13 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic_processor.h"
 #include "core/sim_context.h"
+#include "core/sol_sweep.h"
 #include "core/static_processor.h"
 #include "random_trace.h"
 #include "runner/campaign.h"
@@ -27,7 +30,6 @@
 #include "trace/chunked_view.h"
 #include "trace/trace_stats.h"
 #include "trace/trace_view.h"
-#include "util/simd.h"
 
 namespace dsmem {
 namespace {
@@ -375,82 +377,9 @@ solFamily(size_t k, ConsistencyModel m, uint32_t width)
 }
 
 /**
- * Every SoL mode must be bit-identical to per-cell runs, for every
- * lane-count tail against the 4-wide batch (k = 1..5, 8), both
- * narrow and multi-issue widths, and models with and without active
- * consistency gates. The random trace carries sync ops (per-lane
- * fallback), branch mispredict squashes, store forwarding, and read
- * misses mid-block.
+ * Multi-chunk random trace: the streamed sweeps must cross chunk
+ * boundaries mid-window, not just run inside one tile.
  */
-TEST(Executor, SolSweepAllModesMatchPerCellRuns)
-{
-    trace::TraceView view(testing::randomTrace(21, 4000));
-    for (ConsistencyModel m :
-         {ConsistencyModel::SC, ConsistencyModel::RC}) {
-        for (uint32_t width : {1u, 4u}) {
-            for (size_t k : {size_t{1}, size_t{2}, size_t{3},
-                             size_t{4}, size_t{5}, size_t{8}}) {
-                std::vector<DynamicConfig> configs =
-                    solFamily(k, m, width);
-                ASSERT_TRUE(core::solSweepSupported(configs));
-
-                std::vector<DynamicResult> single;
-                for (const DynamicConfig &cfg : configs)
-                    single.push_back(DynamicProcessor(cfg).run(view));
-
-                SimContext ctx;
-                for (core::SweepMode mode :
-                     {core::SweepMode::SoL, core::SweepMode::SoLScalar,
-                      core::SweepMode::PerLaneTiled,
-                      core::SweepMode::Auto}) {
-                    std::vector<DynamicResult> swept =
-                        core::runDynamicSweep(view, configs, ctx, mode);
-                    ASSERT_EQ(swept.size(), single.size());
-                    for (size_t i = 0; i < swept.size(); ++i) {
-                        SCOPED_TRACE(
-                            "model " + std::to_string(int(m)) +
-                            " width " + std::to_string(width) + " k " +
-                            std::to_string(k) + " mode " +
-                            std::to_string(int(mode)) + " lane " +
-                            std::to_string(i));
-                        expectSameDynamicResult(swept[i], single[i]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-TEST(Executor, SolSweepSupportGate)
-{
-    // The mixed variant set (free_window, MSHRs, SC speculation,
-    // differing widths) is not lockstep-runnable...
-    std::vector<DynamicConfig> mixed = variantConfigs();
-    EXPECT_FALSE(core::solSweepSupported(mixed));
-    trace::TraceView view(testing::randomTrace(3, 500));
-    SimContext ctx;
-    EXPECT_THROW(
-        core::runDynamicSweep(view, mixed, ctx, core::SweepMode::SoL),
-        std::invalid_argument);
-    // ...but a window/store-buffer-only family is, even with uniform
-    // non-default knobs.
-    std::vector<DynamicConfig> fam =
-        solFamily(3, ConsistencyModel::PC, 4);
-    fam[1].store_buffer_depth = 4;
-    for (DynamicConfig &c : fam) {
-        c.btb.perfect = true;
-        c.ignore_data_deps = true;
-    }
-    EXPECT_TRUE(core::solSweepSupported(fam));
-    std::vector<DynamicResult> swept =
-        core::runDynamicSweep(view, fam, ctx, core::SweepMode::SoL);
-    for (size_t i = 0; i < fam.size(); ++i)
-        expectSameDynamicResult(swept[i],
-                                DynamicProcessor(fam[i]).run(view));
-}
-
-/** Multi-chunk random trace: the streamed sweeps must cross chunk
- *  boundaries mid-window, not just run inside one tile. */
 trace::TraceView
 multiChunkView(uint64_t seed,
                size_t n = 2 * trace::ChunkedView::kChunkInstrs + 1234)
@@ -469,6 +398,107 @@ streamLengths(size_t n = 2 * trace::ChunkedView::kChunkInstrs + 1234)
 {
     return {n, 1, trace::ChunkedView::kChunkInstrs,
             trace::ChunkedView::kChunkInstrs + 1};
+}
+
+/**
+ * Both DS executors against per-cell DynamicProcessor::run on @p view,
+ * lane by lane, from the flat view and from its chunked form:
+ * runDynamicSweep (the vector SoL for a fused family where the build
+ * and CPU have one, the tiled pass otherwise) and the tiled pass
+ * itself. Every sweep borrows @p ctx, so context reuse across
+ * executors and residencies is covered too.
+ */
+void
+expectSweepsMatch(const trace::TraceView &view,
+                  const std::vector<DynamicConfig> &configs,
+                  const std::string &what, SimContext &ctx)
+{
+    std::vector<DynamicResult> single;
+    for (const DynamicConfig &cfg : configs)
+        single.push_back(DynamicProcessor(cfg).run(view));
+
+    using Sweep = std::vector<DynamicResult> (*)(
+        const core::TraceSource &, const std::vector<DynamicConfig> &,
+        SimContext &);
+    const std::pair<const char *, Sweep> sweeps[] = {
+        {"runDynamicSweep", &core::runDynamicSweep},
+        {"tiled", &core::detail::runTiledSweep},
+    };
+    const trace::ChunkedView cv(view);
+    const std::pair<const char *, core::TraceSource> sources[] = {
+        {"flat", view}, {"chunked", cv}};
+    for (const auto &[source_name, src] : sources) {
+        for (const auto &[sweep_name, sweep] : sweeps) {
+            std::vector<DynamicResult> swept = sweep(src, configs, ctx);
+            ASSERT_EQ(swept.size(), single.size());
+            for (size_t i = 0; i < swept.size(); ++i) {
+                SCOPED_TRACE(what + " " + source_name + " " +
+                             sweep_name + " lane " + std::to_string(i));
+                expectSameDynamicResult(swept[i], single[i]);
+            }
+        }
+    }
+}
+
+/**
+ * Both executors must be bit-identical to per-cell runs, for every
+ * lane-count tail against the 4-wide batch (k = 1..5, 8), both
+ * narrow and multi-issue widths, and models with and without active
+ * consistency gates. The random trace carries sync ops (per-lane
+ * fallback), branch mispredict squashes, store forwarding, and read
+ * misses mid-block.
+ */
+TEST(Executor, SweepsMatchPerCellRuns)
+{
+    trace::TraceView view(testing::randomTrace(21, 4000));
+    for (ConsistencyModel m :
+         {ConsistencyModel::SC, ConsistencyModel::RC}) {
+        for (uint32_t width : {1u, 4u}) {
+            for (size_t k : {size_t{1}, size_t{2}, size_t{3},
+                             size_t{4}, size_t{5}, size_t{8}}) {
+                std::vector<DynamicConfig> configs =
+                    solFamily(k, m, width);
+                ASSERT_TRUE(core::solSweepSupported(configs));
+                SimContext ctx;
+                expectSweepsMatch(view, configs,
+                                  "model " + std::to_string(int(m)) +
+                                      " width " + std::to_string(width) +
+                                      " k " + std::to_string(k),
+                                  ctx);
+            }
+        }
+    }
+}
+
+TEST(Executor, SolSweepSupportGate)
+{
+    // The mixed variant set (free_window, MSHRs, SC speculation,
+    // differing widths) is not lockstep-runnable: the vector SoL
+    // refuses it, flat or chunked, and runDynamicSweep runs it on the
+    // tiled pass.
+    std::vector<DynamicConfig> mixed = variantConfigs();
+    EXPECT_FALSE(core::solSweepSupported(mixed));
+    trace::TraceView view = multiChunkView(3);
+    trace::ChunkedView cv(view);
+    SimContext ctx;
+    if (core::detail::solSimdRuntimeOk()) {
+        EXPECT_THROW(core::detail::runSolSweepSimd(view, mixed, ctx),
+                     std::invalid_argument);
+        EXPECT_THROW(core::detail::runSolSweepSimd(cv, mixed, ctx),
+                     std::invalid_argument);
+    }
+    expectSweepsMatch(view, mixed, "mixed", ctx);
+    // ...but a window/store-buffer-only family is, even with uniform
+    // non-default knobs.
+    std::vector<DynamicConfig> fam =
+        solFamily(3, ConsistencyModel::PC, 4);
+    fam[1].store_buffer_depth = 4;
+    for (DynamicConfig &c : fam) {
+        c.btb.perfect = true;
+        c.ignore_data_deps = true;
+    }
+    EXPECT_TRUE(core::solSweepSupported(fam));
+    expectSweepsMatch(view, fam, "family", ctx);
 }
 
 /**
@@ -493,113 +523,50 @@ mixedModelFamily(size_t k)
     return configs;
 }
 
-/** Every sweep mode over @p src against per-lane single-cell runs. */
+/** Mixed-model families of 3, 5 and 7 lanes over @p view. */
 void
-expectMixedFamilyMatches(const core::TraceSource &src,
-                         const trace::TraceView &view,
+expectMixedFamilyMatches(const trace::TraceView &view,
                          const std::string &what)
 {
     for (size_t k : {size_t{3}, size_t{5}, size_t{7}}) {
         std::vector<DynamicConfig> configs = mixedModelFamily(k);
         ASSERT_TRUE(core::solSweepSupported(configs));
-        std::vector<DynamicResult> single;
-        for (const DynamicConfig &cfg : configs)
-            single.push_back(DynamicProcessor(cfg).run(view));
         SimContext ctx;
-        for (core::SweepMode mode :
-             {core::SweepMode::SoL, core::SweepMode::SoLScalar,
-              core::SweepMode::PerLaneTiled, core::SweepMode::Auto}) {
-            std::vector<DynamicResult> swept =
-                core::runDynamicSweep(src, configs, ctx, mode);
-            ASSERT_EQ(swept.size(), single.size());
-            for (size_t i = 0; i < swept.size(); ++i) {
-                SCOPED_TRACE(what + " k " + std::to_string(k) +
-                             " mode " + std::to_string(int(mode)) +
-                             " lane " + std::to_string(i));
-                expectSameDynamicResult(swept[i], single[i]);
-            }
-        }
+        expectSweepsMatch(view, configs, what + " k " + std::to_string(k),
+                          ctx);
     }
 }
 
 TEST(Executor, MixedModelSolMatchesPerCellRuns)
 {
     for (uint64_t seed : {5u, 23u}) {
-        trace::TraceView view(testing::randomTrace(seed, 4000));
-        expectMixedFamilyMatches(view, view,
-                                 "flat seed " + std::to_string(seed));
+        expectMixedFamilyMatches(
+            trace::TraceView(testing::randomTrace(seed, 4000)),
+            "seed " + std::to_string(seed));
     }
-    trace::TraceView view = multiChunkView(83);
-    trace::ChunkedView cv(view);
-    expectMixedFamilyMatches(cv, view, "chunked");
+    expectMixedFamilyMatches(multiChunkView(83), "multi-chunk");
 }
 
 TEST(Executor, MixedModelSolMatchesPerCellRunsOnAnApp)
 {
     sim::TraceBundle lu = sim::generateTrace(sim::AppId::LU, {}, true);
-    trace::TraceView view(lu.trace);
-    expectMixedFamilyMatches(view, view, "LU flat");
-    trace::ChunkedView cv(view);
-    expectMixedFamilyMatches(cv, view, "LU chunked");
+    expectMixedFamilyMatches(trace::TraceView(lu.trace), "LU");
 }
 
 // --- State the SoL lanes share or keep lane-indexed ------------------
 
-/**
- * Both SoL batch types over @p src against @p want, per lane: the
- * cycles and breakdown of per-cell runs, plus the window occupancy
- * when @p occupancy is given.
- */
-void
-expectSolMatches(const core::TraceSource &src,
-                 const std::vector<DynamicConfig> &configs,
-                 const std::vector<RunResult> &want,
-                 const std::vector<double> &occupancy,
-                 const std::string &what, SimContext &ctx)
+/** DS configs at every (model, window) pair, as sim::planPhase2 sees
+ *  them. */
+std::vector<DynamicConfig>
+dsConfigs(std::initializer_list<ConsistencyModel> models,
+          std::initializer_list<uint32_t> windows, uint32_t width = 1)
 {
-    ASSERT_TRUE(core::solSweepSupported(configs));
-    for (core::SweepMode mode :
-         {core::SweepMode::SoL, core::SweepMode::SoLScalar}) {
-        std::vector<DynamicResult> swept =
-            core::runDynamicSweep(src, configs, ctx, mode);
-        ASSERT_EQ(swept.size(), want.size());
-        for (size_t i = 0; i < swept.size(); ++i) {
-            SCOPED_TRACE(what + " mode " + std::to_string(int(mode)) +
-                         " lane " + std::to_string(i));
-            EXPECT_EQ(static_cast<const RunResult &>(swept[i]),
-                      want[i]);
-            if (!occupancy.empty()) {
-                EXPECT_EQ(swept[i].avg_window_occupancy, occupancy[i]);
-            }
-        }
-    }
-}
-
-/** DS specs at every (model, window) pair, their configs, and the
- *  per-cell sim::runModel results. */
-struct DsCells {
-    std::vector<ModelSpec> specs;
     std::vector<DynamicConfig> configs;
-    std::vector<RunResult> want;
-};
-
-DsCells
-dsCells(const trace::TraceView &view,
-        std::initializer_list<ConsistencyModel> models,
-        std::initializer_list<uint32_t> windows, uint32_t width = 1)
-{
-    DsCells cells;
-    for (ConsistencyModel m : models) {
-        for (uint32_t w : windows) {
-            cells.specs.push_back(
-                ModelSpec::ds(m, w, false, false, width));
-            cells.configs.push_back(
-                sim::dynamicConfigFor(cells.specs.back()));
-            cells.want.push_back(
-                sim::runModel(view, cells.specs.back()));
-        }
-    }
-    return cells;
+    for (ConsistencyModel m : models)
+        for (uint32_t w : windows)
+            configs.push_back(sim::dynamicConfigFor(
+                ModelSpec::ds(m, w, false, false, width)));
+    return configs;
 }
 
 /**
@@ -634,24 +601,18 @@ TEST(Executor, SolPredictsOncePerBtbGeometry)
         {ConsistencyModel::WO, 128, big},
     };
     std::vector<DynamicConfig> configs;
-    std::vector<RunResult> want;
-    std::vector<double> occupancy;
     for (const auto &l : lanes) {
         DynamicConfig c;
         c.model = l.model;
         c.window = l.window;
         c.btb = l.btb;
         configs.push_back(c);
-        DynamicResult r = DynamicProcessor(c).run(view);
-        want.push_back(r);
-        occupancy.push_back(r.avg_window_occupancy);
     }
-    ASSERT_LT(want[0].mispredicts, want[1].mispredicts);
+    ASSERT_LT(DynamicProcessor(configs[0]).run(view).mispredicts,
+              DynamicProcessor(configs[1]).run(view).mispredicts);
 
     SimContext ctx;
-    expectSolMatches(view, configs, want, occupancy, "flat", ctx);
-    trace::ChunkedView cv(view);
-    expectSolMatches(cv, configs, want, occupancy, "chunked", ctx);
+    expectSweepsMatch(view, configs, "btb", ctx);
 }
 
 /**
@@ -679,29 +640,23 @@ TEST(Executor, SolSharedForwardingTableMatchesPerCellRuns)
         const std::string what =
             std::to_string(addresses) + " addresses";
 
-        DsCells cells =
-            dsCells(view,
-                    {ConsistencyModel::SC, ConsistencyModel::PC,
-                     ConsistencyModel::RC},
-                    {16, 64, 256});
+        const std::vector<DynamicConfig> configs =
+            dsConfigs({ConsistencyModel::SC, ConsistencyModel::PC,
+                       ConsistencyModel::RC},
+                      {16, 64, 256});
         SimContext ctx;
-        expectSolMatches(view, cells.configs, cells.want, {},
-                         what + " flat", ctx);
-        if (addresses > 64) {
+        expectSweepsMatch(view, configs, what, ctx);
+        if (addresses > 64 && core::detail::solSimdRuntimeOk()) {
             // Fewer rows than stored addresses: pruned rows were
             // reused.
             std::set<trace::Addr> stored;
             for (size_t i = 0; i < t.size(); ++i)
                 if (t[i].op == trace::Op::STORE)
                     stored.insert(t[i].addr);
-            const size_t kpad = (cells.configs.size() + 3) / 4 * 4;
+            const size_t kpad = (configs.size() + 3) / 4 * 4;
             EXPECT_LT(ctx.solScratch().fwd_rows.size() / (2 * kpad),
                       stored.size() / 2);
         }
-
-        trace::ChunkedView cv(view);
-        expectSolMatches(cv, cells.configs, cells.want, {},
-                         what + " chunked", ctx);
     }
 }
 
@@ -719,14 +674,14 @@ TEST(Executor, SolLongMissesMatchPerCellRuns)
         mix.miss_latency = latency;
         trace::TraceView view(testing::randomTrace(latency, 8000, mix));
         for (uint32_t width : {1u, 4u}) {
-            DsCells cells = dsCells(
-                view, {ConsistencyModel::SC, ConsistencyModel::RC},
-                {16, 32, 128, 256}, width);
             SimContext ctx;
-            expectSolMatches(view, cells.configs, cells.want, {},
-                             "latency " + std::to_string(latency) +
-                                 " width " + std::to_string(width),
-                             ctx);
+            expectSweepsMatch(
+                view,
+                dsConfigs({ConsistencyModel::SC, ConsistencyModel::RC},
+                          {16, 32, 128, 256}, width),
+                "latency " + std::to_string(latency) + " width " +
+                    std::to_string(width),
+                ctx);
             const size_t mem = static_cast<size_t>(trace::FuClass::MEM);
             if (latency == 400) {
                 EXPECT_GT(ctx.lane(0).fu[mem].span(), 512u);
@@ -781,52 +736,58 @@ TEST(Executor, PlanFusesAllFigure3DsRowsIntoOneFamily)
     EXPECT_EQ(fused_groups, 1u);
 }
 
-/** One context must serve SoL, forced-scalar SoL, tiled, and
+/** The plan fuses two DS specs iff the sweep can run them in lockstep:
+ *  sim::planPhase2 and core::solSweepSupported share one rule. */
+TEST(Executor, PlanFusesExactlyWhatTheSweepSupports)
+{
+    std::vector<ModelSpec> specs = sim::figure3Columns();
+    for (const ModelSpec &s : sim::figure4Columns())
+        specs.push_back(s);
+    std::vector<uint8_t> done(specs.size(), 0);
+    std::vector<size_t> group_of(specs.size(), SIZE_MAX);
+    const std::vector<ExecGroup> plan = sim::planPhase2(specs, done, 0);
+    for (size_t g = 0; g < plan.size(); ++g)
+        for (size_t s : plan[g].rows)
+            group_of[s] = g;
+
+    size_t pairs = 0, fused_pairs = 0;
+    for (size_t a = 0; a < specs.size(); ++a) {
+        for (size_t b = a + 1; b < specs.size(); ++b) {
+            if (specs[a].kind != ModelSpec::Kind::DS ||
+                specs[b].kind != ModelSpec::Kind::DS)
+                continue;
+            const bool supported = core::solSweepSupported(
+                {sim::dynamicConfigFor(specs[a]),
+                 sim::dynamicConfigFor(specs[b])});
+            EXPECT_EQ(group_of[a] == group_of[b], supported)
+                << specs[a].label() << " / " << specs[b].label();
+            ++pairs;
+            fused_pairs += supported;
+        }
+    }
+    // Both outcomes occur: figure 4 perfects prediction and, in half
+    // its columns, ignores data dependences.
+    EXPECT_GT(fused_pairs, 0u);
+    EXPECT_LT(fused_pairs, pairs);
+}
+
+/** One context must serve both executors, flat and chunked, and
  *  single-cell runs back to back with no state bleed. */
 TEST(Executor, SolContextReuseAcrossModes)
 {
     trace::TraceView view(testing::randomTrace(17, 3000));
     std::vector<DynamicConfig> fam =
         solFamily(4, ConsistencyModel::RC, 1);
-
-    std::vector<DynamicResult> single;
-    for (const DynamicConfig &cfg : fam)
-        single.push_back(DynamicProcessor(cfg).run(view));
+    const DynamicResult single = DynamicProcessor(fam[2]).run(view);
 
     SimContext shared;
-    for (core::SweepMode mode :
-         {core::SweepMode::SoL, core::SweepMode::PerLaneTiled,
-          core::SweepMode::SoLScalar, core::SweepMode::SoL}) {
-        std::vector<DynamicResult> swept =
-            core::runDynamicSweep(view, fam, shared, mode);
-        for (size_t i = 0; i < fam.size(); ++i) {
-            SCOPED_TRACE("mode " + std::to_string(int(mode)) +
-                         " lane " + std::to_string(i));
-            expectSameDynamicResult(swept[i], single[i]);
-        }
+    for (int round = 0; round < 2; ++round) {
+        expectSweepsMatch(view, fam, "round " + std::to_string(round),
+                          shared);
         // Interleave a single-cell run through lane 0.
         expectSameDynamicResult(
-            DynamicProcessor(fam[2]).run(view, shared), single[2]);
+            DynamicProcessor(fam[2]).run(view, shared), single);
     }
-}
-
-/** The runtime forced-scalar switch reroutes Auto; results do not
- *  change. */
-TEST(Executor, SolForcedScalarRuntimeSwitch)
-{
-    trace::TraceView view(testing::randomTrace(29, 2000));
-    std::vector<DynamicConfig> fam =
-        solFamily(3, ConsistencyModel::SC, 1);
-    SimContext ctx;
-    std::vector<DynamicResult> simd =
-        core::runDynamicSweep(view, fam, ctx);
-    util::simd::setForceScalar(true);
-    std::vector<DynamicResult> scalar =
-        core::runDynamicSweep(view, fam, ctx);
-    util::simd::setForceScalar(false);
-    ASSERT_EQ(simd.size(), scalar.size());
-    for (size_t i = 0; i < simd.size(); ++i)
-        expectSameDynamicResult(simd[i], scalar[i]);
 }
 
 // --- SimContext rebind avoids re-zeroing warm rings -----------------
@@ -867,7 +828,6 @@ TEST(Executor, RingRebindSkipsZeroFill)
 
 // --- A chunked trace source is bit-identical to a flat one ----------
 
-
 /**
  * Every config variant — all four models, mixed windows, MSHR limits,
  * SC speculation, the read-delay collector — must produce the same
@@ -878,75 +838,32 @@ TEST(Executor, StreamedSweepMatchesSingleCellRuns)
 {
     std::vector<DynamicConfig> configs = variantConfigs();
     for (size_t n : streamLengths()) {
-        trace::TraceView view = multiChunkView(61, n);
-        trace::ChunkedView cv(view);
-
-        std::vector<DynamicResult> single;
-        for (const DynamicConfig &cfg : configs)
-            single.push_back(DynamicProcessor(cfg).run(view));
-
         SimContext ctx;
-        for (core::SweepMode mode :
-             {core::SweepMode::Auto, core::SweepMode::PerLaneTiled}) {
-            std::vector<DynamicResult> streamed =
-                core::runDynamicSweep(cv, configs, ctx, mode);
-            ASSERT_EQ(streamed.size(), single.size());
-            for (size_t i = 0; i < streamed.size(); ++i) {
-                SCOPED_TRACE("n " + std::to_string(n) + " mode " +
-                             std::to_string(int(mode)) + " config " +
-                             std::to_string(i));
-                expectSameDynamicResult(streamed[i], single[i]);
-            }
-        }
+        expectSweepsMatch(multiChunkView(61, n), configs,
+                          "n " + std::to_string(n), ctx);
     }
 }
 
-/** The streamed struct-of-lanes modes (SIMD, forced-scalar batch,
- *  tiled, Auto) against per-cell runs, lane tails included. */
+/** Window-sweep families against per-cell runs at every
+ *  chunk-boundary length, lane tails included. */
 TEST(Executor, StreamedSolModesMatchPerCellRuns)
 {
     for (size_t n : streamLengths()) {
         trace::TraceView view = multiChunkView(67, n);
-        trace::ChunkedView cv(view);
         for (ConsistencyModel m :
              {ConsistencyModel::SC, ConsistencyModel::RC}) {
             for (size_t k : {size_t{1}, size_t{3}, size_t{5}}) {
                 std::vector<DynamicConfig> configs = solFamily(k, m, 1);
                 ASSERT_TRUE(core::solSweepSupported(configs));
-
-                std::vector<DynamicResult> single;
-                for (const DynamicConfig &cfg : configs)
-                    single.push_back(DynamicProcessor(cfg).run(view));
-
                 SimContext ctx;
-                for (core::SweepMode mode :
-                     {core::SweepMode::SoL, core::SweepMode::SoLScalar,
-                      core::SweepMode::PerLaneTiled,
-                      core::SweepMode::Auto}) {
-                    std::vector<DynamicResult> streamed =
-                        core::runDynamicSweep(cv, configs, ctx, mode);
-                    ASSERT_EQ(streamed.size(), single.size());
-                    for (size_t i = 0; i < streamed.size(); ++i) {
-                        SCOPED_TRACE(
-                            "n " + std::to_string(n) + " model " +
-                            std::to_string(int(m)) + " k " +
-                            std::to_string(k) + " mode " +
-                            std::to_string(int(mode)) + " lane " +
-                            std::to_string(i));
-                        expectSameDynamicResult(streamed[i], single[i]);
-                    }
-                }
+                expectSweepsMatch(view, configs,
+                                  "n " + std::to_string(n) + " model " +
+                                      std::to_string(int(m)) + " k " +
+                                      std::to_string(k),
+                                  ctx);
             }
         }
     }
-
-    // The SoL support gate applies to a chunked source too.
-    trace::ChunkedView cv(multiChunkView(67));
-    std::vector<DynamicConfig> mixed = variantConfigs();
-    SimContext ctx;
-    EXPECT_THROW(
-        core::runDynamicSweep(cv, mixed, ctx, core::SweepMode::SoL),
-        std::invalid_argument);
 }
 
 /** One context serves flat sweeps, streamed sweeps, and single-cell
@@ -980,28 +897,6 @@ TEST(Executor, StreamedContextReuseAgainstFlat)
             expectSameDynamicResult(
                 DynamicProcessor(fam[1]).run(view, shared), single[1]);
         }
-    }
-}
-
-/** Forcing the scalar batch at runtime reroutes the streamed Auto
- *  path; results do not change. */
-TEST(Executor, StreamedForcedScalarRuntimeSwitch)
-{
-    std::vector<DynamicConfig> fam =
-        solFamily(3, ConsistencyModel::SC, 1);
-    for (size_t n : streamLengths()) {
-        SCOPED_TRACE("n " + std::to_string(n));
-        trace::ChunkedView cv(multiChunkView(73, n));
-        SimContext ctx;
-        std::vector<DynamicResult> simd =
-            core::runDynamicSweep(cv, fam, ctx);
-        util::simd::setForceScalar(true);
-        std::vector<DynamicResult> scalar =
-            core::runDynamicSweep(cv, fam, ctx);
-        util::simd::setForceScalar(false);
-        ASSERT_EQ(simd.size(), scalar.size());
-        for (size_t i = 0; i < simd.size(); ++i)
-            expectSameDynamicResult(simd[i], scalar[i]);
     }
 }
 

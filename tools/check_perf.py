@@ -65,11 +65,12 @@ def ratios(doc):
         if sweep:
             out["campaign_sweep:speedup_jobs1"] = sweep["speedup_jobs1"]
             out["campaign_sweep:speedup_jobsN"] = sweep["speedup_jobsN"]
-        # schema_version >= 4: fused-vs-per-cell ratio per cache
-        # regime (cache_resident = warm campaign sweep at jobs 1,
-        # memory_bound = streamed synthetic cells past the LLC). Both
-        # ratchet independently — the SoL executor must not buy its
-        # memory-bound win by regressing the warm path or vice versa.
+        # schema_version >= 4: fused-vs-per-cell ratio of the
+        # memory_bound regime (streamed synthetic cells past the LLC).
+        # The warm, cache-resident ratio is campaign_sweep:speedup_jobs1
+        # above; the two ratchet independently — the SoL executor must
+        # not buy its memory-bound win by regressing the warm path or
+        # vice versa.
         # schema_version >= 5 adds memory_bound_streamed: the same
         # fused sweep against the chunk-compressed resident form;
         # streamed_over_fused ratchets the sweep over inline-decoded
