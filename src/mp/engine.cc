@@ -194,8 +194,14 @@ Engine::execMemOp(ThreadContext &ctx)
             arena_.storeInt(op.addr, op.data.i);
         ++ctx.next_inst_;
         ++stats.instructions;
-        if (ctx.rec_) [[unlikely]]
-            ctx.rec_->append(build_mem_inst(Op::STORE, res.latency));
+        if (ctx.rec_) [[unlikely]] {
+            // A deferred store's chunk stays raw until its patch.
+            if (res.deferred)
+                ctx.rec_->appendDeferred(
+                    build_mem_inst(Op::STORE, res.latency));
+            else
+                ctx.rec_->append(build_mem_inst(Op::STORE, res.latency));
+        }
         ++stats.writes;
         if (res.isWriteMiss())
             ++stats.write_misses;
@@ -322,6 +328,34 @@ Engine::run()
             " thread(s) blocked (" + std::to_string(sync_.parkedCount()) +
             " parked on synchronization)");
     }
+    capture_ = recorder_.finish();
+    capture_stats_ = recorder_.stats();
+}
+
+trace::Trace &
+Engine::trace()
+{
+    if (!capture_ || !trace_.empty())
+        return trace_;
+    trace_.reserve(capture_->size());
+    trace::TraceTile tile;
+    for (size_t c = 0; c < capture_->chunkCount(); ++c) {
+        capture_->decodeChunk(c, tile);
+        for (size_t j = 0; j < tile.count; ++j) {
+            TraceInst inst;
+            inst.op = tile.ops[j];
+            inst.num_srcs = tile.num_srcs[j];
+            inst.taken = tile.flags[j] & trace::TraceView::kTaken;
+            inst.src[0] = tile.srcs[j][0];
+            inst.src[1] = tile.srcs[j][1];
+            inst.src[2] = tile.srcs[j][2];
+            inst.addr = tile.addr[j];
+            inst.latency = tile.latency[j];
+            inst.aux = tile.aux[j];
+            trace_.append(inst);
+        }
+    }
+    return trace_;
 }
 
 void

@@ -14,6 +14,7 @@
 #include "mp/thread_context.h"
 #include "trace/trace.h"
 #include "trace/trace_buffer.h"
+#include "trace/trace_stats.h"
 
 namespace dsmem::mp {
 
@@ -83,24 +84,26 @@ class Engine
     uint64_t completionCycle(uint32_t proc) const;
 
     /**
-     * Captured trace of the traced processor. The capture stays in
-     * its chunked recorder after run() and drains into the first
-     * shape asked for: the AoS Trace (trace(), takeTrace()) or the
-     * SoA columns of a TraceView (takeTraceParts()). Once drained
-     * into one shape it is gone from the other.
+     * Captured trace of the traced processor, as a successful run()
+     * leaves it: compressed (trace::TraceRecorder records straight
+     * into the ChunkedView the store writes), with its statistics.
+     * Null before run().
      */
+    const std::shared_ptr<const trace::ChunkedView> &capture() const
+    {
+        return capture_;
+    }
+    const trace::TraceStats &captureStats() const
+    {
+        return capture_stats_;
+    }
+
+    /**
+     * The capture decoded into an AoS Trace (tools and tests), kept
+     * once decoded; takeTrace() moves it out.
+     */
+    trace::Trace &trace();
     trace::Trace takeTrace() { return std::move(trace()); }
-    trace::Trace &trace()
-    {
-        recorder_.drainInto(trace_);
-        return trace_;
-    }
-    trace::TraceView::Parts takeTraceParts()
-    {
-        trace::TraceView::Parts parts;
-        recorder_.drainInto(parts);
-        return parts;
-    }
 
     const ThreadStats &threadStats(uint32_t proc) const;
 
@@ -210,8 +213,10 @@ class Engine
     Arena arena_;
     memsys::MemorySystem memory_;
     SyncManager sync_;
-    trace::Trace trace_;
     trace::TraceRecorder recorder_; ///< Before threads_: ctxs point at it.
+    std::shared_ptr<const trace::ChunkedView> capture_;
+    trace::TraceStats capture_stats_;
+    trace::Trace trace_; ///< trace()'s decode of capture_.
     std::vector<Thread> threads_;
 
     /**

@@ -1,6 +1,7 @@
 #include "runner/campaign.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <map>
@@ -532,22 +533,37 @@ Campaign::run()
                         recordError(u, e);
             if (p1.bundle == nullptr)
                 return;
-            const sim::ViewBundle *bundle = p1.bundle;
             std::shared_ptr<const sim::LivePointSet> lp = p1.lp;
             for (size_t u : unit_ids)
                 adoptTrace(u, p1);
-            for (size_t u : unit_ids) {
-                const Unit &unit = units_[u];
-                // planPhase2 skips journal-restored rows and returns
-                // groups longest-first; submission order feeds the
-                // FIFO pool, so heavy sweeps start before stragglers.
+            // planPhase2 skips journal-restored rows and returns
+            // groups longest-first; submission order feeds the FIFO
+            // pool, so heavy sweeps start before stragglers.
+            std::vector<std::pair<size_t, sim::ExecGroup>> work;
+            for (size_t u : unit_ids)
                 for (sim::ExecGroup &g : sim::planPhase2(
-                         unit.specs, results_[u].row_done, lane_cap)) {
-                    runner.submit(
-                        [this, bundle, u, g = std::move(g), lp] {
-                            runGroup(bundle, u, g, lp);
-                        });
-                }
+                         units_[u].specs, results_[u].row_done, lane_cap))
+                    work.emplace_back(u, std::move(g));
+            // The trace's columns are dropped from the store once its
+            // last group finishes: every group runs on its own copy
+            // of the bundle (shared columns, taken here before any
+            // group can finish), so the release only frees memory.
+            const sim::ViewBundle held = *p1.bundle;
+            auto left = std::make_shared<std::atomic<size_t>>(
+                work.size());
+            auto release = [this, app = first.app, mem = first.mem,
+                            small = first.small] {
+                store_.release(app, mem, small);
+            };
+            if (work.empty())
+                release();
+            for (auto &[u, g] : work) {
+                runner.submit([this, held, u, g = std::move(g), lp, left,
+                               release] {
+                    runGroup(held, u, g, lp);
+                    if (left->fetch_sub(1) == 1)
+                        release();
+                });
             }
         });
     }
@@ -759,11 +775,11 @@ Campaign::runGroupInline(const GroupRef &ref)
     if (results_[unit].bundle == nullptr &&
         !results_[unit].trace_from_journal)
         adoptTrace(unit, p1);
-    runGroup(p1.bundle, unit, group, p1.lp);
+    runGroup(*p1.bundle, unit, group, p1.lp);
 }
 
 void
-Campaign::runGroup(const sim::ViewBundle *bundle, size_t u,
+Campaign::runGroup(const sim::ViewBundle &bundle, size_t u,
                    const sim::ExecGroup &group,
                    const std::shared_ptr<const sim::LivePointSet> &lp)
 {
@@ -773,7 +789,7 @@ Campaign::runGroup(const sim::ViewBundle *bundle, size_t u,
     thread_local core::SimContext sim_ctx;
 
     const Unit &unit = units_[u];
-    GroupOutcome out = runPhase2Group(*bundle, unit.app, unit.specs,
+    GroupOutcome out = runPhase2Group(bundle, unit.app, unit.specs,
                                       group, opts_, lp.get(), sim_ctx);
     for (UnitError &e : out.errors)
         recordError(u, std::move(e));

@@ -36,6 +36,11 @@ struct UnitError {
  * serial execution for any --jobs value).
  */
 struct UnitResult {
+    /**
+     * The unit's trace in the campaign's store. run() releases its
+     * columns (view, chunked) once the trace's last group finishes;
+     * the stats fields stay readable.
+     */
     const sim::ViewBundle *bundle = nullptr;
     sim::TraceOrigin origin = sim::TraceOrigin::GENERATED;
     double trace_wall_ms = 0.0;        ///< Phase-1 getView() cost.
@@ -341,7 +346,7 @@ class Campaign
      * --resume granularity is one cell no matter how rows were
      * grouped.
      */
-    void runGroup(const sim::ViewBundle *bundle, size_t u,
+    void runGroup(const sim::ViewBundle &bundle, size_t u,
                   const sim::ExecGroup &group,
                   const std::shared_ptr<const sim::LivePointSet> &lp);
 

@@ -266,7 +266,10 @@ saveBundle(const sim::TraceBundle &bundle, std::ostream &os)
 void
 saveBundle(const sim::ViewBundle &bundle, std::ostream &os)
 {
-    writeBundle(bundle, *bundle.flatView(), os);
+    if (bundle.chunked)
+        writeBundle(bundle, *bundle.chunked, os);
+    else
+        writeBundle(bundle, *bundle.view, os);
 }
 
 sim::TraceBundle
@@ -561,7 +564,8 @@ TraceStore::getView(sim::AppId id, const memsys::MemoryConfig &mem,
     std::unique_lock<std::mutex> lock(memo_mu_);
     Entry &entry = memo_[key]; // Map nodes are address-stable.
     for (;;) {
-        if (entry.bundle) {
+        // A released bundle has no columns: reload them below.
+        if (entry.bundle && (entry.bundle->view || entry.bundle->chunked)) {
             if (origin)
                 *origin = sim::TraceOrigin::MEMORY;
             if (timing)
@@ -604,7 +608,16 @@ TraceStore::getView(sim::AppId id, const memsys::MemoryConfig &mem,
     }
 
     lock.lock();
-    entry.bundle = std::make_unique<sim::ViewBundle>(std::move(*vbundle));
+    if (entry.bundle) {
+        // A released key reloads into the same bundle, so pointers
+        // taken before the release (a campaign's UnitResult::bundle)
+        // stay valid; its stats are the reloaded bundle's.
+        entry.bundle->view = std::move(vbundle->view);
+        entry.bundle->chunked = std::move(vbundle->chunked);
+    } else {
+        entry.bundle =
+            std::make_unique<sim::ViewBundle>(std::move(*vbundle));
+    }
     entry.busy = false;
     memo_cv_.notify_all();
     if (origin)
@@ -612,6 +625,18 @@ TraceStore::getView(sim::AppId id, const memsys::MemoryConfig &mem,
     if (timing)
         *timing = took;
     return *entry.bundle;
+}
+
+void
+TraceStore::release(sim::AppId id, const memsys::MemoryConfig &mem,
+                    bool small)
+{
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    auto it = memo_.find(Key{id, mem, small});
+    if (it == memo_.end() || !it->second.bundle)
+        return;
+    it->second.bundle->view.reset();
+    it->second.bundle->chunked.reset();
 }
 
 std::string

@@ -59,8 +59,8 @@ void saveBundle(const sim::TraceBundle &bundle, std::ostream &os);
 
 /**
  * Serialize a ViewBundle: the same bytes saveBundle writes for the
- * TraceBundle of the same generation. A chunked bundle is flattened
- * to write it.
+ * TraceBundle of the same generation. A chunked bundle writes its
+ * resident sections as they are.
  */
 void saveBundle(const sim::ViewBundle &bundle, std::ostream &os);
 
@@ -217,10 +217,12 @@ class TraceStore
      * that cost.
      *
      * Each key holds the phase-2 shape only, the ViewBundle: a cold
-     * key generates straight into the view (sim::generateView), and
-     * the bundle is written from it. A caller that needs the AoS
-     * trace itself (a reference loop) calls sim::generateTrace or
-     * loadBundle directly.
+     * key generates straight into the compressed capture
+     * (sim::generateView), the bundle file is written from its
+     * sections, and sim::applyResidency then keeps it chunked or
+     * flattens it. A caller that needs the AoS trace itself (a
+     * reference loop) calls sim::generateTrace or loadBundle
+     * directly.
      *
      * Thread safe: concurrent calls for distinct keys generate in
      * parallel; concurrent calls for the same key produce once (the
@@ -232,6 +234,19 @@ class TraceStore
                                    bool small = false,
                                    sim::TraceOrigin *origin = nullptr,
                                    sim::TraceTiming *timing = nullptr);
+
+    /**
+     * Drop the trace columns (ViewBundle::view and ::chunked) of a
+     * memoized key; its stats stay readable through references
+     * getView returned. A later getView reloads the columns (from
+     * disk, else by generating) into the same bundle. Columns a
+     * caller copied out of the bundle (the shared_ptrs) stay alive
+     * until that copy goes: a caller that still reads them after a
+     * release must have taken such a copy, since the bundle's own
+     * pointers are reset under it.
+     */
+    void release(sim::AppId id, const memsys::MemoryConfig &mem,
+                 bool small);
 
     /** The bundle on disk for a key; nullopt on a miss or a
      *  quarantined corrupt file. Throws util::IoError on a transient

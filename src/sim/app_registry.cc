@@ -31,7 +31,9 @@ appName(AppId id)
 uint32_t
 phase1CostMs(AppId id, bool small)
 {
-    // {small, default size}: best of 7 sim::generateTrace runs.
+    // {small, default size}: best of 7 sim::generateView runs, the
+    // store's cold path (phase 1 recording into the compressed
+    // capture), one thread on a 4-vCPU Xeon, two rounds.
     struct Cost {
         uint32_t small_ms;
         uint32_t full_ms;
@@ -39,19 +41,19 @@ phase1CostMs(AppId id, bool small)
     Cost c{0, 0};
     switch (id) {
       case AppId::MP3D:
-        c = {6, 75};
+        c = {2, 40};
         break;
       case AppId::LU:
-        c = {9, 155};
+        c = {4, 85};
         break;
       case AppId::PTHOR:
-        c = {12, 140};
+        c = {8, 78};
         break;
       case AppId::LOCUS:
-        c = {4, 35};
+        c = {2, 20};
         break;
       case AppId::OCEAN:
-        c = {7, 190};
+        c = {4, 88};
         break;
     }
     return small ? c.small_ms : c.full_ms;

@@ -10,7 +10,7 @@ namespace {
 /**
  * Run the multiprocessor simulation for @p id, fill @p bundle's stats
  * fields (TraceBundle and ViewBundle name them alike), then hand the
- * engine to @p take, which drains the capture into the bundle's
+ * engine to @p take, which moves the capture into the bundle's
  * trace shape.
  */
 template <typename Bundle, typename Take>
@@ -40,9 +40,9 @@ runPhase1(AppId id, const memsys::MemoryConfig &mem, bool small,
 void
 applyResidency(ViewBundle &vb, StreamExec mode)
 {
-    if (vb.view && shouldStream(vb.view->size(), mode)) {
-        vb.chunked = std::make_shared<trace::ChunkedView>(*vb.view);
-        vb.view.reset();
+    if (vb.chunked && !shouldStream(vb.chunked->size(), mode)) {
+        vb.view = vb.chunked->flatten();
+        vb.chunked.reset();
     }
 }
 
@@ -62,9 +62,8 @@ generateView(AppId id, const memsys::MemoryConfig &mem, bool small)
 {
     ViewBundle vb;
     runPhase1(id, mem, small, vb, [&](mp::Engine &engine) {
-        vb.view = std::make_shared<const trace::TraceView>(
-            engine.takeTraceParts());
-        vb.stats = trace::computeStats(*vb.view);
+        vb.chunked = engine.capture();
+        vb.stats = engine.captureStats();
     });
     return vb;
 }

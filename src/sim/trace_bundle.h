@@ -43,12 +43,14 @@ struct TraceBundle {
  * Campaign only ever read the view, so the direct-to-view bundle
  * loader can fill this without materializing a Trace at all.
  *
- * Exactly one of {view, chunked} is set. When the streaming-executor
+ * At most one of {view, chunked} is set. When the streaming-executor
  * policy (sim/stream_exec.h) keeps a big trace chunk-compressed,
  * `chunked` holds the resident form and `view` stays null: dynamic
  * sweeps stream tiles straight out of it, and the rare consumer that
  * needs random access flattens on demand (ChunkedView::flatten is
  * memoized). flatView() hides the distinction for such consumers.
+ * Neither is set once the trace store has released the columns
+ * (runner::TraceStore::release); the stats stay readable.
  */
 struct ViewBundle {
     std::shared_ptr<const trace::TraceView> view;
@@ -92,12 +94,13 @@ struct ViewBundle {
 };
 
 /**
- * Apply the streaming-residency policy to a flat bundle: when
- * shouldStream(@p mode) says its view would spill the LLC (or
- * streaming is forced on), swap the flat SoA for the chunk-compressed
- * form — the same decision loadBundleView makes on the disk path,
- * applied to in-memory generation so runs without a store directory
- * stream too.
+ * Apply the streaming-residency policy to a generated (chunked)
+ * bundle: unless shouldStream(@p mode) says its flat view would spill
+ * the LLC (or streaming is forced on), flatten it and drop the
+ * compressed form — the decision loadBundleView makes on the disk
+ * path, applied to in-memory generation so runs without a store
+ * directory stream too. A flat bundle is left as it is: a flat view
+ * is never re-encoded.
  */
 void applyResidency(ViewBundle &vb, StreamExec mode);
 
@@ -114,10 +117,11 @@ TraceBundle generateTrace(AppId id,
                           bool small = false);
 
 /**
- * generateTrace in the phase-2 shape: the engine's capture drains
- * chunk by chunk straight into a flat TraceView, with no AoS Trace in
- * between. The stats are computed from the view; every field equals
- * generateTrace's for the same arguments.
+ * generateTrace in the phase-2 shape: the engine records the trace
+ * straight into chunk-compressed form (ViewBundle::chunked; view
+ * stays null), whose sections are the bundle file's bytes. The stats
+ * are counted as the chunks seal; every field equals generateTrace's
+ * for the same arguments. applyResidency picks the resident shape.
  */
 ViewBundle generateView(AppId id, const memsys::MemoryConfig &mem = {},
                         bool small = false);

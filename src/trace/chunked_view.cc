@@ -1,11 +1,13 @@
 #include "trace/chunked_view.h"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "trace/trace_format.h"
 #include "trace/trace_io.h"
 #include "util/byte_io.h"
 #include "util/errors.h"
+#include "util/failpoint.h"
 
 namespace dsmem::trace {
 
@@ -15,6 +17,9 @@ using detail::kMetaOpMask;
 using detail::kMetaSrcMask;
 using detail::kMetaSrcShift;
 using detail::kMetaTakenShift;
+
+/** Longest canonical LEB128 encoding of a uint32. */
+constexpr size_t kMaxVarint32Bytes = 5;
 
 /** Append @p v to @p out in canonical LEB128 (util::encodeVarint). */
 inline void
@@ -140,6 +145,32 @@ validSource(InstIndex producer, size_t i, const uint8_t *meta)
         static_cast<Op>(meta[producer] & kMetaOpMask));
 }
 
+/**
+ * Varint writer over a section buffer: grows it by the chunk's worst
+ * case once, then trims to what was written (no per-byte push_back).
+ */
+class SectionWriter
+{
+  public:
+    SectionWriter(std::vector<uint8_t> &out, size_t max_values)
+        : out_(out), at_(out.size())
+    {
+        out_.resize(at_ + max_values * kMaxVarint32Bytes);
+        p_ = out_.data() + at_;
+    }
+    ~SectionWriter() { out_.resize(static_cast<size_t>(p_ - out_.data())); }
+
+    SectionWriter(const SectionWriter &) = delete;
+    SectionWriter &operator=(const SectionWriter &) = delete;
+
+    void put(uint32_t v) { p_ = util::encodeVarint(p_, v); }
+
+  private:
+    std::vector<uint8_t> &out_;
+    size_t at_;
+    uint8_t *p_;
+};
+
 } // namespace
 
 ChunkedView::ChunkedView(const TraceView &v)
@@ -230,13 +261,109 @@ ChunkedView::ChunkedView(util::ByteSource &src, std::string name,
     aux_bytes_.shrink_to_fit();
 }
 
+ChunkedView::Encoder::Encoder() : view_(new ChunkedView()) {}
+
+void
+ChunkedView::Encoder::add(const TraceInst *r, size_t count)
+{
+    ChunkedView &v = *view_;
+    const size_t lo = v.n_;
+    if (count == 0 || count > kChunkInstrs || lo % kChunkInstrs != 0)
+        throw std::logic_error("ChunkedView::Encoder: chunk after a "
+                               "partial chunk, or an empty/oversized one");
+
+    ChunkDir d;
+    d.srcs_off = v.srcs_bytes_.size();
+    d.addr_off = v.addr_bytes_.size();
+    d.lat_off = v.lat_bytes_.size();
+    d.aux_off = v.aux_bytes_.size();
+    d.addr_prev = addr_prev_;
+    d.lat_prev = lat_prev_;
+
+    // Meta first: the SSA check below reads producers' opcodes from
+    // it, and a producer may sit earlier in this same chunk.
+    v.meta_.resize(lo + count);
+    uint8_t *meta = v.meta_.data();
+    for (size_t j = 0; j < count; ++j) {
+        const TraceInst &inst = r[j];
+        if (static_cast<uint8_t>(inst.op) >= kNumOps)
+            throw util::FormatError("malformed trace: bad opcode");
+        if (inst.num_srcs > kMaxSrcs)
+            throw util::FormatError("malformed trace: bad src count");
+        meta[lo + j] = detail::packMeta(inst.op, inst.num_srcs, inst.taken);
+    }
+    {
+        SectionWriter w(v.srcs_bytes_, count * kMaxSrcs);
+        for (size_t j = 0; j < count; ++j) {
+            const size_t i = lo + j;
+            for (uint8_t s = 0; s < r[j].num_srcs; ++s) {
+                const InstIndex producer = r[j].src[s];
+                if (!validSource(producer, i, meta))
+                    throw util::FormatError(
+                        "malformed trace: SSA check failed");
+                w.put(static_cast<uint32_t>(i) - producer);
+            }
+        }
+    }
+    {
+        SectionWriter w(v.addr_bytes_, count);
+        for (size_t j = 0; j < count; ++j) {
+            w.put(util::zigzag32(r[j].addr - addr_prev_));
+            addr_prev_ = r[j].addr;
+        }
+    }
+    {
+        SectionWriter w(v.lat_bytes_, count);
+        for (size_t j = 0; j < count; ++j) {
+            w.put(util::zigzag32(r[j].latency - lat_prev_));
+            lat_prev_ = r[j].latency;
+        }
+    }
+    {
+        SectionWriter w(v.aux_bytes_, count);
+        for (size_t j = 0; j < count; ++j)
+            w.put(r[j].aux);
+    }
+    v.dir_.push_back(d);
+    v.n_ = lo + count;
+}
+
+std::shared_ptr<const ChunkedView>
+ChunkedView::Encoder::finish(std::string name)
+{
+    // No shrink_to_fit: past the small-allocation threshold the
+    // sections' unused capacity is address space that was never
+    // touched, so trimming it would only copy resident bytes.
+    view_->name_ = std::move(name);
+    return std::move(view_);
+}
+
+bool
+operator==(const ChunkedView &a, const ChunkedView &b)
+{
+    return a.name_ == b.name_ && a.n_ == b.n_ && a.meta_ == b.meta_ &&
+        a.srcs_bytes_ == b.srcs_bytes_ &&
+        a.addr_bytes_ == b.addr_bytes_ &&
+        a.lat_bytes_ == b.lat_bytes_ && a.aux_bytes_ == b.aux_bytes_ &&
+        a.dir_ == b.dir_;
+}
+
+void
+saveTrace(const ChunkedView &cv, util::ByteSink &sink)
+{
+    util::failpoint("trace_io.save");
+    detail::writePrologue(sink, cv.name_, cv.n_);
+    for (const std::vector<uint8_t> *section :
+         {&cv.meta_, &cv.srcs_bytes_, &cv.addr_bytes_, &cv.lat_bytes_,
+          &cv.aux_bytes_})
+        sink.put(section->data(), section->size());
+}
+
 void
 ChunkedView::decodeChunk(size_t c, TraceTile &tile) const
 {
-    const ChunkDir &d = dir_[c];
-    const size_t lo = c * kChunkInstrs;
     const size_t cnt = chunkLength(c);
-    tile.base = lo;
+    tile.base = chunkBase(c);
     tile.count = cnt;
     tile.ops.resize(cnt);
     tile.fu.resize(cnt);
@@ -246,25 +373,37 @@ ChunkedView::decodeChunk(size_t c, TraceTile &tile) const
     tile.addr.resize(cnt);
     tile.latency.resize(cnt);
     tile.aux.resize(cnt);
+    decodeInto(c, Columns{tile.ops.data(), tile.fu.data(),
+                          tile.flags.data(), tile.num_srcs.data(),
+                          tile.srcs.data(), tile.addr.data(),
+                          tile.latency.data(), tile.aux.data()});
+}
+
+void
+ChunkedView::decodeInto(size_t c, const Columns &out) const
+{
+    const ChunkDir &d = dir_[c];
+    const size_t lo = c * kChunkInstrs;
+    const size_t cnt = chunkLength(c);
 
     const MetaTables &t = metaTables();
     const uint8_t *meta = meta_.data() + lo;
     for (size_t j = 0; j < cnt; ++j) {
         const uint8_t m = meta[j];
-        tile.ops[j] = static_cast<Op>(m & kMetaOpMask);
-        tile.fu[j] = t.fu[m];
-        tile.num_srcs[j] = (m >> kMetaSrcShift) & kMetaSrcMask;
+        out.ops[j] = static_cast<Op>(m & kMetaOpMask);
+        out.fu[j] = t.fu[m];
+        out.num_srcs[j] = (m >> kMetaSrcShift) & kMetaSrcMask;
     }
 
     VarintReader sr(srcs_bytes_.data() + d.srcs_off);
     for (size_t j = 0; j < cnt; ++j) {
-        auto &slots = tile.srcs[j];
+        auto &slots = out.srcs[j];
         const uint32_t self = static_cast<uint32_t>(lo + j);
         // Unrolled by count (kMaxSrcs == 3): one predictable switch
         // instead of two dependent per-slot loops.
         static_assert(kMaxSrcs == 3,
                       "srcs decode unroll assumes three slots");
-        switch (tile.num_srcs[j]) {
+        switch (out.num_srcs[j]) {
           case 0:
             slots[0] = kNoSrc;
             slots[1] = kNoSrc;
@@ -292,19 +431,19 @@ ChunkedView::decodeChunk(size_t c, TraceTile &tile) const
     uint32_t prev = d.addr_prev;
     for (size_t j = 0; j < cnt; ++j) {
         prev += util::unzigzag32(ar.next());
-        tile.addr[j] = prev;
+        out.addr[j] = prev;
     }
 
     VarintReader lr(lat_bytes_.data() + d.lat_off);
     prev = d.lat_prev;
     for (size_t j = 0; j < cnt; ++j) {
         prev += util::unzigzag32(lr.next());
-        tile.latency[j] = prev;
+        out.latency[j] = prev;
     }
 
     VarintReader xr(aux_bytes_.data() + d.aux_off);
     for (size_t j = 0; j < cnt; ++j)
-        tile.aux[j] = xr.next();
+        out.aux[j] = xr.next();
 
     // Flags last: the kMiss bit needs the decoded latency. The tables
     // are derived from classifyInst, so this stays bit-identical to
@@ -312,10 +451,10 @@ ChunkedView::decodeChunk(size_t c, TraceTile &tile) const
     // latency predicate).
     for (size_t j = 0; j < cnt; ++j) {
         const uint8_t m = meta[j];
-        tile.flags[j] = static_cast<uint8_t>(
+        out.flags[j] = static_cast<uint8_t>(
             t.flags_base[m] |
             (t.miss_bit[m] &
-             static_cast<uint8_t>(-(tile.latency[j] > 1))));
+             static_cast<uint8_t>(-(out.latency[j] > 1))));
     }
 }
 
@@ -341,32 +480,40 @@ ChunkedView::flatten() const
     if (flat_)
         return flat_;
 
-    TraceView::Parts parts;
-    parts.name = name_;
-    parts.ops.resize(n_);
-    parts.num_srcs.resize(n_);
-    parts.taken.resize(n_);
-    parts.srcs.resize(n_);
-    parts.addr.resize(n_);
-    parts.latency.resize(n_);
-    parts.aux.resize(n_);
-
-    TraceTile tile;
+    // Decode every chunk straight into the view's columns. They grow
+    // one chunk at a time, so each page is written while it is
+    // cache-hot and the zero-fill never runs ahead of the decode. The
+    // sections were validated when this view was built, so the
+    // columns need no second check.
+    std::shared_ptr<TraceView> v(new TraceView());
+    v->name_ = name_;
+    v->ops_.reserve(n_);
+    v->fu_.reserve(n_);
+    v->flags_.reserve(n_);
+    v->num_srcs_.reserve(n_);
+    v->srcs_.reserve(n_);
+    v->addr_.reserve(n_);
+    v->latency_.reserve(n_);
+    v->aux_.reserve(n_);
     for (size_t c = 0; c < dir_.size(); ++c) {
-        decodeChunk(c, tile);
-        for (size_t j = 0; j < tile.count; ++j) {
-            const size_t i = tile.base + j;
-            parts.ops[i] = tile.ops[j];
-            parts.num_srcs[i] = tile.num_srcs[j];
-            parts.taken[i] =
-                (tile.flags[j] & TraceView::kTaken) ? 1 : 0;
-            parts.srcs[i] = tile.srcs[j];
-            parts.addr[i] = tile.addr[j];
-            parts.latency[i] = tile.latency[j];
-            parts.aux[i] = tile.aux[j];
-        }
+        const size_t lo = chunkBase(c);
+        const size_t hi = lo + chunkLength(c);
+        v->ops_.resize(hi);
+        v->fu_.resize(hi);
+        v->flags_.resize(hi);
+        v->num_srcs_.resize(hi);
+        v->srcs_.resize(hi);
+        v->addr_.resize(hi);
+        v->latency_.resize(hi);
+        v->aux_.resize(hi);
+        decodeInto(c, Columns{v->ops_.data() + lo, v->fu_.data() + lo,
+                              v->flags_.data() + lo,
+                              v->num_srcs_.data() + lo,
+                              v->srcs_.data() + lo, v->addr_.data() + lo,
+                              v->latency_.data() + lo,
+                              v->aux_.data() + lo});
     }
-    flat_ = std::make_shared<const TraceView>(std::move(parts));
+    flat_ = std::move(v);
     return flat_;
 }
 

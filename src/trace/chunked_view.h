@@ -11,6 +11,7 @@
 #include "trace/trace_view.h"
 
 namespace dsmem::util {
+class ByteSink;
 class ByteSource;
 }
 
@@ -149,10 +150,12 @@ class TileSpan
  *
  * A per-chunk directory stores each section's byte offset plus the
  * address/latency delta accumulators entering the chunk, so chunks
- * decode independently and in any order. The build path validates SSA
- * form exactly like TraceView(Parts) — the raw meta bytes double as a
- * random-access opcode table for producer checks — so a ChunkedView,
- * like a TraceView, cannot exist malformed.
+ * decode independently and in any order. Both build paths (the stream
+ * constructor and the Encoder the phase-1 capture uses) validate the
+ * opcode range and SSA form exactly like TraceView(Parts) — the raw
+ * meta bytes double as a random-access opcode table for producer
+ * checks — so a ChunkedView, like a TraceView, cannot exist
+ * malformed, and flatten() need not check again.
  *
  * Immutable after construction; decodeChunk is const and touches no
  * shared mutable state, so one ChunkedView may feed many threads.
@@ -188,6 +191,39 @@ class ChunkedView
      */
     ChunkedView(util::ByteSource &src, std::string name, size_t n);
 
+    /**
+     * Builds a ChunkedView one chunk of AoS records at a time — the
+     * phase-1 capture's encoder (trace::TraceRecorder). Each add()
+     * appends the chunk's records to the five v2 sections and its
+     * directory entry; the address and latency accumulators run
+     * across chunks, so the sections are exactly the bytes saveTrace
+     * writes for the same trace, and a finished Encoder equals
+     * ChunkedView(TraceView) of it.
+     */
+    class Encoder
+    {
+      public:
+        Encoder();
+        Encoder(const Encoder &) = delete;
+        Encoder &operator=(const Encoder &) = delete;
+
+        /**
+         * Encode the next chunk: the @p count records that follow the
+         * ones already added. Every chunk but the last must hold
+         * kChunkInstrs records. Throws util::FormatError on a bad
+         * opcode, source count or SSA reference, like the loaders.
+         */
+        void add(const TraceInst *records, size_t count);
+
+        /** The finished view; the Encoder is spent. */
+        std::shared_ptr<const ChunkedView> finish(std::string name);
+
+      private:
+        std::shared_ptr<ChunkedView> view_;
+        uint32_t addr_prev_ = 0; ///< Accumulators entering the next chunk.
+        uint32_t lat_prev_ = 0;
+    };
+
     size_t size() const { return n_; }
     bool empty() const { return n_ == 0; }
     const std::string &name() const { return name_; }
@@ -219,6 +255,11 @@ class ChunkedView
      */
     std::shared_ptr<const TraceView> flatten() const;
 
+    /** Same name, sections and chunk directory (not the flat cache). */
+    friend bool operator==(const ChunkedView &a, const ChunkedView &b);
+
+    friend void saveTrace(const ChunkedView &cv, util::ByteSink &sink);
+
   private:
     /** Per-chunk section offsets + delta accumulator seeds. */
     struct ChunkDir {
@@ -228,7 +269,27 @@ class ChunkedView
         uint64_t aux_off = 0;
         uint32_t addr_prev = 0; ///< Accumulator entering the chunk.
         uint32_t lat_prev = 0;
+
+        friend bool operator==(const ChunkDir &,
+                               const ChunkDir &) = default;
     };
+
+    /** Writable column bases a chunk decodes into (tile or flat). */
+    struct Columns {
+        Op *ops;
+        uint8_t *fu;
+        uint8_t *flags;
+        uint8_t *num_srcs;
+        std::array<InstIndex, 3> *srcs;
+        Addr *addr;
+        uint32_t *latency;
+        uint32_t *aux;
+    };
+
+    ChunkedView() = default; ///< Empty; the Encoder fills it.
+
+    /** Decode chunk @p c into @p out's first chunkLength(c) slots. */
+    void decodeInto(size_t c, const Columns &out) const;
 
     std::string name_;
     size_t n_ = 0;

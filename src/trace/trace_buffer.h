@@ -3,32 +3,40 @@
 
 #include <memory>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
-#include "trace/trace.h"
-#include "trace/trace_view.h"
+#include "trace/chunked_view.h"
+#include "trace/trace_stats.h"
 
 namespace dsmem::trace {
 
 /**
- * Append-only chunked buffer of trace records — the phase-1 engine's
- * capture sink.
+ * The phase-1 engine's capture sink: it records the traced processor
+ * straight into the compressed, chunk-resident form (ChunkedView) that
+ * the trace store writes and a campaign keeps.
  *
- * The generation hot loop appends one record per traced instruction;
- * growing a flat std::vector there means periodic reallocate-and-copy
- * spikes of the entire trace (tens of MB for the full-size apps) and
- * a doubling growth curve whose peak holds two copies live. Fixed
- * 64 Ki-record chunks make every append O(1) with no copying, keep
- * the grow step off the fast path, and bound transient memory to one
- * chunk. At the end of the run the records drain, chunk by chunk,
- * into either shape: the SoA columns of a TraceView (the store's
- * generate path) or a contiguous AoS Trace.
+ * The generation hot loop appends one 28-byte record per traced
+ * instruction into a raw chunk of ChunkedView::kChunkInstrs records
+ * (224 KiB, so it stays in L2). When the chunk is full it is sealed:
+ * ChunkedView::Encoder appends it to the five v2 sections (~7 B per
+ * instruction) and the chunk's storage is reused for the next one.
+ * The whole trace therefore never exists uncompressed, and the
+ * section bytes are exactly the bytes a bundle file holds.
+ *
+ * One exception holds chunks back. With the DRAM model on, a store
+ * that misses is recorded at issue with a provisional latency and
+ * patched when the write completes (appendDeferred, patchLatency). A
+ * chunk is sealed only once none of its deferred stores is still
+ * unpatched, so a few raw chunks may be open at once; without the
+ * DRAM model there is only ever one.
  */
 class TraceRecorder
 {
   public:
-    static constexpr size_t kChunkInsts = size_t{1} << 16;
+    static constexpr size_t kChunkInstrs = ChunkedView::kChunkInstrs;
 
     TraceRecorder() = default;
     TraceRecorder(const TraceRecorder &) = delete;
@@ -36,105 +44,55 @@ class TraceRecorder
 
     void append(const TraceInst &inst)
     {
-        if (cur_ == end_)
-            grow();
+        if (cur_ == end_) [[unlikely]]
+            nextChunk();
         ::new (static_cast<void *>(cur_++)) TraceInst(inst);
     }
 
-    size_t size() const
+    /**
+     * Append a record whose latency patchLatency() will set later (a
+     * deferred DRAM store). Its chunk stays raw until then.
+     */
+    void appendDeferred(const TraceInst &inst)
     {
-        if (chunks_.empty())
-            return 0;
-        return (chunks_.size() - 1) * kChunkInsts +
-            (kChunkInsts - static_cast<size_t>(end_ - cur_));
+        append(inst);
+        ++open_.back().pending;
     }
 
     /**
-     * Rewrite the latency annotation of the already-appended record
-     * at @p index (its trace/SSA index). The DRAM model's deferred
-     * stores use this: the record is appended at issue with a
-     * provisional latency and patched when the write actually
-     * completes at the memory. Only valid before drainInto.
+     * Rewrite the latency of the deferred record at @p index (its
+     * trace/SSA index), appended with appendDeferred(), and seal the
+     * chunks that no longer wait on a patch.
      */
     void patchLatency(size_t index, uint32_t latency)
     {
-        chunks_[index / kChunkInsts].get()[index % kChunkInsts].latency =
-            latency;
+        RawChunk &c = open_[index / kChunkInstrs - first_];
+        c.records.get()[index % kChunkInstrs].latency = latency;
+        if (--c.pending == 0)
+            sealReady(false);
     }
 
     /**
-     * Move every buffered record into the (empty) SoA columns of
-     * @p parts and release the chunks as they empty. The columns reserve their
-     * exact size once but grow chunk by chunk, so only the pages a
-     * drained chunk fills are touched: the two copies never coexist
-     * whole.
+     * Seal every open chunk and hand over the capture, named
+     * @p name. The recorder is spent afterwards. Throws
+     * std::logic_error if a deferred record was never patched.
      */
-    void drainInto(TraceView::Parts &parts)
+    std::shared_ptr<const ChunkedView> finish(std::string name = {})
     {
-        const size_t n = size();
-        parts.ops.reserve(n);
-        parts.num_srcs.reserve(n);
-        parts.taken.reserve(n);
-        parts.srcs.reserve(n);
-        parts.addr.reserve(n);
-        parts.latency.reserve(n);
-        parts.aux.reserve(n);
-        drain([&](const TraceInst *p, size_t count, size_t base) {
-            parts.ops.resize(base + count);
-            parts.num_srcs.resize(base + count);
-            parts.taken.resize(base + count);
-            parts.srcs.resize(base + count);
-            parts.addr.resize(base + count);
-            parts.latency.resize(base + count);
-            parts.aux.resize(base + count);
-            for (size_t i = 0; i < count; ++i) {
-                const TraceInst &inst = p[i];
-                parts.ops[base + i] = inst.op;
-                parts.num_srcs[base + i] = inst.num_srcs;
-                parts.taken[base + i] = inst.taken ? 1 : 0;
-                parts.srcs[base + i] = {inst.src[0], inst.src[1],
-                                        inst.src[2]};
-                parts.addr[base + i] = inst.addr;
-                parts.latency[base + i] = inst.latency;
-                parts.aux[base + i] = inst.aux;
-            }
-        });
+        sealReady(true);
+        if (!open_.empty())
+            throw std::logic_error(
+                "trace capture finished with an unpatched deferred "
+                "store");
+        spare_.clear();
+        cur_ = end_ = nullptr;
+        return encoder_.finish(std::move(name));
     }
 
-    /**
-     * Append every buffered record to @p t (one exact-size reserve,
-     * no intermediate copies) and release the chunks.
-     */
-    void drainInto(Trace &t)
-    {
-        t.reserve(t.size() + size());
-        drain([&](const TraceInst *p, size_t count, size_t) {
-            for (size_t i = 0; i < count; ++i)
-                t.append(p[i]);
-        });
-    }
+    /** Statistics of the sealed records (all of them after finish). */
+    const TraceStats &stats() const { return stats_; }
 
   private:
-    /**
-     * Hand each chunk's records to @p visit(records, count, index of
-     * the first), then free the chunk: a drain streams, never holding
-     * both the chunks and their destination whole.
-     */
-    template <typename Visit>
-    void drain(Visit &&visit)
-    {
-        const size_t n_chunks = chunks_.size();
-        for (size_t c = 0; c < n_chunks; ++c) {
-            const size_t count = (c + 1 == n_chunks)
-                ? kChunkInsts - static_cast<size_t>(end_ - cur_)
-                : kChunkInsts;
-            visit(chunks_[c].get(), count, c * kChunkInsts);
-            chunks_[c].reset();
-        }
-        chunks_.clear();
-        cur_ = end_ = nullptr;
-    }
-
     /**
      * Frees a chunk's raw storage. TraceInst is trivially
      * destructible, so its records need no destructor calls.
@@ -143,23 +101,70 @@ class TraceRecorder
         void operator()(TraceInst *p) const { ::operator delete(p); }
     };
     static_assert(std::is_trivially_destructible_v<TraceInst>);
+    using Storage = std::unique_ptr<TraceInst, ChunkFree>;
+
+    struct RawChunk {
+        Storage records;
+        size_t pending = 0; ///< Deferred records not yet patched.
+    };
 
     /**
-     * Add an uninitialised chunk: append() constructs each record in
-     * place, so the 2 MiB are written once, not also by TraceInst's
-     * member initialisers first.
+     * Seal open chunks from the oldest while none of their deferred
+     * records is pending. The newest chunk is sealed only when it is
+     * full (@p all: whatever it holds, at finish).
      */
-    void grow()
+    void sealReady(bool all)
     {
-        chunks_.emplace_back(static_cast<TraceInst *>(
-            ::operator new(kChunkInsts * sizeof(TraceInst))));
-        cur_ = chunks_.back().get();
-        end_ = cur_ + kChunkInsts;
+        while (!open_.empty() && open_.front().pending == 0) {
+            const bool newest = open_.size() == 1;
+            if (newest && !all && cur_ != end_)
+                return;
+            const TraceInst *records = open_.front().records.get();
+            const size_t count = newest
+                ? static_cast<size_t>(cur_ - records)
+                : kChunkInstrs;
+            for (size_t j = 0; j < count; ++j)
+                stats_.count(records[j].op, records[j].latency,
+                             records[j].taken);
+            encoder_.add(records, count);
+            spare_.push_back(std::move(open_.front().records));
+            open_.erase(open_.begin());
+            ++first_;
+            if (newest)
+                cur_ = end_ = nullptr;
+        }
     }
 
-    std::vector<std::unique_ptr<TraceInst, ChunkFree>> chunks_;
+    /**
+     * The newest chunk is full: seal what is ready, then continue in
+     * a recycled chunk (or, while chunks are held back, a new one).
+     * Records are constructed in place by append(), so a new chunk's
+     * 224 KiB are written once, not also by TraceInst's member
+     * initialisers first.
+     */
+    void nextChunk()
+    {
+        sealReady(false);
+        Storage storage;
+        if (!spare_.empty()) {
+            storage = std::move(spare_.back());
+            spare_.pop_back();
+        } else {
+            storage.reset(static_cast<TraceInst *>(
+                ::operator new(kChunkInstrs * sizeof(TraceInst))));
+        }
+        cur_ = storage.get();
+        end_ = cur_ + kChunkInstrs;
+        open_.push_back(RawChunk{std::move(storage), 0});
+    }
+
+    std::vector<RawChunk> open_; ///< Unsealed; front is chunk first_.
+    std::vector<Storage> spare_; ///< Sealed chunks' storage, for reuse.
+    size_t first_ = 0;
     TraceInst *cur_ = nullptr;
     TraceInst *end_ = nullptr;
+    ChunkedView::Encoder encoder_;
+    TraceStats stats_;
 };
 
 } // namespace dsmem::trace

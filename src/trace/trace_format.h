@@ -9,6 +9,7 @@
 #include "trace/instruction.h"
 
 namespace dsmem::util {
+class ByteSink;
 class ByteSource;
 }
 
@@ -47,6 +48,13 @@ packMeta(Op op, uint8_t num_srcs, bool taken)
  * or a count the stream cannot hold — the checks every loader makes.
  */
 size_t readPrologue(util::ByteSource &src, std::string &name);
+
+/**
+ * Write a DSMT v2 prologue (magic, version, name, record count @p n):
+ * every v2 writer's first bytes, ahead of the meta section.
+ */
+void writePrologue(util::ByteSink &sink, const std::string &name,
+                   size_t n);
 
 } // namespace dsmem::trace::detail
 

@@ -56,13 +56,6 @@ checkedCount(util::ByteSource &src, uint64_t count,
     return static_cast<size_t>(count);
 }
 
-void
-writeHeader(util::ByteSink &sink, uint32_t version)
-{
-    sink.put(kMagic, 4);
-    sink.putU32(version);
-}
-
 /**
  * TraceView's record accessors over an AoS Trace, so one writer
  * serves both trace shapes.
@@ -90,11 +83,8 @@ void
 writeTrace(const Records &r, util::ByteSink &sink)
 {
     util::failpoint("trace_io.save");
-    writeHeader(sink, kTraceFormatVersion);
-    sink.putVarint(r.name().size());
-    sink.put(r.name().data(), r.name().size());
     const size_t n = r.size();
-    sink.putVarint(n);
+    detail::writePrologue(sink, r.name(), n);
 
     for (size_t i = 0; i < n; ++i)
         sink.putByte(packMeta(r.op(i), r.numSrcs(i), r.taken(i)));
@@ -299,6 +289,17 @@ detail::readPrologue(util::ByteSource &src, std::string &name)
     readHeader(src);
     name = readName(src, src.readVarint32());
     return checkedCount(src, src.readVarint(), 4);
+}
+
+void
+detail::writePrologue(util::ByteSink &sink, const std::string &name,
+                      size_t n)
+{
+    sink.put(kMagic, 4);
+    sink.putU32(kTraceFormatVersion);
+    sink.putVarint(name.size());
+    sink.put(name.data(), name.size());
+    sink.putVarint(n);
 }
 
 std::shared_ptr<const ChunkedView>

@@ -48,6 +48,15 @@ void saveTrace(const Trace &t, util::ByteSink &sink);
 /** Serialize a view; the same bytes as saveTrace of its Trace. */
 void saveTrace(const TraceView &v, util::ByteSink &sink);
 
+class ChunkedView;
+
+/**
+ * Serialize a chunked view: its resident sections are the v2 body, so
+ * this only concatenates them — the same bytes as saveTrace of the
+ * flat view.
+ */
+void saveTrace(const ChunkedView &cv, util::ByteSink &sink);
+
 /** Serialize @p t to @p os. Throws std::runtime_error on I/O error. */
 void saveTrace(const Trace &t, std::ostream &os);
 
@@ -72,8 +81,6 @@ Trace loadTraceFile(const std::string &path);
  */
 std::shared_ptr<const TraceView> loadTraceView(util::ByteSource &src);
 std::shared_ptr<const TraceView> loadTraceView(std::istream &is);
-
-class ChunkedView;
 
 /**
  * Deserialize a stream straight into chunk-compressed resident form

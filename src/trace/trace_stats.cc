@@ -29,58 +29,53 @@ TraceStats::avgBranchDistance() const
         static_cast<double>(branches);
 }
 
-namespace {
-
-/** Count one record into @p s (shared by both trace shapes). */
 void
-countInst(TraceStats &s, Op op, uint32_t latency, bool taken)
+TraceStats::count(Op op, uint32_t latency, bool taken)
 {
     switch (op) {
       case Op::LOAD:
-        ++s.reads;
+        ++reads;
         if (latency > 1)
-            ++s.read_misses;
+            ++read_misses;
         break;
       case Op::STORE:
-        ++s.writes;
+        ++writes;
         if (latency > 1)
-            ++s.write_misses;
+            ++write_misses;
         break;
       case Op::BRANCH:
-        ++s.branches;
+        ++branches;
         if (taken)
-            ++s.taken_branches;
+            ++taken_branches;
         break;
       case Op::LOCK:
-        ++s.locks;
+        ++locks;
         break;
       case Op::UNLOCK:
-        ++s.unlocks;
+        ++unlocks;
         break;
       case Op::WAIT_EVENT:
-        ++s.wait_events;
+        ++wait_events;
         break;
       case Op::SET_EVENT:
-        ++s.set_events;
+        ++set_events;
         break;
       case Op::BARRIER:
-        ++s.barriers;
+        ++barriers;
         break;
       default:
         break;
     }
     if (!isSync(op))
-        ++s.instructions;
+        ++instructions;
 }
-
-} // namespace
 
 TraceStats
 computeStats(const Trace &t)
 {
     TraceStats s;
     for (const TraceInst &inst : t)
-        countInst(s, inst.op, inst.latency, inst.taken);
+        s.count(inst.op, inst.latency, inst.taken);
     return s;
 }
 
@@ -89,7 +84,7 @@ computeStats(const TraceView &v)
 {
     TraceStats s;
     for (size_t i = 0; i < v.size(); ++i)
-        countInst(s, v.op(i), v.latency(i), v.taken(i));
+        s.count(v.op(i), v.latency(i), v.taken(i));
     return s;
 }
 

@@ -27,6 +27,9 @@ struct TraceStats {
     uint64_t set_events = 0;
     uint64_t barriers = 0;
 
+    /** Count one trace record (the one rule every shape shares). */
+    void count(Op op, uint32_t latency, bool taken);
+
     /** The paper's "busy cycles": one useful cycle per instruction. */
     uint64_t busyCycles() const { return instructions; }
 

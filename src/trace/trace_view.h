@@ -153,6 +153,10 @@ class TraceView
     const uint32_t *auxData() const { return aux_.data(); }
 
   private:
+    friend class ChunkedView; ///< flatten() decodes into the columns.
+
+    TraceView() = default;
+
     std::string name_;
     std::vector<Op> ops_;
     std::vector<uint8_t> fu_;

@@ -109,6 +109,32 @@ TEST(BitIdentityTest, ViewShapedBundlesMatchSeedGoldens)
               serializeBundle(sim::generateTrace(sim::AppId::LU, dram, true)));
 }
 
+/**
+ * The v3 (DRAM) bundles of every small app as the AoS recorder wrote
+ * them before phase 1 recorded straight into the compressed capture.
+ * The DRAM model patches store latencies after issue, so these pin
+ * the held-back chunks (test_engine's straddle test forces one).
+ */
+constexpr GoldenBundle kGoldenDramBundles[] = {
+    {sim::AppId::MP3D, 0x66d00bb30c3b7a61ull, 58028},
+    {sim::AppId::LU, 0x554983aefb7a343eull, 129066},
+    {sim::AppId::PTHOR, 0x74098eeaa988a8f9ull, 140370},
+    {sim::AppId::LOCUS, 0x53287d63176a5caeull, 62903},
+    {sim::AppId::OCEAN, 0x83477d654b1dbfecull, 103007},
+};
+
+TEST(BitIdentityTest, DramCaptureBundlesMatchGoldens)
+{
+    for (const GoldenBundle &g : kGoldenDramBundles) {
+        std::ostringstream os(std::ios::binary);
+        runner::saveBundle(sim::generateView(g.app, dramConfig(), true),
+                           os);
+        const std::string bytes = std::move(os).str();
+        EXPECT_EQ(bytes.size(), g.bytes) << sim::appName(g.app);
+        EXPECT_EQ(fnv(bytes), g.hash) << sim::appName(g.app);
+    }
+}
+
 /** One golden for both residencies: flat views and chunked traces
  *  swept tile by tile must export the same bytes. */
 TEST(BitIdentityTest, DefaultCampaignJsonMatchesSeedGolden)

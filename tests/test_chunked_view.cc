@@ -13,14 +13,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "random_trace.h"
+#include "sim/app_registry.h"
+#include "sim/trace_bundle.h"
 #include "trace/chunked_view.h"
+#include "trace/trace_buffer.h"
 #include "trace/trace_io.h"
+#include "trace/trace_stats.h"
 #include "trace/trace_view.h"
 #include "util/byte_io.h"
 #include "util/errors.h"
@@ -328,6 +335,134 @@ TEST(ChunkedView, HugeRecordCountIsRejectedBeforeAllocating)
     std::string bytes = std::move(os).str();
     std::istringstream is(bytes, std::ios::binary);
     EXPECT_THROW(loadTraceChunked(is), util::FormatError);
+}
+
+// --- The phase-1 capture encoder -------------------------------------
+
+/** Feed @p t to an Encoder in chunk-sized pieces. */
+std::shared_ptr<const ChunkedView>
+encodeInChunks(const Trace &t)
+{
+    constexpr size_t k = ChunkedView::kChunkInstrs;
+    ChunkedView::Encoder enc;
+    for (size_t lo = 0; lo < t.size(); lo += k)
+        enc.add(&t[lo], std::min(k, t.size() - lo));
+    return enc.finish(t.name());
+}
+
+TEST(ChunkedView, EncoderMatchesViewEncodingAtChunkEdges)
+{
+    constexpr size_t k = ChunkedView::kChunkInstrs;
+    for (size_t n : {size_t{0}, size_t{1}, k - 1, k, k + 1,
+                     2 * k + k / 2}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const Trace t = testing::randomTrace(59, n);
+        const TraceView view(t);
+        std::shared_ptr<const ChunkedView> cv = encodeInChunks(t);
+        EXPECT_TRUE(*cv == ChunkedView(view));
+        expectSameView(*cv->flatten(), view);
+    }
+}
+
+TEST(ChunkedView, EncoderRejectsWhatTheLoadersReject)
+{
+    Trace t = testing::randomTrace(67, 40);
+    {
+        Trace bad = t;
+        TraceInst inst = makeCompute(Op::IALU, 40); // Itself: no SSA.
+        bad.append(inst);
+        ChunkedView::Encoder enc;
+        EXPECT_THROW(enc.add(&bad[0], bad.size()), util::FormatError);
+    }
+    {
+        TraceInst inst = makeCompute(Op::IALU);
+        inst.op = static_cast<Op>(kNumOps);
+        ChunkedView::Encoder enc;
+        EXPECT_THROW(enc.add(&inst, 1), util::FormatError);
+    }
+    {
+        // Only the last chunk may be partial.
+        ChunkedView::Encoder enc;
+        enc.add(&t[0], t.size());
+        EXPECT_THROW(enc.add(&t[0], t.size()), std::logic_error);
+    }
+}
+
+/**
+ * The recorder seals a chunk only once every deferred record in it is
+ * patched. Records past chunk edges are held back for lags from a few
+ * instructions to more than a chunk; the capture must still be the
+ * v2 encoding of the patched trace.
+ */
+TEST(TraceRecorder, DeferredRecordsHoldTheirChunkUntilPatched)
+{
+    constexpr size_t k = ChunkedView::kChunkInstrs;
+    const Trace t = testing::randomTrace(61, 3 * k + 100);
+    std::multimap<size_t, size_t> due; // Append index -> patched index.
+    TraceRecorder rec;
+    size_t deferred = 0;
+    for (size_t i = 0; i < t.size(); ++i) {
+        TraceInst inst = t[i];
+        const bool near_edge = i % k >= k - 6;
+        if (inst.op == Op::STORE && (near_edge || i % 7 == 0)) {
+            inst.latency = 999; // Provisional.
+            rec.appendDeferred(inst);
+            due.emplace(i + (i * 37) % (k + 50), i);
+            ++deferred;
+        } else {
+            rec.append(inst);
+        }
+        for (auto it = due.find(i); it != due.end() && it->first == i;
+             it = due.erase(it))
+            rec.patchLatency(it->second, t[it->second].latency);
+    }
+    for (const auto &[when, index] : due)
+        rec.patchLatency(index, t[index].latency);
+    ASSERT_GT(deferred, 100u);
+
+    std::shared_ptr<const ChunkedView> cv = rec.finish("random");
+    EXPECT_TRUE(*cv == ChunkedView(TraceView(t)));
+    const TraceStats want = computeStats(t);
+    EXPECT_EQ(rec.stats().instructions, want.instructions);
+    EXPECT_EQ(rec.stats().writes, want.writes);
+    EXPECT_EQ(rec.stats().write_misses, want.write_misses);
+    EXPECT_EQ(rec.stats().read_misses, want.read_misses);
+    EXPECT_EQ(rec.stats().taken_branches, want.taken_branches);
+    EXPECT_EQ(rec.stats().barriers, want.barriers);
+}
+
+TEST(TraceRecorder, FinishRefusesAnUnpatchedRecord)
+{
+    TraceRecorder rec;
+    rec.append(makeCompute(Op::IALU));
+    rec.appendDeferred(makeStore(64, 0));
+    EXPECT_THROW(rec.finish(), std::logic_error);
+}
+
+/**
+ * The store's cold path: generateView's capture is the encoding of
+ * the trace, its stats the trace's, for every application.
+ */
+TEST(ChunkedView, CaptureMatchesViewEncodingForEveryApp)
+{
+    for (sim::AppId id : sim::kAllApps) {
+        SCOPED_TRACE(std::string(sim::appName(id)));
+        const sim::ViewBundle vb =
+            sim::generateView(id, memsys::MemoryConfig{}, true);
+        const sim::TraceBundle tb =
+            sim::generateTrace(id, memsys::MemoryConfig{}, true);
+        ASSERT_TRUE(vb.chunked);
+        EXPECT_FALSE(vb.view);
+        EXPECT_TRUE(*vb.chunked == ChunkedView(TraceView(tb.trace)));
+        EXPECT_EQ(vb.stats.instructions, tb.stats.instructions);
+        EXPECT_EQ(vb.stats.reads, tb.stats.reads);
+        EXPECT_EQ(vb.stats.read_misses, tb.stats.read_misses);
+        EXPECT_EQ(vb.stats.writes, tb.stats.writes);
+        EXPECT_EQ(vb.stats.write_misses, tb.stats.write_misses);
+        EXPECT_EQ(vb.stats.branches, tb.stats.branches);
+        EXPECT_EQ(vb.stats.locks, tb.stats.locks);
+        EXPECT_EQ(vb.stats.barriers, tb.stats.barriers);
+    }
 }
 
 } // namespace

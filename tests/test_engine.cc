@@ -4,6 +4,7 @@
 
 #include <array>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,6 +12,8 @@
 #include "apps/app.h"
 #include "mp/subtask.h"
 #include "sim/app_registry.h"
+#include "trace/chunked_view.h"
+#include "trace/trace_io.h"
 #include "trace/trace_stats.h"
 #include "util/byte_io.h"
 
@@ -451,6 +454,124 @@ TEST(EngineDeterminismTest, IdenticalRunsProduceIdenticalTraces)
         EXPECT_EQ(t1[i].latency, t2[i].latency);
         EXPECT_EQ(t1[i].addr, t2[i].addr);
     }
+}
+
+// ---------------------------------------------------------------------
+// Compressed capture
+// ---------------------------------------------------------------------
+
+/**
+ * Exactly @p n traced records: a rotation of compute, load, store and
+ * branch over 512 slots, so every v2 section varies.
+ */
+Task
+mixedBody(ThreadContext &ctx, Addr base, size_t n)
+{
+    Val x = ctx.imm(1);
+    for (size_t i = 0; i < n; ++i) {
+        const Addr a = base + static_cast<Addr>(8 * ((i * 5) % 512));
+        switch (i % 4) {
+          case 0:
+            x = ctx.add(x, ctx.imm(3));
+            break;
+          case 1:
+            x = co_await ctx.loadInt(a, x);
+            break;
+          case 2:
+            co_await ctx.storeInt(a, x);
+            break;
+          default:
+            ctx.branch(static_cast<uint32_t>(i % 13), x);
+            break;
+        }
+    }
+}
+
+/** The capture is the v2 encoding of the trace it decodes to. */
+void
+expectCaptureIsViewEncoding(Engine &engine)
+{
+    ASSERT_TRUE(engine.capture());
+    const trace::Trace &t = engine.trace();
+    EXPECT_EQ(engine.capture()->size(), t.size());
+    EXPECT_TRUE(*engine.capture() ==
+                trace::ChunkedView(trace::TraceView(t)));
+    const trace::TraceStats want = trace::computeStats(t);
+    const trace::TraceStats &got = engine.captureStats();
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.reads, want.reads);
+    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(got.read_misses, want.read_misses);
+    EXPECT_EQ(got.write_misses, want.write_misses);
+    EXPECT_EQ(got.branches, want.branches);
+    EXPECT_EQ(got.taken_branches, want.taken_branches);
+}
+
+TEST(EngineCaptureTest, SectionsMatchViewEncodingAtChunkEdges)
+{
+    constexpr size_t k = trace::ChunkedView::kChunkInstrs;
+    for (size_t n : {size_t{0}, size_t{1}, k - 1, k, k + 1}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        Engine engine(smallConfig(1));
+        Addr base = engine.arena().alloc(512);
+        engine.addThread(0, mixedBody(engine.context(0), base, n));
+        engine.run();
+        ASSERT_EQ(engine.capture()->size(), n);
+        EXPECT_EQ(engine.capture()->chunkCount(), (n + k - 1) / k);
+        expectCaptureIsViewEncoding(engine);
+    }
+}
+
+/**
+ * Eight store misses close chunk 0 and queue at the DRAM, so the
+ * engine records chunk 1 before their completions patch the
+ * latencies: the chunk must stay raw until the last patch lands.
+ */
+Task
+straddleBody(ThreadContext &ctx, Addr base)
+{
+    Val x = ctx.imm(1);
+    for (size_t i = 0; i < trace::ChunkedView::kChunkInstrs - 8; ++i)
+        x = ctx.add(x, ctx.imm(1));
+    for (Addr k = 0; k < 8; ++k)
+        co_await ctx.storeInt(base + 512 * k, x);
+    for (int i = 0; i < 100; ++i)
+        x = ctx.add(x, ctx.imm(1));
+    co_await ctx.storeInt(base + 8 * 512, x);
+    x = co_await ctx.loadInt(base + 9 * 512);
+    co_await ctx.storeInt(base + 10 * 512, x);
+}
+
+TEST(EngineCaptureTest, DeferredStoresStraddlingAChunkBoundaryArePatched)
+{
+    EngineConfig config = smallConfig(1);
+    config.mem.dram.banks = 4;
+    config.mem.dram.sched = memsys::SchedPolicy::FR_FCFS;
+    Engine engine(config);
+    Addr base = engine.arena().alloc(8 * 1024);
+    engine.addThread(0, straddleBody(engine.context(0), base));
+    engine.run();
+
+    const trace::Trace &t = engine.trace();
+    ASSERT_EQ(t.size(), 8295u);
+    // Queued behind each other, the eight stores take longer than the
+    // provisional 50 cycles they were recorded with.
+    const uint32_t patched[] = {50, 61, 72, 83, 94, 105, 116, 127};
+    for (size_t j = 0; j < 8; ++j)
+        EXPECT_EQ(t[8184 + j].latency, patched[j]) << "store " << j;
+    expectCaptureIsViewEncoding(engine);
+
+    // The bytes the AoS recorder wrote for this run before the
+    // capture was compressed.
+    std::ostringstream os(std::ios::binary);
+    util::ByteSink sink(os);
+    trace::saveTrace(*engine.capture(), sink);
+    sink.flush();
+    const std::string bytes = os.str();
+    EXPECT_EQ(bytes.size(), 41498u);
+    EXPECT_EQ(util::fnv1aUpdate(util::kFnvOffset, bytes.data(),
+                                bytes.size()),
+              0x358c2616690fc5f1ull);
 }
 
 /** Every ThreadStats field of every processor, comparably packed. */

@@ -332,7 +332,7 @@ TEST(Executor, CampaignFusedMatchesUnfused)
         sim::AppId::LU, memsys::MemoryConfig{}, /*small=*/true);
     std::vector<RunResult> per_cell;
     for (const ModelSpec &spec : specs)
-        per_cell.push_back(sim::runModel(*vb.view, spec));
+        per_cell.push_back(sim::runModel(*vb.flatView(), spec));
 
     for (sim::StreamExec mode : {sim::StreamExec::Off, sim::StreamExec::On}) {
         SCOPED_TRACE(sim::streamExecName(mode));

@@ -214,8 +214,8 @@ TEST(CrossPhase, RcSsbrReproducesTheEngineClock)
             cfg.nonblocking_reads = false;
             // Deeper than the trace has stores: the buffer never fills.
             cfg.write_buffer_depth =
-                static_cast<uint32_t>(b.view->size()) + 1;
-            const RunResult r = core::StaticProcessor(cfg).run(*b.view);
+                static_cast<uint32_t>(b.flatView()->size()) + 1;
+            const RunResult r = core::StaticProcessor(cfg).run(*b.flatView());
             EXPECT_EQ(r.cycles, b.mp_cycles);
             EXPECT_EQ(r.breakdown.busy, b.thread0.instructions);
             EXPECT_EQ(r.breakdown.sync, b.thread0.sync_wait_cycles +

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -26,6 +27,7 @@
 #include "runner/runner.h"
 #include "runner/trace_store.h"
 #include "sim/experiment.h"
+#include "sim/sampling.h"
 #include "sim/trace_bundle.h"
 #include "trace/trace_view.h"
 #include "util/sysinfo.h"
@@ -211,6 +213,141 @@ TEST(CampaignTest, SharedTraceGeneratedOnceAcrossUnits)
     EXPECT_NE(campaign.result(0).bundle, campaign.result(2).bundle);
     EXPECT_EQ(campaign.sink().traces().size(), 2u);
     EXPECT_EQ(campaign.sink().runs().size(), 3u);
+}
+
+// --- Releasing a trace's columns after its last group ---------------
+
+/** What a released bundle keeps: its stats, not its columns. */
+void
+expectReleased(const UnitResult &res, const sim::ViewBundle &ref)
+{
+    ASSERT_NE(res.bundle, nullptr);
+    EXPECT_FALSE(res.bundle->view);
+    EXPECT_FALSE(res.bundle->chunked);
+    EXPECT_EQ(res.bundle->traceBytesResident(), 0u);
+    EXPECT_EQ(res.bundle->stats.instructions, ref.stats.instructions);
+    EXPECT_EQ(res.bundle->stats.read_misses, ref.stats.read_misses);
+    EXPECT_EQ(res.bundle->cache0.reads, ref.cache0.reads);
+    EXPECT_EQ(res.bundle->mp_cycles, ref.mp_cycles);
+}
+
+TEST(CampaignRelease, StoreHoldsNoColumnsAfterRun)
+{
+    const std::vector<sim::ModelSpec> specs = smallSpecList();
+    const std::vector<sim::AppId> apps = {
+        sim::AppId::MP3D, sim::AppId::MP3D, sim::AppId::LU};
+    std::map<sim::AppId, sim::ViewBundle> refs;
+    for (sim::AppId id : apps)
+        if (!refs.count(id))
+            refs.emplace(id, sim::generateView(id, {}, true));
+
+    for (sim::StreamExec mode : {sim::StreamExec::Off, sim::StreamExec::On}) {
+        for (unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(std::string(sim::streamExecName(mode)) +
+                         " jobs " + std::to_string(jobs));
+            TempDir dir("release_" + std::to_string(jobs) +
+                        sim::streamExecName(mode));
+            RunnerOptions opts = noStoreOptions(jobs);
+            opts.trace_dir = dir.str();
+            opts.stream_exec = mode;
+            Campaign campaign("release", opts);
+            for (sim::AppId id : apps)
+                campaign.add(id, specs, memsys::MemoryConfig{}, true);
+            campaign.run();
+            ASSERT_TRUE(campaign.ok()) << campaign.failureSummary();
+            for (size_t u = 0; u < apps.size(); ++u) {
+                const sim::ViewBundle &ref = refs.at(apps[u]);
+                expectReleased(campaign.result(u), ref);
+                for (size_t s = 0; s < specs.size(); ++s)
+                    EXPECT_EQ(campaign.result(u).rows[s].result,
+                              sim::runModel(*ref.flatView(), specs[s]))
+                        << "unit " << u << " " << specs[s].label();
+            }
+            EXPECT_EQ(campaign.result(0).bundle, campaign.result(1).bundle);
+            ASSERT_EQ(campaign.sink().traces().size(), 2u);
+            EXPECT_EQ(campaign.sink().traces()[0].instructions,
+                      refs.at(sim::AppId::MP3D).stats.instructions);
+        }
+    }
+}
+
+/**
+ * Sampled rows need the flat view (live points, window jumps). A
+ * chunked trace flattens for them, and the release after the last
+ * group must not disturb a group still running on it.
+ */
+TEST(CampaignRelease, SampledCampaignMatchesAfterRelease)
+{
+    RunnerOptions opts = noStoreOptions(4);
+    opts.stream_exec = sim::StreamExec::On;
+    opts.sampling.period = 4000;
+    opts.sampling.detailed = 400;
+    opts.sampling.warmup = 1200;
+    std::vector<sim::ModelSpec> specs;
+    for (uint32_t w : {16u, 32u, 64u, 128u, 256u})
+        specs.push_back(sim::ModelSpec::ds(core::ConsistencyModel::RC, w));
+    specs.push_back(sim::ModelSpec::base());
+
+    Campaign campaign("release_sampled", opts);
+    campaign.add(sim::AppId::LU, specs, memsys::MemoryConfig{}, true);
+    campaign.run();
+    ASSERT_TRUE(campaign.ok()) << campaign.failureSummary();
+
+    const sim::ViewBundle ref =
+        sim::generateView(sim::AppId::LU, {}, true);
+    expectReleased(campaign.result(0), ref);
+    const sim::LivePointSet points =
+        sim::computeLivePoints(*ref.flatView(), opts.sampling);
+    core::SimContext ctx;
+    for (size_t s = 0; s < specs.size(); ++s) {
+        SCOPED_TRACE(specs[s].label());
+        if (specs[s].kind != sim::ModelSpec::Kind::DS) {
+            EXPECT_EQ(campaign.result(0).rows[s].result,
+                      sim::runModel(*ref.flatView(), specs[s]));
+            continue;
+        }
+        const sim::SampledCell cell = sim::runModelSampled(
+            *ref.flatView(), specs[s], opts.sampling, points, ctx);
+        EXPECT_EQ(campaign.result(0).rows[s].result, cell.result);
+        EXPECT_EQ(campaign.result(0).row_sampling[s], cell.sampling);
+    }
+}
+
+TEST(TraceStoreTest, GetViewAfterReleaseReloads)
+{
+    TempDir dir("reload");
+    for (const std::string &path : {dir.str(), std::string()}) {
+        SCOPED_TRACE(path.empty() ? "memory-only" : "on disk");
+        TraceStore store(path);
+        sim::TraceOrigin origin;
+        const sim::ViewBundle &first = store.getView(
+            sim::AppId::MP3D, memsys::MemoryConfig{}, true, &origin);
+        EXPECT_EQ(origin, sim::TraceOrigin::GENERATED);
+        const sim::ViewBundle held = first; // Shares the columns.
+        ASSERT_TRUE(held.view);
+
+        store.release(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
+        EXPECT_FALSE(first.view);
+        EXPECT_FALSE(first.chunked);
+        EXPECT_EQ(first.stats.instructions, held.stats.instructions);
+        ASSERT_TRUE(held.view); // A copy keeps its columns.
+
+        const sim::ViewBundle &again = store.getView(
+            sim::AppId::MP3D, memsys::MemoryConfig{}, true, &origin);
+        EXPECT_EQ(&again, &first); // Same bundle, columns restored.
+        EXPECT_EQ(origin, path.empty() ? sim::TraceOrigin::GENERATED
+                                       : sim::TraceOrigin::DISK);
+        ASSERT_TRUE(again.view);
+        EXPECT_NE(again.view.get(), held.view.get());
+        ASSERT_EQ(again.view->size(), held.view->size());
+        for (size_t i = 0; i < held.view->size(); ++i)
+            ASSERT_EQ(again.view->materialize(i),
+                      held.view->materialize(i))
+                << "record " << i;
+        store.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true,
+                      &origin);
+        EXPECT_EQ(origin, sim::TraceOrigin::MEMORY);
+    }
 }
 
 // --- TraceStore memo: full-config key (regression) ----------------

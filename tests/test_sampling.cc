@@ -471,12 +471,12 @@ TEST(SamplingCampaign, FuseInvariantUnderSampling)
     const sim::ViewBundle vb = sim::generateView(
         sim::AppId::LU, memsys::MemoryConfig{}, /*small=*/true);
     const LivePointSet points =
-        sim::computeLivePoints(*vb.view, opts.sampling);
+        sim::computeLivePoints(*vb.flatView(), opts.sampling);
     core::SimContext ctx;
     for (size_t s = 0; s < specs.size(); ++s) {
         SCOPED_TRACE(specs[s].label());
         const sim::SampledCell cell = sim::runModelSampled(
-            *vb.view, specs[s], opts.sampling, points, ctx);
+            *vb.flatView(), specs[s], opts.sampling, points, ctx);
         EXPECT_EQ(fused.result(0).rows[s].result, cell.result);
         EXPECT_EQ(fused.result(0).row_sampling[s], cell.sampling);
     }

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
 
 #include "random_trace.h"
+#include "trace/chunked_view.h"
 #include "trace/trace_view.h"
+#include "util/byte_io.h"
 
 namespace dsmem::trace {
 namespace {
@@ -52,6 +55,37 @@ TEST(TraceIoTest, ViewLoadMatchesAosLoad)
     ASSERT_EQ(view->size(), t.size());
     for (size_t i = 0; i < t.size(); ++i)
         ASSERT_EQ(view->materialize(i), t[i]) << "record " << i;
+}
+
+/**
+ * A chunked view writes its sections back to back; they must be the
+ * bytes the record writer produces, whether the view was encoded a
+ * chunk at a time (the phase-1 capture) or loaded from a stream.
+ */
+TEST(TraceIoTest, ChunkedSaveWritesTheFlatBytes)
+{
+    constexpr size_t k = ChunkedView::kChunkInstrs;
+    for (size_t n : {size_t{0}, size_t{1}, k - 1, k, k + 1, 3 * k + 5}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const Trace t = dsmem::testing::randomTrace(71, n);
+        std::stringstream flat;
+        saveTrace(t, flat);
+
+        ChunkedView::Encoder enc;
+        for (size_t lo = 0; lo < n; lo += k)
+            enc.add(&t[lo], std::min(k, n - lo));
+        std::shared_ptr<const ChunkedView> captured = enc.finish(t.name());
+        std::istringstream is(flat.str(), std::ios::binary);
+        std::shared_ptr<const ChunkedView> loaded = loadTraceChunked(is);
+
+        for (const ChunkedView *cv : {captured.get(), loaded.get()}) {
+            std::ostringstream os(std::ios::binary);
+            util::ByteSink sink(os);
+            saveTrace(*cv, sink);
+            sink.flush();
+            EXPECT_EQ(os.str(), flat.str());
+        }
+    }
 }
 
 TEST(TraceIoTest, RejectsBadMagic)
