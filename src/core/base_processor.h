@@ -22,7 +22,10 @@ class SimContext;
 class BaseProcessor
 {
   public:
-    /** Time a flat or chunked trace, read in order span by span. */
+    /**
+     * Time a flat or chunked trace, read in order span by span: a
+     * one-row runStaticSweep (core/static_processor.h).
+     */
     RunResult run(const TraceSource &src) const;
 
     /** run() borrowing @p ctx's tile for a chunked source. */

@@ -78,7 +78,7 @@ class SimContext
         uint64_t rebind_bytes_skipped = 0;
     };
 
-    /** Static-model (SSBR/SS) scratch state. */
+    /** Static-model (SSBR/SS) scratch state: one per sweep row. */
     struct StaticScratch {
         std::vector<uint64_t> write_ring;
         std::vector<uint64_t> read_ring;
@@ -122,7 +122,13 @@ class SimContext
         return lanes_[k];
     }
 
-    StaticScratch &staticScratch() { return static_scratch_; }
+    /** Row @p k's static-sweep scratch, created on first use. */
+    StaticScratch &staticScratch(size_t k)
+    {
+        while (static_scratch_.size() <= k)
+            static_scratch_.emplace_back();
+        return static_scratch_[k];
+    }
 
     SolScratch &solScratch() { return sol_scratch_; }
 
@@ -137,7 +143,7 @@ class SimContext
 
   private:
     std::deque<DynLane> lanes_; ///< deque: stable lane addresses.
-    StaticScratch static_scratch_;
+    std::deque<StaticScratch> static_scratch_; ///< One per sweep row.
     SolScratch sol_scratch_;
     trace::TraceTile tile_scratch_;
 };

@@ -100,16 +100,17 @@ class FifoRing
 {
   public:
     FifoRing(std::vector<uint64_t> &storage, uint32_t depth)
-        : ring_(storage)
     {
-        ring_.assign(depth, 0);
+        storage.assign(depth, 0);
+        ring_ = storage.data();
+        depth_ = depth;
     }
 
     bool full(uint64_t now, uint64_t *free_at) const
     {
-        if (count_ < ring_.size())
+        if (count_ < depth_)
             return false;
-        uint64_t oldest = ring_[count_ % ring_.size()];
+        uint64_t oldest = ring_[count_ % depth_];
         if (oldest <= now)
             return false;
         *free_at = oldest;
@@ -119,16 +120,15 @@ class FifoRing
     void push(uint64_t completion)
     {
         uint64_t leave = completion;
-        if (count_ > 0) {
-            leave = std::max(
-                leave, ring_[(count_ - 1) % ring_.size()]);
-        }
-        ring_[count_ % ring_.size()] = leave;
+        if (count_ > 0)
+            leave = std::max(leave, ring_[(count_ - 1) % depth_]);
+        ring_[count_ % depth_] = leave;
         ++count_;
     }
 
   private:
-    std::vector<uint64_t> &ring_;
+    uint64_t *ring_;
+    uint64_t depth_;
     uint64_t count_ = 0;
 };
 
@@ -265,43 +265,164 @@ StaticProcessor::run(const trace::Trace &trace) const
 }
 
 // ------------------------------------------------------------------
-// Production loop over a TraceSource, read span by span in order.
-// Scheduling-identical to runReference; the differences are
+// Production loops over a TraceSource, read span by span in order.
+// Each model's running state is one row of a static sweep, stepped
+// over every span; a single run is a one-row sweep. SSBR/SS are
+// scheduling-identical to runReference; the differences are
 // mechanical:
 //  - FIFO occupancy checks run on O(1) rings (leave times are
 //    non-decreasing, so "full" reduces to one compare of the oldest
 //    tracked entry),
 //  - gate switches are hoisted into per-model selector masks.
 // ------------------------------------------------------------------
-RunResult
-StaticProcessor::run(const TraceSource &src) const
-{
-    SimContext ctx;
-    return run(src, ctx);
-}
 
-RunResult
-StaticProcessor::run(const TraceSource &src, SimContext &ctx) const
-{
-    SimContext::StaticScratch &scratch = ctx.staticScratch();
-    const GateSelectors sel = gateSelectorsFor(config_.model);
-    const bool nonblocking = config_.nonblocking_reads;
+namespace {
 
-    RunResult r;
-    Timeline tl;
-    Gates gates;
-    FifoRing write_buffer(scratch.write_ring, config_.write_buffer_depth);
-    FifoRing read_buffer(scratch.read_ring, config_.read_buffer_depth);
-    std::vector<PendingLoadSlot> &pending_loads = scratch.pending_loads;
-    pending_loads.clear();
-    pending_loads.reserve(config_.read_buffer_depth);
-    uint64_t last_store_issue = 0;
-    bool any_store_issued = false;
+/** The BASE machine's running totals: one row of a static sweep. */
+class BaseRow
+{
+  public:
+    void step(const trace::TileSpan &span)
+    {
+        // Locals, not members, so the counters stay in registers.
+        Breakdown bd = bd_;
+        uint64_t instructions = instructions_, branches = branches_,
+                 read_misses = read_misses_;
+        for (size_t i = span.lo(); i < span.hi(); ++i) {
+            const uint32_t latency = span.latency(i);
+            switch (span.op(i)) {
+              case Op::LOAD:
+                ++instructions;
+                bd.busy += 1;
+                bd.read += latency - 1;
+                if (latency > 1)
+                    ++read_misses;
+                break;
+
+              case Op::STORE:
+                ++instructions;
+                bd.busy += 1;
+                bd.write += latency - 1;
+                break;
+
+              case Op::BRANCH:
+                ++instructions;
+                ++branches;
+                bd.busy += 1;
+                break;
+
+              case Op::LOCK:
+              case Op::WAIT_EVENT:
+              case Op::BARRIER:
+                // Full acquire stall: contention wait plus access latency.
+                bd.sync += span.waitCycles(i) + latency;
+                break;
+
+              case Op::UNLOCK:
+              case Op::SET_EVENT:
+                // Releases count toward write time (Section 4.1).
+                bd.write += latency;
+                break;
+
+              default:
+                ++instructions;
+                bd.busy += 1;
+                break;
+            }
+        }
+        bd_ = bd;
+        instructions_ = instructions;
+        branches_ = branches;
+        read_misses_ = read_misses;
+    }
+
+    RunResult finish() const
+    {
+        RunResult r;
+        r.breakdown = bd_;
+        r.cycles = bd_.total();
+        r.instructions = instructions_;
+        r.branches = branches_;
+        r.read_misses = read_misses_;
+        return r;
+    }
+
+  private:
+    Breakdown bd_;
+    uint64_t instructions_ = 0, branches_ = 0, read_misses_ = 0;
+};
+
+/** An SSBR/SS processor's running state: one row of a static sweep. */
+class StaticRow
+{
+  public:
+    StaticRow(const StaticConfig &config,
+              SimContext::StaticScratch &scratch)
+        : sel_(gateSelectorsFor(config.model)),
+          nonblocking_(config.nonblocking_reads),
+          write_buffer_(scratch.write_ring, config.write_buffer_depth),
+          read_buffer_(scratch.read_ring, config.read_buffer_depth),
+          pending_loads_(scratch.pending_loads)
+    {
+        pending_loads_.clear();
+        pending_loads_.reserve(config.read_buffer_depth);
+    }
+
+    void step(const trace::TileSpan &span);
+
+    /**
+     * Drain: execution finishes when pending loads and buffered
+     * writes complete.
+     */
+    RunResult finish()
+    {
+        uint64_t drain = std::max(gates_.load_comp, gates_.store_comp);
+        if (drain > tl_.t) {
+            // Attribute the drain to whichever dominates.
+            if (gates_.store_comp >= gates_.load_comp)
+                tl_.advance(drain, Bucket::WRITE);
+            else
+                tl_.advance(drain, Bucket::READ);
+        }
+        r_.breakdown = tl_.bd;
+        r_.cycles = tl_.t;
+        return r_;
+    }
+
+  private:
+    const GateSelectors sel_;
+    const bool nonblocking_;
+    RunResult r_;
+    Timeline tl_;
+    Gates gates_;
+    FifoRing write_buffer_;
+    FifoRing read_buffer_;
+    std::vector<PendingLoadSlot> &pending_loads_;
+    uint64_t last_store_issue_ = 0;
+    bool any_store_issued_ = false;
+};
+
+void
+StaticRow::step(const trace::TileSpan &span)
+{
+    // Locals, not members, so the running state stays in registers
+    // across the loop's stores and out-of-line calls; written back
+    // once per span.
+    const GateSelectors sel = sel_;
+    const bool nonblocking = nonblocking_;
+    RunResult r = r_;
+    Timeline tl = tl_;
+    Gates gates = gates_;
+    FifoRing write_buffer = write_buffer_;
+    FifoRing read_buffer = read_buffer_;
+    std::vector<PendingLoadSlot> &pending_loads = pending_loads_;
+    uint64_t last_store_issue = last_store_issue_;
+    bool any_store_issued = any_store_issued_;
 
     // SS first-use rule: stall until every source produced by a
     // still-pending load has completed. Entries are keyed by the
     // producer's index, so the consumer's own sources suffice.
-    auto wait_for_operands = [&](const trace::TileSpan &span, size_t i) {
+    auto wait_for_operands = [&](size_t i) {
         if (pending_loads.empty())
             return;
         const InstIndex *srcs = span.srcs(i);
@@ -325,123 +446,170 @@ StaticProcessor::run(const TraceSource &src, SimContext &ctx) const
         return gate;
     };
 
+    for (size_t i = span.lo(); i < span.hi(); ++i) {
+        const Op op = span.op(i);
+        const uint32_t latency = span.latency(i);
+        wait_for_operands(i);
+
+        switch (op) {
+          case Op::LOAD: {
+            if (nonblocking) {
+                uint64_t free_at;
+                if (read_buffer.full(tl.t, &free_at))
+                    tl.advance(free_at, Bucket::READ);
+            }
+            uint64_t gate = selectGate(gates, sel.load);
+            advanceToGate(tl, gates, gate);
+            uint64_t issue = tl.t;
+            uint64_t completion = issue + latency;
+            if (latency > 1)
+                ++r.read_misses;
+            if (nonblocking) {
+                // Issue and continue; stall at first use.
+                tl.busyCycle();
+                read_buffer.push(completion);
+                if (completion > tl.t) {
+                    pending_loads.push_back(
+                        {static_cast<InstIndex>(i), completion});
+                }
+            } else {
+                // Blocking read: one busy cycle plus the stall.
+                tl.busyCycle();
+                tl.advance(completion, Bucket::READ);
+            }
+            gates.load_comp = std::max(gates.load_comp, completion);
+            ++r.instructions;
+            break;
+          }
+
+          case Op::STORE: {
+            uint64_t free_at;
+            if (write_buffer.full(tl.t, &free_at))
+                tl.advance(free_at, Bucket::WRITE);
+            tl.busyCycle();
+            uint64_t issue = std::max(tl.t, store_issue_gate(false));
+            uint64_t completion = issue + latency;
+            write_buffer.push(completion);
+            gates.store_comp = std::max(gates.store_comp, completion);
+            last_store_issue = issue;
+            any_store_issued = true;
+            ++r.instructions;
+            break;
+          }
+
+          case Op::BRANCH: {
+            tl.busyCycle();
+            ++r.instructions;
+            ++r.branches;
+            break;
+          }
+
+          case Op::LOCK:
+          case Op::WAIT_EVENT:
+          case Op::BARRIER: {
+            uint64_t gate = selectGate(gates, sel.acquire);
+            advanceToGate(tl, gates, gate);
+            uint64_t completion = tl.t + span.waitCycles(i) + latency;
+            tl.advance(completion, Bucket::SYNC);
+            gates.acquire_comp = std::max(gates.acquire_comp, completion);
+            gates.sync_comp = std::max(gates.sync_comp, completion);
+            break;
+          }
+
+          case Op::UNLOCK:
+          case Op::SET_EVENT: {
+            uint64_t free_at;
+            if (write_buffer.full(tl.t, &free_at))
+                tl.advance(free_at, Bucket::WRITE);
+            // One cycle to hand the release to the write buffer.
+            tl.advance(tl.t + 1, Bucket::WRITE);
+            uint64_t issue = std::max(tl.t, store_issue_gate(true));
+            uint64_t completion = issue + latency;
+            write_buffer.push(completion);
+            gates.store_comp = std::max(gates.store_comp, completion);
+            gates.sync_comp = std::max(gates.sync_comp, completion);
+            last_store_issue = issue;
+            any_store_issued = true;
+            break;
+          }
+
+          default: { // Compute
+            tl.busyCycle();
+            ++r.instructions;
+            break;
+          }
+        }
+    }
+
+    r_ = r;
+    tl_ = tl;
+    gates_ = gates;
+    write_buffer_ = write_buffer;
+    read_buffer_ = read_buffer;
+    last_store_issue_ = last_store_issue;
+    any_store_issued_ = any_store_issued;
+}
+
+} // namespace
+
+RunResult
+StaticProcessor::run(const TraceSource &src) const
+{
+    SimContext ctx;
+    return run(src, ctx);
+}
+
+RunResult
+StaticProcessor::run(const TraceSource &src, SimContext &ctx) const
+{
+    return runStaticSweep(src, {StaticSweepRow{false, config_}}, ctx)
+        .front();
+}
+
+std::vector<RunResult>
+runStaticSweep(const TraceSource &src,
+               const std::vector<StaticSweepRow> &rows, SimContext &ctx)
+{
+    // Row k keeps its state in bases or statics; slot[k] says where.
+    std::vector<BaseRow> bases;
+    std::vector<StaticRow> statics;
+    std::vector<size_t> slot(rows.size());
+    statics.reserve(rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+        if (rows[k].base) {
+            slot[k] = bases.size();
+            bases.emplace_back();
+        } else {
+            const StaticConfig &config = rows[k].config;
+            if (config.write_buffer_depth == 0 ||
+                (config.nonblocking_reads && config.read_buffer_depth == 0))
+                throw std::invalid_argument(
+                    "static sweep: buffer depth must be >= 1");
+            slot[k] = statics.size();
+            statics.emplace_back(config, ctx.staticScratch(k));
+        }
+    }
+
+    // Each span is read (and, for a chunked trace, decoded) once and
+    // stepped through every row while it is cache-hot.
     detail::TileStream stream(src, ctx);
     trace::TileSpan next;
     while (stream.next(next)) {
         // A copy the stream never sees, so its column pointers stay
-        // in registers across the loop's out-of-line calls.
+        // in registers across the rows' loops.
         const trace::TileSpan span = next;
-        for (size_t i = span.lo(); i < span.hi(); ++i) {
-            const Op op = span.op(i);
-            const uint32_t latency = span.latency(i);
-            wait_for_operands(span, i);
-
-            switch (op) {
-              case Op::LOAD: {
-                if (nonblocking) {
-                    uint64_t free_at;
-                    if (read_buffer.full(tl.t, &free_at))
-                        tl.advance(free_at, Bucket::READ);
-                }
-                uint64_t gate = selectGate(gates, sel.load);
-                advanceToGate(tl, gates, gate);
-                uint64_t issue = tl.t;
-                uint64_t completion = issue + latency;
-                if (latency > 1)
-                    ++r.read_misses;
-                if (nonblocking) {
-                    // Issue and continue; stall at first use.
-                    tl.busyCycle();
-                    read_buffer.push(completion);
-                    if (completion > tl.t) {
-                        pending_loads.push_back(
-                            {static_cast<InstIndex>(i), completion});
-                    }
-                } else {
-                    // Blocking read: one busy cycle plus the stall.
-                    tl.busyCycle();
-                    tl.advance(completion, Bucket::READ);
-                }
-                gates.load_comp = std::max(gates.load_comp, completion);
-                ++r.instructions;
-                break;
-              }
-
-              case Op::STORE: {
-                uint64_t free_at;
-                if (write_buffer.full(tl.t, &free_at))
-                    tl.advance(free_at, Bucket::WRITE);
-                tl.busyCycle();
-                uint64_t issue = std::max(tl.t, store_issue_gate(false));
-                uint64_t completion = issue + latency;
-                write_buffer.push(completion);
-                gates.store_comp = std::max(gates.store_comp, completion);
-                last_store_issue = issue;
-                any_store_issued = true;
-                ++r.instructions;
-                break;
-              }
-
-              case Op::BRANCH: {
-                tl.busyCycle();
-                ++r.instructions;
-                ++r.branches;
-                break;
-              }
-
-              case Op::LOCK:
-              case Op::WAIT_EVENT:
-              case Op::BARRIER: {
-                uint64_t gate = selectGate(gates, sel.acquire);
-                advanceToGate(tl, gates, gate);
-                uint64_t completion = tl.t + span.waitCycles(i) + latency;
-                tl.advance(completion, Bucket::SYNC);
-                gates.acquire_comp =
-                    std::max(gates.acquire_comp, completion);
-                gates.sync_comp = std::max(gates.sync_comp, completion);
-                break;
-              }
-
-              case Op::UNLOCK:
-              case Op::SET_EVENT: {
-                uint64_t free_at;
-                if (write_buffer.full(tl.t, &free_at))
-                    tl.advance(free_at, Bucket::WRITE);
-                // One cycle to hand the release to the write buffer.
-                tl.advance(tl.t + 1, Bucket::WRITE);
-                uint64_t issue = std::max(tl.t, store_issue_gate(true));
-                uint64_t completion = issue + latency;
-                write_buffer.push(completion);
-                gates.store_comp = std::max(gates.store_comp, completion);
-                gates.sync_comp = std::max(gates.sync_comp, completion);
-                last_store_issue = issue;
-                any_store_issued = true;
-                break;
-              }
-
-              default: { // Compute
-                tl.busyCycle();
-                ++r.instructions;
-                break;
-              }
-            }
-        }
+        for (BaseRow &row : bases)
+            row.step(span);
+        for (StaticRow &row : statics)
+            row.step(span);
     }
 
-    // Drain: execution finishes when pending loads and buffered
-    // writes complete.
-    uint64_t drain = std::max(gates.load_comp, gates.store_comp);
-    if (drain > tl.t) {
-        // Attribute the drain to whichever dominates.
-        if (gates.store_comp >= gates.load_comp)
-            tl.advance(drain, Bucket::WRITE);
-        else
-            tl.advance(drain, Bucket::READ);
-    }
-
-    r.breakdown = tl.bd;
-    r.cycles = tl.t;
-    return r;
+    std::vector<RunResult> out;
+    out.reserve(rows.size());
+    for (size_t k = 0; k < rows.size(); ++k)
+        out.push_back(rows[k].base ? bases[slot[k]].finish()
+                                   : statics[slot[k]].finish());
+    return out;
 }
 
 // ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #define DSMEM_CORE_STATIC_PROCESSOR_H
 
 #include <cstdint>
+#include <vector>
 
 #include "core/trace_source.h"
 #include "core/types.h"
@@ -49,11 +50,11 @@ class StaticProcessor
 
     /**
      * Time a flat or chunked trace, read in order span by span, so a
-     * chunked trace is never flattened. Production loop: O(1) ring
-     * buffers for the write/read FIFO occupancy checks, the SS stall
-     * checked where a consumer reads a pending load's value (its own
-     * sources against the pending list), and hoisted
-     * consistency-gate selectors.
+     * chunked trace is never flattened: a one-row runStaticSweep.
+     * Production loop: O(1) ring buffers for the write/read FIFO
+     * occupancy checks, the SS stall checked where a consumer reads a
+     * pending load's value (its own sources against the pending
+     * list), and hoisted consistency-gate selectors.
      */
     RunResult run(const TraceSource &src) const;
 
@@ -78,6 +79,27 @@ class StaticProcessor
   private:
     StaticConfig config_;
 };
+
+/** One row of a static sweep: the BASE machine, or SSBR/SS. */
+struct StaticSweepRow {
+    bool base = false;   ///< BASE (BaseProcessor); config is unused.
+    StaticConfig config; ///< SSBR/SS (StaticProcessor).
+};
+
+/**
+ * Fused static sweep: time every row of @p rows — typically one
+ * trace's BASE, SSBR and SS cells — in one pass over the trace. Each
+ * span the source yields is stepped through every row in turn, so a
+ * chunked trace decodes each chunk once for all rows instead of once
+ * per row, and a flat one is read while cache-hot. Rows share
+ * nothing: the k-th result is bit-identical to row k's own run(src),
+ * which is itself a one-row sweep. Row k borrows
+ * ctx.staticScratch(k). Throws std::invalid_argument on a zero buffer
+ * depth, like StaticProcessor's constructor.
+ */
+std::vector<RunResult> runStaticSweep(
+    const TraceSource &src, const std::vector<StaticSweepRow> &rows,
+    SimContext &ctx);
 
 } // namespace dsmem::core
 

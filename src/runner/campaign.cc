@@ -185,10 +185,10 @@ resolvePhase1(TraceStore &store, sim::AppId app,
             (small ? ":small" : ":full"),
         "phase1", "phase-1 job exceeded --job-timeout-ms", [&] {
             util::failpoint("campaign.phase1");
-            // Phase 2 only ever reads the SoA view, so resolve the
-            // view-shaped bundle: a v2 disk hit deserializes straight
-            // into TraceView arrays and the AoS trace never exists in
-            // this process.
+            // Phase 2 reads the trace in order, so resolve the
+            // phase-2 bundle: a v2 disk hit keeps the file's sections
+            // as read (the lean chunked load) and the AoS trace never
+            // exists in this process.
             out.bundle =
                 &store.getView(app, mem, small, &out.origin, &out.timing);
             if (want_points)

@@ -75,13 +75,12 @@ struct RunnerOptions {
     uint64_t store_gc_age_s = 7 * 24 * 3600;
 
     /**
-     * Streaming-executor residency policy (sim/stream_exec.h): when
-     * the store loads a bundle whose flat view would spill the LLC
-     * (Auto) or always (On), the trace stays chunk-compressed and
-     * every phase-2 row decodes it tile by tile instead of reading
-     * a flat SoA pass — same results, a fraction of the resident
-     * bytes. Off restores the unconditional flat view. On and Off are
-     * for tests and benchmarks that pin one residency.
+     * Trace residency policy (sim/stream_exec.h). Under Auto (and
+     * On) every trace the store generates or loads stays
+     * chunk-compressed, and every phase-2 row decodes it tile by tile
+     * — same results, a fraction of the resident bytes. Off keeps
+     * every trace as a flat view, for tests and benchmarks that pin
+     * that residency.
      */
     sim::StreamExec stream_exec = sim::StreamExec::Auto;
 

@@ -13,6 +13,7 @@
 #include <malloc.h>
 #endif
 
+#include "trace/chunked_view.h"
 #include "trace/trace_io.h"
 #include "util/byte_io.h"
 #include "util/errors.h"
@@ -47,7 +48,7 @@ putStats(util::ByteSink &sink, const trace::TraceStats &s)
 }
 
 trace::TraceStats
-getStats(util::ByteSource &src)
+getStats(util::ByteReader &src)
 {
     trace::TraceStats s;
     for (uint64_t *f : {&s.instructions, &s.reads, &s.writes,
@@ -68,7 +69,7 @@ putCacheStats(util::ByteSink &sink, const memsys::CacheStats &s)
 }
 
 memsys::CacheStats
-getCacheStats(util::ByteSource &src)
+getCacheStats(util::ByteReader &src)
 {
     memsys::CacheStats s;
     for (uint64_t *f : {&s.reads, &s.writes, &s.read_misses,
@@ -89,7 +90,7 @@ putThreadStats(util::ByteSink &sink, const mp::ThreadStats &s)
 }
 
 mp::ThreadStats
-getThreadStats(util::ByteSource &src)
+getThreadStats(util::ByteReader &src)
 {
     mp::ThreadStats s;
     for (uint64_t *f : {&s.instructions, &s.reads, &s.writes,
@@ -111,7 +112,7 @@ putDramStats(util::ByteSink &sink, const memsys::DramAccessStats &s)
 }
 
 memsys::DramAccessStats
-getDramStats(util::ByteSource &src)
+getDramStats(util::ByteReader &src)
 {
     memsys::DramAccessStats s;
     for (uint64_t *f : {&s.requests, &s.row_hits, &s.row_misses,
@@ -133,7 +134,7 @@ putDramSummary(util::ByteSink &sink, const memsys::DramSummary &d)
 }
 
 memsys::DramSummary
-getDramSummary(util::ByteSource &src)
+getDramSummary(util::ByteReader &src)
 {
     uint32_t n = src.readU32();
     // DramConfig::valid caps banks at 1024; anything larger is a
@@ -151,13 +152,11 @@ getDramSummary(util::ByteSource &src)
     return d;
 }
 
-/** Shared preamble of both readers: magic, then the version check. */
+/** The bundle's preamble: magic, then the version check. */
 uint32_t
-readBundleHeader(util::ByteSource &src)
+readBundleHeader(util::ByteReader &src)
 {
-    char magic[4];
-    src.read(magic, 4);
-    if (std::memcmp(magic, kMagic, 4) != 0)
+    if (std::memcmp(src.take(4), kMagic, 4) != 0)
         throw util::FormatError("not a dsmem bundle file");
     uint32_t version = src.readU32();
     if (version != kBundleFormatVersion &&
@@ -174,7 +173,7 @@ readBundleHeader(util::ByteSource &src)
  * layout after the `verified` byte.
  */
 void
-readBundleFields(util::ByteSource &src, sim::TraceBundle &bundle,
+readBundleFields(util::ByteReader &src, sim::TraceBundle &bundle,
                  uint32_t version)
 {
     bundle.stats = getStats(src);
@@ -188,16 +187,34 @@ readBundleFields(util::ByteSource &src, sim::TraceBundle &bundle,
     }
 }
 
-/** The checksum trails the hashed region it covers. */
-void
-checkTrailer(util::ByteSource &src)
+/**
+ * The one bundle reader: read the whole file into one buffer, check
+ * the checksum that trails the hashed region (everything after the
+ * 8-byte header), decode the stats fields into @p fields, and hand
+ * the buffer to the lean trace load, which must end where the
+ * trailer starts.
+ */
+std::shared_ptr<const trace::ChunkedView>
+readBundle(std::istream &is, sim::TraceBundle &fields)
 {
-    uint64_t got = src.hashValue();
-    uint64_t want = src.readU64();
-    if (got != want)
+    std::vector<uint8_t> bytes = util::readAll(is);
+    util::ByteReader header(bytes.data(), bytes.size());
+    const uint32_t version = readBundleHeader(header);
+    if (header.remaining() < 8)
+        throw util::TruncatedError("bundle truncated");
+    const size_t hashed = header.remaining() - 8;
+    const uint8_t *region = header.take(hashed);
+    util::FnvState fnv;
+    fnv.update(region, hashed);
+    if (fnv.value() != header.readU64())
         throw util::FormatError("bundle checksum mismatch");
-    if (!src.atEof())
-        throw util::FormatError("bundle payload size mismatch");
+
+    util::ByteReader fields_in(region, hashed);
+    readBundleFields(fields_in, fields, version);
+    const size_t trace_at =
+        static_cast<size_t>(fields_in.position() - bytes.data());
+    bytes.resize(bytes.size() - 8); // Drop the trailer.
+    return trace::loadTraceChunked(std::move(bytes), trace_at);
 }
 
 // Keying tripwire: the file name, the campaign signature and the svc
@@ -275,47 +292,24 @@ saveBundle(const sim::ViewBundle &bundle, std::ostream &os)
 sim::TraceBundle
 loadBundle(std::istream &is)
 {
-    util::ByteSource src(is);
-    uint32_t version = readBundleHeader(src);
-
     sim::TraceBundle bundle;
-    src.beginHash();
-    readBundleFields(src, bundle, version);
-    bundle.trace = trace::loadTrace(src);
-    checkTrailer(src);
+    bundle.trace = readBundle(is, bundle)->flatten()->toTrace();
     return bundle;
 }
 
 sim::ViewBundle
 loadBundleView(std::istream &is, sim::StreamExec stream_exec)
 {
-    util::ByteSource src(is);
-    uint32_t version = readBundleHeader(src);
-
-    sim::ViewBundle vb;
     sim::TraceBundle fields;
-    src.beginHash();
-    readBundleFields(src, fields, version);
-
-    // The stats land before the embedded trace, so the residency
-    // decision can size the flat view without peeking at the trace
-    // section. Sync entries (locks, events, barriers) join
-    // stats.instructions to cover every trace record; they are a
-    // rounding error against the threshold either way.
-    uint64_t entries = fields.stats.instructions + fields.stats.locks +
-        fields.stats.unlocks + fields.stats.wait_events +
-        fields.stats.set_events + fields.stats.barriers;
-    if (sim::shouldStream(static_cast<size_t>(entries), stream_exec))
-        vb.chunked = trace::loadTraceChunked(src);
-    else
-        vb.view = trace::loadTraceView(src);
-    checkTrailer(src);
+    sim::ViewBundle vb;
+    vb.chunked = readBundle(is, fields);
     vb.stats = fields.stats;
     vb.cache0 = fields.cache0;
     vb.thread0 = fields.thread0;
     vb.mp_cycles = fields.mp_cycles;
     vb.verified = fields.verified;
     vb.dram = std::move(fields.dram);
+    sim::applyResidency(vb, stream_exec);
     return vb;
 }
 
@@ -635,8 +629,11 @@ TraceStore::release(sim::AppId id, const memsys::MemoryConfig &mem,
     auto it = memo_.find(Key{id, mem, small});
     if (it == memo_.end() || !it->second.bundle)
         return;
-    it->second.bundle->view.reset();
-    it->second.bundle->chunked.reset();
+    sim::ViewBundle &vb = *it->second.bundle;
+    if (vb.view || (vb.chunked && vb.chunked->flattened()))
+        bump(&StoreStats::flattened);
+    vb.view.reset();
+    vb.chunked.reset();
 }
 
 std::string

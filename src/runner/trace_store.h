@@ -65,26 +65,26 @@ void saveBundle(const sim::TraceBundle &bundle, std::ostream &os);
 void saveBundle(const sim::ViewBundle &bundle, std::ostream &os);
 
 /**
- * Deserialize a v2 or v3 bundle. Throws util::FormatError (bad
- * magic, unsupported version, checksum mismatch, truncation, trailing
- * garbage, malformed embedded trace, implausible section size) or
- * util::IoError (stream failure / injected fault) — never crashes or
- * over-allocates on malformed input.
+ * Deserialize a v2 or v3 bundle: loadBundleView's lean load, flattened
+ * into AoS records. Throws util::FormatError (bad magic, unsupported
+ * version, checksum mismatch, truncation, trailing garbage, malformed
+ * embedded trace, implausible section size) or util::IoError (stream
+ * failure / injected fault) — never crashes or over-allocates on
+ * malformed input.
  */
 sim::TraceBundle loadBundle(std::istream &is);
 
 /**
- * Deserialize straight into a ViewBundle: the embedded trace's SoA
- * sections decode directly into TraceView arrays without
- * materializing the AoS trace. Same failure modes as loadBundle.
+ * Deserialize into a ViewBundle through the one lean load: the file
+ * is read into one buffer, its checksum checked, and the embedded
+ * trace's sections validated in one pass and kept as read, as a
+ * chunk-compressed trace::ChunkedView. Same failure modes as
+ * loadBundle.
  *
- * @p stream_exec is the streaming-residency policy: the bundle's
- * stats section (decoded before the embedded trace) sizes the flat
- * view, and when sim::shouldStream says it would spill the LLC the
- * trace decodes straight into a chunk-compressed trace::ChunkedView
- * (ViewBundle::chunked, view left null) — the flat SoA columns are
- * never materialized, cutting the loader's peak memory to roughly the
- * compressed trace.
+ * @p stream_exec is the residency policy (sim::applyResidency): the
+ * trace stays chunked (ViewBundle::chunked, view left null) unless it
+ * is Off, which flattens it into ViewBundle::view and drops the
+ * compressed bytes.
  */
 sim::ViewBundle
 loadBundleView(std::istream &is,
@@ -105,6 +105,10 @@ struct StoreStats {
     uint64_t rename_errors = 0; ///< fs::rename failures, any path.
     uint64_t remove_errors = 0; ///< fs::remove failures, any path.
     uint64_t quarantined = 0;   ///< Files renamed to *.corrupt.*.
+    /** Traces released with a flat view resident: flattened for a
+     *  consumer (sampled rows, live points) or held flat
+     *  (StreamExec::Off). */
+    uint64_t flattened = 0;
 };
 
 /**
@@ -219,8 +223,9 @@ class TraceStore
      * Each key holds the phase-2 shape only, the ViewBundle: a cold
      * key generates straight into the compressed capture
      * (sim::generateView), the bundle file is written from its
-     * sections, and sim::applyResidency then keeps it chunked or
-     * flattens it. A caller that needs the AoS trace itself (a
+     * sections, and sim::applyResidency then keeps it chunked (or,
+     * under StreamExec::Off, flattens it); a disk hit is the lean
+     * load under the same policy. A caller that needs the AoS trace itself (a
      * reference loop) calls sim::generateTrace or loadBundle
      * directly.
      *
@@ -237,8 +242,9 @@ class TraceStore
 
     /**
      * Drop the trace columns (ViewBundle::view and ::chunked) of a
-     * memoized key; its stats stay readable through references
-     * getView returned. A later getView reloads the columns (from
+     * memoized key, counting one that had a flat view in
+     * StoreStats::flattened; its stats stay readable through
+     * references getView returned. A later getView reloads the columns (from
      * disk, else by generating) into the same bundle. Columns a
      * caller copied out of the bundle (the shared_ptrs) stay alive
      * until that copy goes: a caller that still reads them after a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/base_processor.h"
 #include "util/simd.h"
 
 namespace dsmem::sim {
@@ -21,28 +20,33 @@ dynamicConfigFor(const ModelSpec &spec)
     return config;
 }
 
+namespace {
+
+bool
+isStatic(const ModelSpec &spec)
+{
+    return spec.kind != ModelSpec::Kind::DS;
+}
+
+/** The static-sweep row a BASE/SSBR/SS ModelSpec resolves to. */
+core::StaticSweepRow
+staticRowFor(const ModelSpec &spec)
+{
+    core::StaticSweepRow row;
+    row.base = spec.kind == ModelSpec::Kind::BASE;
+    row.config.model = spec.model;
+    row.config.nonblocking_reads = spec.kind == ModelSpec::Kind::SS;
+    return row;
+}
+
+} // namespace
+
 RunResult
 runModel(const core::TraceSource &src, const ModelSpec &spec,
          core::SimContext &ctx)
 {
-    switch (spec.kind) {
-      case ModelSpec::Kind::BASE:
-        return core::BaseProcessor().run(src, ctx);
-      case ModelSpec::Kind::SSBR: {
-        core::StaticConfig config;
-        config.model = spec.model;
-        config.nonblocking_reads = false;
-        return core::StaticProcessor(config).run(src, ctx);
-      }
-      case ModelSpec::Kind::SS: {
-        core::StaticConfig config;
-        config.model = spec.model;
-        config.nonblocking_reads = true;
-        return core::StaticProcessor(config).run(src, ctx);
-      }
-      case ModelSpec::Kind::DS:
-        break;
-    }
+    if (isStatic(spec))
+        return core::runStaticSweep(src, {staticRowFor(spec)}, ctx).front();
     return core::DynamicProcessor(dynamicConfigFor(spec)).run(src, ctx);
 }
 
@@ -54,6 +58,8 @@ namespace {
  * accumulation loop; the exact numbers only need to order groups
  * sensibly.
  */
+constexpr uint64_t kDsRowCost = 4;
+
 uint64_t
 rowCost(const ModelSpec &spec)
 {
@@ -64,7 +70,7 @@ rowCost(const ModelSpec &spec)
       case ModelSpec::Kind::SS:
         return 2;
       case ModelSpec::Kind::DS:
-        return 4;
+        return kDsRowCost;
     }
     return 1;
 }
@@ -79,15 +85,21 @@ planPhase2(const std::vector<ModelSpec> &specs,
 
     // Families of DS rows the sweep can run in lockstep
     // (core::solSweepSupported), in first-appearance order so the
-    // plan is a pure function of the declaration list.
+    // plan is a pure function of the declaration list; the static
+    // rows form one more family (core::runStaticSweep).
     std::vector<std::vector<size_t>> families;
     std::vector<core::DynamicConfig> family_head; // First row's config.
+    std::vector<size_t> statics;
 
     for (size_t s = 0; s < specs.size(); ++s) {
         if (s < row_done.size() && row_done[s])
             continue;
-        if (specs[s].kind != ModelSpec::Kind::DS || lane_cap == 1) {
+        if (lane_cap == 1) {
             groups.push_back(ExecGroup{{s}, false, rowCost(specs[s])});
+            continue;
+        }
+        if (isStatic(specs[s])) {
+            statics.push_back(s);
             continue;
         }
         const core::DynamicConfig config = dynamicConfigFor(specs[s]);
@@ -102,21 +114,43 @@ planPhase2(const std::vector<ModelSpec> &specs,
         families[f].push_back(s);
     }
 
+    auto emit = [&](std::vector<size_t> rows) {
+        ExecGroup g;
+        g.rows = std::move(rows);
+        g.fused = g.rows.size() > 1;
+        for (size_t s : g.rows)
+            g.cost += rowCost(specs[s]);
+        groups.push_back(std::move(g));
+    };
     for (const std::vector<size_t> &family : families) {
         for (size_t at = 0; at < family.size();) {
             size_t take = lane_cap == 0
                 ? family.size() - at
                 : std::min(lane_cap, family.size() - at);
-            ExecGroup g;
-            g.rows.assign(family.begin() + at,
-                          family.begin() + at + take);
-            g.fused = take > 1;
-            for (size_t s : g.rows)
-                g.cost += rowCost(specs[s]);
-            groups.push_back(std::move(g));
+            emit({family.begin() + at, family.begin() + at + take});
             at += take;
         }
     }
+    // The static rows pack in declaration order into groups no
+    // heavier than a full DS sweep (lane_cap DS rows), so a parallel
+    // pool never waits on one static straggler; a lone worker
+    // (lane_cap 0) runs them all in one sweep.
+    const uint64_t static_cap = lane_cap == 0
+        ? UINT64_MAX
+        : lane_cap * kDsRowCost;
+    std::vector<size_t> pack;
+    uint64_t pack_cost = 0;
+    for (size_t s : statics) {
+        if (!pack.empty() && pack_cost + rowCost(specs[s]) > static_cap) {
+            emit(std::move(pack));
+            pack.clear();
+            pack_cost = 0;
+        }
+        pack.push_back(s);
+        pack_cost += rowCost(specs[s]);
+    }
+    if (!pack.empty())
+        emit(std::move(pack));
 
     // Longest-first: heavy groups enter the pool before light ones so
     // the campaign tail isn't one straggler sweep. Stable, so equal
@@ -132,20 +166,28 @@ std::vector<RunResult>
 runGroup(const core::TraceSource &src, const std::vector<ModelSpec> &specs,
          const ExecGroup &group, core::SimContext &ctx)
 {
-    std::vector<RunResult> out;
-    out.reserve(group.rows.size());
-    if (group.fused) {
-        std::vector<core::DynamicConfig> configs;
-        configs.reserve(group.rows.size());
+    if (!group.fused) {
+        std::vector<RunResult> out;
+        out.reserve(group.rows.size());
         for (size_t s : group.rows)
-            configs.push_back(dynamicConfigFor(specs[s]));
-        for (core::DynamicResult &r :
-             core::runDynamicSweep(src, configs, ctx))
-            out.push_back(std::move(r));
+            out.push_back(runModel(src, specs[s], ctx));
         return out;
     }
+    if (isStatic(specs[group.rows.front()])) {
+        std::vector<core::StaticSweepRow> rows;
+        rows.reserve(group.rows.size());
+        for (size_t s : group.rows)
+            rows.push_back(staticRowFor(specs[s]));
+        return core::runStaticSweep(src, rows, ctx);
+    }
+    std::vector<core::DynamicConfig> configs;
+    configs.reserve(group.rows.size());
     for (size_t s : group.rows)
-        out.push_back(runModel(src, specs[s], ctx));
+        configs.push_back(dynamicConfigFor(specs[s]));
+    std::vector<RunResult> out;
+    out.reserve(group.rows.size());
+    for (core::DynamicResult &r : core::runDynamicSweep(src, configs, ctx))
+        out.push_back(std::move(r));
     return out;
 }
 

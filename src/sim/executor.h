@@ -25,23 +25,30 @@ namespace dsmem::sim {
  * from scratch. This layer instead:
  *
  *  - recycles a core::SimContext across consecutive cells on the same
- *    worker (allocation-free once warm), and
+ *    worker (allocation-free once warm),
  *  - fuses DS cells differing only in window size and consistency
- *    model into one core::runDynamicSweep pass over the trace.
+ *    model into one core::runDynamicSweep pass over the trace, and
+ *  - fuses a unit's static cells (BASE, SSBR, SS) into one
+ *    core::runStaticSweep pass, so a chunked trace decodes once for
+ *    all of them.
  *
  * Results are bit-identical to the naive path in both cases
  * (tests/test_executor.cc enforces it); only wall clock changes.
  */
 
 /**
- * One schedulable phase-2 work item: a single cell, or several DS
- * cells of one unit fused into a window sweep.
+ * One schedulable phase-2 work item: a single cell, or several cells
+ * of one unit fused into one sweep — DS cells into a window sweep, or
+ * static cells into a static sweep.
  */
 struct ExecGroup {
     /** Spec indices into the unit's declaration list, in order. */
     std::vector<size_t> rows;
 
-    /** True: rows time together via core::runDynamicSweep. */
+    /**
+     * True: rows time together, via core::runDynamicSweep when they
+     * are DS cells, else via core::runStaticSweep.
+     */
     bool fused = false;
 
     /**
@@ -73,9 +80,11 @@ core::RunResult runModel(const core::TraceSource &src,
  * configs (today: same width, prediction and dependence knobs; window
  * size and consistency model may differ), into sweeps of at most
  * @p lane_cap lanes (0 = unlimited); chunking preserves declaration
- * order. Everything else — and DS chunks of one row — becomes a
- * singleton group, executed exactly like the pre-executor
- * path. lane_cap == 1 therefore disables fusion entirely.
+ * order. The static rows (BASE, SSBR, SS) form one static sweep,
+ * split in declaration order where a group would outweigh a full DS
+ * sweep of lane_cap rows (never with lane_cap 0). A group of one row
+ * is a singleton (fused == false). lane_cap == 1 disables fusion
+ * entirely: every row is a singleton.
  */
 std::vector<ExecGroup> planPhase2(const std::vector<ModelSpec> &specs,
                                   const std::vector<uint8_t> &row_done,
@@ -85,12 +94,14 @@ std::vector<ExecGroup> planPhase2(const std::vector<ModelSpec> &specs,
  * Execute one group; results index-match group.rows. @p src is a flat
  * TraceView or a ViewBundle (both convert to a core::TraceSource).
  *
- * A fused group runs as one core::runDynamicSweep; every singleton
- * runs through runModel on @p src (a DS row steps one lane through
- * the tiled pass). Every model reads the trace in order, so a chunked
- * trace streams its tiles and is never flattened. Lane k of @p ctx
- * serves row k, so a worker-pinned context grows to the high-water
- * lane count it has seen and is then allocation-free.
+ * A fused group runs as one core::runDynamicSweep (DS rows) or one
+ * core::runStaticSweep (static rows); every singleton runs through
+ * runModel on @p src (a DS row steps one lane through the tiled pass,
+ * a static row is a one-row static sweep). Every model reads the
+ * trace in order, so a chunked trace streams its tiles and is never
+ * flattened. Lane (or static scratch) k of @p ctx serves row k, so a
+ * worker-pinned context grows to the high-water row count it has seen
+ * and is then allocation-free.
  */
 std::vector<core::RunResult> runGroup(const core::TraceSource &src,
                                       const std::vector<ModelSpec> &specs,

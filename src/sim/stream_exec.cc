@@ -1,6 +1,5 @@
 #include "sim/stream_exec.h"
 
-#include "trace/trace_view.h"
 #include "util/sysinfo.h"
 
 namespace dsmem::sim {
@@ -46,19 +45,9 @@ streamThresholdBytes()
 }
 
 bool
-shouldStream(size_t instructions, StreamExec mode)
+shouldStream(StreamExec mode)
 {
-    switch (mode) {
-    case StreamExec::On:
-        return true;
-    case StreamExec::Off:
-        return false;
-    case StreamExec::Auto:
-        break;
-    }
-    double flat_bytes = static_cast<double>(instructions) *
-        trace::TraceView::bytesPerInstr();
-    return flat_bytes > static_cast<double>(streamThresholdBytes());
+    return mode != StreamExec::Off;
 }
 
 } // namespace dsmem::sim

@@ -5,27 +5,27 @@
 #include <string>
 
 // ------------------------------------------------------------------
-// Streaming-executor policy: when should a trace stay resident in its
+// Trace residency policy: does a trace stay resident in its
 // chunk-compressed form (trace::ChunkedView, decoded tile by tile
-// into L2-resident SoA tiles during the sweep) instead of being
-// materialized as a flat TraceView?
+// into one L2-resident SoA tile during each sweep) or as a flat
+// TraceView?
 //
 // RunnerOptions::stream_exec threads the policy into TraceStore,
-// which makes the residency decision per bundle: before decoding the
-// trace section on a disk load (loadBundleView), right after phase 1
-// on generation (applyResidency). Campaigns run Auto: a trace
-// streams only when its flat footprint would clearly spill the
-// last-level cache — below that, the flat view is already
-// cache-resident and streaming would only add decode work. On and Off
-// exist for tests and benchmarks that pin one residency.
+// which applies it per bundle: on a disk load (loadBundleView) and
+// right after phase 1 (applyResidency). Compressed is the residency:
+// Auto and On keep every trace chunked, at ~4-8 B/instr against the
+// flat view's 28, and every phase-2 model reads it in order. Only
+// consumers that need random access flatten (ChunkedView::flatten,
+// memoized): sampled runs, live-point warming, the trace transforms,
+// and Off, which tests and benchmarks use to pin the flat residency.
 // ------------------------------------------------------------------
 
 namespace dsmem::sim {
 
 enum class StreamExec {
-    Auto, ///< Stream when the flat view would spill the LLC.
-    On,   ///< Always keep traces chunk-compressed; stream every sweep.
-    Off,  ///< Always materialize the flat TraceView (pre-PR behavior).
+    Auto, ///< The default: keep traces chunk-compressed.
+    On,   ///< Keep traces chunk-compressed (the same as Auto).
+    Off,  ///< Materialize the flat TraceView of every trace.
 };
 
 /**
@@ -39,20 +39,14 @@ bool parseStreamExec(const std::string &text, StreamExec *out);
 const char *streamExecName(StreamExec mode);
 
 /**
- * Flat-view instruction footprint, in bytes, above which Auto mode
- * streams: half the last-level data cache (a flat view larger than
- * that cannot stay resident across a sweep pass alongside the
- * executor's own state). Falls back to 64 MiB when the cache
- * hierarchy is undetectable.
+ * Half the last-level data cache (64 MiB when the cache hierarchy is
+ * undetectable). No library code consults it, since every residency
+ * but Off streams; it stays only because benchmark/e2e prints it.
  */
 size_t streamThresholdBytes();
 
-/**
- * Residency decision for a trace of @p instructions entries under
- * @p mode. The byte estimate uses TraceView::bytesPerInstr() — the
- * exact per-entry cost of the flat SoA columns.
- */
-bool shouldStream(size_t instructions, StreamExec mode);
+/** Residency decision under @p mode: true keeps a trace chunked. */
+bool shouldStream(StreamExec mode);
 
 /** What streamOptions() reports. */
 struct DecodeShape {

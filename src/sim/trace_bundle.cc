@@ -40,7 +40,7 @@ runPhase1(AppId id, const memsys::MemoryConfig &mem, bool small,
 void
 applyResidency(ViewBundle &vb, StreamExec mode)
 {
-    if (vb.chunked && !shouldStream(vb.chunked->size(), mode)) {
+    if (vb.chunked && !shouldStream(mode)) {
         vb.view = vb.chunked->flatten();
         vb.chunked.reset();
     }

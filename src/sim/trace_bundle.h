@@ -38,18 +38,20 @@ struct TraceBundle {
 };
 
 /**
- * TraceBundle's phase-2 shape: the same stats around a shared SoA
- * TraceView instead of the AoS trace. The timing models and the
- * Campaign only ever read the view, so the direct-to-view bundle
- * loader can fill this without materializing a Trace at all.
+ * TraceBundle's phase-2 shape: the same stats around a shared,
+ * chunk-compressed trace (or a flat SoA TraceView) instead of the AoS
+ * trace. The timing models read it in order through a
+ * core::TraceSource, so neither the capture nor the lean bundle
+ * loader ever materializes a Trace.
  *
- * At most one of {view, chunked} is set. When the streaming-executor
- * policy (sim/stream_exec.h) keeps a big trace chunk-compressed,
- * `chunked` holds the resident form and `view` stays null: dynamic
- * sweeps stream tiles straight out of it, and the rare consumer that
- * needs random access flattens on demand (ChunkedView::flatten is
- * memoized). flatView() hides the distinction for such consumers.
- * Neither is set once the trace store has released the columns
+ * At most one of {view, chunked} is set. Under the default residency
+ * (sim/stream_exec.h) `chunked` holds the trace and `view` stays
+ * null: every sweep decodes tiles straight out of it, and the rare
+ * consumer that needs random access flattens on demand
+ * (ChunkedView::flatten is memoized, so the bundle is then chunked
+ * plus a memoized flat view). flatView() hides the distinction for
+ * such consumers. StreamExec::Off keeps only `view`. Neither is set
+ * once the trace store has released the columns
  * (runner::TraceStore::release); the stats stay readable.
  */
 struct ViewBundle {
@@ -94,13 +96,11 @@ struct ViewBundle {
 };
 
 /**
- * Apply the streaming-residency policy to a generated (chunked)
- * bundle: unless shouldStream(@p mode) says its flat view would spill
- * the LLC (or streaming is forced on), flatten it and drop the
- * compressed form — the decision loadBundleView makes on the disk
- * path, applied to in-memory generation so runs without a store
- * directory stream too. A flat bundle is left as it is: a flat view
- * is never re-encoded.
+ * Apply the residency policy to a chunked bundle, generated or
+ * loaded: keep it chunked unless shouldStream(@p mode) says otherwise
+ * (StreamExec::Off), in which case flatten it and drop the compressed
+ * form. A flat bundle is left as it is: a flat view is never
+ * re-encoded.
  */
 void applyResidency(ViewBundle &vb, StreamExec mode);
 

@@ -1,5 +1,6 @@
 #include "trace/chunked_view.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,45 +22,65 @@ using detail::kMetaTakenShift;
 /** Longest canonical LEB128 encoding of a uint32. */
 constexpr size_t kMaxVarint32Bytes = 5;
 
-/** Append @p v to @p out in canonical LEB128 (util::encodeVarint). */
-inline void
-appendVarint(std::vector<uint8_t> &out, uint32_t v)
+/** A flat view's v2 encoding (saveTrace): what a disk holds. */
+std::vector<uint8_t>
+encodeView(const TraceView &v)
 {
-    uint8_t tmp[util::kMaxVarintBytes];
-    const uint8_t *end = util::encodeVarint(tmp, v);
-    for (const uint8_t *p = tmp; p != end; ++p)
-        out.push_back(*p);
+    std::ostringstream os(std::ios::binary);
+    util::ByteSink sink(os);
+    saveTrace(v, sink);
+    sink.flush();
+    const std::string bytes = std::move(os).str();
+    return std::vector<uint8_t>(bytes.begin(), bytes.end());
 }
 
 /**
- * A flat view's v2 encoding (saveTrace), read back up to its meta
- * section: what ChunkedView's stream constructor reads off a disk.
+ * Decode one varint of a section the lean loader is validating: a
+ * canonical LEB128 encoding (no redundant high zero group) of at most
+ * kMaxVarint32Bytes bytes whose value fits 32 bits, lying before
+ * @p end. That is exactly what VarintReader may then assume.
  */
-class Encoding
+[[gnu::noinline]] const uint8_t *
+checkVarint32Slow(const uint8_t *p, const uint8_t *end, uint32_t &out)
 {
-  public:
-    explicit Encoding(const TraceView &v)
-    {
-        util::ByteSink sink(bytes_);
-        saveTrace(v, sink);
-        sink.flush();
-        std::string name;
-        detail::readPrologue(src_, name);
+    uint32_t v = 0;
+    for (unsigned k = 0; k < kMaxVarint32Bytes; ++k) {
+        if (p == end)
+            throw util::TruncatedError(
+                "malformed trace: section ends early");
+        const uint8_t b = *p++;
+        // The fifth byte carries bits 28..31 and must end the value.
+        if (k + 1 == kMaxVarint32Bytes && b > 0x0F)
+            throw util::FormatError(
+                "malformed trace: varint exceeds 32 bits");
+        v |= static_cast<uint32_t>(b & 0x7F) << (7 * k);
+        if ((b & 0x80) == 0) {
+            if (k > 0 && b == 0)
+                throw util::FormatError(
+                    "malformed trace: overlong varint");
+            out = v;
+            return p;
+        }
     }
+    throw util::FormatError("malformed trace: varint exceeds 32 bits");
+}
 
-    /** The encoding's remaining bytes, from the meta section on. */
-    util::ByteSource &body() { return src_; }
-
-  private:
-    std::stringstream bytes_;
-    util::ByteSource src_{bytes_};
-};
+inline const uint8_t *
+checkVarint32(const uint8_t *p, const uint8_t *end, uint32_t &out)
+{
+    if (p != end && *p < 0x80) [[likely]] {
+        out = *p;
+        return p + 1;
+    }
+    return checkVarint32Slow(p, end, out);
+}
 
 /**
- * Tight in-memory varint reader over a resident section buffer. The
- * buffers are written by this translation unit from validated 32-bit
- * values, so decoding needs no bounds or malformed-encoding checks —
- * every value is a canonical <= 5-byte varint of a uint32.
+ * Tight in-memory varint reader over a resident section. Every
+ * section was validated when its view was built (checkVarint32, or
+ * written by the Encoder from 32-bit values), so decoding needs no
+ * bounds or malformed-encoding checks — every value is a canonical
+ * <= 5-byte varint of a uint32.
  */
 class VarintReader
 {
@@ -131,10 +152,9 @@ metaTables()
 }
 
 /**
- * Validate one source reference the way TraceView(Parts) does: the
- * producer must be an earlier instruction whose op produces a value.
- * @p producer_meta is the producer's raw meta byte (valid only when
- * the index check passes).
+ * Validate one source reference (Trace::validate's SSA rule): the
+ * producer must be an earlier instruction whose op produces a value,
+ * read from the raw meta bytes @p meta.
  */
 inline bool
 validSource(InstIndex producer, size_t i, const uint8_t *meta)
@@ -173,92 +193,84 @@ class SectionWriter
 
 } // namespace
 
-ChunkedView::ChunkedView(const TraceView &v)
-    : ChunkedView(Encoding(v).body(), v.name(), v.size())
+ChunkedView::ChunkedView(const TraceView &v) : ChunkedView(encodeView(v), 0)
 {
 }
 
-ChunkedView::ChunkedView(util::ByteSource &src, std::string name,
-                         size_t n)
-    : name_(std::move(name)), n_(n)
+ChunkedView::ChunkedView(std::vector<uint8_t> bytes, size_t at)
+    : bytes_(std::move(bytes))
 {
-    const size_t chunks = (n_ + kChunkInstrs - 1) / kChunkInstrs;
-    dir_.resize(chunks);
+    if (at > bytes_.size())
+        throw std::logic_error("ChunkedView: trace offset past the bytes");
+    util::ByteReader prologue(bytes_.data() + at, bytes_.size() - at);
+    n_ = detail::readPrologue(prologue, name_);
 
-    // The v2 sections arrive in order (meta, srcs, addr, latency,
-    // aux), so one sequential pass re-slices each into its resident
-    // buffer while recording the per-chunk offsets and accumulator
-    // seeds. Values are decoded (never blind-copied) so this path
-    // validates exactly what the flat loaders validate: opcode range,
-    // and SSA form via the meta bytes as the producer-opcode table.
-    meta_.resize(n_);
-    if (n_ > 0)
-        src.read(meta_.data(), n_);
+    // One pass over the sections in file order (meta, srcs, addr,
+    // latency, aux): validate every value as the Encoder does when it
+    // writes one, and record where each chunk's slice of each section
+    // starts plus the delta accumulators entering it. The bytes stay
+    // as read.
+    const uint8_t *const base = bytes_.data();
+    const uint8_t *const end = base + bytes_.size();
+    const uint8_t *const meta = prologue.take(n_);
     for (size_t i = 0; i < n_; ++i) {
-        if ((meta_[i] & kMetaOpMask) >= kNumOps)
+        if ((meta[i] & kMetaOpMask) >= kNumOps)
             throw util::FormatError("malformed trace: bad opcode");
     }
+    const size_t chunks = (n_ + kChunkInstrs - 1) / kChunkInstrs;
+    dir_.resize(chunks);
+    const uint8_t *p = meta + n_;
+    sec_[kMeta] = static_cast<size_t>(meta - base);
 
-    srcs_bytes_.reserve(n_);
+    sec_[kSrcs] = static_cast<size_t>(p - base);
     for (size_t c = 0; c < chunks; ++c) {
-        dir_[c].srcs_off = srcs_bytes_.size();
-        const size_t lo = c * kChunkInstrs;
-        const size_t hi = std::min(n_, lo + kChunkInstrs);
-        for (size_t i = lo; i < hi; ++i) {
-            const uint8_t ns = (meta_[i] >> kMetaSrcShift) & kMetaSrcMask;
+        dir_[c].srcs_off = static_cast<size_t>(p - base) - sec_[kSrcs];
+        const size_t hi = std::min(n_, (c + 1) * kChunkInstrs);
+        for (size_t i = c * kChunkInstrs; i < hi; ++i) {
+            const uint8_t ns = (meta[i] >> kMetaSrcShift) & kMetaSrcMask;
             for (uint8_t s = 0; s < ns; ++s) {
-                const uint32_t delta = src.readVarint32();
-                const InstIndex producer =
-                    static_cast<uint32_t>(i) - delta;
-                if (!validSource(producer, i, meta_.data()))
+                uint32_t delta;
+                p = checkVarint32(p, end, delta);
+                if (!validSource(static_cast<uint32_t>(i) - delta, i,
+                                 meta))
                     throw util::FormatError(
                         "malformed trace: SSA check failed");
-                appendVarint(srcs_bytes_, delta);
             }
         }
     }
 
-    addr_bytes_.reserve(n_ * 2);
-    uint32_t prev = 0;
-    for (size_t c = 0; c < chunks; ++c) {
-        dir_[c].addr_off = addr_bytes_.size();
-        dir_[c].addr_prev = prev;
-        const size_t lo = c * kChunkInstrs;
-        const size_t hi = std::min(n_, lo + kChunkInstrs);
-        for (size_t i = lo; i < hi; ++i) {
-            const uint32_t z = src.readVarint32();
-            prev += util::unzigzag32(z);
-            appendVarint(addr_bytes_, z);
+    // Address and latency: zigzag deltas whose accumulators seed
+    // each chunk's decode.
+    for (Section sec : {kAddr, kLat}) {
+        sec_[sec] = static_cast<size_t>(p - base);
+        uint32_t prev = 0;
+        for (size_t c = 0; c < chunks; ++c) {
+            ChunkDir &d = dir_[c];
+            (sec == kAddr ? d.addr_off : d.lat_off) =
+                static_cast<size_t>(p - base) - sec_[sec];
+            (sec == kAddr ? d.addr_prev : d.lat_prev) = prev;
+            const size_t hi = std::min(n_, (c + 1) * kChunkInstrs);
+            for (size_t i = c * kChunkInstrs; i < hi; ++i) {
+                uint32_t z;
+                p = checkVarint32(p, end, z);
+                prev += util::unzigzag32(z);
+            }
         }
     }
 
-    lat_bytes_.reserve(n_);
-    prev = 0;
+    sec_[kAux] = static_cast<size_t>(p - base);
     for (size_t c = 0; c < chunks; ++c) {
-        dir_[c].lat_off = lat_bytes_.size();
-        dir_[c].lat_prev = prev;
-        const size_t lo = c * kChunkInstrs;
-        const size_t hi = std::min(n_, lo + kChunkInstrs);
-        for (size_t i = lo; i < hi; ++i) {
-            const uint32_t z = src.readVarint32();
-            prev += util::unzigzag32(z);
-            appendVarint(lat_bytes_, z);
+        dir_[c].aux_off = static_cast<size_t>(p - base) - sec_[kAux];
+        const size_t hi = std::min(n_, (c + 1) * kChunkInstrs);
+        for (size_t i = c * kChunkInstrs; i < hi; ++i) {
+            uint32_t aux;
+            p = checkVarint32(p, end, aux);
         }
     }
-
-    aux_bytes_.reserve(n_);
-    for (size_t c = 0; c < chunks; ++c) {
-        dir_[c].aux_off = aux_bytes_.size();
-        const size_t lo = c * kChunkInstrs;
-        const size_t hi = std::min(n_, lo + kChunkInstrs);
-        for (size_t i = lo; i < hi; ++i)
-            appendVarint(aux_bytes_, src.readVarint32());
-    }
-
-    srcs_bytes_.shrink_to_fit();
-    addr_bytes_.shrink_to_fit();
-    lat_bytes_.shrink_to_fit();
-    aux_bytes_.shrink_to_fit();
+    sec_[kSections] = static_cast<size_t>(p - base);
+    if (p != end)
+        throw util::FormatError(
+            "malformed trace: bytes after the aux section");
 }
 
 ChunkedView::Encoder::Encoder() : view_(new ChunkedView()) {}
@@ -273,17 +285,17 @@ ChunkedView::Encoder::add(const TraceInst *r, size_t count)
                                "partial chunk, or an empty/oversized one");
 
     ChunkDir d;
-    d.srcs_off = v.srcs_bytes_.size();
-    d.addr_off = v.addr_bytes_.size();
-    d.lat_off = v.lat_bytes_.size();
-    d.aux_off = v.aux_bytes_.size();
+    d.srcs_off = sections_[kSrcs].size();
+    d.addr_off = sections_[kAddr].size();
+    d.lat_off = sections_[kLat].size();
+    d.aux_off = sections_[kAux].size();
     d.addr_prev = addr_prev_;
     d.lat_prev = lat_prev_;
 
     // Meta first: the SSA check below reads producers' opcodes from
     // it, and a producer may sit earlier in this same chunk.
-    v.meta_.resize(lo + count);
-    uint8_t *meta = v.meta_.data();
+    sections_[kMeta].resize(lo + count);
+    uint8_t *meta = sections_[kMeta].data();
     for (size_t j = 0; j < count; ++j) {
         const TraceInst &inst = r[j];
         if (static_cast<uint8_t>(inst.op) >= kNumOps)
@@ -293,7 +305,7 @@ ChunkedView::Encoder::add(const TraceInst *r, size_t count)
         meta[lo + j] = detail::packMeta(inst.op, inst.num_srcs, inst.taken);
     }
     {
-        SectionWriter w(v.srcs_bytes_, count * kMaxSrcs);
+        SectionWriter w(sections_[kSrcs], count * kMaxSrcs);
         for (size_t j = 0; j < count; ++j) {
             const size_t i = lo + j;
             for (uint8_t s = 0; s < r[j].num_srcs; ++s) {
@@ -306,21 +318,21 @@ ChunkedView::Encoder::add(const TraceInst *r, size_t count)
         }
     }
     {
-        SectionWriter w(v.addr_bytes_, count);
+        SectionWriter w(sections_[kAddr], count);
         for (size_t j = 0; j < count; ++j) {
             w.put(util::zigzag32(r[j].addr - addr_prev_));
             addr_prev_ = r[j].addr;
         }
     }
     {
-        SectionWriter w(v.lat_bytes_, count);
+        SectionWriter w(sections_[kLat], count);
         for (size_t j = 0; j < count; ++j) {
             w.put(util::zigzag32(r[j].latency - lat_prev_));
             lat_prev_ = r[j].latency;
         }
     }
     {
-        SectionWriter w(v.aux_bytes_, count);
+        SectionWriter w(sections_[kAux], count);
         for (size_t j = 0; j < count; ++j)
             w.put(r[j].aux);
     }
@@ -331,20 +343,33 @@ ChunkedView::Encoder::add(const TraceInst *r, size_t count)
 std::shared_ptr<const ChunkedView>
 ChunkedView::Encoder::finish(std::string name)
 {
-    // No shrink_to_fit: past the small-allocation threshold the
-    // sections' unused capacity is address space that was never
-    // touched, so trimming it would only copy resident bytes.
-    view_->name_ = std::move(name);
+    ChunkedView &v = *view_;
+    size_t total = 0;
+    for (const std::vector<uint8_t> &sec : sections_)
+        total += sec.size();
+    v.bytes_.reserve(total);
+    for (size_t k = 0; k < kSections; ++k) {
+        v.sec_[k] = v.bytes_.size();
+        v.bytes_.insert(v.bytes_.end(), sections_[k].begin(),
+                        sections_[k].end());
+        std::vector<uint8_t>().swap(sections_[k]);
+    }
+    v.sec_[kSections] = v.bytes_.size();
+    v.name_ = std::move(name);
     return std::move(view_);
 }
 
 bool
 operator==(const ChunkedView &a, const ChunkedView &b)
 {
-    return a.name_ == b.name_ && a.n_ == b.n_ && a.meta_ == b.meta_ &&
-        a.srcs_bytes_ == b.srcs_bytes_ &&
-        a.addr_bytes_ == b.addr_bytes_ &&
-        a.lat_bytes_ == b.lat_bytes_ && a.aux_bytes_ == b.aux_bytes_ &&
+    for (size_t k = ChunkedView::kSrcs; k <= ChunkedView::kSections; ++k)
+        if (a.sec_[k] - a.sec_[ChunkedView::kMeta] !=
+            b.sec_[k] - b.sec_[ChunkedView::kMeta])
+            return false;
+    return a.name_ == b.name_ && a.n_ == b.n_ &&
+        std::equal(a.section(ChunkedView::kMeta),
+                   a.section(ChunkedView::kMeta) + a.bodyBytes(),
+                   b.section(ChunkedView::kMeta)) &&
         a.dir_ == b.dir_;
 }
 
@@ -353,10 +378,7 @@ saveTrace(const ChunkedView &cv, util::ByteSink &sink)
 {
     util::failpoint("trace_io.save");
     detail::writePrologue(sink, cv.name_, cv.n_);
-    for (const std::vector<uint8_t> *section :
-         {&cv.meta_, &cv.srcs_bytes_, &cv.addr_bytes_, &cv.lat_bytes_,
-          &cv.aux_bytes_})
-        sink.put(section->data(), section->size());
+    sink.put(cv.section(ChunkedView::kMeta), cv.bodyBytes());
 }
 
 void
@@ -387,7 +409,7 @@ ChunkedView::decodeInto(size_t c, const Columns &out) const
     const size_t cnt = chunkLength(c);
 
     const MetaTables &t = metaTables();
-    const uint8_t *meta = meta_.data() + lo;
+    const uint8_t *meta = section(kMeta) + lo;
     for (size_t j = 0; j < cnt; ++j) {
         const uint8_t m = meta[j];
         out.ops[j] = static_cast<Op>(m & kMetaOpMask);
@@ -395,7 +417,7 @@ ChunkedView::decodeInto(size_t c, const Columns &out) const
         out.num_srcs[j] = (m >> kMetaSrcShift) & kMetaSrcMask;
     }
 
-    VarintReader sr(srcs_bytes_.data() + d.srcs_off);
+    VarintReader sr(section(kSrcs) + d.srcs_off);
     for (size_t j = 0; j < cnt; ++j) {
         auto &slots = out.srcs[j];
         const uint32_t self = static_cast<uint32_t>(lo + j);
@@ -427,21 +449,21 @@ ChunkedView::decodeInto(size_t c, const Columns &out) const
         }
     }
 
-    VarintReader ar(addr_bytes_.data() + d.addr_off);
+    VarintReader ar(section(kAddr) + d.addr_off);
     uint32_t prev = d.addr_prev;
     for (size_t j = 0; j < cnt; ++j) {
         prev += util::unzigzag32(ar.next());
         out.addr[j] = prev;
     }
 
-    VarintReader lr(lat_bytes_.data() + d.lat_off);
+    VarintReader lr(section(kLat) + d.lat_off);
     prev = d.lat_prev;
     for (size_t j = 0; j < cnt; ++j) {
         prev += util::unzigzag32(lr.next());
         out.latency[j] = prev;
     }
 
-    VarintReader xr(aux_bytes_.data() + d.aux_off);
+    VarintReader xr(section(kAux) + d.aux_off);
     for (size_t j = 0; j < cnt; ++j)
         out.aux[j] = xr.next();
 
@@ -468,9 +490,15 @@ ChunkedView::bytesResident() const
             flat = flat_->size() *
                 static_cast<size_t>(TraceView::bytesPerInstr());
     }
-    return meta_.size() + srcs_bytes_.size() + addr_bytes_.size() +
-        lat_bytes_.size() + aux_bytes_.size() +
-        dir_.size() * sizeof(ChunkDir) + name_.size() + flat;
+    return bodyBytes() + dir_.size() * sizeof(ChunkDir) + name_.size() +
+        flat;
+}
+
+bool
+ChunkedView::flattened() const
+{
+    std::lock_guard<std::mutex> lock(flat_mu_);
+    return flat_ != nullptr;
 }
 
 std::shared_ptr<const TraceView>

@@ -12,7 +12,6 @@
 
 namespace dsmem::util {
 class ByteSink;
-class ByteSource;
 }
 
 namespace dsmem::trace {
@@ -139,33 +138,39 @@ class TileSpan
 
 /**
  * Chunked, compressed-resident trace view: the trace stays in memory
- * as v2-style sections (raw meta bytes; varint-encoded source deltas,
+ * as its v2 sections (raw meta bytes; varint-encoded source deltas,
  * zigzag address/latency deltas, and aux values) sliced into chunks
  * of kChunkInstrs instructions, decoded on demand into TraceTile SoA
  * tiles. Resident footprint is ~4-8 bytes per instruction against the
- * flat view's 28 (TraceView::bytesPerInstr()), so a campaign worker
- * holding a multi-GB trace keeps only the compressed form plus one
- * L2-sized tile resident; a core::TraceSource over it decodes each
- * chunk just before the sweep reads it.
+ * flat view's 28 (TraceView::bytesPerInstr()), so a campaign keeps
+ * only the compressed form plus one L2-sized tile resident; a
+ * core::TraceSource over it decodes each chunk just before the sweep
+ * reads it.
  *
- * A per-chunk directory stores each section's byte offset plus the
+ * The five sections sit back to back in one buffer. A per-chunk
+ * directory stores each section's byte offset plus the
  * address/latency delta accumulators entering the chunk, so chunks
- * decode independently and in any order. Both build paths (the stream
- * constructor and the Encoder the phase-1 capture uses) validate the
- * opcode range and SSA form exactly like TraceView(Parts) — the raw
- * meta bytes double as a random-access opcode table for producer
- * checks — so a ChunkedView, like a TraceView, cannot exist
- * malformed, and flatten() need not check again.
+ * decode independently and in any order. Both build paths validate
+ * the same things: the lean loader (the byte constructor, which
+ * keeps the bytes it is given where they are) and the Encoder the
+ * phase-1 capture uses both check the opcode range and SSA form (the
+ * raw meta bytes double as a random-access opcode table for producer
+ * checks), and every varint is a canonical LEB128 encoding of at most
+ * five bytes that fits 32 bits. So a ChunkedView cannot exist
+ * malformed, and neither decodeChunk nor flatten() checks again.
  *
  * Immutable after construction; decodeChunk is const and touches no
  * shared mutable state, so one ChunkedView may feed many threads.
  * flatten() lazily materializes (and caches) the full TraceView for
  * consumers that need random access (sampled runs, live-point
- * warming); every phase-2 model reads a core::TraceSource in order
- * and never flattens.
+ * warming, the trace transforms); every phase-2 model reads a
+ * core::TraceSource in order and never flattens.
  */
 class ChunkedView
 {
+    /** The v2 sections, in file order; kSections counts them. */
+    enum Section : size_t { kMeta, kSrcs, kAddr, kLat, kAux, kSections };
+
   public:
     /**
      * Instructions per chunk. Matches the tiled sweep's block size;
@@ -175,21 +180,25 @@ class ChunkedView
     static constexpr size_t kChunkInstrs = 8192;
 
     /**
-     * Chunk a flat view (the in-memory conversion path): encode it
-     * with saveTrace and load that encoding through the stream
-     * constructor below. The resident sections are then the file's
-     * bytes, validated as a disk load validates them.
+     * Chunk a flat view (the in-memory conversion path and the
+     * reference the capture Encoder is tested against): encode it
+     * with saveTrace and load those bytes through the lean loader
+     * below, so the resident sections are the file's bytes, validated
+     * as a disk load validates them.
      */
     explicit ChunkedView(const TraceView &v);
 
     /**
-     * Decode a v2 trace body (after magic + version) straight into
-     * chunk-resident form — the load path that never materializes a
-     * flat SoA. @p name and @p n come from the stream prologue the
-     * caller already parsed. Throws util::FormatError on malformed
-     * input, exactly like the flat loaders.
+     * The lean load: adopt @p bytes, which hold one DSMT v2 trace
+     * stream (magic, version, name, count, then the five sections)
+     * from offset @p at to their end. One validating pass checks the
+     * opcodes, the SSA form and every varint, and records the chunk
+     * directory; the section bytes stay where they were read, never
+     * decoded and re-encoded. Throws util::FormatError on malformed
+     * input (util::TruncatedError when a section ends early), including
+     * any bytes past the aux section.
      */
-    ChunkedView(util::ByteSource &src, std::string name, size_t n);
+    ChunkedView(std::vector<uint8_t> bytes, size_t at);
 
     /**
      * Builds a ChunkedView one chunk of AoS records at a time — the
@@ -215,11 +224,15 @@ class ChunkedView
          */
         void add(const TraceInst *records, size_t count);
 
-        /** The finished view; the Encoder is spent. */
+        /**
+         * The finished view: the sections joined into its one
+         * buffer. The Encoder is spent.
+         */
         std::shared_ptr<const ChunkedView> finish(std::string name);
 
       private:
         std::shared_ptr<ChunkedView> view_;
+        std::vector<uint8_t> sections_[kSections];
         uint32_t addr_prev_ = 0; ///< Accumulators entering the next chunk.
         uint32_t lat_prev_ = 0;
     };
@@ -255,6 +268,9 @@ class ChunkedView
      */
     std::shared_ptr<const TraceView> flatten() const;
 
+    /** True once flatten() has materialized the flat view. */
+    bool flattened() const;
+
     /** Same name, sections and chunk directory (not the flat cache). */
     friend bool operator==(const ChunkedView &a, const ChunkedView &b);
 
@@ -263,7 +279,7 @@ class ChunkedView
   private:
     /** Per-chunk section offsets + delta accumulator seeds. */
     struct ChunkDir {
-        uint64_t srcs_off = 0; ///< Byte offset into srcs_bytes_.
+        uint64_t srcs_off = 0; ///< Byte offset into the srcs section.
         uint64_t addr_off = 0;
         uint64_t lat_off = 0;
         uint64_t aux_off = 0;
@@ -291,13 +307,25 @@ class ChunkedView
     /** Decode chunk @p c into @p out's first chunkLength(c) slots. */
     void decodeInto(size_t c, const Columns &out) const;
 
+    /** Section @p s's first byte. */
+    const uint8_t *section(Section s) const
+    {
+        return bytes_.data() + sec_[s];
+    }
+
+    /** The five sections back to back: the v2 body. */
+    size_t bodyBytes() const { return sec_[kSections] - sec_[kMeta]; }
+
     std::string name_;
     size_t n_ = 0;
-    std::vector<uint8_t> meta_; ///< n raw v2 meta bytes.
-    std::vector<uint8_t> srcs_bytes_;
-    std::vector<uint8_t> addr_bytes_;
-    std::vector<uint8_t> lat_bytes_;
-    std::vector<uint8_t> aux_bytes_;
+    /**
+     * Holds the sections at [sec_[kMeta], sec_[kSections]). A loaded
+     * view keeps the buffer it was read into, whose bytes before the
+     * meta section (a bundle's header and stats) are not the trace's
+     * and are not counted as resident.
+     */
+    std::vector<uint8_t> bytes_;
+    size_t sec_[kSections + 1] = {}; ///< Section starts, then the end.
     std::vector<ChunkDir> dir_;
 
     mutable std::mutex flat_mu_;

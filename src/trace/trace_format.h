@@ -9,15 +9,15 @@
 #include "trace/instruction.h"
 
 namespace dsmem::util {
+class ByteReader;
 class ByteSink;
-class ByteSource;
 }
 
 // ------------------------------------------------------------------
 // Internal header: the DSMT v2 per-instruction meta-byte packing,
 // and prologue reader, shared by the stream codec (trace_io.cc) and
-// the chunk-resident view (chunked_view.cc), which stores the same
-// byte layout in memory. Not part of the public API.
+// the chunk-resident view (chunked_view.cc), which keeps the same
+// bytes in memory. Not part of the public API.
 // ------------------------------------------------------------------
 
 namespace dsmem::trace::detail {
@@ -43,11 +43,12 @@ packMeta(Op op, uint8_t num_srcs, bool taken)
 
 /**
  * Read a DSMT v2 prologue (magic, version, name and record count),
- * leaving @p src at the meta section; returns the count. Throws
+ * leaving @p r at the meta section; returns the count. Throws
  * util::FormatError on a bad magic or version, an implausible name,
- * or a count the stream cannot hold — the checks every loader makes.
+ * or a count the remaining bytes cannot hold — before anything is
+ * sized by it.
  */
-size_t readPrologue(util::ByteSource &src, std::string &name);
+size_t readPrologue(util::ByteReader &r, std::string &name);
 
 /**
  * Write a DSMT v2 prologue (magic, version, name, record count @p n):

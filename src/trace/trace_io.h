@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "trace/trace.h"
 #include "trace/trace_view.h"
@@ -31,9 +32,13 @@ namespace dsmem::trace {
  *   latency  n varints, zigzag delta vs. the previous latency
  *   aux      n varints, raw
  *
- * Each section is one tight array, so a loader fills the matching
- * TraceView SoA column sequentially — loadTraceView() decodes a v2
- * stream straight into a view without materializing AoS records.
+ * Each section is one tight array, and the sections are exactly what
+ * a trace::ChunkedView keeps resident, so there is one decoder: every
+ * loader reads the stream into one buffer, validates the sections in
+ * one pass and keeps them as read (loadTraceChunked); the flat and
+ * AoS loaders then flatten that view. Every varint must be a
+ * canonical LEB128 encoding (no redundant high zero group) of a value
+ * that fits 32 bits, and the stream must end with the aux section.
  * Integrity (checksums) is the containing bundle's concern
  * (runner::saveBundle); a bare DSMT stream carries none.
  *
@@ -64,33 +69,36 @@ void saveTrace(const Trace &t, std::ostream &os);
 void saveTraceFile(const Trace &t, const std::string &path);
 
 /**
- * Deserialize a trace. Throws std::runtime_error on bad
- * magic, unsupported version, truncation, or malformed instructions
- * (the result always passes Trace::validate()).
+ * Deserialize a trace: the lean chunked load, flattened, as AoS
+ * records. Throws util::FormatError on bad magic, unsupported
+ * version, truncation, or malformed instructions (the result always
+ * passes Trace::validate()).
  */
-Trace loadTrace(util::ByteSource &src);
 Trace loadTrace(std::istream &is);
 
 /** Deserialize a trace from @p path. */
 Trace loadTraceFile(const std::string &path);
 
 /**
- * Deserialize a stream directly into a TraceView, skipping the
- * intermediate AoS Trace — the phase-2-only load path. Performs the
- * same validation as loadTrace.
+ * Deserialize a stream into a flat TraceView: the lean chunked load,
+ * then ChunkedView::flatten(). Same validation as loadTrace.
  */
-std::shared_ptr<const TraceView> loadTraceView(util::ByteSource &src);
 std::shared_ptr<const TraceView> loadTraceView(std::istream &is);
 
 /**
- * Deserialize a stream straight into chunk-compressed resident form
- * (ChunkedView) without ever materializing the flat SoA — the
- * streaming-executor load path, whose peak footprint is the compressed
- * sections instead of size() * TraceView::bytesPerInstr(). Performs
- * the same validation (opcode range, SSA form, truncation) as
- * loadTrace.
+ * The lean load: deserialize the DSMT v2 stream held in @p bytes from
+ * offset @p at to their end into chunk-compressed resident form
+ * (ChunkedView), keeping the section bytes where they are — the flat
+ * SoA is never materialized, so the footprint is the compressed
+ * sections. One validating pass checks what every loader checks
+ * (opcode range, SSA form, canonical 32-bit varints, truncation,
+ * bytes past the last section); runner::loadBundleView hands it the
+ * bundle file it has read. The "trace_io.load" failpoint site.
  */
-std::shared_ptr<const ChunkedView> loadTraceChunked(util::ByteSource &src);
+std::shared_ptr<const ChunkedView>
+loadTraceChunked(std::vector<uint8_t> bytes, size_t at);
+
+/** loadTraceChunked over everything left in @p is (util::readAll). */
 std::shared_ptr<const ChunkedView> loadTraceChunked(std::istream &is);
 
 } // namespace dsmem::trace

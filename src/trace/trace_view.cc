@@ -1,9 +1,5 @@
 #include "trace/trace_view.h"
 
-#include <stdexcept>
-
-#include "util/errors.h"
-
 namespace dsmem::trace {
 
 namespace detail {
@@ -67,46 +63,6 @@ TraceView::TraceView(const Trace &t) : name_(t.name())
     }
 }
 
-TraceView::TraceView(Parts parts) : name_(std::move(parts.name))
-{
-    const size_t n = parts.ops.size();
-    if (parts.num_srcs.size() != n || parts.taken.size() != n ||
-        parts.srcs.size() != n || parts.addr.size() != n ||
-        parts.latency.size() != n || parts.aux.size() != n) {
-        throw util::FormatError("malformed trace: SoA length mismatch");
-    }
-
-    ops_ = std::move(parts.ops);
-    num_srcs_ = std::move(parts.num_srcs);
-    srcs_ = std::move(parts.srcs);
-    addr_ = std::move(parts.addr);
-    latency_ = std::move(parts.latency);
-    aux_ = std::move(parts.aux);
-
-    fu_.resize(n);
-    flags_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        Op op = ops_[i];
-        if (static_cast<uint8_t>(op) >= kNumOps)
-            throw util::FormatError("malformed trace: bad opcode");
-        if (num_srcs_[i] > kMaxSrcs)
-            throw util::FormatError("malformed trace: bad src count");
-        fu_[i] = static_cast<uint8_t>(fuClass(op));
-        flags_[i] = classifyInst(op, latency_[i], parts.taken[i] != 0);
-
-        // SSA validation (the direct load path must reject exactly
-        // what Trace::validate rejects).
-        for (uint8_t s = 0; s < num_srcs_[i]; ++s) {
-            InstIndex producer = srcs_[i][s];
-            if (producer == kNoSrc || producer >= i ||
-                !dsmem::trace::producesValue(ops_[producer])) {
-                throw util::FormatError(
-                    "malformed trace: SSA check failed");
-            }
-        }
-    }
-}
-
 TraceInst
 TraceView::materialize(size_t i) const
 {
@@ -121,6 +77,16 @@ TraceView::materialize(size_t i) const
     inst.latency = latency_[i];
     inst.aux = aux_[i];
     return inst;
+}
+
+Trace
+TraceView::toTrace() const
+{
+    Trace t(name_);
+    t.reserve(size());
+    for (size_t i = 0; i < size(); ++i)
+        t.append(materialize(i));
+    return t;
 }
 
 } // namespace dsmem::trace

@@ -48,24 +48,6 @@ uint8_t classifyInst(Op op, uint32_t latency, bool taken);
 class TraceView
 {
   public:
-    /**
-     * The base SoA arrays a view is derived from — what a DSMT v2
-     * bundle stores on disk. Decoders fill these directly (no
-     * intermediate AoS Trace) and hand them to the TraceView(Parts)
-     * constructor, which validates SSA form and derives the
-     * classification flags and FU classes.
-     */
-    struct Parts {
-        std::string name;
-        std::vector<Op> ops;
-        std::vector<uint8_t> num_srcs;
-        std::vector<uint8_t> taken; ///< 0/1 per instruction.
-        std::vector<std::array<InstIndex, 3>> srcs;
-        std::vector<Addr> addr;
-        std::vector<uint32_t> latency;
-        std::vector<uint32_t> aux;
-    };
-
     // Classification flag bits (flags(i)).
     static constexpr uint8_t kMiss = 1u << 0;    ///< Memory op, latency > 1.
     static constexpr uint8_t kSync = 1u << 1;    ///< Any synchronization op.
@@ -77,14 +59,6 @@ class TraceView
     static constexpr uint8_t kProducesValue = 1u << 7;
 
     explicit TraceView(const Trace &t);
-
-    /**
-     * Build from decoded SoA arrays (the direct-to-view load path).
-     * Throws std::runtime_error when the arrays disagree in length or
-     * fail SSA validation — the same malformed-trace conditions
-     * trace_io's AoS loader rejects.
-     */
-    explicit TraceView(Parts parts);
 
     /** Build a shareable view (the Campaign's per-bundle decode). */
     static std::shared_ptr<const TraceView> build(const Trace &t)
@@ -137,6 +111,9 @@ class TraceView
 
     /** Reconstruct the AoS record (exact round-trip of Trace's). */
     TraceInst materialize(size_t i) const;
+
+    /** Every record, as the AoS Trace (the AoS loaders' last step). */
+    Trace toTrace() const;
 
     // Raw column bases: what a trace::TileSpan over the whole view
     // (the executors' zero-copy input) reads.

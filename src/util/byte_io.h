@@ -472,6 +472,120 @@ class ByteSource
     bool hashing_ = false;
 };
 
+/**
+ * Bounds-checked little-endian cursor over bytes already in memory:
+ * the in-memory twin of ByteSource that the bundle and trace loaders
+ * parse a whole file with once it has been read (readAll). Reading
+ * past the end throws TruncatedError.
+ */
+class ByteReader
+{
+  public:
+    ByteReader(const uint8_t *data, size_t size)
+        : p_(data), end_(data + size)
+    {
+    }
+
+    size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+
+    /** The next unread byte. */
+    const uint8_t *position() const { return p_; }
+
+    void read(void *data, size_t n)
+    {
+        std::memcpy(data, take(n), n);
+    }
+
+    uint8_t readByte() { return *take(1); }
+
+    uint32_t readU32()
+    {
+        uint32_t v;
+        read(&v, 4);
+        return v;
+    }
+
+    uint64_t readU64()
+    {
+        uint64_t v;
+        read(&v, 8);
+        return v;
+    }
+
+    /** LEB128 decode; rejects encodings longer than 64 bits carry. */
+    uint64_t readVarint()
+    {
+        uint64_t v = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            const uint8_t b = readByte();
+            v |= static_cast<uint64_t>(b & 0x7F) << shift;
+            if ((b & 0x80) == 0) {
+                if (shift == 63 && b > 1)
+                    throw FormatError("malformed varint");
+                return v;
+            }
+        }
+        throw FormatError("malformed varint");
+    }
+
+    /** Consume @p n bytes and return where they start. */
+    const uint8_t *take(size_t n)
+    {
+        if (n > remaining())
+            throw TruncatedError("byte reader truncated");
+        const uint8_t *at = p_;
+        p_ += n;
+        return at;
+    }
+
+  private:
+    const uint8_t *p_;
+    const uint8_t *end_;
+};
+
+/**
+ * Everything left in @p is, read into one buffer: sized once from the
+ * bytes the stream actually holds when it is seekable (so a corrupt
+ * length field inside can never size it), grown block by block when
+ * it is not. Each read from the stream is a "byte_io.refill"
+ * failpoint site, like ByteSource's; throws IoError when the stream
+ * fails before its end.
+ */
+inline std::vector<uint8_t>
+readAll(std::istream &is, size_t block_bytes = 1u << 16)
+{
+    std::vector<uint8_t> out;
+    const std::streampos cur = is.tellg();
+    if (cur != std::streampos(-1)) {
+        is.seekg(0, std::ios::end);
+        const std::streampos end = is.tellg();
+        is.seekg(cur);
+        if (end != std::streampos(-1) && end > cur)
+            out.reserve(static_cast<size_t>(end - cur));
+    }
+    for (;;) {
+        if (failpointsArmed()) [[unlikely]]
+            failpoint("byte_io.refill");
+        const size_t want = out.capacity() > out.size()
+            ? out.capacity() - out.size()
+            : block_bytes;
+        const size_t at = out.size();
+        out.resize(at + want);
+        is.read(reinterpret_cast<char *>(out.data() + at),
+                static_cast<std::streamsize>(want));
+        const size_t got = static_cast<size_t>(is.gcount());
+        out.resize(at + got);
+        if (got < want) {
+            if (is.bad())
+                throw IoError("byte source read failed");
+            return out;
+        }
+        // Filled exactly: grow only if the stream holds more.
+        if (is.peek() == std::char_traits<char>::eof())
+            return out;
+    }
+}
+
 } // namespace dsmem::util
 
 #endif // DSMEM_UTIL_BYTE_IO_H

@@ -16,7 +16,7 @@
 
 // ------------------------------------------------------------------
 // Host introspection shared by the benches (JSON headers, regime
-// sizing) and the streaming-executor policy (sim/stream_exec.h):
+// sizing) and sim::streamThresholdBytes (sim/stream_exec.h):
 // CPU model string, cache sizes, core count, and the process's peak
 // resident set. Header-only, like the rest of util/.
 // ------------------------------------------------------------------

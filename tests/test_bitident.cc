@@ -86,10 +86,10 @@ TEST(BitIdentityTest, DefaultConfigBundlesMatchSeedGoldens)
 }
 
 /**
- * The store's cold path never builds the AoS trace: the engine's
- * capture drains into a view, and the bundle is written from it. Its
- * bytes are the same goldens, and the same as the AoS writer's for
- * the v3 (DRAM) container too.
+ * The store's cold path never builds the AoS trace: the engine
+ * records straight into the compressed capture, and the bundle is
+ * written from its sections. Its bytes are the same goldens, and the
+ * same as the AoS writer's for the v3 (DRAM) container too.
  */
 TEST(BitIdentityTest, ViewShapedBundlesMatchSeedGoldens)
 {

@@ -20,6 +20,7 @@
 
 #include <unistd.h>
 
+#include "malformed_trace.h"
 #include "random_trace.h"
 #include "runner/trace_store.h"
 #include "sim/sampling.h"
@@ -256,6 +257,45 @@ TEST(BundleFuzz, Version1StreamsAreRefused)
     EXPECT_EQ(gc.removed_stale, 1u);
     EXPECT_FALSE(fs::exists(dir / name));
     fs::remove_all(dir);
+}
+
+// --- Checksum-valid bundles around malformed traces ----------------
+
+/** Recompute the trailing checksum over the hashed region. */
+std::string
+reseal(std::string bytes)
+{
+    util::FnvState fnv;
+    fnv.update(bytes.data() + 8, bytes.size() - 16);
+    const uint64_t h = fnv.value();
+    std::memcpy(&bytes[bytes.size() - 8], &h, 8);
+    return bytes;
+}
+
+TEST(BundleFuzz, ChecksumValidMalformedTracesAreRefused)
+{
+    sim::TraceBundle bundle;
+    bundle.trace = testing::laidOutTrace();
+    bundle.stats = trace::computeStats(bundle.trace);
+    const std::string bytes = serializeV2(bundle);
+    const size_t at = bytes.find("DSMT");
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(bytes.size(), at + testing::kLaidEnd + 8);
+    EXPECT_EQ(reseal(bytes), bytes);
+    EXPECT_TRUE(typedOutcome(bytes, loadViewFrom));
+
+    for (const auto &[what, mutant] :
+         testing::laidOutCorruptions(bytes, at)) {
+        SCOPED_TRACE(what);
+        const std::string sealed = reseal(mutant);
+        for (sim::StreamExec mode :
+             {sim::StreamExec::On, sim::StreamExec::Off}) {
+            std::istringstream is(sealed, std::ios::binary);
+            EXPECT_THROW(loadBundleView(is, mode), util::FormatError);
+        }
+        std::istringstream is(sealed, std::ios::binary);
+        EXPECT_THROW(loadBundle(is), util::FormatError);
+    }
 }
 
 TEST(BundleFuzz, BadMagicAndVersionAreFormatErrors)

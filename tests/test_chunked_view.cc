@@ -4,11 +4,13 @@
  * every chunk must decode to exactly the flat view's columns (at
  * sizes straddling the chunk boundary, and in any decode order),
  * flatten() must reproduce the original view (and count its copy as
- * resident), and the chunked loader must agree byte-for-byte
- * with the flat loader on ANY input — every truncation point and a
- * byte flip at every offset either loads identically through both
- * paths or fails both with a *typed* error (util::FormatError /
- * util::IoError), with chunk-boundary offsets swept densely.
+ * resident), and the loaders must refuse malformed input: every
+ * truncation point is refused, and a byte flip at every offset either
+ * loads identically through the chunked and flat loaders or fails
+ * both with a *typed* error (util::FormatError / util::IoError), with
+ * chunk-boundary offsets swept densely. The flat loader is the lean
+ * chunked load plus flatten(), so the two agree by construction; the
+ * sweeps stand as refusal checks of the one decoder.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "malformed_trace.h"
 #include "random_trace.h"
 #include "sim/app_registry.h"
 #include "sim/trace_bundle.h"
@@ -204,7 +207,8 @@ typedOutcome(const std::string &bytes, Fn fn)
  * typed errors, and when both load, the chunked result flattens to
  * the identical trace — a mutant may decode to a *different* valid
  * trace (bare DSMT streams carry no checksum), but never to different
- * traces through the two paths.
+ * traces through the two paths. Both share the one decoder, so what
+ * this mostly checks is that every outcome is typed.
  */
 bool
 expectLoaderAgreement(const std::string &bytes, const char *what)
@@ -335,6 +339,30 @@ TEST(ChunkedView, HugeRecordCountIsRejectedBeforeAllocating)
     std::string bytes = std::move(os).str();
     std::istringstream is(bytes, std::ios::binary);
     EXPECT_THROW(loadTraceChunked(is), util::FormatError);
+}
+
+// --- The lean loader refuses what it cannot keep as read ------------
+
+TEST(ChunkedView, MalformedSectionsAreRefusedByTheLeanLoader)
+{
+    const std::string bytes = serializeV2(testing::laidOutTrace());
+    ASSERT_EQ(bytes.size(), testing::kLaidEnd);
+    {
+        std::istringstream is(bytes, std::ios::binary);
+        std::shared_ptr<const ChunkedView> cv = loadTraceChunked(is);
+        expectSameView(*cv->flatten(), TraceView(testing::laidOutTrace()));
+    }
+    auto corruptions = testing::laidOutCorruptions(bytes, 0);
+    corruptions.emplace_back("bytes after the aux section", bytes + "x");
+    for (const auto &[what, mutant] : corruptions) {
+        SCOPED_TRACE(what);
+        std::istringstream chunked(mutant, std::ios::binary);
+        EXPECT_THROW(loadTraceChunked(chunked), util::FormatError);
+        std::istringstream flat(mutant, std::ios::binary);
+        EXPECT_THROW(loadTraceView(flat), util::FormatError);
+        std::istringstream aos(mutant, std::ios::binary);
+        EXPECT_THROW(loadTrace(aos), util::FormatError);
+    }
 }
 
 // --- The phase-1 capture encoder -------------------------------------

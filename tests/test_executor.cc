@@ -12,10 +12,12 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/base_processor.h"
 #include "core/dynamic_processor.h"
 #include "core/sim_context.h"
 #include "core/sol_sweep.h"
@@ -254,23 +256,41 @@ TEST(Executor, PlanCoversPendingRowsExactlyOnce)
     }
 }
 
-TEST(Executor, PlanRespectsLaneCapAndFusesOnlyDynamicRows)
+TEST(Executor, PlanRespectsLaneCapAndNeverMixesFamilies)
 {
     std::vector<ModelSpec> specs = combinedSpecs();
     std::vector<uint8_t> done(specs.size(), 0);
     for (size_t cap : {0u, 1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE("lane cap " + std::to_string(cap));
+        size_t static_groups = 0;
         for (const ExecGroup &g : sim::planPhase2(specs, done, cap)) {
-            if (cap != 0) {
+            EXPECT_EQ(g.fused, g.rows.size() > 1);
+            const bool ds =
+                specs[g.rows.front()].kind == ModelSpec::Kind::DS;
+            // A group is all DS rows (one sweep family) or all
+            // static rows (one static sweep), never a mix.
+            for (size_t s : g.rows)
+                EXPECT_EQ(specs[s].kind == ModelSpec::Kind::DS, ds);
+            static_groups += !ds;
+            if (cap != 0 && ds) {
                 EXPECT_LE(g.rows.size(), cap);
             }
-            EXPECT_EQ(g.fused, g.rows.size() > 1);
-            if (g.rows.size() > 1) {
-                for (size_t s : g.rows)
-                    EXPECT_EQ(specs[s].kind, ModelSpec::Kind::DS);
+            // A static group weighs no more than a full DS sweep.
+            if (cap > 1 && !ds) {
+                EXPECT_LE(g.cost, cap * 4);
             }
             if (cap == 1) {
                 EXPECT_FALSE(g.fused);
             }
+        }
+        // Eight static rows (figure 3's seven and figure 4's BASE)
+        // weigh 14: one sweep when unlimited, two groups of weight at
+        // most 8 at cap 2.
+        if (cap == 0) {
+            EXPECT_EQ(static_groups, 1u);
+        }
+        if (cap == 2) {
+            EXPECT_EQ(static_groups, 2u);
         }
     }
 }
@@ -721,9 +741,10 @@ TEST(Executor, PlanFusesAllFigure3DsRowsIntoOneFamily)
     EXPECT_EQ(ds_rows, 7u);
     size_t fused_groups = 0;
     for (const ExecGroup &g : sim::planPhase2(specs, done, 0)) {
-        if (!g.fused) {
-            EXPECT_EQ(g.rows.size(), 1u);
-            EXPECT_NE(specs[g.rows[0]].kind, ModelSpec::Kind::DS);
+        EXPECT_TRUE(g.fused);
+        if (specs[g.rows[0]].kind != ModelSpec::Kind::DS) {
+            // The seven static rows are the one static sweep.
+            EXPECT_EQ(g.rows.size(), specs.size() - ds_rows);
             continue;
         }
         ++fused_groups;
@@ -898,6 +919,188 @@ TEST(Executor, StreamedContextReuseAgainstFlat)
                 DynamicProcessor(fam[1]).run(view, shared), single[1]);
         }
     }
+}
+
+// --- The static sweep -------------------------------------------------
+
+/** Every static row the sweep must reproduce: BASE, and SSBR and SS
+ *  under each model at the paper's and at shallow buffer depths. */
+std::vector<core::StaticSweepRow>
+staticRows()
+{
+    std::vector<core::StaticSweepRow> rows;
+    rows.push_back({true, {}});
+    for (ConsistencyModel model :
+         {ConsistencyModel::SC, ConsistencyModel::PC,
+          ConsistencyModel::WO, ConsistencyModel::RC}) {
+        for (bool nonblocking : {false, true}) {
+            for (uint32_t depth : {16u, 1u, 3u}) {
+                core::StaticSweepRow row;
+                row.config.model = model;
+                row.config.nonblocking_reads = nonblocking;
+                row.config.write_buffer_depth = depth;
+                row.config.read_buffer_depth = depth == 16 ? 16 : depth + 1;
+                rows.push_back(row);
+            }
+        }
+    }
+    return rows;
+}
+
+/** Row @p row's own run, through its processor's public entry point. */
+RunResult
+runStaticRow(const core::TraceSource &src, const core::StaticSweepRow &row)
+{
+    if (row.base)
+        return core::BaseProcessor().run(src);
+    return StaticProcessor(row.config).run(src);
+}
+
+/**
+ * Static trace lengths: empty, one instruction, the chunk edges, and
+ * a multi-chunk trace whose last chunk is partial.
+ */
+std::vector<size_t>
+staticLengths()
+{
+    constexpr size_t k = trace::ChunkedView::kChunkInstrs;
+    return {0, 1, k - 1, k, k + 1, 2 * k + 777};
+}
+
+/**
+ * The fused static sweep equals each row's own run, flat and chunked,
+ * at every length, for BASE and for SSBR and SS under every model and
+ * at non-default buffer depths — and the AoS oracles agree.
+ */
+TEST(Executor, StaticSweepMatchesPerRowRuns)
+{
+    const std::vector<core::StaticSweepRow> rows = staticRows();
+    SimContext ctx; // Reused across every length and residency.
+    for (size_t n : staticLengths()) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const trace::Trace raw = testing::randomTrace(61 + n, n);
+        const trace::TraceView view(raw);
+        const trace::ChunkedView cv(view);
+        for (int chunked = 0; chunked < 2; ++chunked) {
+            SCOPED_TRACE(chunked ? "chunked" : "flat");
+            const core::TraceSource src =
+                chunked ? core::TraceSource(cv) : core::TraceSource(view);
+            const std::vector<RunResult> fused =
+                core::runStaticSweep(src, rows, ctx);
+            ASSERT_EQ(fused.size(), rows.size());
+            for (size_t k = 0; k < rows.size(); ++k) {
+                SCOPED_TRACE("row " + std::to_string(k));
+                EXPECT_EQ(fused[k], runStaticRow(src, rows[k]));
+                if (rows[k].base)
+                    EXPECT_EQ(fused[k], core::BaseProcessor().run(raw));
+                else
+                    EXPECT_EQ(fused[k],
+                              StaticProcessor(rows[k].config)
+                                  .runReference(raw));
+            }
+        }
+    }
+}
+
+/**
+ * A row's state crosses chunk boundaries: under WO a release's
+ * completion gates the stores after it, so they issue in the future
+ * and serialize on the previous store's issue cycle — including the
+ * store that opens the second chunk, which only the carried state
+ * orders after the one that closed the first.
+ */
+TEST(Executor, StaticSweepCarriesStateAcrossChunkBoundaries)
+{
+    constexpr size_t k = trace::ChunkedView::kChunkInstrs;
+    trace::Trace raw;
+    for (size_t i = 0; i + 3 < k; ++i)
+        raw.append(trace::makeCompute(trace::Op::IALU));
+    trace::TraceInst release = trace::makeSync(trace::Op::UNLOCK, 0x40);
+    release.latency = 100;
+    raw.append(release);
+    for (int s = 0; s < 3; ++s) {
+        trace::TraceInst store = trace::makeStore(0x80 + 8 * s);
+        store.latency = 50;
+        raw.append(store);
+    }
+    ASSERT_EQ(raw.size(), k + 1);
+    const trace::TraceView view(raw);
+    const trace::ChunkedView cv(view);
+    SimContext ctx;
+    for (ConsistencyModel model : {ConsistencyModel::WO,
+                                   ConsistencyModel::RC}) {
+        for (bool nonblocking : {false, true}) {
+            core::StaticSweepRow row;
+            row.config.model = model;
+            row.config.nonblocking_reads = nonblocking;
+            const RunResult want =
+                StaticProcessor(row.config).runReference(raw);
+            EXPECT_EQ(core::runStaticSweep(cv, {row}, ctx).front(), want);
+            EXPECT_EQ(core::runStaticSweep(view, {row}, ctx).front(), want);
+        }
+    }
+}
+
+/**
+ * runGroup's planned static group (figure 3's BASE, SSBR and SS rows)
+ * equals per-row runModel on flat and chunked bundles, and one
+ * context serves groups of different sizes in any order.
+ */
+TEST(Executor, RunGroupStaticSweepMatchesPerRowRuns)
+{
+    std::vector<ModelSpec> specs = sim::figure3Columns();
+    specs.push_back(ModelSpec::ssbr(ConsistencyModel::WO));
+    specs.push_back(ModelSpec::ss(ConsistencyModel::WO));
+    std::vector<uint8_t> ds_done(specs.size(), 0);
+    for (size_t s = 0; s < specs.size(); ++s)
+        ds_done[s] = specs[s].kind == ModelSpec::Kind::DS;
+
+    SimContext ctx;
+    for (size_t n : staticLengths()) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        sim::ViewBundle flat, chunked;
+        flat.view = std::make_shared<const trace::TraceView>(
+            testing::randomTrace(83 + n, n));
+        chunked.chunked = std::make_shared<const trace::ChunkedView>(
+            *flat.view);
+        // Unlimited (one group of nine rows), then packed at cap 3
+        // (six rows and three), so consecutive groups on ctx differ
+        // in size.
+        for (size_t cap : {0u, 3u, 0u}) {
+            const std::vector<ExecGroup> groups =
+                sim::planPhase2(specs, ds_done, cap);
+            ASSERT_EQ(groups.size(), cap == 0 ? 1u : 2u);
+            for (const ExecGroup &g : groups) {
+                ASSERT_TRUE(g.fused);
+                for (const sim::ViewBundle *b : {&flat, &chunked}) {
+                    const std::vector<RunResult> got =
+                        sim::runGroup(*b, specs, g, ctx);
+                    ASSERT_EQ(got.size(), g.rows.size());
+                    for (size_t k = 0; k < g.rows.size(); ++k)
+                        EXPECT_EQ(got[k],
+                                  sim::runModel(*flat.view,
+                                                specs[g.rows[k]]))
+                            << specs[g.rows[k]].label()
+                            << (b == &flat ? " flat" : " chunked");
+                }
+            }
+        }
+    }
+}
+
+TEST(Executor, StaticSweepRejectsZeroBufferDepths)
+{
+    const trace::TraceView view(testing::randomTrace(3, 100));
+    SimContext ctx;
+    core::StaticSweepRow row;
+    row.config.write_buffer_depth = 0;
+    EXPECT_THROW(core::runStaticSweep(view, {row}, ctx),
+                 std::invalid_argument);
+    row.config.write_buffer_depth = 16;
+    row.config.nonblocking_reads = true;
+    row.config.read_buffer_depth = 0;
+    EXPECT_THROW(core::runStaticSweep(view, {row}, ctx),
+                 std::invalid_argument);
 }
 
 /**

@@ -313,6 +313,67 @@ TEST(CampaignRelease, SampledCampaignMatchesAfterRelease)
     }
 }
 
+/**
+ * Compressed is the residency: an unsampled campaign under the
+ * default policy never flattens a trace, generated or loaded from
+ * disk, and a sampled one flattens only the traces it samples.
+ */
+TEST(CampaignRelease, OnlySampledTracesAreEverFlattened)
+{
+    const std::vector<sim::ModelSpec> specs = smallSpecList();
+    const std::vector<sim::ModelSpec> statics = {
+        sim::ModelSpec::base(),
+        sim::ModelSpec::ss(core::ConsistencyModel::RC)};
+    TempDir dir("flatten");
+    for (sim::TraceOrigin origin :
+         {sim::TraceOrigin::GENERATED, sim::TraceOrigin::DISK}) {
+        SCOPED_TRACE(std::string(sim::traceOriginName(origin)));
+        RunnerOptions opts = noStoreOptions(4);
+        opts.trace_dir = dir.str();
+        ASSERT_EQ(opts.stream_exec, sim::StreamExec::Auto);
+        Campaign campaign("unsampled", opts);
+        campaign.add(sim::AppId::MP3D, specs, memsys::MemoryConfig{}, true);
+        campaign.add(sim::AppId::LU, specs, memsys::MemoryConfig{}, true);
+        campaign.run();
+        ASSERT_TRUE(campaign.ok()) << campaign.failureSummary();
+        EXPECT_EQ(campaign.result(0).origin, origin);
+        EXPECT_EQ(campaign.result(1).origin, origin);
+        EXPECT_EQ(campaign.storeStats().flattened, 0u);
+    }
+    {
+        // The counter sees flat residency: Off holds both traces flat.
+        RunnerOptions opts = noStoreOptions(4);
+        opts.trace_dir = dir.str();
+        opts.stream_exec = sim::StreamExec::Off;
+        Campaign campaign("flat", opts);
+        campaign.add(sim::AppId::MP3D, specs, memsys::MemoryConfig{}, true);
+        campaign.add(sim::AppId::LU, specs, memsys::MemoryConfig{}, true);
+        campaign.run();
+        ASSERT_TRUE(campaign.ok()) << campaign.failureSummary();
+        EXPECT_EQ(campaign.storeStats().flattened, 2u);
+    }
+
+    // LU's DS rows are sampled; MP3D declares only static rows, which
+    // always run exactly, so its trace is never sampled.
+    RunnerOptions opts = noStoreOptions(4);
+    opts.trace_dir = dir.str();
+    opts.sampling.period = 4000;
+    opts.sampling.detailed = 400;
+    opts.sampling.warmup = 1200;
+    Campaign campaign("sampled", opts);
+    campaign.add(sim::AppId::MP3D, statics, memsys::MemoryConfig{}, true);
+    campaign.add(sim::AppId::LU, specs, memsys::MemoryConfig{}, true);
+    campaign.run();
+    ASSERT_TRUE(campaign.ok()) << campaign.failureSummary();
+    EXPECT_EQ(campaign.storeStats().flattened, 1u);
+    const sim::ViewBundle mp3d =
+        sim::generateView(sim::AppId::MP3D, {}, true);
+    for (size_t s = 0; s < statics.size(); ++s)
+        EXPECT_EQ(campaign.result(0).rows[s].result,
+                  sim::runModel(*mp3d.flatView(), statics[s]))
+            << statics[s].label();
+}
+
 TEST(TraceStoreTest, GetViewAfterReleaseReloads)
 {
     TempDir dir("reload");

@@ -401,8 +401,9 @@ TEST_F(SvcTest, ShardPlanCoversEveryCellExactlyOnce)
         EXPECT_EQ(pending, 8u);
         EXPECT_EQ(seen.size(), pending);
         EXPECT_EQ(plan.cells, pending);
-        // Each smoke unit's two RC DS rows are one leased sweep.
-        EXPECT_EQ(fused, 2u) << "workers=" << workers;
+        // Each smoke unit's two RC DS rows are one leased sweep, and
+        // its BASE and SS rows one static sweep.
+        EXPECT_EQ(fused, 4u) << "workers=" << workers;
         campaign.finish();
     }
 }
@@ -493,7 +494,7 @@ TEST_F(SvcTest, ShardPlanIsDeterministicAndKeepsTraceAffinity)
     // two-thread worker's first two leases load both in parallel.
     const std::vector<runner::Campaign::GroupRef> one =
         a.shardPlan(1, 2).shards.at(0);
-    ASSERT_EQ(one.size(), 6u);
+    ASSERT_EQ(one.size(), 4u);
     for (size_t i = 0; i < one.size(); ++i)
         EXPECT_EQ(one[i].unit, i % 2) << "group " << i;
     a.finish();
@@ -608,15 +609,16 @@ TEST_F(SvcTest, CoordinatorMatchesInProcessRunByteForByte)
         const ServiceStats &st = coordinator.stats();
         EXPECT_EQ(st.results, 8u);
         EXPECT_EQ(st.mismatches, 0u);
-        // Rows, not frames: a clean run leases each row once, and
-        // the fused RC DS pair of each unit rides one ASSIGN.
+        // Rows, not frames: a clean run leases each row once, the
+        // fused RC DS pair of each unit rides one ASSIGN, and its
+        // BASE and SS static sweep another.
         EXPECT_EQ(st.dispatched, 8u);
-        EXPECT_EQ(st.assigns, 6u);
+        EXPECT_EQ(st.assigns, 4u);
         // No worker died: a TSan build halts a racing worker, so this
         // is what makes the worker pool race-checked there.
         EXPECT_EQ(st.worker_deaths, 0u);
         const std::string stats = coordinator.statsJson();
-        EXPECT_NE(stats.find("\"assigns\":6"), std::string::npos);
+        EXPECT_NE(stats.find("\"assigns\":4"), std::string::npos);
         EXPECT_NE(stats.find("\"worker_threads\":" +
                              std::to_string(threads) + ","),
                   std::string::npos)
