@@ -134,10 +134,12 @@ class SimContext
 
     /**
      * Chunked-source scratch: the decoded SoA tile a TileStream
-     * (core/tile_stream.h) decodes each ChunkedView chunk into. Tile
-     * columns grow monotonically (TraceTile vectors are resized,
-     * never shrunk), so a campaign of many streamed cells decodes
-     * into warm, already-faulted storage after the first.
+     * (core/tile_stream.h) decodes each ChunkedView chunk into, and
+     * the slice bytes (TraceTile::fetched, ~64 KB) a file-backed view
+     * reads the chunk into first. Tile columns grow monotonically
+     * (TraceTile vectors are resized, never shrunk), so a campaign of
+     * many streamed cells decodes into warm, already-faulted storage
+     * after the first.
      */
     trace::TraceTile &tileScratch() { return tile_scratch_; }
 

@@ -591,8 +591,9 @@ runStaticSweep(const TraceSource &src,
     }
 
     // Each span is read (and, for a chunked trace, decoded) once and
-    // stepped through every row while it is cache-hot.
-    detail::TileStream stream(src, ctx);
+    // stepped through every row while it is cache-hot. The rows read
+    // no address, fu or flags column, so a tile decodes without them.
+    detail::TileStream stream(src, ctx, trace::TileColumns::kStatic);
     trace::TileSpan next;
     while (stream.next(next)) {
         // A copy the stream never sees, so its column pointers stay

@@ -4,8 +4,9 @@
 
 namespace dsmem::core::detail {
 
-TileStream::TileStream(const TraceSource &src, SimContext &ctx)
-    : src_(src), tile_(ctx.tileScratch()),
+TileStream::TileStream(const TraceSource &src, SimContext &ctx,
+                       trace::TileColumns cols)
+    : src_(src), tile_(ctx.tileScratch()), cols_(cols),
       spans_(src.flat_ != nullptr ? (src.flat_->empty() ? 0 : 1)
                                   : src.chunked_->chunkCount())
 {
@@ -19,7 +20,7 @@ TileStream::next(trace::TileSpan &span)
     if (src_.flat_ != nullptr) {
         span = trace::TileSpan(*src_.flat_);
     } else {
-        src_.chunked_->decodeChunk(handed_, tile_);
+        src_.chunked_->decodeChunk(handed_, tile_, cols_);
         span = trace::TileSpan(tile_);
     }
     ++handed_;

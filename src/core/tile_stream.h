@@ -27,15 +27,20 @@ namespace dsmem::core::detail {
  * nothing. A chunked source yields one span per chunk: next() decodes
  * the chunk on the caller's thread into the one tile borrowed from
  * SimContext::tileScratch(), so a campaign of many chunked cells
- * allocates it once. The working set is one L2-resident tile instead
- * of the whole flat trace; decode is a small share of a sweep (see
- * DESIGN.md, "The honest numbers"), so there is no decode-ahead
- * thread to overlap it.
+ * allocates it once. A file-backed view first fetches the chunk's
+ * slices into that tile's scratch, so concurrent groups over one view
+ * each read into their own tile. @p cols names the columns the
+ * consumer reads: the static sweep asks for TileColumns::kStatic, so
+ * its spans carry no address, fu or flags columns. The working set is
+ * one L2-resident tile instead of the whole flat trace; decode is a
+ * small share of a sweep (see DESIGN.md, "The honest numbers"), so
+ * there is no decode-ahead thread to overlap it.
  */
 class TileStream
 {
   public:
-    TileStream(const TraceSource &src, SimContext &ctx);
+    TileStream(const TraceSource &src, SimContext &ctx,
+               trace::TileColumns cols = trace::TileColumns::kAll);
 
     TileStream(const TileStream &) = delete;
     TileStream &operator=(const TileStream &) = delete;
@@ -47,6 +52,7 @@ class TileStream
   private:
     const TraceSource &src_;
     trace::TraceTile &tile_;
+    const trace::TileColumns cols_;
     const size_t spans_; ///< Spans the source yields in total.
     size_t handed_ = 0;  ///< Spans handed to the consumer.
 };

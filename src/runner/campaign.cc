@@ -985,6 +985,9 @@ Campaign::fillSink()
         }
     }
     if (!stable) {
+        const StoreStats st = store_.stats();
+        sink_.setStore({st.chunk_fetches, st.fetch_bytes,
+                        st.fetch_verify_failures});
         std::lock_guard<std::mutex> lock(err_mu_);
         for (const UnitError &e : campaign_errors_) {
             ErrorRecord rec;

@@ -81,6 +81,7 @@ ResultSink::clear()
     traces_.clear();
     runs_.clear();
     errors_.clear();
+    store_ = {};
 }
 
 void
@@ -161,6 +162,13 @@ ResultSink::writeJson(std::ostream &os) const
         os << "}";
     }
     os << (runs_.empty() ? "]" : "\n  ]");
+
+    if (store_.chunk_fetches != 0 || store_.fetch_verify_failures != 0)
+        os << ",\n  \"store\": {\"chunk_fetches\": "
+           << store_.chunk_fetches
+           << ", \"fetch_bytes\": " << store_.fetch_bytes
+           << ", \"fetch_verify_failures\": "
+           << store_.fetch_verify_failures << "}";
 
     // Only a campaign that recorded errors emits the member at all:
     // the fault-free export stays byte-identical across versions.

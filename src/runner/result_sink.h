@@ -93,6 +93,18 @@ struct ErrorRecord {
 };
 
 /**
+ * What the campaign's trace store read from its bundle files
+ * (runner::StoreStats): it varies with the store's temperature, so
+ * only a non-stable export carries it, and only when a file-backed
+ * trace fetched anything.
+ */
+struct StoreRecord {
+    uint64_t chunk_fetches = 0;
+    uint64_t fetch_bytes = 0;
+    uint64_t fetch_verify_failures = 0;
+};
+
+/**
  * Collects every run of a campaign as machine-readable records and
  * exports them as JSON alongside the human-readable tables. Records
  * are appended in declaration order (units, then specs within a
@@ -105,7 +117,9 @@ struct ErrorRecord {
  *     "runs": [RunRecord...] }
  * plus an "errors": [ErrorRecord...] member, present only when the
  * campaign recorded at least one error — a fault-free export is
- * byte-identical to what pre-error-channel builds produced.
+ * byte-identical to what pre-error-channel builds produced — and a
+ * "store": StoreRecord member, present only when one was set with a
+ * fetch or a refused slice to report.
  */
 class ResultSink
 {
@@ -116,6 +130,7 @@ class ResultSink
     void addTrace(TraceRecord record);
     void addRun(RunRecord record);
     void addError(ErrorRecord record);
+    void setStore(StoreRecord record) { store_ = record; }
     void clear();
 
     const std::vector<TraceRecord> &traces() const { return traces_; }
@@ -134,6 +149,7 @@ class ResultSink
     std::vector<TraceRecord> traces_;
     std::vector<RunRecord> runs_;
     std::vector<ErrorRecord> errors_;
+    StoreRecord store_;
 };
 
 } // namespace dsmem::runner

@@ -48,7 +48,7 @@ putStats(util::ByteSink &sink, const trace::TraceStats &s)
 }
 
 trace::TraceStats
-getStats(util::ByteReader &src)
+getStats(util::ByteSource &src)
 {
     trace::TraceStats s;
     for (uint64_t *f : {&s.instructions, &s.reads, &s.writes,
@@ -69,7 +69,7 @@ putCacheStats(util::ByteSink &sink, const memsys::CacheStats &s)
 }
 
 memsys::CacheStats
-getCacheStats(util::ByteReader &src)
+getCacheStats(util::ByteSource &src)
 {
     memsys::CacheStats s;
     for (uint64_t *f : {&s.reads, &s.writes, &s.read_misses,
@@ -90,7 +90,7 @@ putThreadStats(util::ByteSink &sink, const mp::ThreadStats &s)
 }
 
 mp::ThreadStats
-getThreadStats(util::ByteReader &src)
+getThreadStats(util::ByteSource &src)
 {
     mp::ThreadStats s;
     for (uint64_t *f : {&s.instructions, &s.reads, &s.writes,
@@ -112,7 +112,7 @@ putDramStats(util::ByteSink &sink, const memsys::DramAccessStats &s)
 }
 
 memsys::DramAccessStats
-getDramStats(util::ByteReader &src)
+getDramStats(util::ByteSource &src)
 {
     memsys::DramAccessStats s;
     for (uint64_t *f : {&s.requests, &s.row_hits, &s.row_misses,
@@ -134,7 +134,7 @@ putDramSummary(util::ByteSink &sink, const memsys::DramSummary &d)
 }
 
 memsys::DramSummary
-getDramSummary(util::ByteReader &src)
+getDramSummary(util::ByteSource &src)
 {
     uint32_t n = src.readU32();
     // DramConfig::valid caps banks at 1024; anything larger is a
@@ -154,9 +154,11 @@ getDramSummary(util::ByteReader &src)
 
 /** The bundle's preamble: magic, then the version check. */
 uint32_t
-readBundleHeader(util::ByteReader &src)
+readBundleHeader(util::ByteSource &src)
 {
-    if (std::memcmp(src.take(4), kMagic, 4) != 0)
+    char magic[4];
+    src.read(magic, 4);
+    if (std::memcmp(magic, kMagic, 4) != 0)
         throw util::FormatError("not a dsmem bundle file");
     uint32_t version = src.readU32();
     if (version != kBundleFormatVersion &&
@@ -173,7 +175,7 @@ readBundleHeader(util::ByteReader &src)
  * layout after the `verified` byte.
  */
 void
-readBundleFields(util::ByteReader &src, sim::TraceBundle &bundle,
+readBundleFields(util::ByteSource &src, sim::TraceBundle &bundle,
                  uint32_t version)
 {
     bundle.stats = getStats(src);
@@ -188,33 +190,78 @@ readBundleFields(util::ByteReader &src, sim::TraceBundle &bundle,
 }
 
 /**
- * The one bundle reader: read the whole file into one buffer, check
- * the checksum that trails the hashed region (everything after the
- * 8-byte header), decode the stats fields into @p fields, and hand
- * the buffer to the lean trace load, which must end where the
- * trailer starts.
+ * The in-memory bundle reader: read the whole stream into one
+ * exact-size buffer, check the checksum that trails the hashed region
+ * (everything after the 8-byte header), decode the stats fields into
+ * @p fields, and hand the buffer to the lean trace load, which must
+ * end where the trailer starts.
  */
 std::shared_ptr<const trace::ChunkedView>
 readBundle(std::istream &is, sim::TraceBundle &fields)
 {
-    std::vector<uint8_t> bytes = util::readAll(is);
-    util::ByteReader header(bytes.data(), bytes.size());
+    std::vector<uint8_t> bytes = util::ByteSource(is).readRest();
+    util::ByteSource header(bytes.data(), bytes.size());
     const uint32_t version = readBundleHeader(header);
-    if (header.remaining() < 8)
+    if (header.remainingBound() < 8)
         throw util::TruncatedError("bundle truncated");
-    const size_t hashed = header.remaining() - 8;
-    const uint8_t *region = header.take(hashed);
+    const size_t end = bytes.size() - 8;
     util::FnvState fnv;
-    fnv.update(region, hashed);
-    if (fnv.value() != header.readU64())
+    fnv.update(bytes.data() + header.offset(), end - header.offset());
+    uint64_t trailer;
+    std::memcpy(&trailer, bytes.data() + end, 8);
+    if (fnv.value() != trailer)
         throw util::FormatError("bundle checksum mismatch");
 
-    util::ByteReader fields_in(region, hashed);
+    util::ByteSource fields_in(bytes.data(), end);
+    fields_in.take(header.offset());
     readBundleFields(fields_in, fields, version);
-    const size_t trace_at =
-        static_cast<size_t>(fields_in.position() - bytes.data());
-    bytes.resize(bytes.size() - 8); // Drop the trailer.
+    const size_t trace_at = static_cast<size_t>(fields_in.offset());
+    bytes.resize(end); // Drop the trailer.
     return trace::loadTraceChunked(std::move(bytes), trace_at);
+}
+
+/**
+ * The file bundle reader: one sequential pass over @p file in fixed
+ * blocks folds the checksum, decodes the stats fields into @p fields
+ * and runs the bounded-memory trace load, whose view stays in the
+ * file; then the trailer must match and end the file.
+ */
+std::shared_ptr<const trace::ChunkedView>
+readBundleFile(const std::shared_ptr<const util::ReadFile> &file,
+               sim::TraceBundle &fields,
+               std::shared_ptr<trace::FetchStats> stats)
+{
+    util::ByteSource in(*file);
+    const uint32_t version = readBundleHeader(in);
+    in.beginHash();
+    readBundleFields(in, fields, version);
+    std::shared_ptr<const trace::ChunkedView> cv =
+        trace::loadTraceChunked(in, file, std::move(stats));
+    const uint64_t got = in.hashValue();
+    if (in.readU64() != got)
+        throw util::FormatError("bundle checksum mismatch");
+    if (!in.atEof())
+        throw util::FormatError("bundle: bytes after the checksum");
+    return cv;
+}
+
+/** A ViewBundle of @p fields' stats around @p chunked, under the
+ *  residency policy @p stream_exec. */
+sim::ViewBundle
+viewBundle(sim::TraceBundle &fields,
+           std::shared_ptr<const trace::ChunkedView> chunked,
+           sim::StreamExec stream_exec)
+{
+    sim::ViewBundle vb;
+    vb.chunked = std::move(chunked);
+    vb.stats = fields.stats;
+    vb.cache0 = fields.cache0;
+    vb.thread0 = fields.thread0;
+    vb.mp_cycles = fields.mp_cycles;
+    vb.verified = fields.verified;
+    vb.dram = std::move(fields.dram);
+    sim::applyResidency(vb, stream_exec);
+    return vb;
 }
 
 // Keying tripwire: the file name, the campaign signature and the svc
@@ -301,20 +348,24 @@ sim::ViewBundle
 loadBundleView(std::istream &is, sim::StreamExec stream_exec)
 {
     sim::TraceBundle fields;
-    sim::ViewBundle vb;
-    vb.chunked = readBundle(is, fields);
-    vb.stats = fields.stats;
-    vb.cache0 = fields.cache0;
-    vb.thread0 = fields.thread0;
-    vb.mp_cycles = fields.mp_cycles;
-    vb.verified = fields.verified;
-    vb.dram = std::move(fields.dram);
-    sim::applyResidency(vb, stream_exec);
-    return vb;
+    std::shared_ptr<const trace::ChunkedView> cv = readBundle(is, fields);
+    return viewBundle(fields, std::move(cv), stream_exec);
+}
+
+sim::ViewBundle
+loadBundleView(const std::shared_ptr<const util::ReadFile> &file,
+               sim::StreamExec stream_exec,
+               std::shared_ptr<trace::FetchStats> stats)
+{
+    sim::TraceBundle fields;
+    std::shared_ptr<const trace::ChunkedView> cv =
+        readBundleFile(file, fields, std::move(stats));
+    return viewBundle(fields, std::move(cv), stream_exec);
 }
 
 TraceStore::TraceStore(std::string dir, sim::StreamExec stream_exec)
-    : dir_(std::move(dir)), stream_exec_(stream_exec)
+    : dir_(std::move(dir)), stream_exec_(stream_exec),
+      fetch_(std::make_shared<trace::FetchStats>())
 {
 #if defined(__GLIBC__)
     // Pinned, glibc's mmap threshold no longer grows as traces are
@@ -442,17 +493,15 @@ TraceStore::quarantine(const fs::path &path)
 
 void
 TraceStore::readFile(const std::string &path,
-                     const std::function<void(std::istream &)> &load)
+                     const std::function<bool()> &load)
 {
     std::error_code ec;
     if (path.empty() || !fs::exists(path, ec))
         return;
     bump(&StoreStats::loads);
     try {
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
+        if (!load())
             return;
-        load(is);
         bump(&StoreStats::load_hits);
     } catch (const util::IoError &) {
         // Transient read fault: rethrow so the campaign's retry policy
@@ -471,7 +520,8 @@ TraceStore::readFile(const std::string &path,
 
 void
 TraceStore::writeFile(const std::string &path, const char *site,
-                      const std::function<void(std::ostream &)> &save)
+                      const std::function<void(std::ostream &)> &save,
+                      std::shared_ptr<const util::ReadFile> *written)
 {
     if (path.empty())
         return;
@@ -495,9 +545,15 @@ TraceStore::writeFile(const std::string &path, const char *site,
             removeFile(tmp, site);
             return;
         }
+        // Opened before the rename, the descriptor holds exactly the
+        // bytes just written, whatever later replaces the path.
+        if (written)
+            *written = util::ReadFile::open(tmp.string());
         if (!renameFile(tmp, path, site)) {
             bump(&StoreStats::store_errors);
             removeFile(tmp, site);
+            if (written)
+                written->reset();
         }
     } catch (const std::exception &e) {
         note(site, tmp.string() + ": " + e.what(),
@@ -511,9 +567,15 @@ TraceStore::loadView(sim::AppId id, const memsys::MemoryConfig &mem,
                      bool small)
 {
     std::optional<sim::ViewBundle> vb;
-    readFile(pathFor(id, mem, small), [&](std::istream &is) {
+    const std::string path = pathFor(id, mem, small);
+    readFile(path, [&] {
         util::failpoint("trace_store.open_read");
-        vb = loadBundleView(is, stream_exec_);
+        std::shared_ptr<const util::ReadFile> file =
+            util::ReadFile::open(path);
+        if (!file)
+            return false;
+        vb = loadBundleView(file, stream_exec_, fetch_);
+        return true;
     });
     return vb;
 }
@@ -538,6 +600,27 @@ TraceStore::store(sim::AppId id, const memsys::MemoryConfig &mem,
 {
     writeFile(pathFor(id, mem, small), "trace_store.save",
               bundleWriter(bundle));
+}
+
+void
+TraceStore::adopt(sim::AppId id, const memsys::MemoryConfig &mem,
+                  bool small, sim::ViewBundle &bundle)
+{
+    // A flat residency keeps nothing chunked: write, then let
+    // applyResidency flatten the capture from memory.
+    std::shared_ptr<const util::ReadFile> written;
+    writeFile(pathFor(id, mem, small), "trace_store.save",
+              bundleWriter(bundle),
+              sim::shouldStream(stream_exec_) ? &written : nullptr);
+    if (!written) {
+        if (sim::shouldStream(stream_exec_))
+            bump(&StoreStats::in_memory_views);
+        return;
+    }
+    // The trace's body ends where the bundle's 8-byte checksum starts.
+    const trace::ChunkedView &capture = *bundle.chunked;
+    const uint64_t body_at = written->size() - 8 - capture.bodyBytes();
+    bundle.chunked = capture.inFile(std::move(written), body_at, fetch_);
 }
 
 void
@@ -589,7 +672,7 @@ TraceStore::getView(sim::AppId id, const memsys::MemoryConfig &mem,
             t0 = Clock::now();
             vbundle = sim::generateView(id, mem, small);
             took.gen_ms = msSince(t0);
-            store(id, mem, small, *vbundle);
+            adopt(id, mem, small, *vbundle);
             sim::applyResidency(*vbundle, stream_exec_);
         }
     } catch (...) {
@@ -673,7 +756,10 @@ TraceStore::livePoints(sim::AppId id, const memsys::MemoryConfig &mem,
 {
     const std::string path = livePointPathFor(id, mem, small, plan);
     std::optional<sim::LivePointSet> cached;
-    readFile(path, [&](std::istream &is) {
+    readFile(path, [&] {
+        std::ifstream is(path, std::ios::binary);
+        if (!is)
+            return false;
         util::failpoint("dslp.read");
         sim::LivePointSet set = sim::loadLivePoints(is);
         // The name keys the plan, but the file's own header is what
@@ -683,6 +769,7 @@ TraceStore::livePoints(sim::AppId id, const memsys::MemoryConfig &mem,
             throw util::FormatError(
                 "live-point plan fields do not match the file name");
         cached = std::move(set);
+        return true;
     });
     if (cached && cached->instructions == view.size() &&
         cached->offset == plan.offsetFor(view.name(), view.size()))

@@ -17,6 +17,10 @@
 #include "sim/stream_exec.h"
 #include "sim/trace_bundle.h"
 
+namespace dsmem::util {
+class ReadFile;
+}
+
 namespace dsmem::runner {
 
 /**
@@ -91,6 +95,22 @@ loadBundleView(std::istream &is,
                sim::StreamExec stream_exec = sim::StreamExec::Off);
 
 /**
+ * The store's load: the bundle in @p file, read in one sequential
+ * pass through a fixed block buffer that folds the checksum, decodes
+ * the stats and runs the bounded-memory trace load
+ * (trace::loadTraceChunked over the file). The trace stays in the
+ * file: ViewBundle::chunked is file-backed, holding @p file, its
+ * chunk directory and slice hashes, and fetches each chunk when a
+ * decode needs it (counted in @p stats, may be null). Refuses exactly
+ * what the stream load refuses. StreamExec::Off flattens it (reading
+ * through the same fetch) and drops the file.
+ */
+sim::ViewBundle
+loadBundleView(const std::shared_ptr<const util::ReadFile> &file,
+               sim::StreamExec stream_exec = sim::StreamExec::Off,
+               std::shared_ptr<trace::FetchStats> stats = nullptr);
+
+/**
  * Counters for everything the store did, including the failures it
  * absorbed (the store is a cache: most errors surface as misses plus
  * a counter, not as exceptions).
@@ -109,6 +129,13 @@ struct StoreStats {
      *  consumer (sampled rows, live points) or held flat
      *  (StreamExec::Off). */
     uint64_t flattened = 0;
+    /** Generated traces kept with their sections in memory under a
+     *  chunked residency: no file backs them (a memory-only store, or
+     *  a write that failed). */
+    uint64_t in_memory_views = 0;
+    uint64_t chunk_fetches = 0;  ///< Chunks read from bundle files.
+    uint64_t fetch_bytes = 0;    ///< Slice bytes those reads returned.
+    uint64_t fetch_verify_failures = 0; ///< Slices refused by hash.
 };
 
 /**
@@ -202,7 +229,11 @@ class TraceStore
     StoreStats stats() const
     {
         std::lock_guard<std::mutex> lock(stats_mu_);
-        return stats_;
+        StoreStats s = stats_;
+        s.chunk_fetches = fetch_->fetches.load();
+        s.fetch_bytes = fetch_->bytes.load();
+        s.fetch_verify_failures = fetch_->verify_failures.load();
+        return s;
     }
 
     /** The content-keyed file name a bundle is stored under. */
@@ -222,12 +253,15 @@ class TraceStore
      *
      * Each key holds the phase-2 shape only, the ViewBundle: a cold
      * key generates straight into the compressed capture
-     * (sim::generateView), the bundle file is written from its
-     * sections, and sim::applyResidency then keeps it chunked (or,
-     * under StreamExec::Off, flattens it); a disk hit is the lean
-     * load under the same policy. A caller that needs the AoS trace itself (a
-     * reference loop) calls sim::generateTrace or loadBundle
-     * directly.
+     * (sim::generateView) and the bundle file is written from its
+     * sections; under a chunked residency the capture is then
+     * adopted as a file-backed view of that file and its bytes leave
+     * memory (a failed or skipped write keeps it in memory), while
+     * StreamExec::Off flattens it. A disk hit is the file load
+     * (loadBundleView over the file) under the same policy, so a
+     * chunked trace the store holds stays in its bundle file. A
+     * caller that needs the AoS trace itself (a reference loop) calls
+     * sim::generateTrace or loadBundle directly.
      *
      * Thread safe: concurrent calls for distinct keys generate in
      * parallel; concurrent calls for the same key produce once (the
@@ -243,7 +277,8 @@ class TraceStore
     /**
      * Drop the trace columns (ViewBundle::view and ::chunked) of a
      * memoized key, counting one that had a flat view in
-     * StoreStats::flattened; its stats stay readable through
+     * StoreStats::flattened; a file-backed view's file closes once
+     * the last copy of it goes; its stats stay readable through
      * references getView returned. A later getView reloads the columns (from
      * disk, else by generating) into the same bundle. Columns a
      * caller copied out of the bundle (the shared_ptrs) stay alive
@@ -324,23 +359,35 @@ class TraceStore
 
     /**
      * Read @p path through @p load, which starts with the caller's
-     * failpoint. A missing file (or "", a disabled store) is a silent
-     * miss; a corrupt one (@p load threw anything but util::IoError)
-     * is quarantined and a miss too; a transient util::IoError is
+     * failpoint, opens the file and returns false when it cannot. A
+     * missing file (or "", a disabled store) is a silent miss; a
+     * corrupt one (@p load threw anything but util::IoError) is
+     * quarantined and a miss too; a transient util::IoError is
      * rethrown.
      */
     void readFile(const std::string &path,
-                  const std::function<void(std::istream &)> &load);
+                  const std::function<bool()> &load);
 
     /**
      * Write @p path through @p save as a temp file atomically renamed
      * into place, so concurrent readers (or a crash) never see a
      * partial file. Failures are non-fatal (the store is a cache) but
      * never silent: each is counted and reported under @p site. A
-     * "" path (a disabled store) writes nothing.
+     * "" path (a disabled store) writes nothing. When @p written is
+     * given, it receives the written file, opened before the rename
+     * (null when the write or the rename failed).
      */
     void writeFile(const std::string &path, const char *site,
-                   const std::function<void(std::ostream &)> &save);
+                   const std::function<void(std::ostream &)> &save,
+                   std::shared_ptr<const util::ReadFile> *written = nullptr);
+
+    /**
+     * Persist a freshly generated @p bundle and, under a chunked
+     * residency, swap its in-memory capture for a file-backed view
+     * of the file just written.
+     */
+    void adopt(sim::AppId id, const memsys::MemoryConfig &mem, bool small,
+               sim::ViewBundle &bundle);
 
     /** Record + report an absorbed failure. */
     void note(const char *site, const std::string &message,
@@ -361,6 +408,8 @@ class TraceStore
 
     const std::string dir_;
     const sim::StreamExec stream_exec_;
+    /** What every file-backed view this store made has fetched. */
+    const std::shared_ptr<trace::FetchStats> fetch_;
     ErrorHandler on_error_;
     mutable std::mutex stats_mu_;
     StoreStats stats_;

@@ -191,6 +191,58 @@ class SectionWriter
     uint8_t *p_;
 };
 
+/**
+ * Reads the varints of a section being validated from a ByteSource,
+ * straight out of its buffer: each value needs at most
+ * kMaxVarint32Bytes contiguous bytes, which ensure() provides (fewer
+ * only where the input ends, which checkVarint32 then refuses as a
+ * truncation). Holds the cursor itself; sync() hands it back before
+ * the source's offset or hashes are read.
+ */
+class VarintScan
+{
+  public:
+    explicit VarintScan(util::ByteSource &in) : in_(in) { reload(); }
+
+    uint32_t next()
+    {
+        if (static_cast<size_t>(lim_ - p_) < kMaxVarint32Bytes)
+            [[unlikely]] {
+            in_.advanceTo(p_);
+            reload();
+        }
+        uint32_t v;
+        p_ = checkVarint32(p_, lim_, v);
+        return v;
+    }
+
+    util::ByteSource &sync()
+    {
+        in_.advanceTo(p_);
+        return in_;
+    }
+
+  private:
+    void reload()
+    {
+        p_ = in_.ensure(kMaxVarint32Bytes);
+        lim_ = in_.limit();
+    }
+
+    util::ByteSource &in_;
+    const uint8_t *p_;
+    const uint8_t *lim_;
+};
+
+/** Word-FNV of @p n bytes at @p p: a slice's hash. */
+uint64_t
+sliceHash(const uint8_t *p, size_t n)
+{
+    util::FnvState h;
+    h.update(p, n);
+    return h.value();
+}
+
 } // namespace
 
 ChunkedView::ChunkedView(const TraceView &v) : ChunkedView(encodeView(v), 0)
@@ -202,75 +254,139 @@ ChunkedView::ChunkedView(std::vector<uint8_t> bytes, size_t at)
 {
     if (at > bytes_.size())
         throw std::logic_error("ChunkedView: trace offset past the bytes");
-    util::ByteReader prologue(bytes_.data() + at, bytes_.size() - at);
-    n_ = detail::readPrologue(prologue, name_);
+    util::ByteSource in(bytes_.data(), bytes_.size());
+    in.take(at);
+    scan(in);
+    if (!in.atEof())
+        throw util::FormatError(
+            "malformed trace: bytes after the aux section");
+}
+
+ChunkedView::ChunkedView(util::ByteSource &in,
+                         std::shared_ptr<const util::ReadFile> file,
+                         std::shared_ptr<FetchStats> stats)
+    : file_(std::move(file)), stats_(std::move(stats))
+{
+    if (!file_ || in.inMemory())
+        throw std::logic_error("ChunkedView: a file load needs its file");
+    scan(in);
+}
+
+void
+ChunkedView::scan(util::ByteSource &in)
+{
+    n_ = detail::readPrologue(in, name_);
+    const size_t chunks = (n_ + kChunkInstrs - 1) / kChunkInstrs;
+    dir_.resize(chunks);
+    // A file-backed view hashes each (chunk, section) slice as the
+    // pass consumes it; an in-memory one keeps the bytes instead.
+    const bool hashing = file_ != nullptr;
+    if (hashing)
+        hashes_.resize(chunks * kSections);
+    auto sliceBegin = [&](util::ByteSource &src) {
+        if (hashing)
+            src.beginSliceHash();
+    };
+    auto sliceEnd = [&](util::ByteSource &src, size_t c, Section s) {
+        if (hashing)
+            hashes_[c * kSections + s] = src.sliceHashValue();
+    };
 
     // One pass over the sections in file order (meta, srcs, addr,
     // latency, aux): validate every value as the Encoder does when it
     // writes one, and record where each chunk's slice of each section
-    // starts plus the delta accumulators entering it. The bytes stay
-    // as read.
-    const uint8_t *const base = bytes_.data();
-    const uint8_t *const end = base + bytes_.size();
-    const uint8_t *const meta = prologue.take(n_);
+    // starts plus the delta accumulators entering it. In memory the
+    // bytes stay as read; from a file only the meta section is held,
+    // for the SSA checks, until the pass ends.
+    sec_[kMeta] = in.offset();
+    std::vector<uint8_t> held;
+    const uint8_t *meta;
+    if (in.inMemory()) {
+        meta = in.take(n_);
+    } else {
+        held.resize(n_);
+        for (size_t c = 0; c < chunks; ++c) {
+            sliceBegin(in);
+            in.read(held.data() + chunkBase(c), chunkLength(c));
+            sliceEnd(in, c, kMeta);
+        }
+        meta = held.data();
+    }
     for (size_t i = 0; i < n_; ++i) {
         if ((meta[i] & kMetaOpMask) >= kNumOps)
             throw util::FormatError("malformed trace: bad opcode");
     }
-    const size_t chunks = (n_ + kChunkInstrs - 1) / kChunkInstrs;
-    dir_.resize(chunks);
-    const uint8_t *p = meta + n_;
-    sec_[kMeta] = static_cast<size_t>(meta - base);
 
-    sec_[kSrcs] = static_cast<size_t>(p - base);
+    VarintScan vs(in);
+    sec_[kSrcs] = in.offset();
     for (size_t c = 0; c < chunks; ++c) {
-        dir_[c].srcs_off = static_cast<size_t>(p - base) - sec_[kSrcs];
-        const size_t hi = std::min(n_, (c + 1) * kChunkInstrs);
-        for (size_t i = c * kChunkInstrs; i < hi; ++i) {
+        dir_[c].srcs_off = vs.sync().offset() - sec_[kSrcs];
+        sliceBegin(vs.sync());
+        const size_t hi = chunkBase(c) + chunkLength(c);
+        for (size_t i = chunkBase(c); i < hi; ++i) {
             const uint8_t ns = (meta[i] >> kMetaSrcShift) & kMetaSrcMask;
             for (uint8_t s = 0; s < ns; ++s) {
-                uint32_t delta;
-                p = checkVarint32(p, end, delta);
+                const uint32_t delta = vs.next();
                 if (!validSource(static_cast<uint32_t>(i) - delta, i,
                                  meta))
                     throw util::FormatError(
                         "malformed trace: SSA check failed");
             }
         }
+        sliceEnd(vs.sync(), c, kSrcs);
     }
 
     // Address and latency: zigzag deltas whose accumulators seed
     // each chunk's decode.
     for (Section sec : {kAddr, kLat}) {
-        sec_[sec] = static_cast<size_t>(p - base);
+        sec_[sec] = vs.sync().offset();
         uint32_t prev = 0;
         for (size_t c = 0; c < chunks; ++c) {
             ChunkDir &d = dir_[c];
             (sec == kAddr ? d.addr_off : d.lat_off) =
-                static_cast<size_t>(p - base) - sec_[sec];
+                vs.sync().offset() - sec_[sec];
             (sec == kAddr ? d.addr_prev : d.lat_prev) = prev;
-            const size_t hi = std::min(n_, (c + 1) * kChunkInstrs);
-            for (size_t i = c * kChunkInstrs; i < hi; ++i) {
-                uint32_t z;
-                p = checkVarint32(p, end, z);
-                prev += util::unzigzag32(z);
-            }
+            sliceBegin(vs.sync());
+            for (size_t j = chunkLength(c); j > 0; --j)
+                prev += util::unzigzag32(vs.next());
+            sliceEnd(vs.sync(), c, sec);
         }
     }
 
-    sec_[kAux] = static_cast<size_t>(p - base);
+    sec_[kAux] = vs.sync().offset();
     for (size_t c = 0; c < chunks; ++c) {
-        dir_[c].aux_off = static_cast<size_t>(p - base) - sec_[kAux];
-        const size_t hi = std::min(n_, (c + 1) * kChunkInstrs);
-        for (size_t i = c * kChunkInstrs; i < hi; ++i) {
-            uint32_t aux;
-            p = checkVarint32(p, end, aux);
-        }
+        dir_[c].aux_off = vs.sync().offset() - sec_[kAux];
+        sliceBegin(vs.sync());
+        for (size_t j = chunkLength(c); j > 0; --j)
+            vs.next();
+        sliceEnd(vs.sync(), c, kAux);
     }
-    sec_[kSections] = static_cast<size_t>(p - base);
-    if (p != end)
-        throw util::FormatError(
-            "malformed trace: bytes after the aux section");
+    sec_[kSections] = vs.sync().offset();
+}
+
+std::shared_ptr<const ChunkedView>
+ChunkedView::inFile(std::shared_ptr<const util::ReadFile> file,
+                    uint64_t body_at, std::shared_ptr<FetchStats> stats) const
+{
+    if (fileBacked())
+        throw std::logic_error("ChunkedView::inFile: already file-backed");
+    std::shared_ptr<ChunkedView> v(new ChunkedView());
+    v->name_ = name_;
+    v->n_ = n_;
+    v->dir_ = dir_;
+    for (size_t s = 0; s <= kSections; ++s)
+        v->sec_[s] = body_at + (sec_[s] - sec_[kMeta]);
+    v->hashes_.resize(dir_.size() * kSections);
+    for (size_t c = 0; c < dir_.size(); ++c)
+        for (size_t s = 0; s < kSections; ++s) {
+            const Section sec = static_cast<Section>(s);
+            v->hashes_[c * kSections + s] = sliceHash(
+                bytes_.data() + sec_[s] + sliceOff(c, sec),
+                static_cast<size_t>(sliceLen(c, sec)));
+        }
+    v->file_ = std::move(file);
+    v->stats_ = std::move(stats);
+    return v;
 }
 
 ChunkedView::Encoder::Encoder() : view_(new ChunkedView()) {}
@@ -362,15 +478,24 @@ ChunkedView::Encoder::finish(std::string name)
 bool
 operator==(const ChunkedView &a, const ChunkedView &b)
 {
-    for (size_t k = ChunkedView::kSrcs; k <= ChunkedView::kSections; ++k)
-        if (a.sec_[k] - a.sec_[ChunkedView::kMeta] !=
-            b.sec_[k] - b.sec_[ChunkedView::kMeta])
+    using CV = ChunkedView;
+    if (a.name_ != b.name_ || a.n_ != b.n_ || !(a.dir_ == b.dir_))
+        return false;
+    for (size_t k = CV::kSrcs; k <= CV::kSections; ++k)
+        if (a.sec_[k] - a.sec_[CV::kMeta] != b.sec_[k] - b.sec_[CV::kMeta])
             return false;
-    return a.name_ == b.name_ && a.n_ == b.n_ &&
-        std::equal(a.section(ChunkedView::kMeta),
-                   a.section(ChunkedView::kMeta) + a.bodyBytes(),
-                   b.section(ChunkedView::kMeta)) &&
-        a.dir_ == b.dir_;
+    std::vector<uint8_t> sa, sb;
+    for (size_t c = 0; c < a.chunkCount(); ++c) {
+        const CV::Slices x = a.fetch(c, TileColumns::kAll, sa);
+        const CV::Slices y = b.fetch(c, TileColumns::kAll, sb);
+        for (size_t s = 0; s < CV::kSections; ++s) {
+            const size_t len = static_cast<size_t>(
+                a.sliceLen(c, static_cast<CV::Section>(s)));
+            if (!std::equal(x.at[s], x.at[s] + len, y.at[s]))
+                return false;
+        }
+    }
+    return true;
 }
 
 void
@@ -378,46 +503,155 @@ saveTrace(const ChunkedView &cv, util::ByteSink &sink)
 {
     util::failpoint("trace_io.save");
     detail::writePrologue(sink, cv.name_, cv.n_);
-    sink.put(cv.section(ChunkedView::kMeta), cv.bodyBytes());
+    if (!cv.fileBacked()) {
+        sink.put(cv.bytes_.data() + cv.sec_[ChunkedView::kMeta],
+                 cv.bodyBytes());
+        return;
+    }
+    // Section by section in file order, one verified slice at a time.
+    std::vector<uint8_t> slice;
+    for (size_t s = 0; s < ChunkedView::kSections; ++s) {
+        const auto sec = static_cast<ChunkedView::Section>(s);
+        for (size_t c = 0; c < cv.chunkCount(); ++c) {
+            slice.resize(static_cast<size_t>(cv.sliceLen(c, sec)));
+            cv.readSlice(c, sec, slice.data());
+            sink.put(slice.data(), slice.size());
+        }
+    }
+}
+
+uint64_t
+ChunkedView::sliceOff(size_t c, Section s) const
+{
+    if (c == dir_.size())
+        return sec_[s + 1] - sec_[s];
+    switch (s) {
+      case kMeta:
+        return chunkBase(c);
+      case kSrcs:
+        return dir_[c].srcs_off;
+      case kAddr:
+        return dir_[c].addr_off;
+      case kLat:
+        return dir_[c].lat_off;
+      default:
+        return dir_[c].aux_off;
+    }
+}
+
+size_t
+ChunkedView::passBytes(TileColumns cols) const
+{
+    size_t total = 0;
+    for (size_t s = 0; s < kSections; ++s)
+        if (reads(cols, static_cast<Section>(s)))
+            total += static_cast<size_t>(sec_[s + 1] - sec_[s]);
+    return total;
 }
 
 void
-ChunkedView::decodeChunk(size_t c, TraceTile &tile) const
+ChunkedView::readSlice(size_t c, Section s, uint8_t *dst) const
+{
+    const size_t len = static_cast<size_t>(sliceLen(c, s));
+    file_->readAt(dst, len, sec_[s] + sliceOff(c, s));
+    if (sliceHash(dst, len) == hashes_[c * kSections + s])
+        return;
+    if (stats_)
+        stats_->verify_failures.fetch_add(1, std::memory_order_relaxed);
+    throw util::FormatError("trace '" + name_ + "' chunk " +
+                            std::to_string(c) +
+                            ": its bundle file no longer holds the bytes "
+                            "it was loaded from");
+}
+
+ChunkedView::Slices
+ChunkedView::fetch(size_t c, TileColumns cols,
+                   std::vector<uint8_t> &scratch) const
+{
+    Slices out{};
+    if (!fileBacked()) {
+        for (size_t s = 0; s < kSections; ++s)
+            out.at[s] = bytes_.data() + sec_[s] +
+                sliceOff(c, static_cast<Section>(s));
+        return out;
+    }
+    if (util::failpointsArmed()) [[unlikely]]
+        util::failpoint("trace_io.fetch");
+    size_t total = 0;
+    for (size_t s = 0; s < kSections; ++s)
+        if (reads(cols, static_cast<Section>(s)))
+            total += static_cast<size_t>(
+                sliceLen(c, static_cast<Section>(s)));
+    if (scratch.size() < total)
+        scratch.resize(total);
+    size_t at = 0;
+    for (size_t s = 0; s < kSections; ++s) {
+        if (!reads(cols, static_cast<Section>(s)))
+            continue;
+        const auto sec = static_cast<Section>(s);
+        out.at[s] = scratch.data() + at;
+        readSlice(c, sec, scratch.data() + at);
+        at += static_cast<size_t>(sliceLen(c, sec));
+    }
+    if (stats_) {
+        stats_->fetches.fetch_add(1, std::memory_order_relaxed);
+        stats_->bytes.fetch_add(total, std::memory_order_relaxed);
+    }
+    return out;
+}
+
+void
+ChunkedView::decodeChunk(size_t c, TraceTile &tile, TileColumns cols) const
 {
     const size_t cnt = chunkLength(c);
+    const Slices in = fetch(c, cols, tile.fetched);
     tile.base = chunkBase(c);
     tile.count = cnt;
     tile.ops.resize(cnt);
-    tile.fu.resize(cnt);
-    tile.flags.resize(cnt);
     tile.num_srcs.resize(cnt);
     tile.srcs.resize(cnt);
-    tile.addr.resize(cnt);
     tile.latency.resize(cnt);
     tile.aux.resize(cnt);
-    decodeInto(c, Columns{tile.ops.data(), tile.fu.data(),
-                          tile.flags.data(), tile.num_srcs.data(),
-                          tile.srcs.data(), tile.addr.data(),
-                          tile.latency.data(), tile.aux.data()});
+    if (cols == TileColumns::kAll) {
+        tile.fu.resize(cnt);
+        tile.flags.resize(cnt);
+        tile.addr.resize(cnt);
+    }
+    decodeInto(c, in,
+               Columns{tile.ops.data(), tile.fu.data(), tile.flags.data(),
+                       tile.num_srcs.data(), tile.srcs.data(),
+                       tile.addr.data(), tile.latency.data(),
+                       tile.aux.data()},
+               cols);
 }
 
 void
-ChunkedView::decodeInto(size_t c, const Columns &out) const
+ChunkedView::decodeInto(size_t c, const Slices &in, const Columns &out,
+                        TileColumns cols) const
 {
     const ChunkDir &d = dir_[c];
-    const size_t lo = c * kChunkInstrs;
+    const size_t lo = chunkBase(c);
     const size_t cnt = chunkLength(c);
+    const bool all = cols == TileColumns::kAll;
 
     const MetaTables &t = metaTables();
-    const uint8_t *meta = section(kMeta) + lo;
-    for (size_t j = 0; j < cnt; ++j) {
-        const uint8_t m = meta[j];
-        out.ops[j] = static_cast<Op>(m & kMetaOpMask);
-        out.fu[j] = t.fu[m];
-        out.num_srcs[j] = (m >> kMetaSrcShift) & kMetaSrcMask;
+    const uint8_t *meta = in.at[kMeta];
+    if (all) {
+        for (size_t j = 0; j < cnt; ++j) {
+            const uint8_t m = meta[j];
+            out.ops[j] = static_cast<Op>(m & kMetaOpMask);
+            out.fu[j] = t.fu[m];
+            out.num_srcs[j] = (m >> kMetaSrcShift) & kMetaSrcMask;
+        }
+    } else {
+        for (size_t j = 0; j < cnt; ++j) {
+            const uint8_t m = meta[j];
+            out.ops[j] = static_cast<Op>(m & kMetaOpMask);
+            out.num_srcs[j] = (m >> kMetaSrcShift) & kMetaSrcMask;
+        }
     }
 
-    VarintReader sr(section(kSrcs) + d.srcs_off);
+    VarintReader sr(in.at[kSrcs]);
     for (size_t j = 0; j < cnt; ++j) {
         auto &slots = out.srcs[j];
         const uint32_t self = static_cast<uint32_t>(lo + j);
@@ -449,24 +683,29 @@ ChunkedView::decodeInto(size_t c, const Columns &out) const
         }
     }
 
-    VarintReader ar(section(kAddr) + d.addr_off);
-    uint32_t prev = d.addr_prev;
-    for (size_t j = 0; j < cnt; ++j) {
-        prev += util::unzigzag32(ar.next());
-        out.addr[j] = prev;
+    uint32_t prev;
+    if (all) {
+        VarintReader ar(in.at[kAddr]);
+        prev = d.addr_prev;
+        for (size_t j = 0; j < cnt; ++j) {
+            prev += util::unzigzag32(ar.next());
+            out.addr[j] = prev;
+        }
     }
 
-    VarintReader lr(section(kLat) + d.lat_off);
+    VarintReader lr(in.at[kLat]);
     prev = d.lat_prev;
     for (size_t j = 0; j < cnt; ++j) {
         prev += util::unzigzag32(lr.next());
         out.latency[j] = prev;
     }
 
-    VarintReader xr(section(kAux) + d.aux_off);
+    VarintReader xr(in.at[kAux]);
     for (size_t j = 0; j < cnt; ++j)
         out.aux[j] = xr.next();
 
+    if (!all)
+        return;
     // Flags last: the kMiss bit needs the decoded latency. The tables
     // are derived from classifyInst, so this stays bit-identical to
     // the flat view's flags (branchless: miss_bit masked by the
@@ -490,8 +729,9 @@ ChunkedView::bytesResident() const
             flat = flat_->size() *
                 static_cast<size_t>(TraceView::bytesPerInstr());
     }
-    return bodyBytes() + dir_.size() * sizeof(ChunkDir) + name_.size() +
-        flat;
+    const size_t sections = fileBacked() ? 0 : bodyBytes();
+    return sections + dir_.size() * sizeof(ChunkDir) +
+        hashes_.size() * sizeof(uint64_t) + name_.size() + flat;
 }
 
 bool
@@ -512,7 +752,8 @@ ChunkedView::flatten() const
     // one chunk at a time, so each page is written while it is
     // cache-hot and the zero-fill never runs ahead of the decode. The
     // sections were validated when this view was built, so the
-    // columns need no second check.
+    // columns need no second check; a file-backed view fetches (and
+    // verifies) each chunk as it goes.
     std::shared_ptr<TraceView> v(new TraceView());
     v->name_ = name_;
     v->ops_.reserve(n_);
@@ -523,6 +764,7 @@ ChunkedView::flatten() const
     v->addr_.reserve(n_);
     v->latency_.reserve(n_);
     v->aux_.reserve(n_);
+    std::vector<uint8_t> scratch;
     for (size_t c = 0; c < dir_.size(); ++c) {
         const size_t lo = chunkBase(c);
         const size_t hi = lo + chunkLength(c);
@@ -534,12 +776,14 @@ ChunkedView::flatten() const
         v->addr_.resize(hi);
         v->latency_.resize(hi);
         v->aux_.resize(hi);
-        decodeInto(c, Columns{v->ops_.data() + lo, v->fu_.data() + lo,
-                              v->flags_.data() + lo,
-                              v->num_srcs_.data() + lo,
-                              v->srcs_.data() + lo, v->addr_.data() + lo,
-                              v->latency_.data() + lo,
-                              v->aux_.data() + lo});
+        decodeInto(c, fetch(c, TileColumns::kAll, scratch),
+                   Columns{v->ops_.data() + lo, v->fu_.data() + lo,
+                           v->flags_.data() + lo,
+                           v->num_srcs_.data() + lo,
+                           v->srcs_.data() + lo, v->addr_.data() + lo,
+                           v->latency_.data() + lo,
+                           v->aux_.data() + lo},
+                   TileColumns::kAll);
     }
     flat_ = std::move(v);
     return flat_;

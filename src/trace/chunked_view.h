@@ -2,6 +2,7 @@
 #define DSMEM_TRACE_CHUNKED_VIEW_H
 
 #include <array>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -12,6 +13,8 @@
 
 namespace dsmem::util {
 class ByteSink;
+class ByteSource;
+class ReadFile;
 }
 
 namespace dsmem::trace {
@@ -35,6 +38,31 @@ struct TraceTile {
     std::vector<Addr> addr;
     std::vector<uint32_t> latency;
     std::vector<uint32_t> aux;
+    /** A file-backed view's fetch reads the chunk's slices here. */
+    std::vector<uint8_t> fetched;
+};
+
+/**
+ * Which TraceTile columns a decode fills. The static models (BASE,
+ * SSBR and SS) read only the opcode, the sources, the latency and
+ * the aux value, so their tiles skip the address pass and the
+ * fu/flags lookups, and a file-backed view does not fetch the
+ * address slice for them.
+ */
+enum class TileColumns : uint8_t {
+    kAll,    ///< Every column.
+    kStatic, ///< ops, num_srcs, srcs, latency and aux only.
+};
+
+/**
+ * What the file-backed views of one owner (a runner::TraceStore) read
+ * from their files. Shared by every view and updated atomically, so
+ * concurrent groups count into it directly.
+ */
+struct FetchStats {
+    std::atomic<uint64_t> fetches{0};         ///< Chunk fetches.
+    std::atomic<uint64_t> bytes{0};           ///< Slice bytes read.
+    std::atomic<uint64_t> verify_failures{0}; ///< Slices refused.
 };
 
 namespace detail {
@@ -137,30 +165,44 @@ class TileSpan
 };
 
 /**
- * Chunked, compressed-resident trace view: the trace stays in memory
- * as its v2 sections (raw meta bytes; varint-encoded source deltas,
- * zigzag address/latency deltas, and aux values) sliced into chunks
- * of kChunkInstrs instructions, decoded on demand into TraceTile SoA
- * tiles. Resident footprint is ~4-8 bytes per instruction against the
- * flat view's 28 (TraceView::bytesPerInstr()), so a campaign keeps
- * only the compressed form plus one L2-sized tile resident; a
- * core::TraceSource over it decodes each chunk just before the sweep
- * reads it.
+ * Chunked, compressed trace view: the trace is kept as its v2
+ * sections (raw meta bytes; varint-encoded source deltas, zigzag
+ * address/latency deltas, and aux values) sliced into chunks of
+ * kChunkInstrs instructions, decoded on demand into TraceTile SoA
+ * tiles. A core::TraceSource over it decodes each chunk just before
+ * the sweep reads it, so a sweep holds one L2-sized tile.
  *
- * The five sections sit back to back in one buffer. A per-chunk
- * directory stores each section's byte offset plus the
+ * The sections live in one of two places:
+ *  - in memory, back to back in one buffer (~4-8 bytes per
+ *    instruction against the flat view's 28,
+ *    TraceView::bytesPerInstr()): the phase-1 capture, a stream load,
+ *    a memory-only store;
+ *  - in their file (file-backed): a store load or an adopted
+ *    capture. The view holds the open file, each section's file
+ *    offset, and one hash per (chunk, section) slice. A decode first
+ *    reads chunk c's slices with pread into the caller's tile
+ *    (TraceTile::fetched), re-hashes each against the hash taken when
+ *    the view was built, and refuses a mismatch with
+ *    util::FormatError naming the trace and chunk. Only the directory
+ *    and the hashes stay in memory.
+ * Either way the same decoder runs over the slice bytes.
+ *
+ * A per-chunk directory stores each section's byte offset plus the
  * address/latency delta accumulators entering the chunk, so chunks
- * decode independently and in any order. Both build paths validate
- * the same things: the lean loader (the byte constructor, which
- * keeps the bytes it is given where they are) and the Encoder the
- * phase-1 capture uses both check the opcode range and SSA form (the
- * raw meta bytes double as a random-access opcode table for producer
- * checks), and every varint is a canonical LEB128 encoding of at most
- * five bytes that fits 32 bits. So a ChunkedView cannot exist
- * malformed, and neither decodeChunk nor flatten() checks again.
+ * decode independently and in any order. Every build path validates
+ * the same things: the lean load (the byte constructor, which keeps
+ * the bytes it is given where they are), the bounded-memory load
+ * (the ByteSource constructor, one pass over the file in fixed
+ * blocks) and the Encoder the phase-1 capture uses all check the
+ * opcode range and SSA form (the raw meta bytes double as a
+ * random-access opcode table for producer checks), and every varint
+ * is a canonical LEB128 encoding of at most five bytes that fits 32
+ * bits. So a ChunkedView cannot exist malformed; a file-backed one
+ * re-checks only that its file still holds the bytes it validated.
  *
  * Immutable after construction; decodeChunk is const and touches no
- * shared mutable state, so one ChunkedView may feed many threads.
+ * shared mutable state (positional reads share no file offset), so
+ * one ChunkedView may feed many threads.
  * flatten() lazily materializes (and caches) the full TraceView for
  * consumers that need random access (sampled runs, live-point
  * warming, the trace transforms); every phase-2 model reads a
@@ -199,6 +241,29 @@ class ChunkedView
      * any bytes past the aux section.
      */
     ChunkedView(std::vector<uint8_t> bytes, size_t at);
+
+    /**
+     * The bounded-memory load (trace::loadTraceChunked over a file):
+     * read the DSMT v2 stream at @p in's cursor — a ByteSource over
+     * @p file, so its offsets are the file's — in one pass through
+     * its block buffer, with the lean load's validation, hashing
+     * every (chunk, section) slice. The result is file-backed; only
+     * the meta section is held during the pass. @p in is left after
+     * the aux section. @p stats (may be null) counts the fetches.
+     */
+    ChunkedView(util::ByteSource &in,
+                std::shared_ptr<const util::ReadFile> file,
+                std::shared_ptr<FetchStats> stats);
+
+    /**
+     * A file-backed twin of this in-memory view, whose body (the five
+     * sections) @p file holds at offset @p body_at — a bundle just
+     * written from it. The slice hashes come from this view's own
+     * sections, so nothing is re-read.
+     */
+    std::shared_ptr<const ChunkedView>
+    inFile(std::shared_ptr<const util::ReadFile> file, uint64_t body_at,
+           std::shared_ptr<FetchStats> stats) const;
 
     /**
      * Builds a ChunkedView one chunk of AoS records at a time — the
@@ -249,14 +314,33 @@ class ChunkedView
                                    : n_ - c * kChunkInstrs;
     }
 
-    /** Decode chunk @p c into @p tile (recycling its storage). */
-    void decodeChunk(size_t c, TraceTile &tile) const;
+    /**
+     * Decode chunk @p c's @p cols into @p tile (recycling its
+     * storage); a file-backed view fetches and verifies the slices
+     * @p cols needs first (throws util::FormatError on a mismatch,
+     * util::IoError on a read fault).
+     */
+    void decodeChunk(size_t c, TraceTile &tile,
+                     TileColumns cols = TileColumns::kAll) const;
+
+    /** True when the sections stay in the view's file. */
+    bool fileBacked() const { return file_ != nullptr; }
+
+    /** The five sections' bytes: the v2 body. */
+    size_t bodyBytes() const
+    {
+        return static_cast<size_t>(sec_[kSections] - sec_[kMeta]);
+    }
+
+    /** Slice bytes one pass over every chunk's @p cols reads. */
+    size_t passBytes(TileColumns cols) const;
 
     /**
      * Bytes the trace occupies in this process: the compressed
-     * sections plus directory — what a streamed worker keeps resident
-     * in place of size() * TraceView::bytesPerInstr() — plus the flat
-     * copy once flatten() has materialized it.
+     * sections (in memory only) plus the directory and slice hashes —
+     * what a streamed worker keeps in place of size() *
+     * TraceView::bytesPerInstr() — plus the flat copy once flatten()
+     * has materialized it.
      */
     size_t bytesResident() const;
 
@@ -304,29 +388,74 @@ class ChunkedView
 
     ChunkedView() = default; ///< Empty; the Encoder fills it.
 
-    /** Decode chunk @p c into @p out's first chunkLength(c) slots. */
-    void decodeInto(size_t c, const Columns &out) const;
-
-    /** Section @p s's first byte. */
-    const uint8_t *section(Section s) const
+    /** Whether a decode of @p cols reads section @p s. */
+    static bool reads(TileColumns cols, Section s)
     {
-        return bytes_.data() + sec_[s];
+        return cols == TileColumns::kAll || s != kAddr;
     }
 
-    /** The five sections back to back: the v2 body. */
-    size_t bodyBytes() const { return sec_[kSections] - sec_[kMeta]; }
+    /** Chunk c's first byte of each section, as the decoder reads. */
+    struct Slices {
+        const uint8_t *at[kSections];
+    };
+
+    /**
+     * The one validating pass over a v2 stream at @p in's cursor:
+     * prologue, then the five sections, filling the directory, the
+     * section offsets (@p in's) and, for a file-backed view, the
+     * slice hashes.
+     */
+    void scan(util::ByteSource &in);
+
+    /** Offset of chunk @p c's slice within section @p s (c may be
+     *  chunkCount(): the section's length). */
+    uint64_t sliceOff(size_t c, Section s) const;
+
+    uint64_t sliceLen(size_t c, Section s) const
+    {
+        return sliceOff(c + 1, s) - sliceOff(c, s);
+    }
+
+    /**
+     * Read chunk @p c's slice of section @p s from the file into
+     * @p dst and check it against its hash: util::FormatError naming
+     * the trace and chunk on a mismatch. File-backed views only.
+     */
+    void readSlice(size_t c, Section s, uint8_t *dst) const;
+
+    /**
+     * Chunk @p c's slices of @p cols: in place for an in-memory view;
+     * read into @p scratch and verified for a file-backed one (the
+     * "trace_io.fetch" failpoint site).
+     */
+    Slices fetch(size_t c, TileColumns cols,
+                 std::vector<uint8_t> &scratch) const;
+
+    /** Decode chunk @p c from @p in into @p out's first
+     *  chunkLength(c) slots. */
+    void decodeInto(size_t c, const Slices &in, const Columns &out,
+                    TileColumns cols) const;
 
     std::string name_;
     size_t n_ = 0;
     /**
-     * Holds the sections at [sec_[kMeta], sec_[kSections]). A loaded
-     * view keeps the buffer it was read into, whose bytes before the
-     * meta section (a bundle's header and stats) are not the trace's
-     * and are not counted as resident.
+     * An in-memory view's sections, at [sec_[kMeta], sec_[kSections]).
+     * A loaded view keeps the buffer it was read into, whose bytes
+     * before the meta section (a bundle's header and stats) are not
+     * the trace's and are not counted as resident. Empty when
+     * file-backed.
      */
     std::vector<uint8_t> bytes_;
-    size_t sec_[kSections + 1] = {}; ///< Section starts, then the end.
+    /** Section starts, then the end: offsets into bytes_, or into
+     *  file_ when file-backed. */
+    uint64_t sec_[kSections + 1] = {};
     std::vector<ChunkDir> dir_;
+
+    /** File-backed only: the bundle, and one word-FNV hash per
+     *  (chunk, section) slice at [c * kSections + s]. */
+    std::shared_ptr<const util::ReadFile> file_;
+    std::vector<uint64_t> hashes_;
+    std::shared_ptr<FetchStats> stats_;
 
     mutable std::mutex flat_mu_;
     mutable std::shared_ptr<const TraceView> flat_;

@@ -9,8 +9,8 @@
 #include "trace/instruction.h"
 
 namespace dsmem::util {
-class ByteReader;
 class ByteSink;
+class ByteSource;
 }
 
 // ------------------------------------------------------------------
@@ -48,7 +48,7 @@ packMeta(Op op, uint8_t num_srcs, bool taken)
  * or a count the remaining bytes cannot hold — before anything is
  * sized by it.
  */
-size_t readPrologue(util::ByteReader &r, std::string &name);
+size_t readPrologue(util::ByteSource &r, std::string &name);
 
 /**
  * Write a DSMT v2 prologue (magic, version, name, record count @p n):

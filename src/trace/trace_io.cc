@@ -20,13 +20,13 @@ using detail::packMeta;
 constexpr char kMagic[4] = {'D', 'S', 'M', 'T'};
 
 std::string
-readName(util::ByteReader &r, uint64_t name_len)
+readName(util::ByteSource &r, uint64_t name_len)
 {
     if (name_len > 4096)
         throw util::FormatError("implausible trace name length");
-    const char *at = reinterpret_cast<const char *>(
-        r.take(static_cast<size_t>(name_len)));
-    return std::string(at, static_cast<size_t>(name_len));
+    std::string name(static_cast<size_t>(name_len), '\0');
+    r.read(name.data(), name.size());
+    return name;
 }
 
 /**
@@ -37,9 +37,9 @@ readName(util::ByteReader &r, uint64_t name_len)
  * latency, and aux.
  */
 size_t
-checkedCount(const util::ByteReader &r, uint64_t count)
+checkedCount(util::ByteSource &r, uint64_t count)
 {
-    if (count > r.remaining() / 4)
+    if (count > r.remainingBound() / 4)
         throw util::FormatError(
             "malformed trace: record count exceeds stream size");
     return static_cast<size_t>(count);
@@ -97,9 +97,11 @@ writeTrace(const Records &r, util::ByteSink &sink)
 }
 
 void
-readHeader(util::ByteReader &r)
+readHeader(util::ByteSource &r)
 {
-    if (std::memcmp(r.take(4), kMagic, 4) != 0)
+    char magic[4];
+    r.read(magic, 4);
+    if (std::memcmp(magic, kMagic, 4) != 0)
         throw util::FormatError("not a dsmem trace file");
     uint32_t version = r.readU32();
     if (version != kTraceFormatVersion) {
@@ -161,7 +163,7 @@ loadTraceView(std::istream &is)
 }
 
 size_t
-detail::readPrologue(util::ByteReader &r, std::string &name)
+detail::readPrologue(util::ByteSource &r, std::string &name)
 {
     readHeader(r);
     name = readName(r, r.readVarint());
@@ -189,7 +191,17 @@ loadTraceChunked(std::vector<uint8_t> bytes, size_t at)
 std::shared_ptr<const ChunkedView>
 loadTraceChunked(std::istream &is)
 {
-    return loadTraceChunked(util::readAll(is), 0);
+    return loadTraceChunked(util::ByteSource(is).readRest(), 0);
+}
+
+std::shared_ptr<const ChunkedView>
+loadTraceChunked(util::ByteSource &in,
+                 std::shared_ptr<const util::ReadFile> file,
+                 std::shared_ptr<FetchStats> stats)
+{
+    util::failpoint("trace_io.load");
+    return std::make_shared<const ChunkedView>(in, std::move(file),
+                                               std::move(stats));
 }
 
 } // namespace dsmem::trace

@@ -34,9 +34,10 @@ namespace dsmem::trace {
  *
  * Each section is one tight array, and the sections are exactly what
  * a trace::ChunkedView keeps resident, so there is one decoder: every
- * loader reads the stream into one buffer, validates the sections in
- * one pass and keeps them as read (loadTraceChunked); the flat and
- * AoS loaders then flatten that view. Every varint must be a
+ * loader validates the sections in one pass (loadTraceChunked) and
+ * either keeps them as read, in one buffer, or leaves them in their
+ * file and keeps only where each chunk's slices sit and their hashes;
+ * the flat and AoS loaders then flatten that view. Every varint must be a
  * canonical LEB128 encoding (no redundant high zero group) of a value
  * that fits 32 bits, and the stream must end with the aux section.
  * Integrity (checksums) is the containing bundle's concern
@@ -98,8 +99,28 @@ std::shared_ptr<const TraceView> loadTraceView(std::istream &is);
 std::shared_ptr<const ChunkedView>
 loadTraceChunked(std::vector<uint8_t> bytes, size_t at);
 
-/** loadTraceChunked over everything left in @p is (util::readAll). */
+/** loadTraceChunked over everything left in @p is, read into one
+ *  exact-size buffer (util::ByteSource::readRest). */
 std::shared_ptr<const ChunkedView> loadTraceChunked(std::istream &is);
+
+struct FetchStats;
+
+/**
+ * The bounded-memory load: read the DSMT v2 stream at @p in's cursor,
+ * whose offsets are those of @p file, in one sequential pass through
+ * @p in's fixed block buffer. The pass runs the same validation as the
+ * lean load and hashes every (chunk, section) slice; only the meta
+ * section is held while it runs. The returned view is file-backed:
+ * it keeps @p file, the chunk directory and the slice hashes, and
+ * fetches each chunk's slices when a decode needs them, counting the
+ * fetches in @p stats (may be null). @p in is left after the aux
+ * section; what follows is the caller's to check. The "trace_io.load"
+ * failpoint site.
+ */
+std::shared_ptr<const ChunkedView>
+loadTraceChunked(util::ByteSource &in,
+                 std::shared_ptr<const util::ReadFile> file,
+                 std::shared_ptr<FetchStats> stats);
 
 } // namespace dsmem::trace
 

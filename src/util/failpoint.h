@@ -92,7 +92,7 @@ struct FailpointSite {
 inline constexpr FailpointSite kFailpointSites[] = {
     {"bundle.generate", "phase-1 trace generation body"},
     {"byte_io.drain", "ByteSink block flush to the OS"},
-    {"byte_io.refill", "ByteSource block read from the OS"},
+    {"byte_io.refill", "ByteSource block read from a stream or file"},
     {"campaign.phase1", "campaign phase-1 job body"},
     {"campaign.phase2", "campaign phase-2 cell body"},
     {"dram.dispatch", "banked DRAM request dispatch"},
@@ -107,6 +107,7 @@ inline constexpr FailpointSite kFailpointSites[] = {
     {"svc.spawn", "coordinator fork/exec of a worker process"},
     {"svc.worker.recv", "worker frame receive"},
     {"svc.worker.send", "worker frame send"},
+    {"trace_io.fetch", "file-backed trace chunk slice read + verify"},
     {"trace_io.load", "bundle deserialization"},
     {"trace_io.save", "bundle serialization"},
     {"trace_store.open_read", "store bundle open-for-read"},

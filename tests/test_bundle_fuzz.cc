@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -92,6 +93,41 @@ loadViewFrom(std::istream &is)
     (void)vb;
 }
 
+/**
+ * The store's loader (the bounded-memory pass over a file) on
+ * @p bytes written to a scratch file: true when it loads, false on a
+ * typed refusal, and a test failure on anything untyped.
+ */
+bool
+fileOutcome(const std::string &bytes,
+            sim::StreamExec mode = sim::StreamExec::On)
+{
+    const std::string path = ::testing::TempDir() + "bundle_fuzz_" +
+        std::to_string(::getpid()) + ".dsmb";
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    std::shared_ptr<const util::ReadFile> file = util::ReadFile::open(path);
+    std::remove(path.c_str());
+    if (!file) {
+        ADD_FAILURE() << "cannot reopen " << path;
+        return false;
+    }
+    try {
+        sim::ViewBundle vb = loadBundleView(file, mode);
+        return true;
+    } catch (const util::FormatError &) {
+        return false;
+    } catch (const util::IoError &) {
+        return false;
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "untyped exception escaped the file loader: "
+                      << e.what();
+        return false;
+    }
+}
+
 // --- Truncation: every prefix length must fail, typed --------------
 
 void
@@ -105,11 +141,15 @@ truncateEverywhere(const std::string &bytes)
         EXPECT_FALSE(typedOutcome(prefix, loadViewFrom))
             << "truncated view bundle of " << len << "/"
             << bytes.size() << " bytes loaded successfully";
+        EXPECT_FALSE(fileOutcome(prefix))
+            << "truncated bundle file of " << len << "/" << bytes.size()
+            << " bytes loaded successfully";
     }
     // The untruncated bytes stay loadable — the loop above did not
     // pass vacuously.
     EXPECT_TRUE(typedOutcome(bytes, loadBundleFrom));
     EXPECT_TRUE(typedOutcome(bytes, loadViewFrom));
+    EXPECT_TRUE(fileOutcome(bytes));
 }
 
 TEST(BundleFuzz, TruncationAtEveryOffsetV2)
@@ -130,7 +170,11 @@ flipEverywhere(const std::string &bytes)
                 static_cast<uint8_t>(mutant[pos]) ^ mask);
             if (typedOutcome(mutant, loadBundleFrom))
                 ++survived;
-            typedOutcome(mutant, loadViewFrom);
+            // The file loader accepts and refuses exactly what the
+            // in-memory one does.
+            EXPECT_EQ(fileOutcome(mutant),
+                      typedOutcome(mutant, loadViewFrom))
+                << "loaders disagree on a flip at " << pos;
         }
     }
     // The whole-payload checksum makes a silently accepted flip
@@ -295,7 +339,10 @@ TEST(BundleFuzz, ChecksumValidMalformedTracesAreRefused)
         }
         std::istringstream is(sealed, std::ios::binary);
         EXPECT_THROW(loadBundle(is), util::FormatError);
+        EXPECT_FALSE(fileOutcome(sealed, sim::StreamExec::On));
+        EXPECT_FALSE(fileOutcome(sealed, sim::StreamExec::Off));
     }
+    EXPECT_TRUE(fileOutcome(bytes));
 }
 
 TEST(BundleFuzz, BadMagicAndVersionAreFormatErrors)
@@ -318,6 +365,7 @@ TEST(BundleFuzz, TrailingGarbageIsRejected)
     v2 += "extra";
     std::istringstream is(v2, std::ios::binary);
     EXPECT_THROW(loadBundle(is), util::FormatError);
+    EXPECT_FALSE(fileOutcome(v2));
 }
 
 // --- DSLP live-point streams under the same contract ----------------

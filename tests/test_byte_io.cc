@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -366,6 +368,72 @@ TEST(ByteSinkHashTest, ShortWriteDrainYieldsARejectedBundle)
     runner::saveBundle(bundle, ss);
     EXPECT_EQ(runner::loadBundleView(ss).view->size(),
               bundle.trace.size());
+}
+
+/**
+ * The three inputs of the one reader agree: a file read block by
+ * block, the same bytes in memory and as a stream give the same
+ * fields, the same stream hash and the same slice hash, and the
+ * scanner window (ensure / limit / advanceTo) crosses block edges.
+ */
+TEST(ByteSourceTest, FileMemoryAndStreamInputsAgree)
+{
+    std::string bytes;
+    for (int i = 0; i < 5000; ++i)
+        bytes.push_back(static_cast<char>(i * 37 + 11));
+    const std::string path = ::testing::TempDir() + "byte_io_file_" +
+        std::to_string(::getpid());
+    {
+        std::ofstream os(path, std::ios::binary);
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    std::shared_ptr<const ReadFile> file = ReadFile::open(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(file);
+    EXPECT_EQ(file->size(), bytes.size());
+    EXPECT_FALSE(ReadFile::open(path));
+
+    std::istringstream is(bytes, std::ios::binary);
+    ByteSource from_file(*file, 64);
+    ByteSource from_stream(is, 64);
+    ByteSource from_memory(reinterpret_cast<const uint8_t *>(bytes.data()),
+                           bytes.size());
+    std::vector<uint64_t> fields, hashes;
+    for (ByteSource *src : {&from_file, &from_stream, &from_memory}) {
+        src->beginHash();
+        fields.push_back(src->readU64());
+        src->beginSliceHash();
+        // Walk 3000 bytes through the scanner window, 5 at a time.
+        uint64_t sum = 0;
+        for (size_t left = 3000; left > 0;) {
+            const uint8_t *p = src->ensure(5);
+            const size_t k = std::min<size_t>(
+                {left, 5, static_cast<size_t>(src->limit() - p)});
+            ASSERT_GT(k, 0u);
+            for (size_t j = 0; j < k; ++j)
+                sum += p[j];
+            src->advanceTo(p + k);
+            left -= k;
+        }
+        fields.push_back(sum);
+        hashes.push_back(src->sliceHashValue());
+        EXPECT_EQ(src->offset(), 3008u);
+        EXPECT_EQ(src->remainingBound(), bytes.size() - 3008);
+        std::vector<uint8_t> rest(bytes.size() - 3008);
+        src->read(rest.data(), rest.size());
+        hashes.push_back(src->hashValue());
+        EXPECT_TRUE(src->atEof());
+        EXPECT_THROW(src->readByte(), TruncatedError);
+    }
+    FnvState whole, slice;
+    whole.update(bytes.data(), bytes.size());
+    slice.update(bytes.data() + 8, 3000);
+    for (size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(fields[2 * k], fields[0]);
+        EXPECT_EQ(fields[2 * k + 1], fields[1]);
+        EXPECT_EQ(hashes[2 * k], slice.value());
+        EXPECT_EQ(hashes[2 * k + 1], whole.value());
+    }
 }
 
 } // namespace

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -23,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "file_backed.h"
 #include "malformed_trace.h"
 #include "random_trace.h"
 #include "sim/app_registry.h"
@@ -491,6 +494,116 @@ TEST(ChunkedView, CaptureMatchesViewEncodingForEveryApp)
         EXPECT_EQ(vb.stats.locks, tb.stats.locks);
         EXPECT_EQ(vb.stats.barriers, tb.stats.barriers);
     }
+}
+
+// --- File-backed views: the sections stay in their bundle file ------
+
+/** The columns a TileColumns::kStatic decode fills match @p view. */
+void
+expectStaticTileMatchesView(const TraceTile &tile, const TraceView &view)
+{
+    TileSpan span(tile);
+    for (size_t i = span.lo(); i < span.hi(); ++i) {
+        ASSERT_EQ(span.op(i), view.op(i)) << "op at " << i;
+        ASSERT_EQ(span.numSrcs(i), view.numSrcs(i)) << "srcs at " << i;
+        for (uint8_t s = 0; s < span.numSrcs(i); ++s)
+            ASSERT_EQ(span.srcs(i)[s], view.srcs(i)[s]) << "src at " << i;
+        ASSERT_EQ(span.latency(i), view.latency(i)) << "latency at " << i;
+        ASSERT_EQ(span.aux(i), view.aux(i)) << "aux at " << i;
+    }
+}
+
+TEST(ChunkedView, FileBackedMatchesInMemoryAndFlat)
+{
+    for (size_t n : {size_t{0}, size_t{1}, size_t{8191}, size_t{8192},
+                     size_t{8193}, size_t{17161}}) {
+        SCOPED_TRACE("n " + std::to_string(n));
+        const Trace t = testing::randomTrace(101 + n, n);
+        const TraceView flat(t);
+        const ChunkedView memory(flat);
+
+        // Loaded from disk, and adopted: the in-memory view's twin
+        // over the bundle just written from it.
+        auto stats = std::make_shared<FetchStats>();
+        const sim::ViewBundle loaded =
+            testing::fileBackedBundle(t, "cv_load", stats);
+        const std::string path = testing::scratchPath("cv_adopt");
+        testing::writeBundleFile(t, path);
+        std::shared_ptr<const util::ReadFile> file =
+            util::ReadFile::open(path);
+        std::remove(path.c_str());
+        ASSERT_TRUE(file);
+        const std::shared_ptr<const ChunkedView> adopted = memory.inFile(
+            file, file->size() - 8 - memory.bodyBytes(), stats);
+
+        for (const ChunkedView *cv : {loaded.chunked.get(), adopted.get()}) {
+            ASSERT_TRUE(cv->fileBacked());
+            EXPECT_FALSE(memory.fileBacked());
+            EXPECT_TRUE(*cv == memory);
+            ASSERT_EQ(cv->chunkCount(), memory.chunkCount());
+            EXPECT_EQ(cv->passBytes(TileColumns::kAll), memory.bodyBytes());
+            // Only the directory and the hashes stay in memory.
+            EXPECT_EQ(memory.bytesResident() - cv->bytesResident() +
+                          cv->chunkCount() * 5 * sizeof(uint64_t),
+                      memory.bodyBytes());
+            TraceTile tile, static_tile;
+            for (size_t c = cv->chunkCount(); c-- > 0;) {
+                const uint64_t before = stats->bytes.load();
+                cv->decodeChunk(c, tile);
+                expectTileMatchesView(tile, flat);
+                const uint64_t all = stats->bytes.load() - before;
+                cv->decodeChunk(c, static_tile, TileColumns::kStatic);
+                expectStaticTileMatchesView(static_tile, flat);
+                const uint64_t part = stats->bytes.load() - before - all;
+                EXPECT_LT(part, all) << "the addr slice was fetched";
+                memory.decodeChunk(c, tile);
+                expectTileMatchesView(tile, flat);
+            }
+            expectSameView(*cv->flatten(), flat);
+            EXPECT_TRUE(cv->flattened());
+
+            std::ostringstream a(std::ios::binary), b(std::ios::binary);
+            {
+                util::ByteSink sa(a), sb(b);
+                saveTrace(*cv, sa);
+                saveTrace(memory, sb);
+            }
+            EXPECT_EQ(a.str(), b.str());
+        }
+        EXPECT_EQ(stats->verify_failures.load(), 0u);
+    }
+}
+
+TEST(ChunkedView, FileBackedViewRefusesChangedBytes)
+{
+    const Trace t = testing::randomTrace(7, 3 * 8192 + 5);
+    const std::string path = testing::scratchPath("cv_flip");
+    testing::writeBundleFile(t, path);
+    std::shared_ptr<const util::ReadFile> file = util::ReadFile::open(path);
+    ASSERT_TRUE(file);
+    auto stats = std::make_shared<FetchStats>();
+    const sim::ViewBundle vb =
+        runner::loadBundleView(file, sim::StreamExec::On, stats);
+
+    // Rewrite the file in place: one byte of the last aux slice.
+    {
+        std::fstream io(path, std::ios::binary | std::ios::in |
+                                  std::ios::out);
+        io.seekp(static_cast<std::streamoff>(file->size() - 9));
+        io.put('\x7f');
+    }
+    std::remove(path.c_str());
+    TraceTile tile;
+    vb.chunked->decodeChunk(0, tile);
+    try {
+        vb.chunked->decodeChunk(3, tile);
+        ADD_FAILURE() << "a changed slice decoded";
+    } catch (const util::FormatError &e) {
+        EXPECT_NE(std::string(e.what()).find("chunk 3"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(stats->verify_failures.load(), 1u);
+    EXPECT_THROW(vb.chunked->flatten(), util::FormatError);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "core/sim_context.h"
 #include "core/sol_sweep.h"
 #include "core/static_processor.h"
+#include "file_backed.h"
 #include "random_trace.h"
 #include "runner/campaign.h"
 #include "runner/runner.h"
@@ -1152,6 +1154,102 @@ TEST(Executor, RunGroupChunkedBundleMatchesFlat)
             }
         }
     }
+}
+
+/**
+ * A file-backed bundle (the trace left in its bundle file, each chunk
+ * fetched and verified as a group reaches it) runs every DS, static
+ * and fused group exactly as the in-memory chunked and flat forms do,
+ * at lengths around the chunk boundary; and one pass fetches what
+ * passBytes says, with the address slice skipped for static groups.
+ */
+TEST(Executor, RunGroupFileBackedBundleMatchesInMemoryAndFlat)
+{
+    const std::vector<ModelSpec> specs = sim::figure3Columns();
+    const std::vector<uint8_t> done(specs.size(), 0);
+    constexpr size_t kChunk = trace::ChunkedView::kChunkInstrs;
+    for (size_t n : {size_t{0}, size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+                     size_t{17161}}) {
+        trace::Trace raw = testing::randomTrace(83, n);
+        sim::ViewBundle flat;
+        flat.view = trace::TraceView::build(raw);
+        sim::ViewBundle memory;
+        memory.chunked = std::make_shared<trace::ChunkedView>(*flat.view);
+        auto stats = std::make_shared<trace::FetchStats>();
+        const sim::ViewBundle file =
+            testing::fileBackedBundle(raw, "exec", stats);
+        ASSERT_TRUE(file.chunked && file.chunked->fileBacked());
+        ASSERT_FALSE(file.view);
+
+        for (size_t cap : {size_t{0}, size_t{1}, size_t{3}}) {
+            SimContext flat_ctx, memory_ctx, file_ctx;
+            for (const ExecGroup &g : sim::planPhase2(specs, done, cap)) {
+                const uint64_t before = stats->bytes.load();
+                const std::vector<RunResult> want =
+                    sim::runGroup(flat, specs, g, flat_ctx);
+                const std::vector<RunResult> mem =
+                    sim::runGroup(memory, specs, g, memory_ctx);
+                const std::vector<RunResult> got =
+                    sim::runGroup(file, specs, g, file_ctx);
+                const bool is_static =
+                    specs[g.rows.front()].kind != ModelSpec::Kind::DS;
+                EXPECT_EQ(stats->bytes.load() - before,
+                          file.chunked->passBytes(
+                              is_static ? trace::TileColumns::kStatic
+                                        : trace::TileColumns::kAll))
+                    << "n " << n << " cap " << cap;
+                ASSERT_EQ(got.size(), want.size());
+                ASSERT_EQ(mem.size(), want.size());
+                for (size_t i = 0; i < g.rows.size(); ++i) {
+                    SCOPED_TRACE("n " + std::to_string(n) + " cap " +
+                                 std::to_string(cap) + " " +
+                                 specs[g.rows[i]].label());
+                    EXPECT_EQ(mem[i], want[i]);
+                    EXPECT_EQ(got[i], want[i]);
+                }
+            }
+        }
+        EXPECT_FALSE(file.chunked->flattened());
+        EXPECT_EQ(stats->verify_failures.load(), 0u);
+    }
+}
+
+/**
+ * Concurrent groups share one file-backed view: each fetches into its
+ * own context's tile through positional reads of the one descriptor
+ * (run under TSan to check the sharing).
+ */
+TEST(Executor, ConcurrentGroupsShareOneFileBackedView)
+{
+    const std::vector<ModelSpec> specs = sim::figure3Columns();
+    const std::vector<uint8_t> done(specs.size(), 0);
+    trace::Trace raw = testing::randomTrace(89, 5 * 8192 + 77);
+    const sim::ViewBundle file = testing::fileBackedBundle(raw, "conc");
+    sim::ViewBundle flat;
+    flat.view = trace::TraceView::build(raw);
+    const std::vector<ExecGroup> groups = sim::planPhase2(specs, done, 3);
+
+    std::vector<std::vector<RunResult>> want;
+    SimContext ref_ctx;
+    for (const ExecGroup &g : groups)
+        want.push_back(sim::runGroup(flat, specs, g, ref_ctx));
+
+    constexpr size_t kThreads = 4;
+    std::vector<std::vector<std::vector<RunResult>>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            SimContext ctx;
+            for (size_t k = 0; k < groups.size(); ++k)
+                got[t].push_back(sim::runGroup(
+                    file, specs, groups[(k + t) % groups.size()], ctx));
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (size_t t = 0; t < kThreads; ++t)
+        for (size_t k = 0; k < groups.size(); ++k)
+            EXPECT_EQ(got[t][k], want[(k + t) % groups.size()])
+                << "thread " << t << " group " << k;
 }
 
 } // namespace

@@ -25,8 +25,10 @@
 #include "runner/journal.h"
 #include "runner/runner.h"
 #include "runner/trace_store.h"
+#include "sim/executor.h"
 #include "sim/experiment.h"
 #include "sim/trace_bundle.h"
+#include "trace/chunked_view.h"
 #include "util/errors.h"
 #include "util/failpoint.h"
 
@@ -322,6 +324,145 @@ TEST_F(FaultToleranceTest, TransientReadFaultIsRethrownTyped)
     EXPECT_TRUE(store.loadView(sim::AppId::MP3D, mem, true).has_value());
     EXPECT_EQ(store.stats().io_errors, 1u);
     EXPECT_EQ(store.stats().quarantined, 0u);
+}
+
+// --- File-backed traces: the bundle file after the load -------------
+
+/** Bytes of @p v's v2 srcs section (one varint per source delta). */
+size_t
+srcsSectionBytes(const trace::TraceView &v)
+{
+    size_t bytes = 0;
+    for (size_t i = 0; i < v.size(); ++i)
+        for (uint8_t s = 0; s < v.numSrcs(i); ++s)
+            for (uint32_t d = static_cast<uint32_t>(i) - v.srcs(i)[s];;
+                 d >>= 7) {
+                ++bytes;
+                if (d < 0x80)
+                    break;
+            }
+    return bytes;
+}
+
+/** MP3D's small bundle, written into @p dir by a first store. */
+void
+fillStore(const std::string &dir)
+{
+    TraceStore warm(dir, sim::StreamExec::On);
+    warm.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
+}
+
+TEST_F(FaultToleranceTest, ChangedStoreFileFailsOnlyTheGroupsThatReadIt)
+{
+    TempDir dir("fetch_flip");
+    fillStore(dir.str());
+    TraceStore store(dir.str(), sim::StreamExec::On);
+    sim::TraceOrigin origin;
+    const sim::ViewBundle &vb = store.getView(
+        sim::AppId::MP3D, memsys::MemoryConfig{}, true, &origin);
+    ASSERT_EQ(origin, sim::TraceOrigin::DISK);
+    ASSERT_TRUE(vb.chunked && vb.chunked->fileBacked());
+    const sim::ViewBundle ref =
+        sim::generateView(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
+    const trace::TraceView &flat = *ref.flatView();
+
+    // Rewrite the file in place: flip the first byte of the address
+    // section, which only chunk 0's address slice covers.
+    const std::string path =
+        store.pathFor(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
+    const uint64_t size = fs::file_size(path);
+    const uint64_t addr_at = size - 8 - vb.chunked->bodyBytes() +
+        flat.size() + srcsSectionBytes(flat);
+    {
+        std::fstream io(path, std::ios::binary | std::ios::in |
+                                  std::ios::out);
+        io.seekg(static_cast<std::streamoff>(addr_at));
+        const char b = static_cast<char>(io.get());
+        io.seekp(static_cast<std::streamoff>(addr_at));
+        io.put(static_cast<char>(b ^ 0x01));
+    }
+
+    // DS groups read addresses and fail, typed, naming the trace and
+    // the chunk; static groups skip the address slice and still match.
+    const std::vector<sim::ModelSpec> specs = sim::figure3Columns();
+    const std::vector<uint8_t> done(specs.size(), 0);
+    size_t failed = 0, matched = 0;
+    core::SimContext ctx;
+    for (const sim::ExecGroup &g : sim::planPhase2(specs, done, 3)) {
+        const bool ds = specs[g.rows.front()].kind == sim::ModelSpec::Kind::DS;
+        try {
+            const std::vector<core::RunResult> got =
+                sim::runGroup(vb, specs, g, ctx);
+            EXPECT_FALSE(ds) << "a DS group read a changed slice";
+            for (size_t i = 0; i < g.rows.size(); ++i)
+                EXPECT_EQ(got[i], sim::runModel(flat, specs[g.rows[i]]))
+                    << specs[g.rows[i]].label();
+            ++matched;
+        } catch (const util::FormatError &e) {
+            EXPECT_TRUE(ds);
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'" + vb.chunked->name() + "'"),
+                      std::string::npos) << what;
+            EXPECT_NE(what.find("chunk 0"), std::string::npos) << what;
+            ++failed;
+        }
+    }
+    EXPECT_GT(failed, 0u);
+    EXPECT_GT(matched, 0u);
+    EXPECT_EQ(store.stats().fetch_verify_failures, failed);
+}
+
+TEST_F(FaultToleranceTest, UnlinkedStoreFileStillServesItsTrace)
+{
+    TempDir dir("fetch_unlink");
+    fillStore(dir.str());
+    TraceStore store(dir.str(), sim::StreamExec::On);
+    const sim::ViewBundle &vb =
+        store.getView(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
+    ASSERT_TRUE(vb.chunked && vb.chunked->fileBacked());
+    fs::remove(store.pathFor(sim::AppId::MP3D, memsys::MemoryConfig{},
+                             true));
+
+    const sim::ViewBundle ref =
+        sim::generateView(sim::AppId::MP3D, memsys::MemoryConfig{}, true);
+    const std::vector<sim::ModelSpec> specs = sim::figure3Columns();
+    const std::vector<uint8_t> done(specs.size(), 0);
+    core::SimContext ctx;
+    for (const sim::ExecGroup &g : sim::planPhase2(specs, done, 3)) {
+        const std::vector<core::RunResult> got =
+            sim::runGroup(vb, specs, g, ctx);
+        for (size_t i = 0; i < g.rows.size(); ++i)
+            EXPECT_EQ(got[i], sim::runModel(*ref.flatView(),
+                                            specs[g.rows[i]]))
+                << specs[g.rows[i]].label();
+    }
+    EXPECT_GT(store.stats().chunk_fetches, 0u);
+}
+
+TEST_F(FaultToleranceTest, TransientChunkFetchFaultRetriesAndMatches)
+{
+    TempDir dir("fetch_retry");
+    const std::vector<sim::ModelSpec> specs = sim::figure3Columns();
+    Campaign clean("fetch", fastOptions(dir.str()));
+    clean.add(sim::AppId::MP3D, specs, memsys::MemoryConfig{}, true);
+    clean.run();
+    ASSERT_TRUE(clean.ok());
+
+    util::armFailpoint(
+        {"trace_io.fetch", util::FailpointMode::THROW, 0, 1, true});
+    Campaign faulty("fetch", fastOptions(dir.str()));
+    faulty.add(sim::AppId::MP3D, specs, memsys::MemoryConfig{}, true);
+    faulty.run();
+    EXPECT_EQ(faulty.result(0).origin, sim::TraceOrigin::DISK);
+    EXPECT_TRUE(faulty.ok()) << faulty.failureSummary();
+    ASSERT_EQ(faulty.sink().errors().size(), 1u);
+    EXPECT_FALSE(faulty.sink().errors()[0].fatal);
+    EXPECT_EQ(faulty.sink().errors()[0].site, "phase2");
+    EXPECT_EQ(faulty.sink().errors()[0].attempts, 2);
+    for (size_t s = 0; s < specs.size(); ++s)
+        EXPECT_EQ(faulty.result(0).rows[s].result,
+                  clean.result(0).rows[s].result)
+            << specs[s].label();
 }
 
 TEST_F(FaultToleranceTest, FailedRenameIsCountedAndReported)

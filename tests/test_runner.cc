@@ -26,9 +26,11 @@
 #include "runner/result_sink.h"
 #include "runner/runner.h"
 #include "runner/trace_store.h"
+#include "sim/executor.h"
 #include "sim/experiment.h"
 #include "sim/sampling.h"
 #include "sim/trace_bundle.h"
+#include "trace/chunked_view.h"
 #include "trace/trace_view.h"
 #include "util/sysinfo.h"
 
@@ -339,6 +341,9 @@ TEST(CampaignRelease, OnlySampledTracesAreEverFlattened)
         EXPECT_EQ(campaign.result(0).origin, origin);
         EXPECT_EQ(campaign.result(1).origin, origin);
         EXPECT_EQ(campaign.storeStats().flattened, 0u);
+        // Generated or loaded, each trace stayed in its bundle file.
+        EXPECT_EQ(campaign.storeStats().in_memory_views, 0u);
+        EXPECT_GT(campaign.storeStats().chunk_fetches, 0u);
     }
     {
         // The counter sees flat residency: Off holds both traces flat.
@@ -372,6 +377,71 @@ TEST(CampaignRelease, OnlySampledTracesAreEverFlattened)
         EXPECT_EQ(campaign.result(0).rows[s].result,
                   sim::runModel(*mp3d.flatView(), statics[s]))
             << statics[s].label();
+}
+
+/**
+ * A warm campaign holds no trace in memory: every trace is a
+ * file-backed view of its bundle, and what the store fetched is
+ * exactly one pass per group — every section for a DS group, all
+ * but the addresses for a static one.
+ */
+TEST(CampaignRelease, WarmCampaignFetchesEachGroupsPassFromItsFile)
+{
+    TempDir dir("warm_fetch");
+    const std::vector<sim::ModelSpec> specs = sim::figure3Columns();
+    const std::vector<sim::AppId> apps = {sim::AppId::MP3D, sim::AppId::LU};
+    RunnerOptions opts = noStoreOptions(4);
+    opts.trace_dir = dir.str();
+    auto declare = [&](Campaign &campaign) {
+        for (sim::AppId id : apps)
+            campaign.add(id, specs, memsys::MemoryConfig{}, true);
+    };
+    {
+        Campaign cold("cold", opts);
+        declare(cold);
+        cold.run();
+        ASSERT_TRUE(cold.ok()) << cold.failureSummary();
+        EXPECT_EQ(cold.storeStats().in_memory_views, 0u);
+    }
+    Campaign warm("warm", opts);
+    declare(warm);
+    warm.run();
+    ASSERT_TRUE(warm.ok()) << warm.failureSummary();
+
+    // What one pass of each group reads, per the plan run() used.
+    size_t pending_ds = 0;
+    for (const sim::ModelSpec &spec : specs)
+        pending_ds += spec.kind == sim::ModelSpec::Kind::DS;
+    const size_t cap = sim::adaptiveLaneCap(pending_ds * apps.size(), 4);
+    const std::vector<uint8_t> done(specs.size(), 0);
+    TraceStore probe(dir.str(), sim::StreamExec::On);
+    uint64_t bytes = 0, fetches = 0;
+    for (size_t u = 0; u < apps.size(); ++u) {
+        EXPECT_EQ(warm.result(u).origin, sim::TraceOrigin::DISK);
+        const sim::ViewBundle &vb =
+            probe.getView(apps[u], memsys::MemoryConfig{}, true);
+        ASSERT_TRUE(vb.chunked && vb.chunked->fileBacked());
+        for (const sim::ExecGroup &g : sim::planPhase2(specs, done, cap)) {
+            const bool ds =
+                specs[g.rows.front()].kind == sim::ModelSpec::Kind::DS;
+            bytes += vb.chunked->passBytes(ds ? trace::TileColumns::kAll
+                                              : trace::TileColumns::kStatic);
+            fetches += vb.chunked->chunkCount();
+        }
+    }
+    const StoreStats st = warm.storeStats();
+    EXPECT_EQ(st.in_memory_views, 0u);
+    EXPECT_EQ(st.flattened, 0u);
+    EXPECT_EQ(st.fetch_verify_failures, 0u);
+    EXPECT_EQ(st.fetch_bytes, bytes);
+    EXPECT_EQ(st.chunk_fetches, fetches);
+
+    // The counters reach the --json export, not the stable one.
+    std::ostringstream js;
+    warm.sink().writeJson(js);
+    EXPECT_NE(js.str().find("\"store\": {\"chunk_fetches\": " +
+                            std::to_string(fetches)),
+              std::string::npos);
 }
 
 TEST(TraceStoreTest, GetViewAfterReleaseReloads)
